@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
 from .expr import (
     EvaluationSingularityError,
     Expr,
@@ -30,7 +32,7 @@ from .expr import (
     is_zero,
     random_rational_point,
 )
-from .geometry import det as _det_expr
+from .geometry import adjugate, det, field_vars
 from .poly import RationalFn, ray_integral, var_key
 
 __all__ = [
@@ -152,7 +154,13 @@ class ConstantBracket:
                 if up[i][j] != up[j][i]:
                     raise ValueError("eta must be symmetric")
         if self.down is None:
-            down = _fraction_inverse(up)
+            entries = [[Expr.const(x) for x in row] for row in up]
+            d = det(entries).const_value()
+            if d == 0:
+                raise ValueError("eta is singular")
+            down = tuple(
+                tuple(a.const_value() / d for a in row) for row in adjugate(entries)
+            )
         else:
             down = tuple(tuple(Fraction(x) for x in row) for row in self.down)
         object.__setattr__(self, "up", up)
@@ -173,29 +181,6 @@ class ConstantBracket:
             ),
             K=zero,
         )
-
-
-def _fraction_inverse(up):
-    n = len(up)
-    entries = [[Expr.const(x) for x in row] for row in up]
-    d = _det_expr(entries)
-    if d.const_value() == 0:
-        raise ValueError("eta is singular")
-    # adjugate over the rationals via expression determinants of minors
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [entries[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _det_expr(minor) if n > 1 else Expr.const(1)
-            sign = Fraction(1) if (i + j) % 2 == 0 else Fraction(-1)
-            row.append(sign * cof.const_value() / d.const_value())
-        inv.append(tuple(row))
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -219,6 +204,12 @@ class CanonicalPair:
     @property
     def n(self) -> int:
         return len(self.vars)
+
+    @cached_property
+    def _flow_bracket(self) -> HydroBracket:
+        """The canonical bracket in the flow variables v1..vN, built once."""
+        mapping = dict(zip(self.vars, field_vars(self.n, "v")))
+        return build_canonical(self).rename(mapping)
 
     def h_origin(self) -> tuple:
         """H evaluated at the origin of the field variables (parameters, if
@@ -334,6 +325,25 @@ def _precompute(B: HydroBracket):
     return dg, db
 
 
+def _s4_curvature(B: HydroBracket, db):
+    """The derivative/curvature half of s4, by (i, j, r, k):
+    g^{is}(d_k b^{jr}_s - d_s b^{jr}_k) - K(delta^j_k g^{ir} - delta^r_k g^{ij}).
+    s4 adds the associativity half b^{ij}_s b^{sr}_k - b^{ir}_s b^{sj}_k."""
+    n = B.n
+    g, K = B.g, B.K
+    zero = Expr.const(0)
+    for i in range(n):
+        for j in range(n):
+            for r in range(n):
+                for k in range(n):
+                    res = sum(
+                        (g[i][s] * (db[j][r][s][k] - db[j][r][k][s]) for s in range(n)),
+                        zero,
+                    )
+                    rhs = (g[i][r] if j == k else zero) - (g[i][j] if r == k else zero)
+                    yield (i + 1, j + 1, r + 1, k + 1), res - K * rhs
+
+
 def _s_residuals(B: HydroBracket):
     """Yield the condition families (name, generator of (indices, residual))."""
     n = B.n
@@ -363,28 +373,13 @@ def _s_residuals(B: HydroBracket):
                     yield (i + 1, j + 1, r + 1), res
 
     def s4():
-        for i in range(n):
-            for j in range(n):
-                for r in range(n):
-                    for k in range(n):
-                        res = sum(
-                            (
-                                g[i][s] * (db[j][r][s][k] - db[j][r][k][s])
-                                for s in range(n)
-                            ),
-                            zero,
-                        )
-                        res = res + sum(
-                            (
-                                b[i][j][s] * b[s][r][k] - b[i][r][s] * b[s][j][k]
-                                for s in range(n)
-                            ),
-                            zero,
-                        )
-                        rhs = (g[i][r] if j == k else zero) - (
-                            g[i][j] if r == k else zero
-                        )
-                        yield (i + 1, j + 1, r + 1, k + 1), res - K * rhs
+        for indices, curvature in _s4_curvature(B, db):
+            i, j, r, k = (x - 1 for x in indices)
+            assoc = sum(
+                (b[i][j][s] * b[s][r][k] - b[i][r][s] * b[s][j][k] for s in range(n)),
+                zero,
+            )
+            yield indices, curvature + assoc
 
     def s5():
         seen = set()
@@ -599,26 +594,12 @@ def check_canonical_equations(
                         )
                         yield (i + 1, j + 1, k + 1, l + 1), res
 
-    g1 = [
-        [
-            sum(
-                (
-                    Expr.const(up[i][r]) * dH[s][r] + Expr.const(up[s][r]) * dH[i][r]
-                    for r in range(n)
-                ),
-                zero,
-            )
-            - K * u[i] * u[s]
-            for s in range(n)
-        ]
-        for i in range(n)
-    ]
+    # w^{jk}_s = b1^{jk}_s + K delta^j_s u^k = eta^{jp} d2H^k/du^p du^s
+    B = build_canonical(P)
+    g1 = B.g
     w = [
         [
-            [
-                sum((Expr.const(up[j][p]) * d2H[k][p][s] for p in range(n)), zero)
-                for s in range(n)
-            ]
+            [B.b[j][k][s] + (K * u[k] if j == s else zero) for s in range(n)]
             for k in range(n)
         ]
         for j in range(n)
@@ -667,28 +648,8 @@ def equivalence_audit(P: CanonicalPair, rng=None, tol: float = 1e-10) -> AuditRe
         )
     # For canonical brackets the derivative part of s4 cancels the curvature
     # term identically, leaving b.b - b.b associativity; verify the identity.
-    n = B.n
     _, db = _precompute(B)
-    zero = Expr.const(0)
-
-    def identity():
-        for i in range(n):
-            for j in range(n):
-                for r in range(n):
-                    for k in range(n):
-                        res = sum(
-                            (
-                                B.g[i][s] * (db[j][r][s][k] - db[j][r][k][s])
-                                for s in range(n)
-                            ),
-                            zero,
-                        )
-                        rhs = (B.g[i][r] if j == k else zero) - (
-                            B.g[i][j] if r == k else zero
-                        )
-                        yield (i + 1, j + 1, r + 1, k + 1), res - B.K * rhs
-
-    check = _judge("s4_assoc", identity(), rng, tol)
+    check = _judge("s4_assoc", _s4_curvature(B, db), rng, tol)
     if check.status is Zeroness.NONZERO:
         raise InconsistencyError(
             "s4 does not reduce to the associativity form on a canonical bracket"

@@ -457,18 +457,24 @@ def cmd_liouville(args) -> int:
     return EXIT_PASS if special else EXIT_CHECK_FAILED
 
 
-def _gauges_for(args, P, levels):
+def _gauges_for(args, levels):
     if args.gauge == "zero":
         return [None] * levels
     return None  # library default: gradient gauge at level 1, zero after
 
 
+def _require_level(value: int, option: str) -> None:
+    if value < 0:
+        raise ProblemFileError(option, "must be a non-negative integer")
+
+
 def cmd_hierarchy(args) -> int:
+    _require_level(args.levels, "--levels")
     prob = load_problem(args.file)
     P = prob.canonical_pair()
     rng = random.Random(args.seed)
     try:
-        flows = hierarchy(P, args.levels, gauges=_gauges_for(args, P, args.levels))
+        flows = hierarchy(P, args.levels, gauges=_gauges_for(args, args.levels))
     except NotPoissonError as exc:
         print(f"hierarchy: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -529,12 +535,13 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _require_level(args.level, "--level")
     prob = load_problem(args.file)
     if prob.simulation is None:
         raise ProblemFileError("simulation", "simulate needs a simulation block")
     P = prob.canonical_pair()
     try:
-        flows = hierarchy(P, max(args.level, 0))
+        flows = hierarchy(P, args.level)
     except NotPoissonError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -596,6 +603,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_commute(args) -> int:
+    _require_level(args.levels, "--levels")
     prob = load_problem(args.file)
     P = prob.canonical_pair()
     rng = random.Random(args.seed)

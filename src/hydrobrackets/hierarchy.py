@@ -6,12 +6,13 @@ and S(0) = 0, and the expanded coefficient matrix V^i_k = dF^i/dv^k.  The
 cross-invariants are verified at construction, so every flow object is
 self-checking.
 
-Levels are produced by applying the recursion map of the canonical operator
-pair to the previous level: V-hat = g1 Hess(S) + b1 grad(S) + K S Id, with
-the antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
-Each application leaves one constant covector free (the value of
-eta_{jl} F^l at the origin); it is exposed as the explicit ``gauge``
-argument rather than chosen silently.
+:func:`recursion_matrix` is the single primitive for the canonical operator
+P1 of the pair: V-hat = g1 Hess(S) + b1 grad(S) + K S Id, with the
+antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
+Levels are produced by applying it to the previous level, and the
+closed-form flows are checked against it.  Each application leaves one
+constant covector free (the value of eta_{jl} F^l at the origin); it is
+exposed as the explicit ``gauge`` argument rather than chosen silently.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ from .bracket import (
     ConstantBracket,
     InconsistencyError,
     PoissonReport,
-    UnsupportedIntegrandError,
-    build_canonical,
     check_canonical_equations,
     functional_bracket_density,
     is_total_x_derivative,
     _judge,
+    _ray_potential,
     _rng,
 )
 from .expr import Expr, Zeroness, as_expr, is_zero
-from .poly import RationalFn, ray_integral
+from .geometry import field_vars
 
 __all__ = [
     "ConservativeFlow",
@@ -71,7 +71,7 @@ class NotPoissonError(ValueError):
 
 
 def flow_vars(n: int) -> tuple:
-    return tuple(f"v{i + 1}" for i in range(n))
+    return field_vars(n, "v")
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,11 @@ class HamiltonianDensity:
 # ---------------------------------------------------------------------------
 
 
-def _pair_in_flow_vars(P: CanonicalPair):
-    """The canonical pair's derived data renamed to v1..vN."""
+def _potentials_in_flow_vars(P: CanonicalPair):
+    """The flow variables v1..vN, and the pair's H^i and K renamed to them."""
     vars = flow_vars(P.n)
     mapping = dict(zip(P.vars, vars))
-    B = build_canonical(P).rename(mapping)
-    H = tuple(h.rename(mapping) for h in P.H)
-    return vars, B, H
+    return vars, tuple(h.rename(mapping) for h in P.H), P.K.rename(mapping)
 
 
 def eta_gradient_gauge(P: CanonicalPair) -> tuple:
@@ -190,22 +188,10 @@ def translation_flow(eta: ConstantBracket) -> ConservativeFlow:
     return ConservativeFlow(eta=eta, vars=vars, F=F, S=S, V=V, level=0)
 
 
-def _ray_expr(omegas, vars) -> Expr:
-    polys = []
-    for w in omegas:
-        w = as_expr(w)
-        if not w.is_rational or not w.rational.is_poly():
-            raise UnsupportedIntegrandError(
-                "recursion output is not polynomial; ray integration unsupported"
-            )
-        polys.append(w.rational.num)
-    return Expr.from_rational(RationalFn.from_poly(ray_integral(polys, vars)))
-
-
 def recursion_matrix(P: CanonicalPair, S: Expr, vars) -> list:
     """V-hat = g1 Hess(S) + b1 grad(S) + K S Id in the given flow variables."""
     n = P.n
-    _, B, _ = _pair_in_flow_vars(P)
+    B = P._flow_bracket
     if tuple(vars) != flow_vars(n):
         raise ValueError("flows must use the canonical flow variables v1..vN")
     Sj = [S.diff(v) for v in vars]
@@ -222,6 +208,29 @@ def recursion_matrix(P: CanonicalPair, S: Expr, vars) -> list:
     ]
 
 
+def _integrate_flow(
+    eta: ConstantBracket, vars, V, gauge, level: int | None = None
+) -> ConservativeFlow:
+    """The conservative flow with the closed coefficient matrix V: the flux
+    potentials F^i are the ray integrals of the rows of V lifted by
+    eta^{is} gauge_s, and S is the ray integral of eta_{jl} F^l."""
+    n = eta.n
+    zero = Expr.const(0)
+    F = tuple(
+        _ray_potential(V[i], vars)
+        + sum((Expr.const(eta.up[i][s]) * gauge[s] for s in range(n)), zero)
+        for i in range(n)
+    )
+    xi = [
+        sum((Expr.const(eta.down[j][l]) * F[l] for l in range(n)), zero)
+        for j in range(n)
+    ]
+    S = _ray_potential(xi, vars)
+    return ConservativeFlow(
+        eta=eta, vars=vars, F=F, S=S, V=tuple(tuple(r) for r in V), level=level
+    )
+
+
 def apply_recursion(
     P: CanonicalPair, flow: ConservativeFlow, gauge: Sequence | None = None
 ) -> ConservativeFlow:
@@ -233,8 +242,7 @@ def apply_recursion(
     """
     n = P.n
     vars = flow.vars
-    eta = P.eta
-    if eta.n != flow.n:
+    if P.eta.n != flow.n:
         raise ValueError("flow and pair dimensions differ")
     gauge = tuple(as_expr(x) for x in (gauge or [0] * n))
     if len(gauge) != n:
@@ -249,27 +257,8 @@ def apply_recursion(
                         f"coefficient row {i + 1} is not a gradient at "
                         f"({k + 1},{l + 1})"
                     )
-    lift = [
-        sum((Expr.const(eta.up[i][s]) * gauge[s] for s in range(n)), Expr.const(0))
-        for i in range(n)
-    ]
-    F = tuple(_ray_expr(V[i], vars) + lift[i] for i in range(n))
-    down = eta.down
-    for j in range(n):
-        for k in range(j + 1, n):
-            lhs = sum((Expr.const(down[j][l]) * V[l][k] for l in range(n)), Expr.const(0))
-            rhs = sum((Expr.const(down[k][l]) * V[l][j] for l in range(n)), Expr.const(0))
-            if is_zero(lhs - rhs) is Zeroness.NONZERO:
-                raise ClosednessError(
-                    "eta-lowered coefficients are asymmetric; no scalar potential"
-                )
-    xi = [
-        sum((Expr.const(down[j][l]) * F[l] for l in range(n)), Expr.const(0))
-        for j in range(n)
-    ]
-    S = _ray_expr(xi, vars)
     level = None if flow.level is None else flow.level + 1
-    return ConservativeFlow(eta=eta, vars=vars, F=F, S=S, V=tuple(tuple(r) for r in V), level=level)
+    return _integrate_flow(P.eta, vars, V, gauge, level)
 
 
 def flow_t1(P: CanonicalPair) -> ConservativeFlow:
@@ -277,10 +266,9 @@ def flow_t1(P: CanonicalPair) -> ConservativeFlow:
     F^i = h^i + eta^{is} (dh^j/dv^s) eta_{jl} v^l - (K/2) eta_{sk} v^i v^s v^k,
     with its expanded coefficient matrix and the quartic scalar potential."""
     n = P.n
-    vars, _, h = _pair_in_flow_vars(P)
+    vars, h, K = _potentials_in_flow_vars(P)
     eta = P.eta
     up, down = eta.up, eta.down
-    K = P.K.rename(dict(zip(P.vars, vars)))
     v = [Expr.var(x) for x in vars]
     zero = Expr.const(0)
     dh = [[h[j].diff(vars[s]) for s in range(n)] for j in range(n)]
@@ -356,14 +344,13 @@ def flow_t1(P: CanonicalPair) -> ConservativeFlow:
 
 
 def flow_t2(P: CanonicalPair) -> ConservativeFlow:
-    """The second hierarchy flow, built from its fully expanded coefficient
-    display (all seven grouped terms) and cross-checked entrywise against the
-    recursion route applied to the first flow with the gradient gauge."""
+    """The second hierarchy flow: the recursion route applied to the first
+    flow with the gradient gauge.  Before that, the paper's closed-form
+    cofactors M (of g1) and xi (of b1) are checked against the Hessian and
+    gradient of the first flow's S; a mismatch raises ``InconsistencyError``."""
     n = P.n
-    vars, B, h = _pair_in_flow_vars(P)
-    eta = P.eta
-    up, down = eta.up, eta.down
-    K = B.K
+    vars, h, K = _potentials_in_flow_vars(P)
+    down = P.eta.down
     v = [Expr.var(x) for x in vars]
     zero = Expr.const(0)
     half = Fraction(1, 2)
@@ -427,34 +414,21 @@ def flow_t2(P: CanonicalPair) -> ConservativeFlow:
         )
         for j in range(n)
     ]
-    # trailing nonlocal term: K delta^i_k (eta_{jl} h^l v^j - (K/8)(eta v v)^2)
-    s1_density = (
-        sum(
-            (Expr.const(down[j][l]) * h[l] * v[j] for j in range(n) for l in range(n)),
-            zero,
-        )
-        - K * Fraction(1, 8) * eta_vv * eta_vv
-    )
-    V2 = [
-        [
-            sum((B.g[i][j] * M[j][k] for j in range(n)), zero)
-            + sum((B.b[i][j][k] * xi[j] for j in range(n)), zero)
-            + (K * s1_density if i == k else zero)
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
-    rec = apply_recursion(P, flow_t1(P), gauge=eta_gradient_gauge(P))
-    for i in range(n):
+    t1 = flow_t1(P)
+    for j in range(n):
+        S1j = t1.S.diff(vars[j])
+        if is_zero(xi[j] - S1j) is Zeroness.NONZERO:
+            raise InconsistencyError(
+                f"closed-form xi[{j + 1}] disagrees with the gradient of the "
+                f"first flow's S"
+            )
         for k in range(n):
-            if is_zero(V2[i][k] - rec.V[i][k]) is Zeroness.NONZERO:
+            if is_zero(M[j][k] - S1j.diff(vars[k])) is Zeroness.NONZERO:
                 raise InconsistencyError(
-                    f"expanded second-flow display disagrees with the recursion "
-                    f"route at V[{i + 1}][{k + 1}]"
+                    f"closed-form M[{j + 1}][{k + 1}] disagrees with the Hessian "
+                    f"of the first flow's S"
                 )
-    return ConservativeFlow(
-        eta=eta, vars=vars, F=rec.F, S=rec.S, V=tuple(tuple(r) for r in V2), level=2
-    )
+    return apply_recursion(P, t1, gauge=eta_gradient_gauge(P))
 
 
 def hierarchy(
@@ -491,29 +465,12 @@ def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
     This is exactly the defect produced one level after choosing gauge zero
     instead of the covector c."""
     n = P.n
-    vars, B, _ = _pair_in_flow_vars(P)
+    vars = flow_vars(n)
     c = tuple(as_expr(x) for x in c)
     if len(c) != n:
         raise ValueError("covector length must match the pair")
-    v = [Expr.var(x) for x in vars]
-    zero = Expr.const(0)
-    cv = sum((c[j] * v[j] for j in range(n)), zero)
-    V = [
-        [
-            sum((B.b[i][j][k] * c[j] for j in range(n)), zero)
-            + (B.K * cv if i == k else zero)
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
-    F = tuple(_ray_expr(V[i], vars) for i in range(n))
-    down = P.eta.down
-    xi = [
-        sum((Expr.const(down[j][l]) * F[l] for l in range(n)), zero)
-        for j in range(n)
-    ]
-    S = _ray_expr(xi, vars)
-    return ConservativeFlow(eta=P.eta, vars=vars, F=F, S=S, V=tuple(tuple(r) for r in V))
+    cv = sum((c[j] * Expr.var(vars[j]) for j in range(n)), Expr.const(0))
+    return _integrate_flow(P.eta, vars, recursion_matrix(P, cv, vars), (0,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +492,8 @@ def bihamiltonian_check(
     n = P.n
     vars = flow.vars
     eta = P.eta
-    v = [Expr.var(x) for x in vars]
     zero = Expr.const(0)
-    s0 = sum(
-        (
-            Expr.const(eta.down[j][l]) * v[j] * v[l]
-            for j in range(n)
-            for l in range(n)
-        ),
-        zero,
-    ) * Fraction(1, 2)
-    V_from_p1 = recursion_matrix(P, s0, vars)
+    V_from_p1 = recursion_matrix(P, translation_flow(eta).S, vars)
 
     def eq1():
         for i in range(n):
@@ -620,12 +568,11 @@ def involution_check(P: CanonicalPair, d1, d2, operator: str = "both") -> bool:
     """True when the functional bracket of the two zeroth-order densities is
     a total x-derivative for the selected operator(s) of the pair."""
     vars = flow_vars(P.n)
-    mapping = dict(zip(P.vars, vars))
     dens1 = (d1.density if isinstance(d1, HamiltonianDensity) else as_expr(d1))
     dens2 = (d2.density if isinstance(d2, HamiltonianDensity) else as_expr(d2))
     brackets = []
     if operator in ("P1", "both"):
-        brackets.append(build_canonical(P).rename(mapping))
+        brackets.append(P._flow_bracket)
     if operator in ("P2", "both"):
         brackets.append(P.eta.as_hydro(vars))
     if not brackets:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bracket import CanonicalPair, build_canonical
+from .bracket import CanonicalPair
 from .expr import Expr
 from .hierarchy import ConservativeFlow, flow_vars
 
@@ -285,8 +285,7 @@ def apply_P1_numeric(
     """
     n = P.n
     vars = flow_vars(n)
-    mapping = dict(zip(P.vars, vars))
-    B = build_canonical(P).rename(mapping)
+    B = P._flow_bracket
     if not B.K.is_const():
         raise ValueError("numeric application needs a numeric nonlocal constant")
     K = float(B.K.const_value())

@@ -193,6 +193,25 @@ def test_hierarchy_rejects_bad_pair(tmp_path, capsys):
     assert main(["hierarchy", bad, "--levels", "2"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("hierarchy", "--levels", "-2"),
+        ("commute", "--levels", "-1"),
+        ("simulate", "--level", "-1"),
+    ],
+)
+def test_negative_level_is_input_error(
+    scalar_file, tmp_path, monkeypatch, capsys, command, option, value
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, scalar_file, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {option}: must be a non-negative integer\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_pass_and_outputs(scalar_file, tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["simulate", scalar_file, "--out", str(outdir)]) == 0

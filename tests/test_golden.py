@@ -1,0 +1,56 @@
+"""Byte-identical CLI reports on the committed problem files.
+
+The captures under ``golden/`` hold the stdout of every symbolic command,
+in text and ``--json`` form, on each ``problems/*.json``; ``exit_codes.json``
+holds the matching exit codes.  Reports are deterministic, so any change in
+a byte is a change in behaviour.  To record a deliberate change, rerun
+``python -m hydrobrackets <command> problems/<file> [args]`` and store its
+stdout under the case's name.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hydrobrackets.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+COMMANDS = [
+    ["check-poisson"],
+    ["check-compat"],
+    ["check-pencil"],
+    ["check-canonical"],
+    ["build-canonical"],
+    ["liouville"],
+    ["hierarchy", "--levels", "3"],
+]
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+
+CASES = [
+    pytest.param(
+        problem,
+        command + fmt,
+        id=f"{problem.stem}__{command[0]}" + ("__json" if fmt else ""),
+    )
+    for problem in PROBLEMS
+    for command in COMMANDS
+    for fmt in ([], ["--json"])
+]
+
+
+def test_every_capture_has_a_case():
+    names = {p.id for p in CASES}
+    assert names == set(EXIT_CODES)
+    assert names == {p.stem for p in GOLDEN.glob("*.txt")}
+
+
+@pytest.mark.parametrize("problem,args", CASES)
+def test_report_is_byte_identical(problem, args, request, capsys):
+    name = request.node.callspec.id
+    code = main([args[0], str(problem), *args[1:]])
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+    assert code == EXIT_CODES[name]
