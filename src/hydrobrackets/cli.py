@@ -26,6 +26,7 @@ from .bracket import (
     NotLiouvilleError,
     NotSpecialError,
     PoissonReport,
+    UnsupportedIntegrandError,
     build_canonical,
     check_canonical_equations,
     check_compat_constant,
@@ -190,11 +191,17 @@ class Problem:
             if key not in raw:
                 raise ProblemFileError(f"{loc}.{key}", "required for simulations")
         sim = {}
-        if not isinstance(raw["grid_M"], int):
+        m = raw["grid_M"]
+        if not isinstance(m, int) or isinstance(m, bool):
             raise ProblemFileError(f"{loc}.grid_M", "expected an integer")
-        sim["grid_M"] = raw["grid_M"]
+        if m < 8 or m & (m - 1):
+            raise ProblemFileError(f"{loc}.grid_M", "must be a power of two, at least 8")
+        sim["grid_M"] = m
         for key in ("L", "dt", "t_end"):
             sim[key] = float(_as_fraction(raw[key], f"{loc}.{key}"))
+        for key in ("L", "dt"):
+            if not sim[key] > 0:
+                raise ProblemFileError(f"{loc}.{key}", "must be positive")
         init = raw["init"]
         if not isinstance(init, list) or len(init) != self.n:
             raise ProblemFileError(f"{loc}.init", f"expected {self.n} expressions in x")
@@ -245,7 +252,10 @@ class Problem:
         if self.explicit is not None:
             g, b = self.explicit
             return HydroBracket(vars=self.vars, g=g, b=b, K=K)
-        con, cov, _ = geometry.canonical_metric(self.canonical_a, K.const_value())
+        try:
+            con, cov, _ = geometry.canonical_metric(self.canonical_a, K.const_value())
+        except ValueError as exc:
+            raise ProblemFileError("canonical.a", str(exc)) from None
         conn = geometry.christoffel(cov)
         return HydroBracket(vars=self.vars, g=con.entries, b=conn.b, K=K)
 
@@ -263,6 +273,18 @@ class Problem:
         if prob.n != self.n:
             raise ProblemFileError("second.N", "dimension mismatch with primary")
         return prob.bracket()
+
+
+def load_initial_state(prob: Problem):
+    """The grid and the sampled initial data of the simulation block."""
+    if prob.simulation is None:
+        raise ProblemFileError("simulation", "simulate needs a simulation block")
+    sim = prob.simulation
+    grid = numsim.Grid(sim["grid_M"], sim["L"])
+    try:
+        return grid, numsim.sample_initial_data(grid, sim["init"])
+    except ValueError as exc:
+        raise ProblemFileError("simulation.init", str(exc)) from None
 
 
 def load_problem(path: str) -> Problem:
@@ -478,9 +500,6 @@ def cmd_hierarchy(args) -> int:
     except NotPoissonError as exc:
         print(f"hierarchy: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ClosednessError as exc:
-        print(f"hierarchy: closedness failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_EVENT
     n = prob.n
     lines = [f"hierarchy: N={n}, levels 0..{args.levels}"]
     levels_obj = []
@@ -537,19 +556,15 @@ def cmd_hierarchy(args) -> int:
 def cmd_simulate(args) -> int:
     _require_level(args.level, "--level")
     prob = load_problem(args.file)
-    if prob.simulation is None:
-        raise ProblemFileError("simulation", "simulate needs a simulation block")
+    grid, state0 = load_initial_state(prob)
     P = prob.canonical_pair()
     try:
         flows = hierarchy(P, args.level)
     except NotPoissonError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    flow = flows[args.level]
     sim = prob.simulation
-    grid = numsim.Grid(sim["grid_M"], sim["L"])
-    cflow = numsim.compile_flow(flow, dealias=args.dealias)
-    state0 = numsim.sample_initial_data(grid, sim["init"])
+    cflow = numsim.compile_flow(flows[args.level], dealias=args.dealias)
     import warnings as _w
 
     with _w.catch_warnings(record=True) as caught:
@@ -624,9 +639,7 @@ def cmd_commute(args) -> int:
         )
     numeric_obj = None
     if prob.simulation is not None and len(flows) >= 3:
-        sim = prob.simulation
-        grid = numsim.Grid(sim["grid_M"], sim["L"])
-        state = numsim.sample_initial_data(grid, sim["init"])
+        _, state = load_initial_state(prob)
         cd = numsim.commute_check_numeric(flows[1], flows[2], state)
         numeric_obj = {
             "defect": cd.defect,
@@ -709,9 +722,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ProblemFileError as exc:
+    except (ProblemFileError, UnsupportedIntegrandError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ClosednessError as exc:
+        print(f"{args.command}: closedness failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_EVENT
     except numsim.SimulationError as exc:
         print(f"runtime event: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_EVENT

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "SpectralTailWarning",
     "spectral_dx",
     "spectral_antidx",
+    "MonomialTable",
     "compile_expr",
     "compile_flow",
     "sample_initial_data",
@@ -73,9 +75,13 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.m) * (self.length / self.m)
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi / self.length * np.arange(self.m // 2 + 1)
+
+    @cached_property
+    def _ik(self) -> np.ndarray:
+        return 1j * self.wavenumbers
 
 
 @dataclass
@@ -97,10 +103,14 @@ class FieldState:
 
 
 def spectral_dx(grid: Grid, s: np.ndarray) -> np.ndarray:
-    """Fourier differentiation; exact for band-limited data."""
-    spec = np.fft.rfft(s)
-    spec *= 1j * grid.wavenumbers
-    spec[-1] = 0.0  # Nyquist mode carries no odd derivative
+    """Fourier differentiation along the last axis; exact for band-limited
+    data."""
+    return _dx_from_spectrum(grid, np.fft.rfft(s))
+
+
+def _dx_from_spectrum(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    spec = spec * grid._ik
+    spec[..., -1] = 0.0  # Nyquist mode carries no odd derivative
     return np.fft.irfft(spec, n=grid.m)
 
 
@@ -126,50 +136,122 @@ def spectral_antidx(grid: Grid, s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class MonomialTable:
+    """Rational expressions over fixed variables, compiled into one table.
+
+    ``exponents`` (T x N integers) holds every distinct monomial of the
+    numerators and denominator factors; row 0 is the constant monomial.
+    ``coeffs`` (R x T) has one row per expression numerator, in input order,
+    then one per distinct denominator factor.  An evaluation forms the powers
+    of each variable once, the T monomial values from them, and every
+    polynomial row with one matrix product.  Monomials are numbered by first
+    appearance, so the first c numerators use only the first ``_prefix[c]``.
+    """
+
+    def __init__(self, exprs: Sequence[Expr], var_order: Sequence[str]):
+        index = {name: i for i, name in enumerate(var_order)}
+        missing = set().union(*(e.free_vars() for e in exprs)) - set(var_order)
+        if missing:
+            raise ValueError(f"expression has unbound variables {sorted(missing)}")
+        if not all(e.is_rational for e in exprs):
+            raise ValueError("only rational expressions compile into a monomial table")
+        polys = [e.rational.num for e in exprs]
+        factor_rows: dict = {}
+        self._dens = []  # (expression, ((factor row, exponent), ...))
+        for k, e in enumerate(exprs):
+            parts = []
+            for f, exp in e.rational.den:
+                row = factor_rows.setdefault(f.key(), len(polys))
+                if row == len(polys):
+                    polys.append(f)
+                parts.append((row, exp))
+            if parts:
+                self._dens.append((k, tuple(parts)))
+        columns = {(0,) * len(var_order): 0}
+        entries = []
+        self._prefix = [1]
+        for r, p in enumerate(polys):
+            for mono, c in p.terms.items():
+                ev = [0] * len(var_order)
+                for name, exp in mono:
+                    ev[index[name]] = exp
+                entries.append((r, columns.setdefault(tuple(ev), len(columns)), float(c)))
+            if r < len(exprs):
+                self._prefix.append(len(columns))
+        self.size = len(exprs)
+        self.exponents = np.array(list(columns), dtype=np.intp).reshape(
+            len(columns), len(var_order)
+        )
+        self.coeffs = np.zeros((len(polys), len(columns)))
+        for r, col, c in entries:
+            self.coeffs[r, col] = c
+        self._plans: dict = {}
+
+    def _plan(self, terms: int) -> list:
+        """(variable, top power, exponent column) for the variables that
+        occur in the first ``terms`` monomials."""
+        plan = self._plans.get(terms)
+        if plan is None:
+            E = self.exponents[:terms]
+            plan = [
+                (i, int(E[:, i].max()), np.ascontiguousarray(E[:, i]))
+                for i in range(E.shape[1])
+                if E[:, i].any()
+            ]
+            self._plans[terms] = plan
+        return plan
+
+    def monomials(self, stack: np.ndarray, terms: int | None = None) -> np.ndarray:
+        """The first ``terms`` monomials (default all) at the samples of a
+        stack of shape (N, M): shape (terms, M)."""
+        terms = len(self.exponents) if terms is None else terms
+        m = stack.shape[1]
+        out = None
+        for i, top, column in self._plan(terms):
+            powers = np.empty((top + 1, m))
+            powers[0] = 1.0
+            powers[1] = stack[i]
+            for e in range(2, top + 1):
+                np.multiply(powers[e - 1], stack[i], out=powers[e])
+            if out is None:
+                out = powers[column]
+            else:
+                out *= powers[column]
+        return np.ones((terms, m)) if out is None else out
+
+    def __call__(self, stack: np.ndarray, count: int | None = None) -> np.ndarray:
+        """The first ``count`` expressions (default all) at every sample of a
+        stack with one row per variable: shape (count,) + stack.shape[1:]."""
+        count = self.size if count is None else count
+        flat = np.asarray(stack, dtype=float).reshape(len(stack), -1)
+        if self._dens:
+            rows = self.coeffs @ self.monomials(flat)
+            out = rows[:count]
+            for k, parts in self._dens:
+                if k < count:
+                    for r, exp in parts:
+                        out[k] /= rows[r] ** exp
+        else:
+            terms = self._prefix[count]
+            out = self.coeffs[:count, :terms] @ self.monomials(flat, terms)
+        return out.reshape((count,) + np.shape(stack)[1:])
+
+
 def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression into a vectorized evaluator over a stacked
     array of variable samples (one row per variable in ``var_order``).
 
-    The compiled accumulation order mirrors exact evaluation term by term,
-    so both paths agree to roundoff.
+    Rational expressions go through a one-entry :class:`MonomialTable`;
+    transcendental ones (initial data) through a recursive tree evaluator.
     """
+    if e.is_rational:
+        table = MonomialTable([e], var_order)
+        return lambda stack: table(stack)[0]
+
     index = {name: i for i, name in enumerate(var_order)}
     missing = e.free_vars() - set(var_order)
     if missing:
         raise ValueError(f"expression has unbound variables {sorted(missing)}")
-
-    if e.is_rational:
-        rf = e.rational
-
-        def poly_terms(p):
-            return [
-                (float(c), tuple((index[v], exp) for v, exp in m))
-                for m, c in p.sorted_terms()
-            ]
-
-        num_terms = poly_terms(rf.num)
-        den_parts = [(poly_terms(f), exp) for f, exp in rf.den]
-
-        def evaluate(stack: np.ndarray) -> np.ndarray:
-            shape = stack.shape[1:]
-
-            def poly_eval(terms):
-                acc = np.zeros(shape)
-                for c, mono in terms:
-                    t = np.full(shape, c)
-                    for vi, exp in mono:
-                        t = t * stack[vi] ** exp
-                    acc = acc + t
-                return acc
-
-            out = poly_eval(num_terms)
-            for terms, exp in den_parts:
-                out = out / poly_eval(terms) ** exp
-            return out
-
-        return evaluate
-
-    # transcendental tree: close over a recursive array evaluator
     from . import expr as _expr
 
     def compile_node(node):
@@ -209,63 +291,64 @@ def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[[np.ndarray], np
 
 
 def dealias_two_thirds(grid: Grid, s: np.ndarray) -> np.ndarray:
-    """Zero the top third of the spectrum (classical 2/3 rule)."""
+    """Zero the top third of the spectrum along the last axis (classical
+    2/3 rule)."""
     spec = np.fft.rfft(s)
-    spec[(2 * (grid.m // 2)) // 3 :] = 0.0
+    spec[..., (2 * (grid.m // 2)) // 3 :] = 0.0
     return np.fft.irfft(spec, n=grid.m)
 
 
 @dataclass
 class CompiledFlow:
-    """A conservative flow compiled into fast array evaluators."""
+    """A conservative flow compiled into one monomial table: rows
+    0..n^2-1 are V[i][k] in row-major order, row n^2 is the density S."""
 
     n: int
     vars: tuple
-    V: list  # n x n callables
-    S: Callable
+    table: MonomialTable
     eta_down: np.ndarray
     source: ConservativeFlow | None = None
     dealias: bool = False
 
+    def V(self, v: np.ndarray) -> np.ndarray:
+        """The coefficient matrix at every grid point, shape (n, n, M)."""
+        return self.table(v, self.n * self.n).reshape(self.n, self.n, -1)
+
+    def S(self, v: np.ndarray) -> np.ndarray:
+        """The density S at every grid point, shape (M,)."""
+        return self.table(v)[self.n * self.n]
+
     def rhs(self, grid: Grid, v: np.ndarray) -> np.ndarray:
-        vx = np.stack([spectral_dx(grid, v[k]) for k in range(self.n)])
-        out = np.zeros_like(v)
-        for i in range(self.n):
-            acc = np.zeros(v.shape[1])
-            for k in range(self.n):
-                acc += self.V[i][k](v) * vx[k]
-            out[i] = dealias_two_thirds(grid, acc) if self.dealias else acc
-        return out
+        out = np.einsum("ikm,km->im", self.V(v), spectral_dx(grid, v))
+        return dealias_two_thirds(grid, out) if self.dealias else out
 
     def gershgorin_max(self, v: np.ndarray) -> float:
-        worst = 0.0
-        for i in range(self.n):
-            acc = np.zeros(v.shape[1])
-            for k in range(self.n):
-                acc += np.abs(self.V[i][k](v))
-            worst = max(worst, float(np.max(acc)))
-        return worst
+        return float(np.max(np.sum(np.abs(self.V(v)), axis=1)))
 
 
 def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
     n = flow.n
-    V = [[compile_expr(flow.V[i][k], flow.vars) for k in range(n)] for i in range(n)]
-    S = compile_expr(flow.S, flow.vars)
+    entries = [flow.V[i][k] for i in range(n) for k in range(n)]
+    table = MonomialTable(entries + [flow.S], flow.vars)
     eta_down = np.array([[float(x) for x in row] for row in flow.eta.down])
     return CompiledFlow(
-        n=n, vars=flow.vars, V=V, S=S, eta_down=eta_down, source=flow, dealias=dealias
+        n=n, vars=flow.vars, table=table, eta_down=eta_down, source=flow, dealias=dealias
     )
 
 
 def sample_initial_data(
     grid: Grid, initial: Sequence[Expr]
 ) -> FieldState:
-    """Evaluate initial-data expressions in x on the grid nodes."""
+    """Evaluate initial-data expressions in x on the grid nodes; data that
+    is not finite on the grid (e.g. 1/sin(x)) raises ValueError."""
     stack = grid.nodes[np.newaxis, :]
     rows = []
-    for e in initial:
-        fn = compile_expr(e, ("x",))
-        rows.append(fn(stack))
+    for i, e in enumerate(initial):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            row = compile_expr(e, ("x",))(stack)
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"initial datum {i + 1} is not finite on the grid")
+        rows.append(row)
     return FieldState(grid=grid, v=np.stack(rows), t=0.0)
 
 
@@ -294,23 +377,21 @@ def apply_P1_numeric(
     xi = np.asarray(xi, dtype=float)
     if xi.shape != v.shape:
         raise ValueError("covector field must match the state shape")
-    g_fns = [[compile_expr(B.g[i][j], vars) for j in range(n)] for i in range(n)]
-    b_fns = [
-        [[compile_expr(B.b[i][j][k], vars) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    vx = np.stack([spectral_dx(grid, v[k]) for k in range(n)])
-    xix = np.stack([spectral_dx(grid, xi[j]) for j in range(n)])
-    w = np.sum(vx * xi, axis=0)
-    tail = spectral_antidx(grid, w)
-    out = np.zeros_like(v)
-    for i in range(n):
-        acc = K * vx[i] * tail
-        for j in range(n):
-            acc = acc + g_fns[i][j](v) * xix[j]
-            for k in range(n):
-                acc = acc + b_fns[i][j][k](v) * vx[k] * xi[j]
-        out[i] = acc
+    table = MonomialTable(
+        [B.g[i][j] for i in range(n) for j in range(n)]
+        + [B.b[i][j][k] for i in range(n) for j in range(n) for k in range(n)],
+        vars,
+    )
+    values = table(v)
+    g = values[: n * n].reshape(n, n, -1)
+    b = values[n * n :].reshape(n, n, n, -1)
+    vx = spectral_dx(grid, v)
+    tail = spectral_antidx(grid, np.sum(vx * xi, axis=0))
+    out = (
+        K * vx * tail
+        + np.einsum("ijm,jm->im", g, spectral_dx(grid, xi))
+        + np.einsum("ijkm,km,jm->im", b, vx, xi)
+    )
     if not np.all(np.isfinite(out)):
         raise SimulationError("nonlocal operator produced non-finite values")
     return out
@@ -321,22 +402,13 @@ def apply_P1_numeric(
 # ---------------------------------------------------------------------------
 
 
-def step_rk4(
-    cflow: CompiledFlow, state: FieldState, dt: float, warn_cfl: bool = True
-) -> FieldState:
-    """Classical four-stage explicit step of v_t = V(v) v_x."""
+def step_rk4(cflow: CompiledFlow, state: FieldState, dt: float) -> FieldState:
+    """Classical four-stage explicit step of v_t = V(v) v_x; the CFL guard
+    is :func:`run`'s."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
     v = state.v
-    if warn_cfl:
-        lam = cflow.gershgorin_max(v)
-        if dt * lam * grid.m / grid.length >= 1.0:
-            warnings.warn(
-                f"CFL guard exceeded: dt*|V|*M/L = {dt * lam * grid.m / grid.length:.3f}",
-                CFLWarning,
-                stacklevel=2,
-            )
     k1 = cflow.rhs(grid, v)
     k2 = cflow.rhs(grid, v + 0.5 * dt * k1)
     k3 = cflow.rhs(grid, v + 0.5 * dt * k2)
@@ -375,15 +447,15 @@ def _diagnostics(cflow: CompiledFlow, state: FieldState) -> DiagnosticsRow:
     quad = 0.5 * np.einsum("jm,jl,lm->m", v, cflow.eta_down, v)
     momentum = float(np.mean(quad) * L)
     h2 = float(np.mean(cflow.S(v)) * L)
-    vx = np.stack([spectral_dx(grid, v[i]) for i in range(cflow.n)])
-    max_vx = float(np.max(np.abs(vx))) if vx.size else 0.0
-    tail = 0.0
-    cutoff = (2 * (grid.m // 2)) // 3
-    for i in range(cflow.n):
-        spec = np.abs(np.fft.rfft(v[i])) ** 2
-        total = float(np.sum(spec))
-        if total > 0:
-            tail = max(tail, float(np.sqrt(np.sum(spec[cutoff:]) / total)))
+    spec = np.fft.rfft(v)
+    max_vx = float(np.max(np.abs(_dx_from_spectrum(grid, spec))))
+    power = np.abs(spec) ** 2
+    totals = np.sum(power, axis=1)
+    tails = np.sum(power[:, (2 * (grid.m // 2)) // 3 :], axis=1)
+    tail = max(
+        (float(np.sqrt(t / total)) for t, total in zip(tails, totals) if total > 0),
+        default=0.0,
+    )
     return DiagnosticsRow(
         t=state.t,
         means=means,
@@ -448,7 +520,7 @@ def run(
             warnings.warn(msg, CFLWarning, stacklevel=2)
             messages.append(msg)
             warned_cfl = True
-        state = step_rk4(cflow, state, step, warn_cfl=False)
+        state = step_rk4(cflow, state, step)
         row = _diagnostics(cflow, state)
         rows.append(row)
         take_snapshots(state)

@@ -296,3 +296,91 @@ def test_rationals_in_json_are_exact(tmp_path):
 
     prob = load_problem(path)
     assert prob.eta.up[0][0] == Fraction(1, 10)
+
+
+def _single_line(err: str) -> bool:
+    return err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("grid_M", 100, "must be a power of two, at least 8"),
+        ("grid_M", 4, "must be a power of two, at least 8"),
+        ("dt", 0, "must be positive"),
+        ("dt", "-1/100", "must be positive"),
+        ("init", ["1/sin(x)"], "initial datum 1 is not finite on the grid"),
+    ],
+)
+def test_bad_simulation_input_is_input_error(tmp_path, capsys, key, value, message):
+    doc = {
+        "N": 1,
+        "eta": [[1]],
+        "K": 0,
+        "H": ["u1^2/2"],
+        "simulation": {
+            "grid_M": 64,
+            "L": TWO_PI,
+            "dt": 0.001,
+            "t_end": 0.01,
+            "init": ["0.1*sin(x)"],
+        },
+    }
+    doc["simulation"][key] = value
+    path = _write(tmp_path, "badsim.json", doc)
+    assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: simulation.{key}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "simulate", "commute"])
+def test_unsupported_potential_is_input_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    doc = {
+        "N": 1,
+        "eta": [[1]],
+        "K": 0,
+        "H": ["1/(1+u1)"],
+        "simulation": {
+            "grid_M": 64,
+            "L": TWO_PI,
+            "dt": 0.001,
+            "t_end": 0.01,
+            "init": ["0.1*sin(x)"],
+        },
+    }
+    assert main([command, _write(tmp_path, "rational.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert _single_line(err) and err.startswith("input error: ")
+    assert "outside the rational closure" in err
+
+
+def test_two_zero_canonical_constants_is_input_error(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "zeros.json",
+        {"N": 2, "eta": [[1, 0], [0, 1]], "K": 0, "canonical": {"a": [0, 1]}},
+    )
+    assert main(["check-poisson", path]) == 2
+    err = capsys.readouterr().err
+    assert _single_line(err) and err.startswith("input error: canonical.a: ")
+
+
+def test_check_canonical_builds_the_bracket_once(monkeypatch, capsys):
+    from pathlib import Path
+
+    from hydrobrackets import bracket
+
+    calls = []
+    original = bracket.build_canonical
+
+    def counting(P):
+        calls.append(P)
+        return original(P)
+
+    monkeypatch.setattr(bracket, "build_canonical", counting)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "linear_pair_n2.json"
+    assert main(["check-canonical", str(problem)]) == 0
+    assert "equivalence audit: consistent" in capsys.readouterr().out
+    assert len(calls) == 1

@@ -12,7 +12,7 @@ import pytest
 
 from hydrobrackets.bracket import CanonicalPair, ConstantBracket
 from hydrobrackets.expr import parse
-from hydrobrackets.hierarchy import flow_t1, flow_t2
+from hydrobrackets.hierarchy import flow_t1, flow_t2, hierarchy
 from hydrobrackets import numsim as ns
 
 ETA1 = ConstantBracket([[1]])
@@ -93,6 +93,24 @@ def test_antidx_rejects_nonzero_mean():
 # -- compiled evaluators ----------------------------------------------------------
 
 
+def _assert_matches_exact(exprs, vars, evaluate, seed, points=50):
+    """``evaluate(stack)`` gives every expression at every sample column of
+    a stack with one row per variable; compare with exact evaluation."""
+    rng = random.Random(seed)
+    stack = np.array([[rng.uniform(-1, 1) for _ in range(points)] for _ in vars])
+    values = evaluate(stack)
+    assert len(values) == len(exprs)
+    for e, row in zip(exprs, values):
+        for m in range(points):
+            exact = float(e.evaluate(dict(zip(vars, stack[:, m]))))
+            assert abs(exact - row[m]) <= 1e-12 * max(1.0, abs(exact)), e
+
+
+def _each_compiled(exprs, vars):
+    fns = [ns.compile_expr(e, vars) for e in exprs]
+    return lambda stack: [f(stack) for f in fns]
+
+
 def test_compiled_matches_exact_evaluation():
     P = CanonicalPair(
         eta=ETA2,
@@ -103,17 +121,41 @@ def test_compiled_matches_exact_evaluation():
     from hydrobrackets.bracket import build_canonical
 
     B = build_canonical(P).rename({"u1": "v1", "u2": "v2"})
-    rng = random.Random(12)
     exprs = [B.g[i][j] for i in range(2) for j in range(2)]
     exprs += [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
-    fns = [ns.compile_expr(e, ("v1", "v2")) for e in exprs]
-    for _ in range(100):
-        v1, v2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        stack = np.array([[v1], [v2]])
-        for e, f in zip(exprs, fns):
-            exact = float(e.evaluate({"v1": v1, "v2": v2}))
-            compiled = float(f(stack)[0])
-            assert abs(exact - compiled) <= 1e-12 * max(1.0, abs(exact))
+    _assert_matches_exact(exprs, ("v1", "v2"), _each_compiled(exprs, ("v1", "v2")), 12, 100)
+
+
+def test_compiled_matches_exact_evaluation_rational_entries():
+    # nonlinear H with a pole off [-1, 1]: the b entries carry denominators
+    P = CanonicalPair(
+        eta=ETA2, K=1, H=(parse("1/(2 + u1) + u2^2/2", UV), parse("u1*u2", UV)), vars=UV
+    )
+    from hydrobrackets.bracket import build_canonical
+
+    B = build_canonical(P).rename({"u1": "v1", "u2": "v2"})
+    vars = ("v1", "v2")
+    exprs = [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
+    assert any(not e.rational.is_poly() for e in exprs)
+    _assert_matches_exact(exprs, vars, _each_compiled(exprs, vars), 13)
+    # all entries in one table, sharing their denominator factor rows
+    _assert_matches_exact(exprs, vars, ns.MonomialTable(exprs, vars), 14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiled_flows_match_exact_evaluation(n):
+    vars = tuple(f"u{i + 1}" for i in range(n))
+    eta = ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
+    H = {1: ["u1^2/2"], 2: ["u2/2", "u1/2"], 3: ["u1", "u2", "u3"]}[n]
+    P = CanonicalPair(eta=eta, K=1 if n > 1 else 0, H=tuple(parse(h, vars) for h in H), vars=vars)
+    for fl in hierarchy(P, 3)[1:]:
+        cf = ns.compile_flow(fl)
+        entries = [fl.V[i][k] for i in range(n) for k in range(n)] + [fl.S]
+
+        def evaluate(stack):
+            return np.concatenate([cf.V(stack).reshape(n * n, -1), cf.S(stack)[np.newaxis]])
+
+        _assert_matches_exact(entries, fl.vars, evaluate, 40 + fl.level)
 
 
 def test_compile_rejects_unbound_parameters():
@@ -212,7 +254,7 @@ def test_cfl_warning():
     g = ns.Grid(64, TWO_PI)
     state = ns.FieldState(grid=g, v=0.1 * np.sin(g.nodes)[np.newaxis, :])
     with pytest.warns(ns.CFLWarning):
-        ns.step_rk4(ns.compile_flow(fl), state, 1.0)
+        ns.run(fl, state.v, g, dt=1.0, t_end=1.0)
 
 
 # -- conservation ------------------------------------------------------------------
@@ -391,8 +433,9 @@ def test_commute_numeric_flags_perturbed_flow():
     clean = ns.commute_check_numeric(t1, t2, state, tau=1e-3)
     assert clean.commuting and clean.ratio >= 7.0
     ct2 = ns.compile_flow(t2)
-    orig = ct2.V[0][1]
-    ct2.V[0][1] = lambda v, _f=orig: _f(v) + 0.1
+    # table row 1 is V[0][1]; monomial 0 is the constant one
+    assert not ct2.table.exponents[0].any()
+    ct2.table.coeffs[1, 0] += 0.1
     perturbed = ns.commute_check_numeric(ns.compile_flow(t1), ct2, state, tau=1e-3)
     assert not perturbed.commuting
     assert 3.5 <= perturbed.ratio <= 4.5
