@@ -32,7 +32,7 @@ from .expr import (
     is_zero,
     random_rational_point,
 )
-from .geometry import adjugate, det, field_vars
+from .geometry import DegenerateMetricError, field_vars, matrix_inverse
 from .poly import RationalFn, ray_integral, var_key
 
 __all__ = [
@@ -156,6 +156,15 @@ class HydroBracket:
         )
 
 
+def _contract(matrix, vec) -> tuple:
+    """matrix . vec for a constant matrix and a vector of expressions; zero
+    entries of the matrix cost nothing."""
+    zero = Expr.const(0)
+    return tuple(
+        sum((Expr.const(c) * x for c, x in zip(row, vec) if c), zero) for row in matrix
+    )
+
+
 @dataclass(frozen=True)
 class ConstantBracket:
     """Constant bracket eta^{ij} d/dx with exact inverse eta_{ij}."""
@@ -173,13 +182,11 @@ class ConstantBracket:
                 if up[i][j] != up[j][i]:
                     raise ValueError("eta must be symmetric")
         if self.down is None:
-            entries = [[Expr.const(x) for x in row] for row in up]
-            d = det(entries).const_value()
-            if d == 0:
-                raise ValueError("eta is singular")
-            down = tuple(
-                tuple(a.const_value() / d for a in row) for row in adjugate(entries)
-            )
+            try:
+                inv, _ = matrix_inverse([[Expr.const(x) for x in row] for row in up])
+            except DegenerateMetricError:
+                raise ValueError("eta is singular") from None
+            down = tuple(tuple(a.const_value() for a in row) for row in inv)
         else:
             down = tuple(tuple(Fraction(x) for x in row) for row in self.down)
         object.__setattr__(self, "up", up)
@@ -188,6 +195,14 @@ class ConstantBracket:
     @property
     def n(self) -> int:
         return len(self.up)
+
+    def lower(self, vec) -> tuple:
+        """The covector eta_{jl} vec^l."""
+        return _contract(self.down, vec)
+
+    def lift(self, covec) -> tuple:
+        """The vector eta^{ij} covec_j."""
+        return _contract(self.up, covec)
 
     def as_hydro(self, vars) -> HydroBracket:
         n = self.n
@@ -223,6 +238,11 @@ class CanonicalPair:
     @property
     def n(self) -> int:
         return len(self.vars)
+
+    @cached_property
+    def _derivatives(self):
+        """(dH, d2H) of the potentials in the field variables, taken once."""
+        return _potential_derivatives(self.H, self.vars)
 
     @cached_property
     def _bracket(self) -> HydroBracket:
@@ -268,10 +288,6 @@ class PoissonReport:
     @property
     def exact(self) -> bool:
         return all(c.status is Zeroness.ZERO for c in self.conditions)
-
-    @property
-    def probabilistic(self) -> bool:
-        return any(c.status is Zeroness.NUMERICALLY_ZERO for c in self.conditions)
 
     def failing(self):
         return [c for c in self.conditions if c.status is Zeroness.NONZERO]
@@ -439,23 +455,15 @@ def check_compat_constant(
     rng = _rng(rng)
     n = B.n
     b, K = B.b, B.K
-    up = eta.up
     _, db = B._derivatives
-    zero = Expr.const(0)
 
     def c1():
+        # eta^{is} b^{jr}_s - eta^{js} b^{ir}_s
+        lb = [[eta.lift(b[j][r]) for r in range(n)] for j in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 for r in range(n):
-                    res = sum(
-                        (
-                            Expr.const(up[i][s]) * b[j][r][s]
-                            - Expr.const(up[j][s]) * b[i][r][s]
-                            for s in range(n)
-                        ),
-                        zero,
-                    )
-                    yield (i + 1, j + 1, r + 1), res
+                    yield (i + 1, j + 1, r + 1), lb[j][r][i] - lb[i][r][j]
 
     def c2():
         for j in range(n):
@@ -529,42 +537,53 @@ def build_canonical(P: CanonicalPair) -> HydroBracket:
     g1^{ij} = eta^{is} dH^j/du^s + eta^{js} dH^i/du^s - K u^i u^j,
     b1^{ij}_k = eta^{is} d2H^j/du^s du^k - K delta^i_k u^j."""
     n = P.n
-    vars = P.vars
-    up = P.eta.up
     K = P.K
-    u = [Expr.var(v) for v in vars]
-    dH = [[P.H[i].diff(vars[k]) for k in range(n)] for i in range(n)]
-    d2H = [
-        [[dH[i][k].diff(vars[l]) for l in range(n)] for k in range(n)]
-        for i in range(n)
-    ]
+    u = [Expr.var(v) for v in P.vars]
     zero = Expr.const(0)
+    dH, d2H = P._derivatives
+    lift_dH = [P.eta.lift(dH[j]) for j in range(n)]
+    lift_d2H = _lifted_hessians(P.eta, d2H)
     g = [
-        [
-            sum(
-                (
-                    Expr.const(up[i][s]) * dH[j][s] + Expr.const(up[j][s]) * dH[i][s]
-                    for s in range(n)
-                ),
-                zero,
-            )
-            - K * u[i] * u[j]
-            for j in range(n)
-        ]
+        [lift_dH[j][i] + lift_dH[i][j] - K * u[i] * u[j] for j in range(n)]
         for i in range(n)
     ]
     b = [
         [
-            [
-                sum((Expr.const(up[i][s]) * d2H[j][s][k] for s in range(n)), zero)
-                - (K * u[j] if i == k else zero)
-                for k in range(n)
-            ]
+            [lift_d2H[j][k][i] - (K * u[j] if i == k else zero) for k in range(n)]
             for j in range(n)
         ]
         for i in range(n)
     ]
-    return HydroBracket(vars=vars, g=g, b=b, K=K)
+    return HydroBracket(vars=P.vars, g=g, b=b, K=K)
+
+
+def _potential_derivatives(H, vars):
+    """Gradients and Hessians of the scalar functions H^i: (dH, d2H) with
+    dH[i][k] = dH^i/du^k and d2H[i][k][l] = d2H^i/du^k du^l."""
+    n = len(vars)
+    dH = [[h.diff(vars[k]) for k in range(n)] for h in H]
+    d2H = [[[d.diff(vars[l]) for l in range(n)] for d in row] for row in dH]
+    return dH, d2H
+
+
+def _lifted_hessians(eta: ConstantBracket, d2H):
+    """L[j][k][i] = eta^{is} d2H^j/du^s du^k (the Hessian is symmetric)."""
+    return [[eta.lift(row) for row in hess] for hess in d2H]
+
+
+def _liouville_form(B: HydroBracket):
+    """A^{ij}_k = b^{ij}_k + K delta^i_k u^j: for a canonical bracket this is
+    eta^{is} d2H^j/du^s du^k, for a Liouville one dPhi^{ij}/du^k."""
+    n = B.n
+    u = [Expr.var(v) for v in B.vars]
+    zero = Expr.const(0)
+    return [
+        [
+            [B.b[i][j][k] + (B.K * u[j] if i == k else zero) for k in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def check_canonical_equations(
@@ -574,28 +593,20 @@ def check_canonical_equations(
     vanishing is equivalent to Poisson-hood of the canonical bracket."""
     rng = _rng(rng)
     n = P.n
-    vars = P.vars
-    up = P.eta.up
-    K = P.K
-    u = [Expr.var(v) for v in vars]
     zero = Expr.const(0)
-    dH = [[P.H[i].diff(vars[k]) for k in range(n)] for i in range(n)]
-    d2H = [
-        [[dH[i][k].diff(vars[l]) for l in range(n)] for k in range(n)]
-        for i in range(n)
-    ]
+    _, d2H = P._derivatives
 
     def ass1():
+        # d2H^i/du^k du^s eta^{sp} d2H^j/du^p du^l - (i <-> j)
+        L = _lifted_hessians(P.eta, d2H)
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):
                     for l in range(n):
                         res = sum(
                             (
-                                d2H[i][k][s] * Fraction(up[s][p]) * d2H[j][p][l]
-                                - d2H[j][k][s] * Fraction(up[s][p]) * d2H[i][p][l]
+                                d2H[i][k][s] * L[j][l][s] - d2H[j][k][s] * L[i][l][s]
                                 for s in range(n)
-                                for p in range(n)
                             ),
                             zero,
                         )
@@ -604,13 +615,7 @@ def check_canonical_equations(
     # w^{jk}_s = b1^{jk}_s + K delta^j_s u^k = eta^{jp} d2H^k/du^p du^s
     B = P._bracket
     g1 = B.g
-    w = [
-        [
-            [B.b[j][k][s] + (K * u[k] if j == s else zero) for s in range(n)]
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
+    w = _liouville_form(B)
 
     def ass2():
         for i in range(n):
@@ -669,6 +674,18 @@ def equivalence_audit(P: CanonicalPair, rng=None, tol: float = 1e-10) -> AuditRe
 # ---------------------------------------------------------------------------
 
 
+def _nonclosed_at(omegas, vars, rng=None, tol: float = 1e-10):
+    """The first (k, l), k < l, 0-based, at which the 1-form omega_k du^k is
+    not closed (d_l omega_k != d_k omega_l), or None when it is closed."""
+    n = len(vars)
+    for k in range(n):
+        for l in range(k + 1, n):
+            res = omegas[k].diff(vars[l]) - omegas[l].diff(vars[k])
+            if is_zero(res, rng=rng, tol=tol) is Zeroness.NONZERO:
+                return k, l
+    return None
+
+
 def _ray_potential(omegas, vars) -> Expr:
     polys = []
     for w in omegas:
@@ -689,25 +706,17 @@ def liouville_function(B: HydroBracket, rng=None, tol: float = 1e-10) -> Liouvil
     n = B.n
     vars = B.vars
     u = [Expr.var(v) for v in vars]
-    zero = Expr.const(0)
-    A = [
-        [
-            [B.b[i][j][k] + (B.K * u[j] if i == k else zero) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    A = _liouville_form(B)
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    res = A[i][j][k].diff(vars[l]) - A[i][j][l].diff(vars[k])
-                    if is_zero(res, rng=rng, tol=tol) is Zeroness.NONZERO:
-                        raise NotLiouvilleError(
-                            "connection coefficients are not a closed gradient "
-                            f"family at (i,j,k,l)=({i + 1},{j + 1},{k + 1},{l + 1})",
-                            indices=(i + 1, j + 1, k + 1, l + 1),
-                        )
+            bad = _nonclosed_at(A[i][j], vars, rng, tol)
+            if bad is not None:
+                k, l = bad
+                raise NotLiouvilleError(
+                    "connection coefficients are not a closed gradient "
+                    f"family at (i,j,k,l)=({i + 1},{j + 1},{k + 1},{l + 1})",
+                    indices=(i + 1, j + 1, k + 1, l + 1),
+                )
     at0 = {v: Fraction(0) for v in vars}
     Phi = [[_ray_potential(A[i][j], vars) for j in range(n)] for i in range(n)]
     shift = [[B.g[i][j].substitute(at0) * Fraction(1, 2) for j in range(n)] for i in range(n)]
@@ -733,25 +742,16 @@ def special_liouville(
     ld = liouville_function(B, rng=rng, tol=tol)
     n = B.n
     vars = B.vars
-    zero = Expr.const(0)
-    down = eta.down
-    psi = [
-        [
-            sum((Expr.const(down[k][s]) * ld.Phi[s][j] for s in range(n)), zero)
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
+    psi = [eta.lower([ld.Phi[s][j] for s in range(n)]) for j in range(n)]
     for j in range(n):
-        for k in range(n):
-            for l in range(k + 1, n):
-                res = psi[j][k].diff(vars[l]) - psi[j][l].diff(vars[k])
-                if is_zero(res, rng=rng, tol=tol) is Zeroness.NONZERO:
-                    raise NotSpecialError(
-                        "eta-lowered Liouville function is not a gradient at "
-                        f"(j,k,l)=({j + 1},{k + 1},{l + 1})",
-                        indices=(j + 1, k + 1, l + 1),
-                    )
+        bad = _nonclosed_at(psi[j], vars, rng, tol)
+        if bad is not None:
+            k, l = bad
+            raise NotSpecialError(
+                "eta-lowered Liouville function is not a gradient at "
+                f"(j,k,l)=({j + 1},{k + 1},{l + 1})",
+                indices=(j + 1, k + 1, l + 1),
+            )
     H = tuple(_ray_potential(psi[j], vars) for j in range(n))
     return LiouvilleData(vars=vars, Phi=ld.Phi, H=H)
 
@@ -791,8 +791,7 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
             )
     zero = Expr.const(0)
     df = [f.diff(v) for v in vars]
-    dh = [h.diff(v) for v in vars]
-    d2h = [[dh[j].diff(vars[k]) for k in range(n)] for j in range(n)]
+    (dh,), (d2h,) = _potential_derivatives((h,), vars)
     at0 = {v: Fraction(0) for v in vars}
     h_shift = h - h.substitute(at0)
     omega = []
@@ -812,12 +811,4 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
 def is_total_x_derivative(integrand: Integrand1, rng=None, tol: float = 1e-10) -> bool:
     """A first-order integrand integrates to zero over a period exactly when
     its coefficient covector is closed."""
-    rng = _rng(rng)
-    n = len(integrand.vars)
-    vars = integrand.vars
-    for k in range(n):
-        for l in range(k + 1, n):
-            res = integrand.omega[k].diff(vars[l]) - integrand.omega[l].diff(vars[k])
-            if is_zero(res, rng=rng, tol=tol) is Zeroness.NONZERO:
-                return False
-    return True
+    return _nonclosed_at(integrand.omega, integrand.vars, _rng(rng), tol) is None

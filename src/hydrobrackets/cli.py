@@ -56,6 +56,7 @@ class ProblemFileError(ValueError):
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
         self.location = location
+        self.message = message
 
 
 def _as_fraction(x, location: str) -> Fraction:
@@ -260,19 +261,27 @@ class Problem:
         return HydroBracket(vars=self.vars, g=con.entries, b=conn.b, K=K)
 
     def second_bracket(self) -> HydroBracket:
-        """Bracket for the second pencil member; defaults to (eta, 0, 0)."""
+        """Bracket for the second pencil member; defaults to (eta, 0, 0).
+
+        The ``second`` block inherits N, eta and K from the primary where it
+        does not give them; its errors are located as ``second.<key>``."""
         if self.second is None:
             return self.require_eta().as_hydro(self.vars)
+        if not isinstance(self.second, dict):
+            raise ProblemFileError("second", "expected an object")
         sub = dict(self.second)
         sub.setdefault("N", self.n)
-        if "eta" not in sub and self.eta is not None:
-            sub["eta"] = [[str(x) for x in row] for row in self.eta.up]
-        if "K" not in sub and self.K is not None:
-            sub["K"] = str(self.K.const_value())
-        prob = Problem(sub, "second")
-        if prob.n != self.n:
-            raise ProblemFileError("second.N", "dimension mismatch with primary")
-        return prob.bracket()
+        try:
+            prob = Problem(sub, "second")
+            if prob.n != self.n:
+                raise ProblemFileError("N", "dimension mismatch with primary")
+            if "eta" not in sub:
+                prob.eta = self.eta
+            if "K" not in sub:
+                prob.K = self.K
+            return prob.bracket()
+        except ProblemFileError as exc:
+            raise ProblemFileError(f"second.{exc.location}", exc.message) from None
 
 
 def load_initial_state(prob: Problem):
@@ -495,11 +504,7 @@ def cmd_hierarchy(args) -> int:
     prob = load_problem(args.file)
     P = prob.canonical_pair()
     rng = random.Random(args.seed)
-    try:
-        flows = hierarchy(P, args.levels, gauges=_gauges_for(args, args.levels))
-    except NotPoissonError as exc:
-        print(f"hierarchy: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    flows = hierarchy(P, args.levels, gauges=_gauges_for(args, args.levels))
     n = prob.n
     lines = [f"hierarchy: N={n}, levels 0..{args.levels}"]
     levels_obj = []
@@ -558,11 +563,7 @@ def cmd_simulate(args) -> int:
     prob = load_problem(args.file)
     grid, state0 = load_initial_state(prob)
     P = prob.canonical_pair()
-    try:
-        flows = hierarchy(P, args.level)
-    except NotPoissonError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    flows = hierarchy(P, args.level)
     sim = prob.simulation
     cflow = numsim.compile_flow(flows[args.level], dealias=args.dealias)
     import warnings as _w
@@ -622,11 +623,7 @@ def cmd_commute(args) -> int:
     prob = load_problem(args.file)
     P = prob.canonical_pair()
     rng = random.Random(args.seed)
-    try:
-        flows = hierarchy(P, args.levels)
-    except NotPoissonError as exc:
-        print(f"commute: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    flows = hierarchy(P, args.levels)
     lines = [f"commute: N={prob.n}, levels 0..{args.levels}"]
     all_ok = True
     pair_obj = []
@@ -725,6 +722,9 @@ def main(argv=None) -> int:
     except (ProblemFileError, UnsupportedIntegrandError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except NotPoissonError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ClosednessError as exc:
         print(f"{args.command}: closedness failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_EVENT

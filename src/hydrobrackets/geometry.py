@@ -79,9 +79,6 @@ class ContravariantMetric:
     def n(self) -> int:
         return len(self.vars)
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
 
 @dataclass(frozen=True)
 class CovariantMetric:
@@ -98,9 +95,6 @@ class CovariantMetric:
     @property
     def n(self) -> int:
         return len(self.vars)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from .bracket import (
     functional_bracket_density,
     is_total_x_derivative,
     _judge,
+    _nonclosed_at,
+    _potential_derivatives,
     _ray_potential,
     _rng,
 )
@@ -95,7 +97,7 @@ class ConservativeFlow:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "S", S)
-        down = self.eta.down
+        eta = self.eta
         vars = self.vars
         for i in range(n):
             for k in range(n):
@@ -103,22 +105,18 @@ class ConservativeFlow:
                     raise FlowInvariantError(
                         f"V[{i + 1}][{k + 1}] does not match dF^{i + 1}/dv^{k + 1}"
                     )
+        # lowered[k][j] = eta_{jl} V^l_k
+        lowered = [eta.lower([V[l][k] for l in range(n)]) for k in range(n)]
         for j in range(n):
             for k in range(j + 1, n):
-                lhs = sum(
-                    (Expr.const(down[j][l]) * V[l][k] for l in range(n)), Expr.const(0)
-                )
-                rhs = sum(
-                    (Expr.const(down[k][l]) * V[l][j] for l in range(n)), Expr.const(0)
-                )
-                if is_zero(lhs - rhs) is Zeroness.NONZERO:
+                if is_zero(lowered[k][j] - lowered[j][k]) is Zeroness.NONZERO:
                     raise FlowInvariantError(
                         f"eta-lowered coefficient matrix is not symmetric at "
                         f"({j + 1},{k + 1}); no scalar potential exists"
                     )
+        xi = eta.lower(F)
         for j in range(n):
-            xi = sum((Expr.const(down[j][l]) * F[l] for l in range(n)), Expr.const(0))
-            if is_zero(S.diff(vars[j]) - xi) is Zeroness.NONZERO:
+            if is_zero(S.diff(vars[j]) - xi[j]) is Zeroness.NONZERO:
                 raise FlowInvariantError(
                     f"dS/dv^{j + 1} does not match the eta-lowered flux"
                 )
@@ -149,23 +147,29 @@ class HamiltonianDensity:
 # ---------------------------------------------------------------------------
 
 
-def _potentials_in_flow_vars(P: CanonicalPair):
-    """The flow variables v1..vN, and the pair's H^i and K renamed to them."""
+def _dot(a, b) -> Expr:
+    return sum((x * y for x, y in zip(a, b)), Expr.const(0))
+
+
+def _closed_form_data(P: CanonicalPair):
+    """The pieces of the paper's closed-form flows, in the flow variables:
+    (vars, h, K, dh, d2h, v, eta v, S0) with h^i and K renamed from the pair,
+    dh, d2h their first and second derivatives, eta v the covector
+    eta_{jl} v^l and S0 = (1/2) eta_{jl} v^j v^l."""
     vars = flow_vars(P.n)
     mapping = dict(zip(P.vars, vars))
-    return vars, tuple(h.rename(mapping) for h in P.H), P.K.rename(mapping)
+    h = tuple(x.rename(mapping) for x in P.H)
+    dh, d2h = _potential_derivatives(h, vars)
+    v = [Expr.var(x) for x in vars]
+    ev = P.eta.lower(v)
+    S0 = _dot(v, ev) * Fraction(1, 2)
+    return vars, h, P.K.rename(mapping), dh, d2h, v, ev, S0
 
 
 def eta_gradient_gauge(P: CanonicalPair) -> tuple:
     """The covector eta_{jl} h^l(0): the gauge that reproduces the closed-form
     first flow exactly when applied at the first recursion level."""
-    h0 = P.h_origin()
-    down = P.eta.down
-    n = P.n
-    return tuple(
-        sum((Expr.const(down[j][l]) * h0[l] for l in range(n)), Expr.const(0))
-        for j in range(n)
-    )
+    return P.eta.lower(P.h_origin())
 
 
 def translation_flow(eta: ConstantBracket) -> ConservativeFlow:
@@ -173,19 +177,11 @@ def translation_flow(eta: ConstantBracket) -> ConservativeFlow:
     n = eta.n
     vars = flow_vars(n)
     v = [Expr.var(x) for x in vars]
-    F = tuple(v)
-    S = sum(
-        (
-            Expr.const(eta.down[j][l]) * v[j] * v[l]
-            for j in range(n)
-            for l in range(n)
-        ),
-        Expr.const(0),
-    ) * Fraction(1, 2)
+    S = _dot(v, eta.lower(v)) * Fraction(1, 2)
     V = tuple(
         tuple(Expr.const(1 if i == k else 0) for k in range(n)) for i in range(n)
     )
-    return ConservativeFlow(eta=eta, vars=vars, F=F, S=S, V=V, level=0)
+    return ConservativeFlow(eta=eta, vars=vars, F=tuple(v), S=S, V=V, level=0)
 
 
 def recursion_matrix(P: CanonicalPair, S: Expr, vars) -> list:
@@ -194,8 +190,7 @@ def recursion_matrix(P: CanonicalPair, S: Expr, vars) -> list:
     B = P._flow_bracket
     if tuple(vars) != flow_vars(n):
         raise ValueError("flows must use the canonical flow variables v1..vN")
-    Sj = [S.diff(v) for v in vars]
-    Sjk = [[Sj[j].diff(vars[k]) for k in range(n)] for j in range(n)]
+    (Sj,), (Sjk,) = _potential_derivatives((S,), vars)
     zero = Expr.const(0)
     return [
         [
@@ -214,18 +209,9 @@ def _integrate_flow(
     """The conservative flow with the closed coefficient matrix V: the flux
     potentials F^i are the ray integrals of the rows of V lifted by
     eta^{is} gauge_s, and S is the ray integral of eta_{jl} F^l."""
-    n = eta.n
-    zero = Expr.const(0)
-    F = tuple(
-        _ray_potential(V[i], vars)
-        + sum((Expr.const(eta.up[i][s]) * gauge[s] for s in range(n)), zero)
-        for i in range(n)
-    )
-    xi = [
-        sum((Expr.const(eta.down[j][l]) * F[l] for l in range(n)), zero)
-        for j in range(n)
-    ]
-    S = _ray_potential(xi, vars)
+    shift = eta.lift(gauge)
+    F = tuple(_ray_potential(row, vars) + c for row, c in zip(V, shift))
+    S = _ray_potential(eta.lower(F), vars)
     return ConservativeFlow(
         eta=eta, vars=vars, F=F, S=S, V=tuple(tuple(r) for r in V), level=level
     )
@@ -249,98 +235,38 @@ def apply_recursion(
         raise ValueError("gauge covector has wrong length")
     V = recursion_matrix(P, flow.S, vars)
     for i in range(n):
-        for k in range(n):
-            for l in range(k + 1, n):
-                res = V[i][k].diff(vars[l]) - V[i][l].diff(vars[k])
-                if is_zero(res) is Zeroness.NONZERO:
-                    raise ClosednessError(
-                        f"coefficient row {i + 1} is not a gradient at "
-                        f"({k + 1},{l + 1})"
-                    )
+        bad = _nonclosed_at(V[i], vars)
+        if bad is not None:
+            k, l = bad
+            raise ClosednessError(
+                f"coefficient row {i + 1} is not a gradient at ({k + 1},{l + 1})"
+            )
     level = None if flow.level is None else flow.level + 1
     return _integrate_flow(P.eta, vars, V, gauge, level)
 
 
 def flow_t1(P: CanonicalPair) -> ConservativeFlow:
-    """The first hierarchy flow in closed form:
-    F^i = h^i + eta^{is} (dh^j/dv^s) eta_{jl} v^l - (K/2) eta_{sk} v^i v^s v^k,
-    with its expanded coefficient matrix and the quartic scalar potential."""
+    """The first hierarchy flow: the recursion route applied to the
+    translation flow with the gradient gauge.  It is checked against the
+    paper's closed form
+    F^i = h^i + eta^{is} (dh^j/dv^s) eta_{jl} v^l - K v^i S0,
+    S = eta_{jk} h^k v^j - (K/2) S0^2,  S0 = (1/2) eta_{jl} v^j v^l;
+    a mismatch raises ``InconsistencyError``."""
     n = P.n
-    vars, h, K = _potentials_in_flow_vars(P)
+    vars, h, K, dh, _, v, ev, S0 = _closed_form_data(P)
     eta = P.eta
-    up, down = eta.up, eta.down
-    v = [Expr.var(x) for x in vars]
-    zero = Expr.const(0)
-    dh = [[h[j].diff(vars[s]) for s in range(n)] for j in range(n)]
-    d2h = [[[dh[j][s].diff(vars[k]) for k in range(n)] for s in range(n)] for j in range(n)]
-    eta_vv = sum(
-        (Expr.const(down[s][l]) * v[s] * v[l] for s in range(n) for l in range(n)),
-        zero,
-    )
-    half = Fraction(1, 2)
-    F = tuple(
-        h[i]
-        + sum(
-            (
-                Expr.const(up[i][s]) * dh[j][s] * Expr.const(down[j][l]) * v[l]
-                for s in range(n)
-                for j in range(n)
-                for l in range(n)
-            ),
-            zero,
-        )
-        - K * half * v[i] * sum(
-            (
-                Expr.const(down[s][k]) * v[s] * v[k]
-                for s in range(n)
-                for k in range(n)
-            ),
-            zero,
-        )
-        for i in range(n)
-    )
-    V = tuple(
-        tuple(
-            sum(
-                (
-                    Expr.const(up[i][s]) * dh[j][s] * Expr.const(down[j][k])
-                    for s in range(n)
-                    for j in range(n)
-                ),
-                zero,
+    lifted = eta.lift([_dot(ev, [dh[j][s] for j in range(n)]) for s in range(n)])
+    F = [h[i] + lifted[i] - K * v[i] * S0 for i in range(n)]
+    S = _dot(v, eta.lower(h)) - K * Fraction(1, 2) * S0 * S0
+    rec = apply_recursion(P, translation_flow(eta), gauge=eta_gradient_gauge(P))
+    for i in range(n):
+        if is_zero(F[i] - rec.F[i]) is Zeroness.NONZERO:
+            raise InconsistencyError(
+                f"closed-form F[{i + 1}] disagrees with the recursion route"
             )
-            + dh[i][k]
-            + sum(
-                (
-                    Expr.const(up[i][s])
-                    * Expr.const(down[j][l])
-                    * d2h[j][s][k]
-                    * v[l]
-                    for s in range(n)
-                    for j in range(n)
-                    for l in range(n)
-                ),
-                zero,
-            )
-            - K
-            * sum((Expr.const(down[s][k]) * v[i] * v[s] for s in range(n)), zero)
-            - (K * half * eta_vv if i == k else zero)
-            for k in range(n)
-        )
-        for i in range(n)
-    )
-    S = (
-        sum(
-            (
-                Expr.const(down[j][k]) * h[k] * v[j]
-                for j in range(n)
-                for k in range(n)
-            ),
-            zero,
-        )
-        - K * Fraction(1, 8) * eta_vv * eta_vv
-    )
-    return ConservativeFlow(eta=eta, vars=vars, F=F, S=S, V=V, level=1)
+    if is_zero(S - rec.S) is Zeroness.NONZERO:
+        raise InconsistencyError("closed-form S disagrees with the recursion route")
+    return rec
 
 
 def flow_t2(P: CanonicalPair) -> ConservativeFlow:
@@ -349,69 +275,29 @@ def flow_t2(P: CanonicalPair) -> ConservativeFlow:
     cofactors M (of g1) and xi (of b1) are checked against the Hessian and
     gradient of the first flow's S; a mismatch raises ``InconsistencyError``."""
     n = P.n
-    vars, h, K = _potentials_in_flow_vars(P)
+    vars, h, K, dh, d2h, v, ev, S0 = _closed_form_data(P)
     down = P.eta.down
-    v = [Expr.var(x) for x in vars]
-    zero = Expr.const(0)
-    half = Fraction(1, 2)
-    dh = [[h[j].diff(vars[s]) for s in range(n)] for j in range(n)]
-    d2h = [[[dh[j][s].diff(vars[k]) for k in range(n)] for s in range(n)] for j in range(n)]
-    eta_vv = sum(
-        (Expr.const(down[p][l]) * v[p] * v[l] for p in range(n) for l in range(n)),
-        zero,
-    )
+    # eta_{jl} dh^l/dv^k, by [k][j]
+    ldh = [P.eta.lower([dh[l][k] for l in range(n)]) for k in range(n)]
     # bracketed cofactor of g1^{ij}: eta_{jl} dh^l/dv^k + eta_{rk} dh^r/dv^j
     #   + eta_{rq} v^q d2h^r/dv^j dv^k - K eta_{jl} eta_{pk} v^l v^p
     #   - (K/2) eta_{jk} eta_{pl} v^l v^p
     M = [
         [
-            sum((Expr.const(down[j][l]) * dh[l][k] for l in range(n)), zero)
-            + sum((Expr.const(down[r][k]) * dh[r][j] for r in range(n)), zero)
-            + sum(
-                (
-                    Expr.const(down[r][q]) * v[q] * d2h[r][j][k]
-                    for r in range(n)
-                    for q in range(n)
-                ),
-                zero,
-            )
-            - K
-            * sum(
-                (
-                    Expr.const(down[j][l] * down[p][k]) * v[l] * v[p]
-                    for l in range(n)
-                    for p in range(n)
-                ),
-                zero,
-            )
-            - K * half * Expr.const(down[j][k]) * eta_vv
+            ldh[k][j]
+            + ldh[j][k]
+            + _dot(ev, [d2h[r][j][k] for r in range(n)])
+            - K * ev[j] * ev[k]
+            - K * Expr.const(down[j][k]) * S0
             for k in range(n)
         ]
         for j in range(n)
     ]
     # bracketed cofactor of b1^{ij}_k: eta_{jl} h^l + eta_{rq} v^q dh^r/dv^j
     #   - (K/2) eta_{jl} eta_{pr} v^l v^p v^r
+    lh = P.eta.lower(h)
     xi = [
-        sum((Expr.const(down[j][l]) * h[l] for l in range(n)), zero)
-        + sum(
-            (
-                Expr.const(down[r][q]) * v[q] * dh[r][j]
-                for r in range(n)
-                for q in range(n)
-            ),
-            zero,
-        )
-        - K
-        * half
-        * sum(
-            (
-                Expr.const(down[j][l] * down[p][r]) * v[l] * v[p] * v[r]
-                for l in range(n)
-                for p in range(n)
-                for r in range(n)
-            ),
-            zero,
-        )
+        lh[j] + _dot(ev, [dh[r][j] for r in range(n)]) - K * ev[j] * S0
         for j in range(n)
     ]
     t1 = flow_t1(P)
@@ -492,7 +378,6 @@ def bihamiltonian_check(
     n = P.n
     vars = flow.vars
     eta = P.eta
-    zero = Expr.const(0)
     V_from_p1 = recursion_matrix(P, translation_flow(eta).S, vars)
 
     def eq1():
@@ -500,16 +385,12 @@ def bihamiltonian_check(
             for k in range(n):
                 yield (i + 1, k + 1), V_from_p1[i][k] - flow.V[i][k]
 
-    Sj = [flow.S.diff(x) for x in vars]
-
     def eq2():
+        # eta^{ij} d2S/dv^j dv^k = d/dv^k (eta^{ij} dS/dv^j)
+        lifted = eta.lift([flow.S.diff(x) for x in vars])
         for i in range(n):
             for k in range(n):
-                res = sum(
-                    (Expr.const(eta.up[i][j]) * Sj[j].diff(vars[k]) for j in range(n)),
-                    zero,
-                )
-                yield (i + 1, k + 1), res - flow.V[i][k]
+                yield (i + 1, k + 1), lifted[i].diff(vars[k]) - flow.V[i][k]
 
     return PoissonReport(
         conditions=[_judge("eq1", eq1(), rng, tol), _judge("eq2", eq2(), rng, tol)]

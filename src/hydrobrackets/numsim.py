@@ -307,7 +307,6 @@ class CompiledFlow:
     vars: tuple
     table: MonomialTable
     eta_down: np.ndarray
-    source: ConservativeFlow | None = None
     dealias: bool = False
 
     def V(self, v: np.ndarray) -> np.ndarray:
@@ -332,7 +331,7 @@ def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
     table = MonomialTable(entries + [flow.S], flow.vars)
     eta_down = np.array([[float(x) for x in row] for row in flow.eta.down])
     return CompiledFlow(
-        n=n, vars=flow.vars, table=table, eta_down=eta_down, source=flow, dealias=dealias
+        n=n, vars=flow.vars, table=table, eta_down=eta_down, dealias=dealias
     )
 
 

@@ -122,15 +122,6 @@ class Poly:
                 out.add(v)
         return out
 
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
-    def degree_in(self, varset) -> int:
-        best = 0
-        for m in self.terms:
-            best = max(best, sum(e for v, e in m if v in varset))
-        return best
-
     def key(self):
         """Hashable canonical form (used for factor identity)."""
         if self._frozen is None:

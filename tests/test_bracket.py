@@ -49,6 +49,26 @@ def _pair(h_texts, K, eta=ETA2, extra_vars=()):
     return CanonicalPair(eta=eta, K=K, H=H, vars=vars)
 
 
+# -- the constant bracket ------------------------------------------------------
+
+
+def test_lift_inverts_lower_on_non_diagonal_eta():
+    eta = ConstantBracket([[2, 1], [1, 1]])
+    assert eta.down == ((1, -1), (-1, 2))
+    x = (parse("u1 + 2", UV), parse("3*u2 - u1*u2", UV))
+    lowered = eta.lower(x)
+    assert _zero(lowered[0] - parse("u1 + 2 - 3*u2 + u1*u2", UV))
+    for a, b in zip(eta.lift(lowered), x):
+        assert _zero(a - b)
+    for a, b in zip(eta.lower(eta.lift(x)), x):
+        assert _zero(a - b)
+
+
+def test_singular_eta_is_rejected():
+    with pytest.raises(ValueError, match="^eta is singular$"):
+        ConstantBracket([[1, 2], [2, 4]])
+
+
 # -- check_poisson -------------------------------------------------------------
 
 
@@ -320,6 +340,17 @@ def test_liouville_but_not_special():
     liouville_function(B)  # succeeds
     with pytest.raises(NotSpecialError):
         special_liouville(B, ETA2)
+
+
+def test_not_special_names_its_indices():
+    zero = Expr.const(0)
+    phi = [[zero, Expr.var("u2")], [zero, zero]]
+    g = [[phi[i][j] + phi[j][i] for j in range(2)] for i in range(2)]
+    b = [[[phi[i][j].diff(UV[k]) for k in range(2)] for j in range(2)] for i in range(2)]
+    B = HydroBracket(vars=UV, g=g, b=b, K=zero)
+    with pytest.raises(NotSpecialError, match=r"at \(j,k,l\)=\(2,1,2\)$") as exc:
+        special_liouville(B, ETA2)
+    assert exc.value.indices == (2, 1, 2)
 
 
 def test_special_liouville_round_trip():

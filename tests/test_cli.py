@@ -384,3 +384,69 @@ def test_check_canonical_builds_the_bracket_once(monkeypatch, capsys):
     assert main(["check-canonical", str(problem)]) == 0
     assert "equivalence audit: consistent" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        (
+            {"K": 0, "canonical": {"a": [0, 1]}},
+            "second.canonical.a: at most one of the constants a^1..a^N, K may be zero",
+        ),
+        ({"g": [["1"]], "b": []}, "second.g: expected 2x2 entries"),
+        ({"K": "x", "canonical": {"a": [2, 1]}}, "second.K: bad rational 'x'"),
+        ({"N": 3}, "second.N: dimension mismatch with primary"),
+        ([1, 2], "second: expected an object"),
+    ],
+    ids=["canonical.a", "g", "K", "N", "not-an-object"],
+)
+def test_second_block_errors_are_located(tmp_path, capsys, second, message):
+    doc = {
+        "N": 2,
+        "eta": [[1, 0], [0, 1]],
+        "K": 1,
+        "canonical": {"a": [1, 1]},
+        "second": second,
+    }
+    assert main(["check-pencil", _write(tmp_path, "pencil.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert _single_line(err) and err.startswith(f"input error: {message}")
+
+
+def test_second_block_inherits_eta_and_K(tmp_path):
+    from hydrobrackets.cli import load_problem
+
+    doc = {
+        "N": 2,
+        "eta": [[2, 1], [1, 1]],
+        "K": 1,
+        "H": ["u1", "u2"],
+        "second": {"H": ["u1^2/2", "u2"]},
+    }
+    prob = load_problem(_write(tmp_path, "inherit.json", doc))
+    B2 = prob.second_bracket()
+    assert B2.K is prob.K
+    # g^{11} = 2 eta^{1s} dH^1/du^s - K u1^2 with eta^{11} = 2
+    assert B2.g[0][0].equals(parse("4*u1 - u1^2", ("u1", "u2"))) is Zeroness.ZERO
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "simulate", "commute"])
+def test_non_poisson_pair_exits_1(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    doc = {
+        "N": 2,
+        "eta": [[1, 0], [0, 1]],
+        "K": 1,
+        "H": ["u1^2/2", "0"],
+        "simulation": {
+            "grid_M": 64,
+            "L": TWO_PI,
+            "dt": 0.001,
+            "t_end": 0.01,
+            "init": ["0.1*sin(x)", "0.1*cos(x)"],
+        },
+    }
+    assert main([command, _write(tmp_path, "sep.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: canonical pair fails ass2\n"

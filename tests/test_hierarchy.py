@@ -3,12 +3,13 @@ commutation and involution."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from hydrobrackets.bracket import CanonicalPair, ConstantBracket
+from hydrobrackets.bracket import CanonicalPair, ConstantBracket, InconsistencyError
 from hydrobrackets.expr import Expr, Zeroness, is_zero, parse
 from hydrobrackets.hierarchy import (
     ClosednessError,
@@ -187,6 +188,14 @@ def test_closedness_failure_raised_for_invalid_pair():
         apply_recursion(P, flow_t1(P))
 
 
+def test_closedness_error_names_row_and_indices():
+    P = CanonicalPair(
+        eta=ETA2, K=1, H=(parse("u1^2/2", UV), Expr.const(0)), vars=UV
+    )
+    with pytest.raises(ClosednessError, match=r"^coefficient row 1 is not a gradient at \(1,2\)$"):
+        apply_recursion(P, flow_t1(P))
+
+
 def test_hierarchy_rejects_invalid_pair_and_negative_levels():
     with pytest.raises(NotPoissonError):
         hierarchy(
@@ -271,6 +280,24 @@ def test_flow_t1_scalar_fixture():
     t1 = flow_t1(P)
     assert _zero(t1.F[0] - parse("3/2*v1^2", ("v1",)))
     assert _zero(t1.V[0][0] - parse("3*v1", ("v1",)))
+
+
+def test_flow_t1_checks_closed_form_against_recursion(monkeypatch):
+    # with the gauge dropped, the recursion route loses the constant h(0)
+    # that the closed form carries, so the check must fire
+    P = CanonicalPair(
+        eta=ETA2,
+        K=1,
+        H=(parse("1/2 + 2*u1 - u2", UV), parse("-1/3 + u1 + 3*u2", UV)),
+        vars=UV,
+    )
+    # the package re-exports the function ``hierarchy`` under the module's name
+    module = importlib.import_module("hydrobrackets.hierarchy")
+    monkeypatch.setattr(module, "eta_gradient_gauge", lambda P: (0,) * P.n)
+    with pytest.raises(
+        InconsistencyError, match=r"closed-form F\[1\] disagrees with the recursion route"
+    ):
+        flow_t1(P)
 
 
 # -- the second flow -------------------------------------------------------------
