@@ -170,7 +170,7 @@ class ConstantBracket:
     """Constant bracket eta^{ij} d/dx with exact inverse eta_{ij}."""
 
     up: tuple  # eta^{ij}
-    down: tuple = field(default=None)  # eta_{ij}, computed if omitted
+    down: tuple = field(init=False)  # eta_{ij}
 
     def __post_init__(self):
         up = tuple(tuple(Fraction(x) for x in row) for row in self.up)
@@ -181,14 +181,11 @@ class ConstantBracket:
             for j in range(i + 1, n):
                 if up[i][j] != up[j][i]:
                     raise ValueError("eta must be symmetric")
-        if self.down is None:
-            try:
-                inv, _ = matrix_inverse([[Expr.const(x) for x in row] for row in up])
-            except DegenerateMetricError:
-                raise ValueError("eta is singular") from None
-            down = tuple(tuple(a.const_value() for a in row) for row in inv)
-        else:
-            down = tuple(tuple(Fraction(x) for x in row) for row in self.down)
+        try:
+            inv, _ = matrix_inverse([[Expr.const(x) for x in row] for row in up])
+        except DegenerateMetricError:
+            raise ValueError("eta is singular") from None
+        down = tuple(tuple(a.const_value() for a in row) for row in inv)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
 
@@ -258,8 +255,9 @@ class CanonicalPair:
     def h_origin(self) -> tuple:
         """H evaluated at the origin of the field variables (parameters, if
         any, survive as symbols)."""
-        at0 = {v: Fraction(0) for v in self.vars}
-        return tuple(h.substitute(at0) for h in self.H)
+        return tuple(
+            _at_origin(h, self.vars, f"H[{i + 1}]") for i, h in enumerate(self.H)
+        )
 
 
 @dataclass(frozen=True)
@@ -314,29 +312,28 @@ class LiouvilleData:
 # ---------------------------------------------------------------------------
 
 
-def _find_witness(e: Expr, indices, rng, tol) -> Witness:
+def _find_witness(e: Expr, indices, rng) -> Witness:
     vars = sorted(e.free_vars(), key=var_key)
     for _ in range(100):
         point = random_rational_point(vars, rng)
         try:
             val = e.evaluate(point)
-        except (ZeroDivisionError, OverflowError):
+        except ZeroDivisionError:
             continue
-        nonzero = val != 0 if e.is_rational else abs(float(val)) >= tol
-        if nonzero:
+        if val != 0:
             return Witness(indices=indices, point=point, value=val)
     raise EvaluationSingularityError("failed to locate a witness probe point")
 
 
-def _judge(name: str, residuals, rng, tol) -> ConditionResult:
-    worst = Zeroness.ZERO
+def _judge(name: str, residuals, rng) -> ConditionResult:
+    """Zero when every residual vanishes identically, else NonZero with a
+    witness drawn from ``rng``.  Residuals come out of exact arithmetic, so
+    they are rational and the verdict is exact."""
     for indices, e in residuals:
-        z = is_zero(e, rng=rng, tol=tol)
-        if z is Zeroness.NONZERO:
-            return ConditionResult(name, z, _find_witness(e, indices, rng, tol))
-        if z is Zeroness.NUMERICALLY_ZERO:
-            worst = z
-    return ConditionResult(name, worst, None)
+        if is_zero(e) is Zeroness.NONZERO:
+            witness = _find_witness(e, indices, rng)
+            return ConditionResult(name, Zeroness.NONZERO, witness)
+    return ConditionResult(name, Zeroness.ZERO)
 
 
 def _rng(rng):
@@ -437,16 +434,16 @@ def _s_residuals(B: HydroBracket):
     return [("s1", s1()), ("s2", s2()), ("s3", s3()), ("s4", s4()), ("s5", s5())]
 
 
-def check_poisson(B: HydroBracket, rng=None, tol: float = 1e-10) -> PoissonReport:
+def check_poisson(B: HydroBracket, rng=None) -> PoissonReport:
     """Decide Poisson-hood of a general bracket through the five residual
     families; degenerate metrics are allowed."""
     rng = _rng(rng)
-    conditions = [_judge(name, gen, rng, tol) for name, gen in _s_residuals(B)]
+    conditions = [_judge(name, gen, rng) for name, gen in _s_residuals(B)]
     return PoissonReport(conditions=conditions)
 
 
 def check_compat_constant(
-    B: HydroBracket, eta: ConstantBracket, rng=None, tol: float = 1e-10
+    B: HydroBracket, eta: ConstantBracket, rng=None
 ) -> PoissonReport:
     """Compatibility of B with the constant bracket eta d/dx (B expressed in
     the flat coordinates of eta): residuals c1, c2 plus B's own s1..s5."""
@@ -476,14 +473,14 @@ def check_compat_constant(
                         res = db[j][r][s][k] - db[j][r][k][s] - K * Expr.const(rhs)
                         yield (j + 1, r + 1, s + 1, k + 1), res
 
-    conditions = [_judge(name, gen, rng, tol) for name, gen in _s_residuals(B)]
-    conditions.append(_judge("c1", c1(), rng, tol))
-    conditions.append(_judge("c2", c2(), rng, tol))
+    conditions = [_judge(name, gen, rng) for name, gen in _s_residuals(B)]
+    conditions.append(_judge("c1", c1(), rng))
+    conditions.append(_judge("c2", c2(), rng))
     return PoissonReport(conditions=conditions)
 
 
 def check_pencil(
-    B1: HydroBracket, B2: HydroBracket, rng=None, tol: float = 1e-10
+    B1: HydroBracket, B2: HydroBracket, rng=None
 ) -> PoissonReport:
     """Run the Poisson check on the formal combination B1 + lam B2.
 
@@ -505,7 +502,7 @@ def check_pencil(
         for i in range(n)
     ]
     pencil = HydroBracket(vars=B1.vars, g=g, b=b, K=B1.K + lam * B2.K)
-    report = check_poisson(pencil, rng=rng, tol=tol)
+    report = check_poisson(pencil, rng=rng)
     report.extras["pencil_parameter"] = lam_name
     report.extras["local_member"] = _local_member(B1.K, B2.K)
     return report
@@ -587,7 +584,7 @@ def _liouville_form(B: HydroBracket):
 
 
 def check_canonical_equations(
-    P: CanonicalPair, rng=None, tol: float = 1e-10
+    P: CanonicalPair, rng=None
 ) -> PoissonReport:
     """The two nonlinear residual families on the potentials H^i whose
     vanishing is equivalent to Poisson-hood of the canonical bracket."""
@@ -631,8 +628,8 @@ def check_canonical_equations(
                     yield (i + 1, j + 1, k + 1), res
 
     conditions = [
-        _judge("ass1", ass1(), rng, tol),
-        _judge("ass2", ass2(), rng, tol),
+        _judge("ass1", ass1(), rng),
+        _judge("ass2", ass2(), rng),
     ]
     return PoissonReport(conditions=conditions)
 
@@ -641,32 +638,38 @@ def check_canonical_equations(
 class AuditReport:
     poisson: PoissonReport
     equations: PoissonReport
-    consistent: bool
+    inconsistency: str | None = None  # the first disagreement found
+
+    @property
+    def consistent(self) -> bool:
+        return self.inconsistency is None
 
 
-def equivalence_audit(P: CanonicalPair, rng=None, tol: float = 1e-10) -> AuditReport:
-    """Assert that the direct Poisson check of the built bracket and the
-    potential equations give the same verdict, and that the s4 family
-    degenerates to the quadratic associativity form for canonical brackets.
-    A disagreement indicates an implementation bug and raises."""
+def equivalence_audit(P: CanonicalPair, rng=None) -> AuditReport:
+    """Judge the potential equations (first, with ``rng``), then check that
+    the direct Poisson check of the built bracket gives the same verdict and
+    that the s4 family degenerates to the quadratic associativity form for
+    canonical brackets.  A disagreement indicates an implementation bug and
+    is recorded in the report."""
     rng = _rng(rng)
     B = P._bracket
-    pr = check_poisson(B, rng=rng, tol=tol)
-    cr = check_canonical_equations(P, rng=rng, tol=tol)
+    cr = check_canonical_equations(P, rng=rng)
+    pr = check_poisson(B, rng=rng)
+    report = AuditReport(poisson=pr, equations=cr)
     if pr.passed != cr.passed:
-        raise InconsistencyError(
+        report.inconsistency = (
             f"direct check says poisson={pr.passed} but potential equations "
             f"say poisson={cr.passed}"
         )
+        return report
     # For canonical brackets the derivative part of s4 cancels the curvature
     # term identically, leaving b.b - b.b associativity; verify the identity.
     _, db = B._derivatives
-    check = _judge("s4_assoc", _s4_curvature(B, db), rng, tol)
-    if check.status is Zeroness.NONZERO:
-        raise InconsistencyError(
+    if _judge("s4_assoc", _s4_curvature(B, db), rng).status is Zeroness.NONZERO:
+        report.inconsistency = (
             "s4 does not reduce to the associativity form on a canonical bracket"
         )
-    return AuditReport(poisson=pr, equations=cr, consistent=True)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -674,16 +677,27 @@ def equivalence_audit(P: CanonicalPair, rng=None, tol: float = 1e-10) -> AuditRe
 # ---------------------------------------------------------------------------
 
 
-def _nonclosed_at(omegas, vars, rng=None, tol: float = 1e-10):
+def _nonclosed_at(omegas, vars):
     """The first (k, l), k < l, 0-based, at which the 1-form omega_k du^k is
     not closed (d_l omega_k != d_k omega_l), or None when it is closed."""
     n = len(vars)
     for k in range(n):
         for l in range(k + 1, n):
             res = omegas[k].diff(vars[l]) - omegas[l].diff(vars[k])
-            if is_zero(res, rng=rng, tol=tol) is Zeroness.NONZERO:
+            if is_zero(res) is Zeroness.NONZERO:
                 return k, l
     return None
+
+
+def _at_origin(e: Expr, vars, name: str) -> Expr:
+    """e at the origin of ``vars``, the basepoint of every path integral."""
+    try:
+        return e.substitute({v: Fraction(0) for v in vars})
+    except ZeroDivisionError:
+        raise UnsupportedIntegrandError(
+            f"path integral outside the rational closure ({name} is singular "
+            "at the origin)"
+        ) from None
 
 
 def _ray_potential(omegas, vars) -> Expr:
@@ -697,19 +711,18 @@ def _ray_potential(omegas, vars) -> Expr:
     return Expr.from_rational(RationalFn.from_poly(ray_integral(polys, vars)))
 
 
-def liouville_function(B: HydroBracket, rng=None, tol: float = 1e-10) -> LiouvilleData:
+def liouville_function(B: HydroBracket) -> LiouvilleData:
     """Construct the Liouville function Phi^{ij} with
     b^{ij}_k = dPhi^{ij}/du^k - K delta^i_k u^j and
     g^{ij} = Phi^{ij} + Phi^{ji} - K u^i u^j, normalizing the path integral
     to Phi(0) = 0 and then shifting by the constant matrix g(0)/2."""
-    rng = _rng(rng)
     n = B.n
     vars = B.vars
     u = [Expr.var(v) for v in vars]
     A = _liouville_form(B)
     for i in range(n):
         for j in range(n):
-            bad = _nonclosed_at(A[i][j], vars, rng, tol)
+            bad = _nonclosed_at(A[i][j], vars)
             if bad is not None:
                 k, l = bad
                 raise NotLiouvilleError(
@@ -717,14 +730,18 @@ def liouville_function(B: HydroBracket, rng=None, tol: float = 1e-10) -> Liouvil
                     f"family at (i,j,k,l)=({i + 1},{j + 1},{k + 1},{l + 1})",
                     indices=(i + 1, j + 1, k + 1, l + 1),
                 )
-    at0 = {v: Fraction(0) for v in vars}
-    Phi = [[_ray_potential(A[i][j], vars) for j in range(n)] for i in range(n)]
-    shift = [[B.g[i][j].substitute(at0) * Fraction(1, 2) for j in range(n)] for i in range(n)]
-    Phi = [[Phi[i][j] + shift[i][j] for j in range(n)] for i in range(n)]
+    Phi = [
+        [
+            _ray_potential(A[i][j], vars)
+            + _at_origin(B.g[i][j], vars, f"g[{i + 1}][{j + 1}]") * Fraction(1, 2)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
     for i in range(n):
         for j in range(n):
             res = B.g[i][j] - (Phi[i][j] + Phi[j][i] - B.K * u[i] * u[j])
-            if is_zero(res, rng=rng, tol=tol) is Zeroness.NONZERO:
+            if is_zero(res) is Zeroness.NONZERO:
                 raise NotLiouvilleError(
                     "metric does not match the symmetrized Liouville form at "
                     f"(i,j)=({i + 1},{j + 1})",
@@ -734,17 +751,16 @@ def liouville_function(B: HydroBracket, rng=None, tol: float = 1e-10) -> Liouvil
 
 
 def special_liouville(
-    B: HydroBracket, eta: ConstantBracket, rng=None, tol: float = 1e-10
+    B: HydroBracket, eta: ConstantBracket
 ) -> LiouvilleData:
     """Recover potentials H^j with eta_{ks} Phi^{sj} = dH^j/du^k, fixing
     H(0) = 0; requires the bracket to be Liouville first."""
-    rng = _rng(rng)
-    ld = liouville_function(B, rng=rng, tol=tol)
+    ld = liouville_function(B)
     n = B.n
     vars = B.vars
     psi = [eta.lower([ld.Phi[s][j] for s in range(n)]) for j in range(n)]
     for j in range(n):
-        bad = _nonclosed_at(psi[j], vars, rng, tol)
+        bad = _nonclosed_at(psi[j], vars)
         if bad is not None:
             k, l = bad
             raise NotSpecialError(
@@ -808,7 +824,7 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
     return Integrand1(vars=vars, omega=tuple(omega))
 
 
-def is_total_x_derivative(integrand: Integrand1, rng=None, tol: float = 1e-10) -> bool:
+def is_total_x_derivative(integrand: Integrand1) -> bool:
     """A first-order integrand integrates to zero over a period exactly when
     its coefficient covector is closed."""
-    return _nonclosed_at(integrand.omega, integrand.vars, _rng(rng), tol) is None
+    return _nonclosed_at(integrand.omega, integrand.vars) is None

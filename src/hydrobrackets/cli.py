@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,13 +23,11 @@ from .bracket import (
     CanonicalPair,
     ConstantBracket,
     HydroBracket,
-    InconsistencyError,
     NotLiouvilleError,
     NotSpecialError,
     PoissonReport,
     UnsupportedIntegrandError,
     build_canonical,
-    check_canonical_equations,
     check_compat_constant,
     check_pencil,
     check_poisson,
@@ -96,9 +95,10 @@ class Problem:
     def __init__(self, doc: dict, path: str):
         if not isinstance(doc, dict):
             raise ProblemFileError(path, "top level must be a JSON object")
-        if "N" not in doc or not isinstance(doc["N"], int) or doc["N"] < 1:
+        n = doc.get("N")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ProblemFileError("N", "a positive integer N is required")
-        self.n = doc["N"]
+        self.n = n
         self.vars = geometry.field_vars(self.n)
         self.eta = self._load_eta(doc.get("eta"), "eta")
         self.K = (
@@ -335,8 +335,6 @@ def _report_lines(report: PoissonReport, out, as_json):
                     f"  {c.name}: FAIL  witness indices={tuple(w['indices'])} "
                     f"point=({pt}) value={w['value']}"
                 )
-            elif c.status is Zeroness.NUMERICALLY_ZERO:
-                out.append(f"  {c.name}: PASS (numerically)")
             else:
                 out.append(f"  {c.name}: PASS")
     return conds
@@ -357,7 +355,7 @@ def _emit(args, text_lines, json_obj):
 def cmd_check_poisson(args) -> int:
     prob = load_problem(args.file)
     B = prob.bracket()
-    report = check_poisson(B, rng=random.Random(args.seed), tol=args.tol)
+    report = check_poisson(B, rng=random.Random(args.seed))
     lines = [f"check-poisson: N={prob.n}"]
     conds = _report_lines(report, lines, args.json)
     verdict = "POISSON" if report.passed else "NOT POISSON"
@@ -370,7 +368,7 @@ def cmd_check_compat(args) -> int:
     prob = load_problem(args.file)
     B = prob.bracket()
     report = check_compat_constant(
-        B, prob.require_eta(), rng=random.Random(args.seed), tol=args.tol
+        B, prob.require_eta(), rng=random.Random(args.seed)
     )
     lines = [f"check-compat: N={prob.n} (bracket vs constant eta bracket)"]
     conds = _report_lines(report, lines, args.json)
@@ -384,7 +382,7 @@ def cmd_check_pencil(args) -> int:
     prob = load_problem(args.file)
     B1 = prob.bracket()
     B2 = prob.second_bracket()
-    report = check_pencil(B1, B2, rng=random.Random(args.seed), tol=args.tol)
+    report = check_pencil(B1, B2, rng=random.Random(args.seed))
     lines = [f"check-pencil: N={prob.n} (parameter {report.extras['pencil_parameter']})"]
     conds = _report_lines(report, lines, args.json)
     verdict = "POISSON PENCIL" if report.passed else "NOT A POISSON PENCIL"
@@ -407,16 +405,13 @@ def cmd_check_pencil(args) -> int:
 
 def cmd_check_canonical(args) -> int:
     prob = load_problem(args.file)
-    P = prob.canonical_pair()
-    rng = random.Random(args.seed)
-    report = check_canonical_equations(P, rng=rng, tol=args.tol)
+    result = equivalence_audit(prob.canonical_pair(), rng=random.Random(args.seed))
+    report = result.equations
     lines = [f"check-canonical: N={prob.n}"]
     conds = _report_lines(report, lines, args.json)
-    try:
-        equivalence_audit(P, rng=rng, tol=args.tol)
-        audit = "consistent"
-    except InconsistencyError as exc:
-        audit = f"INCONSISTENT: {exc}"
+    audit = (
+        "consistent" if result.consistent else f"INCONSISTENT: {result.inconsistency}"
+    )
     verdict = "POISSON" if report.passed else "NOT POISSON"
     lines.append(f"equivalence audit: {audit}")
     lines.append(f"verdict: {verdict}")
@@ -425,9 +420,7 @@ def cmd_check_canonical(args) -> int:
         lines,
         {"command": "check-canonical", "conditions": conds, "verdict": verdict, "audit": audit},
     )
-    if audit.startswith("INCONSISTENT"):
-        return EXIT_CHECK_FAILED
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
+    return EXIT_PASS if report.passed and result.consistent else EXIT_CHECK_FAILED
 
 
 def cmd_build_canonical(args) -> int:
@@ -452,14 +445,13 @@ def cmd_liouville(args) -> int:
     prob = load_problem(args.file)
     B = prob.bracket()
     eta = prob.require_eta()
-    rng = random.Random(args.seed)
     n = prob.n
     try:
-        data = special_liouville(B, eta, rng=rng, tol=args.tol)
+        data = special_liouville(B, eta)
         special = True
         note = ""
     except NotSpecialError as exc:
-        data = liouville_function(B, rng=rng, tol=args.tol)
+        data = liouville_function(B)
         special = False
         note = str(exc)
     except NotLiouvilleError as exc:
@@ -503,7 +495,6 @@ def cmd_hierarchy(args) -> int:
     _require_level(args.levels, "--levels")
     prob = load_problem(args.file)
     P = prob.canonical_pair()
-    rng = random.Random(args.seed)
     flows = hierarchy(P, args.levels, gauges=_gauges_for(args, args.levels))
     n = prob.n
     lines = [f"hierarchy: N={n}, levels 0..{args.levels}"]
@@ -526,7 +517,7 @@ def cmd_hierarchy(args) -> int:
     all_ok = True
     commute_obj = []
     for fa, fb in itertools.combinations(flows, 2):
-        rep = commute_check(fa, fb, rng=rng, tol=args.tol)
+        rep = commute_check(fa, fb)
         ok = rep.passed
         all_ok = all_ok and ok
         commute_obj.append(
@@ -566,10 +557,8 @@ def cmd_simulate(args) -> int:
     flows = hierarchy(P, args.level)
     sim = prob.simulation
     cflow = numsim.compile_flow(flows[args.level], dealias=args.dealias)
-    import warnings as _w
-
-    with _w.catch_warnings(record=True) as caught:
-        _w.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # run's events are reported as notes
         result = numsim.run(
             cflow, state0.v, grid, sim["dt"], sim["t_end"], sim["snapshots"]
         )
@@ -585,9 +574,6 @@ def cmd_simulate(args) -> int:
     lines = [f"simulate: level {args.level} flow, M={grid.m}, t_end={sim['t_end']:g}"]
     for msg in result.messages:
         lines.append(f"  note: {msg}")
-    for w in caught:
-        if issubclass(w.category, numsim.CFLWarning):
-            lines.append(f"  warning: {w.message}")
     worst = 0.0
     drift_obj = []
     for d in drifts:
@@ -622,13 +608,12 @@ def cmd_commute(args) -> int:
     _require_level(args.levels, "--levels")
     prob = load_problem(args.file)
     P = prob.canonical_pair()
-    rng = random.Random(args.seed)
     flows = hierarchy(P, args.levels)
     lines = [f"commute: N={prob.n}, levels 0..{args.levels}"]
     all_ok = True
     pair_obj = []
     for fa, fb in itertools.combinations(flows, 2):
-        rep = commute_check(fa, fb, rng=rng, tol=args.tol)
+        rep = commute_check(fa, fb)
         all_ok = all_ok and rep.passed
         pair_obj.append({"levels": [fa.level, fb.level], "commute": rep.passed})
         lines.append(
@@ -673,31 +658,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=1e-10):
+    def common(p):
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--tol", type=float, default=tol_default)
-        p.add_argument("--seed", type=int, default=0, help="probe-point RNG seed")
+        return p
 
-    common(sub.add_parser("check-poisson", help="run the five bracket conditions"))
-    common(sub.add_parser("check-compat", help="compatibility with the eta bracket"))
-    common(sub.add_parser("check-pencil", help="pencil with the 'second' bracket"))
-    common(sub.add_parser("check-canonical", help="potential equations + audit"))
+    def check(name, help):
+        common(sub.add_parser(name, help=help)).add_argument(
+            "--seed", type=int, default=0, help="RNG seed for witness points"
+        )
+
+    check("check-poisson", "run the five bracket conditions")
+    check("check-compat", "compatibility with the eta bracket")
+    check("check-pencil", "pencil with the 'second' bracket")
+    check("check-canonical", "potential equations + audit")
     common(sub.add_parser("build-canonical", help="print the generated bracket"))
     common(sub.add_parser("liouville", help="Liouville function and potentials"))
-    p = sub.add_parser("hierarchy", help="generate flows and verify them")
-    common(p)
+    p = common(sub.add_parser("hierarchy", help="generate flows and verify them"))
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--gauge", choices=("auto", "zero"), default="auto")
-    p = sub.add_parser("simulate", help="integrate a flow with diagnostics")
-    common(p, tol_default=1e-8)
+    p = common(sub.add_parser("simulate", help="integrate a flow with diagnostics"))
+    p.add_argument(
+        "--tol", type=float, default=1e-8, help="relative drift tolerance for PASS"
+    )
     p.add_argument("--out", default=".", help="output directory for CSV files")
     p.add_argument("--level", type=int, default=1, help="hierarchy level to run")
     p.add_argument(
         "--dealias", action="store_true", help="apply the 2/3 rule to the right side"
     )
-    p = sub.add_parser("commute", help="symbolic and numeric commutation checks")
-    common(p)
+    p = common(sub.add_parser("commute", help="symbolic and numeric commutation checks"))
     p.add_argument("--levels", type=int, default=2)
     return ap
 

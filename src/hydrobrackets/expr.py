@@ -17,8 +17,11 @@ out of the division operator.  The only admissible calls are ``sin``,
 
 Expressions built purely from rationals are held in a canonical
 rational-function form, so equality with zero is decided exactly.
-Expressions containing transcendental calls keep their tree and are
-zero-tested by random rational probing, reported as a distinct verdict.
+Expressions containing transcendental calls are initial data only: they
+keep their parse tree, which can be evaluated, sampled and zero-tested by
+random rational probing (a distinct verdict), but they take no part in
+arithmetic, differentiation, substitution or renaming, which raise
+``ExprError``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Poly, RationalFn, var_key
+from .poly import RationalFn, var_key
 
 TRANSCENDENTALS = ("sin", "cos", "exp")
 
@@ -58,6 +61,10 @@ class TranscendentalNotAllowedError(ParseError):
     pass
 
 
+class ZeroDenominatorError(ParseError):
+    pass
+
+
 class UnassignedVariableError(ExprError):
     pass
 
@@ -73,7 +80,7 @@ class Zeroness(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# tree nodes (only retained for expressions with transcendental leaves)
+# parse trees (only retained for expressions with transcendental leaves)
 # ---------------------------------------------------------------------------
 
 
@@ -110,19 +117,21 @@ class _Mul(_Node):
 
 
 class _Pow(_Node):
-    __slots__ = ("base", "exp")
+    __slots__ = ("base", "exp", "at")  # at: offset of the '^'
 
-    def __init__(self, base: _Node, exp: int):
+    def __init__(self, base: _Node, exp: int, at: int):
         self.base = base
         self.exp = exp
+        self.at = at
 
 
 class _Div(_Node):
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "at")  # at: offset of the '/'
 
-    def __init__(self, num: _Node, den: _Node):
+    def __init__(self, num: _Node, den: _Node, at: int):
         self.num = num
         self.den = den
+        self.at = at
 
 
 class _Call(_Node):
@@ -216,67 +225,16 @@ def _tree_to_rf(node: _Node) -> RationalFn:
             acc = acc * _tree_to_rf(a)
         return acc
     if isinstance(node, _Pow):
-        return _tree_to_rf(node.base) ** node.exp
+        base = _tree_to_rf(node.base)
+        if node.exp < 0 and base.is_zero():
+            raise ZeroDenominatorError("identically zero denominator", node.at)
+        return base**node.exp
     if isinstance(node, _Div):
-        return _tree_to_rf(node.num) / _tree_to_rf(node.den)
+        den = _tree_to_rf(node.den)
+        if den.is_zero():
+            raise ZeroDenominatorError("identically zero denominator", node.at)
+        return _tree_to_rf(node.num) / den
     raise ExprError("transcendental expression has no rational form")
-
-
-def _rf_to_tree(rf: RationalFn) -> _Node:
-    num, den = rf.normal_form()
-    if den.is_const():
-        c = den.const_value()
-        if c != 1:
-            num = num * (Fraction(1) / c)
-        return _poly_to_tree(num)
-    return _Div(_poly_to_tree(num), _poly_to_tree(den))
-
-
-def _poly_to_tree(p: Poly) -> _Node:
-    terms = []
-    for m, c in p.sorted_terms():
-        factors = [_Const(c)] if (c != 1 or not m) else []
-        for v, e in m:
-            factors.append(_Var(v) if e == 1 else _Pow(_Var(v), e))
-        terms.append(_tmul(factors))
-    return _tadd(terms)
-
-
-def _tree_diff(node: _Node, var: str) -> _Node:
-    if isinstance(node, _Const):
-        return _Const(Fraction(0))
-    if isinstance(node, _Var):
-        return _Const(Fraction(1 if node.name == var else 0))
-    if isinstance(node, _Add):
-        return _tadd([_tree_diff(a, var) for a in node.args])
-    if isinstance(node, _Mul):
-        terms = []
-        for i in range(len(node.args)):
-            fs = list(node.args)
-            fs[i] = _tree_diff(fs[i], var)
-            terms.append(_tmul(fs))
-        return _tadd(terms)
-    if isinstance(node, _Pow):
-        base_d = _tree_diff(node.base, var)
-        return _tmul([_Const(Fraction(node.exp)), _Pow(node.base, node.exp - 1), base_d])
-    if isinstance(node, _Div):
-        top = _tadd(
-            [
-                _tmul([_tree_diff(node.num, var), node.den]),
-                _tmul([_Const(Fraction(-1)), node.num, _tree_diff(node.den, var)]),
-            ]
-        )
-        return _Div(top, _Pow(node.den, 2))
-    if isinstance(node, _Call):
-        inner = _tree_diff(node.arg, var)
-        if node.fn == "sin":
-            outer: _Node = _Call("cos", node.arg)
-        elif node.fn == "cos":
-            outer = _tmul([_Const(Fraction(-1)), _Call("sin", node.arg)])
-        else:
-            outer = _Call("exp", node.arg)
-        return _tmul([outer, inner])
-    raise TypeError(node)
 
 
 def _tree_eval(node: _Node, point: Mapping[str, object]):
@@ -344,8 +302,9 @@ class Expr:
     """Immutable exact symbolic expression.
 
     Holds either a canonical rational-function form (rational-only
-    expressions) or an expression tree (when sin/cos/exp leaves occur).
-    All operations are pure; instances are safe to share.
+    expressions) or the parse tree of initial data with sin/cos/exp leaves,
+    which supports only :meth:`evaluate`, :meth:`free_vars`, ``str`` and
+    :func:`is_zero`.  All operations are pure; instances are safe to share.
     """
 
     __slots__ = ("_rf", "_tree")
@@ -403,25 +362,18 @@ class Expr:
         """Canonical (numerator, denominator) pair of expanded polynomials."""
         return self.rational.normal_form()
 
-    def _as_tree(self) -> _Node:
-        return self._tree if self._tree is not None else _rf_to_tree(self._rf)
-
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic (rational expressions only) ------------------------------
 
     def __add__(self, other):
         other = _coerce_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._rf is not None and other._rf is not None:
-            return Expr(rf=self._rf + other._rf)
-        return Expr._from_tree(_tadd([self._as_tree(), other._as_tree()]))
+        return Expr(rf=self.rational + other.rational)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._rf is not None:
-            return Expr(rf=-self._rf)
-        return Expr._from_tree(_tmul([_Const(Fraction(-1)), self._tree]))
+        return Expr(rf=-self.rational)
 
     def __sub__(self, other):
         other = _coerce_expr(other)
@@ -436,9 +388,7 @@ class Expr:
         other = _coerce_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._rf is not None and other._rf is not None:
-            return Expr(rf=self._rf * other._rf)
-        return Expr._from_tree(_tmul([self._as_tree(), other._as_tree()]))
+        return Expr(rf=self.rational * other.rational)
 
     __rmul__ = __mul__
 
@@ -446,9 +396,7 @@ class Expr:
         other = _coerce_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._rf is not None and other._rf is not None:
-            return Expr(rf=self._rf / other._rf)
-        return Expr._from_tree(_Div(self._as_tree(), other._as_tree()))
+        return Expr(rf=self.rational / other.rational)
 
     def __rtruediv__(self, other):
         return _coerce_expr(other) / self
@@ -456,16 +404,12 @@ class Expr:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ValueError("exponents must be integers")
-        if self._rf is not None:
-            return Expr(rf=self._rf**n)
-        return Expr._from_tree(_Pow(self._tree, n))
+        return Expr(rf=self.rational**n)
 
     # -- operations --------------------------------------------------------------
 
     def diff(self, var: str) -> "Expr":
-        if self._rf is not None:
-            return Expr(rf=self._rf.diff(var))
-        return Expr._from_tree(_tree_diff(self._tree, var))
+        return Expr(rf=self.rational.diff(var))
 
     def evaluate(self, point: Mapping[str, object]):
         if self._rf is not None:
@@ -480,46 +424,10 @@ class Expr:
     def substitute(self, assign: Mapping[str, Fraction]) -> "Expr":
         """Replace a subset of variables by exact rational constants."""
         assign = {k: Fraction(v) for k, v in assign.items()}
-        if self._rf is not None:
-            return Expr(rf=self._rf.substitute(assign))
-
-        def walk(node):
-            if isinstance(node, _Var) and node.name in assign:
-                return _Const(assign[node.name])
-            if isinstance(node, _Add):
-                return _tadd([walk(a) for a in node.args])
-            if isinstance(node, _Mul):
-                return _tmul([walk(a) for a in node.args])
-            if isinstance(node, _Pow):
-                return _Pow(walk(node.base), node.exp)
-            if isinstance(node, _Div):
-                return _Div(walk(node.num), walk(node.den))
-            if isinstance(node, _Call):
-                return _Call(node.fn, walk(node.arg))
-            return node
-
-        return Expr._from_tree(walk(self._tree))
+        return Expr(rf=self.rational.substitute(assign))
 
     def rename(self, mapping: Mapping[str, str]) -> "Expr":
-        if self._rf is not None:
-            return Expr(rf=self._rf.rename(mapping))
-
-        def walk(node):
-            if isinstance(node, _Var):
-                return _Var(mapping.get(node.name, node.name))
-            if isinstance(node, _Add):
-                return _Add(tuple(walk(a) for a in node.args))
-            if isinstance(node, _Mul):
-                return _Mul(tuple(walk(a) for a in node.args))
-            if isinstance(node, _Pow):
-                return _Pow(walk(node.base), node.exp)
-            if isinstance(node, _Div):
-                return _Div(walk(node.num), walk(node.den))
-            if isinstance(node, _Call):
-                return _Call(node.fn, walk(node.arg))
-            return node
-
-        return Expr(tree=walk(self._tree))
+        return Expr(rf=self.rational.rename(mapping))
 
     def equals(self, other) -> Zeroness:
         return is_zero(self - _coerce_expr(other))
@@ -628,9 +536,9 @@ class _Parser:
     def term(self) -> _Node:
         node = self.factor()
         while self.toks.kind in "*/":
-            op, _, _ = self.toks.take()
+            op, _, at = self.toks.take()
             rhs = self.factor()
-            node = _tmul([node, rhs]) if op == "*" else _Div(node, rhs)
+            node = _tmul([node, rhs]) if op == "*" else _Div(node, rhs, at)
         return node
 
     def factor(self) -> _Node:
@@ -647,8 +555,8 @@ class _Parser:
     def power(self) -> _Node:
         node = self.atom()
         if self.toks.kind == "^":
-            self.toks.take()
-            node = _Pow(node, self.exponent())
+            _, _, at = self.toks.take()
+            node = _Pow(node, self.exponent(), at)
         return node
 
     def exponent(self) -> int:
@@ -704,7 +612,9 @@ def parse(text: str, allowed_vars: Iterable[str], initial_data: bool = False) ->
     """Parse ``text`` over the given variable names.
 
     ``initial_data=True`` additionally admits ``sin``/``cos``/``exp`` calls;
-    such expressions lose exact zero-testing (see :func:`is_zero`).
+    such expressions are initial data only (see :class:`Expr`).  A rational
+    divisor or negative-power base that is identically zero raises
+    :class:`ZeroDenominatorError` at the offset of its operator.
     """
     tree = _Parser(text, allowed_vars, initial_data).parse()
     return Expr._from_tree(tree)
@@ -728,28 +638,27 @@ def random_rational_point(vars: Sequence[str], rng: random.Random) -> dict:
     return {v: Fraction(rng.randint(-999999, 999999), 10**6) for v in vars}
 
 
-def is_zero(
-    e: Expr,
-    *,
-    rng: random.Random | None = None,
-    tol: float = 1e-10,
-    samples: int = 20,
-) -> Zeroness:
+# probing of transcendental initial data: points and threshold
+PROBE_SAMPLES = 20
+PROBE_TOL = 1e-10
+
+
+def is_zero(e: Expr) -> Zeroness:
     """Decide whether ``e`` vanishes identically.
 
     Rational expressions are decided exactly through the canonical form.
-    Transcendental-bearing expressions are probed at ``samples`` random
-    rational points in (-1,1)^n; the affirmative verdict is the distinct
-    ``NUMERICALLY_ZERO``.  Probe points that hit a singularity are
-    resampled, giving up after 100 attempts.
+    Transcendental initial data is probed at ``PROBE_SAMPLES`` random
+    rational points in (-1,1)^n from a fixed seed; the affirmative verdict
+    is the distinct ``NUMERICALLY_ZERO``.  Probe points that hit a
+    singularity are resampled, giving up after 100 attempts.
     """
     if e.is_rational:
         return Zeroness.ZERO if e.rational.is_zero() else Zeroness.NONZERO
     vars = sorted(e.free_vars(), key=var_key)
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     done = 0
     attempts = 0
-    while done < samples:
+    while done < PROBE_SAMPLES:
         if attempts >= 100:
             raise EvaluationSingularityError(
                 "could not find enough nonsingular probe points"
@@ -760,7 +669,7 @@ def is_zero(
             val = e.evaluate(point)
         except (ZeroDivisionError, OverflowError):
             continue
-        if abs(float(val)) >= tol:
+        if abs(float(val)) >= PROBE_TOL:
             return Zeroness.NONZERO
         done += 1
     return Zeroness.NUMERICALLY_ZERO

@@ -290,7 +290,7 @@ def constant_curvature_residual(g: ContravariantMetric, K) -> list:
     return out
 
 
-def canonical_metric(a: Sequence, K, prefix: str = "u"):
+def canonical_metric(a: Sequence, K):
     """The constant-curvature family g^{ij} = a^i delta^{ij} - K u^i u^j.
 
     Returns (contravariant, covariant, determinant).  The determinant is the
@@ -307,7 +307,7 @@ def canonical_metric(a: Sequence, K, prefix: str = "u"):
         raise ValueError(
             "at most one of the constants a^1..a^N, K may be zero"
         )
-    vars = field_vars(n, prefix)
+    vars = field_vars(n)
     u = [Expr.var(v) for v in vars]
     Ke = Expr.const(K)
 

@@ -58,6 +58,12 @@ class SpectralTailWarning(UserWarning):
     pass
 
 
+# run: a gradient catastrophe is max|v_x| above this multiple of its initial
+# value; resolution loss is a spectral tail fraction above the threshold
+BREAKING_FACTOR = 50.0
+TAIL_THRESHOLD = 1e-6
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid: m points (power of two, >= 8) on [0, length)."""
@@ -287,7 +293,7 @@ def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[[np.ndarray], np
             return lambda stack: op(f(stack))
         raise TypeError(node)
 
-    return compile_node(e._as_tree())
+    return compile_node(e._tree)
 
 
 def dealias_two_thirds(grid: Grid, s: np.ndarray) -> np.ndarray:
@@ -473,15 +479,13 @@ def run(
     dt: float,
     t_end: float,
     snapshot_times: Sequence[float] = (),
-    breaking_factor: float = 50.0,
-    tail_threshold: float = 1e-6,
 ) -> RunResult:
     """Evolve the flow, recording diagnostics every step.
 
     Aborts with status ``"breaking"`` once max|v_x| exceeds
-    ``breaking_factor`` times its initial value (gradient catastrophe);
+    ``BREAKING_FACTOR`` times its initial value (gradient catastrophe);
     a resolution-loss warning is recorded when the spectral tail fraction
-    crosses ``tail_threshold``.
+    crosses ``TAIL_THRESHOLD``.
     """
     cflow = flow if isinstance(flow, CompiledFlow) else compile_flow(flow)
     if isinstance(initial, np.ndarray):
@@ -523,15 +527,15 @@ def run(
         row = _diagnostics(cflow, state)
         rows.append(row)
         take_snapshots(state)
-        if not warned_tail and row.tail > tail_threshold:
+        if not warned_tail and row.tail > TAIL_THRESHOLD:
             msg = (
                 f"spectral tail fraction {row.tail:.3e} exceeds "
-                f"{tail_threshold:.1e} at t={state.t:.6g}; resolution loss"
+                f"{TAIL_THRESHOLD:.1e} at t={state.t:.6g}; resolution loss"
             )
             warnings.warn(msg, SpectralTailWarning, stacklevel=2)
             messages.append(msg)
             warned_tail = True
-        if monitor_breaking and row.max_vx > breaking_factor * initial_maxvx:
+        if monitor_breaking and row.max_vx > BREAKING_FACTOR * initial_maxvx:
             messages.append(
                 f"gradient catastrophe detected at t={state.t:.6g}: "
                 f"max|v_x| grew {row.max_vx / initial_maxvx:.1f}x"

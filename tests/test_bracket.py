@@ -69,6 +69,11 @@ def test_singular_eta_is_rejected():
         ConstantBracket([[1, 2], [2, 4]])
 
 
+def test_eta_inverse_is_always_computed():
+    with pytest.raises(TypeError):
+        ConstantBracket([[2, 1], [1, 1]], down=((1, 0), (0, 1)))
+
+
 # -- check_poisson -------------------------------------------------------------
 
 
@@ -294,6 +299,31 @@ def test_equivalence_audit_randomized():
         assert audit.consistent
 
 
+def test_equivalence_audit_judges_the_equations_first_with_the_callers_rng():
+    P = _pair(["u1^2/2", "u1*u2^2"], 1)
+    audit = equivalence_audit(P, rng=random.Random(5))
+    direct = check_canonical_equations(P, rng=random.Random(5))
+    assert audit.equations == direct
+    assert [c.status for c in audit.equations.conditions] == [Zeroness.NONZERO] * 2
+    assert audit.consistent and audit.inconsistency is None
+
+
+def test_equivalence_audit_records_a_disagreement(monkeypatch):
+    from hydrobrackets import bracket
+
+    P = _pair(["2*u1 - u2", "u1 + 3*u2"], 1)
+    failing = bracket.PoissonReport(
+        conditions=[bracket.ConditionResult("s1", Zeroness.NONZERO)]
+    )
+    monkeypatch.setattr(bracket, "check_poisson", lambda B, rng=None: failing)
+    audit = equivalence_audit(P)
+    assert not audit.consistent
+    assert audit.inconsistency == (
+        "direct check says poisson=False but potential equations say poisson=True"
+    )
+    assert audit.equations.passed
+
+
 # -- Liouville structure ---------------------------------------------------------
 
 
@@ -393,6 +423,15 @@ def test_momentum_in_involution_with_annihilators():
     assert is_total_x_derivative(functional_bracket_density(B, u1, momentum))
     assert is_total_x_derivative(functional_bracket_density(B, u2, momentum))
     assert is_total_x_derivative(functional_bracket_density(B, momentum, momentum))
+
+
+def test_metric_singular_at_the_origin_is_unsupported():
+    from hydrobrackets.bracket import UnsupportedIntegrandError
+
+    u1 = Expr.var("u1")
+    B = HydroBracket(vars=("u1",), g=((1 / u1,),), b=(((u1,),),), K=1)
+    with pytest.raises(UnsupportedIntegrandError, match=r"g\[1\]\[1\] is singular"):
+        liouville_function(B)
 
 
 def test_total_derivative_counterexamples():

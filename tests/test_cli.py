@@ -450,3 +450,153 @@ def test_non_poisson_pair_exits_1(tmp_path, monkeypatch, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{command}: canonical pair fails ass2\n"
+
+
+def test_check_canonical_judges_the_equations_once(monkeypatch, capsys):
+    from pathlib import Path
+
+    from hydrobrackets import bracket
+
+    calls = []
+    original = bracket.check_canonical_equations
+
+    def counting(P, rng=None):
+        calls.append(P)
+        return original(P, rng=rng)
+
+    monkeypatch.setattr(bracket, "check_canonical_equations", counting)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "linear_pair_n2.json"
+    assert main(["check-canonical", str(problem)]) == 0
+    assert "equivalence audit: consistent" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_check_canonical_failure_report(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "fail.json",
+        {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, "H": ["u1^2/2", "u1*u2^2"]},
+    )
+    assert main(["check-canonical", path]) == 1
+    assert capsys.readouterr().out == (
+        "check-canonical: N=2\n"
+        "  ass1: FAIL  witness indices=(1, 2, 1, 2) point=(u2=770881/1000000) "
+        "value=770881/500000\n"
+        "  ass2: FAIL  witness indices=(1, 2, 1) "
+        "point=(u1=-96041/500000, u2=294773/500000) value=-57600707611/125000000000\n"
+        "equivalence audit: consistent\n"
+        "verdict: NOT POISSON\n"
+    )
+
+
+def test_simulate_reports_the_cfl_guard_once(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "cfl.json",
+        {
+            "N": 2,
+            "eta": [[1, 0], [0, 1]],
+            "K": 1,
+            "H": ["2*u1 - u2", "u1 + 3*u2"],
+            "simulation": {
+                "grid_M": 128,
+                "L": TWO_PI,
+                "dt": 0.05,
+                "t_end": 0.1,
+                "init": ["0.05*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)"],
+            },
+        },
+    )
+    main(["simulate", path, "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    lines = [line for line in out.splitlines() if "CFL guard exceeded" in line]
+    assert lines == ["  note: CFL guard exceeded at t=0: dt*|V|*M/L = 6.111"]
+    assert err == ""
+
+
+SMALL_RUN = {"grid_M": 16, "L": TWO_PI, "dt": 0.01, "t_end": 0.02}
+
+
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        (
+            "check-poisson",
+            {"N": True, "eta": [[1]], "K": 0, "H": ["u1^2"]},
+            "N: a positive integer N is required",
+        ),
+        (
+            "check-poisson",
+            {"N": 1, "eta": [[1]], "K": 0, "H": ["u1/(u1-u1)"]},
+            "H[0]: identically zero denominator (at offset 2)",
+        ),
+        (
+            "check-pencil",
+            {
+                "N": 1,
+                "eta": [[1]],
+                "K": 0,
+                "H": ["u1^2"],
+                "second": {"H": ["u1/(u1-u1)"]},
+            },
+            "second.H[0]: identically zero denominator (at offset 2)",
+        ),
+        (
+            "simulate",
+            {
+                "N": 1,
+                "eta": [[1]],
+                "K": 0,
+                "H": ["u1^2/2"],
+                "simulation": dict(SMALL_RUN, init=["1/(x-x)"]),
+            },
+            "simulation.init[0]: identically zero denominator (at offset 1)",
+        ),
+        (
+            "liouville",
+            {"N": 1, "eta": [[1]], "K": 1, "g": [["1/u1"]], "b": [[["u1"]]]},
+            "path integral outside the rational closure "
+            "(g[1][1] is singular at the origin)",
+        ),
+    ]
+    + [
+        (
+            command,
+            {
+                "N": 1,
+                "eta": [[1]],
+                "K": 0,
+                "H": ["1/u1"],
+                "simulation": dict(SMALL_RUN, init=["0.1*sin(x)"]),
+            },
+            "path integral outside the rational closure (H[1] is singular at the origin)",
+        )
+        for command in ("hierarchy", "simulate", "commute")
+    ],
+)
+def test_degenerate_input_is_input_error(
+    tmp_path, monkeypatch, capsys, command, doc, message
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, _write(tmp_path, "bad.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert captured.out == ""
+
+
+def test_only_simulate_takes_tol_and_only_checks_take_seed():
+    from hydrobrackets.cli import build_parser
+
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        for name, sub in commands.items()
+    }
+    assert {name for name, opts in options.items() if "--tol" in opts} == {"simulate"}
+    assert {name for name, opts in options.items() if "--seed" in opts} == {
+        "check-poisson",
+        "check-compat",
+        "check-pencil",
+        "check-canonical",
+    }

@@ -209,3 +209,53 @@ def test_render_round_trip():
         e = p / (q + Expr.const(1)) if not (q + Expr.const(1)).rational.is_zero() else p
         back = parse(str(e), ("u1", "u2", "u3"))
         assert back.equals(e) is Zeroness.ZERO
+
+
+# -- transcendental expressions are initial data only --------------------------
+
+
+def test_transcendental_initial_data_takes_no_part_in_arithmetic():
+    import numpy as np
+
+    from hydrobrackets.expr import ExprError
+    from hydrobrackets.numsim import Grid, sample_initial_data
+
+    e = parse("0.1*sin(x)", ("x",), initial_data=True)
+    for op in (
+        lambda: e + 1,
+        lambda: 1 + e,
+        lambda: e * e,
+        lambda: e.diff("x"),
+        lambda: e.substitute({"x": 0}),
+        lambda: e.rename({"x": "y"}),
+    ):
+        with pytest.raises(ExprError, match="transcendental"):
+            op()
+    assert e.free_vars() == {"x"}
+    assert str(e) == "1/10*sin(x)"
+    assert abs(e.evaluate({"x": math.pi / 2}) - 0.1) < 1e-15
+    assert is_zero(e) is Zeroness.NONZERO
+    pyth = parse("sin(x)^2 + cos(x)^2 - 1", ("x",), initial_data=True)
+    assert is_zero(pyth) is Zeroness.NUMERICALLY_ZERO
+    grid = Grid(16, 2 * math.pi)
+    state = sample_initial_data(grid, [e])
+    assert np.max(np.abs(state.v[0] - 0.1 * np.sin(grid.nodes))) < 1e-15
+
+
+def test_is_zero_takes_only_the_expression():
+    import inspect
+
+    assert list(inspect.signature(is_zero).parameters) == ["e"]
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [("u1/(u1-u1)", 2), ("(u1 - u1)^-2", 9), ("0^(-1)", 1), ("u2 + 1/(2*u1 - u1 - u1)", 6)],
+)
+def test_identically_zero_denominator_is_a_parse_error(text, offset):
+    from hydrobrackets.expr import ZeroDenominatorError
+
+    with pytest.raises(ZeroDenominatorError) as exc:
+        parse(text, UV)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"identically zero denominator (at offset {offset})"

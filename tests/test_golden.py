@@ -27,6 +27,7 @@ COMMANDS = [
     ["build-canonical"],
     ["liouville"],
     ["hierarchy", "--levels", "3"],
+    ["commute", "--levels", "1"],  # symbolic only: no numeric t1 vs t2 line
 ]
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 

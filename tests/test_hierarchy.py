@@ -408,6 +408,42 @@ def test_symbolic_scalar_hierarchy_to_level_three():
         assert commute_check(fa, fb).exact
 
 
+def test_non_commuting_flows_have_witnesses():
+    # first flows of two canonical pairs of the same eta that share no
+    # hierarchy: the linear pair with K = 1 and a separable pair with K = 0
+    a = CanonicalPair(
+        eta=ETA2, K=1, H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)), vars=UV
+    )
+    b = CanonicalPair(
+        eta=ETA2, K=0, H=(parse("u1^2/2", UV), parse("u2^3/6", UV)), vars=UV
+    )
+    report = commute_check(flow_t1(a), flow_t1(b))
+    vxx, vxvx = report.conditions
+    assert vxx.status is Zeroness.NONZERO and vxvx.status is Zeroness.NONZERO
+    assert vxx.witness.indices == (1, 2)
+    assert vxx.witness.point == {
+        "v1": Fraction(770881, 1000000),
+        "v2": Fraction(-96041, 500000),
+    }
+    assert vxx.witness.value == Fraction(
+        -20719506899399360717599, 62500000000000000000000
+    )
+    assert vxvx.witness.indices == (1, 1, 2)
+    assert vxvx.witness.point == {
+        "v1": Fraction(294773, 500000),
+        "v2": Fraction(866977, 1000000),
+    }
+    assert vxvx.witness.value == Fraction(-881705969491083167, 500000000000000000)
+
+
+def test_potential_singular_at_the_origin_is_unsupported():
+    from hydrobrackets.bracket import UnsupportedIntegrandError
+
+    P = CanonicalPair(eta=ETA1, K=0, H=(parse("1/u1", ("u1",)),), vars=("u1",))
+    with pytest.raises(UnsupportedIntegrandError, match=r"H\[1\] is singular"):
+        hierarchy(P, 1)
+
+
 def test_translation_commutes_with_first_flow():
     P = _linear_pair(K=1)
     assert commute_check(translation_flow(ETA2), flow_t1(P)).exact
