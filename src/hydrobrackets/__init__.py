@@ -42,7 +42,6 @@ from .bracket import (
 )
 from .hierarchy import (
     ConservativeFlow,
-    HamiltonianDensity,
     apply_recursion,
     bihamiltonian_check,
     commute_check,
@@ -86,7 +85,6 @@ __all__ = [
     "liouville_function",
     "special_liouville",
     "ConservativeFlow",
-    "HamiltonianDensity",
     "apply_recursion",
     "bihamiltonian_check",
     "commute_check",

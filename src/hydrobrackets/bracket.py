@@ -57,6 +57,7 @@ __all__ = [
     "equivalence_audit",
     "liouville_function",
     "special_liouville",
+    "operator_matrix",
     "functional_bracket_density",
     "is_total_x_derivative",
 ]
@@ -563,6 +564,25 @@ def _potential_derivatives(H, vars):
     return dH, d2H
 
 
+def operator_matrix(B: HydroBracket, S: Expr) -> list:
+    """The operator of the bracket applied to the gradient of S, as the
+    matrix M^i_k = g^{ij} d2S/du^j du^k + b^{ij}_k dS/du^j + K S delta^i_k
+    of the flow u^i_t = M^i_k u^k_x; the nonlocal tail is resolved through
+    (d/dx)^{-1}(u^j_x dS/du^j) = S(u)."""
+    n = B.n
+    (Sj,), (Sjk,) = _potential_derivatives((S,), B.vars)
+    zero = Expr.const(0)
+    return [
+        [
+            sum((B.g[i][j] * Sjk[j][k] for j in range(n)), zero)
+            + sum((B.b[i][j][k] * Sj[j] for j in range(n)), zero)
+            + (B.K * S if i == k else zero)
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def _lifted_hessians(eta: ConstantBracket, d2H):
     """L[j][k][i] = eta^{is} d2H^j/du^s du^k (the Hessian is symmetric)."""
     return [[eta.lift(row) for row in hess] for hess in d2H]
@@ -792,9 +812,10 @@ class Integrand1:
 def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
     """Integrand of the functional bracket {int f, int h} for zeroth-order
     densities f(u), h(u), with the nonlocal tail resolved through the exact
-    antiderivative (d/dx)^{-1}(u^j_x dh/du^j) = h(u) - h(0).  The additive
-    constant ambiguity only contributes a multiple of (f)_x and cannot
-    change any total-derivative verdict."""
+    antiderivative (d/dx)^{-1}(u^j_x dh/du^j) = h(u) - h(0):
+    omega_k = df/du^i M^i_k - K h(0) df/du^k with M = operator_matrix(B, h).
+    The additive constant ambiguity only contributes a multiple of (f)_x and
+    cannot change any total-derivative verdict."""
     n = B.n
     vars = B.vars
     varset = set(vars)
@@ -807,20 +828,12 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
             )
     zero = Expr.const(0)
     df = [f.diff(v) for v in vars]
-    (dh,), (d2h,) = _potential_derivatives((h,), vars)
-    at0 = {v: Fraction(0) for v in vars}
-    h_shift = h - h.substitute(at0)
-    omega = []
-    for k in range(n):
-        w = sum(
-            (
-                df[i] * (B.g[i][j] * d2h[j][k] + B.b[i][j][k] * dh[j])
-                for i in range(n)
-                for j in range(n)
-            ),
-            zero,
-        )
-        omega.append(w + B.K * h_shift * df[k])
+    M = operator_matrix(B, h)
+    h0 = h.substitute({v: Fraction(0) for v in vars})
+    omega = [
+        sum((df[i] * M[i][k] for i in range(n)), zero) - B.K * h0 * df[k]
+        for k in range(n)
+    ]
     return Integrand1(vars=vars, omega=tuple(omega))
 
 

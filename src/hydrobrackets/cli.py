@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import warnings
@@ -35,7 +36,7 @@ from .bracket import (
     liouville_function,
     special_liouville,
 )
-from .expr import Expr, ParseError, Zeroness, parse
+from .expr import Expr, ParseError, UnknownVariableError, Zeroness, parse
 from .hierarchy import (
     ClosednessError,
     NotPoissonError,
@@ -72,21 +73,25 @@ def _as_fraction(x, location: str) -> Fraction:
 
 
 def _parse_field_expr(text, vars, location: str, initial_data=False) -> Expr:
-    if isinstance(text, (int, Fraction)):
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Expr.const(text)
     if not isinstance(text, str):
         raise ProblemFileError(location, "expected an expression string")
     try:
         return parse(text, vars, initial_data=initial_data)
-    except ParseError as exc:
+    except UnknownVariableError as exc:
         # H and friends may equally be written in v-variables
         alt = [v.replace("u", "v", 1) for v in vars]
         try:
             return parse(text, alt, initial_data=initial_data).rename(
                 dict(zip(alt, vars))
             )
-        except ParseError:
+        except UnknownVariableError:
             raise ProblemFileError(location, str(exc)) from None
+        except ParseError as retry:
+            raise ProblemFileError(location, str(retry)) from None
+    except ParseError as exc:
+        raise ProblemFileError(location, str(exc)) from None
 
 
 class Problem:
@@ -707,7 +712,14 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is left (and the flush at
+        # exit) to the null device so the run ends without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_RUNTIME_EVENT
     except (ProblemFileError, UnsupportedIntegrandError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

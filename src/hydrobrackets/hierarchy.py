@@ -6,13 +6,16 @@ and S(0) = 0, and the expanded coefficient matrix V^i_k = dF^i/dv^k.  The
 cross-invariants are verified at construction, so every flow object is
 self-checking.
 
-:func:`recursion_matrix` is the single primitive for the canonical operator
-P1 of the pair: V-hat = g1 Hess(S) + b1 grad(S) + K S Id, with the
+:func:`bracket.operator_matrix` is the single operator primitive: for any
+bracket (g, b, K) it forms g Hess(S) + b grad(S) + K S Id, with the
 antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
-Levels are produced by applying it to the previous level, and the
-closed-form flows are checked against it.  Each application leaves one
-constant covector free (the value of eta_{jl} F^l at the origin); it is
-exposed as the explicit ``gauge`` argument rather than chosen silently.
+:func:`recursion_matrix` is it for the canonical operator P1 of the pair;
+``bihamiltonian_check`` applies P1 and eta d/dx, and ``involution_check``
+integrates against either.  Levels are produced by applying the recursion
+to the previous level, and the closed-form flows are checked against it.
+Each application leaves one constant covector free (the value of
+eta_{jl} F^l at the origin); it is exposed as the explicit ``gauge``
+argument rather than chosen silently.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .bracket import (
     check_canonical_equations,
     functional_bracket_density,
     is_total_x_derivative,
+    operator_matrix,
     _judge,
     _nonclosed_at,
     _potential_derivatives,
@@ -40,7 +44,6 @@ from .geometry import field_vars
 
 __all__ = [
     "ConservativeFlow",
-    "HamiltonianDensity",
     "ClosednessError",
     "FlowInvariantError",
     "NotPoissonError",
@@ -129,19 +132,6 @@ class ConservativeFlow:
         return self.eta.n
 
 
-@dataclass(frozen=True)
-class HamiltonianDensity:
-    """Zeroth-order density together with the operator it belongs to."""
-
-    density: Expr
-    operator: str = "P2"  # "P1" or "P2"
-
-    def __post_init__(self):
-        if self.operator not in ("P1", "P2"):
-            raise ValueError("operator must be 'P1' or 'P2'")
-        object.__setattr__(self, "density", as_expr(self.density))
-
-
 # ---------------------------------------------------------------------------
 # canonical pair helpers (everything below works in the flow variables)
 # ---------------------------------------------------------------------------
@@ -185,22 +175,11 @@ def translation_flow(eta: ConstantBracket) -> ConservativeFlow:
 
 
 def recursion_matrix(P: CanonicalPair, S: Expr, vars) -> list:
-    """V-hat = g1 Hess(S) + b1 grad(S) + K S Id in the given flow variables."""
-    n = P.n
-    B = P._flow_bracket
-    if tuple(vars) != flow_vars(n):
+    """V-hat = g1 Hess(S) + b1 grad(S) + K S Id in the flow variables: the
+    operator matrix of the canonical bracket P1."""
+    if tuple(vars) != flow_vars(P.n):
         raise ValueError("flows must use the canonical flow variables v1..vN")
-    (Sj,), (Sjk,) = _potential_derivatives((S,), vars)
-    zero = Expr.const(0)
-    return [
-        [
-            sum((B.g[i][j] * Sjk[j][k] for j in range(n)), zero)
-            + sum((B.b[i][j][k] * Sj[j] for j in range(n)), zero)
-            + (B.K * S if i == k else zero)
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
+    return operator_matrix(P._flow_bracket, S)
 
 
 def _integrate_flow(
@@ -377,23 +356,19 @@ def bihamiltonian_check(
     rng = _rng(rng)
     n = P.n
     vars = flow.vars
-    eta = P.eta
-    V_from_p1 = recursion_matrix(P, translation_flow(eta).S, vars)
 
-    def eq1():
+    def residuals(M):
         for i in range(n):
             for k in range(n):
-                yield (i + 1, k + 1), V_from_p1[i][k] - flow.V[i][k]
+                yield (i + 1, k + 1), M[i][k] - flow.V[i][k]
 
-    def eq2():
-        # eta^{ij} d2S/dv^j dv^k = d/dv^k (eta^{ij} dS/dv^j)
-        lifted = eta.lift([flow.S.diff(x) for x in vars])
-        for i in range(n):
-            for k in range(n):
-                yield (i + 1, k + 1), lifted[i].diff(vars[k]) - flow.V[i][k]
-
+    p1 = recursion_matrix(P, translation_flow(P.eta).S, vars)
+    p2 = operator_matrix(P.eta.as_hydro(vars), flow.S)
     return PoissonReport(
-        conditions=[_judge("eq1", eq1(), rng), _judge("eq2", eq2(), rng)]
+        conditions=[
+            _judge("eq1", residuals(p1), rng),
+            _judge("eq2", residuals(p2), rng),
+        ]
     )
 
 
@@ -443,8 +418,6 @@ def involution_check(P: CanonicalPair, d1, d2, operator: str = "both") -> bool:
     """True when the functional bracket of the two zeroth-order densities is
     a total x-derivative for the selected operator(s) of the pair."""
     vars = flow_vars(P.n)
-    dens1 = (d1.density if isinstance(d1, HamiltonianDensity) else as_expr(d1))
-    dens2 = (d2.density if isinstance(d2, HamiltonianDensity) else as_expr(d2))
     brackets = []
     if operator in ("P1", "both"):
         brackets.append(P._flow_bracket)
@@ -453,7 +426,7 @@ def involution_check(P: CanonicalPair, d1, d2, operator: str = "both") -> bool:
     if not brackets:
         raise ValueError("operator must be 'P1', 'P2' or 'both'")
     for B in brackets:
-        integrand = functional_bracket_density(B, dens1, dens2)
+        integrand = functional_bracket_density(B, as_expr(d1), as_expr(d2))
         if not is_total_x_derivative(integrand):
             return False
     return True

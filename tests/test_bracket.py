@@ -489,3 +489,54 @@ def test_compatibility_equals_involution_of_coordinates_and_momentum():
         assert compat == invol
         verdicts.append(compat)
     assert verdicts[0] and verdicts[1] and not verdicts[2]
+
+
+def _reference_omega(B, f, h):
+    # the functional-bracket integrand as the plain N^3 sum
+    # omega_k = df_i (g^{ij} d2h_jk + b^{ij}_k dh_j) + K (h - h(0)) df_k
+    n = B.n
+    df = [f.diff(v) for v in B.vars]
+    dh = [h.diff(v) for v in B.vars]
+    d2h = [[d.diff(v) for v in B.vars] for d in dh]
+    h_shift = h - h.substitute({v: Fraction(0) for v in B.vars})
+    zero = Expr.const(0)
+    return [
+        str(
+            sum(
+                (
+                    df[i] * (B.g[i][j] * d2h[j][k] + B.b[i][j][k] * dh[j])
+                    for i in range(n)
+                    for j in range(n)
+                ),
+                zero,
+            )
+            + B.K * h_shift * df[k]
+        )
+        for k in range(n)
+    ]
+
+
+def _hierarchy_pair_n3():
+    from hydrobrackets.hierarchy import hierarchy
+
+    eta = ConstantBracket([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    P = _pair(["2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3"], 1, eta=eta)
+    flows = hierarchy(P, 2)
+    return P._flow_bracket, [flows[1].S, flows[2].S, Expr.var("v1") + 1]
+
+
+def test_functional_bracket_density_matches_the_cubic_sum():
+    cases = [
+        (B, [Expr.var(v) for v in B.vars] + [parse("u1^2 + u1*u2 + 1/2", UV)])
+        for B in (
+            build_canonical(_pair(["2*u1 - u2", "u1 + 3*u2"], 1)),
+            build_canonical(_pair(["u1^3/6 + u1^2", "u2^4/12"], 0)),
+            _flat_pullback_bracket(),
+        )
+    ]
+    cases.append(_hierarchy_pair_n3())
+    for B, dens in cases:
+        for f in dens:
+            for h in dens:
+                omega = functional_bracket_density(B, f, h).omega
+                assert [str(w) for w in omega] == _reference_omega(B, f, h)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -600,3 +604,78 @@ def test_only_simulate_takes_tol_and_only_checks_take_seed():
         "check-pencil",
         "check-canonical",
     }
+
+
+@pytest.mark.parametrize(
+    "command,doc,location",
+    [
+        ("build-canonical", {"N": 1, "eta": [[1]], "K": 0, "H": [True]}, "H[0]"),
+        (
+            "check-poisson",
+            {"N": 1, "eta": [[1]], "K": 0, "g": [[False]], "b": [[["u1"]]]},
+            "g[0][0]",
+        ),
+        (
+            "check-poisson",
+            {"N": 1, "eta": [[1]], "K": 0, "g": [["u1"]], "b": [[[True]]]},
+            "b[0][0][0]",
+        ),
+        (
+            "simulate",
+            {
+                "N": 1,
+                "eta": [[1]],
+                "K": 0,
+                "H": ["u1^2/2"],
+                "simulation": dict(SMALL_RUN, init=[True]),
+            },
+            "simulation.init[0]",
+        ),
+    ],
+)
+def test_boolean_expression_entry_is_input_error(
+    tmp_path, monkeypatch, capsys, command, doc, location
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, _write(tmp_path, "bool.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {location}: expected an expression string\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "h,message",
+    [
+        # written in v-variables with a second defect: the retry's error
+        ("v1/(v1-v1)", "identically zero denominator (at offset 2)"),
+        # the same defects in u-variables keep the first parse's error
+        ("u1/(u1-u1)", "identically zero denominator (at offset 2)"),
+        ("u1 +", "expected a number, variable or '(' (at offset 4)"),
+        ("w1", "unknown variable 'w1' (at offset 0)"),
+    ],
+)
+def test_v_variable_retry_reports_the_right_error(tmp_path, capsys, h, message):
+    path = _write(tmp_path, "v.json", {"N": 1, "eta": [[1]], "K": 0, "H": [h]})
+    assert main(["build-canonical", path]) == 2
+    assert capsys.readouterr().err == f"input error: H[0]: {message}\n"
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        problem = str(root / "problems" / "linear_pair_n2.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hydrobrackets", "hierarchy", problem, "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert len(proc.stderr.splitlines()) <= 1
+    assert proc.returncode == 3

@@ -27,6 +27,7 @@ COMMANDS = [
     ["build-canonical"],
     ["liouville"],
     ["hierarchy", "--levels", "1"],
+    ["commute", "--levels", "1"],
 ]
 
 JUNK = st.sampled_from([True, False, None, "", "x", "1/0", "u9", "2^u1", [], {}, [[1]]])

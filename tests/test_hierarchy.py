@@ -9,13 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from hydrobrackets.bracket import CanonicalPair, ConstantBracket, InconsistencyError
+from hydrobrackets.bracket import (
+    CanonicalPair,
+    ConstantBracket,
+    InconsistencyError,
+    operator_matrix,
+)
 from hydrobrackets.expr import Expr, Zeroness, is_zero, parse
 from hydrobrackets.hierarchy import (
     ClosednessError,
     ConservativeFlow,
     FlowInvariantError,
-    HamiltonianDensity,
     NotPoissonError,
     apply_recursion,
     bihamiltonian_check,
@@ -373,6 +377,58 @@ def test_bihamiltonian_zero_flow():
     assert bihamiltonian_check(P, fl).exact
 
 
+@pytest.mark.parametrize(
+    "eta,h_texts",
+    [
+        (ConstantBracket([[2, 1], [1, 1]]), ["2*u1 - u2", "u1 + 3*u2"]),
+        (
+            ConstantBracket([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ["2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3"],
+        ),
+    ],
+    ids=["N2-nondiagonal-eta", "N3"],
+)
+def test_every_level_is_bihamiltonian(eta, h_texts):
+    # V_n = P2 grad S_n and V_{n+1} = P1 grad S_n at levels 0..3
+    vars = tuple(f"u{i + 1}" for i in range(eta.n))
+    H = tuple(parse(t, vars) for t in h_texts)
+    P = CanonicalPair(eta=eta, K=1, H=H, vars=vars)
+    flows = hierarchy(P, 4)
+    v = flows[0].vars
+    for fl, nxt in zip(flows[:4], flows[1:]):
+        p2 = operator_matrix(eta.as_hydro(v), fl.S)
+        p1 = recursion_matrix(P, fl.S, v)
+        for i in range(eta.n):
+            for k in range(eta.n):
+                assert _zero(p2[i][k] - fl.V[i][k])
+                assert _zero(p1[i][k] - nxt.V[i][k])
+
+
+def test_bihamiltonian_check_failure_has_witnesses():
+    # the first flow of a pair with another eta: neither representation holds
+    P = _linear_pair(K=1)
+    Q = CanonicalPair(
+        eta=ConstantBracket([[2, 1], [1, 1]]),
+        K=0,
+        H=(parse("u1^2/2", UV), parse("u2^3/6", UV)),
+        vars=UV,
+    )
+    eq1, eq2 = bihamiltonian_check(P, flow_t1(Q)).conditions
+    assert eq1.status is Zeroness.NONZERO and eq2.status is Zeroness.NONZERO
+    assert eq1.witness.indices == (1, 1)
+    assert eq1.witness.point == {
+        "v1": Fraction(770881, 1000000),
+        "v2": Fraction(-96041, 500000),
+    }
+    assert eq1.witness.value == Fraction(-2259910548483, 2000000000000)
+    assert eq2.witness.indices == (1, 1)
+    assert eq2.witness.point == {
+        "v1": Fraction(294773, 500000),
+        "v2": Fraction(866977, 1000000),
+    }
+    assert eq2.witness.value == Fraction(127419118529, 2000000000000)
+
+
 # -- commutation ---------------------------------------------------------------
 
 
@@ -467,10 +523,8 @@ def test_linear_density_flow_is_commuting_symmetry():
 def test_involution_of_hierarchy_densities():
     P = _linear_pair(K=1)
     flows = hierarchy(P, 2)
-    h1 = HamiltonianDensity(flows[0].S, "P2")
-    h2 = HamiltonianDensity(flows[1].S, "P2")
-    assert involution_check(P, h1, h2)
-    assert involution_check(P, h1, h1)
+    assert involution_check(P, flows[0].S, flows[1].S)
+    assert involution_check(P, flows[0].S, flows[0].S)
 
 
 def test_annihilators_in_involution_with_momentum():
