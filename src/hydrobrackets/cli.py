@@ -45,6 +45,7 @@ from .hierarchy import (
     involution_check,
 )
 from . import numsim
+from .poly import ExpressionSizeError
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -728,6 +729,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except ClosednessError as exc:
         print(f"{args.command}: closedness failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME_EVENT
+    except ExpressionSizeError as exc:
+        print(f"{args.command}: expression size limit: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_EVENT
     except numsim.SimulationError as exc:
         print(f"runtime event: {exc}", file=sys.stderr)

@@ -364,16 +364,26 @@ class Expr:
 
     # -- arithmetic (rational expressions only) ------------------------------
 
+    # A zero operand returns at once (x + 0 is x, x * 0 is the zero): both
+    # types are immutable.  ``rational`` is read first, so transcendental
+    # operands still raise.
+
     def __add__(self, other):
         other = _coerce_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        return Expr(rf=self.rational + other.rational)
+        a, b = self.rational, other.rational
+        if b.is_zero():
+            return self
+        if a.is_zero():
+            return other
+        return Expr(rf=a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(rf=-self.rational)
+        a = self.rational
+        return self if a.is_zero() else Expr(rf=-a)
 
     def __sub__(self, other):
         other = _coerce_expr(other)
@@ -388,7 +398,12 @@ class Expr:
         other = _coerce_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        return Expr(rf=self.rational * other.rational)
+        a, b = self.rational, other.rational
+        if a.is_zero():
+            return self
+        if b.is_zero():
+            return other
+        return Expr(rf=a * b)
 
     __rmul__ = __mul__
 

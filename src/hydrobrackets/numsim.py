@@ -155,7 +155,6 @@ class MonomialTable:
     """
 
     def __init__(self, exprs: Sequence[Expr], var_order: Sequence[str]):
-        index = {name: i for i, name in enumerate(var_order)}
         missing = set().union(*(e.free_vars() for e in exprs)) - set(var_order)
         if missing:
             raise ValueError(f"expression has unbound variables {sorted(missing)}")
@@ -177,11 +176,8 @@ class MonomialTable:
         entries = []
         self._prefix = [1]
         for r, p in enumerate(polys):
-            for mono, c in p.terms.items():
-                ev = [0] * len(var_order)
-                for name, exp in mono:
-                    ev[index[name]] = exp
-                entries.append((r, columns.setdefault(tuple(ev), len(columns)), float(c)))
+            for row, c in p.exponent_rows(var_order):
+                entries.append((r, columns.setdefault(row, len(columns)), float(c)))
             if r < len(exprs):
                 self._prefix.append(len(columns))
         self.size = len(exprs)

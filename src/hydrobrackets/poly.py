@@ -1,8 +1,16 @@
 """Exact sparse multivariate polynomials and factored rational functions.
 
-Coefficients are ``fractions.Fraction`` throughout.  Monomials are stored
-sparsely and ordered graded-lexicographically; variables are compared by
-(alphabetic prefix, numeric suffix), so ``u2`` precedes ``u10``.
+A polynomial is a dict of integer numerators over one positive integer
+denominator ``den``, with the content reduced (the numerators and ``den``
+have no common factor), so equal polynomials have equal representations.
+Each monomial is one ``int`` of packed exponents: every variable owns a
+fixed field of ``_FIELD`` bits, placed at the position the process gave it
+the first time it saw the name, and a product of monomials is one integer
+addition.  Exponents must stay below ``EXP_LIMIT`` (2^31); an operation that
+would reach it raises :class:`ExpressionSizeError` instead of wrapping.
+Presentation (``str``, ``leading``) orders monomials graded-
+lexicographically, with variables compared by (alphabetic prefix, numeric
+suffix), so ``u2`` precedes ``u10``.
 
 Rational functions keep the denominator in factored form.  Every
 denominator factor enters through an actual division, so the common
@@ -14,13 +22,14 @@ used only when presenting a fully reduced normal form.
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
-Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable key
 Scalar = Union[int, Fraction]
 
 # Hard ceiling on the number of monomials in any intermediate product;
@@ -29,7 +38,8 @@ MAX_TERMS = 10**6
 
 
 class ExpressionSizeError(RuntimeError):
-    """Raised when an expansion exceeds the monomial budget."""
+    """Raised when an expansion exceeds the monomial budget or an exponent
+    reaches ``EXP_LIMIT``."""
 
 
 _VAR_RE = re.compile(r"^(.*?)(\d*)$")
@@ -45,62 +55,96 @@ def var_key(name: str):
     return (name, -1)
 
 
-def _canon_mono(items: Iterable[tuple]) -> Monomial:
-    pairs = [(v, e) for v, e in items if e != 0]
-    pairs.sort(key=lambda ve: var_key(ve[0]))
-    return tuple(pairs)
+# -- packed monomials ---------------------------------------------------------
+# The top bit of every field is a guard: exponents stay below EXP_LIMIT, so
+# adding two monomials never carries from one field into the next, and a set
+# guard bit after an addition means an exponent became too wide.  The
+# variable index only grows, by one field per distinct variable name.
+
+_FIELD = 32
+EXP_LIMIT = 1 << (_FIELD - 1)
+_MASK = (1 << _FIELD) - 1
+_SHIFT: dict[str, int] = {}  # variable name -> bit offset of its field
+_GUARD = 0  # the guard bit of every field in use
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return _canon_mono(d.items())
+def _shift(name: str) -> int:
+    """Bit offset of the variable's exponent field (assigned on first use)."""
+    global _GUARD
+    s = _SHIFT.get(name)
+    if s is None:
+        s = _SHIFT[name] = _FIELD * len(_SHIFT)
+        _GUARD |= EXP_LIMIT << s
+    return s
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _check_width(monomials) -> None:
+    if reduce(or_, monomials, 0) & _GUARD:
+        raise ExpressionSizeError(f"an exponent exceeds {EXP_LIMIT - 1}")
 
 
-def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    d2 = dict(m2)
-    return all(d2.get(v, 0) >= e for v, e in m1)
+def _mono_gcd(a: int, b: int) -> int:
+    """Field-wise minimum of two monomials."""
+    out = shift = 0
+    while a and b:
+        out |= min(a & _MASK, b & _MASK) << shift
+        a >>= _FIELD
+        b >>= _FIELD
+        shift += _FIELD
+    return out
 
 
-def _mono_quot(m2: Monomial, m1: Monomial) -> Monomial:
-    d = dict(m2)
-    for v, e in m1:
-        d[v] -= e
-    return _canon_mono(d.items())
+def _ordered_shifts(names) -> list:
+    return [(v, _SHIFT[v]) for v in sorted(names, key=var_key)]
+
+
+def _grlex_key(shifts):
+    """Graded-lex sort key of a monomial over ``shifts`` (var_key order),
+    as one int: the total degree above the exponents, first variable highest."""
+
+    def key(m):
+        deg = k = 0
+        for _, s in shifts:
+            e = (m >> s) & _MASK
+            deg += e
+            k = (k << _FIELD) | e
+        return (deg << (_FIELD * len(shifts))) | k
+
+    return key
+
+
+def _reduced(terms: dict, den: int) -> "Poly":
+    """Poly of nonzero integer numerators over den > 0, content reduced."""
+    if den != 1:
+        g = _int_gcd(den, *terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            den //= g
+    return Poly(terms, den)
 
 
 class Poly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients:
+    ``terms`` maps packed monomials to nonzero integer numerators over the
+    positive integer ``den``, with the content reduced."""
 
-    __slots__ = ("terms", "_frozen")
+    __slots__ = ("terms", "den", "_key")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
-        self._frozen = None
+    def __init__(self, terms: dict | None = None, den: int = 1):
+        self.terms = {} if terms is None else terms
+        self.den = den if self.terms else 1
+        self._key = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def const(c: Scalar) -> "Poly":
         c = Fraction(c)
-        return Poly({(): c}) if c else Poly()
+        return Poly({0: c.numerator}, c.denominator) if c else Poly()
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({1 << _shift(name): 1})
 
     # -- structure ----------------------------------------------------
 
@@ -108,62 +152,75 @@ class Poly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def vars(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        support = reduce(or_, self.terms, 0)
+        return {v for v, s in _SHIFT.items() if (support >> s) & _MASK}
 
     def key(self):
         """Hashable canonical form (used for factor identity)."""
-        if self._frozen is None:
-            self._frozen = tuple(sorted(self.terms.items()))
-        return self._frozen
+        if self._key is None:
+            self._key = (self.den, tuple(sorted(self.terms.items())))
+        return self._key
+
+    def sort_key(self):
+        """The order in which denominator factors are listed: the sorted
+        (monomial, coefficient) pairs, each monomial written as its
+        ((variable, exponent), ...) pairs in var_key order."""
+        shifts = _ordered_shifts(self.vars())
+        return tuple(
+            sorted(
+                (_pairs(m, shifts), Fraction(c, self.den))
+                for m, c in self.terms.items()
+            )
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+        return (
+            isinstance(other, Poly)
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
         return hash(self.key())
 
     # -- ordering helpers ----------------------------------------------
 
-    def _ordered_vars(self, extra=()) -> tuple:
-        vs = self.vars()
-        for v in extra:
-            vs.add(v)
-        return tuple(sorted(vs, key=var_key))
-
     def sorted_terms(self):
-        """Terms in descending graded-lexicographic order."""
-        ordered = self._ordered_vars()
+        """Terms in descending graded-lexicographic order, as
+        (((variable, exponent), ...), coefficient) pairs."""
+        shifts = _ordered_shifts(self.vars())
+        key = _grlex_key(shifts)
+        return [
+            (_pairs(m, shifts), Fraction(self.terms[m], self.den))
+            for m in sorted(self.terms, key=key, reverse=True)
+        ]
 
-        def keyf(item):
-            d = dict(item[0])
-            return (_mono_degree(item[0]), tuple(d.get(v, 0) for v in ordered))
-
-        return sorted(self.terms.items(), key=keyf, reverse=True)
-
-    def leading(self, ordered_vars=None):
+    def leading(self):
         """Leading (monomial, coefficient) in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        ordered = ordered_vars or self._ordered_vars()
+        m = max(self.terms, key=_grlex_key(_ordered_shifts(self.vars())))
+        return m, Fraction(self.terms[m], self.den)
 
-        def keyf(m):
-            d = dict(m)
-            return (_mono_degree(m), tuple(d.get(v, 0) for v in ordered))
-
-        m = max(self.terms, key=keyf)
-        return m, self.terms[m]
+    def exponent_rows(self, var_order: Sequence[str]):
+        """(exponents over ``var_order``, coefficient) of each term, in the
+        order the terms were formed; ``var_order`` must cover every variable."""
+        shifts = [_SHIFT.get(v) for v in var_order]
+        return [
+            (
+                tuple(0 if s is None else (m >> s) & _MASK for s in shifts),
+                Fraction(c, self.den),
+            )
+            for m, c in self.terms.items()
+        ]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -171,19 +228,25 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else _int_lcm(d1, d2)
+        k1, k2 = den // d1, den // d2
+        out = dict(self.terms) if k1 == 1 else {m: c * k1 for m, c in self.terms.items()}
+        items = other.terms.items()
+        if k2 != 1:
+            items = [(m, c * k2) for m, c in items]
+        for m, c in items:
             s = out.get(m, 0) + c
             if s:
                 out[m] = s
             elif m in out:
                 del out[m]
-        return Poly(out)
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
@@ -196,26 +259,32 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Poly()
-            return Poly({m: cc * c for m, cc in self.terms.items()})
+            p = other.numerator
+            return _reduced(
+                {m: c * p for m, c in self.terms.items()},
+                self.den * other.denominator,
+            )
         if not isinstance(other, Poly):
             return NotImplemented
-        if len(self.terms) * len(other.terms) > 4 * MAX_TERMS:
+        a, b = self.terms, other.terms
+        if len(a) * len(b) > 4 * MAX_TERMS:
             raise ExpressionSizeError("product exceeds monomial budget")
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
+        get = out.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
+                s = get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
-                elif m in out:
+                else:  # s == 0 only when m was already in out
                     del out[m]
         if len(out) > MAX_TERMS:
             raise ExpressionSizeError("expansion exceeds monomial budget")
-        return Poly(out)
+        _check_width(out)
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -235,28 +304,24 @@ class Poly:
     # -- calculus / evaluation -------------------------------------------
 
     def diff(self, var: str) -> "Poly":
+        s = _SHIFT.get(var)
+        if s is None:
+            return Poly()
+        one = 1 << s
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(var, 0)
-            if not e:
-                continue
-            d[var] = e - 1
-            mm = _canon_mono(d.items())
-            s = out.get(mm, 0) + c * e
-            if s:
-                out[mm] = s
-            elif mm in out:
-                del out[mm]
-        return Poly(out)
+            e = (m >> s) & _MASK
+            if e:
+                out[m - one] = c * e
+        return _reduced(out, self.den)
 
     def evaluate(self, point: Mapping[str, object]):
         """Evaluate at a full assignment; accumulation follows the canonical
         term order so float evaluation is reproducible."""
         acc = 0
-        for m, c in self.sorted_terms():
+        for pairs, c in self.sorted_terms():
             val = c
-            for v, e in m:
+            for v, e in pairs:
                 if v not in point:
                     raise KeyError(v)
                 val = val * point[v] ** e
@@ -265,30 +330,50 @@ class Poly:
 
     def substitute(self, assign: Mapping[str, Scalar]) -> "Poly":
         """Replace some variables by exact constants."""
+        subs = [
+            (_SHIFT[v], Fraction(x)) for v, x in assign.items() if v in _SHIFT
+        ]
+        # bring every coefficient over the common denominator den * prod q^top,
+        # where x = p/q and top is the highest exponent of x's variable
+        den = self.den
+        for s, x in subs:
+            if x.denominator != 1:
+                top = max(((m >> s) & _MASK for m in self.terms), default=0)
+                den *= x.denominator**top
         out = {}
         for m, c in self.terms.items():
-            rest = []
-            for v, e in m:
-                if v in assign:
-                    c = c * Fraction(assign[v]) ** e
-                else:
-                    rest.append((v, e))
+            scale = den // self.den
+            for s, x in subs:
+                e = (m >> s) & _MASK
+                if e:
+                    c *= x.numerator**e
+                    scale //= x.denominator**e
+                    m -= e << s
             if not c:
                 continue
-            mm = _canon_mono(rest)
-            s = out.get(mm, 0) + c
-            if s:
-                out[mm] = s
-            elif mm in out:
-                del out[mm]
-        return Poly(out)
+            t = out.get(m, 0) + c * scale
+            if t:
+                out[m] = t
+            elif m in out:
+                del out[m]
+        return _reduced(out, den)
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
+        moves = [
+            (_SHIFT[old], _shift(new))
+            for old, new in mapping.items()
+            if old in _SHIFT and old != new
+        ]
         out = {}
         for m, c in self.terms.items():
-            mm = _canon_mono((mapping.get(v, v), e) for v, e in m)
+            mm = m
+            for s, d in moves:
+                e = (m >> s) & _MASK
+                if e:
+                    mm += (e << d) - (e << s)
             out[mm] = out.get(mm, 0) + c
-        return Poly(out)
+        _check_width(out)
+        return _reduced({m: c for m, c in out.items() if c}, self.den)
 
     # -- division -----------------------------------------------------------
 
@@ -300,31 +385,52 @@ class Poly:
             return self * (Fraction(1) / d.const_value())
         if self.is_zero():
             return Poly()
-        ordered = tuple(sorted(self.vars() | d.vars(), key=var_key))
-        ltd_m, ltd_c = d.leading(ordered)
-
-        def keyf(m):
-            dd = dict(m)
-            return (_mono_degree(m), tuple(dd.get(v, 0) for v in ordered))
-
+        names = self.vars()
+        if not d.vars() <= names:  # d has a variable self lacks
+            return None
+        shifts = _ordered_shifts(names)
+        key = _grlex_key(shifts)
+        top = _FIELD * len(shifts)  # key >> top is the total degree
+        # divide by the primitive part of d: by Gauss's lemma the quotient of
+        # the integer numerators is then integral whenever it exists
+        content = _int_gcd(*d.terms.values())
+        dterms = {m: c // content for m, c in d.terms.items()}
+        ltd_m = max(dterms, key=key)
+        ltd_c = dterms[ltd_m]
         r = dict(self.terms)
+        heap = [(-key(m), m) for m in r]
+        heapq.heapify(heap)
+        # graded order: no term of a multiple of d has a lower degree than d
+        if key(ltd_m) >> top > -heap[0][0] >> top:
+            return None
         q = {}
         while r:
-            ltr_m = max(r, key=keyf)
-            ltr_c = r[ltr_m]
-            if not _mono_divides(ltd_m, ltr_m):
+            ltr_m = heapq.heappop(heap)[1]
+            ltr_c = r.get(ltr_m)
+            if ltr_c is None:  # cancelled since it was pushed
+                continue
+            qm = (ltr_m | _GUARD) - ltd_m
+            if qm & _GUARD != _GUARD:  # some exponent of ltd exceeds ltr's
                 return None
-            qm = _mono_quot(ltr_m, ltd_m)
-            qc = ltr_c / ltd_c
-            q[qm] = q.get(qm, 0) + qc
-            for dm, dc in d.terms.items():
-                mm = _mono_mul(qm, dm)
-                s = r.get(mm, 0) - qc * dc
-                if s:
-                    r[mm] = s
-                elif mm in r:
-                    del r[mm]
-        return Poly(q)
+            qm ^= _GUARD
+            qc, rem = divmod(ltr_c, ltd_c)
+            if rem:
+                return None
+            q[qm] = qc
+            for dm, dc in dterms.items():
+                mm = qm + dm
+                old = r.get(mm)
+                if old is None:
+                    _check_width((mm,))
+                    r[mm] = -qc * dc
+                    heapq.heappush(heap, (-key(mm), mm))
+                else:
+                    s = old - qc * dc
+                    if s:
+                        r[mm] = s
+                    else:
+                        del r[mm]
+        return _reduced({m: c * d.den for m, c in q.items()}, self.den * content)
 
     # -- presentation ------------------------------------------------------
 
@@ -332,19 +438,14 @@ class Poly:
         """Positive rational c such that self/c has coprime integer coefficients."""
         if self.is_zero():
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, abs(c.numerator))
-            den = _int_lcm(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(_int_gcd(*self.terms.values()), self.den)
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+        for pairs, c in self.sorted_terms():
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in pairs)
             if not mono:
                 body = _frac_str(abs(c))
             elif abs(c) == 1:
@@ -360,6 +461,11 @@ class Poly:
         return out
 
     __repr__ = __str__
+
+
+def _pairs(m: int, shifts) -> tuple:
+    """The monomial as ((variable, exponent), ...) over ``shifts``."""
+    return tuple((v, e) for v, s in shifts if (e := (m >> s) & _MASK))
 
 
 def _frac_str(c: Fraction) -> str:
@@ -381,27 +487,23 @@ def _coerce_poly(x):
 
 def _uv_view(p: Poly, x: str):
     """View p as univariate in x with Poly coefficients."""
+    s = _SHIFT[x]
     coeffs: dict[int, dict] = {}
     for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(x, 0)
-        mm = _canon_mono(d.items())
-        bucket = coeffs.setdefault(e, {})
-        s = bucket.get(mm, 0) + c
-        if s:
-            bucket[mm] = s
-        elif mm in bucket:
-            del bucket[mm]
-    return {e: Poly(t) for e, t in coeffs.items() if t}
+        e = (m >> s) & _MASK
+        coeffs.setdefault(e, {})[m - (e << s)] = c
+    return {e: _reduced(t, p.den) for e, t in coeffs.items()}
 
 
 def _uv_build(coeffs: Mapping[int, Poly], x: str) -> Poly:
+    s = _SHIFT[x]
+    den = _int_lcm(*(p.den for p in coeffs.values()))
     out = {}
     for e, p in coeffs.items():
+        k = den // p.den
         for m, c in p.terms.items():
-            mm = _mono_mul(m, ((x, e),)) if e else m
-            out[mm] = out.get(mm, 0) + c
-    return Poly(out)
+            out[m + (e << s)] = c * k
+    return _reduced(out, den)
 
 
 def _uv_content(coeffs: Mapping[int, Poly]) -> Poly:
@@ -448,28 +550,13 @@ def _uv_pseudo_rem(a: Mapping[int, Poly], b: Mapping[int, Poly]):
 
 
 def _gcd_normalize(p: Poly) -> Poly:
+    """The primitive integer polynomial p/content(p), leading coefficient > 0."""
     if p.is_zero():
         return p
-    c = p.content()
-    out = p * (Fraction(1) / c)
-    _, lc = out.leading()
-    if lc < 0:
-        out = -out
-    return out
-
-
-def _common_monomial(p: Poly) -> Monomial:
-    """Largest monomial dividing every term."""
-    common = None
-    for m in p.terms:
-        d = dict(m)
-        if common is None:
-            common = d
-        else:
-            common = {v: min(e, d.get(v, 0)) for v, e in common.items() if v in d}
-        if not common:
-            return ()
-    return _canon_mono(common.items())
+    g = _int_gcd(*p.terms.values())
+    if p.leading()[1] < 0:
+        g = -g
+    return Poly({m: c // g for m, c in p.terms.items()})
 
 
 def _subresultant_gcd(a, b, x):
@@ -513,19 +600,16 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _gcd_normalize(p)
     if p.is_const() or q.is_const():
         return Poly.const(1)
-    if p.terms == q.terms:
+    if p == q:
         return _gcd_normalize(p)
     # pull out the shared monomial factor first (cheap and common)
-    mp, mq = _common_monomial(p), _common_monomial(q)
-    dp, dq = dict(mp), dict(mq)
-    shared = _canon_mono(
-        (v, min(e, dq.get(v, 0))) for v, e in dp.items() if v in dq
-    )
+    mp, mq = reduce(_mono_gcd, p.terms), reduce(_mono_gcd, q.terms)
+    shared = _mono_gcd(mp, mq)
     if mp:
-        p = Poly({_mono_quot(m, mp): c for m, c in p.terms.items()})
+        p = Poly({m - mp: c for m, c in p.terms.items()}, p.den)
     if mq:
-        q = Poly({_mono_quot(m, mq): c for m, c in q.terms.items()})
-    unit = Poly({shared: Fraction(1)}) if shared else Poly.const(1)
+        q = Poly({m - mq: c for m, c in q.terms.items()}, q.den)
+    unit = Poly({shared: 1})
     if p.is_const() or q.is_const():
         return _gcd_normalize(unit)
     vs = p.vars() | q.vars()
@@ -599,8 +683,10 @@ class RationalFn:
             return RationalFn(num, ())
         # cancel factors that divide the numerator exactly
         kept = []
-        for k in sorted(acc):
-            f, e = acc[k]
+        factors = acc.values()
+        if len(acc) > 1:
+            factors = sorted(factors, key=lambda fe: fe[0].sort_key())
+        for f, e in factors:
             while e > 0:
                 q = num.exact_div(f)
                 if q is None:
@@ -649,6 +735,12 @@ class RationalFn:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        if not self.den and not other.den:
+            return RationalFn(self.num + other.num, ())
         if self.den == other.den:
             return RationalFn._make(self.num + other.num, self.den)
         d1 = {f.key(): (f, e) for f, e in self.den}
@@ -673,6 +765,8 @@ class RationalFn:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.is_zero():
+            return self
         return RationalFn(-self.num, self.den)
 
     def __sub__(self, other):
@@ -688,6 +782,12 @@ class RationalFn:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        if not self.den and not other.den:
+            return RationalFn(self.num * other.num, ())
         factors = {}
         for f, e in self.den + other.den:
             k = f.key()
@@ -834,13 +934,14 @@ def ray_integral(omegas: Sequence[Poly], field_vars: Sequence[str]) -> Poly:
     """Potential of a closed polynomial 1-form, integrated along the straight
     ray from the origin of the field variables (other variables are treated
     as constants): F(u) = sum_k int_0^1 omega_k(t u) u^k dt, F(0) = 0."""
-    fv = set(field_vars)
+    shifts = [_shift(v) for v in field_vars]
     out = Poly()
     for var, omega in zip(field_vars, omegas):
-        bump = {}
-        for m, c in omega.terms.items():
-            deg = sum(e for v, e in m if v in fv)
-            mm = _mono_mul(m, ((var, 1),))
-            bump[mm] = bump.get(mm, 0) + c / (deg + 1)
-        out = out + Poly(bump)
+        one = 1 << _shift(var)
+        # each term c*m gains the factor var/(deg m + 1), deg over field_vars
+        degs = {m: 1 + sum((m >> s) & _MASK for s in shifts) for m in omega.terms}
+        den = _int_lcm(*degs.values())
+        bump = {m + one: c * (den // degs[m]) for m, c in omega.terms.items()}
+        _check_width(bump)
+        out = out + _reduced(bump, omega.den * den)
     return out

@@ -679,3 +679,32 @@ def test_closed_stdout_ends_without_a_traceback():
     assert "Traceback" not in proc.stderr.decode()
     assert len(proc.stderr.splitlines()) <= 1
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "h,message",
+    [
+        # (u1+u2+1)^64 already needs more term pairs than the product budget
+        ("(u1+u2+1)^2000", "product exceeds monomial budget"),
+        # an exponent must fit its packed field; it never wraps
+        ("u1^3000000000", "an exponent exceeds 2147483647"),
+    ],
+)
+def test_expression_size_limit_exits_3(tmp_path, capsys, h, message):
+    doc = {"N": 2, "eta": [[1, 0], [0, 1]], "K": 0, "H": [h, "u2"]}
+    assert main(["build-canonical", _write(tmp_path, "big.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"build-canonical: expression size limit: {message}\n"
+    assert captured.out == ""
+
+
+def test_high_exponents_keep_working(tmp_path, capsys):
+    path = _write(tmp_path, "p.json", {"N": 1, "eta": [[1]], "K": 0, "H": ["u1^70000"]})
+    assert main(["build-canonical", path]) == 0
+    assert capsys.readouterr().out == (
+        "build-canonical: N=1\n"
+        "  g[1][1] = 140000*u1^69999\n"
+        "  b[1][1][1] = 4899930000*u1^69998\n"
+    )
+    assert main(["check-poisson", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: POISSON"

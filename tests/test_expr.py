@@ -211,6 +211,14 @@ def test_render_round_trip():
         assert back.equals(e) is Zeroness.ZERO
 
 
+def test_zero_operands_return_the_other_operand():
+    x = parse("u1^2 - u2/3", UV)
+    zero = Expr.const(0)
+    assert x + zero is x and zero + x is x and x - zero is x
+    assert x * zero is zero and zero * x is zero and -zero is zero
+    assert str(x + 0) == str(x) and str(0 * x) == "0"
+
+
 # -- transcendental expressions are initial data only --------------------------
 
 
@@ -225,6 +233,13 @@ def test_transcendental_initial_data_takes_no_part_in_arithmetic():
         lambda: e + 1,
         lambda: 1 + e,
         lambda: e * e,
+        # a zero operand short-circuits only after both operands are read
+        lambda: e + 0,
+        lambda: 0 + e,
+        lambda: e * 0,
+        lambda: 0 * e,
+        lambda: e - 0,
+        lambda: -e,
         lambda: e.diff("x"),
         lambda: e.substitute({"x": 0}),
         lambda: e.rename({"x": "y"}),

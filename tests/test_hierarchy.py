@@ -33,6 +33,7 @@ from hydrobrackets.hierarchy import (
     recursion_matrix,
     translation_flow,
 )
+from hydrobrackets.poly import Poly
 
 ETA1 = ConstantBracket([[1]])
 ETA2 = ConstantBracket([[1, 0], [0, 1]])
@@ -540,3 +541,30 @@ def test_involution_of_conserved_densities_along_first_flow():
     t1 = flows[1]
     for dens in (Expr.var("v1"), Expr.var("v2"), flows[0].S, t1.S):
         assert involution_check(P, dens, t1.S)
+
+
+def test_involution_multiplies_no_zero_polynomial(monkeypatch):
+    # P2 is the constant bracket: its b entries and most g entries are zero,
+    # and a product by zero must return before it reaches the polynomial
+    # kernel (without that short-circuit, 540 of the 720 kernel products
+    # here have a zero operand)
+    uvw = ("u1", "u2", "u3")
+    P = CanonicalPair(
+        eta=ConstantBracket([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        K=1,
+        H=tuple(parse(h, uvw) for h in ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3")),
+        vars=uvw,
+    )
+    flows = hierarchy(P, 4)
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(self.is_zero() or (isinstance(other, Poly) and other.is_zero()))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    for fa, fb in itertools.combinations(flows, 2):
+        assert involution_check(P, fa.S, fb.S, operator="P2")
+    assert calls and not any(calls)
