@@ -1,16 +1,16 @@
 """Exact verification and simulation toolkit for nonlocal Poisson brackets
 of hydrodynamic type and their bi-Hamiltonian hierarchies.
 
-The symbolic core is exact (rational arithmetic throughout); floating
-point appears only in the pseudo-spectral simulator.
+The symbolic core is exact: every expression is an ``Expr``, a rational
+function over Q, and every ``Zero`` verdict is decided exactly.  Floating
+point appears only in the pseudo-spectral simulator, the one reader of
+initial data with sin/cos/exp calls.
 """
 
 from .expr import (
     Expr,
     ParseError,
     Zeroness,
-    differentiate,
-    evaluate,
     is_zero,
     parse,
 )
@@ -58,8 +58,6 @@ __all__ = [
     "Expr",
     "ParseError",
     "Zeroness",
-    "differentiate",
-    "evaluate",
     "is_zero",
     "parse",
     "ContravariantMetric",

@@ -33,7 +33,7 @@ from .expr import (
     random_rational_point,
 )
 from .geometry import DegenerateMetricError, field_vars, matrix_inverse
-from .poly import RationalFn, ray_integral, var_key
+from .poly import ray_integral, var_key
 
 __all__ = [
     "HydroBracket",
@@ -282,10 +282,6 @@ class PoissonReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.status is not Zeroness.NONZERO for c in self.conditions)
-
-    @property
-    def exact(self) -> bool:
         return all(c.status is Zeroness.ZERO for c in self.conditions)
 
     def failing(self):
@@ -723,12 +719,12 @@ def _at_origin(e: Expr, vars, name: str) -> Expr:
 def _ray_potential(omegas, vars) -> Expr:
     polys = []
     for w in omegas:
-        if not w.is_rational or not w.rational.is_poly():
+        if not w.is_poly():
             raise UnsupportedIntegrandError(
                 "path integral outside the rational closure (non-polynomial 1-form)"
             )
-        polys.append(w.rational.num)
-    return Expr.from_rational(RationalFn.from_poly(ray_integral(polys, vars)))
+        polys.append(w.num)
+    return Expr(ray_integral(polys, vars))
 
 
 def liouville_function(B: HydroBracket) -> LiouvilleData:
@@ -818,14 +814,8 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
     cannot change any total-derivative verdict."""
     n = B.n
     vars = B.vars
-    varset = set(vars)
-    for dens in (f, h):
-        if not dens.is_rational:
-            raise UnsupportedDensityError("densities must be rational expressions")
-        if not dens.free_vars() <= varset:
-            raise UnsupportedDensityError(
-                "densities may depend on the field variables only"
-            )
+    if not (f.free_vars() | h.free_vars()) <= set(vars):
+        raise UnsupportedDensityError("densities may depend on the field variables only")
     zero = Expr.const(0)
     df = [f.diff(v) for v in vars]
     M = operator_matrix(B, h)

@@ -73,7 +73,7 @@ def _as_fraction(x, location: str) -> Fraction:
     raise ProblemFileError(location, f"expected a rational number, got {type(x).__name__}")
 
 
-def _parse_field_expr(text, vars, location: str, initial_data=False) -> Expr:
+def _parse_field_expr(text, vars, location: str, initial_data=False):
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Expr.const(text)
     if not isinstance(text, str):
@@ -203,6 +203,8 @@ class Problem:
             raise ProblemFileError(f"{loc}.grid_M", "expected an integer")
         if m < 8 or m & (m - 1):
             raise ProblemFileError(f"{loc}.grid_M", "must be a power of two, at least 8")
+        if m > numsim.MAX_GRID_M:
+            raise ProblemFileError(f"{loc}.grid_M", f"must be at most {numsim.MAX_GRID_M}")
         sim["grid_M"] = m
         for key in ("L", "dt", "t_end"):
             sim[key] = float(_as_fraction(raw[key], f"{loc}.{key}"))

@@ -1,5 +1,5 @@
-"""Symbolic expressions: parsing, exact arithmetic, differentiation,
-zero-testing and evaluation.
+"""Exact symbolic expressions: the rational-function type :class:`Expr`,
+the parser and the exact zero test.
 
 Grammar (whitespace-insensitive)::
 
@@ -15,28 +15,22 @@ exact rationals (``0.1`` becomes ``1/10``).  Fractions like ``1/2`` come
 out of the division operator.  The only admissible calls are ``sin``,
 ``cos`` and ``exp``, and only when the caller enables initial-data mode.
 
-Expressions built purely from rationals are held in a canonical
-rational-function form, so equality with zero is decided exactly.
-Expressions containing transcendental calls are initial data only: they
-keep their parse tree, which can be evaluated, sampled and zero-tested by
-random rational probing (a distinct verdict), but they take no part in
-arithmetic, differentiation, substitution or renaming, which raise
-``ExprError``.
+Every :class:`Expr` is a rational function over Q in canonical factored
+form, so equality with zero is decided exactly.  Initial data holding a
+sin/cos/exp call never becomes an ``Expr``: :func:`parse` returns its bare
+parse tree, which only the simulator's initial-data sampler reads.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import RationalFn, var_key
+from .poly import Poly, poly_gcd
 
 TRANSCENDENTALS = ("sin", "cos", "exp")
-
-_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
 class ExprError(ValueError):
@@ -76,11 +70,315 @@ class EvaluationSingularityError(ExprError):
 class Zeroness(enum.Enum):
     ZERO = "Zero"
     NONZERO = "NonZero"
-    NUMERICALLY_ZERO = "NumericallyZero"
 
 
 # ---------------------------------------------------------------------------
-# parse trees (only retained for expressions with transcendental leaves)
+# the expression type
+# ---------------------------------------------------------------------------
+
+
+class Expr:
+    """Immutable exact rational function over Q: a numerator polynomial over
+    a denominator held as a product of monic non-constant factors with
+    positive integer exponents.  All operations are pure; instances are safe
+    to share.
+
+    Every denominator factor enters through an actual division, so the
+    common cancellations (adjugate/determinant inverses, quotient-rule
+    derivatives) are recovered by exact trial division without running a
+    full gcd; ``poly_gcd`` runs only for the reduced :meth:`normal_form`.
+    A zero operand of ``+``, ``-`` or ``*`` returns at once.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: tuple = ()):
+        self.num = num
+        self.den = den  # tuple[(Poly, int)], factors monic, sorted by key
+
+    # -- construction ------------------------------------------------------
+
+    @staticmethod
+    def const(c: int | Fraction) -> "Expr":
+        return Expr(Poly.const(c), ())
+
+    @staticmethod
+    def var(name: str) -> "Expr":
+        return Expr(Poly.var(name), ())
+
+    @staticmethod
+    def _make(num: Poly, factors: Iterable[tuple]) -> "Expr":
+        acc: dict = {}
+        scale = Fraction(1)
+        for f, e in factors:
+            if e == 0:
+                continue
+            if f.is_zero():
+                raise ZeroDivisionError("zero polynomial in denominator")
+            if f.is_const():
+                scale = scale * f.const_value() ** e
+                continue
+            _, lc = f.leading()
+            if lc != 1:
+                f = f * (Fraction(1) / lc)
+                scale = scale * lc**e
+            k = f.key()
+            if k in acc:
+                acc[k] = (f, acc[k][1] + e)
+            else:
+                acc[k] = (f, e)
+        if scale != 1:
+            num = num * (Fraction(1) / scale)
+        if num.is_zero():
+            return Expr(num, ())
+        # cancel factors that divide the numerator exactly
+        kept = []
+        factors = acc.values()
+        if len(acc) > 1:
+            factors = sorted(factors, key=lambda fe: fe[0].sort_key())
+        for f, e in factors:
+            while e > 0:
+                q = num.exact_div(f)
+                if q is None:
+                    break
+                num = q
+                e -= 1
+            if e:
+                kept.append((f, e))
+        return Expr(num, tuple(kept))
+
+    # -- structure -----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_poly(self) -> bool:
+        return not self.den
+
+    def is_const(self) -> bool:
+        return not self.den and self.num.is_const()
+
+    def const_value(self) -> Fraction:
+        if not self.is_const():
+            raise ValueError("not a constant")
+        return self.num.const_value()
+
+    def free_vars(self) -> set:
+        out = self.num.vars()
+        for f, _ in self.den:
+            out |= f.vars()
+        return out
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        if not self.den and not other.den:
+            return Expr(self.num + other.num, ())
+        if self.den == other.den:
+            return Expr._make(self.num + other.num, self.den)
+        d1 = {f.key(): (f, e) for f, e in self.den}
+        d2 = {f.key(): (f, e) for f, e in other.den}
+        merged = {}
+        for k in set(d1) | set(d2):
+            f = (d1.get(k) or d2.get(k))[0]
+            merged[k] = (f, max(d1.get(k, (f, 0))[1], d2.get(k, (f, 0))[1]))
+        cof1 = Poly.const(1)
+        cof2 = Poly.const(1)
+        for k, (f, e) in merged.items():
+            e1 = d1.get(k, (f, 0))[1]
+            e2 = d2.get(k, (f, 0))[1]
+            if e > e1:
+                cof1 = cof1 * f ** (e - e1)
+            if e > e2:
+                cof2 = cof2 * f ** (e - e2)
+        return Expr._make(
+            self.num * cof1 + other.num * cof2, merged.values()
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self.is_zero():
+            return self
+        return Expr(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return _coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        if not self.den and not other.den:
+            return Expr(self.num * other.num, ())
+        factors = {}
+        for f, e in self.den + other.den:
+            k = f.key()
+            if k in factors:
+                factors[k] = (f, factors[k][1] + e)
+            else:
+                factors[k] = (f, e)
+        return Expr._make(self.num * other.num, factors.values())
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "Expr":
+        if self.num.is_zero():
+            raise ZeroDivisionError("division by zero expression")
+        num = Poly.const(1)
+        for f, e in self.den:
+            num = num * f**e
+        return Expr._make(num, [(self.num, 1)])
+
+    def __truediv__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.reciprocal()
+
+    def __rtruediv__(self, other):
+        return _coerce(other) * self.reciprocal()
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise ValueError("exponents must be integers")
+        if n < 0:
+            return self.reciprocal() ** (-n)
+        result = Expr.const(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    # -- calculus ---------------------------------------------------------------
+
+    def diff(self, var: str) -> "Expr":
+        if not self.den:
+            return Expr(self.num.diff(var), ())
+        # d(n/prod f^e) = (n' P - n sum_i e_i f_i' P/f_i) / (prod f^(e+1) ... )
+        distinct = [f for f, _ in self.den]
+        p_all = Poly.const(1)
+        for f in distinct:
+            p_all = p_all * f
+        top = self.num.diff(var) * p_all
+        for i, (f, e) in enumerate(self.den):
+            cof = Poly.const(e)
+            for j, g in enumerate(distinct):
+                if j != i:
+                    cof = cof * g
+            top = top - self.num * f.diff(var) * cof
+        new_den = [(f, e + 1) for f, e in self.den]
+        return Expr._make(top, new_den)
+
+    def evaluate(self, point: Mapping[str, object]):
+        try:
+            num = self.num.evaluate(point)
+            den = 1
+            for f, e in self.den:
+                v = f.evaluate(point)
+                if v == 0:
+                    raise ZeroDivisionError("denominator vanishes at evaluation point")
+                den = den * v**e
+        except KeyError as exc:
+            raise UnassignedVariableError(
+                f"variable '{exc.args[0]}' is not assigned"
+            ) from None
+        return num / den
+
+    def substitute(self, assign: Mapping[str, Fraction]) -> "Expr":
+        """Replace a subset of variables by exact rational constants."""
+        num = self.num.substitute(assign)
+        factors = []
+        for f, e in self.den:
+            g = f.substitute(assign)
+            if g.is_zero():
+                raise ZeroDivisionError("substitution makes a denominator vanish")
+            factors.append((g, e))
+        return Expr._make(num, factors)
+
+    def rename(self, mapping: Mapping[str, str]) -> "Expr":
+        return Expr._make(
+            self.num.rename(mapping), [(f.rename(mapping), e) for f, e in self.den]
+        )
+
+    # -- presentation ------------------------------------------------------------
+
+    def normal_form(self):
+        """Fully reduced canonical (numerator, denominator): coprime, integer
+        coefficients with coprime contents, positive leading denominator."""
+        num, den = self.num, Poly.const(1)
+        for f, e in self.den:
+            den = den * f**e
+        if num.is_zero():
+            return Poly(), Poly.const(1)
+        g = poly_gcd(num, den)
+        if not g.is_const():
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        cn = num.content()
+        cd = den.content()
+        num = num * (Fraction(1) / cn)
+        den = den * (Fraction(1) / cd)
+        ratio = cn / cd
+        num = num * Fraction(ratio.numerator)
+        den = den * Fraction(ratio.denominator)
+        _, lc = den.leading()
+        if lc < 0:
+            num = -num
+            den = -den
+        return num, den
+
+    def __str__(self):
+        num, den = self.normal_form()
+        if den.is_const():
+            c = den.const_value()
+            if c != 1:
+                num = num * (Fraction(1) / c)
+            return str(num)
+        return f"({num})/({den})"
+
+    def __repr__(self):
+        return f"Expr({self})"
+
+
+def _coerce(x):
+    if isinstance(x, Expr):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Expr.const(x)
+    return NotImplemented
+
+
+def as_expr(x) -> Expr:
+    e = _coerce(x)
+    if e is NotImplemented:
+        raise TypeError(f"cannot interpret {x!r} as an expression")
+    return e
+
+
+# ---------------------------------------------------------------------------
+# parse trees (kept only for initial data with transcendental calls)
 # ---------------------------------------------------------------------------
 
 
@@ -194,285 +492,32 @@ def _tree_has_call(node: _Node) -> bool:
     return False
 
 
-def _tree_vars(node: _Node, out: set) -> None:
-    if isinstance(node, _Var):
-        out.add(node.name)
-    elif isinstance(node, (_Add, _Mul)):
-        for a in node.args:
-            _tree_vars(a, out)
-    elif isinstance(node, _Pow):
-        _tree_vars(node.base, out)
-    elif isinstance(node, _Div):
-        _tree_vars(node.num, out)
-        _tree_vars(node.den, out)
-    elif isinstance(node, _Call):
-        _tree_vars(node.arg, out)
-
-
-def _tree_to_rf(node: _Node) -> RationalFn:
+def _tree_to_expr(node: _Node) -> Expr:
     if isinstance(node, _Const):
-        return RationalFn.const(node.value)
+        return Expr.const(node.value)
     if isinstance(node, _Var):
-        return RationalFn.var(node.name)
+        return Expr.var(node.name)
     if isinstance(node, _Add):
-        acc = RationalFn.const(0)
+        acc = Expr.const(0)
         for a in node.args:
-            acc = acc + _tree_to_rf(a)
+            acc = acc + _tree_to_expr(a)
         return acc
     if isinstance(node, _Mul):
-        acc = RationalFn.const(1)
+        acc = Expr.const(1)
         for a in node.args:
-            acc = acc * _tree_to_rf(a)
+            acc = acc * _tree_to_expr(a)
         return acc
     if isinstance(node, _Pow):
-        base = _tree_to_rf(node.base)
+        base = _tree_to_expr(node.base)
         if node.exp < 0 and base.is_zero():
             raise ZeroDenominatorError("identically zero denominator", node.at)
         return base**node.exp
     if isinstance(node, _Div):
-        den = _tree_to_rf(node.den)
+        den = _tree_to_expr(node.den)
         if den.is_zero():
             raise ZeroDenominatorError("identically zero denominator", node.at)
-        return _tree_to_rf(node.num) / den
+        return _tree_to_expr(node.num) / den
     raise ExprError("transcendental expression has no rational form")
-
-
-def _tree_eval(node: _Node, point: Mapping[str, object]):
-    if isinstance(node, _Const):
-        return node.value
-    if isinstance(node, _Var):
-        if node.name not in point:
-            raise UnassignedVariableError(f"variable '{node.name}' is not assigned")
-        return point[node.name]
-    if isinstance(node, _Add):
-        acc = Fraction(0)
-        for a in node.args:
-            acc = acc + _tree_eval(a, point)
-        return acc
-    if isinstance(node, _Mul):
-        acc = Fraction(1)
-        for a in node.args:
-            acc = acc * _tree_eval(a, point)
-        return acc
-    if isinstance(node, _Pow):
-        base = _tree_eval(node.base, point)
-        if node.exp < 0 and base == 0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        return base**node.exp
-    if isinstance(node, _Div):
-        den = _tree_eval(node.den, point)
-        if den == 0:
-            raise ZeroDivisionError("division by zero during evaluation")
-        return _tree_eval(node.num, point) / den
-    if isinstance(node, _Call):
-        return _FUNCS[node.fn](float(_tree_eval(node.arg, point)))
-    raise TypeError(node)
-
-
-def _tree_str(node: _Node, prec: int = 0) -> str:
-    if isinstance(node, _Const):
-        s = str(node.value)
-        if node.value < 0 and prec > 0:
-            return f"({s})"
-        return s
-    if isinstance(node, _Var):
-        return node.name
-    if isinstance(node, _Add):
-        s = " + ".join(_tree_str(a, 1) for a in node.args).replace("+ -", "- ")
-        return f"({s})" if prec > 1 else s
-    if isinstance(node, _Mul):
-        s = "*".join(_tree_str(a, 2) for a in node.args)
-        return f"({s})" if prec > 2 else s
-    if isinstance(node, _Div):
-        return f"({_tree_str(node.num, 0)})/({_tree_str(node.den, 0)})"
-    if isinstance(node, _Pow):
-        e = node.exp if node.exp >= 0 else f"({node.exp})"
-        return f"{_tree_str(node.base, 3)}^{e}"
-    if isinstance(node, _Call):
-        return f"{node.fn}({_tree_str(node.arg, 0)})"
-    raise TypeError(node)
-
-
-# ---------------------------------------------------------------------------
-# the public expression type
-# ---------------------------------------------------------------------------
-
-
-class Expr:
-    """Immutable exact symbolic expression.
-
-    Holds either a canonical rational-function form (rational-only
-    expressions) or the parse tree of initial data with sin/cos/exp leaves,
-    which supports only :meth:`evaluate`, :meth:`free_vars`, ``str`` and
-    :func:`is_zero`.  All operations are pure; instances are safe to share.
-    """
-
-    __slots__ = ("_rf", "_tree")
-
-    def __init__(self, rf: RationalFn | None = None, tree: _Node | None = None):
-        self._rf = rf
-        self._tree = tree
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "Expr":
-        return Expr(rf=RationalFn.const(Fraction(c)))
-
-    @staticmethod
-    def var(name: str) -> "Expr":
-        return Expr(rf=RationalFn.var(name))
-
-    @staticmethod
-    def from_rational(rf: RationalFn) -> "Expr":
-        return Expr(rf=rf)
-
-    @staticmethod
-    def _from_tree(tree: _Node) -> "Expr":
-        if _tree_has_call(tree):
-            return Expr(tree=tree)
-        return Expr(rf=_tree_to_rf(tree))
-
-    # -- structure --------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self._rf is not None
-
-    @property
-    def rational(self) -> RationalFn:
-        if self._rf is None:
-            raise ExprError("expression contains transcendental calls")
-        return self._rf
-
-    def free_vars(self) -> set:
-        if self._rf is not None:
-            return self._rf.vars()
-        out: set = set()
-        _tree_vars(self._tree, out)
-        return out
-
-    def is_const(self) -> bool:
-        return self._rf is not None and self._rf.is_const()
-
-    def const_value(self) -> Fraction:
-        return self.rational.const_value()
-
-    def normal_form(self):
-        """Canonical (numerator, denominator) pair of expanded polynomials."""
-        return self.rational.normal_form()
-
-    # -- arithmetic (rational expressions only) ------------------------------
-
-    # A zero operand returns at once (x + 0 is x, x * 0 is the zero): both
-    # types are immutable.  ``rational`` is read first, so transcendental
-    # operands still raise.
-
-    def __add__(self, other):
-        other = _coerce_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.rational, other.rational
-        if b.is_zero():
-            return self
-        if a.is_zero():
-            return other
-        return Expr(rf=a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        a = self.rational
-        return self if a.is_zero() else Expr(rf=-a)
-
-    def __sub__(self, other):
-        other = _coerce_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_expr(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.rational, other.rational
-        if a.is_zero():
-            return self
-        if b.is_zero():
-            return other
-        return Expr(rf=a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Expr(rf=self.rational / other.rational)
-
-    def __rtruediv__(self, other):
-        return _coerce_expr(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("exponents must be integers")
-        return Expr(rf=self.rational**n)
-
-    # -- operations --------------------------------------------------------------
-
-    def diff(self, var: str) -> "Expr":
-        return Expr(rf=self.rational.diff(var))
-
-    def evaluate(self, point: Mapping[str, object]):
-        if self._rf is not None:
-            try:
-                return self._rf.evaluate(point)
-            except KeyError as exc:
-                raise UnassignedVariableError(
-                    f"variable '{exc.args[0]}' is not assigned"
-                ) from None
-        return _tree_eval(self._tree, point)
-
-    def substitute(self, assign: Mapping[str, Fraction]) -> "Expr":
-        """Replace a subset of variables by exact rational constants."""
-        assign = {k: Fraction(v) for k, v in assign.items()}
-        return Expr(rf=self.rational.substitute(assign))
-
-    def rename(self, mapping: Mapping[str, str]) -> "Expr":
-        return Expr(rf=self.rational.rename(mapping))
-
-    def equals(self, other) -> Zeroness:
-        return is_zero(self - _coerce_expr(other))
-
-    def __str__(self):
-        if self._rf is not None:
-            return str(self._rf)
-        return _tree_str(self._tree)
-
-    def __repr__(self):
-        return f"Expr({self})"
-
-
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
-
-
-def _coerce_expr(x):
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Expr.const(x)
-    return NotImplemented
-
-
-def as_expr(x) -> Expr:
-    e = _coerce_expr(x)
-    if e is NotImplemented:
-        raise TypeError(f"cannot interpret {x!r} as an expression")
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +642,7 @@ class _Parser:
         if kind == "number":
             return _Const(Fraction(value))
         if kind == "name":
-            if self.toks.kind == "(" and value in _FUNCS:
+            if self.toks.kind == "(" and value in TRANSCENDENTALS:
                 if not self.initial_data:
                     raise TranscendentalNotAllowedError(
                         f"'{value}' is only allowed in initial-data expressions", start
@@ -623,29 +668,24 @@ class _Parser:
         )
 
 
-def parse(text: str, allowed_vars: Iterable[str], initial_data: bool = False) -> Expr:
-    """Parse ``text`` over the given variable names.
+def parse(
+    text: str, allowed_vars: Iterable[str], initial_data: bool = False
+) -> Expr | _Node:
+    """Parse ``text`` over the given variable names into an :class:`Expr`.
 
     ``initial_data=True`` additionally admits ``sin``/``cos``/``exp`` calls;
-    such expressions are initial data only (see :class:`Expr`).  A rational
-    divisor or negative-power base that is identically zero raises
+    a datum holding one is returned as its bare parse tree (a ``_Node``),
+    which only ``numsim.sample_initial_data`` reads.  A rational divisor or
+    negative-power base that is identically zero raises
     :class:`ZeroDenominatorError` at the offset of its operator.
     """
     tree = _Parser(text, allowed_vars, initial_data).parse()
-    return Expr._from_tree(tree)
+    return tree if _tree_has_call(tree) else _tree_to_expr(tree)
 
 
 # ---------------------------------------------------------------------------
-# the three judgement operations
+# judgement
 # ---------------------------------------------------------------------------
-
-
-def differentiate(e: Expr, var: str) -> Expr:
-    return e.diff(var)
-
-
-def evaluate(e: Expr, point: Mapping[str, object]):
-    return e.evaluate(point)
 
 
 def random_rational_point(vars: Sequence[str], rng: random.Random) -> dict:
@@ -653,38 +693,6 @@ def random_rational_point(vars: Sequence[str], rng: random.Random) -> dict:
     return {v: Fraction(rng.randint(-999999, 999999), 10**6) for v in vars}
 
 
-# probing of transcendental initial data: points and threshold
-PROBE_SAMPLES = 20
-PROBE_TOL = 1e-10
-
-
 def is_zero(e: Expr) -> Zeroness:
-    """Decide whether ``e`` vanishes identically.
-
-    Rational expressions are decided exactly through the canonical form.
-    Transcendental initial data is probed at ``PROBE_SAMPLES`` random
-    rational points in (-1,1)^n from a fixed seed; the affirmative verdict
-    is the distinct ``NUMERICALLY_ZERO``.  Probe points that hit a
-    singularity are resampled, giving up after 100 attempts.
-    """
-    if e.is_rational:
-        return Zeroness.ZERO if e.rational.is_zero() else Zeroness.NONZERO
-    vars = sorted(e.free_vars(), key=var_key)
-    rng = random.Random(0)
-    done = 0
-    attempts = 0
-    while done < PROBE_SAMPLES:
-        if attempts >= 100:
-            raise EvaluationSingularityError(
-                "could not find enough nonsingular probe points"
-            )
-        attempts += 1
-        point = random_rational_point(vars, rng)
-        try:
-            val = e.evaluate(point)
-        except (ZeroDivisionError, OverflowError):
-            continue
-        if abs(float(val)) >= PROBE_TOL:
-            return Zeroness.NONZERO
-        done += 1
-    return Zeroness.NUMERICALLY_ZERO
+    """Decide exactly whether ``e`` vanishes identically."""
+    return Zeroness.ZERO if e.is_zero() else Zeroness.NONZERO

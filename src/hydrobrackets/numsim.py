@@ -14,13 +14,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import expr as _expr
 from .bracket import CanonicalPair
 from .expr import Expr
 from .hierarchy import ConservativeFlow, flow_vars
+from .poly import ExpressionSizeError
 
 __all__ = [
     "Grid",
@@ -34,7 +36,6 @@ __all__ = [
     "spectral_dx",
     "spectral_antidx",
     "MonomialTable",
-    "compile_expr",
     "compile_flow",
     "sample_initial_data",
     "apply_P1_numeric",
@@ -62,6 +63,11 @@ class SpectralTailWarning(UserWarning):
 # value; resolution loss is a spectral tail fraction above the threshold
 BREAKING_FACTOR = 50.0
 TAIL_THRESHOLD = 1e-6
+
+# the largest grid a problem file may ask for, and the most values in the
+# table of powers 1, v, ..., v^top of one variable (2^23 doubles: 64 MiB)
+MAX_GRID_M = 1 << 16
+POWER_TABLE_LIMIT = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ def spectral_antidx(grid: Grid, s: np.ndarray) -> np.ndarray:
 
 
 class MonomialTable:
-    """Rational expressions over fixed variables, compiled into one table.
+    """Expressions over fixed variables, compiled into one table.
 
     ``exponents`` (T x N integers) holds every distinct monomial of the
     numerators and denominator factors; row 0 is the constant monomial.
@@ -158,14 +164,12 @@ class MonomialTable:
         missing = set().union(*(e.free_vars() for e in exprs)) - set(var_order)
         if missing:
             raise ValueError(f"expression has unbound variables {sorted(missing)}")
-        if not all(e.is_rational for e in exprs):
-            raise ValueError("only rational expressions compile into a monomial table")
-        polys = [e.rational.num for e in exprs]
+        polys = [e.num for e in exprs]
         factor_rows: dict = {}
         self._dens = []  # (expression, ((factor row, exponent), ...))
         for k, e in enumerate(exprs):
             parts = []
-            for f, exp in e.rational.den:
+            for f, exp in e.den:
                 row = factor_rows.setdefault(f.key(), len(polys))
                 if row == len(polys):
                     polys.append(f)
@@ -205,11 +209,17 @@ class MonomialTable:
 
     def monomials(self, stack: np.ndarray, terms: int | None = None) -> np.ndarray:
         """The first ``terms`` monomials (default all) at the samples of a
-        stack of shape (N, M): shape (terms, M)."""
+        stack of shape (N, M): shape (terms, M).  A table of powers above
+        ``POWER_TABLE_LIMIT`` values raises :class:`ExpressionSizeError`."""
         terms = len(self.exponents) if terms is None else terms
         m = stack.shape[1]
         out = None
         for i, top, column in self._plan(terms):
+            if (top + 1) * m > POWER_TABLE_LIMIT:
+                raise ExpressionSizeError(
+                    f"a table of powers up to {top} at {m} samples exceeds "
+                    f"{POWER_TABLE_LIMIT} values"
+                )
             powers = np.empty((top + 1, m))
             powers[0] = 1.0
             powers[1] = stack[i]
@@ -239,57 +249,30 @@ class MonomialTable:
         return out.reshape((count,) + np.shape(stack)[1:])
 
 
-def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an expression into a vectorized evaluator over a stacked
-    array of variable samples (one row per variable in ``var_order``).
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
-    Rational expressions go through a one-entry :class:`MonomialTable`;
-    transcendental ones (initial data) through a recursive tree evaluator.
-    """
-    if e.is_rational:
-        table = MonomialTable([e], var_order)
-        return lambda stack: table(stack)[0]
 
-    index = {name: i for i, name in enumerate(var_order)}
-    missing = e.free_vars() - set(var_order)
-    if missing:
-        raise ValueError(f"expression has unbound variables {sorted(missing)}")
-    from . import expr as _expr
-
-    def compile_node(node):
-        if isinstance(node, _expr._Const):
-            c = float(node.value)
-            return lambda stack: np.full(stack.shape[1:], c)
-        if isinstance(node, _expr._Var):
-            i = index[node.name]
-            return lambda stack: stack[i]
-        if isinstance(node, _expr._Add):
-            fns = [compile_node(a) for a in node.args]
-            return lambda stack: sum(f(stack) for f in fns)
-        if isinstance(node, _expr._Mul):
-            fns = [compile_node(a) for a in node.args]
-
-            def mul(stack):
-                out = fns[0](stack)
-                for f in fns[1:]:
-                    out = out * f(stack)
-                return out
-
-            return mul
-        if isinstance(node, _expr._Pow):
-            f = compile_node(node.base)
-            exp = node.exp
-            return lambda stack: f(stack) ** exp
-        if isinstance(node, _expr._Div):
-            fn, fd = compile_node(node.num), compile_node(node.den)
-            return lambda stack: fn(stack) / fd(stack)
-        if isinstance(node, _expr._Call):
-            f = compile_node(node.arg)
-            op = {"sin": np.sin, "cos": np.cos, "exp": np.exp}[node.fn]
-            return lambda stack: op(f(stack))
-        raise TypeError(node)
-
-    return compile_node(e._tree)
+def _sample_tree(node, x: np.ndarray) -> np.ndarray:
+    """The parse tree of transcendental initial data (see ``expr.parse``)
+    at the points ``x``."""
+    if isinstance(node, _expr._Const):
+        return np.full(x.shape, float(node.value))
+    if isinstance(node, _expr._Var):
+        if node.name != "x":
+            raise ValueError(f"initial data has an unbound variable {node.name!r}")
+        return x
+    if isinstance(node, _expr._Add):
+        return sum(_sample_tree(a, x) for a in node.args)
+    if isinstance(node, _expr._Mul):
+        out = _sample_tree(node.args[0], x)
+        for a in node.args[1:]:
+            out = out * _sample_tree(a, x)
+        return out
+    if isinstance(node, _expr._Pow):
+        return _sample_tree(node.base, x) ** node.exp
+    if isinstance(node, _expr._Div):
+        return _sample_tree(node.num, x) / _sample_tree(node.den, x)
+    return _UFUNCS[node.fn](_sample_tree(node.arg, x))
 
 
 def dealias_two_thirds(grid: Grid, s: np.ndarray) -> np.ndarray:
@@ -337,16 +320,19 @@ def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
     )
 
 
-def sample_initial_data(
-    grid: Grid, initial: Sequence[Expr]
-) -> FieldState:
-    """Evaluate initial-data expressions in x on the grid nodes; data that
-    is not finite on the grid (e.g. 1/sin(x)) raises ValueError."""
-    stack = grid.nodes[np.newaxis, :]
+def sample_initial_data(grid: Grid, initial: Sequence) -> FieldState:
+    """Evaluate initial data in x on the grid nodes: each datum is an
+    :class:`Expr` or the parse tree that ``expr.parse`` returns for data
+    with sin/cos/exp calls.  Data that is not finite on the grid (e.g.
+    1/sin(x)) raises ValueError."""
+    x = grid.nodes
     rows = []
     for i, e in enumerate(initial):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            row = compile_expr(e, ("x",))(stack)
+            if isinstance(e, Expr):
+                row = MonomialTable([e], ("x",))(x[np.newaxis, :])[0]
+            else:
+                row = _sample_tree(e, x)
         if not np.all(np.isfinite(row)):
             raise ValueError(f"initial datum {i + 1} is not finite on the grid")
         rows.append(row)
@@ -470,7 +456,7 @@ def _diagnostics(cflow: CompiledFlow, state: FieldState) -> DiagnosticsRow:
 
 def run(
     flow: ConservativeFlow | CompiledFlow,
-    initial: Sequence[Expr] | np.ndarray,
+    initial: Sequence | np.ndarray,
     grid: Grid,
     dt: float,
     t_end: float,

@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials and factored rational functions.
+"""Exact sparse multivariate polynomials, their gcd and the ray integral.
 
 A polynomial is a dict of integer numerators over one positive integer
 denominator ``den``, with the content reduced (the numerators and ``den``
@@ -10,14 +10,9 @@ addition.  Exponents must stay below ``EXP_LIMIT`` (2^31); an operation that
 would reach it raises :class:`ExpressionSizeError` instead of wrapping.
 Presentation (``str``, ``leading``) orders monomials graded-
 lexicographically, with variables compared by (alphabetic prefix, numeric
-suffix), so ``u2`` precedes ``u10``.
-
-Rational functions keep the denominator in factored form.  Every
-denominator factor enters through an actual division, so the common
-cancellations (adjugate/determinant inverses, quotient-rule derivatives)
-are recovered by exact trial division without running a full gcd.  A
-complete multivariate gcd (primitive polynomial remainder sequences) is
-used only when presenting a fully reduced normal form.
+suffix), so ``u2`` precedes ``u10``.  The multivariate gcd (primitive
+polynomial remainder sequences) serves the reduced normal form of
+``expr.Expr``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import or_
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -630,304 +625,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # rational functions with factored denominators
 # ---------------------------------------------------------------------------
-
-
-class RationalFn:
-    """Quotient of polynomials; the denominator is a product of monic
-    non-constant factors with positive integer exponents."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: tuple = ()):
-        self.num = num
-        self.den = den  # tuple[(Poly, int)], factors monic, sorted by key
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RationalFn":
-        return RationalFn(p, ())
-
-    @staticmethod
-    def const(c: Scalar) -> "RationalFn":
-        return RationalFn(Poly.const(c), ())
-
-    @staticmethod
-    def var(name: str) -> "RationalFn":
-        return RationalFn(Poly.var(name), ())
-
-    @staticmethod
-    def _make(num: Poly, factors: Iterable[tuple]) -> "RationalFn":
-        acc: dict = {}
-        scale = Fraction(1)
-        for f, e in factors:
-            if e == 0:
-                continue
-            if f.is_zero():
-                raise ZeroDivisionError("zero polynomial in denominator")
-            if f.is_const():
-                scale = scale * f.const_value() ** e
-                continue
-            _, lc = f.leading()
-            if lc != 1:
-                f = f * (Fraction(1) / lc)
-                scale = scale * lc**e
-            k = f.key()
-            if k in acc:
-                acc[k] = (f, acc[k][1] + e)
-            else:
-                acc[k] = (f, e)
-        if scale != 1:
-            num = num * (Fraction(1) / scale)
-        if num.is_zero():
-            return RationalFn(num, ())
-        # cancel factors that divide the numerator exactly
-        kept = []
-        factors = acc.values()
-        if len(acc) > 1:
-            factors = sorted(factors, key=lambda fe: fe[0].sort_key())
-        for f, e in factors:
-            while e > 0:
-                q = num.exact_div(f)
-                if q is None:
-                    break
-                num = q
-                e -= 1
-            if e:
-                kept.append((f, e))
-        return RationalFn(num, tuple(kept))
-
-    # -- structure -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return not self.den
-
-    def is_const(self) -> bool:
-        return not self.den and self.num.is_const()
-
-    def const_value(self) -> Fraction:
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return self.num.const_value()
-
-    def vars(self) -> set:
-        out = self.num.vars()
-        for f, _ in self.den:
-            out |= f.vars()
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFn)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num.key(), tuple((f.key(), e) for f, e in self.den)))
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if not self.den and not other.den:
-            return RationalFn(self.num + other.num, ())
-        if self.den == other.den:
-            return RationalFn._make(self.num + other.num, self.den)
-        d1 = {f.key(): (f, e) for f, e in self.den}
-        d2 = {f.key(): (f, e) for f, e in other.den}
-        merged = {}
-        for k in set(d1) | set(d2):
-            f = (d1.get(k) or d2.get(k))[0]
-            merged[k] = (f, max(d1.get(k, (f, 0))[1], d2.get(k, (f, 0))[1]))
-        cof1 = Poly.const(1)
-        cof2 = Poly.const(1)
-        for k, (f, e) in merged.items():
-            e1 = d1.get(k, (f, 0))[1]
-            e2 = d2.get(k, (f, 0))[1]
-            if e > e1:
-                cof1 = cof1 * f ** (e - e1)
-            if e > e2:
-                cof2 = cof2 * f ** (e - e2)
-        return RationalFn._make(
-            self.num * cof1 + other.num * cof2, merged.values()
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.is_zero():
-            return self
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_rf(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return self
-        if other.is_zero():
-            return other
-        if not self.den and not other.den:
-            return RationalFn(self.num * other.num, ())
-        factors = {}
-        for f, e in self.den + other.den:
-            k = f.key()
-            if k in factors:
-                factors[k] = (f, factors[k][1] + e)
-            else:
-                factors[k] = (f, e)
-        return RationalFn._make(self.num * other.num, factors.values())
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "RationalFn":
-        if self.num.is_zero():
-            raise ZeroDivisionError("division by zero expression")
-        num = Poly.const(1)
-        for f, e in self.den:
-            num = num * f**e
-        return RationalFn._make(num, [(self.num, 1)])
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return _coerce_rf(other) * self.reciprocal()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("exponents must be integers")
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = RationalFn.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    # -- calculus ---------------------------------------------------------------
-
-    def diff(self, var: str) -> "RationalFn":
-        if not self.den:
-            return RationalFn(self.num.diff(var), ())
-        # d(n/prod f^e) = (n' P - n sum_i e_i f_i' P/f_i) / (prod f^(e+1) ... )
-        distinct = [f for f, _ in self.den]
-        p_all = Poly.const(1)
-        for f in distinct:
-            p_all = p_all * f
-        top = self.num.diff(var) * p_all
-        for i, (f, e) in enumerate(self.den):
-            cof = Poly.const(e)
-            for j, g in enumerate(distinct):
-                if j != i:
-                    cof = cof * g
-            top = top - self.num * f.diff(var) * cof
-        new_den = [(f, e + 1) for f, e in self.den]
-        return RationalFn._make(top, new_den)
-
-    def evaluate(self, point: Mapping[str, object]):
-        num = self.num.evaluate(point)
-        den = 1
-        for f, e in self.den:
-            v = f.evaluate(point)
-            if v == 0:
-                raise ZeroDivisionError("denominator vanishes at evaluation point")
-            den = den * v**e
-        return num / den
-
-    def substitute(self, assign: Mapping[str, Scalar]) -> "RationalFn":
-        num = self.num.substitute(assign)
-        factors = []
-        for f, e in self.den:
-            g = f.substitute(assign)
-            if g.is_zero():
-                raise ZeroDivisionError("substitution makes a denominator vanish")
-            factors.append((g, e))
-        return RationalFn._make(num, factors)
-
-    def rename(self, mapping: Mapping[str, str]) -> "RationalFn":
-        return RationalFn._make(
-            self.num.rename(mapping), [(f.rename(mapping), e) for f, e in self.den]
-        )
-
-    # -- presentation ------------------------------------------------------------
-
-    def expand(self):
-        """Return (numerator, denominator) as plain expanded polynomials."""
-        den = Poly.const(1)
-        for f, e in self.den:
-            den = den * f**e
-        return self.num, den
-
-    def normal_form(self):
-        """Fully reduced canonical (numerator, denominator): coprime, integer
-        coefficients with coprime contents, positive leading denominator."""
-        num, den = self.expand()
-        if num.is_zero():
-            return Poly(), Poly.const(1)
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        cn = num.content()
-        cd = den.content()
-        num = num * (Fraction(1) / cn)
-        den = den * (Fraction(1) / cd)
-        ratio = cn / cd
-        num = num * Fraction(ratio.numerator)
-        den = den * Fraction(ratio.denominator)
-        _, lc = den.leading()
-        if lc < 0:
-            num = -num
-            den = -den
-        return num, den
-
-    def __str__(self):
-        num, den = self.normal_form()
-        if den.is_const():
-            c = den.const_value()
-            if c != 1:
-                num = num * (Fraction(1) / c)
-            return str(num)
-        return f"({num})/({den})"
-
-    __repr__ = __str__
-
-
-def _coerce_rf(x):
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, Poly):
-        return RationalFn(x, ())
-    if isinstance(x, (int, Fraction)):
-        return RationalFn.const(x)
-    return NotImplemented
 
 
 def ray_integral(omegas: Sequence[Poly], field_vars: Sequence[str]) -> Poly:

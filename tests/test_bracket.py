@@ -79,13 +79,13 @@ def test_eta_inverse_is_always_computed():
 
 def test_constant_bracket_is_poisson():
     report = check_poisson(ETA2.as_hydro(UV))
-    assert report.exact
+    assert report.passed
     assert [c.name for c in report.conditions] == ["s1", "s2", "s3", "s4", "s5"]
 
 
 def test_canonical_metric_bracket_is_poisson():
     report = check_poisson(_canonical_bracket([1, 3], 2))
-    assert report.exact
+    assert report.passed
 
 
 def test_perturbed_connection_fails_with_witness():
@@ -112,7 +112,7 @@ def test_degenerate_metric_is_legal_input():
     g = [[Expr.const(1), zero], [zero, zero]]
     b = [[[zero, zero], [zero, zero]], [[zero, zero], [zero, zero]]]
     report = check_poisson(HydroBracket(vars=UV, g=g, b=b, K=zero))
-    assert report.exact
+    assert report.passed
 
 
 # -- compatibility -------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_degenerate_metric_is_legal_input():
 def test_built_bracket_compatible_with_eta():
     P = _pair(["2*u1 - u2", "u1 + 3*u2"], 1)
     report = check_compat_constant(build_canonical(P), ETA2)
-    assert report.exact
+    assert report.passed
     assert {c.name for c in report.conditions} >= {"c1", "c2"}
 
 
@@ -138,7 +138,7 @@ def test_linear_potentials_compatible_any_constants():
         vars=UV,
     )
     report = check_compat_constant(build_canonical(P), ETA2)
-    assert report.exact
+    assert report.passed
 
 
 def test_compat_violation_has_witness():
@@ -160,7 +160,7 @@ def test_pencil_canonical_with_constant_partner():
     P = _pair(["2*u1 - u2", "u1 + 3*u2"], 2)
     B1 = build_canonical(P)
     report = check_pencil(B1, ETA2.as_hydro(UV))
-    assert report.exact
+    assert report.passed
     assert report.extras["local_member"] == (Fraction(0), Fraction(1))
 
 
@@ -177,7 +177,7 @@ def test_pencil_two_canonical_metrics_regression():
     B1 = _canonical_bracket([1, 1], 1)
     B2 = _canonical_bracket([2, 1], 1)
     report = check_pencil(B1, B2)
-    assert report.exact
+    assert report.passed
 
 
 def test_local_member_property():
@@ -195,7 +195,7 @@ def test_local_member_property():
     ]
     Kloc = Ba.K * K2 - Bb.K * K1
     assert _zero(Kloc)
-    assert check_poisson(HydroBracket(vars=UV, g=g, b=b, K=Kloc)).exact
+    assert check_poisson(HydroBracket(vars=UV, g=g, b=b, K=Kloc)).passed
     report = check_pencil(Ba, Bb)
     lam0, lam1 = report.extras["local_member"]
     assert lam0 * K1 + lam1 * K2 == 0
@@ -222,7 +222,7 @@ def test_build_canonical_zero_potential():
             for k in range(2):
                 expect = -Expr.const(3) * u[j] if i == k else Expr.const(0)
                 assert _zero(B.b[i][j][k] - expect)
-    assert check_poisson(B).exact
+    assert check_poisson(B).passed
 
 
 def test_build_canonical_linear_matches_closed_form():
@@ -254,7 +254,7 @@ def test_canonical_equations_scalar_always_pass():
     P = CanonicalPair(
         eta=eta1, K=Expr.var("kap"), H=(parse("u1^3", ["u1", "kap"]),), vars=("u1",)
     )
-    assert check_canonical_equations(P).exact
+    assert check_canonical_equations(P).passed
 
 
 def test_canonical_equations_separable_failure():

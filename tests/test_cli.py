@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hydrobrackets.cli import main
-from hydrobrackets.expr import Zeroness, parse
+from hydrobrackets.expr import Zeroness, is_zero, parse
 
 TWO_PI = 6.283185307179586
 
@@ -174,17 +174,14 @@ def test_hierarchy_values_and_round_trip(scalar_file, capsys):
     assert main(["hierarchy", scalar_file, "--levels", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     lv = {entry["level"]: entry for entry in doc["levels"]}
-    assert parse(lv[1]["F"][0], ("v1",)).equals(
-        parse("3/2*v1^2", ("v1",))
-    ) is Zeroness.ZERO
-    assert parse(lv[2]["V"][0][0], ("v1",)).equals(
-        parse("15/2*v1^2", ("v1",))
-    ) is Zeroness.ZERO
+    F1, V2 = parse(lv[1]["F"][0], ("v1",)), parse(lv[2]["V"][0][0], ("v1",))
+    assert is_zero(F1 - parse("3/2*v1^2", ("v1",))) is Zeroness.ZERO
+    assert is_zero(V2 - parse("15/2*v1^2", ("v1",))) is Zeroness.ZERO
     # every emitted expression re-parses to an equal expression
     for entry in doc["levels"]:
         for text in entry["F"] + [entry["S"]] + [x for row in entry["V"] for x in row]:
             e = parse(text, ("v1",))
-            assert parse(str(e), ("v1",)).equals(e) is Zeroness.ZERO
+            assert is_zero(parse(str(e), ("v1",)) - e) is Zeroness.ZERO
     assert doc["verdict"] == "PASS"
 
 
@@ -314,6 +311,8 @@ def _single_line(err: str) -> bool:
         ("dt", 0, "must be positive"),
         ("dt", "-1/100", "must be positive"),
         ("init", ["1/sin(x)"], "initial datum 1 is not finite on the grid"),
+        ("grid_M", 1 << 17, "must be at most 65536"),
+        ("grid_M", 1 << 40, "must be at most 65536"),
     ],
 )
 def test_bad_simulation_input_is_input_error(tmp_path, capsys, key, value, message):
@@ -431,7 +430,7 @@ def test_second_block_inherits_eta_and_K(tmp_path):
     B2 = prob.second_bracket()
     assert B2.K is prob.K
     # g^{11} = 2 eta^{1s} dH^1/du^s - K u1^2 with eta^{11} = 2
-    assert B2.g[0][0].equals(parse("4*u1 - u1^2", ("u1", "u2"))) is Zeroness.ZERO
+    assert is_zero(B2.g[0][0] - parse("4*u1 - u1^2", ("u1", "u2"))) is Zeroness.ZERO
 
 
 @pytest.mark.parametrize("command", ["hierarchy", "simulate", "commute"])
@@ -695,6 +694,33 @@ def test_expression_size_limit_exits_3(tmp_path, capsys, h, message):
     assert main(["build-canonical", _write(tmp_path, "big.json", doc)]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"build-canonical: expression size limit: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "h,init,top",
+    [
+        # 256 x (10^8 + 1) doubles would be about 205 GB
+        ("u1^2/2", "x^100000000", 100000000),
+        # the level-1 flow's density, of degree 20001, reaches the same table
+        ("u1^20000", "0.1*sin(x)", 20001),
+    ],
+)
+def test_simulation_power_table_limit_exits_3(tmp_path, capsys, h, init, top):
+    doc = {
+        "N": 1,
+        "eta": [[1]],
+        "K": 0,
+        "H": [h],
+        "simulation": {"grid_M": 512, "L": TWO_PI, "dt": 0.001, "t_end": 0.002, "init": [init]},
+    }
+    path = _write(tmp_path, "p.json", doc)
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"simulate: expression size limit: a table of powers up to {top} "
+        "at 512 samples exceeds 8388608 values\n"
+    )
     assert captured.out == ""
 
 

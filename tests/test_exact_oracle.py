@@ -1,9 +1,11 @@
 """Differential tests of the exact core against sympy.
 
 Random sparse polynomials over a few variables (small exponents, small
-rational coefficients) go through ``Poly``, ``poly_gcd`` and ``RationalFn``
-and through sympy, and the results must agree.  sympy and hypothesis are
-test-only dependencies.
+rational coefficients) go through ``Poly``, ``poly_gcd`` and ``Expr``
+and through sympy, and the results must agree; rational functions obey the
+field axioms as judged by ``is_zero``; and the Levi-Civita symbols and
+curvature of the constant-curvature family match sympy's.  sympy and
+hypothesis are test-only dependencies.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrobrackets.poly import Poly, RationalFn, poly_gcd
+from hydrobrackets.expr import Expr, Zeroness, is_zero
+from hydrobrackets.geometry import canonical_metric, christoffel, riemann
+from hydrobrackets.poly import Poly, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -46,7 +50,7 @@ def to_sympy(p: Poly):
     for pairs, c in p.sorted_terms():
         t = sympy.Rational(c.numerator, c.denominator)
         for v, e in pairs:
-            t *= SYMS[v] ** e
+            t *= sympy.Symbol(v) ** e
         out += t
     return out
 
@@ -117,7 +121,7 @@ def test_gcd_agrees_up_to_a_unit(a, b, c):
 @SETTINGS
 @given(a=polys, b=polys.filter(lambda p: not p.is_zero()), c=nonconstant)
 def test_normal_form_agrees_with_cancel(a, b, c):
-    rf = RationalFn.from_poly(a * c) / RationalFn.from_poly(b * c)
+    rf = Expr(a * c) / Expr(b * c)
     num, den = rf.normal_form()
     want_num, want_den = sympy.fraction(sympy.cancel(to_sympy(a * c) / to_sympy(b * c)))
     assert sympy.expand(to_sympy(num) * want_den - to_sympy(den) * want_num) == 0
@@ -127,11 +131,87 @@ def test_normal_form_agrees_with_cancel(a, b, c):
 @SETTINGS
 @given(parts=st.lists(st.tuples(polys, small_nonconstant), min_size=2, max_size=4))
 def test_sum_order_does_not_change_the_canonical_form(parts):
-    terms = [RationalFn.from_poly(a) / RationalFn.from_poly(b) for a, b in parts]
-    forward = RationalFn.const(0)
+    terms = [Expr(a) / Expr(b) for a, b in parts]
+    forward = Expr.const(0)
     for t in terms:
         forward = forward + t
-    backward = RationalFn.const(0)
+    backward = Expr.const(0)
     for t in reversed(terms):
         backward = backward + t
     assert str(forward) == str(backward)
+
+
+# -- field axioms of Expr, judged by the exact zero test ----------------------
+
+rationals = st.tuples(polys, st.one_of(st.just(Poly.const(1)), small_nonconstant)).map(
+    lambda t: Expr(t[0]) / Expr(t[1])
+)
+
+
+@SETTINGS
+@given(a=rationals, b=rationals, c=rationals)
+def test_field_axioms_hold(a, b, c):
+    for identity in (
+        (a + b) + c - (a + (b + c)),
+        (a * b) * c - a * (b * c),
+        a + b - (b + a),
+        a * b - b * a,
+        a * (b + c) - (a * b + a * c),
+        a - a,
+    ):
+        assert is_zero(identity) is Zeroness.ZERO
+    if not b.is_zero():
+        assert is_zero((a / b) * b - a) is Zeroness.ZERO
+
+
+# -- geometry of the constant-curvature family against sympy --------------------
+
+
+def expr_to_sympy(e: Expr):
+    num, den = e.normal_form()
+    return to_sympy(num) / to_sympy(den)
+
+
+@pytest.mark.parametrize(
+    "a,K", [((1, 3), 2), ((0, 2), 1), ((1, 2, -1), 1), (("1/2", 1, 3), -2)]
+)
+def test_christoffel_and_riemann_agree(a, K):
+    _, cov, _ = canonical_metric(a, K)
+    n = len(a)
+    u = [sympy.Symbol(v) for v in cov.vars]
+    up = sympy.Matrix(
+        n, n, lambda i, j: sympy.Rational(a[i]) * int(i == j) - sympy.Rational(K) * u[i] * u[j]
+    )
+    lo = sympy.simplify(up.inv())
+    dlo = [[[sympy.diff(lo[i, j], u[k]) for k in range(n)] for j in range(n)] for i in range(n)]
+    gamma = [
+        [
+            [
+                sympy.cancel(
+                    sum(up[i, s] * (dlo[s][k][j] + dlo[s][j][k] - dlo[j][k][s]) for s in range(n))
+                    / 2
+                )
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    conn = christoffel(cov)
+    R = riemann(cov).entries
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert sympy.cancel(expr_to_sympy(conn.gamma[i][j][k]) - gamma[i][j][k]) == 0
+                b = -sum(up[i, s] * gamma[j][s][k] for s in range(n))
+                assert sympy.cancel(expr_to_sympy(conn.b[i][j][k]) - b) == 0
+                for l in range(n):
+                    r = (
+                        sympy.diff(gamma[i][l][j], u[k])
+                        - sympy.diff(gamma[i][k][j], u[l])
+                        + sum(
+                            gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
+                            for s in range(n)
+                        )
+                    )
+                    assert sympy.cancel(expr_to_sympy(R[i][j][k][l]) - r) == 0

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from hydrobrackets.expr import (
-    EvaluationSingularityError,
     Expr,
     NonIntegerExponentError,
     ParseError,
@@ -17,8 +16,6 @@ from hydrobrackets.expr import (
     UnassignedVariableError,
     UnknownVariableError,
     Zeroness,
-    differentiate,
-    evaluate,
     is_zero,
     parse,
 )
@@ -40,9 +37,12 @@ def test_parse_unknown_variable():
 
 
 def test_parse_decimal_becomes_exact_rational():
+    from hydrobrackets.numsim import Grid, sample_initial_data
+
+    assert str(parse("0.1*u1 + 2.50", UV)) == "1/10*u1 + 5/2"
     e = parse("0.1*sin(x)", ("x",), initial_data=True)
-    # oracle: evaluate at pi/2, where the sine factor is exactly 1
-    assert abs(e.evaluate({"x": math.pi / 2}) - 0.1) < 1e-15
+    # oracle: sample at x = pi/2, where the sine factor is exactly 1
+    assert sample_initial_data(Grid(8, 2 * math.pi), [e]).v[0][2] == 0.1
 
 
 def test_parse_decimal_in_rational_context():
@@ -76,20 +76,20 @@ def test_syntax_error_carries_offset():
 def test_whitespace_insensitive():
     a = parse(" u1 ^ 2\t* u2", UV)
     b = parse("u1^2*u2", UV)
-    assert a.equals(b) is Zeroness.ZERO
+    assert is_zero(a - b) is Zeroness.ZERO
 
 
 def test_differentiate_basic():
     e = parse("u1^2*u2", UV)
-    d = differentiate(e, "u1")
-    assert d.equals(parse("2*u1*u2", UV)) is Zeroness.ZERO
-    assert differentiate(Expr.const(7), "u1").equals(0) is Zeroness.ZERO
+    d = e.diff("u1")
+    assert is_zero(d - parse("2*u1*u2", UV)) is Zeroness.ZERO
+    assert is_zero(Expr.const(7).diff("u1")) is Zeroness.ZERO
 
 
 def test_differentiate_power_matches_finite_differences():
     # oracle: central finite difference with step 1e-6
     e = parse("(u1+u2)^3", UV)
-    d = differentiate(e, "u2")
+    d = e.diff("u2")
     assert d.evaluate({"u1": 1, "u2": 1}) == 12
     h = 1e-6
     fd = (
@@ -113,24 +113,20 @@ def test_is_zero_nonzero():
     assert e.evaluate({"u1": 1, "u2": 0}) == 1
 
 
-def test_is_zero_transcendental_verdicts():
-    pyth = parse("sin(x)^2 + cos(x)^2 - 1", ("x",), initial_data=True)
-    assert is_zero(pyth) is Zeroness.NUMERICALLY_ZERO
-    assert is_zero(parse("sin(x) - x", ("x",), initial_data=True)) is Zeroness.NONZERO
-
-
 def test_evaluate_examples():
     e = parse("u1^2 + u2", UV)
-    assert evaluate(e, {"u1": 2, "u2": 3}) == 7
+    assert e.evaluate({"u1": 2, "u2": 3}) == 7
     with pytest.raises(ZeroDivisionError):
-        evaluate(parse("1/u1", UV), {"u1": 0, "u2": 1})
+        parse("1/u1", UV).evaluate({"u1": 0, "u2": 1})
     with pytest.raises(UnassignedVariableError):
-        evaluate(e, {"u1": 2})
+        e.evaluate({"u1": 2})
+    with pytest.raises(UnassignedVariableError):
+        parse("1/u2", UV).evaluate({"u1": 2})
 
 
 def test_rational_arithmetic_stays_exact():
     e = parse("1/3*u1 + 1/6", UV)
-    assert evaluate(e, {"u1": Fraction(1, 2), "u2": 0}) == Fraction(1, 3)
+    assert e.evaluate({"u1": Fraction(1, 2), "u2": 0}) == Fraction(1, 3)
 
 
 # -- randomized invariants ---------------------------------------------------
@@ -190,15 +186,8 @@ def test_derivative_matches_finite_differences_randomized():
 def test_quotient_normalization_and_equality():
     a = parse("(u1^2 - u2^2)/(u1 - u2)", UV)
     b = parse("u1 + u2", UV)
-    assert a.equals(b) is Zeroness.ZERO
+    assert is_zero(a - b) is Zeroness.ZERO
     assert a.normal_form() == b.normal_form()
-
-
-def test_singularity_resampling_gives_up():
-    # 1/(sin(x) - sin(x)) is singular everywhere
-    bad = parse("1/(sin(x) - sin(x))", ("x",), initial_data=True)
-    with pytest.raises((EvaluationSingularityError, ZeroDivisionError)):
-        is_zero(bad)
 
 
 def test_render_round_trip():
@@ -206,9 +195,9 @@ def test_render_round_trip():
     for _ in range(20):
         p = _random_poly(rng)
         q = _random_poly(rng)
-        e = p / (q + Expr.const(1)) if not (q + Expr.const(1)).rational.is_zero() else p
+        e = p / (q + Expr.const(1)) if not (q + Expr.const(1)).is_zero() else p
         back = parse(str(e), ("u1", "u2", "u3"))
-        assert back.equals(e) is Zeroness.ZERO
+        assert is_zero(back - e) is Zeroness.ZERO
 
 
 def test_zero_operands_return_the_other_operand():
@@ -225,36 +214,22 @@ def test_zero_operands_return_the_other_operand():
 def test_transcendental_initial_data_takes_no_part_in_arithmetic():
     import numpy as np
 
-    from hydrobrackets.expr import ExprError
     from hydrobrackets.numsim import Grid, sample_initial_data
 
+    # a datum with a call stays a parse tree, which only the sampler reads
     e = parse("0.1*sin(x)", ("x",), initial_data=True)
-    for op in (
-        lambda: e + 1,
-        lambda: 1 + e,
-        lambda: e * e,
-        # a zero operand short-circuits only after both operands are read
-        lambda: e + 0,
-        lambda: 0 + e,
-        lambda: e * 0,
-        lambda: 0 * e,
-        lambda: e - 0,
-        lambda: -e,
-        lambda: e.diff("x"),
-        lambda: e.substitute({"x": 0}),
-        lambda: e.rename({"x": "y"}),
-    ):
-        with pytest.raises(ExprError, match="transcendental"):
+    assert not isinstance(e, Expr)
+    for op in (lambda: e + 1, lambda: 0 * e, lambda: -e):
+        with pytest.raises(TypeError):
             op()
-    assert e.free_vars() == {"x"}
-    assert str(e) == "1/10*sin(x)"
-    assert abs(e.evaluate({"x": math.pi / 2}) - 0.1) < 1e-15
-    assert is_zero(e) is Zeroness.NONZERO
-    pyth = parse("sin(x)^2 + cos(x)^2 - 1", ("x",), initial_data=True)
-    assert is_zero(pyth) is Zeroness.NUMERICALLY_ZERO
     grid = Grid(16, 2 * math.pi)
     state = sample_initial_data(grid, [e])
     assert np.max(np.abs(state.v[0] - 0.1 * np.sin(grid.nodes))) < 1e-15
+    # rational initial data is an Expr and samples through a monomial table
+    r = parse("x^2/2 - 1/3", ("x",), initial_data=True)
+    assert isinstance(r, Expr)
+    want = grid.nodes**2 / 2 - 1 / 3
+    assert np.max(np.abs(sample_initial_data(grid, [r]).v[0] - want)) < 1e-13
 
 
 def test_is_zero_takes_only_the_expression():

@@ -4,8 +4,10 @@ one line on stderr, never a traceback.
 
 Problem files are drawn with N in {1, 2}: entries are rationals,
 polynomials and quotients in u1..uN (zero denominators included), mixed
-with wrong shapes, booleans, wrong types and missing keys.  ``simulate`` is
-left out: a valid but huge ``grid_M`` allocates memory without bound.
+with wrong shapes, booleans, wrong types and missing keys.  Half of them
+carry a ``simulation`` block of a few time steps on a small grid, with
+rational, transcendental and junk initial data and ``grid_M`` values above
+the cap.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ COMMANDS = [
     ["liouville"],
     ["hierarchy", "--levels", "1"],
     ["commute", "--levels", "1"],
+    ["simulate", "--level", "1"],
 ]
 
 JUNK = st.sampled_from([True, False, None, "", "x", "1/0", "u9", "2^u1", [], {}, [[1]]])
@@ -54,6 +58,25 @@ def expressions(draw, n: int):
         lambda t: f"({t[0]})/({t[1]})"
     )
     return draw(st.one_of(polys, quotients, RATIONALS))
+
+
+INITS = st.sampled_from(
+    ["0.1*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)", "exp(x)/100", "x/10 - x^2/50",
+     "1/sin(x)", "1/(2 + sin(x))", "x^(-1)", "sin(u1)", "u1", "sin(x", True, None, "1/4"]
+)
+
+
+@st.composite
+def simulations(draw, n: int):
+    """A simulation block of one to three steps, now and then too large or junk."""
+    dt = draw(st.sampled_from([Fraction(1, 1000), Fraction(1, 10), Fraction(2)]))
+    return {
+        "grid_M": draw(st.sampled_from([8, 16, 64, 1 << 17, 1 << 40, 12, True])),
+        "L": draw(st.sampled_from([6.283185307179586, 1, "1/2", 0])),
+        "dt": str(dt),
+        "t_end": str(dt * draw(st.sampled_from([1, 2, 3, Fraction(5, 2)]))),
+        "init": draw(st.lists(INITS, min_size=n, max_size=n)),
+    }
 
 
 def square(entries, n: int):
@@ -86,6 +109,8 @@ def problems(draw):
     doc = {"N": n, **draw(blocks(n))}
     if draw(st.booleans()):
         doc["second"] = draw(blocks(n))
+    if draw(st.booleans()):
+        doc["simulation"] = draw(simulations(n))
     if draw(st.integers(0, 2)) == 0:
         target = doc
         if "second" in doc and draw(st.booleans()):
@@ -104,8 +129,11 @@ def problems(draw):
 def test_any_problem_file_ends_in_a_documented_exit_code(
     tmp_path_factory, doc, command
 ):
-    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz.json"
     path.write_text(json.dumps(doc))
+    if command[0] == "simulate":
+        command = [*command, "--out", str(base / "out")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command[0], str(path), *command[1:]])

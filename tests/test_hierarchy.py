@@ -360,13 +360,13 @@ def test_bihamiltonian_scalar_general():
     extra = ("c0", "c1", "c2", "c3", "kap")
     P = _scalar_pair("c0 + c1*u1 + c2*u1^2 + c3*u1^3", Expr.var("kap"), extra)
     report = bihamiltonian_check(P, flow_t1(P))
-    assert report.exact
+    assert report.passed
 
 
 def test_bihamiltonian_linear_pair():
     P = _linear_pair(K=1)
     report = bihamiltonian_check(P, flow_t1(P))
-    assert report.exact
+    assert report.passed
 
 
 def test_bihamiltonian_zero_flow():
@@ -375,7 +375,7 @@ def test_bihamiltonian_zero_flow():
     fl = ConservativeFlow(
         eta=ETA1, vars=("v1",), F=(zero,), S=zero, V=((zero,),)
     )
-    assert bihamiltonian_check(P, fl).exact
+    assert bihamiltonian_check(P, fl).passed
 
 
 @pytest.mark.parametrize(
@@ -436,7 +436,7 @@ def test_bihamiltonian_check_failure_has_witnesses():
 def test_scalar_flows_always_commute():
     a = _scalar_pair("u1^2/2", 0)
     b = _scalar_pair("u1^3/6", 0)
-    assert commute_check(flow_t1(a), flow_t1(b)).exact
+    assert commute_check(flow_t1(a), flow_t1(b)).passed
 
 
 @pytest.mark.parametrize(
@@ -451,7 +451,7 @@ def test_scalar_flows_always_commute():
 def test_hierarchy_levels_commute_pairwise(pair):
     flows = hierarchy(pair, 3)
     for fa, fb in itertools.combinations(flows, 2):
-        assert commute_check(fa, fb).exact
+        assert commute_check(fa, fb).passed
 
 
 def test_symbolic_scalar_hierarchy_to_level_three():
@@ -462,7 +462,7 @@ def test_symbolic_scalar_hierarchy_to_level_three():
     flows = hierarchy(P, 3)
     assert [fl.level for fl in flows] == [0, 1, 2, 3]
     for fa, fb in itertools.combinations(flows, 2):
-        assert commute_check(fa, fb).exact
+        assert commute_check(fa, fb).passed
 
 
 def test_non_commuting_flows_have_witnesses():
@@ -503,7 +503,7 @@ def test_potential_singular_at_the_origin_is_unsupported():
 
 def test_translation_commutes_with_first_flow():
     P = _linear_pair(K=1)
-    assert commute_check(translation_flow(ETA2), flow_t1(P)).exact
+    assert commute_check(translation_flow(ETA2), flow_t1(P)).passed
 
 
 def test_linear_density_flow_is_commuting_symmetry():
@@ -514,8 +514,8 @@ def test_linear_density_flow_is_commuting_symmetry():
         vars=UV,
     )
     defect = linear_density_flow(P, eta_gradient_gauge(P))
-    assert commute_check(defect, flow_t1(P)).exact
-    assert commute_check(defect, translation_flow(ETA2)).exact
+    assert commute_check(defect, flow_t1(P)).passed
+    assert commute_check(defect, translation_flow(ETA2)).passed
 
 
 # -- involution -----------------------------------------------------------------

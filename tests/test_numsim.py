@@ -107,8 +107,8 @@ def _assert_matches_exact(exprs, vars, evaluate, seed, points=50):
 
 
 def _each_compiled(exprs, vars):
-    fns = [ns.compile_expr(e, vars) for e in exprs]
-    return lambda stack: [f(stack) for f in fns]
+    tables = [ns.MonomialTable([e], vars) for e in exprs]
+    return lambda stack: [table(stack)[0] for table in tables]
 
 
 def test_compiled_matches_exact_evaluation():
@@ -136,7 +136,7 @@ def test_compiled_matches_exact_evaluation_rational_entries():
     B = build_canonical(P).rename({"u1": "v1", "u2": "v2"})
     vars = ("v1", "v2")
     exprs = [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
-    assert any(not e.rational.is_poly() for e in exprs)
+    assert any(not e.is_poly() for e in exprs)
     _assert_matches_exact(exprs, vars, _each_compiled(exprs, vars), 13)
     # all entries in one table, sharing their denominator factor rows
     _assert_matches_exact(exprs, vars, ns.MonomialTable(exprs, vars), 14)
@@ -161,7 +161,7 @@ def test_compiled_flows_match_exact_evaluation(n):
 def test_compile_rejects_unbound_parameters():
     e = parse("c1*u1", ("u1", "c1"))
     with pytest.raises(ValueError):
-        ns.compile_expr(e.rename({"u1": "v1"}), ("v1",))
+        ns.MonomialTable([e.rename({"u1": "v1"})], ("v1",))
 
 
 # -- stepping oracles --------------------------------------------------------------
