@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -211,6 +210,11 @@ class Problem:
         for key in ("L", "dt"):
             if not sim[key] > 0:
                 raise ProblemFileError(f"{loc}.{key}", "must be positive")
+        steps = sim["t_end"] / sim["dt"]
+        if steps > numsim.MAX_STEPS:
+            raise ProblemFileError(
+                f"{loc}.dt", f"t_end/dt = {steps:.6g} exceeds {numsim.MAX_STEPS} steps"
+            )
         init = raw["init"]
         if not isinstance(init, list) or len(init) != self.n:
             raise ProblemFileError(f"{loc}.init", f"expected {self.n} expressions in x")
@@ -565,14 +569,15 @@ def cmd_simulate(args) -> int:
     flows = hierarchy(P, args.level)
     sim = prob.simulation
     cflow = numsim.compile_flow(flows[args.level], dealias=args.dealias)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # run's events are reported as notes
+    try:
         result = numsim.run(
             cflow, state0.v, grid, sim["dt"], sim["t_end"], sim["snapshots"]
         )
+    except numsim.CFLError as exc:
+        raise ProblemFileError("simulation.dt", str(exc)) from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    numsim.write_diagnostics_csv(result.rows, outdir / "diag.csv", prob.n)
+    numsim.write_diagnostics_csv(result.rows, outdir / "diag.csv")
     snap_files = []
     for t, v in result.snapshots:
         name = f"snap_{t:g}.csv"

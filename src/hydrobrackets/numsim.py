@@ -11,7 +11,6 @@ correction explicitly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -31,8 +30,7 @@ __all__ = [
     "RunResult",
     "CompiledFlow",
     "SimulationError",
-    "CFLWarning",
-    "SpectralTailWarning",
+    "CFLError",
     "spectral_dx",
     "spectral_antidx",
     "MonomialTable",
@@ -51,12 +49,8 @@ class SimulationError(RuntimeError):
     pass
 
 
-class CFLWarning(UserWarning):
-    pass
-
-
-class SpectralTailWarning(UserWarning):
-    pass
+class CFLError(SimulationError):
+    """Raised by :func:`run` before a step whose CFL number exceeds 1."""
 
 
 # run: a gradient catastrophe is max|v_x| above this multiple of its initial
@@ -64,9 +58,11 @@ class SpectralTailWarning(UserWarning):
 BREAKING_FACTOR = 50.0
 TAIL_THRESHOLD = 1e-6
 
-# the largest grid a problem file may ask for, and the most values in the
-# table of powers 1, v, ..., v^top of one variable (2^23 doubles: 64 MiB)
+# the largest grid and the most time steps a problem file may ask for, and
+# the most values in the table of powers 1, v, ..., v^top of one variable or
+# in the table of monomials of one evaluation (2^23 doubles: 64 MiB)
 MAX_GRID_M = 1 << 16
+MAX_STEPS = 1 << 20
 POWER_TABLE_LIMIT = 1 << 23
 
 
@@ -209,10 +205,15 @@ class MonomialTable:
 
     def monomials(self, stack: np.ndarray, terms: int | None = None) -> np.ndarray:
         """The first ``terms`` monomials (default all) at the samples of a
-        stack of shape (N, M): shape (terms, M).  A table of powers above
-        ``POWER_TABLE_LIMIT`` values raises :class:`ExpressionSizeError`."""
+        stack of shape (N, M): shape (terms, M).  A table of monomials or
+        powers above ``POWER_TABLE_LIMIT`` values raises ExpressionSizeError."""
         terms = len(self.exponents) if terms is None else terms
         m = stack.shape[1]
+        if terms * m > POWER_TABLE_LIMIT:
+            raise ExpressionSizeError(
+                f"a table of {terms} monomials at {m} samples exceeds "
+                f"{POWER_TABLE_LIMIT} values"
+            )
         out = None
         for i, top, column in self._plan(terms):
             if (top + 1) * m > POWER_TABLE_LIMIT:
@@ -289,25 +290,23 @@ class CompiledFlow:
     0..n^2-1 are V[i][k] in row-major order, row n^2 is the density S."""
 
     n: int
-    vars: tuple
     table: MonomialTable
     eta_down: np.ndarray
     dealias: bool = False
 
-    def V(self, v: np.ndarray) -> np.ndarray:
-        """The coefficient matrix at every grid point, shape (n, n, M)."""
-        return self.table(v, self.n * self.n).reshape(self.n, self.n, -1)
-
-    def S(self, v: np.ndarray) -> np.ndarray:
-        """The density S at every grid point, shape (M,)."""
-        return self.table(v)[self.n * self.n]
-
     def rhs(self, grid: Grid, v: np.ndarray) -> np.ndarray:
-        out = np.einsum("ikm,km->im", self.V(v), spectral_dx(grid, v))
+        """V(v) v_x, from the V rows of the table alone."""
+        V = self.table(v, self.n * self.n).reshape(self.n, self.n, -1)
+        return self.rhs_from(grid, V, spectral_dx(grid, v))
+
+    def rhs_from(self, grid: Grid, V: np.ndarray, vx: np.ndarray) -> np.ndarray:
+        """V v_x from V, shape (n, n, M), and v_x, dealiased if the flow is."""
+        out = np.einsum("ikm,km->im", V, vx)
         return dealias_two_thirds(grid, out) if self.dealias else out
 
-    def gershgorin_max(self, v: np.ndarray) -> float:
-        return float(np.max(np.sum(np.abs(self.V(v)), axis=1)))
+    def gershgorin_max(self, V: np.ndarray) -> float:
+        """The Gershgorin bound of V, shape (n, n, M), over the grid."""
+        return float(np.max(np.sum(np.abs(V), axis=1)))
 
 
 def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
@@ -315,9 +314,7 @@ def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
     entries = [flow.V[i][k] for i in range(n) for k in range(n)]
     table = MonomialTable(entries + [flow.S], flow.vars)
     eta_down = np.array([[float(x) for x in row] for row in flow.eta.down])
-    return CompiledFlow(
-        n=n, vars=flow.vars, table=table, eta_down=eta_down, dealias=dealias
-    )
+    return CompiledFlow(n=n, table=table, eta_down=eta_down, dealias=dealias)
 
 
 def sample_initial_data(grid: Grid, initial: Sequence) -> FieldState:
@@ -389,14 +386,15 @@ def apply_P1_numeric(
 # ---------------------------------------------------------------------------
 
 
-def step_rk4(cflow: CompiledFlow, state: FieldState, dt: float) -> FieldState:
-    """Classical four-stage explicit step of v_t = V(v) v_x; the CFL guard
-    is :func:`run`'s."""
+def step_rk4(
+    cflow: CompiledFlow, state: FieldState, dt: float, k1: np.ndarray
+) -> FieldState:
+    """Classical four-stage explicit step of v_t = V(v) v_x from the first
+    stage ``k1``, the right side at ``state``; the CFL guard is :func:`run`'s."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
     v = state.v
-    k1 = cflow.rhs(grid, v)
     k2 = cflow.rhs(grid, v + 0.5 * dt * k1)
     k3 = cflow.rhs(grid, v + 0.5 * dt * k2)
     k4 = cflow.rhs(grid, v + dt * k3)
@@ -409,10 +407,7 @@ def step_rk4(cflow: CompiledFlow, state: FieldState, dt: float) -> FieldState:
 @dataclass
 class DiagnosticsRow:
     t: float
-    means: tuple  # annihilator functionals: integrals of v^i
-    momentum: float
-    h1: float
-    h2: float
+    integrals: dict  # tracked functional name -> its integral over the period
     max_vx: float
     tail: float
 
@@ -426,16 +421,21 @@ class RunResult:
     messages: list = field(default_factory=list)
 
 
-def _diagnostics(cflow: CompiledFlow, state: FieldState) -> DiagnosticsRow:
+def _densities(cflow: CompiledFlow, v: np.ndarray, S: np.ndarray) -> list:
+    """The tracked functionals, as (name, density) pairs, at the state v."""
+    quad = 0.5 * np.einsum("jm,jl,lm->m", v, cflow.eta_down, v)
+    densities = [(f"U_{i + 1}", v[i]) for i in range(cflow.n)]
+    return densities + [("momentum", quad), ("H1", quad), ("H2", S)]
+
+
+def _evaluate(cflow: CompiledFlow, state: FieldState) -> tuple:
+    """One table product (V rows, then S) and one FFT of a state: its
+    diagnostics row, its coefficient matrix V (n, n, M) and its v_x."""
     grid = state.grid
     v = state.v
-    L = grid.length
-    means = tuple(float(np.mean(v[i]) * L) for i in range(cflow.n))
-    quad = 0.5 * np.einsum("jm,jl,lm->m", v, cflow.eta_down, v)
-    momentum = float(np.mean(quad) * L)
-    h2 = float(np.mean(cflow.S(v)) * L)
+    values = cflow.table(v)
     spec = np.fft.rfft(v)
-    max_vx = float(np.max(np.abs(_dx_from_spectrum(grid, spec))))
+    vx = _dx_from_spectrum(grid, spec)
     power = np.abs(spec) ** 2
     totals = np.sum(power, axis=1)
     tails = np.sum(power[:, (2 * (grid.m // 2)) // 3 :], axis=1)
@@ -443,15 +443,16 @@ def _diagnostics(cflow: CompiledFlow, state: FieldState) -> DiagnosticsRow:
         (float(np.sqrt(t / total)) for t, total in zip(tails, totals) if total > 0),
         default=0.0,
     )
-    return DiagnosticsRow(
+    row = DiagnosticsRow(
         t=state.t,
-        means=means,
-        momentum=momentum,
-        h1=momentum,
-        h2=h2,
-        max_vx=max_vx,
+        integrals={
+            name: float(np.mean(density) * grid.length)
+            for name, density in _densities(cflow, v, values[-1])
+        },
+        max_vx=float(np.max(np.abs(vx))),
         tail=tail,
     )
+    return row, values[:-1].reshape(cflow.n, cflow.n, -1), vx
 
 
 def run(
@@ -464,10 +465,11 @@ def run(
 ) -> RunResult:
     """Evolve the flow, recording diagnostics every step.
 
-    Aborts with status ``"breaking"`` once max|v_x| exceeds
-    ``BREAKING_FACTOR`` times its initial value (gradient catastrophe);
-    a resolution-loss warning is recorded when the spectral tail fraction
-    crosses ``TAIL_THRESHOLD``.
+    A step whose CFL number dt*max|V|*M/L exceeds 1 raises
+    :class:`CFLError` before it is taken.  Aborts with status
+    ``"breaking"`` once max|v_x| exceeds ``BREAKING_FACTOR`` times its
+    initial value (gradient catastrophe); a resolution-loss message is
+    recorded when the spectral tail fraction crosses ``TAIL_THRESHOLD``.
     """
     cflow = flow if isinstance(flow, CompiledFlow) else compile_flow(flow)
     if isinstance(initial, np.ndarray):
@@ -477,8 +479,9 @@ def run(
     if state.n != cflow.n:
         raise ValueError("initial data does not match the flow dimension")
 
-    rows = [_diagnostics(cflow, state)]
-    initial_maxvx = rows[0].max_vx
+    row, V, vx = _evaluate(cflow, state)
+    rows = [row]
+    initial_maxvx = row.max_vx
     amplitude = float(np.max(np.abs(state.v))) if state.v.size else 0.0
     monitor_breaking = initial_maxvx > 1e-13 * (1.0 + amplitude)
     messages: list = []
@@ -492,30 +495,24 @@ def run(
 
     take_snapshots(state)
     warned_tail = False
-    warned_cfl = False
     eps = 1e-12 * max(1.0, abs(t_end))
     while state.t < t_end - eps:
         step = min(dt, t_end - state.t)
-        lam = cflow.gershgorin_max(state.v)
-        if not warned_cfl and step * lam * grid.m / grid.length >= 1.0:
-            msg = (
-                f"CFL guard exceeded at t={state.t:.6g}: "
-                f"dt*|V|*M/L = {step * lam * grid.m / grid.length:.3f}"
+        cfl = step * cflow.gershgorin_max(V) * grid.m / grid.length
+        if cfl > 1.0:
+            raise CFLError(
+                f"CFL number {cfl:.3f} at t={state.t:.6g} exceeds 1 "
+                "(dt*|V|*M/L); reduce dt"
             )
-            warnings.warn(msg, CFLWarning, stacklevel=2)
-            messages.append(msg)
-            warned_cfl = True
-        state = step_rk4(cflow, state, step)
-        row = _diagnostics(cflow, state)
+        state = step_rk4(cflow, state, step, cflow.rhs_from(grid, V, vx))
+        row, V, vx = _evaluate(cflow, state)
         rows.append(row)
         take_snapshots(state)
         if not warned_tail and row.tail > TAIL_THRESHOLD:
-            msg = (
+            messages.append(
                 f"spectral tail fraction {row.tail:.3e} exceeds "
                 f"{TAIL_THRESHOLD:.1e} at t={state.t:.6g}; resolution loss"
             )
-            warnings.warn(msg, SpectralTailWarning, stacklevel=2)
-            messages.append(msg)
             warned_tail = True
         if monitor_breaking and row.max_vx > BREAKING_FACTOR * initial_maxvx:
             messages.append(
@@ -536,12 +533,7 @@ def run(
 class DriftEntry:
     name: str
     initial: float
-    max_abs_drift: float
-    scale: float
-
-    @property
-    def relative(self) -> float:
-        return self.max_abs_drift / max(self.scale, 1e-30)
+    relative: float  # worst |drift| over the L1 norm of the density at t = 0
 
 
 def drift_summary(
@@ -550,30 +542,13 @@ def drift_summary(
     """Worst conservation drift of each tracked functional over the run,
     relative to the L1 norm of its density at t = 0 (integrals that start
     at exactly zero still get a meaningful scale)."""
-    grid = state0.grid
     v0 = state0.v
-    L = grid.length
-    scales = {}
-    for i in range(cflow.n):
-        scales[f"U_{i + 1}"] = float(np.mean(np.abs(v0[i])) * L)
-    quad0 = 0.5 * np.einsum("jm,jl,lm->m", v0, cflow.eta_down, v0)
-    scales["momentum"] = float(np.mean(np.abs(quad0)) * L)
-    scales["H1"] = scales["momentum"]
-    scales["H2"] = float(np.mean(np.abs(cflow.S(v0))) * L)
-
-    def series(name):
-        if name.startswith("U_"):
-            i = int(name[2:]) - 1
-            return [r.means[i] for r in rows]
-        return [getattr(r, name.lower() if name.startswith("H") else name) for r in rows]
-
     out = []
-    for name in list(scales):
-        vals = series(name)
+    for name, density in _densities(cflow, v0, cflow.table(v0)[-1]):
+        vals = [r.integrals[name] for r in rows]
         drift = max(abs(x - vals[0]) for x in vals)
-        out.append(
-            DriftEntry(name=name, initial=vals[0], max_abs_drift=drift, scale=scales[name])
-        )
+        scale = float(np.mean(np.abs(density)) * state0.grid.length)
+        out.append(DriftEntry(name, vals[0], drift / max(scale, 1e-30)))
     return out
 
 
@@ -632,18 +607,11 @@ def commute_check_numeric(
 # ---------------------------------------------------------------------------
 
 
-def write_diagnostics_csv(rows: Sequence[DiagnosticsRow], path, n: int) -> None:
-    header = (
-        "t,"
-        + ",".join(f"U_{i + 1}" for i in range(n))
-        + ",momentum,H1,H2,max_vx,tail"
-    )
-    lines = [header]
+def write_diagnostics_csv(rows: Sequence[DiagnosticsRow], path) -> None:
+    lines = [",".join(["t", *rows[0].integrals, "max_vx", "tail"])]
     for r in rows:
-        fields = [repr(r.t)]
-        fields += [repr(x) for x in r.means]
-        fields += [repr(r.momentum), repr(r.h1), repr(r.h2), repr(r.max_vx), repr(r.tail)]
-        lines.append(",".join(fields))
+        fields = [r.t, *r.integrals.values(), r.max_vx, r.tail]
+        lines.append(",".join(repr(x) for x in fields))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,15 +241,11 @@ def test_simulate_breaking_exit_3(tmp_path, capsys):
         },
     }
     path = _write(tmp_path, "breaking.json", doc)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 3
+    assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 3
     assert "BREAKING" in capsys.readouterr().out
 
 
-def test_simulate_cfl_warning_reported(tmp_path, capsys):
+def test_simulate_cfl_violation_is_input_error(tmp_path, capsys):
     doc = {
         "N": 1,
         "eta": [[1]],
@@ -263,12 +260,11 @@ def test_simulate_cfl_warning_reported(tmp_path, capsys):
         },
     }
     path = _write(tmp_path, "cfl.json", doc)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        main(["simulate", path, "--out", str(tmp_path / "o2")])
-    assert "CFL" in capsys.readouterr().out
+    assert main(["simulate", path, "--out", str(tmp_path / "o2")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: simulation.dt: CFL number ") and _single_line(err)
+    assert not (tmp_path / "o2").exists()
 
 
 def test_commute_command(scalar_file, capsys):
@@ -510,11 +506,51 @@ def test_simulate_reports_the_cfl_guard_once(tmp_path, capsys):
             },
         },
     )
-    main(["simulate", path, "--out", str(tmp_path / "o")])
-    out, err = capsys.readouterr()
-    lines = [line for line in out.splitlines() if "CFL guard exceeded" in line]
-    assert lines == ["  note: CFL guard exceeded at t=0: dt*|V|*M/L = 6.111"]
-    assert err == ""
+    assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "input error: simulation.dt: CFL number 6.111 at t=0 exceeds 1 "
+        "(dt*|V|*M/L); reduce dt\n",
+    )
+
+
+def test_unstable_step_is_rejected_not_reported_as_breaking(tmp_path, capsys):
+    # the committed linear pair at M = 512: its level-2 flow has a CFL
+    # number of 2.933 at dt = 0.001; RK4 is unstable there, and a run that
+    # took those steps grew max|v_x| 50-fold by t = 0.007
+    problem = Path(__file__).resolve().parent.parent / "problems" / "linear_pair_n2.json"
+    doc = json.loads(problem.read_text())
+    doc["simulation"]["grid_M"] = 512
+    path = _write(tmp_path, "m512.json", doc)
+    assert main(["simulate", path, "--level", "2", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "input error: simulation.dt: CFL number 2.933 at t=0 exceeds 1 "
+        "(dt*|V|*M/L); reduce dt\n",
+    )
+
+
+def test_step_count_cap_rejects_before_running(tmp_path, capsys):
+    doc = {
+        "N": 1,
+        "eta": [[1]],
+        "K": 0,
+        "H": ["u1^2/2"],
+        "simulation": {
+            "grid_M": 8,
+            "L": TWO_PI,
+            "dt": "1/1000000000",
+            "t_end": 1,
+            "init": ["0.1*sin(x)"],
+        },
+    }
+    path = _write(tmp_path, "steps.json", doc)
+    start = time.perf_counter()
+    assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "input error: simulation.dt: t_end/dt = 1e+09 exceeds 1048576 steps\n"
+    )
 
 
 SMALL_RUN = {"grid_M": 16, "L": TWO_PI, "dt": 0.01, "t_end": 0.02}

@@ -3,6 +3,7 @@ and symbolic/numeric agreement."""
 
 from __future__ import annotations
 
+import functools
 import random
 import warnings
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hydrobrackets.bracket import CanonicalPair, ConstantBracket
 from hydrobrackets.expr import parse
 from hydrobrackets.hierarchy import flow_t1, flow_t2, hierarchy
 from hydrobrackets import numsim as ns
+from hydrobrackets.poly import ExpressionSizeError
 
 ETA1 = ConstantBracket([[1]])
 ETA2 = ConstantBracket([[1, 0], [0, 1]])
@@ -152,10 +154,10 @@ def test_compiled_flows_match_exact_evaluation(n):
         cf = ns.compile_flow(fl)
         entries = [fl.V[i][k] for i in range(n) for k in range(n)] + [fl.S]
 
-        def evaluate(stack):
-            return np.concatenate([cf.V(stack).reshape(n * n, -1), cf.S(stack)[np.newaxis]])
-
-        _assert_matches_exact(entries, fl.vars, evaluate, 40 + fl.level)
+        _assert_matches_exact(entries, fl.vars, cf.table, 40 + fl.level)
+        # the V rows alone, as stages 2-4 of a step evaluate them
+        V_rows = functools.partial(cf.table, count=n * n)
+        _assert_matches_exact(entries[: n * n], fl.vars, V_rows, 50 + fl.level)
 
 
 def test_compile_rejects_unbound_parameters():
@@ -171,7 +173,8 @@ def test_step_zero_field_stays_zero():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
     state = ns.FieldState(grid=g, v=np.zeros((1, 64)))
-    out = ns.step_rk4(ns.compile_flow(fl), state, 1e-2)
+    cf = ns.compile_flow(fl)
+    out = ns.step_rk4(cf, state, 1e-2, cf.rhs(g, state.v))
     assert np.all(out.v == 0.0)
 
 
@@ -182,7 +185,7 @@ def test_constant_field_is_steady():
     res = ns.run(fl, state.v, g, dt=1e-3, t_end=0.1)
     assert res.status == "completed"
     final = res.rows[-1]
-    assert abs(final.means[0] - 0.7 * TWO_PI) < 1e-12
+    assert abs(final.integrals["U_1"] - 0.7 * TWO_PI) < 1e-12
     assert final.max_vx < 1e-12
 
 
@@ -242,19 +245,59 @@ def test_nan_aborts():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
     state = ns.FieldState(grid=g, v=0.1 * np.sin(g.nodes)[np.newaxis, :])
+    cf = ns.compile_flow(fl)
     with pytest.raises(ns.SimulationError):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with np.errstate(all="ignore"):
-                ns.step_rk4(ns.compile_flow(fl), state, 1e200)
+                ns.step_rk4(cf, state, 1e200, cf.rhs(g, state.v))
 
 
-def test_cfl_warning():
+def test_cfl_guard_stops_the_run_before_the_step(monkeypatch):
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
     state = ns.FieldState(grid=g, v=0.1 * np.sin(g.nodes)[np.newaxis, :])
-    with pytest.warns(ns.CFLWarning):
+    steps = []
+    monkeypatch.setattr(ns, "step_rk4", lambda *a: steps.append(a))
+    # max|V| = 3 * 0.1, so the CFL number is 1.0 * 0.3 * 64 / (2 pi)
+    with pytest.raises(ns.CFLError, match=r"^CFL number 3\.056 at t=0 exceeds 1 "):
         ns.run(fl, state.v, g, dt=1.0, t_end=1.0)
+    assert steps == []
+
+
+def test_one_table_product_and_one_fft_per_state(monkeypatch):
+    cf = ns.compile_flow(flow_t1(_linear_pair(K=1)))
+    g = ns.Grid(64, TWO_PI)
+    v0 = np.stack([0.05 * np.sin(g.nodes), 0.05 * np.cos(2 * g.nodes)])
+    counts = {"table": 0, "rfft": 0}
+    table, rfft = ns.MonomialTable.__call__, np.fft.rfft
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(ns.MonomialTable, "__call__", counted("table", table))
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
+    k = 7
+    res = ns.run(cf, v0, g, dt=1e-3, t_end=k * 1e-3)
+    assert len(res.rows) == k + 1
+    # the evaluation at each of the k + 1 states, then stages 2-4 of each step
+    assert counts == {"table": 1 + 4 * k, "rfft": 1 + 4 * k}
+
+
+def test_monomial_table_limit_is_checked_before_the_gather():
+    vars = ("u1", "u2")
+    e = parse(" + ".join(f"u1^{i}*u2^{j}" for i in range(14) for j in range(14)), vars)
+    table = ns.MonomialTable([e], vars)
+    m = 1 << 16
+    # each variable's powers fit in the limit; the 196 x M monomial gather does not
+    assert len(table.exponents) == 196
+    assert 14 * m <= ns.POWER_TABLE_LIMIT < 196 * m
+    with pytest.raises(ExpressionSizeError, match="a table of 196 monomials at 65536 samples"):
+        table(np.zeros((2, m)))
 
 
 # -- conservation ------------------------------------------------------------------
@@ -316,9 +359,7 @@ def test_breaking_detected():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(256, TWO_PI)
     init = [parse("0.1*sin(x)", ("x",), initial_data=True)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = ns.run(fl, init, g, dt=1e-3, t_end=10.0)
+    res = ns.run(fl, init, g, dt=1e-3, t_end=10.0)
     assert res.status == "breaking"
     assert res.breaking_time is not None and 1.0 < res.breaking_time < 10.0
 
@@ -451,7 +492,7 @@ def test_csv_outputs(tmp_path):
     init = [parse("0.1*sin(x)", ("x",), initial_data=True)]
     res = ns.run(cf, init, g, dt=1e-2, t_end=0.05, snapshot_times=[0.0, 0.05])
     diag = tmp_path / "diag.csv"
-    ns.write_diagnostics_csv(res.rows, diag, 1)
+    ns.write_diagnostics_csv(res.rows, diag)
     lines = diag.read_text().strip().split("\n")
     assert lines[0] == "t,U_1,momentum,H1,H2,max_vx,tail"
     assert len(lines) == len(res.rows) + 1
