@@ -205,8 +205,14 @@ class Problem:
         if m > numsim.MAX_GRID_M:
             raise ProblemFileError(f"{loc}.grid_M", f"must be at most {numsim.MAX_GRID_M}")
         sim["grid_M"] = m
-        for key in ("L", "dt", "t_end"):
-            sim[key] = float(_as_fraction(raw[key], f"{loc}.{key}"))
+        exact = {key: _as_fraction(raw[key], f"{loc}.{key}") for key in ("L", "dt", "t_end")}
+        if exact["t_end"] < 0:
+            raise ProblemFileError(f"{loc}.t_end", "must not be negative")
+        for key, q in exact.items():
+            try:
+                sim[key] = float(q)
+            except OverflowError:
+                raise ProblemFileError(f"{loc}.{key}", "exceeds the float range") from None
         for key in ("L", "dt"):
             if not sim[key] > 0:
                 raise ProblemFileError(f"{loc}.{key}", "must be positive")
@@ -225,9 +231,14 @@ class Problem:
         snaps = raw.get("snapshots", [])
         if not isinstance(snaps, list):
             raise ProblemFileError(f"{loc}.snapshots", "expected a list of times")
-        sim["snapshots"] = [
-            float(_as_fraction(x, f"{loc}.snapshots[{i}]")) for i, x in enumerate(snaps)
-        ]
+        sim["snapshots"] = []
+        for i, x in enumerate(snaps):
+            t = _as_fraction(x, f"{loc}.snapshots[{i}]")
+            if not 0 <= t <= exact["t_end"]:
+                raise ProblemFileError(
+                    f"{loc}.snapshots[{i}]", f"must lie in [0, t_end] = [0, {sim['t_end']:g}]"
+                )
+            sim["snapshots"].append(float(t))
         return sim
 
     # -- resolution -----------------------------------------------------

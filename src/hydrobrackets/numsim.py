@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from . import expr as _expr
 from .bracket import CanonicalPair
 from .expr import Expr
@@ -45,6 +43,20 @@ __all__ = [
 ]
 
 
+class _Numpy:
+    """Stands in for numpy, so that importing this module does not load it:
+    the first attribute read imports numpy and rebinds ``np`` to it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _Numpy()
+
+
 class SimulationError(RuntimeError):
     pass
 
@@ -59,8 +71,9 @@ BREAKING_FACTOR = 50.0
 TAIL_THRESHOLD = 1e-6
 
 # the largest grid and the most time steps a problem file may ask for, and
-# the most values in the table of powers 1, v, ..., v^top of one variable or
-# in the table of monomials of one evaluation (2^23 doubles: 64 MiB)
+# the most values in the table of powers 1, v, ..., v^top of one variable, in
+# the table of monomials of one evaluation or in the coefficient matrix of a
+# MonomialTable (2^23 doubles: 64 MiB)
 MAX_GRID_M = 1 << 16
 MAX_STEPS = 1 << 20
 POWER_TABLE_LIMIT = 1 << 23
@@ -184,6 +197,11 @@ class MonomialTable:
         self.exponents = np.array(list(columns), dtype=np.intp).reshape(
             len(columns), len(var_order)
         )
+        if len(polys) * len(columns) > POWER_TABLE_LIMIT:
+            raise ExpressionSizeError(
+                f"a coefficient matrix of {len(polys)} x {len(columns)} "
+                f"(rows x monomials) exceeds {POWER_TABLE_LIMIT} values"
+            )
         self.coeffs = np.zeros((len(polys), len(columns)))
         for r, col, c in entries:
             self.coeffs[r, col] = c
@@ -250,9 +268,6 @@ class MonomialTable:
         return out.reshape((count,) + np.shape(stack)[1:])
 
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-
-
 def _sample_tree(node, x: np.ndarray) -> np.ndarray:
     """The parse tree of transcendental initial data (see ``expr.parse``)
     at the points ``x``."""
@@ -273,7 +288,8 @@ def _sample_tree(node, x: np.ndarray) -> np.ndarray:
         return _sample_tree(node.base, x) ** node.exp
     if isinstance(node, _expr._Div):
         return _sample_tree(node.num, x) / _sample_tree(node.den, x)
-    return _UFUNCS[node.fn](_sample_tree(node.arg, x))
+    # a call is one of expr.TRANSCENDENTALS, each a numpy ufunc of that name
+    return getattr(np, node.fn)(_sample_tree(node.arg, x))
 
 
 def dealias_two_thirds(grid: Grid, s: np.ndarray) -> np.ndarray:

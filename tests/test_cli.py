@@ -716,6 +716,80 @@ def test_closed_stdout_ends_without_a_traceback():
     assert proc.returncode == 3
 
 
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from hydrobrackets.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_simulations_import_numpy(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    problems = root / "problems"
+    doc = json.loads((problems / "linear_pair_n2.json").read_text())
+    with_sim = str(problems / "linear_pair_n2.json")
+    del doc["simulation"]
+    no_sim = _write(tmp_path, "no_sim.json", doc)
+    symbolic = [
+        ["check-poisson", str(problems / "canonical_metric_n2.json")],
+        ["check-compat", with_sim],
+        ["check-pencil", str(problems / "scalar_shallow.json")],
+        ["check-canonical", with_sim],
+        ["build-canonical", with_sim],
+        ["liouville", with_sim],
+        ["hierarchy", with_sim],
+        ["commute", no_sim],
+    ]
+    simulate = ["simulate", with_sim, "--out", str(tmp_path / "out")]
+
+    def loaded(*argvs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    # numpy stays loaded once imported, so the numeric commands come last
+    # and `simulate` gets an interpreter of its own
+    assert loaded(*symbolic, ["commute", with_sim]) == [False] * 8 + [True]
+    assert loaded(simulate) == [True]
+
+
+@pytest.mark.parametrize(
+    "key,text,message",
+    [
+        ("t_end", "1e400", "t_end: exceeds the float range"),
+        ("L", "-1e400", "L: exceeds the float range"),
+        ("dt", '"1e400"', "dt: exceeds the float range"),
+        ("t_end", "-1", "t_end: must not be negative"),
+        ("snapshots", "[5]", "snapshots[0]: must lie in [0, t_end] = [0, 0.01]"),
+        ("snapshots", '[0, "-1/1000"]', "snapshots[1]: must lie in [0, t_end] = [0, 0.01]"),
+        ("snapshots", "[1e400]", "snapshots[0]: must lie in [0, t_end] = [0, 0.01]"),
+    ],
+)
+def test_out_of_range_simulation_times_are_input_errors(tmp_path, capsys, key, text, message):
+    sim = {"grid_M": 64, "L": TWO_PI, "dt": 0.001, "t_end": 0.01, "init": ["0.1*sin(x)"]}
+    doc = {"N": 1, "eta": [[1]], "K": 0, "H": ["u1^2/2"], "simulation": dict(sim, **{key: "@"})}
+    # JSON numbers are read as exact rationals, so 1e400 is a valid number
+    # that json.dumps cannot write
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: simulation.{message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "h,message",
     [
@@ -756,6 +830,22 @@ def test_simulation_power_table_limit_exits_3(tmp_path, capsys, h, init, top):
     assert captured.err == (
         f"simulate: expression size limit: a table of powers up to {top} "
         "at 512 samples exceeds 8388608 values\n"
+    )
+    assert captured.out == ""
+
+
+def test_coefficient_matrix_limit_exits_3(tmp_path, monkeypatch, capsys):
+    from hydrobrackets import numsim
+
+    # the level-2 flow of the linear pair compiles to 4 V rows and S over 13
+    # monomials: 65 coefficients, one above the lowered limit
+    monkeypatch.setattr(numsim, "POWER_TABLE_LIMIT", 64)
+    problem = str(Path(__file__).resolve().parents[1] / "problems" / "linear_pair_n2.json")
+    assert main(["simulate", problem, "--level", "2", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "simulate: expression size limit: a coefficient matrix of 5 x 13 "
+        "(rows x monomials) exceeds 64 values\n"
     )
     assert captured.out == ""
 

@@ -6,8 +6,9 @@ Problem files are drawn with N in {1, 2}: entries are rationals,
 polynomials and quotients in u1..uN (zero denominators included), mixed
 with wrong shapes, booleans, wrong types and missing keys.  Half of them
 carry a ``simulation`` block of a few time steps on a small grid, with
-rational, transcendental and junk initial data and ``grid_M`` values above
-the cap.
+rational, transcendental and junk initial data, ``grid_M`` values above
+the cap, and times that are negative, beyond the float range or (snapshots)
+past ``t_end``.
 """
 
 from __future__ import annotations
@@ -68,14 +69,18 @@ INITS = st.sampled_from(
 
 @st.composite
 def simulations(draw, n: int):
-    """A simulation block of one to three steps, now and then too large or junk."""
+    """A simulation block of one to three steps, now and then too large or
+    junk; times may be negative, beyond the float range, or snapshots past
+    t_end."""
     dt = draw(st.sampled_from([Fraction(1, 1000), Fraction(1, 10), Fraction(2)]))
+    steps = draw(st.sampled_from([1, 2, 3, Fraction(5, 2), -1, None]))
     return {
         "grid_M": draw(st.sampled_from([8, 16, 64, 1 << 17, 1 << 40, 12, True])),
-        "L": draw(st.sampled_from([6.283185307179586, 1, "1/2", 0])),
+        "L": draw(st.sampled_from([6.283185307179586, 1, "1/2", 0, "1e400"])),
         "dt": str(dt),
-        "t_end": str(dt * draw(st.sampled_from([1, 2, 3, Fraction(5, 2)]))),
+        "t_end": "1e400" if steps is None else str(dt * steps),
         "init": draw(st.lists(INITS, min_size=n, max_size=n)),
+        "snapshots": draw(st.sampled_from([[], ["0", str(dt)], [str(4 * dt)]])),
     }
 
 
@@ -124,12 +129,7 @@ def problems(draw):
     return doc
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
-@given(doc=problems(), command=st.sampled_from(COMMANDS))
-def test_any_problem_file_ends_in_a_documented_exit_code(
-    tmp_path_factory, doc, command
-):
-    base = tmp_path_factory.getbasetemp()
+def _ends_in_a_documented_exit_code(base, doc, command):
     path = base / "fuzz.json"
     path.write_text(json.dumps(doc))
     if command[0] == "simulate":
@@ -139,3 +139,21 @@ def test_any_problem_file_ends_in_a_documented_exit_code(
         code = main([command[0], str(path), *command[1:]])
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(doc=problems(), command=st.sampled_from(COMMANDS))
+def test_any_problem_file_ends_in_a_documented_exit_code(
+    tmp_path_factory, doc, command
+):
+    _ends_in_a_documented_exit_code(tmp_path_factory.getbasetemp(), doc, command)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(sim=simulations(1))
+def test_any_simulation_block_of_a_valid_pair_ends_in_a_documented_exit_code(
+    tmp_path_factory, sim
+):
+    # most of the files above fail before their simulation block is read
+    doc = {"N": 1, "eta": [[1]], "K": 0, "H": ["u1^2/2"], "simulation": sim}
+    _ends_in_a_documented_exit_code(tmp_path_factory.getbasetemp(), doc, ["simulate"])
