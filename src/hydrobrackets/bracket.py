@@ -20,7 +20,6 @@ Condition families:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -92,7 +91,6 @@ class UnsupportedDensityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HydroBracket:
     """Coefficients (g, b, K) of a hydrodynamic-type bracket.
 
@@ -101,26 +99,17 @@ class HydroBracket:
     carry a formal parameter).  Nothing is validated beyond shapes.
     """
 
-    vars: tuple
-    g: tuple
-    b: tuple
-    K: Expr
-
-    def __post_init__(self):
-        n = len(self.vars)
-        g = tuple(tuple(as_expr(e) for e in row) for row in self.g)
-        b = tuple(
-            tuple(tuple(as_expr(e) for e in row) for row in plane) for plane in self.b
-        )
+    def __init__(self, vars: tuple, g: tuple, b: tuple, K: Expr):
+        n = len(vars)
+        g = tuple(tuple(as_expr(e) for e in row) for row in g)
+        b = tuple(tuple(tuple(as_expr(e) for e in row) for row in plane) for plane in b)
         if len(g) != n or any(len(r) != n for r in g):
             raise ValueError("g must be N x N")
         if len(b) != n or any(
             len(p) != n or any(len(r) != n for r in p) for p in b
         ):
             raise ValueError("b must be N x N x N")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "K", as_expr(self.K))
+        self.vars, self.g, self.b, self.K = vars, g, b, as_expr(K)
 
     @property
     def n(self) -> int:
@@ -166,15 +155,12 @@ def _contract(matrix, vec) -> tuple:
     )
 
 
-@dataclass(frozen=True)
 class ConstantBracket:
-    """Constant bracket eta^{ij} d/dx with exact inverse eta_{ij}."""
+    """Constant bracket eta^{ij} d/dx with exact inverse eta_{ij}: ``up`` is
+    eta^{ij}, ``down`` is eta_{ij}."""
 
-    up: tuple  # eta^{ij}
-    down: tuple = field(init=False)  # eta_{ij}
-
-    def __post_init__(self):
-        up = tuple(tuple(Fraction(x) for x in row) for row in self.up)
+    def __init__(self, up: tuple):
+        up = tuple(tuple(Fraction(x) for x in row) for row in up)
         n = len(up)
         if any(len(r) != n for r in up):
             raise ValueError("eta must be square")
@@ -186,9 +172,8 @@ class ConstantBracket:
             inv, _ = matrix_inverse([[Expr.const(x) for x in row] for row in up])
         except DegenerateMetricError:
             raise ValueError("eta is singular") from None
-        down = tuple(tuple(a.const_value() for a in row) for row in inv)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
+        self.up = up
+        self.down = tuple(tuple(a.const_value() for a in row) for row in inv)
 
     @property
     def n(self) -> int:
@@ -215,23 +200,16 @@ class ConstantBracket:
         )
 
 
-@dataclass(frozen=True)
 class CanonicalPair:
     """Data (eta, K, H^i) generating a canonical compatible operator pair."""
 
-    eta: ConstantBracket
-    K: Expr
-    H: tuple
-    vars: tuple
-
-    def __post_init__(self):
-        H = tuple(as_expr(h) for h in self.H)
-        if len(H) != self.eta.n:
+    def __init__(self, eta: ConstantBracket, K: Expr, H: tuple, vars: tuple):
+        H = tuple(as_expr(h) for h in H)
+        if len(H) != eta.n:
             raise ValueError("H must have one potential per field component")
-        if len(self.vars) != self.eta.n:
+        if len(vars) != eta.n:
             raise ValueError("variable list must match eta")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "K", as_expr(self.K))
+        self.eta, self.K, self.H, self.vars = eta, as_expr(K), H, vars
 
     @property
     def n(self) -> int:
@@ -261,24 +239,30 @@ class CanonicalPair:
         )
 
 
-@dataclass(frozen=True)
-class Witness:
-    indices: tuple  # 1-based
-    point: dict
-    value: object
+class _ValueEq:
+    """Equality by attribute values, for the report types that callers compare."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    status: Zeroness
-    witness: Witness | None = None
+class Witness(_ValueEq):
+    def __init__(self, indices: tuple, point: dict, value: object):
+        self.indices = indices  # 1-based
+        self.point, self.value = point, value
 
 
-@dataclass
-class PoissonReport:
-    conditions: list
-    extras: dict = field(default_factory=dict)
+class ConditionResult(_ValueEq):
+    def __init__(self, name: str, status: Zeroness, witness: Witness | None = None):
+        self.name, self.status, self.witness = name, status, witness
+
+
+class PoissonReport(_ValueEq):
+    def __init__(self, conditions: list, extras: dict | None = None):
+        self.conditions = conditions
+        self.extras = {} if extras is None else extras
 
     @property
     def passed(self) -> bool:
@@ -294,14 +278,12 @@ class PoissonReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
 class LiouvilleData:
     """Liouville function Phi^{ij}; for special-Liouville brackets also the
     recovered potentials H^j (fixed by Phi(0)-symmetry and H(0) = 0)."""
 
-    vars: tuple
-    Phi: tuple
-    H: tuple | None = None
+    def __init__(self, vars: tuple, Phi: tuple, H: tuple | None = None):
+        self.vars, self.Phi, self.H = vars, Phi, H
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +632,12 @@ def check_canonical_equations(
     return PoissonReport(conditions=conditions)
 
 
-@dataclass
 class AuditReport:
-    poisson: PoissonReport
-    equations: PoissonReport
-    inconsistency: str | None = None  # the first disagreement found
+    def __init__(
+        self, poisson: PoissonReport, equations: PoissonReport, inconsistency: str | None = None
+    ):
+        self.poisson, self.equations = poisson, equations
+        self.inconsistency = inconsistency  # the first disagreement found
 
     @property
     def consistent(self) -> bool:
@@ -793,12 +776,11 @@ def special_liouville(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Integrand1:
     """First-order integrand sum_k omega_k(u) u^k_x."""
 
-    vars: tuple
-    omega: tuple
+    def __init__(self, vars: tuple, omega: tuple):
+        self.vars, self.omega = vars, omega
 
     def __str__(self):
         parts = [f"({w})*{v}_x" for v, w in zip(self.vars, self.omega)]

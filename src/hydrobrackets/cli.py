@@ -214,8 +214,10 @@ class Problem:
             except OverflowError:
                 raise ProblemFileError(f"{loc}.{key}", "exceeds the float range") from None
         for key in ("L", "dt"):
-            if not sim[key] > 0:
+            if exact[key] <= 0:
                 raise ProblemFileError(f"{loc}.{key}", "must be positive")
+            if sim[key] == 0:  # a positive value below the smallest float
+                raise ProblemFileError(f"{loc}.{key}", "exceeds the float range")
         steps = sim["t_end"] / sim["dt"]
         if steps > numsim.MAX_STEPS:
             raise ProblemFileError(

@@ -18,7 +18,6 @@ once against the closed-form constant-curvature family built by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,17 +57,13 @@ def _freeze(entries):
     return tuple(tuple(as_expr(e) for e in row) for row in entries)
 
 
-@dataclass(frozen=True)
 class ContravariantMetric:
     """Symmetric matrix of expressions g^{ij}(u)."""
 
-    vars: tuple
-    entries: tuple
-
-    def __post_init__(self):
-        n = _check_square(self.entries)
-        object.__setattr__(self, "entries", _freeze(self.entries))
-        if len(self.vars) != n:
+    def __init__(self, vars: tuple, entries: tuple):
+        n = _check_square(entries)
+        self.vars, self.entries = vars, _freeze(entries)
+        if len(vars) != n:
             raise ValueError("variable list does not match matrix size")
         for i in range(n):
             for j in range(i + 1, n):
@@ -80,40 +75,35 @@ class ContravariantMetric:
         return len(self.vars)
 
 
-@dataclass(frozen=True)
 class CovariantMetric:
     """Symmetric matrix g_{ij}(u), optionally carrying its contravariant partner."""
 
-    vars: tuple
-    entries: tuple
-    contravariant: ContravariantMetric | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        _check_square(self.entries)
-        object.__setattr__(self, "entries", _freeze(self.entries))
+    def __init__(
+        self, vars: tuple, entries: tuple, contravariant: ContravariantMetric | None = None
+    ):
+        _check_square(entries)
+        self.vars, self.entries, self.contravariant = vars, _freeze(entries), contravariant
 
     @property
     def n(self) -> int:
         return len(self.vars)
 
 
-@dataclass(frozen=True)
 class Connection:
     """Levi-Civita symbols Gamma^i_{jk} and contravariant form b^{ij}_k."""
 
-    vars: tuple
-    gamma: tuple
-    b: tuple
+    def __init__(self, vars: tuple, gamma: tuple, b: tuple):
+        self.vars, self.gamma, self.b = vars, gamma, b
 
     @property
     def n(self) -> int:
         return len(self.vars)
 
 
-@dataclass(frozen=True)
 class CurvatureTensor:
-    vars: tuple
-    entries: tuple  # R[i][j][k][l] = R^i_{jkl}
+    def __init__(self, vars: tuple, entries: tuple):
+        self.vars = vars
+        self.entries = entries  # R[i][j][k][l] = R^i_{jkl}
 
     @property
     def n(self) -> int:

@@ -20,7 +20,6 @@ argument rather than chosen silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -79,29 +78,19 @@ def flow_vars(n: int) -> tuple:
     return field_vars(n, "v")
 
 
-@dataclass(frozen=True)
 class ConservativeFlow:
     """A conservative hydrodynamic flow v^i_t = (F^i(v))_x."""
 
-    eta: ConstantBracket
-    vars: tuple
-    F: tuple
-    S: Expr
-    V: tuple
-    level: int | None = None
-
-    def __post_init__(self):
-        n = self.eta.n
-        F = tuple(as_expr(x) for x in self.F)
-        V = tuple(tuple(as_expr(x) for x in row) for row in self.V)
-        S = as_expr(self.S)
-        if len(self.vars) != n or len(F) != n or len(V) != n:
+    def __init__(
+        self, eta: ConstantBracket, vars: tuple, F: tuple, S: Expr, V: tuple, level=None
+    ):
+        n = eta.n
+        F = tuple(as_expr(x) for x in F)
+        V = tuple(tuple(as_expr(x) for x in row) for row in V)
+        S = as_expr(S)
+        if len(vars) != n or len(F) != n or len(V) != n:
             raise ValueError("flow dimensions do not match eta")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "S", S)
-        eta = self.eta
-        vars = self.vars
+        self.eta, self.vars, self.F, self.S, self.V, self.level = eta, vars, F, S, V, level
         for i in range(n):
             for k in range(n):
                 if is_zero(V[i][k] - F[i].diff(vars[k])) is Zeroness.NONZERO:

@@ -11,7 +11,6 @@ correction explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -79,18 +78,15 @@ MAX_STEPS = 1 << 20
 POWER_TABLE_LIMIT = 1 << 23
 
 
-@dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid: m points (power of two, >= 8) on [0, length)."""
 
-    m: int
-    length: float
-
-    def __post_init__(self):
-        if self.m < 8 or (self.m & (self.m - 1)) != 0:
+    def __init__(self, m: int, length: float):
+        if m < 8 or (m & (m - 1)) != 0:
             raise ValueError("grid size must be a power of two, at least 8")
-        if not self.length > 0:
+        if not length > 0:
             raise ValueError("period length must be positive")
+        self.m, self.length = m, length
 
     @property
     def nodes(self) -> np.ndarray:
@@ -105,18 +101,14 @@ class Grid:
         return 1j * self.wavenumbers
 
 
-@dataclass
 class FieldState:
-    grid: Grid
-    v: np.ndarray  # shape (N, M)
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float)
-        if self.v.ndim != 2 or self.v.shape[1] != self.grid.m:
+    def __init__(self, grid: Grid, v: np.ndarray, t: float = 0.0):
+        v = np.asarray(v, dtype=float)  # shape (N, M)
+        if v.ndim != 2 or v.shape[1] != grid.m:
             raise ValueError("field array must have shape (N, M)")
-        if not np.all(np.isfinite(self.v)):
+        if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
+        self.grid, self.v, self.t = grid, v, t
 
     @property
     def n(self) -> int:
@@ -300,15 +292,12 @@ def dealias_two_thirds(grid: Grid, s: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=grid.m)
 
 
-@dataclass
 class CompiledFlow:
     """A conservative flow compiled into one monomial table: rows
     0..n^2-1 are V[i][k] in row-major order, row n^2 is the density S."""
 
-    n: int
-    table: MonomialTable
-    eta_down: np.ndarray
-    dealias: bool = False
+    def __init__(self, n: int, table: MonomialTable, eta_down: np.ndarray, dealias=False):
+        self.n, self.table, self.eta_down, self.dealias = n, table, eta_down, dealias
 
     def rhs(self, grid: Grid, v: np.ndarray) -> np.ndarray:
         """V(v) v_x, from the V rows of the table alone."""
@@ -420,21 +409,22 @@ def step_rk4(
     return FieldState(grid=grid, v=vn, t=state.t + dt)
 
 
-@dataclass
 class DiagnosticsRow:
-    t: float
-    integrals: dict  # tracked functional name -> its integral over the period
-    max_vx: float
-    tail: float
+    def __init__(self, t: float, integrals: dict, max_vx: float, tail: float):
+        self.t = t
+        self.integrals = integrals  # tracked functional name -> its integral over the period
+        self.max_vx, self.tail = max_vx, tail
 
 
-@dataclass
 class RunResult:
-    rows: list
-    snapshots: list  # (time, array copy)
-    status: str  # "completed" | "breaking"
-    breaking_time: float | None = None
-    messages: list = field(default_factory=list)
+    def __init__(
+        self, rows: list, snapshots: list, status: str, breaking_time=None, messages=None
+    ):
+        self.rows = rows
+        self.snapshots = snapshots  # (time, array copy)
+        self.status = status  # "completed" | "breaking"
+        self.breaking_time = breaking_time
+        self.messages = [] if messages is None else messages
 
 
 def _densities(cflow: CompiledFlow, v: np.ndarray, S: np.ndarray) -> list:
@@ -545,11 +535,10 @@ def run(
     return RunResult(rows=rows, snapshots=snapshots, status="completed", messages=messages)
 
 
-@dataclass
 class DriftEntry:
-    name: str
-    initial: float
-    relative: float  # worst |drift| over the L1 norm of the density at t = 0
+    def __init__(self, name: str, initial: float, relative: float):
+        self.name, self.initial = name, initial
+        self.relative = relative  # worst |drift| over the L1 norm of the density at t = 0
 
 
 def drift_summary(
@@ -573,12 +562,10 @@ def drift_summary(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CommutationDefect:
-    defect: float
-    defect_half: float
-    ratio: float
-    commuting: bool
+    def __init__(self, defect: float, defect_half: float, ratio: float, commuting: bool):
+        self.defect, self.defect_half, self.ratio = defect, defect_half, ratio
+        self.commuting = commuting
 
 
 def commute_check_numeric(

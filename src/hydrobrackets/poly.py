@@ -123,12 +123,12 @@ class Poly:
     ``terms`` maps packed monomials to nonzero integer numerators over the
     positive integer ``den``, with the content reduced."""
 
-    __slots__ = ("terms", "den", "_key")
+    __slots__ = ("terms", "den", "_key", "_leading")
 
     def __init__(self, terms: dict | None = None, den: int = 1):
         self.terms = {} if terms is None else terms
         self.den = den if self.terms else 1
-        self._key = None
+        self._key = self._leading = None
 
     # -- constructors -------------------------------------------------
 
@@ -199,11 +199,13 @@ class Poly:
         ]
 
     def leading(self):
-        """Leading (monomial, coefficient) in graded-lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_grlex_key(_ordered_shifts(self.vars())))
-        return m, Fraction(self.terms[m], self.den)
+        """Leading (monomial, coefficient) in graded-lex order, found once."""
+        if self._leading is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            m = max(self.terms, key=_grlex_key(_ordered_shifts(self.vars())))
+            self._leading = (m, Fraction(self.terms[m], self.den))
+        return self._leading
 
     def exponent_rows(self, var_order: Sequence[str]):
         """(exponents over ``var_order``, coefficient) of each term, in the

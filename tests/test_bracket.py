@@ -69,6 +69,31 @@ def test_singular_eta_is_rejected():
         ConstantBracket([[1, 2], [2, 4]])
 
 
+_ZERO_B2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: HydroBracket(UV, [[1, 0]], _ZERO_B2, 0), "g must be N x N"),
+        (lambda: HydroBracket(UV, [[1, 0], [0, 1]], _ZERO_B2[:1], 0), "b must be N x N x N"),
+        (lambda: ConstantBracket([[1, 0]]), "eta must be square"),
+        (lambda: ConstantBracket([[1, 2], [3, 1]]), "eta must be symmetric"),
+        (
+            lambda: CanonicalPair(eta=ETA2, K=0, H=(Expr.var("u1"),), vars=UV),
+            "H must have one potential per field component",
+        ),
+        (
+            lambda: CanonicalPair(eta=ETA2, K=0, H=(1, 2), vars=("u1",)),
+            "variable list must match eta",
+        ),
+    ],
+)
+def test_constructors_reject_malformed_data(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_eta_inverse_is_always_computed():
     with pytest.raises(TypeError):
         ConstantBracket([[2, 1], [1, 1]], down=((1, 0), (0, 1)))

@@ -764,12 +764,38 @@ def test_only_simulations_import_numpy(tmp_path):
     assert loaded(simulate) == [True]
 
 
+def test_cli_import_loads_no_introspection_modules():
+    """dataclasses would bring inspect, ast, dis and tokenize into every
+    command's start-up; the set is compared with a bare interpreter's, so a
+    site setup that imports one of them does not count."""
+    root = Path(__file__).resolve().parents[1]
+
+    def modules(statement):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = modules("import hydrobrackets.cli") - modules("pass")
+    assert "hydrobrackets.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 @pytest.mark.parametrize(
     "key,text,message",
     [
         ("t_end", "1e400", "t_end: exceeds the float range"),
         ("L", "-1e400", "L: exceeds the float range"),
         ("dt", '"1e400"', "dt: exceeds the float range"),
+        # positive, but below the smallest float
+        ("L", "1e-400", "L: exceeds the float range"),
+        ("dt", '"1e-400"', "dt: exceeds the float range"),
+        ("dt", "-1e-400", "dt: must be positive"),
         ("t_end", "-1", "t_end: must not be negative"),
         ("snapshots", "[5]", "snapshots[0]: must lie in [0, t_end] = [0, 0.01]"),
         ("snapshots", '[0, "-1/1000"]', "snapshots[1]: must lie in [0, t_end] = [0, 0.01]"),

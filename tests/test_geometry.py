@@ -257,6 +257,19 @@ def test_degenerate_model_middle_index():
             assert _zero(prod - _delta(i, j))
 
 
+@pytest.mark.parametrize(
+    "vars,entries,message",
+    [
+        (UV, [[1, 0]], r"^metric matrix must be square$"),
+        (("u1",), [[1, 0], [0, 1]], r"^variable list does not match matrix size$"),
+        (UV, [[1, Expr.var("u1")], [0, 1]], r"^metric is not symmetric at \(1,2\)$"),
+    ],
+)
+def test_contravariant_metric_rejects_malformed_data(vars, entries, message):
+    with pytest.raises(ValueError, match=message):
+        geo.ContravariantMetric(vars=vars, entries=entries)
+
+
 def test_two_zero_constants_rejected():
     with pytest.raises(ValueError):
         geo.canonical_metric([0, 0, 1], 1)

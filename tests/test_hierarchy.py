@@ -222,6 +222,12 @@ def test_flow_invariants_enforced():
         )
 
 
+def test_flow_dimensions_must_match_eta():
+    v1 = Expr.var("v1")
+    with pytest.raises(ValueError, match="^flow dimensions do not match eta$"):
+        ConservativeFlow(eta=ETA2, vars=("v1",), F=(v1,), S=v1 * v1 / 2, V=((1,),))
+
+
 # -- the first flow -------------------------------------------------------------
 
 

@@ -41,12 +41,25 @@ def _linear_pair(K=0):
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid size must be a power of two, at least 8$"):
         ns.Grid(6, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid size must be a power of two, at least 8$"):
         ns.Grid(48, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^period length must be positive$"):
         ns.Grid(64, 0.0)
+
+
+@pytest.mark.parametrize(
+    "v,message",
+    [
+        (np.zeros(8), r"^field array must have shape \(N, M\)$"),
+        (np.zeros((1, 16)), r"^field array must have shape \(N, M\)$"),
+        ([[0.0] * 7 + [np.inf]], "^field values must be finite$"),
+    ],
+)
+def test_field_state_rejects_malformed_data(v, message):
+    with pytest.raises(ValueError, match=message):
+        ns.FieldState(ns.Grid(8, 1.0), v)
 
 
 def test_spectral_dx_sin():
