@@ -169,7 +169,7 @@ class ConstantBracket:
                 if up[i][j] != up[j][i]:
                     raise ValueError("eta must be symmetric")
         try:
-            inv, _ = matrix_inverse([[Expr.const(x) for x in row] for row in up])
+            inv = matrix_inverse([[Expr.const(x) for x in row] for row in up])
         except DegenerateMetricError:
             raise ValueError("eta is singular") from None
         self.up = up

@@ -213,11 +213,11 @@ class Problem:
                 sim[key] = float(q)
             except OverflowError:
                 raise ProblemFileError(f"{loc}.{key}", "exceeds the float range") from None
+            if q > 0 and sim[key] == 0:  # a positive value below the smallest float
+                raise ProblemFileError(f"{loc}.{key}", "exceeds the float range")
         for key in ("L", "dt"):
             if exact[key] <= 0:
                 raise ProblemFileError(f"{loc}.{key}", "must be positive")
-            if sim[key] == 0:  # a positive value below the smallest float
-                raise ProblemFileError(f"{loc}.{key}", "exceeds the float range")
         steps = sim["t_end"] / sim["dt"]
         if steps > numsim.MAX_STEPS:
             raise ProblemFileError(

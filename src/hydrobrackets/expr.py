@@ -84,7 +84,7 @@ class Expr:
     to share.
 
     Every denominator factor enters through an actual division, so the
-    common cancellations (adjugate/determinant inverses, quotient-rule
+    common cancellations (pivot quotients of an elimination, quotient-rule
     derivatives) are recovered by exact trial division without running a
     full gcd; ``poly_gcd`` runs only for the reduced :meth:`normal_form`.
     A zero operand of ``+``, ``-`` or ``*`` returns at once.

@@ -2,10 +2,13 @@
 
 Index conventions used throughout:
 
-* ``Gamma[i][j][k]`` holds the Levi-Civita symbols Gamma^i_{jk},
-  computed as (1/2) g^{is} (d_j g_{sk} + d_k g_{sj} - d_s g_{jk});
-* ``b[i][j][k]`` holds the contravariant connection
-  b^{ij}_k = -g^{is} Gamma^j_{sk};
+* ``b[i][j][k]`` holds the Levi-Civita connection in contravariant form,
+  b^{ij}_k = -g^{is} Gamma^j_{sk}.  It is computed from g^{ij} alone up
+  to one lowering (Dubrovin & Novikov 1983):
+  b^{jr}_k = g_{ki} T^{ijr}, where 2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij}
+  and D^{ijr} = g^{is} d_s g^{jr};
+* ``Gamma[i][j][k]`` holds the Levi-Civita symbols Gamma^i_{jk}, derived
+  from b as Gamma^j_{sk} = -g_{si} b^{ij}_k;
 * ``R[i][j][k][l]`` holds the curvature tensor
   R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
             + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}.
@@ -19,6 +22,7 @@ once against the closed-form constant-curvature family built by
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .expr import Expr, Zeroness, as_expr, is_zero
@@ -90,10 +94,22 @@ class CovariantMetric:
 
 
 class Connection:
-    """Levi-Civita symbols Gamma^i_{jk} and contravariant form b^{ij}_k."""
+    """Levi-Civita connection b^{ij}_k of a metric, with its symbols
+    Gamma^j_{sk} = -g_{si} b^{ij}_k derived on first use."""
 
-    def __init__(self, vars: tuple, gamma: tuple, b: tuple):
-        self.vars, self.gamma, self.b = vars, gamma, b
+    def __init__(self, metric: CovariantMetric, b: tuple):
+        self.vars, self.metric, self.b = metric.vars, metric, b
+
+    @cached_property
+    def gamma(self) -> tuple:
+        lo, b, n = self.metric.entries, self.b, self.n
+        return tuple(
+            tuple(
+                tuple(-_dot(lo[s], [b[i][j][k] for i in range(n)]) for k in range(n))
+                for s in range(n)
+            )
+            for j in range(n)
+        )
 
     @property
     def n(self) -> int:
@@ -115,8 +131,13 @@ class CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
+def _dot(xs, ys) -> Expr:
+    return sum((x * y for x, y in zip(xs, ys)), Expr.const(0))
+
+
 def det(entries) -> Expr:
-    """Determinant by cofactor expansion (sizes here stay at most 4 or 5)."""
+    """Determinant by cofactor expansion; its cost grows as n!, so it serves
+    small matrices only."""
     n = len(entries)
     if n == 1:
         return as_expr(entries[0][0])
@@ -131,31 +152,27 @@ def det(entries) -> Expr:
     return total
 
 
-def adjugate(entries):
+def matrix_inverse(entries) -> list:
+    """Exact inverse by Gauss-Jordan elimination.  A column with no entry
+    that is not identically zero left to pivot on proves identic degeneracy,
+    which raises."""
     n = len(entries)
-    if n == 1:
-        return [[Expr.const(1)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [entries[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
-def matrix_inverse(entries):
-    """Exact inverse via adjugate/determinant; raises on identic degeneracy."""
-    d = det(entries)
-    if is_zero(d) is Zeroness.ZERO:
-        raise DegenerateMetricError("matrix is identically degenerate")
-    adj = adjugate(entries)
-    n = len(entries)
-    return [[adj[i][j] / d for j in range(n)] for i in range(n)], d
+    rows = [
+        [as_expr(x) for x in row] + [Expr.const(int(i == j)) for j in range(n)]
+        for i, row in enumerate(entries)
+    ]
+    for c in range(n):
+        p = next((r for r in range(c, n) if is_zero(rows[r][c]) is Zeroness.NONZERO), None)
+        if p is None:
+            raise DegenerateMetricError("matrix is identically degenerate")
+        rows[c], rows[p] = rows[p], rows[c]
+        scale = rows[c][c].reciprocal()
+        rows[c] = pivot = [x * scale for x in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and not f.is_zero():
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
+    return [row[n:] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -164,55 +181,26 @@ def matrix_inverse(entries):
 
 
 def invert_metric(g: ContravariantMetric) -> CovariantMetric:
-    inv, _ = matrix_inverse(g.entries)
-    return CovariantMetric(vars=g.vars, entries=inv, contravariant=g)
-
-
-def _contravariant_of(g_cov: CovariantMetric):
-    if g_cov.contravariant is not None:
-        return g_cov.contravariant.entries
-    inv, _ = matrix_inverse(g_cov.entries)
-    return tuple(tuple(row) for row in inv)
+    return CovariantMetric(vars=g.vars, entries=matrix_inverse(g.entries), contravariant=g)
 
 
 def christoffel(g_cov: CovariantMetric) -> Connection:
-    """Levi-Civita connection of the covariant metric; also populates the
-    contravariant coefficients b^{ij}_k = -g^{is} Gamma^j_{sk}."""
-    n = g_cov.n
-    vars = g_cov.vars
-    up = _contravariant_of(g_cov)
-    lo = g_cov.entries
-    dlo = [
-        [[lo[i][j].diff(vars[k]) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    """Levi-Civita connection of the metric, computed in contravariant form:
+    b^{jr}_k = g_{ki} T^{ijr} with 2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij}
+    and D^{ijr} = g^{is} d_s g^{jr}."""
+    n, lo = g_cov.n, g_cov.entries
+    up = matrix_inverse(lo) if g_cov.contravariant is None else g_cov.contravariant.entries
+    dup = [[[e.diff(v) for v in g_cov.vars] for e in row] for row in up]  # d_s g^{jr}
+    D = [[[_dot(up[i], dup[j][r]) for r in range(n)] for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
-    gamma = [
-        [
-            [
-                sum(
-                    (up[i][s] * (dlo[s][k][j] + dlo[s][j][k] - dlo[j][k][s]) for s in range(n)),
-                    Expr.const(0),
-                )
-                * half
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
+    T = [  # T[j][r][i] = T^{ijr}
+        [[(D[i][j][r] + D[j][i][r] - D[r][i][j]) * half for i in range(n)] for r in range(n)]
+        for j in range(n)
     ]
-    b = [
-        [
-            [
-                -sum((up[i][s] * gamma[j][s][k] for s in range(n)), Expr.const(0))
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    freeze3 = lambda t: tuple(tuple(tuple(r) for r in p) for p in t)
-    return Connection(vars=vars, gamma=freeze3(gamma), b=freeze3(b))
+    b = tuple(
+        tuple(tuple(_dot(lo[k], T[j][r]) for k in range(n)) for r in range(n)) for j in range(n)
+    )
+    return Connection(g_cov, b)
 
 
 def riemann(g_cov: CovariantMetric) -> CurvatureTensor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,24 @@ def test_lift_inverts_lower_on_non_diagonal_eta():
 def test_singular_eta_is_rejected():
     with pytest.raises(ValueError, match="^eta is singular$"):
         ConstantBracket([[1, 2], [2, 4]])
+
+
+def test_large_eta_loads_in_polynomial_time():
+    # an O(n!) inverse, such as cofactor expansion, takes minutes here
+    n = 10
+    up = [[2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    eta = ConstantBracket(up)
+    assert time.perf_counter() - start < 2.0
+    vars = geo.field_vars(n)
+    x = tuple(parse(f"{i + 1}*{v}^2 - {v}", vars) for i, v in enumerate(vars))
+    for a, b in zip(eta.lift(eta.lower(x)), x):
+        assert _zero(a - b)
+
+
+def test_eta_with_a_zero_leading_entry_needs_a_row_swap():
+    eta = ConstantBracket([[0, 1, 0], [1, 0, 0], [0, 0, 3]])
+    assert eta.down == ((0, 1, 0), (1, 0, 0), (0, 0, Fraction(1, 3)))
 
 
 _ZERO_B2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]

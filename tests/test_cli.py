@@ -800,6 +800,7 @@ def test_cli_import_loads_no_introspection_modules():
         ("snapshots", "[5]", "snapshots[0]: must lie in [0, t_end] = [0, 0.01]"),
         ("snapshots", '[0, "-1/1000"]', "snapshots[1]: must lie in [0, t_end] = [0, 0.01]"),
         ("snapshots", "[1e400]", "snapshots[0]: must lie in [0, t_end] = [0, 0.01]"),
+        ("t_end", "1e-400", "t_end: exceeds the float range"),
     ],
 )
 def test_out_of_range_simulation_times_are_input_errors(tmp_path, capsys, key, text, message):

@@ -196,6 +196,61 @@ def test_levi_civita_compatibility(n):
                 assert _zero(res)
 
 
+def _covariant_route_b(cov):
+    """b^{ij}_k = -g^{is} Gamma^j_{sk}, with Gamma from the derivatives of
+    the covariant components: the reference for the contravariant formula."""
+    n, vars = cov.n, cov.vars
+    up, lo = cov.contravariant.entries, cov.entries
+    zero = Expr.const(0)
+    dlo = [[[lo[i][j].diff(vars[k]) for k in range(n)] for j in range(n)] for i in range(n)]
+    gamma = [
+        [
+            [
+                sum(
+                    (up[i][s] * (dlo[s][k][j] + dlo[s][j][k] - dlo[j][k][s]) for s in range(n)),
+                    zero,
+                )
+                * Fraction(1, 2)
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return [
+        [
+            [-sum((up[i][s] * gamma[j][s][k] for s in range(n)), zero) for k in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("a", [(1, 2, 3, 4), (1, 2, 0, 4)])
+def test_contravariant_connection_prints_as_the_covariant_route(a):
+    _, cov, _ = geo.canonical_metric(a, 1)
+    conn = geo.christoffel(cov)
+    ref = _covariant_route_b(cov)
+    n = cov.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert str(conn.b[i][j][k]) == str(ref[i][j][k])
+
+
+def test_derived_symbols_are_levi_civita_on_the_degenerate_model():
+    _, cov, _ = geo.canonical_metric([1, 2, 0, 4], 1)
+    conn = geo.christoffel(cov)
+    n, vars, lo = cov.n, cov.vars, cov.entries
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                res = lo[i][j].diff(vars[k])
+                for s in range(n):
+                    res = res - conn.gamma[s][k][i] * lo[s][j] - conn.gamma[s][k][j] * lo[i][s]
+                assert _zero(res)
+
+
 def test_coordinates_geodesic_at_origin():
     # the closed-form family has vanishing symbols at u = 0
     con, cov, _ = geo.canonical_metric([1, 2, 3], Fraction(2, 3))
