@@ -1,10 +1,13 @@
 """Generation of the bi-Hamiltonian hierarchy of conservative flows.
 
-A hierarchy level is a flow v^i_t = (F^i(v))_x carried redundantly in three
-faces: flux potentials F, the scalar potential S with dS/dv^j = eta_{jl} F^l
-and S(0) = 0, and the expanded coefficient matrix V^i_k = dF^i/dv^k.  The
-cross-invariants are verified at construction, so every flow object is
-self-checking.
+A hierarchy level is a flow v^i_t = (F^i(v))_x, and a flow is its
+coefficient matrix V^i_k = dF^i/dv^k.  The flux potentials F and the scalar
+potential S (dS/dv^j = eta_{jl} F^l, S(0) = 0) are ray potentials derived
+from V when the flow is built: F^i is the ray integral of row i of V plus
+the constant eta^{is} gauge_s, and S is the ray integral of eta_{jl} F^l.
+The constructor checks the two conditions under which these potentials
+exist, that every row of V is closed and that eta-lowered V is symmetric;
+the ray integral guarantees the rest.
 
 :func:`bracket.operator_matrix` is the single operator primitive: for any
 bracket (g, b, K) it forms g Hess(S) + b grad(S) + K S Id, with the
@@ -39,12 +42,11 @@ from .bracket import (
     _rng,
 )
 from .expr import Expr, Zeroness, as_expr, is_zero
-from .geometry import field_vars
+from .geometry import _dot, field_vars
 
 __all__ = [
     "ConservativeFlow",
     "ClosednessError",
-    "FlowInvariantError",
     "NotPoissonError",
     "flow_vars",
     "translation_flow",
@@ -61,13 +63,11 @@ __all__ = [
 ]
 
 
-class FlowInvariantError(ValueError):
-    """A flow's three faces (F, S, V) are mutually inconsistent."""
-
-
 class ClosednessError(ValueError):
-    """The recursion output is not a gradient: the flow left the
-    conservative class (the pair is not Poisson or S is mis-normalized)."""
+    """A coefficient matrix V that is not a flow: a row of V is not closed,
+    so the flux potential F does not exist, or eta-lowered V is not
+    symmetric, so the scalar potential S does not exist.  On recursion
+    output it means the pair is not Poisson or S is mis-normalized."""
 
 
 class NotPoissonError(ValueError):
@@ -79,42 +79,41 @@ def flow_vars(n: int) -> tuple:
 
 
 class ConservativeFlow:
-    """A conservative hydrodynamic flow v^i_t = (F^i(v))_x."""
+    """A conservative hydrodynamic flow v^i_t = (F^i(v))_x with coefficient
+    matrix V over ``flow_vars(eta.n)``.
 
-    def __init__(
-        self, eta: ConstantBracket, vars: tuple, F: tuple, S: Expr, V: tuple, level=None
-    ):
+    ``gauge`` is the constant covector eta_{jl} F^l(0) (default zero); it
+    shifts F and, through it, S, but never V.
+    """
+
+    def __init__(self, eta: ConstantBracket, V, gauge: Sequence | None = None, level=None):
         n = eta.n
-        F = tuple(as_expr(x) for x in F)
+        vars = flow_vars(n)
         V = tuple(tuple(as_expr(x) for x in row) for row in V)
-        S = as_expr(S)
-        if len(vars) != n or len(F) != n or len(V) != n:
+        if len(V) != n or any(len(row) != n for row in V):
             raise ValueError("flow dimensions do not match eta")
-        self.eta, self.vars, self.F, self.S, self.V, self.level = eta, vars, F, S, V, level
+        gauge = tuple(as_expr(x) for x in (gauge or [0] * n))
+        if len(gauge) != n:
+            raise ValueError("gauge covector has wrong length")
         for i in range(n):
-            for k in range(n):
-                if is_zero(V[i][k] - F[i].diff(vars[k])) is Zeroness.NONZERO:
-                    raise FlowInvariantError(
-                        f"V[{i + 1}][{k + 1}] does not match dF^{i + 1}/dv^{k + 1}"
-                    )
-        # lowered[k][j] = eta_{jl} V^l_k
-        lowered = [eta.lower([V[l][k] for l in range(n)]) for k in range(n)]
-        for j in range(n):
-            for k in range(j + 1, n):
-                if is_zero(lowered[k][j] - lowered[j][k]) is Zeroness.NONZERO:
-                    raise FlowInvariantError(
-                        f"eta-lowered coefficient matrix is not symmetric at "
-                        f"({j + 1},{k + 1}); no scalar potential exists"
-                    )
-        xi = eta.lower(F)
-        for j in range(n):
-            if is_zero(S.diff(vars[j]) - xi[j]) is Zeroness.NONZERO:
-                raise FlowInvariantError(
-                    f"dS/dv^{j + 1} does not match the eta-lowered flux"
+            bad = _nonclosed_at(V[i], vars)
+            if bad is not None:
+                k, l = bad
+                raise ClosednessError(
+                    f"coefficient row {i + 1} is not a gradient at ({k + 1},{l + 1})"
                 )
-        at0 = {v: Fraction(0) for v in vars}
-        if is_zero(S.substitute(at0)) is Zeroness.NONZERO:
-            raise FlowInvariantError("S must vanish at the origin")
+        F = tuple(_ray_potential(row, vars) + c for row, c in zip(V, eta.lift(gauge)))
+        # d_k (eta_{jl} F^l) = eta_{jl} V^l_k: closed iff eta-lowered V is symmetric
+        xi = eta.lower(F)
+        bad = _nonclosed_at(xi, vars)
+        if bad is not None:
+            j, k = bad
+            raise ClosednessError(
+                f"eta-lowered coefficient matrix is not symmetric at "
+                f"({j + 1},{k + 1}); no scalar potential exists"
+            )
+        S = _ray_potential(xi, vars)
+        self.eta, self.vars, self.F, self.S, self.V, self.level = eta, vars, F, S, V, level
 
     @property
     def n(self) -> int:
@@ -124,10 +123,6 @@ class ConservativeFlow:
 # ---------------------------------------------------------------------------
 # canonical pair helpers (everything below works in the flow variables)
 # ---------------------------------------------------------------------------
-
-
-def _dot(a, b) -> Expr:
-    return sum((x * y for x, y in zip(a, b)), Expr.const(0))
 
 
 def _closed_form_data(P: CanonicalPair):
@@ -154,35 +149,14 @@ def eta_gradient_gauge(P: CanonicalPair) -> tuple:
 def translation_flow(eta: ConstantBracket) -> ConservativeFlow:
     """Level 0: v^i_t = v^i_x, with S = (1/2) eta_{jl} v^j v^l."""
     n = eta.n
-    vars = flow_vars(n)
-    v = [Expr.var(x) for x in vars]
-    S = _dot(v, eta.lower(v)) * Fraction(1, 2)
-    V = tuple(
-        tuple(Expr.const(1 if i == k else 0) for k in range(n)) for i in range(n)
-    )
-    return ConservativeFlow(eta=eta, vars=vars, F=tuple(v), S=S, V=V, level=0)
+    identity = [[int(i == k) for k in range(n)] for i in range(n)]
+    return ConservativeFlow(eta, identity, level=0)
 
 
-def recursion_matrix(P: CanonicalPair, S: Expr, vars) -> list:
+def recursion_matrix(P: CanonicalPair, S: Expr) -> list:
     """V-hat = g1 Hess(S) + b1 grad(S) + K S Id in the flow variables: the
     operator matrix of the canonical bracket P1."""
-    if tuple(vars) != flow_vars(P.n):
-        raise ValueError("flows must use the canonical flow variables v1..vN")
     return operator_matrix(P._flow_bracket, S)
-
-
-def _integrate_flow(
-    eta: ConstantBracket, vars, V, gauge, level: int | None = None
-) -> ConservativeFlow:
-    """The conservative flow with the closed coefficient matrix V: the flux
-    potentials F^i are the ray integrals of the rows of V lifted by
-    eta^{is} gauge_s, and S is the ray integral of eta_{jl} F^l."""
-    shift = eta.lift(gauge)
-    F = tuple(_ray_potential(row, vars) + c for row, c in zip(V, shift))
-    S = _ray_potential(eta.lower(F), vars)
-    return ConservativeFlow(
-        eta=eta, vars=vars, F=F, S=S, V=tuple(tuple(r) for r in V), level=level
-    )
 
 
 def apply_recursion(
@@ -194,23 +168,10 @@ def apply_recursion(
     (default zero); the coefficient matrix of the output never depends on
     it, but the carried potentials do, and through them the next level.
     """
-    n = P.n
-    vars = flow.vars
     if P.eta.n != flow.n:
         raise ValueError("flow and pair dimensions differ")
-    gauge = tuple(as_expr(x) for x in (gauge or [0] * n))
-    if len(gauge) != n:
-        raise ValueError("gauge covector has wrong length")
-    V = recursion_matrix(P, flow.S, vars)
-    for i in range(n):
-        bad = _nonclosed_at(V[i], vars)
-        if bad is not None:
-            k, l = bad
-            raise ClosednessError(
-                f"coefficient row {i + 1} is not a gradient at ({k + 1},{l + 1})"
-            )
     level = None if flow.level is None else flow.level + 1
-    return _integrate_flow(P.eta, vars, V, gauge, level)
+    return ConservativeFlow(P.eta, recursion_matrix(P, flow.S), gauge, level)
 
 
 def flow_t1(P: CanonicalPair) -> ConservativeFlow:
@@ -318,13 +279,11 @@ def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
     linear density c_j v^j: coefficients b1^{ij}_k c_j + K (c_j v^j) delta^i_k.
     This is exactly the defect produced one level after choosing gauge zero
     instead of the covector c."""
-    n = P.n
-    vars = flow_vars(n)
     c = tuple(as_expr(x) for x in c)
-    if len(c) != n:
+    if len(c) != P.n:
         raise ValueError("covector length must match the pair")
-    cv = sum((c[j] * Expr.var(vars[j]) for j in range(n)), Expr.const(0))
-    return _integrate_flow(P.eta, vars, recursion_matrix(P, cv, vars), (0,) * n)
+    cv = _dot(c, [Expr.var(x) for x in flow_vars(P.n)])
+    return ConservativeFlow(P.eta, recursion_matrix(P, cv))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +310,7 @@ def bihamiltonian_check(
             for k in range(n):
                 yield (i + 1, k + 1), M[i][k] - flow.V[i][k]
 
-    p1 = recursion_matrix(P, translation_flow(P.eta).S, vars)
+    p1 = recursion_matrix(P, translation_flow(P.eta).S)
     p2 = operator_matrix(P.eta.as_hydro(vars), flow.S)
     return PoissonReport(
         conditions=[

@@ -319,7 +319,7 @@ def test_criterion_6_hierarchy_identities():
     )
     for P in (scalar, linear):
         t1 = flow_t1(P)
-        V_op = recursion_matrix(P, translation_flow(P.eta).S, t1.vars)
+        V_op = recursion_matrix(P, translation_flow(P.eta).S)
         for i in range(P.n):
             for k in range(P.n):
                 assert _zero(V_op[i][k] - t1.V[i][k])

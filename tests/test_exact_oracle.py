@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from hydrobrackets.expr import Expr, Zeroness, is_zero
 from hydrobrackets.geometry import canonical_metric, christoffel, riemann
-from hydrobrackets.poly import Poly, poly_gcd
+from hydrobrackets.poly import Poly, poly_gcd, ray_integral
 
 sympy = pytest.importorskip("sympy")
 
@@ -35,11 +35,11 @@ monomials = st.tuples(*(st.integers(0, 3) for _ in VARS))
 term_lists = st.lists(st.tuples(monomials, coefficients), min_size=0, max_size=4)
 
 
-def build(terms) -> Poly:
+def build(terms, names=VARS) -> Poly:
     p = Poly()
     for exps, c in terms:
         m = Poly.const(c)
-        for v, e in zip(VARS, exps):
+        for v, e in zip(names, exps):
             m = m * Poly.var(v) ** e
         p = p + m
     return p
@@ -139,6 +139,21 @@ def test_sum_order_does_not_change_the_canonical_form(parts):
     for t in reversed(terms):
         backward = backward + t
     assert str(forward) == str(backward)
+
+
+# -- the ray integral: the potential of an exact 1-form -------------------------
+
+RAY_VARS = ("u1", "u2", "c")
+ray_monomials = st.tuples(*(st.integers(0, 3) for _ in RAY_VARS))
+
+
+@SETTINGS
+@given(terms=st.lists(st.tuples(ray_monomials, coefficients), min_size=0, max_size=5))
+def test_ray_integral_of_a_gradient_is_the_potential_less_its_origin_value(terms):
+    # F(u) = int_0^1 u^k df/du^k(t u) dt = f(u) - f(0); the parameter c is a constant
+    f = build(terms, RAY_VARS)
+    grad = [f.diff("u1"), f.diff("u2")]
+    assert ray_integral(grad, ("u1", "u2")) == f - f.substitute({"u1": 0, "u2": 0})
 
 
 # -- field axioms of Expr, judged by the exact zero test ----------------------

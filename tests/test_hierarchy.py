@@ -19,7 +19,6 @@ from hydrobrackets.expr import Expr, Zeroness, is_zero, parse
 from hydrobrackets.hierarchy import (
     ClosednessError,
     ConservativeFlow,
-    FlowInvariantError,
     NotPoissonError,
     apply_recursion,
     bihamiltonian_check,
@@ -212,20 +211,23 @@ def test_hierarchy_rejects_invalid_pair_and_negative_levels():
 
 
 def test_flow_invariants_enforced():
-    with pytest.raises(FlowInvariantError):
-        ConservativeFlow(
-            eta=ETA1,
-            vars=("v1",),
-            F=(Expr.var("v1"),),
-            S=parse("v1^2", ("v1",)),  # wrong potential
-            V=((Expr.const(1),),),
-        )
+    v2 = Expr.var("v2")
+    with pytest.raises(ClosednessError, match=r"^coefficient row 1 is not a gradient at \(1,2\)$"):
+        ConservativeFlow(eta=ETA2, V=((v2, 0), (0, 1)))
+    with pytest.raises(
+        ClosednessError,
+        match=r"^eta-lowered coefficient matrix is not symmetric at \(1,2\); "
+        r"no scalar potential exists$",
+    ):
+        ConservativeFlow(eta=ETA2, V=((0, 1), (0, 0)))
 
 
 def test_flow_dimensions_must_match_eta():
-    v1 = Expr.var("v1")
-    with pytest.raises(ValueError, match="^flow dimensions do not match eta$"):
-        ConservativeFlow(eta=ETA2, vars=("v1",), F=(v1,), S=v1 * v1 / 2, V=((1,),))
+    for V in (((1,),), ((1, 0), (0,))):
+        with pytest.raises(ValueError, match="^flow dimensions do not match eta$"):
+            ConservativeFlow(eta=ETA2, V=V)
+    with pytest.raises(ValueError, match="^gauge covector has wrong length$"):
+        ConservativeFlow(eta=ETA2, V=((1, 0), (0, 1)), gauge=(1,))
 
 
 # -- the first flow -------------------------------------------------------------
@@ -258,7 +260,7 @@ def test_flow_t1_three_forms_coincide():
         t1 = flow_t1(P)
         vars = t1.vars
         s0 = translation_flow(P.eta).S
-        V_op = recursion_matrix(P, s0, vars)
+        V_op = recursion_matrix(P, s0)
         n = P.n
         for i in range(n):
             for k in range(n):
@@ -280,7 +282,7 @@ def test_flow_t1_three_forms_fully_symbolic_cubic():
         vars=UV,
     )
     t1 = flow_t1(P)  # construction verifies the gradient and potential faces
-    V_op = recursion_matrix(P, translation_flow(ETA2).S, t1.vars)
+    V_op = recursion_matrix(P, translation_flow(ETA2).S)
     for i in range(2):
         for k in range(2):
             assert _zero(V_op[i][k] - t1.V[i][k])
@@ -378,9 +380,7 @@ def test_bihamiltonian_linear_pair():
 def test_bihamiltonian_zero_flow():
     P = CanonicalPair(eta=ETA1, K=0, H=(Expr.const(0),), vars=("u1",))
     zero = Expr.const(0)
-    fl = ConservativeFlow(
-        eta=ETA1, vars=("v1",), F=(zero,), S=zero, V=((zero,),)
-    )
+    fl = ConservativeFlow(eta=ETA1, V=((zero,),))
     assert bihamiltonian_check(P, fl).passed
 
 
@@ -404,7 +404,7 @@ def test_every_level_is_bihamiltonian(eta, h_texts):
     v = flows[0].vars
     for fl, nxt in zip(flows[:4], flows[1:]):
         p2 = operator_matrix(eta.as_hydro(v), fl.S)
-        p1 = recursion_matrix(P, fl.S, v)
+        p1 = recursion_matrix(P, fl.S)
         for i in range(eta.n):
             for k in range(eta.n):
                 assert _zero(p2[i][k] - fl.V[i][k])
