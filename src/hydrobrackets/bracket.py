@@ -10,7 +10,8 @@ per-condition verdicts with witnesses for failures.
 Condition families:
 
 * ``s1``..``s5``  -- the five residual families equivalent to the Jacobi
-  identity for a general (possibly degenerate) bracket;
+  identity for a general (possibly degenerate) bracket; s4, s5 and c2 read
+  one cached curl table of b, and s3-s5 skip exact-zero products;
 * ``c1``, ``c2``  -- compatibility with a constant bracket eta d/dx,
   expressed in the flat coordinates of eta;
 * ``ass1``, ``ass2`` -- the nonlinear equations on potentials H^i under
@@ -19,9 +20,10 @@ Condition families:
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .expr import (
     EvaluationSingularityError,
@@ -134,6 +136,29 @@ class HydroBracket:
         ]
         return dg, db
 
+    @cached_property
+    def _curl(self):
+        """curl[j][r][x][y] = d_y b^{jr}_x - d_x b^{jr}_y, the one table that
+        s4, s5 and c2 read."""
+        _, db = self._derivatives
+        R = range(self.n)
+        return [[[[d[x][y] - d[y][x] for y in R] for x in R] for d in row] for row in db]
+
+    @cached_property
+    def _support(self):
+        """Bitmasks of the entries that are not identically zero, over the
+        summation index s: (g^{is} by i, b^{ij}_s by [i][j], b^{sj}_k by [j][k],
+        curl[j][r][x][s] by [j][r][x]).  A product with an exact-zero factor
+        is zero, and adding zero returns the other operand unchanged, so the
+        sums of s3-s5 run over the set bits only and give the same Expr."""
+        n, g, b = self.n, self.g, self.b
+        return (
+            [_mask(row) for row in g],
+            [[_mask(row) for row in plane] for plane in b],
+            [[_mask([b[s][j][k] for s in range(n)]) for k in range(n)] for j in range(n)],
+            [[[_mask(row) for row in plane] for plane in planes] for planes in self._curl],
+        )
+
     def rename(self, mapping) -> "HydroBracket":
         return HydroBracket(
             vars=tuple(mapping.get(v, v) for v in self.vars),
@@ -144,6 +169,17 @@ class HydroBracket:
             ),
             K=self.K.rename(mapping),
         )
+
+
+def _mask(row) -> int:
+    """Bit s set where row[s] is not identically zero."""
+    return sum(1 << s for s, e in enumerate(row) if not e.is_zero())
+
+
+@cache
+def _bits(mask: int) -> tuple:
+    """The set bits of ``mask`` in increasing order (masks stay below 2^N)."""
+    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 def _contract(matrix, vec) -> tuple:
@@ -324,30 +360,28 @@ def _rng(rng):
 # ---------------------------------------------------------------------------
 
 
-def _s4_curvature(B: HydroBracket, db):
+def _s4_curvature(B: HydroBracket):
     """The derivative/curvature half of s4, by (i, j, r, k):
-    g^{is}(d_k b^{jr}_s - d_s b^{jr}_k) - K(delta^j_k g^{ir} - delta^r_k g^{ij}).
+    g^{is} curl[j][r][s][k] - K(delta^j_k g^{ir} - delta^r_k g^{ij}).
     s4 adds the associativity half b^{ij}_s b^{sr}_k - b^{ir}_s b^{sj}_k."""
     n = B.n
-    g, K = B.g, B.K
+    g, K, curl = B.g, B.K, B._curl
+    gs, _, _, cs = B._support
     zero = Expr.const(0)
-    for i in range(n):
-        for j in range(n):
-            for r in range(n):
-                for k in range(n):
-                    res = sum(
-                        (g[i][s] * (db[j][r][s][k] - db[j][r][k][s]) for s in range(n)),
-                        zero,
-                    )
-                    rhs = (g[i][r] if j == k else zero) - (g[i][j] if r == k else zero)
-                    yield (i + 1, j + 1, r + 1, k + 1), res - K * rhs
+    for i, j, r, k in itertools.product(range(n), repeat=4):
+        res = sum((g[i][s] * curl[j][r][s][k] for s in _bits(gs[i] & cs[j][r][k])), zero)
+        rhs = (g[i][r] if j == k else zero) - (g[i][j] if r == k else zero)
+        yield (i + 1, j + 1, r + 1, k + 1), res - K * rhs
 
 
 def _s_residuals(B: HydroBracket):
-    """Yield the condition families (name, generator of (indices, residual))."""
+    """Yield the condition families (name, generator of (indices, residual)).
+    The sums of s3-s5 skip the indices at which every product has an
+    exact-zero factor (``HydroBracket._support``)."""
     n = B.n
-    g, b, K = B.g, B.b, B.K
-    dg, db = B._derivatives
+    g, b, K, curl = B.g, B.b, B.K, B._curl
+    dg, _ = B._derivatives
+    gs, bs, bt, cs = B._support
     zero = Expr.const(0)
 
     def s1():
@@ -365,52 +399,71 @@ def _s_residuals(B: HydroBracket):
         for i in range(n):
             for j in range(i + 1, n):
                 for r in range(n):
+                    on = _bits(gs[i] & bs[j][r] | gs[j] & bs[i][r])
                     res = sum(
-                        (g[i][s] * b[j][r][s] - g[j][s] * b[i][r][s] for s in range(n)),
-                        zero,
+                        (g[i][s] * b[j][r][s] - g[j][s] * b[i][r][s] for s in on), zero
                     )
                     yield (i + 1, j + 1, r + 1), res
 
     def s4():
-        for indices, curvature in _s4_curvature(B, db):
+        for indices, curvature in _s4_curvature(B):
             i, j, r, k = (x - 1 for x in indices)
+            on = _bits(bs[i][j] & bt[r][k] | bs[i][r] & bt[j][k])
             assoc = sum(
-                (b[i][j][s] * b[s][r][k] - b[i][r][s] * b[s][j][k] for s in range(n)),
-                zero,
+                (b[i][j][s] * b[s][r][k] - b[i][r][s] * b[s][j][k] for s in on), zero
             )
             yield indices, curvature + assoc
 
     def s5():
         seen = set()
-        for i in range(n):
-            for j in range(n):
-                for r in range(n):
-                    orbit = min((i, j, r), (j, r, i), (r, i, j))
-                    if orbit in seen:
-                        continue
-                    seen.add(orbit)
-                    for k in range(n):
-                        for p in range(k, n):
-                            res = zero
-                            for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
-                                t = sum(
-                                    (
-                                        b[s][a][p] * (db[bb][c][k][s] - db[bb][c][s][k])
-                                        + b[s][a][k] * (db[bb][c][p][s] - db[bb][c][s][p])
-                                        for s in range(n)
-                                    ),
-                                    zero,
-                                )
-                                t = t + K * (
-                                    (b[a][bb][k] - b[bb][a][k]) if c == p else zero
-                                )
-                                t = t + K * (
-                                    (b[a][bb][p] - b[bb][a][p]) if c == k else zero
-                                )
-                                res = res + t
-                            yield (i + 1, j + 1, r + 1, k + 1, p + 1), res
+        for i, j, r in itertools.product(range(n), repeat=3):
+            orbit = min((i, j, r), (j, r, i), (r, i, j))
+            if orbit in seen:
+                continue
+            seen.add(orbit)
+            for k in range(n):
+                for p in range(k, n):
+                    res = zero
+                    for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
+                        on = _bits(bt[a][p] & cs[bb][c][k] | bt[a][k] & cs[bb][c][p])
+                        t = sum(
+                            (b[s][a][p] * curl[bb][c][k][s] + b[s][a][k] * curl[bb][c][p][s]
+                             for s in on),
+                            zero,
+                        )
+                        if c == p:
+                            t = t + K * (b[a][bb][k] - b[bb][a][k])
+                        if c == k:
+                            t = t + K * (b[a][bb][p] - b[bb][a][p])
+                        res = res + t
+                    yield (i + 1, j + 1, r + 1, k + 1, p + 1), res
 
     return [("s1", s1()), ("s2", s2()), ("s3", s3()), ("s4", s4()), ("s5", s5())]
+
+
+def _c_residuals(B: HydroBracket, eta: ConstantBracket):
+    """The families c1, c2 of compatibility with eta d/dx, as
+    (name, generator of (indices, residual))."""
+    n = B.n
+    b, K, curl = B.b, B.K, B._curl
+
+    def c1():
+        # eta^{is} b^{jr}_s - eta^{js} b^{ir}_s
+        lb = [[eta.lift(b[j][r]) for r in range(n)] for j in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for r in range(n):
+                    yield (i + 1, j + 1, r + 1), lb[j][r][i] - lb[i][r][j]
+
+    def c2():
+        for j in range(n):
+            for r in range(n):
+                for s in range(n):
+                    for k in range(s + 1, n):
+                        rhs = int(r == s and j == k) - int(j == s and r == k)
+                        yield (j + 1, r + 1, s + 1, k + 1), curl[j][r][s][k] - K * Expr.const(rhs)
+
+    return [("c1", c1()), ("c2", c2())]
 
 
 def check_poisson(B: HydroBracket, rng=None) -> PoissonReport:
@@ -429,32 +482,8 @@ def check_compat_constant(
     if eta.n != B.n:
         raise ValueError("dimension mismatch")
     rng = _rng(rng)
-    n = B.n
-    b, K = B.b, B.K
-    _, db = B._derivatives
-
-    def c1():
-        # eta^{is} b^{jr}_s - eta^{js} b^{ir}_s
-        lb = [[eta.lift(b[j][r]) for r in range(n)] for j in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for r in range(n):
-                    yield (i + 1, j + 1, r + 1), lb[j][r][i] - lb[i][r][j]
-
-    def c2():
-        for j in range(n):
-            for r in range(n):
-                for s in range(n):
-                    for k in range(s + 1, n):
-                        rhs = (Fraction(1) if (r == s and j == k) else Fraction(0)) - (
-                            Fraction(1) if (j == s and r == k) else Fraction(0)
-                        )
-                        res = db[j][r][s][k] - db[j][r][k][s] - K * Expr.const(rhs)
-                        yield (j + 1, r + 1, s + 1, k + 1), res
-
-    conditions = [_judge(name, gen, rng) for name, gen in _s_residuals(B)]
-    conditions.append(_judge("c1", c1(), rng))
-    conditions.append(_judge("c2", c2(), rng))
+    families = _s_residuals(B) + _c_residuals(B, eta)
+    conditions = [_judge(name, gen, rng) for name, gen in families]
     return PoissonReport(conditions=conditions)
 
 
@@ -663,8 +692,7 @@ def equivalence_audit(P: CanonicalPair, rng=None) -> AuditReport:
         return report
     # For canonical brackets the derivative part of s4 cancels the curvature
     # term identically, leaving b.b - b.b associativity; verify the identity.
-    _, db = B._derivatives
-    if _judge("s4_assoc", _s4_curvature(B, db), rng).status is Zeroness.NONZERO:
+    if _judge("s4_assoc", _s4_curvature(B), rng).status is Zeroness.NONZERO:
         report.inconsistency = (
             "s4 does not reduce to the associativity form on a canonical bracket"
         )

@@ -41,7 +41,7 @@ from .hierarchy import (
     NotPoissonError,
     commute_check,
     hierarchy,
-    involution_check,
+    verify_hierarchy,
 )
 from . import numsim
 from .poly import ExpressionSizeError
@@ -539,26 +539,15 @@ def cmd_hierarchy(args) -> int:
         for i in range(n):
             for k in range(n):
                 lines.append(f"  V[{i + 1}][{k + 1}] = {entry['V'][i][k]}")
-    all_ok = True
-    commute_obj = []
-    for fa, fb in itertools.combinations(flows, 2):
-        rep = commute_check(fa, fb)
-        ok = rep.passed
-        all_ok = all_ok and ok
-        commute_obj.append(
-            {"levels": [fa.level, fb.level], "commute": ok}
-        )
-        lines.append(
-            f"commute t{fa.level} vs t{fb.level}: {'PASS' if ok else 'FAIL'}"
-        )
-    involution_obj = []
-    for fa, fb in itertools.combinations(flows, 2):
-        ok = involution_check(P, fa.S, fb.S)
-        all_ok = all_ok and ok
+    pairs = list(zip(itertools.combinations(flows, 2), verify_hierarchy(P, flows)))
+    commute_obj, involution_obj = [], []
+    for (fa, fb), (ok, _) in pairs:
+        commute_obj.append({"levels": [fa.level, fb.level], "commute": ok})
+        lines.append(f"commute t{fa.level} vs t{fb.level}: {'PASS' if ok else 'FAIL'}")
+    for (fa, fb), (_, ok) in pairs:
         involution_obj.append({"levels": [fa.level, fb.level], "involution": ok})
-        lines.append(
-            f"involution S{fa.level} vs S{fb.level}: {'PASS' if ok else 'FAIL'}"
-        )
+        lines.append(f"involution S{fa.level} vs S{fb.level}: {'PASS' if ok else 'FAIL'}")
+    all_ok = all(c and i for _, (c, i) in pairs)
     lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
     _emit(
         args,

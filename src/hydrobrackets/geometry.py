@@ -153,26 +153,31 @@ def det(entries) -> Expr:
 
 
 def matrix_inverse(entries) -> list:
-    """Exact inverse by Gauss-Jordan elimination.  A column with no entry
-    that is not identically zero left to pivot on proves identic degeneracy,
-    which raises."""
+    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination:
+    every step divides exactly by the previous pivot, so the matrix ends as
+    [d I | d A^{-1}] and one reciprocal of the last pivot d finishes.  A
+    column with no entry that is not identically zero left to pivot on
+    proves identic degeneracy, which raises."""
     n = len(entries)
     rows = [
         [as_expr(x) for x in row] + [Expr.const(int(i == j)) for j in range(n)]
         for i, row in enumerate(entries)
     ]
+    prev = Expr.const(1)
     for c in range(n):
         p = next((r for r in range(c, n) if is_zero(rows[r][c]) is Zeroness.NONZERO), None)
         if p is None:
             raise DegenerateMetricError("matrix is identically degenerate")
         rows[c], rows[p] = rows[p], rows[c]
-        scale = rows[c][c].reciprocal()
-        rows[c] = pivot = [x * scale for x in rows[c]]
+        pivot, scale = rows[c], prev.reciprocal()
+        same = (pivot[c] - prev).is_zero()  # a row with f = 0 is then scaled by 1
         for r in range(n):
             f = rows[r][c]
-            if r != c and not f.is_zero():
-                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
-    return [row[n:] for row in rows]
+            if r != c and not (same and f.is_zero()):
+                rows[r] = [(pivot[c] * x - f * y) * scale for x, y in zip(rows[r], pivot)]
+        prev = pivot[c]
+    scale = prev.reciprocal()
+    return [[x * scale for x in row[n:]] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ the ray integral guarantees the rest.
 bracket (g, b, K) it forms g Hess(S) + b grad(S) + K S Id, with the
 antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
 :func:`recursion_matrix` is it for the canonical operator P1 of the pair;
-``bihamiltonian_check`` applies P1 and eta d/dx, and ``involution_check``
-integrates against either.  Levels are produced by applying the recursion
+``bihamiltonian_check`` applies P1 and eta d/dx, ``involution_check``
+integrates against either, and ``verify_hierarchy`` judges every pair of
+levels with one integrand each.  Levels are produced by applying the recursion
 to the previous level, and the closed-form flows are checked against it.
 Each application leaves one constant covector free (the value of
 eta_{jl} F^l at the origin); it is exposed as the explicit ``gauge``
@@ -23,6 +24,7 @@ argument rather than chosen silently.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,6 +62,7 @@ __all__ = [
     "bihamiltonian_check",
     "commute_check",
     "involution_check",
+    "verify_hierarchy",
 ]
 
 
@@ -378,3 +381,37 @@ def involution_check(P: CanonicalPair, d1, d2, operator: str = "both") -> bool:
         if not is_total_x_derivative(integrand):
             return False
     return True
+
+
+def verify_hierarchy(P: CanonicalPair, flows: Sequence) -> list:
+    """(commute, involution) verdicts of every pair a < b of the flows that
+    ``hierarchy(P, ...)`` returned, in ``itertools.combinations`` order,
+    judging each distinct integrand once.
+
+    * The P2 = eta d/dx integrand of (a, b) is dS_a/dv^i V_b^i_k, since
+      eta Hess(S_b) = V_b.
+    * The P1 integrand of (a, b) is the P2 integrand of (a, b+1), since
+      V_{b+1} = recursion_matrix(P, S_b) and S_b(0) = 0 removes the tail
+      term.  For the top level b both brackets are skew (P1 by construction:
+      g1 is symmetric and dg1 = b1 + b1^T), so P1 involution of (a, b) is
+      that of (b, a), whose integrand is the P2 integrand of (b, a+1), and so
+      that of P2 (a+1, b); the P2 bracket of S_b with itself is exact.
+    * Every flow is the P2-Hamiltonian field of the integral of its S, and
+      [X_f, X_g] = X_{f,g} (Olver, "Applications of Lie Groups to
+      Differential Equations", ch. 7), so P2 involution of (a, b) proves
+      that the flows commute; where it fails, ``commute_check`` decides.
+
+    The involution verdict is that of ``involution_check`` (P1 and P2)."""
+    vars, n, m = flow_vars(P.n), P.n, len(flows)
+    grads = [[fl.S.diff(v) for v in vars] for fl in flows[:-1]]
+
+    def closed(a, c):  # the P2 integrand of (a, c)
+        omega = [_dot(grads[a], [flows[c].V[i][k] for i in range(n)]) for k in range(n)]
+        return _nonclosed_at(omega, vars) is None
+
+    p2 = {(a, b): closed(a, b) for a, b in itertools.combinations(range(m), 2)}
+    p1 = {(a, b): p2[a, b + 1] if b + 1 < m else p2.get((a + 1, b), True) for a, b in p2}
+    return [
+        (p2[a, b] or commute_check(flows[a], flows[b]).passed, p1[a, b] and p2[a, b])
+        for a, b in p2
+    ]

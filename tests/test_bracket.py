@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrobrackets import geometry as geo
 from hydrobrackets.bracket import (
@@ -16,7 +18,11 @@ from hydrobrackets.bracket import (
     Integrand1,
     NotLiouvilleError,
     NotSpecialError,
+    PoissonReport,
     UnsupportedDensityError,
+    _c_residuals,
+    _judge,
+    _s_residuals,
     build_canonical,
     check_canonical_equations,
     check_compat_constant,
@@ -243,6 +249,181 @@ def test_local_member_property():
     report = check_pencil(Ba, Bb)
     lam0, lam1 = report.extras["local_member"]
     assert lam0 * K1 + lam1 * K2 == 0
+
+
+# -- residual families against the dense reference ---------------------------
+#
+# The families skip exact-zero products and read one cached curl table.  The
+# reference below is the dense form of the same loops: every residual must be
+# the same Expr, with the same indices, in the same order, so every report
+# (witnesses included) is unchanged.
+
+
+def _dense_families(B, eta=None):
+    n, g, b, K = B.n, B.g, B.b, B.K
+    vars = B.vars
+    zero = Expr.const(0)
+    dg = [[[g[i][j].diff(vars[k]) for k in range(n)] for j in range(n)] for i in range(n)]
+    db = [
+        [[[b[i][j][k].diff(vars[l]) for l in range(n)] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    R = range(n)
+    s1 = [((i + 1, j + 1), g[i][j] - g[j][i]) for i in R for j in range(i + 1, n)]
+    s2 = [
+        ((i + 1, j + 1, k + 1), dg[i][j][k] - b[i][j][k] - b[j][i][k])
+        for i in R for j in range(i, n) for k in R
+    ]
+    s3 = [
+        (
+            (i + 1, j + 1, r + 1),
+            sum((g[i][s] * b[j][r][s] - g[j][s] * b[i][r][s] for s in R), zero),
+        )
+        for i in R for j in range(i + 1, n) for r in R
+    ]
+    s4 = []
+    for i in R:
+        for j in R:
+            for r in R:
+                for k in R:
+                    res = sum((g[i][s] * (db[j][r][s][k] - db[j][r][k][s]) for s in R), zero)
+                    rhs = (g[i][r] if j == k else zero) - (g[i][j] if r == k else zero)
+                    assoc = sum(
+                        (b[i][j][s] * b[s][r][k] - b[i][r][s] * b[s][j][k] for s in R), zero
+                    )
+                    s4.append(((i + 1, j + 1, r + 1, k + 1), res - K * rhs + assoc))
+    s5, seen = [], set()
+    for i in R:
+        for j in R:
+            for r in R:
+                orbit = min((i, j, r), (j, r, i), (r, i, j))
+                if orbit in seen:
+                    continue
+                seen.add(orbit)
+                for k in R:
+                    for p in range(k, n):
+                        res = zero
+                        for a, bb, c in ((i, j, r), (j, r, i), (r, i, j)):
+                            t = sum(
+                                (
+                                    b[s][a][p] * (db[bb][c][k][s] - db[bb][c][s][k])
+                                    + b[s][a][k] * (db[bb][c][p][s] - db[bb][c][s][p])
+                                    for s in R
+                                ),
+                                zero,
+                            )
+                            t = t + K * ((b[a][bb][k] - b[bb][a][k]) if c == p else zero)
+                            t = t + K * ((b[a][bb][p] - b[bb][a][p]) if c == k else zero)
+                            res = res + t
+                        s5.append(((i + 1, j + 1, r + 1, k + 1, p + 1), res))
+    out = [("s1", s1), ("s2", s2), ("s3", s3), ("s4", s4), ("s5", s5)]
+    if eta is not None:
+        lb = [[eta.lift(b[j][r]) for r in R] for j in R]
+        c1 = [
+            ((i + 1, j + 1, r + 1), lb[j][r][i] - lb[i][r][j])
+            for i in R for j in range(i + 1, n) for r in R
+        ]
+        c2 = [
+            (
+                (j + 1, r + 1, s + 1, k + 1),
+                db[j][r][s][k] - db[j][r][k][s]
+                - K * Expr.const(int(r == s and j == k) - int(j == s and r == k)),
+            )
+            for j in R for r in R for s in R for k in range(s + 1, n)
+        ]
+        out += [("c1", c1), ("c2", c2)]
+    return out
+
+
+def _assert_same_residuals(B, eta=None):
+    families = _s_residuals(B) + ([] if eta is None else _c_residuals(B, eta))
+    dense = _dense_families(B, eta)
+    assert [name for name, _ in families] == [name for name, _ in dense]
+    for (name, gen), (_, expected) in zip(families, dense):
+        got = list(gen)
+        assert [idx for idx, _ in got] == [idx for idx, _ in expected], name
+        for (idx, e), (_, x) in zip(got, expected):
+            assert (e.num, e.den) == (x.num, x.den), (name, idx)
+            assert str(e) == str(x), (name, idx)
+    rng = random.Random(7)
+    reference = PoissonReport([_judge(name, iter(res), rng) for name, res in dense])
+    if eta is None:
+        assert check_poisson(B, rng=random.Random(7)) == reference
+    else:
+        assert check_compat_constant(B, eta, rng=random.Random(7)) == reference
+
+
+def _identity_eta(n):
+    return ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _pencil_with_eta(B, eta):
+    lam = Expr.var("lam")
+    n = B.n
+    g = [[B.g[i][j] + lam * Expr.const(eta.up[i][j]) for j in range(n)] for i in range(n)]
+    return HydroBracket(vars=B.vars, g=g, b=B.b, K=B.K)
+
+
+def _explicit_bracket(n, Kg, K):
+    # g = diag(2, 3, ...) - Kg u u and b^{ij}_k = -Kg delta^i_k u^j: Poisson iff K = Kg
+    vars = tuple(f"u{i + 1}" for i in range(n))
+    u = [Expr.var(v) for v in vars]
+    zero = Expr.const(0)
+    R = range(n)
+    g = [[Expr.const(i + 2 if i == j else 0) - Kg * u[i] * u[j] for j in R] for i in R]
+    b = [[[(-Kg * u[j]) if i == k else zero for k in R] for j in R] for i in R]
+    return HydroBracket(vars=vars, g=g, b=b, K=Expr.const(K))
+
+
+@pytest.mark.parametrize(
+    "a", [(1, 3), (1, 0), (1, 2, 3), (2, 0, 1, 3), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]
+)
+def test_residual_families_match_the_dense_loops_on_canonical_metrics(a):
+    B = _canonical_bracket(list(a), 1)
+    _assert_same_residuals(B)
+    _assert_same_residuals(B, _identity_eta(len(a)))
+
+
+@pytest.mark.parametrize("K", [Fraction(3, 2), Fraction(-1, 2)], ids=["pass", "mismatch"])
+def test_residual_families_match_the_dense_loops_on_explicit_brackets(K):
+    B = _explicit_bracket(5, Fraction(3, 2), K)
+    _assert_same_residuals(B)
+    assert check_poisson(B).passed is (K == Fraction(3, 2))
+
+
+@pytest.mark.parametrize("a", [(1, 3), (1, 2, 3), (2, 1, 0)])
+def test_residual_families_match_the_dense_loops_on_pencils_with_eta(a):
+    eta = _identity_eta(len(a))
+    _assert_same_residuals(_pencil_with_eta(_canonical_bracket(list(a), 1), eta))
+
+
+@st.composite
+def _random_brackets(draw):
+    n = draw(st.integers(2, 3))
+    vars = tuple(f"u{i + 1}" for i in range(n))
+    monomials = st.tuples(
+        st.integers(-3, 3), st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    )
+
+    def entry():
+        e = Expr.const(0)
+        for c, exps in draw(st.lists(monomials, max_size=2)):
+            term = Expr.const(c)
+            for v, k in zip(vars, exps):
+                term = term * Expr.var(v) ** k
+            e = e + term
+        return e
+
+    g = [[entry() for _ in range(n)] for _ in range(n)]
+    b = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return HydroBracket(vars=vars, g=g, b=b, K=Expr.const(draw(st.integers(-2, 2))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(B=_random_brackets())
+def test_residual_families_match_the_dense_loops_on_random_brackets(B):
+    _assert_same_residuals(B)
+    _assert_same_residuals(B, _identity_eta(B.n))
 
 
 # -- canonical pair ------------------------------------------------------------

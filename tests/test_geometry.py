@@ -61,6 +61,30 @@ def test_degenerate_metric_rejected():
         geo.invert_metric(g)
 
 
+def test_matrix_inverse_of_random_and_symbolic_matrices():
+    # fraction-free elimination: seeded rational matrices with many zeros
+    # (row swaps, some singular) and canonical metrics, A A^{-1} = I exactly
+    rng = random.Random(11)
+    entry = lambda: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))  # noqa: E731
+    sizes = [n for n in range(1, 6) for _ in range(8)]
+    cases = [[[entry() for _ in range(n)] for _ in range(n)] for n in sizes]
+    cases += [geo.canonical_metric(a, 1)[0].entries for a in ((1, 2, 3), (2, 0, 1, 3))]
+    singular = 0
+    for A in cases:
+        n = len(A)
+        if geo.det(A).is_zero():
+            singular += 1
+            with pytest.raises(geo.DegenerateMetricError):
+                geo.matrix_inverse(A)
+            continue
+        inv = geo.matrix_inverse(A)
+        for i in range(n):
+            for j in range(n):
+                prod = sum((inv[s][j] * A[i][s] for s in range(n)), Expr.const(0))
+                assert _zero(prod - _delta(i, j))
+    assert 0 < singular < len(cases) // 2
+
+
 def test_christoffel_constant_metric_vanishes():
     eta = geo.ContravariantMetric(
         vars=UV, entries=[[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]]

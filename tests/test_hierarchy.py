@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,12 @@ from hydrobrackets.bracket import (
     CanonicalPair,
     ConstantBracket,
     InconsistencyError,
+    Integrand1,
+    functional_bracket_density,
+    is_total_x_derivative,
     operator_matrix,
 )
+from hydrobrackets.cli import load_problem
 from hydrobrackets.expr import Expr, Zeroness, is_zero, parse
 from hydrobrackets.hierarchy import (
     ClosednessError,
@@ -26,11 +32,13 @@ from hydrobrackets.hierarchy import (
     eta_gradient_gauge,
     flow_t1,
     flow_t2,
+    flow_vars,
     hierarchy,
     involution_check,
     linear_density_flow,
     recursion_matrix,
     translation_flow,
+    verify_hierarchy,
 )
 from hydrobrackets.poly import Poly
 
@@ -574,3 +582,137 @@ def test_involution_multiplies_no_zero_polynomial(monkeypatch):
     for fa, fb in itertools.combinations(flows, 2):
         assert involution_check(P, fa.S, fb.S, operator="P2")
     assert calls and not any(calls)
+
+
+# -- one judgement per integrand ------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+N3_PAIR = CanonicalPair(
+    eta=ConstantBracket([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    K=1,
+    H=tuple(
+        parse(h, ("u1", "u2", "u3")) for h in ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3")
+    ),
+    vars=("u1", "u2", "u3"),
+)
+
+
+def _expanded_verdicts(P, flows):
+    return [
+        (commute_check(fa, fb).passed, involution_check(P, fa.S, fb.S))
+        for fa, fb in itertools.combinations(flows, 2)
+    ]
+
+
+def _seeded_hierarchy_problems(tmp_path):
+    """(problem file, levels) of every hierarchy job of the seeded exact
+    workload at seeds 1 and 2, Hopf at its largest level only."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    out = {}
+    for seed in (1, 2):
+        work = tmp_path / f"seed{seed}"
+        for job in workloads.build("exact", seed, ROOT, work).jobs:
+            if job.argv[0] == "hierarchy":
+                path, levels = job.argv[1], int(job.argv[3])
+                out[path] = max(levels, out.get(path, 0))
+    return sorted(out.items())
+
+
+def test_verify_hierarchy_agrees_with_the_expanded_checks(tmp_path):
+    cases = [(str(p), 4) for p in sorted((ROOT / "problems").glob("*.json"))]
+    cases += _seeded_hierarchy_problems(tmp_path)
+    checked = 0
+    for path, levels in cases:
+        prob = load_problem(path)
+        if prob.h is None:
+            continue
+        P = prob.canonical_pair()
+        flows = hierarchy(P, levels)
+        assert verify_hierarchy(P, flows) == _expanded_verdicts(P, flows), path
+        checked += 1
+    assert checked == 2 + 2 * 14  # two committed pairs; Hopf and 13 pairs per seed
+    assert verify_hierarchy(P, flows[:1]) == []
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        N3_PAIR,
+        CanonicalPair(
+            eta=ConstantBracket([[2, 1], [1, 1]]),
+            K=1,
+            H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)),
+            vars=UV,
+        ),
+        _scalar_pair("u1^2/2", 0),
+    ],
+    ids=["n3", "n2-nondiagonal-eta", "hopf"],
+)
+def test_p1_integrand_is_the_p2_integrand_one_level_up(P):
+    flows = hierarchy(P, 4)
+    p2 = P.eta.as_hydro(flows[0].vars)
+    for a, b in itertools.combinations(range(4), 2):
+        one = functional_bracket_density(P._flow_bracket, flows[a].S, flows[b].S)
+        two = functional_bracket_density(p2, flows[a].S, flows[b + 1].S)
+        assert [(w.num, w.den) for w in one.omega] == [(w.num, w.den) for w in two.omega]
+
+
+@pytest.mark.parametrize("K", [0, 1, Fraction(-1, 2)])
+def test_both_brackets_of_the_pair_are_skew(K):
+    # the top-level P1 verdict of verify_hierarchy rests on this: for each
+    # operator the integrands of (f, h) and (h, f) sum to a total derivative,
+    # here for densities that are not in involution
+    P = _linear_pair(K=K)
+    vars = flow_vars(2)
+    f, h = parse("v1^3/6 + v2", vars), parse("v1*v2^2/2 - v1^2 + 3", vars)
+    for B in (P._flow_bracket, P.eta.as_hydro(vars)):
+        fh = functional_bracket_density(B, f, h).omega
+        hf = functional_bracket_density(B, h, f).omega
+        assert not is_total_x_derivative(Integrand1(vars, fh))
+        assert is_total_x_derivative(Integrand1(vars, tuple(x + y for x, y in zip(fh, hf))))
+
+
+def test_hand_built_non_commuting_flows_fail_both_routes():
+    # V = Hess(v1^3/6) and Hess(v1 v2^2/2) over eta = I: AB - BA has v1 v2
+    # off the diagonal, and the P2 bracket of their densities is not exact
+    v1, v2 = Expr.var("v1"), Expr.var("v2")
+    A = ConservativeFlow(ETA2, [[v1, 0], [0, 0]])
+    B = ConservativeFlow(ETA2, [[0, v2], [v2, v1]])
+    assert not commute_check(A, B).passed
+    assert not involution_check(_linear_pair(), A.S, B.S, operator="P2")
+
+
+def test_commute_check_decides_where_p2_involution_fails(monkeypatch):
+    # force the P2 integrand of (1, 3) to fail: pair (1, 3) falls back to
+    # commute_check, and its integrand is also the P1 integrand of (1, 2)
+    # and, by skew symmetry at the top level, stands for P1 of (0, 3)
+    module = importlib.import_module("hydrobrackets.hierarchy")
+    P = _linear_pair(K=1)
+    flows = hierarchy(P, 3)
+    calls = []
+    commute = module.commute_check
+
+    def counted(fa, fb, rng=None):
+        calls.append((fa.level, fb.level))
+        return commute(fa, fb, rng)
+
+    monkeypatch.setattr(module, "commute_check", counted)
+    assert verify_hierarchy(P, flows) == [(True, True)] * 6
+    assert calls == []
+    p2 = P.eta.as_hydro(flows[0].vars)
+    forced = functional_bracket_density(p2, flows[1].S, flows[3].S).omega
+    nonclosed = module._nonclosed_at
+
+    def fail_forced(omegas, vars):
+        same = [(w.num, w.den) for w in omegas] == [(w.num, w.den) for w in forced]
+        return (0, 1) if same else nonclosed(omegas, vars)
+
+    monkeypatch.setattr(module, "_nonclosed_at", fail_forced)
+    verdicts = dict(zip(itertools.combinations(range(4), 2), verify_hierarchy(P, flows)))
+    assert calls == [(1, 3)]
+    assert {k for k, (_, inv) in verdicts.items() if not inv} == {(0, 3), (1, 2), (1, 3)}
+    assert all(commute for commute, _ in verdicts.values())
