@@ -10,12 +10,14 @@ conservative class).
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import geometry
@@ -39,7 +41,6 @@ from .expr import Expr, ParseError, UnknownVariableError, Zeroness, parse
 from .hierarchy import (
     ClosednessError,
     NotPoissonError,
-    commute_check,
     hierarchy,
     verify_hierarchy,
 )
@@ -104,7 +105,6 @@ class Problem:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ProblemFileError("N", "a positive integer N is required")
         self.n = n
-        self.vars = geometry.field_vars(self.n)
         self.eta = self._load_eta(doc.get("eta"), "eta")
         self.K = (
             Expr.const(_as_fraction(doc["K"], "K")) if "K" in doc else None
@@ -114,6 +114,13 @@ class Problem:
         self.canonical_a = self._load_canonical(doc.get("canonical"), "canonical")
         self.second = doc.get("second")
         self.simulation = self._load_simulation(doc.get("simulation"))
+
+    @cached_property
+    def vars(self) -> tuple:
+        """The field variable names u1..uN.  They are first needed after a
+        block has matched N by its own length, so an N that no block of the
+        file lists is never allocated."""
+        return geometry.field_vars(self.n)
 
     def _load_eta(self, raw, loc):
         if raw is None:
@@ -627,13 +634,11 @@ def cmd_commute(args) -> int:
     lines = [f"commute: N={prob.n}, levels 0..{args.levels}"]
     all_ok = True
     pair_obj = []
-    for fa, fb in itertools.combinations(flows, 2):
-        rep = commute_check(fa, fb)
-        all_ok = all_ok and rep.passed
-        pair_obj.append({"levels": [fa.level, fb.level], "commute": rep.passed})
-        lines.append(
-            f"symbolic t{fa.level} vs t{fb.level}: {'PASS' if rep.passed else 'FAIL'}"
-        )
+    pairs = zip(itertools.combinations(flows, 2), verify_hierarchy(P, flows))
+    for (fa, fb), (ok, _) in pairs:
+        all_ok = all_ok and ok
+        pair_obj.append({"levels": [fa.level, fb.level], "commute": ok})
+        lines.append(f"symbolic t{fa.level} vs t{fb.level}: {'PASS' if ok else 'FAIL'}")
     numeric_obj = None
     if prob.simulation is not None and len(flows) >= 3:
         _, state = load_initial_state(prob)
@@ -747,5 +752,20 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME_EVENT
 
 
+def entry():
+    """The process entry point (``python -m hydrobrackets`` and the
+    ``hydrobrackets`` script): run :func:`main` and exit with its code.
+
+    The output is complete once ``main`` returns, so every live object is
+    moved to the permanent generation first (``gc.freeze``).  Interpreter
+    finalization then still flushes the streams, runs ``atexit`` handlers
+    and closes files, but its garbage collections no longer traverse the
+    heap that numpy and the command left behind.  ``main`` itself leaves
+    the collector alone, because tests and tools call it in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -135,40 +135,22 @@ def _dot(xs, ys) -> Expr:
     return sum((x * y for x, y in zip(xs, ys)), Expr.const(0))
 
 
-def det(entries) -> Expr:
-    """Determinant by cofactor expansion; its cost grows as n!, so it serves
-    small matrices only."""
-    n = len(entries)
-    if n == 1:
-        return as_expr(entries[0][0])
-    if n == 2:
-        a, b_, c, d = entries[0][0], entries[0][1], entries[1][0], entries[1][1]
-        return as_expr(a) * d - as_expr(b_) * c
-    total = Expr.const(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = as_expr(entries[0][j]) * det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def matrix_inverse(entries) -> list:
-    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination:
-    every step divides exactly by the previous pivot, so the matrix ends as
-    [d I | d A^{-1}] and one reciprocal of the last pivot d finishes.  A
-    column with no entry that is not identically zero left to pivot on
-    proves identic degeneracy, which raises."""
-    n = len(entries)
-    rows = [
-        [as_expr(x) for x in row] + [Expr.const(int(i == j)) for j in range(n)]
-        for i, row in enumerate(entries)
-    ]
-    prev = Expr.const(1)
+def _eliminate(rows: list, n: int):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the first n
+    columns of ``rows`` (n rows of Expr, possibly augmented), in place:
+    every step divides exactly by the previous pivot, so the leading block
+    ends as d I, where the last pivot d is the determinant times the sign of
+    the row swaps.  Returns (d, sign), or None when a column has no entry
+    that is not identically zero left to pivot on, which proves the matrix
+    identically singular."""
+    prev, sign = Expr.const(1), 1
     for c in range(n):
         p = next((r for r in range(c, n) if is_zero(rows[r][c]) is Zeroness.NONZERO), None)
         if p is None:
-            raise DegenerateMetricError("matrix is identically degenerate")
-        rows[c], rows[p] = rows[p], rows[c]
+            return None
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            sign = -sign
         pivot, scale = rows[c], prev.reciprocal()
         same = (pivot[c] - prev).is_zero()  # a row with f = 0 is then scaled by 1
         for r in range(n):
@@ -176,7 +158,33 @@ def matrix_inverse(entries) -> list:
             if r != c and not (same and f.is_zero()):
                 rows[r] = [(pivot[c] * x - f * y) * scale for x, y in zip(rows[r], pivot)]
         prev = pivot[c]
-    scale = prev.reciprocal()
+    return prev, sign
+
+
+def det(entries) -> Expr:
+    """Exact determinant, the last pivot of :func:`_eliminate` times the
+    sign of its row swaps; 0 for an identically singular matrix."""
+    n = len(entries)
+    done = _eliminate([[as_expr(x) for x in row] for row in entries], n)
+    if done is None:
+        return Expr.const(0)
+    d, sign = done
+    return d if sign > 0 else -d
+
+
+def matrix_inverse(entries) -> list:
+    """Exact inverse by :func:`_eliminate` on [A | I]: the matrix ends as
+    [d I | d A^{-1}], and one reciprocal of the last pivot d finishes.  An
+    identically singular matrix raises DegenerateMetricError."""
+    n = len(entries)
+    rows = [
+        [as_expr(x) for x in row] + [Expr.const(int(i == j)) for j in range(n)]
+        for i, row in enumerate(entries)
+    ]
+    done = _eliminate(rows, n)
+    if done is None:
+        raise DegenerateMetricError("matrix is identically degenerate")
+    scale = done[0].reciprocal()
     return [[x * scale for x in row[n:]] for row in rows]
 
 

@@ -110,6 +110,14 @@ class FieldState:
             raise ValueError("field values must be finite")
         self.grid, self.v, self.t = grid, v, t
 
+    @classmethod
+    def _checked(cls, grid: Grid, v: np.ndarray, t: float) -> "FieldState":
+        """A state from a float array of shape (N, M) already known to be
+        finite, without validating it again."""
+        state = cls.__new__(cls)
+        state.grid, state.v, state.t = grid, v, t
+        return state
+
     @property
     def n(self) -> int:
         return self.v.shape[0]
@@ -159,6 +167,9 @@ class MonomialTable:
     of each variable once, the T monomial values from them, and every
     polynomial row with one matrix product.  Monomials are numbered by first
     appearance, so the first c numerators use only the first ``_prefix[c]``.
+    The power plan, its size checks and its power buffers are fixed once per
+    (monomial count, sample count) and reused by every later evaluation, so
+    one table must not be evaluated from two threads at once.
     """
 
     def __init__(self, exprs: Sequence[Expr], var_order: Sequence[str]):
@@ -197,21 +208,40 @@ class MonomialTable:
         self.coeffs = np.zeros((len(polys), len(columns)))
         for r, col, c in entries:
             self.coeffs[r, col] = c
-        self._plans: dict = {}
+        self._layouts: dict = {}
 
-    def _plan(self, terms: int) -> list:
-        """(variable, top power, exponent column) for the variables that
-        occur in the first ``terms`` monomials."""
-        plan = self._plans.get(terms)
-        if plan is None:
-            E = self.exponents[:terms]
-            plan = [
-                (i, int(E[:, i].max()), np.ascontiguousarray(E[:, i]))
-                for i in range(E.shape[1])
-                if E[:, i].any()
-            ]
-            self._plans[terms] = plan
-        return plan
+    def _layout(self, terms: int, m: int) -> list:
+        """(variable, exponent column, power buffer) for each variable that
+        occurs in the first ``terms`` monomials, at m samples.  The buffer of
+        a variable with top power p has p + 1 rows, row 0 all ones.  Every
+        size check runs before the first buffer is allocated."""
+        layout = self._layouts.get((terms, m))
+        if layout is not None:
+            return layout
+        if terms * m > POWER_TABLE_LIMIT:
+            raise ExpressionSizeError(
+                f"a table of {terms} monomials at {m} samples exceeds "
+                f"{POWER_TABLE_LIMIT} values"
+            )
+        E = self.exponents[:terms]
+        plan = [
+            (i, int(E[:, i].max()), np.ascontiguousarray(E[:, i]))
+            for i in range(E.shape[1])
+            if E[:, i].any()
+        ]
+        for _, top, _ in plan:
+            if (top + 1) * m > POWER_TABLE_LIMIT:
+                raise ExpressionSizeError(
+                    f"a table of powers up to {top} at {m} samples exceeds "
+                    f"{POWER_TABLE_LIMIT} values"
+                )
+        layout = []
+        for i, top, column in plan:
+            powers = np.empty((top + 1, m))
+            powers[0] = 1.0
+            layout.append((i, column, powers))
+        self._layouts[terms, m] = layout
+        return layout
 
     def monomials(self, stack: np.ndarray, terms: int | None = None) -> np.ndarray:
         """The first ``terms`` monomials (default all) at the samples of a
@@ -219,23 +249,12 @@ class MonomialTable:
         powers above ``POWER_TABLE_LIMIT`` values raises ExpressionSizeError."""
         terms = len(self.exponents) if terms is None else terms
         m = stack.shape[1]
-        if terms * m > POWER_TABLE_LIMIT:
-            raise ExpressionSizeError(
-                f"a table of {terms} monomials at {m} samples exceeds "
-                f"{POWER_TABLE_LIMIT} values"
-            )
         out = None
-        for i, top, column in self._plan(terms):
-            if (top + 1) * m > POWER_TABLE_LIMIT:
-                raise ExpressionSizeError(
-                    f"a table of powers up to {top} at {m} samples exceeds "
-                    f"{POWER_TABLE_LIMIT} values"
-                )
-            powers = np.empty((top + 1, m))
-            powers[0] = 1.0
-            powers[1] = stack[i]
-            for e in range(2, top + 1):
-                np.multiply(powers[e - 1], stack[i], out=powers[e])
+        for i, column, powers in self._layout(terms, m):
+            x = stack[i]
+            powers[1] = x
+            for e in range(2, len(powers)):
+                np.multiply(powers[e - 1], x, out=powers[e])
             if out is None:
                 out = powers[column]
             else:
@@ -406,7 +425,7 @@ def step_rk4(
     vn = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(vn)):
         raise SimulationError(f"non-finite state at t = {state.t + dt:.6g}")
-    return FieldState(grid=grid, v=vn, t=state.t + dt)
+    return FieldState._checked(grid, vn, state.t + dt)
 
 
 class DiagnosticsRow:
@@ -427,11 +446,22 @@ class RunResult:
         self.messages = [] if messages is None else messages
 
 
-def _densities(cflow: CompiledFlow, v: np.ndarray, S: np.ndarray) -> list:
-    """The tracked functionals, as (name, density) pairs, at the state v."""
+def _densities(cflow: CompiledFlow, v: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The distinct densities of the tracked functionals at the state v, one
+    row each of a C-contiguous stack: v^1 .. v^n, the quadratic density
+    (momentum and H1) and S (H2)."""
     quad = 0.5 * np.einsum("jm,jl,lm->m", v, cflow.eta_down, v)
-    densities = [(f"U_{i + 1}", v[i]) for i in range(cflow.n)]
-    return densities + [("momentum", quad), ("H1", quad), ("H2", S)]
+    return np.concatenate((v, quad[np.newaxis], S[np.newaxis]))
+
+
+def _integrals(grid: Grid, densities: np.ndarray) -> dict:
+    """Tracked functional name -> the integral of its density over the
+    period, as the grid mean times the length (the mean is the row sum over
+    M, as ``np.mean`` takes it)."""
+    n = len(densities) - 2
+    values = (np.add.reduce(densities, axis=-1) / grid.m * grid.length).tolist()
+    names = [f"U_{i + 1}" for i in range(n)] + ["momentum", "H1", "H2"]
+    return dict(zip(names, values[: n + 1] + values[n:]))
 
 
 def _evaluate(cflow: CompiledFlow, state: FieldState) -> tuple:
@@ -443,18 +473,15 @@ def _evaluate(cflow: CompiledFlow, state: FieldState) -> tuple:
     spec = np.fft.rfft(v)
     vx = _dx_from_spectrum(grid, spec)
     power = np.abs(spec) ** 2
-    totals = np.sum(power, axis=1)
-    tails = np.sum(power[:, (2 * (grid.m // 2)) // 3 :], axis=1)
+    totals = np.add.reduce(power, axis=1)
+    tails = np.add.reduce(power[:, (2 * (grid.m // 2)) // 3 :], axis=1)
     tail = max(
         (float(np.sqrt(t / total)) for t, total in zip(tails, totals) if total > 0),
         default=0.0,
     )
     row = DiagnosticsRow(
         t=state.t,
-        integrals={
-            name: float(np.mean(density) * grid.length)
-            for name, density in _densities(cflow, v, values[-1])
-        },
+        integrals=_integrals(grid, _densities(cflow, v, values[-1])),
         max_vx=float(np.max(np.abs(vx))),
         tail=tail,
     )
@@ -548,11 +575,11 @@ def drift_summary(
     relative to the L1 norm of its density at t = 0 (integrals that start
     at exactly zero still get a meaningful scale)."""
     v0 = state0.v
+    scales = _integrals(state0.grid, np.abs(_densities(cflow, v0, cflow.table(v0)[-1])))
     out = []
-    for name, density in _densities(cflow, v0, cflow.table(v0)[-1]):
+    for name, scale in scales.items():
         vals = [r.integrals[name] for r in rows]
         drift = max(abs(x - vals[0]) for x in vals)
-        scale = float(np.mean(np.abs(density)) * state0.grid.length)
         out.append(DriftEntry(name, vals[0], drift / max(scale, 1e-30)))
     return out
 
@@ -613,8 +640,7 @@ def commute_check_numeric(
 def write_diagnostics_csv(rows: Sequence[DiagnosticsRow], path) -> None:
     lines = [",".join(["t", *rows[0].integrals, "max_vx", "tail"])]
     for r in rows:
-        fields = [r.t, *r.integrals.values(), r.max_vx, r.tail]
-        lines.append(",".join(repr(x) for x in fields))
+        lines.append(",".join(map(repr, [r.t, *r.integrals.values(), r.max_vx, r.tail])))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -623,7 +649,7 @@ def write_snapshot_csv(grid: Grid, v: np.ndarray, path) -> None:
     n = v.shape[0]
     header = "x," + ",".join(f"v{i + 1}" for i in range(n))
     lines = [header]
-    for m, x in enumerate(grid.nodes):
-        lines.append(",".join([repr(float(x))] + [repr(float(v[i][m])) for i in range(n)]))
+    for row in np.vstack((grid.nodes, v)).T.tolist():
+        lines.append(",".join(map(repr, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydrobrackets import bracket as bracket_module
 from hydrobrackets import geometry as geo
 from hydrobrackets.bracket import (
     CanonicalPair,
@@ -424,6 +427,105 @@ def _random_brackets(draw):
 def test_residual_families_match_the_dense_loops_on_random_brackets(B):
     _assert_same_residuals(B)
     _assert_same_residuals(B, _identity_eta(B.n))
+
+
+# The potential equations ass1, ass2 skip exact-zero products the same way;
+# the reference is their dense form.
+
+
+def _dense_canonical_equations(P):
+    n, eta, vars = P.n, P.eta, P.vars
+    zero = Expr.const(0)
+    R = range(n)
+    d2H = [[[h.diff(vars[k]).diff(vars[l]) for l in R] for k in R] for h in P.H]
+    L = [[eta.lift(row) for row in hess] for hess in d2H]
+    ass1 = [
+        (
+            (i + 1, j + 1, k + 1, l + 1),
+            sum((d2H[i][k][s] * L[j][l][s] - d2H[j][k][s] * L[i][l][s] for s in R), zero),
+        )
+        for i in R for j in range(i + 1, n) for k in R for l in R
+    ]
+    B = build_canonical(P)
+    u = [Expr.var(v) for v in vars]
+    # w^{jk}_s = b^{jk}_s + K delta^j_s u^k
+    w = [[[B.b[j][k][s] + (B.K * u[k] if j == s else zero) for s in R] for k in R] for j in R]
+    ass2 = [
+        (
+            (i + 1, j + 1, k + 1),
+            sum((B.g[i][s] * w[j][k][s] - B.g[j][s] * w[i][k][s] for s in R), zero),
+        )
+        for i in R for j in range(i + 1, n) for k in R
+    ]
+    return [("ass1", ass1), ("ass2", ass2)]
+
+
+def _assert_same_canonical_equations(P, monkeypatch):
+    judged = []
+
+    def recording(name, residuals, rng):
+        residuals = list(residuals)
+        judged.append((name, residuals))
+        return _judge(name, iter(residuals), rng)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bracket_module, "_judge", recording)
+        report = check_canonical_equations(P, rng=random.Random(9))
+    dense = _dense_canonical_equations(P)
+    assert [name for name, _ in judged] == [name for name, _ in dense]
+    for (name, got), (_, expected) in zip(judged, dense):
+        assert [idx for idx, _ in got] == [idx for idx, _ in expected], name
+        for (idx, e), (_, x) in zip(got, expected):
+            assert (e.num, e.den) == (x.num, x.den), (name, idx)
+            assert str(e) == str(x), (name, idx)
+    rng = random.Random(9)
+    assert report == PoissonReport([_judge(name, iter(res), rng) for name, res in dense])
+
+
+def _seeded_pair(rng, n, degree):
+    vars = tuple(f"u{i + 1}" for i in range(n))
+    monomials = [()] + [(i,) for i in range(n)]
+    if degree == 2:
+        monomials += [(i, j) for i in range(n) for j in range(i, n)]
+    H = []
+    for _ in range(n):
+        text = " + ".join(
+            f"({rng.randint(-3, 3)}/{rng.randint(1, 2)})" + "".join(f"*{vars[i]}" for i in m)
+            for m in rng.sample(monomials, k=min(4, len(monomials)))
+        )
+        H.append(parse(text, vars))
+    up = [[int(i == j) for j in range(n)] for i in range(n)]
+    up[0][n - 1] = up[n - 1][0] = rng.choice([0, 1])  # an off-diagonal eta now and then
+    up[0][0] = 2
+    return CanonicalPair(eta=ConstantBracket(up), K=rng.randint(-2, 2), H=tuple(H), vars=vars)
+
+
+def test_canonical_equations_match_the_dense_loops_on_the_problem_files(monkeypatch):
+    root = Path(__file__).resolve().parents[1] / "problems"
+    checked = 0
+    for path in sorted(root.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "H" not in doc:
+            continue
+        n = doc["N"]
+        vars = tuple(f"u{i + 1}" for i in range(n))
+        P = CanonicalPair(
+            eta=ConstantBracket(doc["eta"]),
+            K=Fraction(str(doc["K"])),
+            H=tuple(parse(h, vars) for h in doc["H"]),
+            vars=vars,
+        )
+        _assert_same_canonical_equations(P, monkeypatch)
+        checked += 1
+    assert checked == 2
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["linear", "quadratic"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonical_equations_match_the_dense_loops_on_seeded_pairs(monkeypatch, n, degree):
+    rng = random.Random(100 * n + degree)
+    for _ in range(3):
+        _assert_same_canonical_equations(_seeded_pair(rng, n, degree), monkeypatch)
 
 
 # -- canonical pair ------------------------------------------------------------

@@ -887,3 +887,108 @@ def test_high_exponents_keep_working(tmp_path, capsys):
     )
     assert main(["check-poisson", path]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: POISSON"
+
+
+# -- the process entry -----------------------------------------------------------
+
+
+def test_every_entry_names_the_same_entry_function():
+    import ast
+    import tomllib
+
+    import hydrobrackets.cli as cli
+
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["hydrobrackets"].partition(":")
+    assert module == "hydrobrackets.cli" and callable(getattr(cli, name))
+
+    def called(statements):
+        return [s.value.func.id for s in statements if isinstance(s, ast.Expr)]
+
+    package = root / "src" / "hydrobrackets"
+    main_module = ast.parse((package / "__main__.py").read_text()).body
+    imports = [(s.module, [a.name for a in s.names]) for s in main_module if isinstance(s, ast.ImportFrom)]
+    assert imports == [("cli", [name])]
+    assert called(main_module) == [name]
+    guard = ast.parse((package / "cli.py").read_text()).body[-1]  # if __name__ == "__main__"
+    assert isinstance(guard, ast.If) and called(guard.body) == [name]
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def test_the_process_entry_keeps_exit_codes_output_and_files(tmp_path, capsys, scalar_file):
+    """python -m hydrobrackets against cli.main in-process: the same exit
+    code, stdout, stderr and simulate CSV files for exit codes 0 to 3."""
+    root = Path(__file__).resolve().parents[1]
+    doc = json.loads(Path(scalar_file).read_text())
+    doc["simulation"].update({"init": ["0.5*sin(x)"], "t_end": 2.0, "snapshots": [0.1]})
+    breaking = _write(tmp_path, "breaking.json", doc)
+    cases = [
+        (["simulate", scalar_file], 0),
+        (["simulate", scalar_file, "--tol", "0"], 1),
+        (["check-poisson", str(tmp_path / "missing.json")], 2),
+        (["simulate", breaking], 3),
+    ]
+    for k, (argv, code) in enumerate(cases):
+        inproc, child = tmp_path / f"in{k}", tmp_path / f"child{k}"
+        out = ["--out", str(inproc)] if argv[0] == "simulate" else []
+        assert main(argv + out) == code
+        captured = capsys.readouterr()
+        out = ["--out", str(child)] if argv[0] == "simulate" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "hydrobrackets", *argv, *out],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            timeout=120,
+        )
+        assert proc.returncode == code
+        assert proc.stdout.replace(str(child), str(inproc)) == captured.out
+        assert proc.stderr == captured.err
+        if argv[0] == "simulate":
+            assert _outputs(child) == _outputs(inproc) != {}
+
+
+def test_an_n_that_no_block_lists_allocates_nothing(tmp_path):
+    """{"N": 30000000} alone must not build thirty million variable names.
+    The child runs under a 2 GB address-space limit, so building them fails
+    fast with a MemoryError there instead of allocating them."""
+    import resource
+
+    root = Path(__file__).resolve().parents[1]
+    path = _write(tmp_path, "big_n.json", {"N": 30_000_000})
+
+    def limit():
+        cap = 2_000_000 * 1024
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hydrobrackets", "check-poisson", path],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        'input error: H: no bracket specified: provide "H", or "g"+"b", or "canonical"\n'
+    )
+
+
+def test_commute_takes_its_verdicts_from_verify_hierarchy(monkeypatch, capsys):
+    import importlib
+
+    module = importlib.import_module("hydrobrackets.hierarchy")
+    calls = []
+    monkeypatch.setattr(module, "commute_check", lambda *flows: calls.append(flows))
+    problem = str(Path(__file__).resolve().parents[1] / "problems" / "scalar_shallow.json")
+    assert main(["commute", problem, "--levels", "4"]) == 0
+    assert calls == []  # every pair passed P2 involution, so no expanded check ran
+    assert capsys.readouterr().out.count("PASS\n") == 11  # ten pairs and the verdict

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hydrobrackets.expr import Expr, Zeroness, is_zero
+from hydrobrackets.expr import Expr, Zeroness, as_expr, is_zero
 from hydrobrackets import geometry as geo
 
 UV = ("u1", "u2")
@@ -83,6 +83,48 @@ def test_matrix_inverse_of_random_and_symbolic_matrices():
                 prod = sum((inv[s][j] * A[i][s] for s in range(n)), Expr.const(0))
                 assert _zero(prod - _delta(i, j))
     assert 0 < singular < len(cases) // 2
+
+
+def _cofactor_det(A):
+    """Determinant by cofactor expansion along the first row: n! products,
+    the reference for the elimination route."""
+    n = len(A)
+    if n == 1:
+        return as_expr(A[0][0])
+    total = Expr.const(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in A[1:]]
+        term = as_expr(A[0][j]) * _cofactor_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def test_det_by_elimination_equals_cofactor_expansion():
+    # seeded rational matrices with many zeros (row swaps of both parities,
+    # some singular) and the canonical metrics at N = 2-5, one degenerate
+    rng = random.Random(23)
+    entry = lambda: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))  # noqa: E731
+    cases = [[[entry() for _ in range(n)] for _ in range(n)] for n in range(1, 6) for _ in range(10)]
+    metrics = [(1, 2), (1, 2, 3), (2, 0, 1, 3), (1, 2, 3, 4, 5)]
+    cases += [geo.canonical_metric(a, 1)[0].entries for a in metrics]
+    singular = 0
+    for A in cases:
+        d = geo.det(A)
+        assert _zero(d - _cofactor_det(A))
+        singular += d.is_zero()
+    assert 0 < singular < len(cases) // 2
+
+
+def test_det_of_an_identically_singular_matrix_is_zero():
+    u1 = Expr.var("u1")
+    assert geo.det([[u1, u1], [u1, u1]]).is_zero()
+    assert geo.det([[0, 1, 2], [0, u1, 3], [0, 4, u1]]).is_zero()
+
+
+def test_det_reaches_the_canonical_metric_at_n_7():
+    for n in (6, 7):
+        con, _, det_closed = geo.canonical_metric(list(range(1, n + 1)), 1)
+        assert _zero(geo.det(con.entries) - det_closed)
 
 
 def test_christoffel_constant_metric_vanishes():

@@ -19,26 +19,28 @@ from hydrobrackets.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
-COMMANDS = [
-    ["check-poisson"],
-    ["check-compat"],
-    ["check-pencil"],
-    ["check-canonical"],
-    ["build-canonical"],
-    ["liouville"],
-    ["hierarchy", "--levels", "3"],
-    ["commute", "--levels", "1"],  # symbolic only: no numeric t1 vs t2 line
-]
+COMMANDS = {
+    "check-poisson": ["check-poisson"],
+    "check-compat": ["check-compat"],
+    "check-pencil": ["check-pencil"],
+    "check-canonical": ["check-canonical"],
+    "build-canonical": ["build-canonical"],
+    "liouville": ["liouville"],
+    "hierarchy": ["hierarchy", "--levels", "3"],
+    "commute": ["commute", "--levels", "1"],  # symbolic only: no numeric t1 vs t2 line
+    "commute-levels3": ["commute", "--levels", "3"],
+    "commute-levels5": ["commute", "--levels", "5"],
+}
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 
 CASES = [
     pytest.param(
         problem,
         command + fmt,
-        id=f"{problem.stem}__{command[0]}" + ("__json" if fmt else ""),
+        id=f"{problem.stem}__{name}" + ("__json" if fmt else ""),
     )
     for problem in PROBLEMS
-    for command in COMMANDS
+    for name, command in COMMANDS.items()
     for fmt in ([], ["--json"])
 ]
 

@@ -495,7 +495,170 @@ def test_commute_numeric_flags_perturbed_flow():
     assert 3.5 <= perturbed.ratio <= 4.5
 
 
+# -- the step loop against per-density and fresh-table references ----------------------
+#
+# The diagnostics take every integral from one row sum over a stacked array
+# and the monomial table reuses its power buffers.  The references below are
+# the direct forms: one np.mean per tracked density, and powers formed
+# afresh at every call.  Every value must be float-equal, not close.
+
+
+def _mean_route_row(cflow, grid, v):
+    """(integrals, max|v_x|, tail) of the state v, one np.mean per density."""
+    S = cflow.table(v)[-1]
+    quad = 0.5 * np.einsum("jm,jl,lm->m", v, cflow.eta_down, v)
+    densities = [(f"U_{i + 1}", v[i]) for i in range(cflow.n)]
+    densities += [("momentum", quad), ("H1", quad), ("H2", S)]
+    integrals = {name: float(np.mean(d) * grid.length) for name, d in densities}
+    spec = np.fft.rfft(v)
+    power = np.abs(spec) ** 2
+    totals = np.sum(power, axis=1)
+    tails = np.sum(power[:, (2 * (grid.m // 2)) // 3 :], axis=1)
+    tail = max(
+        (float(np.sqrt(t / total)) for t, total in zip(tails, totals) if total > 0),
+        default=0.0,
+    )
+    return integrals, float(np.max(np.abs(ns.spectral_dx(grid, v)))), tail
+
+
+def _mean_route_drift(cflow, rows, grid, v0):
+    S = cflow.table(v0)[-1]
+    quad = 0.5 * np.einsum("jm,jl,lm->m", v0, cflow.eta_down, v0)
+    densities = [(f"U_{i + 1}", v0[i]) for i in range(cflow.n)]
+    densities += [("momentum", quad), ("H1", quad), ("H2", S)]
+    out = []
+    for name, density in densities:
+        vals = [r.integrals[name] for r in rows]
+        scale = float(np.mean(np.abs(density)) * grid.length)
+        out.append((name, vals[0], max(abs(x - vals[0]) for x in vals) / max(scale, 1e-30)))
+    return out
+
+
+def _fresh_monomials(table, stack, terms):
+    """The first ``terms`` monomials, with every power table allocated anew."""
+    out = None
+    for i in range(stack.shape[0]):
+        column = np.ascontiguousarray(table.exponents[:terms, i])
+        if not column.any():
+            continue
+        powers = np.empty((column.max() + 1, stack.shape[1]))
+        powers[0] = 1.0
+        powers[1] = stack[i]
+        for e in range(2, len(powers)):
+            np.multiply(powers[e - 1], stack[i], out=powers[e])
+        if out is None:
+            out = powers[column]
+        else:
+            out *= powers[column]
+    return np.ones((terms, stack.shape[1])) if out is None else out
+
+
+def _rational_flow():
+    # v_t = 2/(2 + v)^3 v_x, a flow with a denominator, compiled directly:
+    # S = 1/(2 + v) - 1/2 + v/4 is its density (S'' = V, S(0) = 0)
+    vars = ("v1",)
+    V = parse("2/(2 + v1)^3", vars)
+    S = parse("1/(2 + v1) - 1/2 + v1/4", vars)
+    assert not V.is_poly()
+    return ns.CompiledFlow(1, ns.MonomialTable([V, S], vars), np.array([[1.0]]))
+
+
+_HOPF = ("hopf", 1)
+_PAIR = ("pair", 2)
+_STEP_CASES = [
+    pytest.param(kind, level, m, False, id=f"{kind}-l{level}-m{m}")
+    for kind, _ in (_HOPF, _PAIR)
+    for level in (1, 2, 3)
+    for m in (256, 512)
+] + [
+    pytest.param("hopf", 1, 256, True, id="hopf-l1-m256-dealias"),
+    pytest.param("rational", None, 256, False, id="rational-m256"),
+]
+
+
+def _step_case(kind, level, m, dealias):
+    grid = ns.Grid(m, TWO_PI)
+    x = grid.nodes
+    if kind == "rational":
+        return _rational_flow(), grid, (0.1 * np.sin(x))[np.newaxis, :]
+    if kind == "hopf":
+        P, v0 = _shallow_pair(), (0.1 * np.sin(x))[np.newaxis, :]
+    else:
+        P = CanonicalPair(
+            eta=ETA2, K=1, H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)), vars=UV
+        )
+        v0 = np.stack([0.05 * np.sin(x), 0.05 * np.cos(x) + 0.02 * np.sin(2 * x)])
+    return ns.compile_flow(hierarchy(P, level)[level], dealias=dealias), grid, v0
+
+
+@pytest.mark.parametrize("kind,level,m,dealias", _STEP_CASES)
+def test_run_rows_equal_the_per_density_mean_route(kind, level, m, dealias):
+    cf, grid, v0 = _step_case(kind, level, m, dealias)
+    n = cf.n
+    V0 = cf.table(v0, n * n).reshape(n, n, -1)
+    dt = 0.2 * grid.length / (grid.m * cf.gershgorin_max(V0))  # CFL number 0.2
+    steps = 12
+    res = ns.run(cf, v0, grid, dt, steps * dt, [k * dt for k in range(steps + 1)])
+    assert res.status == "completed"
+    assert len(res.rows) == len(res.snapshots) == steps + 1
+    prefix = cf.table._prefix[n * n]
+    for row, (t, v) in zip(res.rows, res.snapshots):
+        assert row.t == t
+        assert (row.integrals, row.max_vx, row.tail) == _mean_route_row(cf, grid, v)
+        # the reused power buffers give the fresh tables, in the order a step asks
+        for terms in (prefix, len(cf.table.exponents), prefix):
+            assert np.array_equal(cf.table.monomials(v, terms), _fresh_monomials(cf.table, v, terms))
+    state0 = ns.FieldState(grid, v0)
+    got = [(d.name, d.initial, d.relative) for d in ns.drift_summary(cf, res.rows, state0)]
+    assert got == _mean_route_drift(cf, res.rows, grid, v0)
+
+
+def test_monomial_table_buffers_follow_the_grid_size():
+    vars = UV
+    table = ns.MonomialTable([parse("u1^3*u2 - u2^2", vars), parse("u1", vars)], vars)
+    rng = np.random.default_rng(5)
+    for m in (16, 32, 16, 64, 32):
+        stack = rng.standard_normal((2, m))
+        for terms in (table._prefix[1], len(table.exponents)):
+            assert np.array_equal(table.monomials(stack, terms), _fresh_monomials(table, stack, terms))
+    assert sorted(table._layouts) == [(t, m) for t in (table._prefix[1], 4) for m in (16, 32, 64)]
+
+
+def test_step_returns_the_state_it_checked():
+    cf, grid, v0 = _step_case("pair", 1, 256, False)
+    state = ns.FieldState(grid, v0)
+    k1 = cf.rhs(grid, state.v)
+    new = ns.step_rk4(cf, state, 1e-4, k1)
+    assert new.grid is grid and new.t == 1e-4 and new.v.shape == v0.shape
+    k1[0, 0] = np.nan
+    with pytest.raises(ns.SimulationError, match="^non-finite state at t = 0.0001$"):
+        ns.step_rk4(cf, state, 1e-4, k1)
+
+
 # -- CSV emission ----------------------------------------------------------------------
+
+
+def _float_per_cell_csvs(grid, rows, v):
+    """The CSV texts written with one float() and repr() per cell."""
+    diag = [",".join(["t", *rows[0].integrals, "max_vx", "tail"])]
+    for r in rows:
+        diag.append(",".join(repr(float(x)) for x in [r.t, *r.integrals.values(), r.max_vx, r.tail]))
+    n = v.shape[0]
+    snap = ["x," + ",".join(f"v{i + 1}" for i in range(n))]
+    for m, x in enumerate(grid.nodes):
+        snap.append(",".join([repr(float(x))] + [repr(float(v[i][m])) for i in range(n)]))
+    return "\n".join(diag) + "\n", "\n".join(snap) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["hopf", "pair"])
+def test_csv_bytes_equal_the_float_per_cell_writers(tmp_path, kind):
+    cf, grid, v0 = _step_case(kind, 2, 256, False)
+    res = ns.run(cf, v0, grid, 1e-5, 5e-5, [5e-5])
+    ns.write_diagnostics_csv(res.rows, tmp_path / "diag.csv")
+    ns.write_snapshot_csv(grid, res.snapshots[-1][1], tmp_path / "snap.csv")
+    diag, snap = _float_per_cell_csvs(grid, res.rows, res.snapshots[-1][1])
+    assert (tmp_path / "diag.csv").read_text() == diag
+    assert (tmp_path / "snap.csv").read_text() == snap
 
 
 def test_csv_outputs(tmp_path):

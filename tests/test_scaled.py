@@ -23,3 +23,10 @@ def test_smallest_scaled_rows_run():
     bracket, tables, families = scaled.residual_row(min(scaled.RESIDUAL_ROWS), repeats=1)
     assert bracket > 0 and tables > 0
     assert list(families) == ["s1", "s2", "s3", "s4", "s5"]
+
+
+def test_smallest_simulate_rows_run():
+    scaled = _scaled()
+    level, m, dt, _ = scaled.SIMULATE_ROW
+    assert scaled.step_row(level, m, dt, 4, repeats=1) > 0
+    assert scaled.teardown_row(1, 64, dt, 4, processes=1) > 0

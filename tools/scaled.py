@@ -2,7 +2,7 @@
 
     python3 tools/scaled.py
 
-It takes no options and prints two markdown tables:
+It takes no options and prints three markdown tables:
 
 * ``hierarchy`` on the linear N=3 pair at 4-8 levels and the linear N=4 pair
   at 3-5 levels (eta = I, K = 1): the seconds spent generating the flows and
@@ -11,19 +11,33 @@ It takes no options and prints two markdown tables:
 * the canonical constant-curvature metric a = (1, ..., N), K = 1, at
   N = 5-7: the seconds to build the bracket (metric and connection), then
   the milliseconds to build the derivative, curl and support tables and to
-  generate each residual family s1-s5.
+  generate each residual family s1-s5;
+* ``simulate`` on the linear N=2 pair (eta = I, K = 1) at level 2, M = 512,
+  180 steps of dt = 7.5e-5: the microseconds of one RK4 step with its
+  diagnostics in-process (``numsim.run``), and the milliseconds from
+  ``cli.main`` returning to the exit of a fresh
+  ``python -m hydrobrackets simulate`` process (interpreter teardown).  The
+  teardown is the median of five processes; the child stamps the moment
+  ``main`` returns on ``time.monotonic``, which is the parent's clock too.
 
 Every verdict is checked (the flows commute and are in involution; the
-canonical bracket is Poisson), so a timing is never taken of a wrong answer.
+canonical bracket is Poisson; the simulation completes within its drift
+tolerance), so a timing is never taken of a wrong answer.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from hydrobrackets import geometry  # noqa: E402
 from hydrobrackets.bracket import (  # noqa: E402
@@ -34,15 +48,37 @@ from hydrobrackets.bracket import (  # noqa: E402
 )
 from hydrobrackets.expr import Expr, parse  # noqa: E402
 from hydrobrackets.hierarchy import hierarchy, verify_hierarchy  # noqa: E402
+from hydrobrackets import numsim  # noqa: E402
 
 REPEATS = 3
 POTENTIALS = {
+    2: ("2*u1 - u2", "u1 + 3*u2"),
     3: ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3"),
     4: ("2*u1 - u2 + u3", "u1 + 3*u2 + u4", "2*u1 + u2 - u3", "u4 - u1"),
 }
 HIERARCHY_ROWS = [(3, levels) for levels in range(4, 9)] + [(4, levels) for levels in range(3, 6)]
 RESIDUAL_ROWS = [5, 6, 7]
 FAMILIES = ("s1", "s2", "s3", "s4", "s5")
+# (level, M, dt, steps) of the simulate row: the benchmark's level-2 M=512 pair runs
+SIMULATE_ROW = (2, 512, 7.5e-5, 180)
+TEARDOWN_PROCESSES = 5
+TWO_PI = 6.283185307179586
+INIT = ["0.05*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)"]
+
+# the child: python -m hydrobrackets, with cli.main wrapped to print the
+# moment it returns as the last line of stderr
+_STAMPED_ENTRY = """
+import runpy, sys, time
+import hydrobrackets.cli as cli
+main = cli.main
+def stamped(argv=None):
+    code = main(argv)
+    print(repr(time.monotonic()), file=sys.stderr)
+    return code
+cli.main = stamped
+sys.argv[0] = "hydrobrackets"
+runpy.run_module("hydrobrackets", run_name="__main__", alter_sys=True)
+"""
 
 
 def _best(fn, repeats):
@@ -94,6 +130,49 @@ def residual_row(n: int, repeats: int = REPEATS) -> tuple:
     return bracket, tables * 1e3, {name: t * 1e3 for name, t in families.items()}
 
 
+def _simulate_doc(level: int, m: int, dt: float, steps: int) -> dict:
+    return {
+        "N": 2,
+        "eta": [[1, 0], [0, 1]],
+        "K": 1,
+        "H": list(POTENTIALS[2]),
+        "simulation": {"grid_M": m, "L": TWO_PI, "dt": dt, "t_end": dt * steps, "init": INIT},
+    }
+
+
+def step_row(level: int, m: int, dt: float, steps: int, repeats: int = REPEATS) -> float:
+    """Microseconds per RK4 step (diagnostics included) of ``numsim.run``."""
+    flow = hierarchy(linear_pair(2), level)[level]
+    cflow = numsim.compile_flow(flow)
+    grid = numsim.Grid(m, TWO_PI)
+    init = [parse(text, ("x",), initial_data=True) for text in INIT]
+    v0 = numsim.sample_initial_data(grid, init).v
+    seconds, result = _best(lambda: numsim.run(cflow, v0, grid, dt, dt * steps), repeats)
+    if result.status != "completed" or len(result.rows) != steps + 1:
+        raise AssertionError(f"level {level}, M={m}: the run did not complete {steps} steps")
+    return seconds / steps * 1e6
+
+
+def teardown_row(level: int, m: int, dt: float, steps: int, processes: int = TEARDOWN_PROCESSES) -> float:
+    """Milliseconds from ``main`` returning to process exit, median over
+    fresh ``python -m hydrobrackets simulate`` processes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    samples = []
+    with tempfile.TemporaryDirectory(prefix="scaled-") as tmp:
+        problem = Path(tmp) / "pair.json"
+        problem.write_text(json.dumps(_simulate_doc(level, m, dt, steps)))
+        argv = ["simulate", str(problem), "--level", str(level), "--out", tmp]
+        for _ in range(processes):
+            proc = subprocess.run(
+                [sys.executable, "-c", _STAMPED_ENTRY, *argv], capture_output=True, text=True, env=env, timeout=300
+            )
+            exited = time.monotonic()
+            if proc.returncode != 0 or "verdict: PASS" not in proc.stdout:
+                raise AssertionError(f"simulate exited {proc.returncode}: {proc.stderr.strip()}")
+            samples.append(exited - float(proc.stderr.split()[-1]))
+    return statistics.median(samples) * 1e3
+
+
 def main() -> int:
     print("| hierarchy | generation s | verification s |")
     print("|---|---|---|")
@@ -108,6 +187,12 @@ def main() -> int:
         bracket, tables, families = residual_row(n)
         cells = " | ".join(f"{families[f]:.1f}" for f in FAMILIES)
         print(f"| {n} | {bracket:.3f} | {tables:.1f} | {cells} |", flush=True)
+    print()
+    level, m, dt, steps = SIMULATE_ROW
+    print("| simulate | us per step | teardown ms |")
+    print("|---|---|---|")
+    step, teardown = step_row(*SIMULATE_ROW), teardown_row(*SIMULATE_ROW)
+    print(f"| N=2 level {level} M={m} | {step:.0f} | {teardown:.1f} |", flush=True)
     return 0
 
 
