@@ -286,11 +286,15 @@ class Problem:
             g, b = self.explicit
             return HydroBracket(vars=self.vars, g=g, b=b, K=K)
         try:
-            con, cov, _ = geometry.canonical_metric(self.canonical_a, K.const_value())
+            a, _ = geometry.canonical_constants(self.canonical_a, K.const_value())
         except ValueError as exc:
             raise ProblemFileError("canonical.a", str(exc)) from None
-        conn = geometry.christoffel(cov)
-        return HydroBracket(vars=self.vars, g=con.entries, b=conn.b, K=K)
+        # g^{ij} = a^i delta^{ij} - K u^i u^j is the canonical pair of
+        # eta = I and H^j = a^j u^j / 2, whose b is its Levi-Civita connection
+        n = self.n
+        identity = ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
+        H = tuple(Expr.var(v) * (a[j] / 2) for j, v in enumerate(self.vars))
+        return build_canonical(CanonicalPair(eta=identity, K=K, H=H, vars=self.vars))
 
     def second_bracket(self) -> HydroBracket:
         """Bracket for the second pencil member; defaults to (eta, 0, 0).
@@ -330,12 +334,16 @@ def load_initial_state(prob: Problem):
 
 def load_problem(path: str) -> Problem:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=Fraction)
     except OSError as exc:
         raise ProblemFileError(path, f"cannot read file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise ProblemFileError(path, "JSON nested too deeply to decode") from None
     return Problem(doc, path)
 
 

@@ -32,6 +32,10 @@ from .poly import Poly, poly_gcd
 
 TRANSCENDENTALS = ("sin", "cos", "exp")
 
+# Parentheses, calls and chained divisions each open one level; a deeper
+# expression is a ParseError, so no parse or tree walk exhausts the stack.
+MAX_NESTING = 100
+
 
 class ExprError(ValueError):
     """Base class for expression-layer errors."""
@@ -350,6 +354,8 @@ class Expr:
         return num, den
 
     def __str__(self):
+        if not self.den:
+            return str(self.num)  # Poly.__str__ orders the terms itself
         num, den = self.normal_form()
         if den.is_const():
             c = den.const_value()
@@ -440,44 +446,50 @@ class _Call(_Node):
         self.arg = arg
 
 
-def _tadd(args) -> _Node:
-    flat = []
-    const = Fraction(0)
-    for a in args:
-        if isinstance(a, _Add):
-            flat.extend(a.args)
-        elif isinstance(a, _Const):
-            const += a.value
+def _tsum(nodes) -> _Node:
+    """The tree of ``n0 + n1 + ...``: left to right, each step flattens a
+    sum operand and adds the constant operands into one constant after the
+    other arguments.  A constant left inside a sum stays as it is, so
+    ``1 + sin(x) + 2`` is Add(sin(x), 1, 2).  One list serves every step."""
+    if len(nodes) == 1:
+        return nodes[0]
+    flat = []  # the arguments of the sum so far; a lone constant is its value
+    for node in nodes:
+        const = flat.pop().value if len(flat) == 1 and isinstance(flat[0], _Const) else 0
+        if isinstance(node, _Add):
+            flat.extend(node.args)
+        elif isinstance(node, _Const):
+            const += node.value
         else:
-            flat.append(a)
-    if const:
-        flat.append(_Const(const))
+            flat.append(node)
+        if const:
+            flat.append(_Const(const))
     if not flat:
         return _Const(Fraction(0))
-    if len(flat) == 1:
-        return flat[0]
-    return _Add(tuple(flat))
+    return flat[0] if len(flat) == 1 else _Add(tuple(flat))
 
 
-def _tmul(args) -> _Node:
+def _tprod(nodes) -> _Node:
+    """The tree of ``n0 * n1 * ...``, built like :func:`_tsum`; the product
+    of the constant operands goes first, and a zero one makes the product 0."""
+    if len(nodes) == 1:
+        return nodes[0]
     flat = []
-    const = Fraction(1)
-    for a in args:
-        if isinstance(a, _Mul):
-            flat.extend(a.args)
-        elif isinstance(a, _Const):
-            const *= a.value
+    for node in nodes:
+        const = flat.pop().value if len(flat) == 1 and isinstance(flat[0], _Const) else 1
+        if isinstance(node, _Mul):
+            flat.extend(node.args)
+        elif isinstance(node, _Const):
+            const *= node.value
         else:
-            flat.append(a)
-    if const == 0:
-        return _Const(Fraction(0))
-    if const != 1:
-        flat.insert(0, _Const(const))
+            flat.append(node)
+        if const == 0:
+            flat = [_Const(Fraction(0))]
+        elif const != 1:
+            flat.insert(0, _Const(const))
     if not flat:
         return _Const(Fraction(1))
-    if len(flat) == 1:
-        return flat[0]
-    return _Mul(tuple(flat))
+    return flat[0] if len(flat) == 1 else _Mul(tuple(flat))
 
 
 def _tree_has_call(node: _Node) -> bool:
@@ -492,16 +504,28 @@ def _tree_has_call(node: _Node) -> bool:
     return False
 
 
+def _sum(terms) -> Expr:
+    """The sum of ``terms`` from 0, left to right.  Each run of polynomials
+    is added by ``Poly.sum`` in one pass, which leaves the Poly, term order
+    included, that adding them one at a time leaves."""
+    acc, run = Expr.const(0), []
+    for e in terms:
+        if e.den or acc.den:
+            if run:
+                acc, run = Expr(Poly.sum([acc.num, *run])), []
+            acc = acc + e
+        else:
+            run.append(e.num)
+    return Expr(Poly.sum([acc.num, *run])) if run else acc
+
+
 def _tree_to_expr(node: _Node) -> Expr:
     if isinstance(node, _Const):
         return Expr.const(node.value)
     if isinstance(node, _Var):
         return Expr.var(node.name)
     if isinstance(node, _Add):
-        acc = Expr.const(0)
-        for a in node.args:
-            acc = acc + _tree_to_expr(a)
-        return acc
+        return _sum(_tree_to_expr(a) for a in node.args)
     if isinstance(node, _Mul):
         acc = Expr.const(1)
         for a in node.args:
@@ -576,6 +600,12 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.allowed = set(allowed_vars)
         self.initial_data = initial_data
+        self.depth = 0  # open parentheses and calls, plus chained divisions
+
+    def _nest(self, at: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", at)
 
     def parse(self) -> _Node:
         node = self.expr()
@@ -584,22 +614,25 @@ class _Parser:
         return node
 
     def expr(self) -> _Node:
-        node = self.term()
+        terms = [self.term()]
         while self.toks.kind in "+-":
             op, _, _ = self.toks.take()
             rhs = self.term()
-            if op == "-":
-                rhs = _tmul([_Const(Fraction(-1)), rhs])
-            node = _tadd([node, rhs])
-        return node
+            terms.append(_tprod([_Const(Fraction(-1)), rhs]) if op == "-" else rhs)
+        return _tsum(terms)
 
     def term(self) -> _Node:
-        node = self.factor()
+        depth = self.depth
+        factors = [self.factor()]
         while self.toks.kind in "*/":
             op, _, at = self.toks.take()
-            rhs = self.factor()
-            node = _tmul([node, rhs]) if op == "*" else _Div(node, rhs, at)
-        return node
+            if op == "*":
+                factors.append(self.factor())
+            else:  # a division nests what came before it
+                self._nest(at)
+                factors = [_Div(_tprod(factors), self.factor(), at)]
+        self.depth = depth
+        return _tprod(factors)
 
     def factor(self) -> _Node:
         sign = 1
@@ -608,9 +641,7 @@ class _Parser:
             if op == "-":
                 sign = -sign
         node = self.power()
-        if sign < 0:
-            node = _tmul([_Const(Fraction(-1)), node])
-        return node
+        return _tprod([_Const(Fraction(-1)), node]) if sign < 0 else node
 
     def power(self) -> _Node:
         node = self.atom()
@@ -647,20 +678,24 @@ class _Parser:
                     raise TranscendentalNotAllowedError(
                         f"'{value}' is only allowed in initial-data expressions", start
                     )
+                self._nest(start)
                 self.toks.take()
                 arg = self.expr()
                 k, _, s = self.toks.take()
                 if k != ")":
                     raise ParseError("expected ')'", s)
+                self.depth -= 1
                 return _Call(value, arg)
             if value not in self.allowed:
                 raise UnknownVariableError(f"unknown variable '{value}'", start)
             return _Var(value)
         if kind == "(":
+            self._nest(start)
             node = self.expr()
             k, _, s = self.toks.take()
             if k != ")":
                 raise ParseError("expected ')'", s)
+            self.depth -= 1
             return node
         raise ParseError(
             "expected a number, variable or '('" if kind == "end" else f"unexpected {value!r}",

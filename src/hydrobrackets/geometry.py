@@ -38,6 +38,7 @@ __all__ = [
     "riemann",
     "constant_curvature_residual",
     "canonical_metric",
+    "canonical_constants",
     "field_vars",
 ]
 
@@ -281,6 +282,16 @@ def constant_curvature_residual(g: ContravariantMetric, K) -> list:
     return out
 
 
+def canonical_constants(a: Sequence, K) -> tuple:
+    """The constants (a^1..a^N, K) of the constant-curvature family as
+    Fractions.  Raises ValueError when more than one of them is zero."""
+    a = [Fraction(x) for x in a]
+    K = Fraction(K)
+    if a.count(0) + (K == 0) > 1:
+        raise ValueError("at most one of the constants a^1..a^N, K may be zero")
+    return a, K
+
+
 def canonical_metric(a: Sequence, K):
     """The constant-curvature family g^{ij} = a^i delta^{ij} - K u^i u^j.
 
@@ -290,14 +301,8 @@ def canonical_metric(a: Sequence, K):
     components come from the degenerate closed-form model (the contravariant
     matrix is then singular along u^m = 0 but not identically).
     """
-    a = [Fraction(x) for x in a]
-    K = Fraction(K)
+    a, K = canonical_constants(a, K)
     n = len(a)
-    zeros = [i for i, x in enumerate(a) if x == 0] + ([n] if K == 0 else [])
-    if len(zeros) > 1:
-        raise ValueError(
-            "at most one of the constants a^1..a^N, K may be zero"
-        )
     vars = field_vars(n)
     u = [Expr.var(v) for v in vars]
     Ke = Expr.const(K)
@@ -328,7 +333,7 @@ def canonical_metric(a: Sequence, K):
             for i in range(n)
         ]
     else:
-        m = zeros[0]
+        m = a.index(0)
         prod_rest = Fraction(1)
         for s in range(n):
             if s != m:

@@ -992,3 +992,203 @@ def test_commute_takes_its_verdicts_from_verify_hierarchy(monkeypatch, capsys):
     assert main(["commute", problem, "--levels", "4"]) == 0
     assert calls == []  # every pair passed P2 involution, so no expanded check ran
     assert capsys.readouterr().out.count("PASS\n") == 11  # ten pairs and the verdict
+
+
+# -- malformed files that used to end in a traceback ------------------------------
+
+_SCALAR = {"N": 1, "eta": [[1]], "K": 1}
+_SIM = {"grid_M": 8, "L": 1, "dt": "1/10", "t_end": "1/10"}
+
+
+@pytest.mark.parametrize(
+    "command,content,message",
+    [
+        ("check-poisson", b"\xff\xfe{", "{path}: not UTF-8: invalid start byte at byte 0"),
+        (
+            "check-poisson",
+            ('{"N": 1, "H": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+            "{path}: JSON nested too deeply to decode",
+        ),
+        (
+            "check-poisson",
+            json.dumps({**_SCALAR, "H": ["(" * 200 + "u1^2/2" + ")" * 200]}).encode(),
+            "H[0]: expression nests deeper than 100 levels (at offset 100)",
+        ),
+        (
+            "check-poisson",
+            json.dumps({**_SCALAR, "H": ["u1" + "/u1" * 3000]}).encode(),
+            "H[0]: expression nests deeper than 100 levels (at offset 302)",
+        ),
+        (
+            "simulate",
+            json.dumps(
+                {**_SCALAR, "H": ["u1^2/2"], "simulation": {**_SIM, "init": ["sin(" * 200 + "x" + ")" * 200]}}
+            ).encode(),
+            "simulation.init[0]: expression nests deeper than 100 levels (at offset 400)",
+        ),
+    ],
+    ids=["not-utf8", "deep-json", "deep-parentheses", "division-chain", "deep-calls"],
+)
+def test_malformed_files_end_in_one_input_error_line(tmp_path, capsys, command, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "simulate" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message.format(path=path)}\n"
+
+
+def test_deep_json_exits_2_through_the_module_entry(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = tmp_path / "deep.json"
+    path.write_text('{"N": 1, "H": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hydrobrackets", "check-poisson", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"input error: {path}: JSON nested too deeply to decode\n"
+
+
+def test_expressions_at_the_nesting_limit_still_run(tmp_path, capsys):
+    doc = {
+        **_SCALAR,
+        "H": ["(" * 100 + "0.5*u1^2" + ")" * 100],
+        "simulation": {**_SIM, "init": ["sin(" * 50 + "x" + "/2" * 50 + ")" * 50]},
+    }
+    path = _write(tmp_path, "deep.json", doc)
+    assert main(["check-poisson", path]) == 0
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+# -- the import contract of perfbench/run.py --trace ------------------------------
+
+
+def test_importing_the_cli_loads_every_layer_and_no_numpy():
+    """``perfbench/run.py --trace 1`` imports ``hydrobrackets.cli`` and then
+    patches the seven layer modules it finds in ``sys.modules``, so that
+    import must load all of them; numpy stays a simulation-only import."""
+    root = Path(__file__).resolve().parents[1]
+    layers = ("cli", "expr", "poly", "geometry", "bracket", "hierarchy", "numsim")
+    probe = (
+        "import sys, json\nimport hydrobrackets.cli\n"
+        f"print(json.dumps([f'hydrobrackets.{{m}}' in sys.modules for m in {layers!r}]"
+        " + ['numpy' in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True] * len(layers) + [False]
+
+
+# -- a canonical block is the canonical pair of eta = I, H^j = a^j u^j / 2 --------
+
+
+def _canonical_cases():
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(1990)
+
+    def rational(nonzero=True):
+        while True:
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            if q or not nonzero:
+                return q
+
+    cases = [([2, 5, 7, 3], Fraction(-1, 3))]
+    for n in range(2, 8):
+        a = [rational() for _ in range(n)]
+        cases.append((a, rational()))
+        cases.append(([abs(x) for x in a], -abs(rational())))  # K < 0
+        zero = list(a)
+        zero[rng.randrange(n)] = 0
+        cases.append((zero, rational()))
+    return cases
+
+
+@pytest.mark.parametrize("a,K", _canonical_cases())
+def test_canonical_block_equals_the_christoffel_oracle(a, K):
+    from hydrobrackets import geometry
+    from hydrobrackets.cli import Problem
+
+    n = len(a)
+    doc = {"N": n, "K": str(K), "canonical": {"a": [str(x) for x in a]}}
+    if n % 2:  # the problem's own eta plays no part
+        doc["eta"] = [[2 * int(i == j) + int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    B = Problem(doc, "canonical").bracket()
+    con, cov, _ = geometry.canonical_metric(a, K)
+    conn = geometry.christoffel(cov)
+    pairs = [(B.g[i][j], con.entries[i][j]) for i in range(n) for j in range(n)]
+    pairs += [
+        (B.b[i][j][k], conn.b[i][j][k]) for i in range(n) for j in range(n) for k in range(n)
+    ]
+    for got, want in pairs:
+        assert str(got) == str(want)
+        assert (got - want).is_zero()
+    assert str(B.K) == str(K)
+
+
+@pytest.mark.parametrize(
+    "a,H",
+    [([1, 2, 3, 4], ["1/2*u1", "u2", "3/2*u3", "2*u4"]), ([2, "5/3", 0], ["u1", "5/6*u2", "0"])],
+)
+def test_liouville_recovers_the_canonical_potentials(tmp_path, capsys, a, H):
+    n = len(a)
+    eta = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = _write(tmp_path, "c.json", {"N": n, "eta": eta, "K": "-1/3", "canonical": {"a": a}})
+    assert main(["liouville", path, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["special"] is True and out["H"] == H
+
+
+@pytest.mark.parametrize(
+    "doc,code,expected",
+    [
+        (
+            {
+                "N": 3,
+                "eta": [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+                "K": "1/2",
+                "H": ["u1^2/2 - u2", "2*u2 + u3", "u3"],
+                "second": {"canonical": {"a": [1, "2/3", 3]}},
+            },
+            1,
+            "check-pencil: N=3 (parameter lam)\n"
+            "  s1: PASS\n  s2: PASS\n"
+            "  s3: FAIL  witness indices=(1, 2, 1) point=(lam=-62619/125000, "
+            "u1=242859/1000000, u2=35333/250000) value=-200641092543471881/50000000000000000\n"
+            "  s4: PASS\n  s5: PASS\n"
+            "local member: lam0=1, lam1=-1\nverdict: NOT A POISSON PENCIL\n",
+        ),
+        (
+            {
+                "N": 3,
+                "eta": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "K": "-1/3",
+                "canonical": {"a": [1, 2, 3]},
+                "second": {"canonical": {"a": [2, "-1", 0]}},
+            },
+            0,
+            "check-pencil: N=3 (parameter lam)\n"
+            "  s1: PASS\n  s2: PASS\n  s3: PASS\n  s4: PASS\n  s5: PASS\n"
+            "local member: lam0=1, lam1=-1\nverdict: POISSON PENCIL\n",
+        ),
+    ],
+    ids=["second-canonical", "both-canonical"],
+)
+def test_pencil_with_a_canonical_second_block(tmp_path, capsys, doc, code, expected):
+    """The reports printed when the bracket went through Christoffel symbols."""
+    assert main(["check-pencil", _write(tmp_path, "pencil.json", doc), "--seed", "3"]) == code
+    assert capsys.readouterr().out == expected

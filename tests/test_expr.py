@@ -7,7 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hydrobrackets import expr as _ex
 from hydrobrackets.expr import (
     Expr,
     NonIntegerExponentError,
@@ -249,3 +252,218 @@ def test_identically_zero_denominator_is_a_parse_error(text, offset):
         parse(text, UV)
     assert exc.value.offset == offset
     assert str(exc.value) == f"identically zero denominator (at offset {offset})"
+
+
+# -- the tree builder and the sum ------------------------------------------------
+
+
+def _ref_tadd(args):
+    """The tree builder before sums were built in one list: one flattening
+    per operator."""
+    flat, const = [], Fraction(0)
+    for a in args:
+        if isinstance(a, _ex._Add):
+            flat.extend(a.args)
+        elif isinstance(a, _ex._Const):
+            const += a.value
+        else:
+            flat.append(a)
+    if const:
+        flat.append(_ex._Const(const))
+    if not flat:
+        return _ex._Const(Fraction(0))
+    return flat[0] if len(flat) == 1 else _ex._Add(tuple(flat))
+
+
+def _ref_tmul(args):
+    flat, const = [], Fraction(1)
+    for a in args:
+        if isinstance(a, _ex._Mul):
+            flat.extend(a.args)
+        elif isinstance(a, _ex._Const):
+            const *= a.value
+        else:
+            flat.append(a)
+    if const == 0:
+        return _ex._Const(Fraction(0))
+    if const != 1:
+        flat.insert(0, _ex._Const(const))
+    if not flat:
+        return _ex._Const(Fraction(1))
+    return flat[0] if len(flat) == 1 else _ex._Mul(tuple(flat))
+
+
+class _RefParser(_ex._Parser):
+    def expr(self):
+        node = self.term()
+        while self.toks.kind in "+-":
+            op, _, _ = self.toks.take()
+            rhs = self.term()
+            if op == "-":
+                rhs = _ref_tmul([_ex._Const(Fraction(-1)), rhs])
+            node = _ref_tadd([node, rhs])
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.toks.kind in "*/":
+            op, _, at = self.toks.take()
+            rhs = self.factor()
+            node = _ref_tmul([node, rhs]) if op == "*" else _ex._Div(node, rhs, at)
+        return node
+
+    def factor(self):
+        sign = 1
+        while self.toks.kind in "+-":
+            op, _, _ = self.toks.take()
+            if op == "-":
+                sign = -sign
+        node = self.power()
+        return _ref_tmul([_ex._Const(Fraction(-1)), node]) if sign < 0 else node
+
+
+def _ref_tree_to_expr(node):
+    """Tree to Expr with sums added one term at a time."""
+    if isinstance(node, _ex._Add):
+        acc = Expr.const(0)
+        for a in node.args:
+            acc = acc + _ref_tree_to_expr(a)
+        return acc
+    if isinstance(node, _ex._Mul):
+        acc = Expr.const(1)
+        for a in node.args:
+            acc = acc * _ref_tree_to_expr(a)
+        return acc
+    if isinstance(node, _ex._Pow):
+        return _ref_tree_to_expr(node.base) ** node.exp
+    if isinstance(node, _ex._Div):
+        return _ref_tree_to_expr(node.num) / _ref_tree_to_expr(node.den)
+    return _ex._tree_to_expr(node)  # a constant or a variable
+
+
+def _shape(x):
+    """A tree as nested tuples: node types, argument order, constant types."""
+    if isinstance(x, _ex._Node):
+        return (type(x).__name__,) + tuple(_shape(getattr(x, s)) for s in type(x).__slots__)
+    if isinstance(x, tuple):
+        return tuple(_shape(a) for a in x)
+    return (type(x).__name__, x)
+
+
+def _layout(e: Expr):
+    """An Expr as its representation: numerator terms in dict order and the
+    denominator factors."""
+    return (
+        list(e.num.terms.items()),
+        e.num.den,
+        [(list(f.terms.items()), f.den, k) for f, k in e.den],
+    )
+
+
+_ATOMS = st.sampled_from(["u1", "u2", "x", "0", "1", "2", "3", "0.5", "1/3", "u1^2", "u2^-1"])
+
+
+def _compound(children):
+    joined = st.tuples(st.sampled_from([" + ", " - ", "*", "/", " - -"]), st.lists(children, min_size=2, max_size=6))
+    return st.one_of(
+        joined.map(lambda t: t[0].join(t[1])),
+        children.map(lambda c: f"({c})"),
+        children.map(lambda c: f"-({c})"),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda c: f"sin({c})"),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=24))
+def test_trees_and_term_order_match_the_one_operator_at_a_time_builder(text):
+    vars = ("u1", "u2", "x")
+    tree = _ex._Parser(text, vars, True).parse()
+    assert _shape(tree) == _shape(_RefParser(text, vars, True).parse())
+    if _ex._tree_has_call(tree):
+        return
+    try:
+        want = _ref_tree_to_expr(tree)
+    except ZeroDivisionError:
+        with pytest.raises(_ex.ZeroDenominatorError):
+            _ex._tree_to_expr(tree)
+        return
+    assert _layout(_ex._tree_to_expr(tree)) == _layout(want)
+
+
+def test_constants_stay_where_the_sum_left_them():
+    def shape(text):
+        return _shape(_ex._Parser(text, ("x",), True).parse())
+
+    tree = _ex._Parser("1 + sin(x) + 2", ("x",), True).parse()
+    assert isinstance(tree, _ex._Add)
+    assert [type(a).__name__ for a in tree.args] == ["_Call", "_Const", "_Const"]
+    assert [a.value for a in tree.args[1:]] == [1, 2]
+    assert shape("1 + 2 + sin(x)") == shape("sin(x) + 3")
+
+
+def test_a_cancelled_term_comes_back_at_the_end():
+    e = parse("u1 + u2 + u1^2 - u1 + u1", UV)
+    want = _ref_tree_to_expr(_ex._Parser("u1 + u2 + u1^2 - u1 + u1", UV, False).parse())
+    assert _layout(e) == _layout(want)
+    assert [str(Expr(type(e.num)({m: 1}))) for m in e.num.terms] == ["u2", "u1^2", "u1"]
+
+
+def test_a_20000_term_sum_parses_in_linear_time():
+    import itertools
+    import time
+
+    monomials = list(itertools.product(range(28), repeat=3))[:20000]
+    text = " + ".join(f"u1^{a}*u2^{b}*u3^{c}" for a, b, c in monomials)
+    t0 = time.perf_counter()
+    e = parse(text, ("u1", "u2", "u3"))
+    elapsed = time.perf_counter() - t0
+    assert len(e.num.terms) == 20000
+    # one term per monomial, in the order of the text
+    order = [str(Expr(type(e.num)({m: 1}))) for m in e.num.terms]
+    assert order[:3] == ["1", "u3", "u3^2"] and order[-1] == "u1^25*u2^14*u3^7"
+    assert elapsed < 15.0, f"{elapsed:.1f} s"
+
+
+# -- printing --------------------------------------------------------------------
+
+
+def _normal_form_str(e: Expr) -> str:
+    """``str`` through the reduced normal form, as rational functions print."""
+    num, den = e.normal_form()
+    if den.is_const():
+        c = den.const_value()
+        if c != 1:
+            num = num * (Fraction(1) / c)
+        return str(num)
+    return f"({num})/({den})"
+
+
+def test_polynomials_print_as_their_normal_form():
+    rng = random.Random(1717)
+    cases = [Expr.const(0), parse("-u1^3 + 2*u2", UV), parse("-3/7*u1*u2 - 5/2", UV)]
+    for nvars in (1, 2, 3, 4):
+        cases += [_random_poly(rng, nvars=nvars, degree=5, terms=8) for _ in range(25)]
+    cases += [-c for c in cases] + [c * Fraction(-4, 9) for c in cases]
+    assert any(str(c).startswith("-") for c in cases)
+    for c in cases:
+        assert c.is_poly()
+        assert str(c) == _normal_form_str(c)
+
+
+@pytest.mark.parametrize(
+    "open_,atom,close,offset",
+    [("(", "u1", ")", 100), ("sin(", "x", ")", 400), ("", "u1", "/u1", 302)],
+    ids=["parentheses", "calls", "divisions"],
+)
+def test_nesting_limit(open_, atom, close, offset):
+    from hydrobrackets.expr import MAX_NESTING
+
+    assert MAX_NESTING == 100
+    vars = ("u1", "x")
+    deepest = open_ * 100 + atom + close * 100
+    parse(deepest, vars, initial_data=True)
+    with pytest.raises(ParseError) as exc:
+        parse(open_ * 101 + atom + close * 101, vars, initial_data=True)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"expression nests deeper than 100 levels (at offset {offset})"

@@ -20,8 +20,8 @@ def test_smallest_scaled_rows_run():
     n, levels = min(scaled.HIERARCHY_ROWS)
     generation, verification = scaled.hierarchy_row(n, levels, repeats=1)
     assert generation > 0 and verification > 0
-    bracket, tables, families = scaled.residual_row(min(scaled.RESIDUAL_ROWS), repeats=1)
-    assert bracket > 0 and tables > 0
+    bracket, christoffel, tables, families = scaled.residual_row(min(scaled.RESIDUAL_ROWS), repeats=1)
+    assert bracket > 0 and christoffel > 0 and tables > 0
     assert list(families) == ["s1", "s2", "s3", "s4", "s5"]
 
 

@@ -9,8 +9,11 @@ It takes no options and prints three markdown tables:
   the seconds spent verifying every pair of them (``verify_hierarchy``, the
   route of the ``hierarchy`` command);
 * the canonical constant-curvature metric a = (1, ..., N), K = 1, at
-  N = 5-7: the seconds to build the bracket (metric and connection), then
-  the milliseconds to build the derivative, curl and support tables and to
+  N = 6, 8, 10, 12: the seconds to build the bracket as ``Problem.bracket()``
+  builds it (the canonical pair of eta = I and H^j = a^j u^j / 2), the
+  seconds of the Christoffel route beside it (the closed covariant metric,
+  then ``geometry.christoffel``; the test oracle of that bracket), then the
+  milliseconds to build the derivative, curl and support tables and to
   generate each residual family s1-s5;
 * ``simulate`` on the linear N=2 pair (eta = I, K = 1) at level 2, M = 512,
   180 steps of dt = 7.5e-5: the microseconds of one RK4 step with its
@@ -21,8 +24,9 @@ It takes no options and prints three markdown tables:
   ``main`` returns on ``time.monotonic``, which is the parent's clock too.
 
 Every verdict is checked (the flows commute and are in involution; the
-canonical bracket is Poisson; the simulation completes within its drift
-tolerance), so a timing is never taken of a wrong answer.
+canonical bracket equals the Christoffel route's and is Poisson; the
+simulation completes within its drift tolerance), so a timing is never
+taken of a wrong answer.
 """
 
 from __future__ import annotations
@@ -40,13 +44,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from hydrobrackets import geometry  # noqa: E402
-from hydrobrackets.bracket import (  # noqa: E402
-    CanonicalPair,
-    ConstantBracket,
-    HydroBracket,
-    _s_residuals,
-)
-from hydrobrackets.expr import Expr, parse  # noqa: E402
+from hydrobrackets.bracket import CanonicalPair, ConstantBracket, _s_residuals  # noqa: E402
+from hydrobrackets.cli import Problem  # noqa: E402
+from hydrobrackets.expr import parse  # noqa: E402
 from hydrobrackets.hierarchy import hierarchy, verify_hierarchy  # noqa: E402
 from hydrobrackets import numsim  # noqa: E402
 
@@ -57,7 +57,7 @@ POTENTIALS = {
     4: ("2*u1 - u2 + u3", "u1 + 3*u2 + u4", "2*u1 + u2 - u3", "u4 - u1"),
 }
 HIERARCHY_ROWS = [(3, levels) for levels in range(4, 9)] + [(4, levels) for levels in range(3, 6)]
-RESIDUAL_ROWS = [5, 6, 7]
+RESIDUAL_ROWS = [6, 8, 10, 12]
 FAMILIES = ("s1", "s2", "s3", "s4", "s5")
 # (level, M, dt, steps) of the simulate row: the benchmark's level-2 M=512 pair runs
 SIMULATE_ROW = (2, 512, 7.5e-5, 180)
@@ -108,16 +108,27 @@ def hierarchy_row(n: int, levels: int, repeats: int = REPEATS) -> tuple:
 
 
 def residual_row(n: int, repeats: int = REPEATS) -> tuple:
-    """(bracket s, tables ms, {family: ms}) on the canonical metric at N=n."""
+    """(bracket s, christoffel s, tables ms, {family: ms}) on the canonical
+    metric at N=n."""
+    a = list(range(1, n + 1))
+    problem = Problem({"N": n, "K": 1, "canonical": {"a": a}}, "canonical")
+    bracket, B = _best(problem.bracket, repeats)
 
-    def build():
-        con, cov, _ = geometry.canonical_metric(list(range(1, n + 1)), 1)
-        return con, geometry.christoffel(cov)
+    def oracle():
+        _, cov, _ = geometry.canonical_metric(a, 1)
+        return geometry.christoffel(cov)
 
-    bracket, (con, conn) = _best(build, repeats)
+    christoffel, conn = _best(oracle, repeats)
+    up = conn.metric.contravariant.entries
+    if not all(
+        (B.g[i][j] - up[i][j]).is_zero()
+        and all((B.b[i][j][k] - conn.b[i][j][k]).is_zero() for k in range(n))
+        for i in range(n)
+        for j in range(n)
+    ):
+        raise AssertionError(f"canonical N={n}: the bracket differs from the Christoffel route")
     tables, families = float("inf"), {name: float("inf") for name in FAMILIES}
     for _ in range(repeats):
-        B = HydroBracket(vars=con.vars, g=con.entries, b=conn.b, K=Expr.const(1))
         t0 = time.perf_counter()
         generators = _s_residuals(B)
         tables = min(tables, time.perf_counter() - t0)
@@ -127,7 +138,7 @@ def residual_row(n: int, repeats: int = REPEATS) -> tuple:
             families[name] = min(families[name], time.perf_counter() - t0)
             if any(not e.is_zero() for _, e in residuals):
                 raise AssertionError(f"canonical N={n} fails {name}")
-    return bracket, tables * 1e3, {name: t * 1e3 for name, t in families.items()}
+    return bracket, christoffel, tables * 1e3, {name: t * 1e3 for name, t in families.items()}
 
 
 def _simulate_doc(level: int, m: int, dt: float, steps: int) -> dict:
@@ -180,13 +191,13 @@ def main() -> int:
         generation, verification = hierarchy_row(n, levels)
         print(f"| N={n} --levels {levels} | {generation:.3f} | {verification:.3f} |", flush=True)
     print()
-    columns = ["canonical N", "bracket s", "tables ms"] + [f"{f} ms" for f in FAMILIES]
+    columns = ["canonical N", "bracket s", "christoffel s", "tables ms"] + [f"{f} ms" for f in FAMILIES]
     print("| " + " | ".join(columns) + " |")
     print("|---" * len(columns) + "|")
     for n in RESIDUAL_ROWS:
-        bracket, tables, families = residual_row(n)
+        bracket, christoffel, tables, families = residual_row(n)
         cells = " | ".join(f"{families[f]:.1f}" for f in FAMILIES)
-        print(f"| {n} | {bracket:.3f} | {tables:.1f} | {cells} |", flush=True)
+        print(f"| {n} | {bracket:.3f} | {christoffel:.3f} | {tables:.1f} | {cells} |", flush=True)
     print()
     level, m, dt, steps = SIMULATE_ROW
     print("| simulate | us per step | teardown ms |")
