@@ -32,9 +32,10 @@ from .poly import Poly, poly_gcd
 
 TRANSCENDENTALS = ("sin", "cos", "exp")
 
-# Parentheses, calls and chained divisions each open one level; a deeper
-# expression is a ParseError, so no parse or tree walk exhausts the stack.
-MAX_NESTING = 100
+# The parser recurses once per open parenthesis or call; nesting them deeper
+# is a ParseError, so no parse exhausts the stack.  The tree walks keep their
+# own stack, so a chain ``a/b*c/d...`` of any length parses.
+MAX_NESTING = 150
 
 
 class ExprError(ValueError):
@@ -446,102 +447,110 @@ class _Call(_Node):
         self.arg = arg
 
 
-def _tsum(nodes) -> _Node:
-    """The tree of ``n0 + n1 + ...``: left to right, each step flattens a
-    sum operand and adds the constant operands into one constant after the
-    other arguments.  A constant left inside a sum stays as it is, so
-    ``1 + sin(x) + 2`` is Add(sin(x), 1, 2).  One list serves every step."""
-    if len(nodes) == 1:
-        return nodes[0]
-    flat = []  # the arguments of the sum so far; a lone constant is its value
-    for node in nodes:
-        const = flat.pop().value if len(flat) == 1 and isinstance(flat[0], _Const) else 0
-        if isinstance(node, _Add):
-            flat.extend(node.args)
-        elif isinstance(node, _Const):
-            const += node.value
+def _tadd(args) -> _Node:
+    flat = []
+    const = Fraction(0)
+    for a in args:
+        if isinstance(a, _Add):
+            flat.extend(a.args)
+        elif isinstance(a, _Const):
+            const += a.value
         else:
-            flat.append(node)
-        if const:
-            flat.append(_Const(const))
+            flat.append(a)
+    if const:
+        flat.append(_Const(const))
     if not flat:
         return _Const(Fraction(0))
-    return flat[0] if len(flat) == 1 else _Add(tuple(flat))
+    if len(flat) == 1:
+        return flat[0]
+    return _Add(tuple(flat))
 
 
-def _tprod(nodes) -> _Node:
-    """The tree of ``n0 * n1 * ...``, built like :func:`_tsum`; the product
-    of the constant operands goes first, and a zero one makes the product 0."""
-    if len(nodes) == 1:
-        return nodes[0]
+def _tmul(args) -> _Node:
     flat = []
-    for node in nodes:
-        const = flat.pop().value if len(flat) == 1 and isinstance(flat[0], _Const) else 1
-        if isinstance(node, _Mul):
-            flat.extend(node.args)
-        elif isinstance(node, _Const):
-            const *= node.value
+    const = Fraction(1)
+    for a in args:
+        if isinstance(a, _Mul):
+            flat.extend(a.args)
+        elif isinstance(a, _Const):
+            const *= a.value
         else:
-            flat.append(node)
-        if const == 0:
-            flat = [_Const(Fraction(0))]
-        elif const != 1:
-            flat.insert(0, _Const(const))
+            flat.append(a)
+    if const == 0:
+        return _Const(Fraction(0))
+    if const != 1:
+        flat.insert(0, _Const(const))
     if not flat:
         return _Const(Fraction(1))
-    return flat[0] if len(flat) == 1 else _Mul(tuple(flat))
+    if len(flat) == 1:
+        return flat[0]
+    return _Mul(tuple(flat))
+
+
+def _operands(node: _Node) -> tuple:
+    if isinstance(node, (_Add, _Mul)):
+        return node.args
+    if isinstance(node, _Pow):
+        return (node.base,)
+    if isinstance(node, _Div):
+        return (node.num, node.den)
+    if isinstance(node, _Call):
+        return (node.arg,)
+    return ()
+
+
+def _fold_tree(root: _Node, combine):
+    """``combine(node, values)`` at every node of a parse tree, operands
+    first and left to right; ``values`` holds the results at the node's
+    operands.  The walk keeps its own stack, so no tree is too deep for it;
+    a chain ``a/b*c/d...`` nests one node per operator."""
+    values, todo = [], [(root, False)]
+    while todo:
+        node, ready = todo.pop()
+        ops = _operands(node)
+        if ready or not ops:
+            k = len(values) - len(ops)
+            values[k:] = [combine(node, values[k:])]
+        else:
+            todo.append((node, True))
+            todo.extend((op, False) for op in reversed(ops))
+    return values[0]
 
 
 def _tree_has_call(node: _Node) -> bool:
-    if isinstance(node, _Call):
-        return True
-    if isinstance(node, _Add) or isinstance(node, _Mul):
-        return any(_tree_has_call(a) for a in node.args)
-    if isinstance(node, _Pow):
-        return _tree_has_call(node.base)
-    if isinstance(node, _Div):
-        return _tree_has_call(node.num) or _tree_has_call(node.den)
-    return False
+    return _fold_tree(node, lambda n, values: isinstance(n, _Call) or any(values))
 
 
-def _sum(terms) -> Expr:
-    """The sum of ``terms`` from 0, left to right.  Each run of polynomials
-    is added by ``Poly.sum`` in one pass, which leaves the Poly, term order
-    included, that adding them one at a time leaves."""
-    acc, run = Expr.const(0), []
-    for e in terms:
-        if e.den or acc.den:
-            if run:
-                acc, run = Expr(Poly.sum([acc.num, *run])), []
-            acc = acc + e
-        else:
-            run.append(e.num)
-    return Expr(Poly.sum([acc.num, *run])) if run else acc
-
-
-def _tree_to_expr(node: _Node) -> Expr:
+def _to_expr(node: _Node, values) -> Expr:
     if isinstance(node, _Const):
         return Expr.const(node.value)
     if isinstance(node, _Var):
         return Expr.var(node.name)
     if isinstance(node, _Add):
-        return _sum(_tree_to_expr(a) for a in node.args)
+        acc = Expr.const(0)
+        for v in values:
+            acc = acc + v
+        return acc
     if isinstance(node, _Mul):
         acc = Expr.const(1)
-        for a in node.args:
-            acc = acc * _tree_to_expr(a)
+        for v in values:
+            acc = acc * v
         return acc
     if isinstance(node, _Pow):
-        base = _tree_to_expr(node.base)
+        (base,) = values
         if node.exp < 0 and base.is_zero():
             raise ZeroDenominatorError("identically zero denominator", node.at)
         return base**node.exp
     if isinstance(node, _Div):
-        den = _tree_to_expr(node.den)
+        num, den = values
         if den.is_zero():
             raise ZeroDenominatorError("identically zero denominator", node.at)
-        return _tree_to_expr(node.num) / den
+        return num / den
     raise ExprError("transcendental expression has no rational form")
+
+
+def _tree_to_expr(node: _Node) -> Expr:
+    return _fold_tree(node, _to_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +609,7 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.allowed = set(allowed_vars)
         self.initial_data = initial_data
-        self.depth = 0  # open parentheses and calls, plus chained divisions
+        self.depth = 0  # open parentheses and calls
 
     def _nest(self, at: int) -> None:
         self.depth += 1
@@ -614,25 +623,22 @@ class _Parser:
         return node
 
     def expr(self) -> _Node:
-        terms = [self.term()]
+        node = self.term()
         while self.toks.kind in "+-":
             op, _, _ = self.toks.take()
             rhs = self.term()
-            terms.append(_tprod([_Const(Fraction(-1)), rhs]) if op == "-" else rhs)
-        return _tsum(terms)
+            if op == "-":
+                rhs = _tmul([_Const(Fraction(-1)), rhs])
+            node = _tadd([node, rhs])
+        return node
 
     def term(self) -> _Node:
-        depth = self.depth
-        factors = [self.factor()]
+        node = self.factor()
         while self.toks.kind in "*/":
             op, _, at = self.toks.take()
-            if op == "*":
-                factors.append(self.factor())
-            else:  # a division nests what came before it
-                self._nest(at)
-                factors = [_Div(_tprod(factors), self.factor(), at)]
-        self.depth = depth
-        return _tprod(factors)
+            rhs = self.factor()
+            node = _tmul([node, rhs]) if op == "*" else _Div(node, rhs, at)
+        return node
 
     def factor(self) -> _Node:
         sign = 1
@@ -641,7 +647,9 @@ class _Parser:
             if op == "-":
                 sign = -sign
         node = self.power()
-        return _tprod([_Const(Fraction(-1)), node]) if sign < 0 else node
+        if sign < 0:
+            node = _tmul([_Const(Fraction(-1)), node])
+        return node
 
     def power(self) -> _Node:
         node = self.atom()

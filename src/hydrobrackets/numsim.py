@@ -279,28 +279,32 @@ class MonomialTable:
         return out.reshape((count,) + np.shape(stack)[1:])
 
 
-def _sample_tree(node, x: np.ndarray) -> np.ndarray:
+def _sample_tree(tree, x: np.ndarray) -> np.ndarray:
     """The parse tree of transcendental initial data (see ``expr.parse``)
     at the points ``x``."""
-    if isinstance(node, _expr._Const):
-        return np.full(x.shape, float(node.value))
-    if isinstance(node, _expr._Var):
-        if node.name != "x":
-            raise ValueError(f"initial data has an unbound variable {node.name!r}")
-        return x
-    if isinstance(node, _expr._Add):
-        return sum(_sample_tree(a, x) for a in node.args)
-    if isinstance(node, _expr._Mul):
-        out = _sample_tree(node.args[0], x)
-        for a in node.args[1:]:
-            out = out * _sample_tree(a, x)
-        return out
-    if isinstance(node, _expr._Pow):
-        return _sample_tree(node.base, x) ** node.exp
-    if isinstance(node, _expr._Div):
-        return _sample_tree(node.num, x) / _sample_tree(node.den, x)
-    # a call is one of expr.TRANSCENDENTALS, each a numpy ufunc of that name
-    return getattr(np, node.fn)(_sample_tree(node.arg, x))
+
+    def at(node, values):
+        if isinstance(node, _expr._Const):
+            return np.full(x.shape, float(node.value))
+        if isinstance(node, _expr._Var):
+            if node.name != "x":
+                raise ValueError(f"initial data has an unbound variable {node.name!r}")
+            return x
+        if isinstance(node, _expr._Add):
+            return sum(values)
+        if isinstance(node, _expr._Mul):
+            out = values[0]
+            for v in values[1:]:
+                out = out * v
+            return out
+        if isinstance(node, _expr._Pow):
+            return values[0] ** node.exp
+        if isinstance(node, _expr._Div):
+            return values[0] / values[1]
+        # a call is one of expr.TRANSCENDENTALS, each a numpy ufunc of that name
+        return getattr(np, node.fn)(values[0])
+
+    return _expr._fold_tree(tree, at)
 
 
 def dealias_two_thirds(grid: Grid, s: np.ndarray) -> np.ndarray:

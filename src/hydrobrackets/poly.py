@@ -242,23 +242,6 @@ class Poly:
 
     __radd__ = __add__
 
-    @staticmethod
-    def sum(polys) -> "Poly":
-        """The sum of ``polys`` from 0, left to right, in one pass.  Its
-        terms are in the order that repeated ``+`` leaves them: first
-        insertion, and a cancelled term entering again at the end."""
-        acc = {}
-        for p in polys:
-            d = p.den
-            for m, c in p.terms.items():
-                s = acc.get(m, 0) + (c if d == 1 else Fraction(c, d))
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-        den = _int_lcm(*(c.denominator for c in acc.values())) if acc else 1
-        return Poly({m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den)
-
     def __neg__(self):
         return Poly({m: -c for m, c in self.terms.items()}, self.den)
 

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from hydrobrackets.expr import (
     is_zero,
     parse,
 )
+from hydrobrackets.numsim import _sample_tree
 
 UV = ("u1", "u2")
 
@@ -254,76 +256,12 @@ def test_identically_zero_denominator_is_a_parse_error(text, offset):
     assert str(exc.value) == f"identically zero denominator (at offset {offset})"
 
 
-# -- the tree builder and the sum ------------------------------------------------
-
-
-def _ref_tadd(args):
-    """The tree builder before sums were built in one list: one flattening
-    per operator."""
-    flat, const = [], Fraction(0)
-    for a in args:
-        if isinstance(a, _ex._Add):
-            flat.extend(a.args)
-        elif isinstance(a, _ex._Const):
-            const += a.value
-        else:
-            flat.append(a)
-    if const:
-        flat.append(_ex._Const(const))
-    if not flat:
-        return _ex._Const(Fraction(0))
-    return flat[0] if len(flat) == 1 else _ex._Add(tuple(flat))
-
-
-def _ref_tmul(args):
-    flat, const = [], Fraction(1)
-    for a in args:
-        if isinstance(a, _ex._Mul):
-            flat.extend(a.args)
-        elif isinstance(a, _ex._Const):
-            const *= a.value
-        else:
-            flat.append(a)
-    if const == 0:
-        return _ex._Const(Fraction(0))
-    if const != 1:
-        flat.insert(0, _ex._Const(const))
-    if not flat:
-        return _ex._Const(Fraction(1))
-    return flat[0] if len(flat) == 1 else _ex._Mul(tuple(flat))
-
-
-class _RefParser(_ex._Parser):
-    def expr(self):
-        node = self.term()
-        while self.toks.kind in "+-":
-            op, _, _ = self.toks.take()
-            rhs = self.term()
-            if op == "-":
-                rhs = _ref_tmul([_ex._Const(Fraction(-1)), rhs])
-            node = _ref_tadd([node, rhs])
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.toks.kind in "*/":
-            op, _, at = self.toks.take()
-            rhs = self.factor()
-            node = _ref_tmul([node, rhs]) if op == "*" else _ex._Div(node, rhs, at)
-        return node
-
-    def factor(self):
-        sign = 1
-        while self.toks.kind in "+-":
-            op, _, _ = self.toks.take()
-            if op == "-":
-                sign = -sign
-        node = self.power()
-        return _ref_tmul([_ex._Const(Fraction(-1)), node]) if sign < 0 else node
+# -- the tree walks -------------------------------------------------------------
 
 
 def _ref_tree_to_expr(node):
-    """Tree to Expr with sums added one term at a time."""
+    """A recursive walk with the fold's order: operands left to right, each
+    check after its operands."""
     if isinstance(node, _ex._Add):
         acc = Expr.const(0)
         for a in node.args:
@@ -335,19 +273,52 @@ def _ref_tree_to_expr(node):
             acc = acc * _ref_tree_to_expr(a)
         return acc
     if isinstance(node, _ex._Pow):
-        return _ref_tree_to_expr(node.base) ** node.exp
+        base = _ref_tree_to_expr(node.base)
+        if node.exp < 0 and base.is_zero():
+            raise _ex.ZeroDenominatorError("identically zero denominator", node.at)
+        return base**node.exp
     if isinstance(node, _ex._Div):
-        return _ref_tree_to_expr(node.num) / _ref_tree_to_expr(node.den)
-    return _ex._tree_to_expr(node)  # a constant or a variable
+        num, den = _ref_tree_to_expr(node.num), _ref_tree_to_expr(node.den)
+        if den.is_zero():
+            raise _ex.ZeroDenominatorError("identically zero denominator", node.at)
+        return num / den
+    if isinstance(node, _ex._Const):
+        return Expr.const(node.value)
+    return Expr.var(node.name)
 
 
-def _shape(x):
-    """A tree as nested tuples: node types, argument order, constant types."""
-    if isinstance(x, _ex._Node):
-        return (type(x).__name__,) + tuple(_shape(getattr(x, s)) for s in type(x).__slots__)
-    if isinstance(x, tuple):
-        return tuple(_shape(a) for a in x)
-    return (type(x).__name__, x)
+def _ref_has_call(node):
+    if isinstance(node, _ex._Call):
+        return True
+    if isinstance(node, (_ex._Add, _ex._Mul)):
+        return any(_ref_has_call(a) for a in node.args)
+    if isinstance(node, _ex._Pow):
+        return _ref_has_call(node.base)
+    if isinstance(node, _ex._Div):
+        return _ref_has_call(node.num) or _ref_has_call(node.den)
+    return False
+
+
+def _ref_sample(node, x):
+    """The recursive sampler of transcendental initial data."""
+    if isinstance(node, _ex._Const):
+        return np.full(x.shape, float(node.value))
+    if isinstance(node, _ex._Var):
+        if node.name != "x":
+            raise ValueError(node.name)
+        return x
+    if isinstance(node, _ex._Add):
+        return sum(_ref_sample(a, x) for a in node.args)
+    if isinstance(node, _ex._Mul):
+        out = _ref_sample(node.args[0], x)
+        for a in node.args[1:]:
+            out = out * _ref_sample(a, x)
+        return out
+    if isinstance(node, _ex._Pow):
+        return _ref_sample(node.base, x) ** node.exp
+    if isinstance(node, _ex._Div):
+        return _ref_sample(node.num, x) / _ref_sample(node.den, x)
+    return getattr(np, node.fn)(_ref_sample(node.arg, x))
 
 
 def _layout(e: Expr):
@@ -376,53 +347,57 @@ def _compound(children):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.recursive(_ATOMS, _compound, max_leaves=24))
-def test_trees_and_term_order_match_the_one_operator_at_a_time_builder(text):
-    vars = ("u1", "u2", "x")
-    tree = _ex._Parser(text, vars, True).parse()
-    assert _shape(tree) == _shape(_RefParser(text, vars, True).parse())
+def test_the_tree_fold_matches_a_recursive_walk(text):
+    tree = _ex._Parser(text, ("u1", "u2", "x"), True).parse()
+    assert _ex._tree_has_call(tree) == _ref_has_call(tree)
     if _ex._tree_has_call(tree):
+        x = np.linspace(-1.0, 1.0, 7)
+
+        def sample(walk):
+            try:
+                with np.errstate(all="ignore"):
+                    return walk(tree, x).tobytes()
+            except ValueError:  # u1 or u2 in initial data
+                return None
+
+        assert sample(_sample_tree) == sample(_ref_sample)
         return
     try:
         want = _ref_tree_to_expr(tree)
-    except ZeroDivisionError:
-        with pytest.raises(_ex.ZeroDenominatorError):
+    except _ex.ZeroDenominatorError as err:
+        with pytest.raises(_ex.ZeroDenominatorError) as exc:
             _ex._tree_to_expr(tree)
+        assert exc.value.offset == err.offset
         return
     assert _layout(_ex._tree_to_expr(tree)) == _layout(want)
 
 
-def test_constants_stay_where_the_sum_left_them():
-    def shape(text):
-        return _shape(_ex._Parser(text, ("x",), True).parse())
-
-    tree = _ex._Parser("1 + sin(x) + 2", ("x",), True).parse()
-    assert isinstance(tree, _ex._Add)
-    assert [type(a).__name__ for a in tree.args] == ["_Call", "_Const", "_Const"]
-    assert [a.value for a in tree.args[1:]] == [1, 2]
-    assert shape("1 + 2 + sin(x)") == shape("sin(x) + 3")
-
-
 def test_a_cancelled_term_comes_back_at_the_end():
     e = parse("u1 + u2 + u1^2 - u1 + u1", UV)
-    want = _ref_tree_to_expr(_ex._Parser("u1 + u2 + u1^2 - u1 + u1", UV, False).parse())
-    assert _layout(e) == _layout(want)
     assert [str(Expr(type(e.num)({m: 1}))) for m in e.num.terms] == ["u2", "u1^2", "u1"]
 
 
-def test_a_20000_term_sum_parses_in_linear_time():
-    import itertools
-    import time
+@pytest.mark.parametrize(
+    "text,same_as",
+    [
+        ("u1" + "/u2" * 150, "u1/u2^150"),
+        ("u1" + "/u2" * 3000, "u1/u2^3000"),
+        ("u1" + "*u1/u2" * 2000, "u1^2001/u2^2000"),
+        ("(" * 150 + "u1" + ("/u2" * 20 + ")") * 150, "u1/u2^3000"),
+    ],
+    ids=["150-divisions", "3000-divisions", "alternating", "nested-chains"],
+)
+def test_chains_of_any_length_parse(text, same_as):
+    assert str(parse(text, UV)) == str(parse(same_as, UV))
 
-    monomials = list(itertools.product(range(28), repeat=3))[:20000]
-    text = " + ".join(f"u1^{a}*u2^{b}*u3^{c}" for a, b, c in monomials)
-    t0 = time.perf_counter()
-    e = parse(text, ("u1", "u2", "u3"))
-    elapsed = time.perf_counter() - t0
-    assert len(e.num.terms) == 20000
-    # one term per monomial, in the order of the text
-    order = [str(Expr(type(e.num)({m: 1}))) for m in e.num.terms]
-    assert order[:3] == ["1", "u3", "u3^2"] and order[-1] == "u1^25*u2^14*u3^7"
-    assert elapsed < 15.0, f"{elapsed:.1f} s"
+
+def test_a_long_chain_in_initial_data_samples_left_to_right():
+    x = np.linspace(0.0, 3.0, 9)
+    want = np.sin(x)
+    for _ in range(3000):
+        want = want / np.full(x.shape, 1.001)
+    tree = parse("sin(x)" + "/1.001" * 3000, ("x",), initial_data=True)
+    assert _sample_tree(tree, x).tobytes() == want.tobytes()
 
 
 # -- printing --------------------------------------------------------------------
@@ -453,17 +428,17 @@ def test_polynomials_print_as_their_normal_form():
 
 @pytest.mark.parametrize(
     "open_,atom,close,offset",
-    [("(", "u1", ")", 100), ("sin(", "x", ")", 400), ("", "u1", "/u1", 302)],
-    ids=["parentheses", "calls", "divisions"],
+    [("(", "u1", ")", 150), ("sin(", "x", ")", 600), ("(u1/", "u1", ")", 600)],
+    ids=["parentheses", "calls", "divisors"],
 )
 def test_nesting_limit(open_, atom, close, offset):
     from hydrobrackets.expr import MAX_NESTING
 
-    assert MAX_NESTING == 100
+    assert MAX_NESTING == 150
     vars = ("u1", "x")
-    deepest = open_ * 100 + atom + close * 100
+    deepest = open_ * 150 + atom + close * 150
     parse(deepest, vars, initial_data=True)
     with pytest.raises(ParseError) as exc:
-        parse(open_ * 101 + atom + close * 101, vars, initial_data=True)
+        parse(open_ * 151 + atom + close * 151, vars, initial_data=True)
     assert exc.value.offset == offset
-    assert str(exc.value) == f"expression nests deeper than 100 levels (at offset {offset})"
+    assert str(exc.value) == f"expression nests deeper than 150 levels (at offset {offset})"
