@@ -73,18 +73,25 @@ def _as_fraction(x, location: str) -> Fraction:
     raise ProblemFileError(location, f"expected a rational number, got {type(x).__name__}")
 
 
-def _parse_field_expr(text, vars, location: str, initial_data=False):
+def _parse_field_expr(text, vars, location: str, parsed: dict, initial_data=False):
+    """One expression entry of a problem file.  ``parsed`` holds what the
+    file has parsed so far, by (text, variables, initial-data mode), so a
+    string that recurs in the file is parsed once and its entries share one
+    ``Expr`` (or initial-data tree); both are immutable."""
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Expr.const(text)
     if not isinstance(text, str):
         raise ProblemFileError(location, "expected an expression string")
+    key = (text, vars, initial_data)
+    if key in parsed:
+        return parsed[key]
     try:
-        return parse(text, vars, initial_data=initial_data)
+        out = parse(text, vars, initial_data=initial_data)
     except UnknownVariableError as exc:
         # H and friends may equally be written in v-variables
         alt = [v.replace("u", "v", 1) for v in vars]
         try:
-            return parse(text, alt, initial_data=initial_data).rename(
+            out = parse(text, alt, initial_data=initial_data).rename(
                 dict(zip(alt, vars))
             )
         except UnknownVariableError:
@@ -93,14 +100,19 @@ def _parse_field_expr(text, vars, location: str, initial_data=False):
             raise ProblemFileError(location, str(retry)) from None
     except ParseError as exc:
         raise ProblemFileError(location, str(exc)) from None
+    parsed[key] = out
+    return out
 
 
 class Problem:
-    """Validated content of a problem file."""
+    """Validated content of a problem file.  ``parsed`` is the file's record
+    of the expressions parsed so far (see ``_parse_field_expr``); the
+    ``second`` block shares its primary's."""
 
-    def __init__(self, doc: dict, path: str):
+    def __init__(self, doc: dict, path: str, parsed: dict | None = None):
         if not isinstance(doc, dict):
             raise ProblemFileError(path, "top level must be a JSON object")
+        self._parsed = {} if parsed is None else parsed
         n = doc.get("N")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ProblemFileError("N", "a positive integer N is required")
@@ -143,7 +155,8 @@ class Problem:
         if not isinstance(raw, list) or len(raw) != self.n:
             raise ProblemFileError(loc, f"expected {self.n} expression strings")
         return tuple(
-            _parse_field_expr(x, self.vars, f"{loc}[{i}]") for i, x in enumerate(raw)
+            _parse_field_expr(x, self.vars, f"{loc}[{i}]", self._parsed)
+            for i, x in enumerate(raw)
         )
 
     def _load_explicit(self, doc, prefix):
@@ -161,7 +174,7 @@ class Problem:
                 raise ProblemFileError(f"{prefix}g[{i}]", f"expected {n} entries")
             g.append(
                 [
-                    _parse_field_expr(x, self.vars, f"{prefix}g[{i}][{j}]")
+                    _parse_field_expr(x, self.vars, f"{prefix}g[{i}][{j}]", self._parsed)
                     for j, x in enumerate(row)
                 ]
             )
@@ -177,7 +190,9 @@ class Problem:
                     raise ProblemFileError(f"{prefix}b[{i}][{j}]", f"expected {n} entries")
                 rows.append(
                     [
-                        _parse_field_expr(x, self.vars, f"{prefix}b[{i}][{j}][{k}]")
+                        _parse_field_expr(
+                            x, self.vars, f"{prefix}b[{i}][{j}][{k}]", self._parsed
+                        )
                         for k, x in enumerate(row)
                     ]
                 )
@@ -234,7 +249,7 @@ class Problem:
         if not isinstance(init, list) or len(init) != self.n:
             raise ProblemFileError(f"{loc}.init", f"expected {self.n} expressions in x")
         sim["init"] = [
-            _parse_field_expr(x, ("x",), f"{loc}.init[{i}]", initial_data=True)
+            _parse_field_expr(x, ("x",), f"{loc}.init[{i}]", self._parsed, initial_data=True)
             for i, x in enumerate(init)
         ]
         snaps = raw.get("snapshots", [])
@@ -308,7 +323,7 @@ class Problem:
         sub = dict(self.second)
         sub.setdefault("N", self.n)
         try:
-            prob = Problem(sub, "second")
+            prob = Problem(sub, "second", self._parsed)
             if prob.n != self.n:
                 raise ProblemFileError("N", "dimension mismatch with primary")
             if "eta" not in sub:

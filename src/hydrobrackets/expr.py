@@ -10,9 +10,11 @@ Grammar (whitespace-insensitive)::
     exponent:=  ['-'] INTEGER  |  '(' ['-'] INTEGER ')'
     atom    :=  NUMBER  |  NAME  |  NAME '(' expr ')'  |  '(' expr ')'
 
-Numbers are integers or terminating decimals; decimals are converted to
-exact rationals (``0.1`` becomes ``1/10``).  Fractions like ``1/2`` come
-out of the division operator.  The only admissible calls are ``sin``,
+Numbers are integers or terminating decimals written in the ASCII digits
+0-9; decimals are converted to exact rationals (``0.1`` becomes ``1/10``).
+A number of more than ``sys.get_int_max_str_digits()`` digits is a
+:class:`ParseError`.  Fractions like ``1/2`` come out of the division
+operator.  The only admissible calls are ``sin``,
 ``cos`` and ``exp``, and only when the caller enables initial-data mode.
 
 Every :class:`Expr` is a rational function over Q in canonical factored
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import random
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +39,10 @@ TRANSCENDENTALS = ("sin", "cos", "exp")
 # is a ParseError, so no parse exhausts the stack.  The tree walks keep their
 # own stack, so a chain ``a/b*c/d...`` of any length parses.
 MAX_NESTING = 150
+
+# A number is ASCII digits with at most one decimal point (``str.isdigit``
+# would also admit digits such as '²' or '٣', which ``int`` rejects or reads).
+_DIGITS = frozenset("0123456789")
 
 
 class ExprError(ValueError):
@@ -396,8 +403,17 @@ class _Node:
 class _Const(_Node):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: int | Fraction):
         self.value = value
+
+
+class _Quot(_Const):
+    """A quotient of two nonzero constants, folded when the tree only becomes
+    an ``Expr``.  A sum keeps it in the place of the division it replaces
+    (bare constants move to the end), so the terms of the sum's ``Expr``
+    come in the order they would without the fold."""
+
+    __slots__ = ()
 
 
 class _Var(_Node):
@@ -449,39 +465,47 @@ class _Call(_Node):
 
 def _tadd(args) -> _Node:
     flat = []
-    const = Fraction(0)
+    const = 0
     for a in args:
         if isinstance(a, _Add):
             flat.extend(a.args)
-        elif isinstance(a, _Const):
+        elif type(a) is _Const:
             const += a.value
         else:
             flat.append(a)
     if const:
         flat.append(_Const(const))
     if not flat:
-        return _Const(Fraction(0))
+        return _Const(0)
     if len(flat) == 1:
         return flat[0]
     return _Add(tuple(flat))
 
 
 def _tmul(args) -> _Node:
+    """The product of ``args``, nested products flattened and bare constants
+    folded into one leading constant.  A quotient folds into it too, but
+    the product keeps the shape it has with the division in its place: a
+    ``_Quot`` when nothing else is left, a ``_Mul`` otherwise."""
     flat = []
-    const = Fraction(1)
+    const = 1
+    quot = False
     for a in args:
         if isinstance(a, _Mul):
             flat.extend(a.args)
         elif isinstance(a, _Const):
             const *= a.value
+            quot = quot or type(a) is _Quot
         else:
             flat.append(a)
     if const == 0:
-        return _Const(Fraction(0))
-    if const != 1:
+        return _Const(0)
+    if quot and not flat:
+        return _Quot(const)
+    if const != 1 or (quot and len(flat) == 1):
         flat.insert(0, _Const(const))
     if not flat:
-        return _Const(Fraction(1))
+        return _Const(1)
     if len(flat) == 1:
         return flat[0]
     return _Mul(tuple(flat))
@@ -504,16 +528,17 @@ def _fold_tree(root: _Node, combine):
     first and left to right; ``values`` holds the results at the node's
     operands.  The walk keeps its own stack, so no tree is too deep for it;
     a chain ``a/b*c/d...`` nests one node per operator."""
-    values, todo = [], [(root, False)]
+    values, todo = [], [(root, None)]
     while todo:
-        node, ready = todo.pop()
-        ops = _operands(node)
-        if ready or not ops:
-            k = len(values) - len(ops)
-            values[k:] = [combine(node, values[k:])]
-        else:
-            todo.append((node, True))
-            todo.extend((op, False) for op in reversed(ops))
+        node, ops = todo.pop()  # ops: None until the node is expanded
+        if ops is None:
+            ops = _operands(node)
+            if ops:
+                todo.append((node, ops))
+                todo.extend([(op, None) for op in reversed(ops)])
+                continue
+        k = len(values) - len(ops)
+        values[k:] = [combine(node, values[k:])]
     return values[0]
 
 
@@ -527,13 +552,13 @@ def _to_expr(node: _Node, values) -> Expr:
     if isinstance(node, _Var):
         return Expr.var(node.name)
     if isinstance(node, _Add):
-        acc = Expr.const(0)
-        for v in values:
+        acc = values[0]
+        for v in values[1:]:
             acc = acc + v
         return acc
     if isinstance(node, _Mul):
-        acc = Expr.const(1)
-        for v in values:
+        acc = values[0]
+        for v in values[1:]:
             acc = acc * v
         return acc
     if isinstance(node, _Pow):
@@ -575,13 +600,16 @@ class _Tokenizer:
             return
         c = text[i]
         start = i
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and text[i + 1 : i + 2] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
+            limit = sys.get_int_max_str_digits()
+            if limit and j - i - seen_dot > limit:
+                raise ParseError(f"number has more than {limit} digits", i)
             self.kind, self.value = "number", text[i:j]
             i = j
         elif c.isalpha() or c == "_":
@@ -610,6 +638,7 @@ class _Parser:
         self.allowed = set(allowed_vars)
         self.initial_data = initial_data
         self.depth = 0  # open parentheses and calls
+        self.has_call = False  # whether a sin/cos/exp call was parsed
 
     def _nest(self, at: int) -> None:
         self.depth += 1
@@ -628,7 +657,7 @@ class _Parser:
             op, _, _ = self.toks.take()
             rhs = self.term()
             if op == "-":
-                rhs = _tmul([_Const(Fraction(-1)), rhs])
+                rhs = _tmul([_Const(-1), rhs])
             node = _tadd([node, rhs])
         return node
 
@@ -637,7 +666,20 @@ class _Parser:
         while self.toks.kind in "*/":
             op, _, at = self.toks.take()
             rhs = self.factor()
-            node = _tmul([node, rhs]) if op == "*" else _Div(node, rhs, at)
+            if op == "*":
+                node = _tmul([node, rhs])
+            elif (
+                not self.initial_data
+                and isinstance(node, _Const)
+                and isinstance(rhs, _Const)
+                and node.value
+                and rhs.value
+            ):
+                # initial data keeps its divisions: they fix the float order
+                # in which the simulator samples it
+                node = _Quot(Fraction(node.value, rhs.value))
+            else:
+                node = _Div(node, rhs, at)
         return node
 
     def factor(self) -> _Node:
@@ -648,7 +690,7 @@ class _Parser:
                 sign = -sign
         node = self.power()
         if sign < 0:
-            node = _tmul([_Const(Fraction(-1)), node])
+            node = _tmul([_Const(-1), node])
         return node
 
     def power(self) -> _Node:
@@ -679,7 +721,7 @@ class _Parser:
     def atom(self) -> _Node:
         kind, value, start = self.toks.take()
         if kind == "number":
-            return _Const(Fraction(value))
+            return _Const(Fraction(value) if "." in value else int(value))
         if kind == "name":
             if self.toks.kind == "(" and value in TRANSCENDENTALS:
                 if not self.initial_data:
@@ -693,6 +735,7 @@ class _Parser:
                 if k != ")":
                     raise ParseError("expected ')'", s)
                 self.depth -= 1
+                self.has_call = True
                 return _Call(value, arg)
             if value not in self.allowed:
                 raise UnknownVariableError(f"unknown variable '{value}'", start)
@@ -722,8 +765,13 @@ def parse(
     negative-power base that is identically zero raises
     :class:`ZeroDenominatorError` at the offset of its operator.
     """
-    tree = _Parser(text, allowed_vars, initial_data).parse()
-    return tree if _tree_has_call(tree) else _tree_to_expr(tree)
+    parser = _Parser(text, allowed_vars, initial_data)
+    tree = parser.parse()
+    # a product with a zero factor drops its calls, so only a tree the
+    # parser built a call for is walked to see whether one is left
+    if parser.has_call and _tree_has_call(tree):
+        return tree
+    return _tree_to_expr(tree)
 
 
 # ---------------------------------------------------------------------------

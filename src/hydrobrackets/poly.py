@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
@@ -134,7 +135,8 @@ class Poly:
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         return Poly({0: c.numerator}, c.denominator) if c else Poly()
 
     @staticmethod
@@ -466,7 +468,12 @@ def _pairs(m: int, shifts) -> tuple:
 
 
 def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:  # more digits than int -> str converts
+        raise ExpressionSizeError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _coerce_poly(x):

@@ -1187,3 +1187,115 @@ def test_pencil_with_a_canonical_second_block(tmp_path, capsys, doc, code, expec
     """The reports printed when the bracket went through Christoffel symbols."""
     assert main(["check-pencil", _write(tmp_path, "pencil.json", doc), "--seed", "3"]) == code
     assert capsys.readouterr().out == expected
+
+
+# -- loading: one parse per distinct string --------------------------------------
+
+
+def _counting_parser(monkeypatch):
+    """Record the text of every parser the expression layer builds."""
+    from hydrobrackets import expr as _ex
+
+    built = []
+
+    class Counting(_ex._Parser):
+        def __init__(self, text, *args):
+            built.append(text)
+            super().__init__(text, *args)
+
+    monkeypatch.setattr(_ex, "_Parser", Counting)
+    return built
+
+
+def test_a_problem_file_parses_each_distinct_string_once(tmp_path, monkeypatch):
+    from hydrobrackets.cli import load_problem
+
+    n = 4
+    g = [[("3/2" if i == j else "0") + f" - (1/2)*u{i + 1}*u{j + 1}" for j in range(n)] for i in range(n)]
+    b = [[[f"-(1/2)*u{j + 1}" if i == k else "0" for k in range(n)] for j in range(n)] for i in range(n)]
+    texts = [x for row in g for x in row] + [x for plane in b for row in plane for x in row]
+    assert (len(texts), len(set(texts))) == (80, 21)
+    path = _write(tmp_path, "explicit.json", {"N": n, "K": "1/2", "g": g, "b": b})
+    built = _counting_parser(monkeypatch)
+    prob = load_problem(path)
+    assert sorted(built) == sorted(set(texts))
+    monkeypatch.undo()
+    g_loaded, b_loaded = prob.explicit
+    entries = [x for row in g_loaded for x in row] + [x for plane in b_loaded for row in plane for x in row]
+    first = {}
+    for text, e in zip(texts, entries):
+        alone = parse(text, prob.vars)
+        assert str(e) == str(alone)
+        assert (e - alone).is_zero()
+        assert e is first.setdefault(text, e)  # equal strings share one Expr
+
+
+def test_the_v_retry_and_the_second_block_reuse_the_file_parses(tmp_path, monkeypatch):
+    from hydrobrackets.cli import load_problem
+
+    h = ["v1^2/2 + v2", "v1^2/2 + v2"]
+    doc = {"N": 2, "eta": [[1, 0], [0, 1]], "K": 0, "H": h, "second": {"H": h}}
+    path = _write(tmp_path, "v.json", doc)
+    built = _counting_parser(monkeypatch)
+    prob = load_problem(path)
+    assert built == [h[0], h[0]]  # the u-variable attempt, then the v retry
+    assert prob.h[0] is prob.h[1]
+    assert str(prob.h[0]) == "1/2*u1^2 + u2"
+    prob.second_bracket()
+    assert built == [h[0], h[0]]
+
+
+# -- number tokens and long coefficients ---------------------------------------------
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "h,message",
+    [
+        ("²*u1", "unexpected character '²' (at offset 0)"),
+        ("u1^²", "unexpected character '²' (at offset 3)"),
+        ("٣*u1", "unexpected character '٣' (at offset 0)"),
+        ("1" * 5000 + "*u1", f"number has more than {_LIMIT} digits (at offset 0)"),
+        ("u1^" + "7" * 5000, f"number has more than {_LIMIT} digits (at offset 3)"),
+        ("u2 + 0." + "5" * 5000, f"number has more than {_LIMIT} digits (at offset 5)"),
+    ],
+    ids=["superscript-literal", "superscript-exponent", "arabic-indic-digit", "long-literal", "long-exponent", "long-decimal"],
+)
+def test_a_number_is_ascii_digits_within_the_int_limit(tmp_path, capsys, h, message):
+    doc = {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, "H": ["u1", h]}
+    assert main(["check-canonical", _write(tmp_path, "p.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: H[1]: {message}\n"
+
+
+def test_a_non_ascii_digit_exits_2_through_the_module_entry(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = _write(tmp_path, "p.json", {"N": 1, "eta": [[1]], "K": 1, "H": ["٣*u1"]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "hydrobrackets", "check-poisson", path],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: H[0]: unexpected character '٣' (at offset 0)\n"
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("build-canonical", {"N": 1, "eta": [[1]], "K": "1e5000", "H": ["u1"]}),
+        ("liouville", {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, "canonical": {"a": ["1e999999", "2"]}}),
+    ],
+    ids=["build-canonical", "liouville"],
+)
+def test_a_coefficient_too_long_to_print_exits_3(tmp_path, capsys, command, doc):
+    assert main([command, _write(tmp_path, "p.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: expression size limit: a coefficient has more than {_LIMIT} digits\n"

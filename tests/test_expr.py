@@ -442,3 +442,98 @@ def test_nesting_limit(open_, atom, close, offset):
         parse(open_ * 151 + atom + close * 151, vars, initial_data=True)
     assert exc.value.offset == offset
     assert str(exc.value) == f"expression nests deeper than 150 levels (at offset {offset})"
+
+
+# -- constants in the parser -------------------------------------------------------
+
+
+def _div_free(node) -> bool:
+    return _ex._fold_tree(node, lambda n, values: not isinstance(n, _ex._Div) and all(values))
+
+
+def test_integer_tokens_stay_ints_and_decimals_become_fractions():
+    tree = _ex._Parser("3*u1 + 0.5*u2 - 2", UV, False).parse()
+    consts = _ex._fold_tree(
+        tree, lambda n, values: sum(values, [n.value] if isinstance(n, _ex._Const) else [])
+    )
+    assert sorted(map(type, consts), key=lambda t: t.__name__) == [Fraction, int, int]
+    assert str(parse("3*u1 + 0.5*u2 - 2", UV)) == "3*u1 + 1/2*u2 - 2"
+
+
+def test_a_quotient_of_nonzero_constants_folds_outside_initial_data():
+    for text in ("1/2*u1", "u1 + 2/3/5", "-(1/2) + 2/(3/4)*u2", "(1/2)^2*u1"):
+        assert _div_free(_ex._Parser(text, UV, False).parse()), text
+        assert not _div_free(_ex._Parser(text, UV, True).parse()), text
+    # a zero dividend or divisor stays a division, with its checks
+    assert not _div_free(_ex._Parser("0/2*u1", UV, False).parse())
+    with pytest.raises(_ex.ZeroDenominatorError) as exc:
+        parse("u1 + 1/(2 - 2)", UV)
+    assert exc.value.offset == 6
+
+
+def test_initial_data_keeps_its_divisions():
+    x = np.linspace(-1.0, 3.0, 11)
+    tree = parse("1/3*sin(x)", ("x",), initial_data=True)
+    div, call = tree.args
+    assert isinstance(div, _ex._Div) and isinstance(call, _ex._Call)
+    assert isinstance(div.num, _ex._Const) and isinstance(div.den, _ex._Const)
+    want = (np.full(x.shape, 1.0) / np.full(x.shape, 3.0)) * np.sin(x)
+    assert _sample_tree(tree, x).tobytes() == want.tobytes()
+    # (1/3)/11 in floats is not the double nearest 1/33: a fold would show
+    tree = parse("1/3/11*sin(x)", ("x",), initial_data=True)
+    want = (np.full(x.shape, 1.0) / np.full(x.shape, 3.0) / np.full(x.shape, 11.0)) * np.sin(x)
+    assert _sample_tree(tree, x).tobytes() == want.tobytes()
+    assert 1 / 3 / 11 != float(Fraction(1, 33))
+
+
+_QUOTIENT_ATOMS = st.sampled_from(
+    ["u1", "u2", "0", "1", "2", "3", "0.5", "1/3", "2/3/5", "(1/2)", "0/2", "7/0", "u1^2", "u2^-1"]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.recursive(
+        _QUOTIENT_ATOMS,
+        lambda children: st.one_of(
+            st.tuples(st.sampled_from([" + ", " - ", "*", "/"]), st.lists(children, min_size=2, max_size=6)).map(
+                lambda t: t[0].join(t[1])
+            ),
+            children.map(lambda c: f"({c})"),
+            children.map(lambda c: f"-({c})"),
+            st.tuples(children, st.integers(-1, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        ),
+        max_leaves=20,
+    )
+)
+def test_folded_quotients_leave_every_expr_as_it_was(text):
+    """Initial-data mode folds no quotient, so on call-free text it gives the
+    unfolded tree: both trees must make the same Expr, term for term, or
+    fail at the same offset."""
+
+    def convert(initial_data):
+        parser = _ex._Parser(text, UV, initial_data)
+        tree = parser.parse()
+        assert parser.has_call is False
+        try:
+            return _layout(_ex._tree_to_expr(tree))
+        except _ex.ZeroDenominatorError as exc:
+            return exc.offset
+
+    assert convert(False) == convert(True)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=16))
+def test_the_parser_records_its_calls(text):
+    parser = _ex._Parser(text, ("u1", "u2", "x"), True)
+    tree = parser.parse()
+    assert parser.has_call == ("sin(" in text)
+    assert _ex._tree_has_call(tree) <= parser.has_call
+
+
+def test_a_call_under_a_zero_factor_leaves_an_expr():
+    parser = _ex._Parser("sin(x)*0 + x", ("x",), True)
+    assert isinstance(parser.parse(), _ex._Var) and parser.has_call
+    e = parse("sin(x)*0 + x", ("x",), initial_data=True)
+    assert isinstance(e, Expr) and str(e) == "x"

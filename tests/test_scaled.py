@@ -25,6 +25,14 @@ def test_smallest_scaled_rows_run():
     assert list(families) == ["s1", "s2", "s3", "s4", "s5"]
 
 
+def test_smallest_load_row_runs():
+    scaled = _scaled()
+    n = min(scaled.LOAD_ROWS)
+    ms, entries, distinct = scaled.load_row(n, repeats=1)
+    assert ms > 0
+    assert (entries, distinct) == (n * n + n**3, n * n + n + 1)
+
+
 def test_smallest_simulate_rows_run():
     scaled = _scaled()
     level, m, dt, _ = scaled.SIMULATE_ROW

@@ -2,7 +2,7 @@
 
     python3 tools/scaled.py
 
-It takes no options and prints three markdown tables:
+It takes no options and prints four markdown tables:
 
 * ``hierarchy`` on the linear N=3 pair at 4-8 levels and the linear N=4 pair
   at 3-5 levels (eta = I, K = 1): the seconds spent generating the flows and
@@ -15,6 +15,10 @@ It takes no options and prints three markdown tables:
   then ``geometry.christoffel``; the test oracle of that bracket), then the
   milliseconds to build the derivative, curl and support tables and to
   generate each residual family s1-s5;
+* ``load_problem`` on an explicit g/b file shaped like the benchmark's
+  (g^{ij} = a^i delta^{ij} - K u^i u^j, b^{ij}_k = -K u^j delta^i_k, with
+  a^i = i/2 and K = 1/3) at N = 5, 6, 8: the milliseconds of one load, the
+  number of g and b entries and the number of distinct strings among them;
 * ``simulate`` on the linear N=2 pair (eta = I, K = 1) at level 2, M = 512,
   180 steps of dt = 7.5e-5: the microseconds of one RK4 step with its
   diagnostics in-process (``numsim.run``), and the milliseconds from
@@ -24,8 +28,9 @@ It takes no options and prints three markdown tables:
   ``main`` returns on ``time.monotonic``, which is the parent's clock too.
 
 Every verdict is checked (the flows commute and are in involution; the
-canonical bracket equals the Christoffel route's and is Poisson; the
-simulation completes within its drift tolerance), so a timing is never
+canonical bracket equals the Christoffel route's and is Poisson; every
+loaded entry equals its string parsed alone; the simulation completes
+within its drift tolerance), so a timing is never
 taken of a wrong answer.
 """
 
@@ -45,7 +50,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from hydrobrackets import geometry  # noqa: E402
 from hydrobrackets.bracket import CanonicalPair, ConstantBracket, _s_residuals  # noqa: E402
-from hydrobrackets.cli import Problem  # noqa: E402
+from hydrobrackets.cli import Problem, load_problem  # noqa: E402
 from hydrobrackets.expr import parse  # noqa: E402
 from hydrobrackets.hierarchy import hierarchy, verify_hierarchy  # noqa: E402
 from hydrobrackets import numsim  # noqa: E402
@@ -58,6 +63,7 @@ POTENTIALS = {
 }
 HIERARCHY_ROWS = [(3, levels) for levels in range(4, 9)] + [(4, levels) for levels in range(3, 6)]
 RESIDUAL_ROWS = [6, 8, 10, 12]
+LOAD_ROWS = [5, 6, 8]
 FAMILIES = ("s1", "s2", "s3", "s4", "s5")
 # (level, M, dt, steps) of the simulate row: the benchmark's level-2 M=512 pair runs
 SIMULATE_ROW = (2, 512, 7.5e-5, 180)
@@ -141,6 +147,28 @@ def residual_row(n: int, repeats: int = REPEATS) -> tuple:
     return bracket, christoffel, tables * 1e3, {name: t * 1e3 for name, t in families.items()}
 
 
+def explicit_doc(n: int) -> dict:
+    """The benchmark's explicit g/b file at N=n, a^i = i/2, K = 1/3."""
+    g = [[(f"{i + 1}/2" if i == j else "0") + f" - (1/3)*u{i + 1}*u{j + 1}" for j in range(n)] for i in range(n)]
+    b = [[[f"-(1/3)*u{j + 1}" if i == k else "0" for k in range(n)] for j in range(n)] for i in range(n)]
+    return {"N": n, "K": "1/3", "g": g, "b": b}
+
+
+def load_row(n: int, repeats: int = REPEATS) -> tuple:
+    """(ms per load, entries, distinct strings) of the explicit file at N=n."""
+    doc = explicit_doc(n)
+    texts = [x for row in doc["g"] for x in row] + [x for plane in doc["b"] for row in plane for x in row]
+    with tempfile.TemporaryDirectory(prefix="scaled-") as tmp:
+        path = Path(tmp) / "explicit.json"
+        path.write_text(json.dumps(doc))
+        seconds, problem = _best(lambda: load_problem(str(path)), repeats)
+    g, b = problem.explicit
+    entries = [x for row in g for x in row] + [x for plane in b for row in plane for x in row]
+    if any(str(e) != str(parse(t, problem.vars)) for t, e in zip(texts, entries)):
+        raise AssertionError(f"explicit N={n}: a loaded entry differs from its string parsed alone")
+    return seconds * 1e3, len(texts), len(set(texts))
+
+
 def _simulate_doc(level: int, m: int, dt: float, steps: int) -> dict:
     return {
         "N": 2,
@@ -198,6 +226,12 @@ def main() -> int:
         bracket, christoffel, tables, families = residual_row(n)
         cells = " | ".join(f"{families[f]:.1f}" for f in FAMILIES)
         print(f"| {n} | {bracket:.3f} | {christoffel:.3f} | {tables:.1f} | {cells} |", flush=True)
+    print()
+    print("| load explicit g/b | ms per file | entries | distinct strings |")
+    print("|---|---|---|---|")
+    for n in LOAD_ROWS:
+        ms, entries, distinct = load_row(n)
+        print(f"| N={n} | {ms:.2f} | {entries} | {distinct} |", flush=True)
     print()
     level, m, dt, steps = SIMULATE_ROW
     print("| simulate | us per step | teardown ms |")
