@@ -135,7 +135,7 @@ class Poly:
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        if type(c) is not int:
+        if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
         return Poly({0: c.numerator}, c.denominator) if c else Poly()
 

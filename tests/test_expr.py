@@ -464,6 +464,13 @@ def test_a_quotient_of_nonzero_constants_folds_outside_initial_data():
     for text in ("1/2*u1", "u1 + 2/3/5", "-(1/2) + 2/(3/4)*u2", "(1/2)^2*u1"):
         assert _div_free(_ex._Parser(text, UV, False).parse()), text
         assert not _div_free(_ex._Parser(text, UV, True).parse()), text
+    # a product keeps its shape: a sum around it adds it as one term, as it
+    # does with the division in place
+    for text in ("2*(1/2)*(u1 + u2)", "u1 + 1/2*2*(u1 + u2)"):
+        folded, unfolded = (_ex._Parser(text, UV, mode).parse() for mode in (False, True))
+        assert type(folded) is type(unfolded), text
+        if type(folded) is _ex._Add:
+            assert len(folded.args) == len(unfolded.args), text
     # a zero dividend or divisor stays a division, with its checks
     assert not _div_free(_ex._Parser("0/2*u1", UV, False).parse())
     with pytest.raises(_ex.ZeroDenominatorError) as exc:
