@@ -37,7 +37,7 @@ from .bracket import (
     liouville_function,
     special_liouville,
 )
-from .expr import Expr, ParseError, UnknownVariableError, Zeroness, parse
+from .expr import Expr, ParseError, UnknownVariableError, _Const, _fold_tree, parse
 from .hierarchy import (
     ClosednessError,
     NotPoissonError,
@@ -45,7 +45,7 @@ from .hierarchy import (
     verify_hierarchy,
 )
 from . import numsim
-from .poly import ExpressionSizeError
+from .poly import ExpressionSizeError, _frac_str
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -73,41 +73,23 @@ def _as_fraction(x, location: str) -> Fraction:
     raise ProblemFileError(location, f"expected a rational number, got {type(x).__name__}")
 
 
-def _parse_field_expr(text, vars, location: str, parsed: dict, initial_data=False):
-    """One expression entry of a problem file.  ``parsed`` holds what the
-    file has parsed so far, by (text, variables, initial-data mode), so a
-    string that recurs in the file is parsed once and its entries share one
-    ``Expr`` (or initial-data tree); both are immutable."""
-    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-        return Expr.const(text)
-    if not isinstance(text, str):
-        raise ProblemFileError(location, "expected an expression string")
-    key = (text, vars, initial_data)
-    if key in parsed:
-        return parsed[key]
-    try:
-        out = parse(text, vars, initial_data=initial_data)
-    except UnknownVariableError as exc:
-        # H and friends may equally be written in v-variables
-        alt = [v.replace("u", "v", 1) for v in vars]
-        try:
-            out = parse(text, alt, initial_data=initial_data).rename(
-                dict(zip(alt, vars))
-            )
-        except UnknownVariableError:
-            raise ProblemFileError(location, str(exc)) from None
-        except ParseError as retry:
-            raise ProblemFileError(location, str(retry)) from None
-    except ParseError as exc:
-        raise ProblemFileError(location, str(exc)) from None
-    parsed[key] = out
-    return out
+def _nested(raw, loc: str, messages: tuple, convert, n: int) -> list:
+    """An n, n x n or n x n x n block of a problem file, one nesting level
+    per entry of ``messages``: each level must be a list of n items, or
+    ``messages[depth]`` is raised at its location.  Each leaf becomes
+    ``convert(item, location)``.  Rows are read in order, each checked and
+    converted before the next, so the first error in reading order wins."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ProblemFileError(loc, messages[0])
+    if len(messages) == 1:
+        return [convert(x, f"{loc}[{i}]") for i, x in enumerate(raw)]
+    return [_nested(x, f"{loc}[{i}]", messages[1:], convert, n) for i, x in enumerate(raw)]
 
 
 class Problem:
     """Validated content of a problem file.  ``parsed`` is the file's record
-    of the expressions parsed so far (see ``_parse_field_expr``); the
-    ``second`` block shares its primary's."""
+    of the expressions parsed so far (see ``_expr``); the ``second`` block
+    shares its primary's."""
 
     def __init__(self, doc: dict, path: str, parsed: dict | None = None):
         if not isinstance(doc, dict):
@@ -117,13 +99,14 @@ class Problem:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ProblemFileError("N", "a positive integer N is required")
         self.n = n
-        self.eta = self._load_eta(doc.get("eta"), "eta")
-        self.K = (
-            Expr.const(_as_fraction(doc["K"], "K")) if "K" in doc else None
+        self.eta = self._load_eta(doc.get("eta"))
+        self.K = Expr.const(_as_fraction(doc["K"], "K")) if "K" in doc else None
+        raw_h = doc.get("H")
+        self.h = None if raw_h is None else tuple(
+            _nested(raw_h, "H", (f"expected {n} expression strings",), self._expr, n)
         )
-        self.h = self._load_h(doc.get("H"), "H")
-        self.explicit = self._load_explicit(doc, "")
-        self.canonical_a = self._load_canonical(doc.get("canonical"), "canonical")
+        self.explicit = self._load_explicit(doc)
+        self.canonical_a = self._load_canonical(doc.get("canonical"))
         self.second = doc.get("second")
         self.simulation = self._load_simulation(doc.get("simulation"))
 
@@ -134,80 +117,82 @@ class Problem:
         file lists is never allocated."""
         return geometry.field_vars(self.n)
 
-    def _load_eta(self, raw, loc):
+    def _expr(self, text, location: str, vars=None, initial_data=False):
+        """One expression entry, in u1..uN unless ``vars`` says otherwise.
+        ``self._parsed`` holds what the file has parsed so far, by (text,
+        variables, initial-data mode), so a string that recurs in the file is
+        parsed once and its entries share one ``Expr`` (or initial-data tree);
+        both are immutable."""
+        if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
+            return Expr.const(text)
+        if not isinstance(text, str):
+            raise ProblemFileError(location, "expected an expression string")
+        vars = vars or self.vars
+        key = (text, vars, initial_data)
+        if key in self._parsed:
+            return self._parsed[key]
+        try:
+            out = parse(text, vars, initial_data=initial_data)
+        except UnknownVariableError as exc:
+            # H and friends may equally be written in v-variables
+            alt = [v.replace("u", "v", 1) for v in vars]
+            try:
+                out = parse(text, alt, initial_data=initial_data).rename(
+                    dict(zip(alt, vars))
+                )
+            except UnknownVariableError:
+                raise ProblemFileError(location, str(exc)) from None
+            except ParseError as retry:
+                raise ProblemFileError(location, str(retry)) from None
+        except ParseError as exc:
+            raise ProblemFileError(location, str(exc)) from None
+        self._parsed[key] = out
+        return out
+
+    def _load_eta(self, raw):
         if raw is None:
             return None
-        if not isinstance(raw, list) or len(raw) != self.n:
-            raise ProblemFileError(loc, f"expected an {self.n}x{self.n} matrix")
-        rows = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != self.n:
-                raise ProblemFileError(f"{loc}[{i}]", f"expected {self.n} entries")
-            rows.append([_as_fraction(x, f"{loc}[{i}][{j}]") for j, x in enumerate(row)])
+        n = self.n
+        rows = _nested(
+            raw, "eta", (f"expected an {n}x{n} matrix", f"expected {n} entries"), _as_fraction, n
+        )
         try:
             return ConstantBracket(rows)
         except ValueError as exc:
-            raise ProblemFileError(loc, str(exc)) from None
+            raise ProblemFileError("eta", str(exc)) from None
 
-    def _load_h(self, raw, loc):
-        if raw is None:
-            return None
-        if not isinstance(raw, list) or len(raw) != self.n:
-            raise ProblemFileError(loc, f"expected {self.n} expression strings")
-        return tuple(
-            _parse_field_expr(x, self.vars, f"{loc}[{i}]", self._parsed)
-            for i, x in enumerate(raw)
-        )
-
-    def _load_explicit(self, doc, prefix):
+    def _load_explicit(self, doc):
         if "g" not in doc and "b" not in doc:
             return None
         if "g" not in doc or "b" not in doc:
-            raise ProblemFileError(prefix + "g", "explicit brackets need both g and b")
-        g_raw, b_raw = doc["g"], doc["b"]
+            raise ProblemFileError("g", "explicit brackets need both g and b")
         n = self.n
-        if not isinstance(g_raw, list) or len(g_raw) != n:
-            raise ProblemFileError(prefix + "g", f"expected {n}x{n} entries")
-        g = []
-        for i, row in enumerate(g_raw):
-            if not isinstance(row, list) or len(row) != n:
-                raise ProblemFileError(f"{prefix}g[{i}]", f"expected {n} entries")
-            g.append(
-                [
-                    _parse_field_expr(x, self.vars, f"{prefix}g[{i}][{j}]", self._parsed)
-                    for j, x in enumerate(row)
-                ]
-            )
-        if not isinstance(b_raw, list) or len(b_raw) != n:
-            raise ProblemFileError(prefix + "b", f"expected {n}x{n}x{n} entries")
-        b = []
-        for i, plane in enumerate(b_raw):
-            if not isinstance(plane, list) or len(plane) != n:
-                raise ProblemFileError(f"{prefix}b[{i}]", f"expected {n} rows")
-            rows = []
-            for j, row in enumerate(plane):
-                if not isinstance(row, list) or len(row) != n:
-                    raise ProblemFileError(f"{prefix}b[{i}][{j}]", f"expected {n} entries")
-                rows.append(
-                    [
-                        _parse_field_expr(
-                            x, self.vars, f"{prefix}b[{i}][{j}][{k}]", self._parsed
-                        )
-                        for k, x in enumerate(row)
-                    ]
-                )
-            b.append(rows)
-        return g, b
+        g = (f"expected {n}x{n} entries", f"expected {n} entries")
+        b = (f"expected {n}x{n}x{n} entries", f"expected {n} rows", f"expected {n} entries")
+        return _nested(doc["g"], "g", g, self._expr, n), _nested(doc["b"], "b", b, self._expr, n)
 
-    def _load_canonical(self, raw, loc):
+    def _load_canonical(self, raw):
         if raw is None:
             return None
         if not isinstance(raw, dict) or "a" not in raw:
-            raise ProblemFileError(loc, 'expected an object {"a": [...]}')
-        a = raw["a"]
-        if not isinstance(a, list) or len(a) != self.n:
-            raise ProblemFileError(f"{loc}.a", f"expected {self.n} constants")
-        return [_as_fraction(x, f"{loc}.a[{i}]") for i, x in enumerate(a)]
+            raise ProblemFileError("canonical", 'expected an object {"a": [...]}')
+        n = self.n
+        return _nested(raw["a"], "canonical.a", (f"expected {n} constants",), _as_fraction, n)
+
+    def _initial_datum(self, text, at):
+        """One entry of ``simulation.init``.  Sampling converts each of its
+        constants to a float, so each must lie in the float range."""
+        datum = self._expr(text, at, ("x",), initial_data=True)
+        try:
+            if isinstance(datum, Expr):
+                for p in (datum.num, *(f for f, _ in datum.den)):
+                    for _, c in p.exponent_rows(("x",)):
+                        float(c)
+            else:
+                _fold_tree(datum, lambda node, _: isinstance(node, _Const) and float(node.value))
+        except OverflowError:
+            raise ProblemFileError(at, "a constant exceeds the float range") from None
+        return datum
 
     def _load_simulation(self, raw):
         if raw is None:
@@ -245,13 +230,13 @@ class Problem:
             raise ProblemFileError(
                 f"{loc}.dt", f"t_end/dt = {steps:.6g} exceeds {numsim.MAX_STEPS} steps"
             )
-        init = raw["init"]
-        if not isinstance(init, list) or len(init) != self.n:
-            raise ProblemFileError(f"{loc}.init", f"expected {self.n} expressions in x")
-        sim["init"] = [
-            _parse_field_expr(x, ("x",), f"{loc}.init[{i}]", self._parsed, initial_data=True)
-            for i, x in enumerate(init)
-        ]
+        sim["init"] = _nested(
+            raw["init"],
+            f"{loc}.init",
+            (f"expected {self.n} expressions in x",),
+            self._initial_datum,
+            self.n,
+        )
         snaps = raw.get("snapshots", [])
         if not isinstance(snaps, list):
             raise ProblemFileError(f"{loc}.snapshots", "expected a list of times")
@@ -367,32 +352,19 @@ def load_problem(path: str) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def _witness_dict(w):
-    return {
-        "indices": list(w.indices),
-        "point": {k: str(v) for k, v in sorted(w.point.items())},
-        "value": str(w.value),
-    }
+def _pass(ok) -> str:
+    return "PASS" if ok else "FAIL"
 
 
-def _report_lines(report: PoissonReport, out, as_json):
-    conds = []
-    for c in report.conditions:
-        entry = {"name": c.name, "status": c.status.value}
-        if c.witness is not None:
-            entry["witness"] = _witness_dict(c.witness)
-        conds.append(entry)
-        if not as_json:
-            if c.status is Zeroness.NONZERO:
-                w = entry["witness"]
-                pt = ", ".join(f"{k}={v}" for k, v in w["point"].items())
-                out.append(
-                    f"  {c.name}: FAIL  witness indices={tuple(w['indices'])} "
-                    f"point=({pt}) value={w['value']}"
-                )
-            else:
-                out.append(f"  {c.name}: PASS")
-    return conds
+def _table(name: str, values, lines: list):
+    """``values``, an expression or nested sequences of them, as strings
+    nested alike; each string is also added to ``lines`` as
+    ``  name[i][j]... = value``, indices 1-based, in row-major order."""
+    if not isinstance(values, (list, tuple)):
+        text = str(values)
+        lines.append(f"  {name} = {text}")
+        return text
+    return [_table(f"{name}[{i}]", v, lines) for i, v in enumerate(values, 1)]
 
 
 def _emit(args, text_lines, json_obj):
@@ -402,6 +374,40 @@ def _emit(args, text_lines, json_obj):
         print("\n".join(text_lines))
 
 
+def _check_result(
+    args, header, report: PoissonReport, verdicts, text=(), extra=None, ok=True
+) -> int:
+    """End a ``check-*`` command.  The text report is ``header``, one line
+    per condition (PASS, or FAIL with its witness), ``text`` and the
+    verdict; the JSON object holds the conditions, the verdict and
+    ``extra``.  ``verdicts`` is the (passed, failed) pair of verdict words.
+    The exit code passes when the report and ``ok`` both do."""
+    lines, conds = [header], []
+    for c in report.conditions:
+        entry = {"name": c.name, "status": c.status.value}
+        conds.append(entry)
+        if c.witness is None:
+            lines.append(f"  {c.name}: PASS")
+            continue
+        w = entry["witness"] = {
+            "indices": list(c.witness.indices),
+            "point": {k: _frac_str(v) for k, v in sorted(c.witness.point.items())},
+            "value": _frac_str(c.witness.value),
+        }
+        pt = ", ".join(f"{k}={v}" for k, v in w["point"].items())
+        lines.append(
+            f"  {c.name}: FAIL  witness indices={tuple(w['indices'])} "
+            f"point=({pt}) value={w['value']}"
+        )
+    verdict = verdicts[not report.passed]
+    _emit(
+        args,
+        [*lines, *text, f"verdict: {verdict}"],
+        {"command": args.command, "conditions": conds, "verdict": verdict, **(extra or {})},
+    )
+    return EXIT_PASS if report.passed and ok else EXIT_CHECK_FAILED
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -409,89 +415,60 @@ def _emit(args, text_lines, json_obj):
 
 def cmd_check_poisson(args) -> int:
     prob = load_problem(args.file)
-    B = prob.bracket()
-    report = check_poisson(B, rng=random.Random(args.seed))
-    lines = [f"check-poisson: N={prob.n}"]
-    conds = _report_lines(report, lines, args.json)
-    verdict = "POISSON" if report.passed else "NOT POISSON"
-    lines.append(f"verdict: {verdict}")
-    _emit(args, lines, {"command": "check-poisson", "conditions": conds, "verdict": verdict})
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
+    report = check_poisson(prob.bracket(), rng=random.Random(args.seed))
+    return _check_result(args, f"check-poisson: N={prob.n}", report, ("POISSON", "NOT POISSON"))
 
 
 def cmd_check_compat(args) -> int:
     prob = load_problem(args.file)
-    B = prob.bracket()
     report = check_compat_constant(
-        B, prob.require_eta(), rng=random.Random(args.seed)
+        prob.bracket(), prob.require_eta(), rng=random.Random(args.seed)
     )
-    lines = [f"check-compat: N={prob.n} (bracket vs constant eta bracket)"]
-    conds = _report_lines(report, lines, args.json)
-    verdict = "COMPATIBLE" if report.passed else "NOT COMPATIBLE"
-    lines.append(f"verdict: {verdict}")
-    _emit(args, lines, {"command": "check-compat", "conditions": conds, "verdict": verdict})
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
+    return _check_result(
+        args,
+        f"check-compat: N={prob.n} (bracket vs constant eta bracket)",
+        report,
+        ("COMPATIBLE", "NOT COMPATIBLE"),
+    )
 
 
 def cmd_check_pencil(args) -> int:
     prob = load_problem(args.file)
-    B1 = prob.bracket()
-    B2 = prob.second_bracket()
-    report = check_pencil(B1, B2, rng=random.Random(args.seed))
-    lines = [f"check-pencil: N={prob.n} (parameter {report.extras['pencil_parameter']})"]
-    conds = _report_lines(report, lines, args.json)
-    verdict = "POISSON PENCIL" if report.passed else "NOT A POISSON PENCIL"
+    report = check_pencil(prob.bracket(), prob.second_bracket(), rng=random.Random(args.seed))
     local = report.extras["local_member"]
-    if local is not None and not args.json:
-        lines.append(f"local member: lam0={local[0]}, lam1={local[1]}")
-    lines.append(f"verdict: {verdict}")
-    _emit(
+    local = local and [_frac_str(x) for x in local]
+    return _check_result(
         args,
-        lines,
-        {
-            "command": "check-pencil",
-            "conditions": conds,
-            "verdict": verdict,
-            "local_member": [str(x) for x in local] if local else None,
-        },
+        f"check-pencil: N={prob.n} (parameter {report.extras['pencil_parameter']})",
+        report,
+        ("POISSON PENCIL", "NOT A POISSON PENCIL"),
+        text=[f"local member: lam0={local[0]}, lam1={local[1]}"] if local else (),
+        extra={"local_member": local},
     )
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_check_canonical(args) -> int:
     prob = load_problem(args.file)
     result = equivalence_audit(prob.canonical_pair(), rng=random.Random(args.seed))
-    report = result.equations
-    lines = [f"check-canonical: N={prob.n}"]
-    conds = _report_lines(report, lines, args.json)
     audit = (
         "consistent" if result.consistent else f"INCONSISTENT: {result.inconsistency}"
     )
-    verdict = "POISSON" if report.passed else "NOT POISSON"
-    lines.append(f"equivalence audit: {audit}")
-    lines.append(f"verdict: {verdict}")
-    _emit(
+    return _check_result(
         args,
-        lines,
-        {"command": "check-canonical", "conditions": conds, "verdict": verdict, "audit": audit},
+        f"check-canonical: N={prob.n}",
+        result.equations,
+        ("POISSON", "NOT POISSON"),
+        text=[f"equivalence audit: {audit}"],
+        extra={"audit": audit},
+        ok=result.consistent,
     )
-    return EXIT_PASS if report.passed and result.consistent else EXIT_CHECK_FAILED
 
 
 def cmd_build_canonical(args) -> int:
     prob = load_problem(args.file)
     B = build_canonical(prob.canonical_pair())
-    n = prob.n
-    lines = [f"build-canonical: N={n}"]
-    g = [[str(B.g[i][j]) for j in range(n)] for i in range(n)]
-    b = [[[str(B.b[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"  g[{i + 1}][{j + 1}] = {g[i][j]}")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lines.append(f"  b[{i + 1}][{j + 1}][{k + 1}] = {b[i][j][k]}")
+    lines = [f"build-canonical: N={prob.n}"]
+    g, b = _table("g", B.g, lines), _table("b", B.b, lines)
     _emit(args, lines, {"command": "build-canonical", "g": g, "b": b, "K": str(B.K)})
     return EXIT_PASS
 
@@ -500,7 +477,6 @@ def cmd_liouville(args) -> int:
     prob = load_problem(args.file)
     B = prob.bracket()
     eta = prob.require_eta()
-    n = prob.n
     try:
         data = special_liouville(B, eta)
         special = True
@@ -516,18 +492,11 @@ def cmd_liouville(args) -> int:
             {"command": "liouville", "verdict": "NotLiouville", "reason": str(exc)},
         )
         return EXIT_CHECK_FAILED
-    lines = [f"liouville: N={n}"]
-    phi = [[str(data.Phi[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"  Phi[{i + 1}][{j + 1}] = {phi[i][j]}")
-    obj = {"command": "liouville", "Phi": phi, "special": special}
+    lines = [f"liouville: N={prob.n}"]
+    obj = {"command": "liouville", "Phi": _table("Phi", data.Phi, lines), "special": special}
     if special:
-        hs = [str(h) for h in data.H]
-        for j in range(n):
-            lines.append(f"  H[{j + 1}] = {hs[j]}")
+        obj["H"] = _table("H", data.H, lines)
         lines.append("verdict: SPECIAL LIOUVILLE")
-        obj["H"] = hs
     else:
         lines.append(f"verdict: LIOUVILLE, NOT SPECIAL ({note})")
         obj["reason"] = note
@@ -535,62 +504,55 @@ def cmd_liouville(args) -> int:
     return EXIT_PASS if special else EXIT_CHECK_FAILED
 
 
-def _gauges_for(args, levels):
-    if args.gauge == "zero":
-        return [None] * levels
-    return None  # library default: gradient gauge at level 1, zero after
-
-
 def _require_level(value: int, option: str) -> None:
     if value < 0:
         raise ProblemFileError(option, "must be a non-negative integer")
 
 
-def cmd_hierarchy(args) -> int:
+def _flows(args, gauges=None):
+    """The problem, its canonical pair and its flows at levels
+    0..``--levels``, for the hierarchy and commute commands."""
     _require_level(args.levels, "--levels")
     prob = load_problem(args.file)
     P = prob.canonical_pair()
-    flows = hierarchy(P, args.levels, gauges=_gauges_for(args, args.levels))
-    n = prob.n
-    lines = [f"hierarchy: N={n}, levels 0..{args.levels}"]
+    return prob, P, hierarchy(P, args.levels, gauges=gauges)
+
+
+def cmd_hierarchy(args) -> int:
+    # gauges None: the library default, gradient gauge at level 1, zero after
+    prob, P, flows = _flows(args, [None] * args.levels if args.gauge == "zero" else None)
+    lines = [f"hierarchy: N={prob.n}, levels 0..{args.levels}"]
     levels_obj = []
     for fl in flows:
-        entry = {
-            "level": fl.level,
-            "F": [str(x) for x in fl.F],
-            "S": str(fl.S),
-            "V": [[str(fl.V[i][k]) for k in range(n)] for i in range(n)],
-        }
-        levels_obj.append(entry)
         lines.append(f"level {fl.level}:")
-        for i in range(n):
-            lines.append(f"  F[{i + 1}] = {entry['F'][i]}")
-        lines.append(f"  S = {entry['S']}")
-        for i in range(n):
-            for k in range(n):
-                lines.append(f"  V[{i + 1}][{k + 1}] = {entry['V'][i][k]}")
-    pairs = list(zip(itertools.combinations(flows, 2), verify_hierarchy(P, flows)))
-    commute_obj, involution_obj = [], []
-    for (fa, fb), (ok, _) in pairs:
-        commute_obj.append({"levels": [fa.level, fb.level], "commute": ok})
-        lines.append(f"commute t{fa.level} vs t{fb.level}: {'PASS' if ok else 'FAIL'}")
-    for (fa, fb), (_, ok) in pairs:
-        involution_obj.append({"levels": [fa.level, fb.level], "involution": ok})
-        lines.append(f"involution S{fa.level} vs S{fb.level}: {'PASS' if ok else 'FAIL'}")
-    all_ok = all(c and i for _, (c, i) in pairs)
-    lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
+        levels_obj.append(
+            {
+                "level": fl.level,
+                "F": _table("F", fl.F, lines),
+                "S": _table("S", fl.S, lines),
+                "V": _table("V", fl.V, lines),
+            }
+        )
+    pairs = [
+        ([fa.level, fb.level], c, i)
+        for (fa, fb), (c, i) in zip(itertools.combinations(flows, 2), verify_hierarchy(P, flows))
+    ]
+    lines += [f"commute t{a} vs t{b}: {_pass(c)}" for (a, b), c, _ in pairs]
+    lines += [f"involution S{a} vs S{b}: {_pass(i)}" for (a, b), _, i in pairs]
+    verdict = _pass(all(c and i for _, c, i in pairs))
+    lines.append(f"verdict: {verdict}")
     _emit(
         args,
         lines,
         {
             "command": "hierarchy",
             "levels": levels_obj,
-            "commutation": commute_obj,
-            "involution": involution_obj,
-            "verdict": "PASS" if all_ok else "FAIL",
+            "commutation": [{"levels": ab, "commute": c} for ab, c, _ in pairs],
+            "involution": [{"levels": ab, "involution": i} for ab, _, i in pairs],
+            "verdict": verdict,
         },
     )
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
+    return EXIT_PASS if verdict == "PASS" else EXIT_CHECK_FAILED
 
 
 def cmd_simulate(args) -> int:
@@ -617,20 +579,14 @@ def cmd_simulate(args) -> int:
         snap_files.append(name)
     drifts = numsim.drift_summary(cflow, result.rows, state0)
     lines = [f"simulate: level {args.level} flow, M={grid.m}, t_end={sim['t_end']:g}"]
-    for msg in result.messages:
-        lines.append(f"  note: {msg}")
-    worst = 0.0
-    drift_obj = []
-    for d in drifts:
-        worst = max(worst, d.relative)
-        drift_obj.append(
-            {"name": d.name, "initial": d.initial, "relative_drift": d.relative}
-        )
-        lines.append(f"  drift {d.name}: {d.relative:.3e} (initial {d.initial:.6e})")
+    lines += [f"  note: {msg}" for msg in result.messages]
+    lines += [f"  drift {d.name}: {d.relative:.3e} (initial {d.initial:.6e})" for d in drifts]
     obj = {
         "command": "simulate",
         "status": result.status,
-        "drifts": drift_obj,
+        "drifts": [
+            {"name": d.name, "initial": d.initial, "relative_drift": d.relative} for d in drifts
+        ],
         "diag": str(outdir / "diag.csv"),
         "snapshots": snap_files,
     }
@@ -639,29 +595,24 @@ def cmd_simulate(args) -> int:
         obj["breaking_time"] = result.breaking_time
         _emit(args, lines, obj)
         return EXIT_RUNTIME_EVENT
+    worst = max([0.0, *(d.relative for d in drifts)])
     ok = worst < args.tol
     lines.append(
-        f"verdict: {'PASS' if ok else 'FAIL'} (worst relative drift {worst:.3e}, "
-        f"tolerance {args.tol:g})"
+        f"verdict: {_pass(ok)} (worst relative drift {worst:.3e}, tolerance {args.tol:g})"
     )
-    obj["verdict"] = "PASS" if ok else "FAIL"
+    obj["verdict"] = _pass(ok)
     _emit(args, lines, obj)
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
 def cmd_commute(args) -> int:
-    _require_level(args.levels, "--levels")
-    prob = load_problem(args.file)
-    P = prob.canonical_pair()
-    flows = hierarchy(P, args.levels)
+    prob, P, flows = _flows(args)
     lines = [f"commute: N={prob.n}, levels 0..{args.levels}"]
-    all_ok = True
     pair_obj = []
-    pairs = zip(itertools.combinations(flows, 2), verify_hierarchy(P, flows))
-    for (fa, fb), (ok, _) in pairs:
-        all_ok = all_ok and ok
+    for (fa, fb), (ok, _) in zip(itertools.combinations(flows, 2), verify_hierarchy(P, flows)):
         pair_obj.append({"levels": [fa.level, fb.level], "commute": ok})
-        lines.append(f"symbolic t{fa.level} vs t{fb.level}: {'PASS' if ok else 'FAIL'}")
+        lines.append(f"symbolic t{fa.level} vs t{fb.level}: {_pass(ok)}")
+    all_ok = all(p["commute"] for p in pair_obj)
     numeric_obj = None
     if prob.simulation is not None and len(flows) >= 3:
         _, state = load_initial_state(prob)
@@ -676,7 +627,7 @@ def cmd_commute(args) -> int:
             f"-> {'commuting' if cd.commuting else 'NOT commuting'}"
         )
         all_ok = all_ok and cd.commuting
-    lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
+    lines.append(f"verdict: {_pass(all_ok)}")
     _emit(
         args,
         lines,
@@ -684,7 +635,7 @@ def cmd_commute(args) -> int:
             "command": "commute",
             "pairs": pair_obj,
             "numeric": numeric_obj,
-            "verdict": "PASS" if all_ok else "FAIL",
+            "verdict": _pass(all_ok),
         },
     )
     return EXIT_PASS if all_ok else EXIT_CHECK_FAILED

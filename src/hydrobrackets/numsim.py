@@ -157,6 +157,15 @@ def spectral_antidx(grid: Grid, s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _float(c) -> float:
+    """An exact constant as a float; one beyond the float range raises
+    ExpressionSizeError, like the table's other size limits."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise ExpressionSizeError("a coefficient exceeds the float range") from None
+
+
 class MonomialTable:
     """Expressions over fixed variables, compiled into one table.
 
@@ -193,7 +202,7 @@ class MonomialTable:
         self._prefix = [1]
         for r, p in enumerate(polys):
             for row, c in p.exponent_rows(var_order):
-                entries.append((r, columns.setdefault(row, len(columns)), float(c)))
+                entries.append((r, columns.setdefault(row, len(columns)), _float(c)))
             if r < len(exprs):
                 self._prefix.append(len(columns))
         self.size = len(exprs)
@@ -285,7 +294,7 @@ def _sample_tree(tree, x: np.ndarray) -> np.ndarray:
 
     def at(node, values):
         if isinstance(node, _expr._Const):
-            return np.full(x.shape, float(node.value))
+            return np.full(x.shape, _float(node.value))
         if isinstance(node, _expr._Var):
             if node.name != "x":
                 raise ValueError(f"initial data has an unbound variable {node.name!r}")
@@ -341,7 +350,7 @@ def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
     n = flow.n
     entries = [flow.V[i][k] for i in range(n) for k in range(n)]
     table = MonomialTable(entries + [flow.S], flow.vars)
-    eta_down = np.array([[float(x) for x in row] for row in flow.eta.down])
+    eta_down = np.array([[_float(x) for x in row] for row in flow.eta.down])
     return CompiledFlow(n=n, table=table, eta_down=eta_down, dealias=dealias)
 
 

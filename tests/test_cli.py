@@ -1299,3 +1299,82 @@ def test_a_coefficient_too_long_to_print_exits_3(tmp_path, capsys, command, doc)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{command}: expression size limit: a coefficient has more than {_LIMIT} digits\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        # g = I, b = 0 is flat, so s4 fails with a witness value near 1e5000
+        (
+            "check-poisson",
+            {"N": 2, "K": "1e5000", "g": [["1", "0"], ["0", "1"]], "b": [[["0"] * 2] * 2] * 2},
+        ),
+        # a Poisson pencil whose local member lam1 = -1e5000/3 is too long to print
+        (
+            "check-pencil",
+            {
+                "N": 1, "eta": [[1]], "K": "1e5000", "g": [["1"]], "b": [[["0"]]],
+                "second": {"K": 3, "g": [["1"]], "b": [[["0"]]]},
+            },
+        ),
+    ],
+    ids=["witness", "local-member"],
+)
+def test_a_report_number_too_long_to_print_exits_3(tmp_path, capsys, command, doc, fmt):
+    assert main([command, _write(tmp_path, "p.json", doc), *fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: expression size limit: a coefficient has more than {_LIMIT} digits\n"
+
+
+_HUGE = "1" + "0" * 400  # beyond the float range
+
+
+def _scalar_simulation(h=("u1^2/2",), K=0, init=("0.1*sin(x)",)):
+    return {
+        "N": 1,
+        "eta": [[1]],
+        "K": K,
+        "H": list(h),
+        "simulation": {"grid_M": 64, "L": TWO_PI, "dt": 0.001, "t_end": 0.01, "init": list(init)},
+    }
+
+
+@pytest.mark.parametrize(
+    "init", [f"{_HUGE}*sin(x)", f"{_HUGE}*x"], ids=["initial-data-tree", "initial-data-expr"]
+)
+def test_initial_data_beyond_the_float_range_is_input_error(tmp_path, capsys, init):
+    path = _write(tmp_path, "p.json", _scalar_simulation(init=[init]))
+    assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: simulation.init[0]: a constant exceeds the float range\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_float_range_check_reads_the_constants_that_sampling_converts(tmp_path):
+    from hydrobrackets.cli import load_problem
+
+    # a rational datum is exact, so the two constants cancel before sampling
+    path = _write(tmp_path, "p.json", _scalar_simulation(init=[f"{_HUGE}*x/{_HUGE}"]))
+    assert str(load_problem(path).simulation["init"][0]) == "x"
+    # an initial-data tree keeps its division, and sampling converts both constants
+    path = _write(tmp_path, "q.json", _scalar_simulation(init=[f"{_HUGE}*sin(x)/{_HUGE}"]))
+    with pytest.raises(ValueError, match=r"^simulation.init\[0\]: a constant exceeds"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_scalar_simulation(h=[f"{_HUGE}*u1^2/2"]), _scalar_simulation(K=_HUGE)],
+    ids=["potential", "nonlocal-constant"],
+)
+@pytest.mark.parametrize("command", ["simulate", "commute"])
+def test_flow_coefficients_beyond_the_float_range_exit_3(tmp_path, capsys, doc, command):
+    path = _write(tmp_path, "p.json", doc)
+    extra = ["--out", str(tmp_path / "o")] if command == "simulate" else ["--levels", "2"]
+    assert main([command, path, *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: expression size limit: a coefficient exceeds the float range\n"

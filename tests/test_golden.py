@@ -2,9 +2,12 @@
 
 The captures under ``golden/`` hold the stdout of every symbolic command,
 in text and ``--json`` form, on each ``problems/*.json``; ``exit_codes.json``
-holds the matching exit codes.  Reports are deterministic, so any change in
-a byte is a change in behaviour.  To record a deliberate change, rerun
-``python -m hydrobrackets <command> problems/<file> [args]`` and store its
+holds the matching exit codes.  Two fixtures here pin the failing reports
+with their witness lines: ``failing_explicit_n2.json`` (an explicit bracket
+that fails check-poisson, check-compat and check-pencil) and
+``failing_canonical_n2.json`` (a pair that fails check-canonical).
+Reports are deterministic, so any change in a byte is a change in behaviour.  To record a deliberate change, rerun
+``python -m hydrobrackets <command> <problem file> [args]`` and store its
 stdout under the case's name.
 """
 
@@ -41,6 +44,20 @@ CASES = [
     )
     for problem in PROBLEMS
     for name, command in COMMANDS.items()
+    for fmt in ([], ["--json"])
+]
+FAILING = {
+    "failing_explicit_n2": ["check-poisson", "check-compat", "check-pencil"],
+    "failing_canonical_n2": ["check-canonical"],
+}
+CASES += [
+    pytest.param(
+        GOLDEN / f"{stem}.json",
+        [name] + fmt,
+        id=f"{stem}__{name}" + ("__json" if fmt else ""),
+    )
+    for stem, names in FAILING.items()
+    for name in names
     for fmt in ([], ["--json"])
 ]
 
