@@ -321,7 +321,8 @@ class Problem:
 
 
 def load_initial_state(prob: Problem):
-    """The grid and the sampled initial data of the simulation block."""
+    """The grid and the initial field of the simulation block, sampled on
+    it as an array of shape (N, M)."""
     if prob.simulation is None:
         raise ProblemFileError("simulation", "simulate needs a simulation block")
     sim = prob.simulation
@@ -509,6 +510,18 @@ def _require_level(value: int, option: str) -> None:
         raise ProblemFileError(option, "must be a non-negative integer")
 
 
+def _check_out(out: Path) -> None:
+    """Refuse ``--out`` before the run when the path, or else the nearest
+    path above it that exists, is not a directory.  The directory is made
+    only once the run has succeeded, so a refused run leaves none behind."""
+    try:
+        base = next(p for p in (out, *out.parents) if p.exists())
+    except OSError as exc:
+        raise ProblemFileError("--out", str(exc)) from None
+    if not base.is_dir():
+        raise ProblemFileError("--out", f"not a directory: {str(base)!r}")
+
+
 def _flows(args, gauges=None):
     """The problem, its canonical pair and its flows at levels
     0..``--levels``, for the hierarchy and commute commands."""
@@ -557,27 +570,29 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require_level(args.level, "--level")
+    if not args.tol >= 0:
+        raise ProblemFileError("--tol", "must be a non-negative number")
+    outdir = Path(args.out)
+    _check_out(outdir)
     prob = load_problem(args.file)
-    grid, state0 = load_initial_state(prob)
+    grid, v0 = load_initial_state(prob)
     P = prob.canonical_pair()
     flows = hierarchy(P, args.level)
     sim = prob.simulation
     cflow = numsim.compile_flow(flows[args.level], dealias=args.dealias)
     try:
-        result = numsim.run(
-            cflow, state0.v, grid, sim["dt"], sim["t_end"], sim["snapshots"]
-        )
+        result = numsim.run(cflow, v0, grid, sim["dt"], sim["t_end"], sim["snapshots"])
     except numsim.CFLError as exc:
         raise ProblemFileError("simulation.dt", str(exc)) from None
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    numsim.write_diagnostics_csv(result.rows, outdir / "diag.csv")
-    snap_files = []
-    for t, v in result.snapshots:
-        name = f"snap_{t:g}.csv"
-        numsim.write_snapshot_csv(grid, v, outdir / name)
-        snap_files.append(name)
-    drifts = numsim.drift_summary(cflow, result.rows, state0)
+    snap_files = [f"snap_{t:g}.csv" for t, _ in result.snapshots]
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        numsim.write_diagnostics_csv(result.columns, result.rows, outdir / "diag.csv")
+        for name, (_, v) in zip(snap_files, result.snapshots):
+            numsim.write_snapshot_csv(grid, v, outdir / name)
+    except OSError as exc:
+        raise ProblemFileError("--out", str(exc)) from None
+    drifts = numsim.drift_summary(cflow, result.rows, grid, v0)
     lines = [f"simulate: level {args.level} flow, M={grid.m}, t_end={sim['t_end']:g}"]
     lines += [f"  note: {msg}" for msg in result.messages]
     lines += [f"  drift {d.name}: {d.relative:.3e} (initial {d.initial:.6e})" for d in drifts]
@@ -615,8 +630,9 @@ def cmd_commute(args) -> int:
     all_ok = all(p["commute"] for p in pair_obj)
     numeric_obj = None
     if prob.simulation is not None and len(flows) >= 3:
-        _, state = load_initial_state(prob)
-        cd = numsim.commute_check_numeric(flows[1], flows[2], state)
+        grid, v = load_initial_state(prob)
+        t1, t2 = numsim.compile_flow(flows[1]), numsim.compile_flow(flows[2])
+        cd = numsim.commute_check_numeric(t1, t2, grid, v)
         numeric_obj = {
             "defect": cd.defect,
             "ratio": cd.ratio,

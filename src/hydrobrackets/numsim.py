@@ -11,6 +11,7 @@ correction explicitly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from typing import Sequence
 
@@ -22,8 +23,6 @@ from .poly import ExpressionSizeError
 
 __all__ = [
     "Grid",
-    "FieldState",
-    "DiagnosticsRow",
     "RunResult",
     "CompiledFlow",
     "SimulationError",
@@ -99,28 +98,6 @@ class Grid:
     @cached_property
     def _ik(self) -> np.ndarray:
         return 1j * self.wavenumbers
-
-
-class FieldState:
-    def __init__(self, grid: Grid, v: np.ndarray, t: float = 0.0):
-        v = np.asarray(v, dtype=float)  # shape (N, M)
-        if v.ndim != 2 or v.shape[1] != grid.m:
-            raise ValueError("field array must have shape (N, M)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        self.grid, self.v, self.t = grid, v, t
-
-    @classmethod
-    def _checked(cls, grid: Grid, v: np.ndarray, t: float) -> "FieldState":
-        """A state from a float array of shape (N, M) already known to be
-        finite, without validating it again."""
-        state = cls.__new__(cls)
-        state.grid, state.v, state.t = grid, v, t
-        return state
-
-    @property
-    def n(self) -> int:
-        return self.v.shape[0]
 
 
 def spectral_dx(grid: Grid, s: np.ndarray) -> np.ndarray:
@@ -354,11 +331,11 @@ def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
     return CompiledFlow(n=n, table=table, eta_down=eta_down, dealias=dealias)
 
 
-def sample_initial_data(grid: Grid, initial: Sequence) -> FieldState:
-    """Evaluate initial data in x on the grid nodes: each datum is an
-    :class:`Expr` or the parse tree that ``expr.parse`` returns for data
-    with sin/cos/exp calls.  Data that is not finite on the grid (e.g.
-    1/sin(x)) raises ValueError."""
+def sample_initial_data(grid: Grid, initial: Sequence) -> np.ndarray:
+    """Evaluate initial data in x on the grid nodes, one row per datum:
+    each datum is an :class:`Expr` or the parse tree that ``expr.parse``
+    returns for data with sin/cos/exp calls.  Data that is not finite on
+    the grid (e.g. 1/sin(x)) raises ValueError."""
     x = grid.nodes
     rows = []
     for i, e in enumerate(initial):
@@ -370,7 +347,18 @@ def sample_initial_data(grid: Grid, initial: Sequence) -> FieldState:
         if not np.all(np.isfinite(row)):
             raise ValueError(f"initial datum {i + 1} is not finite on the grid")
         rows.append(row)
-    return FieldState(grid=grid, v=np.stack(rows), t=0.0)
+    return _field(grid, np.stack(rows))
+
+
+def _field(grid: Grid, v) -> np.ndarray:
+    """v as a float array of shape (N, M) with finite values; the check of
+    every array that enters the simulator."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != grid.m:
+        raise ValueError("field array must have shape (N, M)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("field values must be finite")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +367,10 @@ def sample_initial_data(grid: Grid, initial: Sequence) -> FieldState:
 
 
 def apply_P1_numeric(
-    P: CanonicalPair, state: FieldState, xi: np.ndarray
+    P: CanonicalPair, grid: Grid, v: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
-    """Apply the nonlocal operator of the pair to a sampled covector field:
+    """Apply the nonlocal operator of the pair to a sampled covector field
+    at the field v, shape (N, M):
     g1^{ij}(v) (xi_j)_x + b1^{ij}_k v^k_x xi_j + K v^i_x (d/dx)^{-1}(v^j_x xi_j).
 
     The antiderivative uses the mean-zero convention, so against the
@@ -393,8 +382,6 @@ def apply_P1_numeric(
     if not B.K.is_const():
         raise ValueError("numeric application needs a numeric nonlocal constant")
     K = float(B.K.const_value())
-    grid = state.grid
-    v = state.v
     xi = np.asarray(xi, dtype=float)
     if xi.shape != v.shape:
         raise ValueError("covector field must match the state shape")
@@ -424,35 +411,35 @@ def apply_P1_numeric(
 
 
 def step_rk4(
-    cflow: CompiledFlow, state: FieldState, dt: float, k1: np.ndarray
-) -> FieldState:
-    """Classical four-stage explicit step of v_t = V(v) v_x from the first
-    stage ``k1``, the right side at ``state``; the CFL guard is :func:`run`'s."""
+    cflow: CompiledFlow, grid: Grid, v: np.ndarray, t: float, dt: float, k1: np.ndarray
+) -> np.ndarray:
+    """The field at t + dt after one classical four-stage explicit step of
+    v_t = V(v) v_x from the field v at t, given the first stage ``k1``, the
+    right side at v; the CFL guard is :func:`run`'s."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = state.grid
-    v = state.v
     k2 = cflow.rhs(grid, v + 0.5 * dt * k1)
     k3 = cflow.rhs(grid, v + 0.5 * dt * k2)
     k4 = cflow.rhs(grid, v + dt * k3)
     vn = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(vn)):
-        raise SimulationError(f"non-finite state at t = {state.t + dt:.6g}")
-    return FieldState._checked(grid, vn, state.t + dt)
+        raise SimulationError(f"non-finite state at t = {t + dt:.6g}")
+    return vn
 
 
-class DiagnosticsRow:
-    def __init__(self, t: float, integrals: dict, max_vx: float, tail: float):
-        self.t = t
-        self.integrals = integrals  # tracked functional name -> its integral over the period
-        self.max_vx, self.tail = max_vx, tail
+def _columns(n: int) -> tuple:
+    """The names of the values in one diagnostics row of an n-component
+    run: the time, the integral of each tracked functional, max|v_x| and
+    the spectral tail fraction."""
+    return ("t", *(f"U_{i + 1}" for i in range(n)), "momentum", "H1", "H2", "max_vx", "tail")
 
 
 class RunResult:
     def __init__(
-        self, rows: list, snapshots: list, status: str, breaking_time=None, messages=None
+        self, columns: tuple, rows: list, snapshots: list, status: str, breaking_time=None, messages=None
     ):
-        self.rows = rows
+        self.columns = columns  # _columns(N)
+        self.rows = rows  # one list of floats per step, in column order
         self.snapshots = snapshots  # (time, array copy)
         self.status = status  # "completed" | "breaking"
         self.breaking_time = breaking_time
@@ -467,21 +454,17 @@ def _densities(cflow: CompiledFlow, v: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.concatenate((v, quad[np.newaxis], S[np.newaxis]))
 
 
-def _integrals(grid: Grid, densities: np.ndarray) -> dict:
-    """Tracked functional name -> the integral of its density over the
-    period, as the grid mean times the length (the mean is the row sum over
-    M, as ``np.mean`` takes it)."""
-    n = len(densities) - 2
+def _integrals(grid: Grid, densities: np.ndarray) -> list:
+    """The integral of each tracked functional over the period, in column
+    order (U_1 .. U_n, momentum, H1, H2), as the grid mean times the length
+    (the mean is the row sum over M, as ``np.mean`` takes it)."""
     values = (np.add.reduce(densities, axis=-1) / grid.m * grid.length).tolist()
-    names = [f"U_{i + 1}" for i in range(n)] + ["momentum", "H1", "H2"]
-    return dict(zip(names, values[: n + 1] + values[n:]))
+    return values[:-1] + values[-2:]  # momentum and H1 share the quadratic density
 
 
-def _evaluate(cflow: CompiledFlow, state: FieldState) -> tuple:
-    """One table product (V rows, then S) and one FFT of a state: its
-    diagnostics row, its coefficient matrix V (n, n, M) and its v_x."""
-    grid = state.grid
-    v = state.v
+def _evaluate(cflow: CompiledFlow, grid: Grid, v: np.ndarray, t: float) -> tuple:
+    """One table product (V rows, then S) and one FFT of the field v at t:
+    its diagnostics row, its coefficient matrix V (n, n, M) and its v_x."""
     values = cflow.table(v)
     spec = np.fft.rfft(v)
     vx = _dx_from_spectrum(grid, spec)
@@ -489,27 +472,24 @@ def _evaluate(cflow: CompiledFlow, state: FieldState) -> tuple:
     totals = np.add.reduce(power, axis=1)
     tails = np.add.reduce(power[:, (2 * (grid.m // 2)) // 3 :], axis=1)
     tail = max(
-        (float(np.sqrt(t / total)) for t, total in zip(tails, totals) if total > 0),
+        (float(np.sqrt(part / total)) for part, total in zip(tails, totals) if total > 0),
         default=0.0,
     )
-    row = DiagnosticsRow(
-        t=state.t,
-        integrals=_integrals(grid, _densities(cflow, v, values[-1])),
-        max_vx=float(np.max(np.abs(vx))),
-        tail=tail,
-    )
+    row = [t, *_integrals(grid, _densities(cflow, v, values[-1])), float(np.max(np.abs(vx))), tail]
     return row, values[:-1].reshape(cflow.n, cflow.n, -1), vx
 
 
 def run(
-    flow: ConservativeFlow | CompiledFlow,
-    initial: Sequence | np.ndarray,
+    cflow: CompiledFlow,
+    v0: np.ndarray,
     grid: Grid,
     dt: float,
     t_end: float,
     snapshot_times: Sequence[float] = (),
 ) -> RunResult:
-    """Evolve the flow, recording diagnostics every step.
+    """Evolve the field v0, shape (N, M), under the compiled flow, recording
+    one diagnostics row per step and one snapshot at each step that is the
+    nearest to one or more of the requested times.
 
     A step whose CFL number dt*max|V|*M/L exceeds 1 raises
     :class:`CFLError` before it is taken.  Aborts with status
@@ -517,62 +497,57 @@ def run(
     initial value (gradient catastrophe); a resolution-loss message is
     recorded when the spectral tail fraction crosses ``TAIL_THRESHOLD``.
     """
-    cflow = flow if isinstance(flow, CompiledFlow) else compile_flow(flow)
-    if isinstance(initial, np.ndarray):
-        state = FieldState(grid=grid, v=np.array(initial, dtype=float), t=0.0)
-    else:
-        state = sample_initial_data(grid, initial)
-    if state.n != cflow.n:
+    v = _field(grid, v0)
+    if len(v) != cflow.n:
         raise ValueError("initial data does not match the flow dimension")
+    columns = _columns(cflow.n)
+    dt, t_end, t = float(dt), float(t_end), 0.0
 
-    row, V, vx = _evaluate(cflow, state)
+    row, V, vx = _evaluate(cflow, grid, v, t)
     rows = [row]
-    initial_maxvx = row.max_vx
-    amplitude = float(np.max(np.abs(state.v))) if state.v.size else 0.0
+    initial_maxvx = row[-2]  # the max_vx column
+    amplitude = float(np.max(np.abs(v))) if v.size else 0.0
     monitor_breaking = initial_maxvx > 1e-13 * (1.0 + amplitude)
     messages: list = []
     snapshots = []
     pending = sorted(snapshot_times)
 
-    def take_snapshots(current: FieldState):
-        while pending and pending[0] <= current.t + dt / 2:
-            snapshots.append((current.t, current.v.copy()))
-            pending.pop(0)
+    def take_snapshot():
+        due = bisect_right(pending, t + dt / 2)
+        if due:
+            snapshots.append((t, v.copy()))
+            del pending[:due]
 
-    take_snapshots(state)
+    take_snapshot()
     warned_tail = False
     eps = 1e-12 * max(1.0, abs(t_end))
-    while state.t < t_end - eps:
-        step = min(dt, t_end - state.t)
+    while t < t_end - eps:
+        step = min(dt, t_end - t)
         cfl = step * cflow.gershgorin_max(V) * grid.m / grid.length
         if cfl > 1.0:
             raise CFLError(
-                f"CFL number {cfl:.3f} at t={state.t:.6g} exceeds 1 "
+                f"CFL number {cfl:.3f} at t={t:.6g} exceeds 1 "
                 "(dt*|V|*M/L); reduce dt"
             )
-        state = step_rk4(cflow, state, step, cflow.rhs_from(grid, V, vx))
-        row, V, vx = _evaluate(cflow, state)
+        v = step_rk4(cflow, grid, v, t, step, cflow.rhs_from(grid, V, vx))
+        t += step
+        row, V, vx = _evaluate(cflow, grid, v, t)
         rows.append(row)
-        take_snapshots(state)
-        if not warned_tail and row.tail > TAIL_THRESHOLD:
+        take_snapshot()
+        max_vx, tail = row[-2:]
+        if not warned_tail and tail > TAIL_THRESHOLD:
             messages.append(
-                f"spectral tail fraction {row.tail:.3e} exceeds "
-                f"{TAIL_THRESHOLD:.1e} at t={state.t:.6g}; resolution loss"
+                f"spectral tail fraction {tail:.3e} exceeds "
+                f"{TAIL_THRESHOLD:.1e} at t={t:.6g}; resolution loss"
             )
             warned_tail = True
-        if monitor_breaking and row.max_vx > BREAKING_FACTOR * initial_maxvx:
+        if monitor_breaking and max_vx > BREAKING_FACTOR * initial_maxvx:
             messages.append(
-                f"gradient catastrophe detected at t={state.t:.6g}: "
-                f"max|v_x| grew {row.max_vx / initial_maxvx:.1f}x"
+                f"gradient catastrophe detected at t={t:.6g}: "
+                f"max|v_x| grew {max_vx / initial_maxvx:.1f}x"
             )
-            return RunResult(
-                rows=rows,
-                snapshots=snapshots,
-                status="breaking",
-                breaking_time=state.t,
-                messages=messages,
-            )
-    return RunResult(rows=rows, snapshots=snapshots, status="completed", messages=messages)
+            return RunResult(columns, rows, snapshots, "breaking", breaking_time=t, messages=messages)
+    return RunResult(columns, rows, snapshots, "completed", messages=messages)
 
 
 class DriftEntry:
@@ -581,17 +556,16 @@ class DriftEntry:
         self.relative = relative  # worst |drift| over the L1 norm of the density at t = 0
 
 
-def drift_summary(
-    cflow: CompiledFlow, rows: Sequence[DiagnosticsRow], state0: FieldState
-) -> list:
-    """Worst conservation drift of each tracked functional over the run,
-    relative to the L1 norm of its density at t = 0 (integrals that start
-    at exactly zero still get a meaningful scale)."""
-    v0 = state0.v
-    scales = _integrals(state0.grid, np.abs(_densities(cflow, v0, cflow.table(v0)[-1])))
+def drift_summary(cflow: CompiledFlow, rows: Sequence[list], grid: Grid, v0: np.ndarray) -> list:
+    """Worst conservation drift of each tracked functional over the rows of
+    a run from the field v0, relative to the L1 norm of its density at
+    t = 0 (integrals that start at exactly zero still get a meaningful
+    scale)."""
+    scales = _integrals(grid, np.abs(_densities(cflow, v0, cflow.table(v0)[-1])))
+    names = _columns(cflow.n)[1:-2]
     out = []
-    for name, scale in scales.items():
-        vals = [r.integrals[name] for r in rows]
+    for column, (name, scale) in enumerate(zip(names, scales), start=1):
+        vals = [r[column] for r in rows]
         drift = max(abs(x - vals[0]) for x in vals)
         out.append(DriftEntry(name, vals[0], drift / max(scale, 1e-30)))
     return out
@@ -609,36 +583,31 @@ class CommutationDefect:
 
 
 def commute_check_numeric(
-    flowA: ConservativeFlow | CompiledFlow,
-    flowB: ConservativeFlow | CompiledFlow,
-    state: FieldState,
-    tau: float = 1e-3,
+    ca: CompiledFlow, cb: CompiledFlow, grid: Grid, v: np.ndarray, tau: float = 1e-3
 ) -> CommutationDefect:
-    """Composition defect of the two time-tau maps, in both orders.
+    """Composition defect of the two time-tau maps at the field v, in both
+    orders.
 
     Single forward-Euler maps are used on purpose: their composition defect
     is tau^2 [X, Y] + O(tau^3), so commuting flows show an O(tau^3) defect
     (factor >= ~8 under tau halving) while non-commuting ones stall at
     O(tau^2) (factor ~4).
     """
-    ca = flowA if isinstance(flowA, CompiledFlow) else compile_flow(flowA)
-    cb = flowB if isinstance(flowB, CompiledFlow) else compile_flow(flowB)
-    grid = state.grid
 
-    def euler(cf, v, h):
-        out = v + h * cf.rhs(grid, v)
+    def euler(cf, w, h):
+        out = w + h * cf.rhs(grid, w)
         if not np.all(np.isfinite(out)):
             raise SimulationError("probe step produced non-finite values")
         return out
 
     def defect(h):
-        ab = euler(ca, euler(cb, state.v, h), h)
-        ba = euler(cb, euler(ca, state.v, h), h)
+        ab = euler(ca, euler(cb, v, h), h)
+        ba = euler(cb, euler(ca, v, h), h)
         return float(np.max(np.abs(ab - ba)))
 
     d0 = defect(tau)
     d1 = defect(tau / 2)
-    floor = 1e-13 * (1.0 + float(np.max(np.abs(state.v))))
+    floor = 1e-13 * (1.0 + float(np.max(np.abs(v))))
     if d0 <= floor:
         return CommutationDefect(d0, d1, float("inf"), True)
     ratio = d0 / d1 if d1 > 0 else float("inf")
@@ -650,10 +619,11 @@ def commute_check_numeric(
 # ---------------------------------------------------------------------------
 
 
-def write_diagnostics_csv(rows: Sequence[DiagnosticsRow], path) -> None:
-    lines = [",".join(["t", *rows[0].integrals, "max_vx", "tail"])]
-    for r in rows:
-        lines.append(",".join(map(repr, [r.t, *r.integrals.values(), r.max_vx, r.tail])))
+def write_diagnostics_csv(columns: Sequence[str], rows: Sequence[list], path) -> None:
+    """One header line of the column names, then one line per row, each
+    float written as its repr."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(repr, r)) for r in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -371,8 +371,9 @@ def test_criterion_7_commutativity():
     # numeric probe: defect drops by >= 7x under tau halving
     P = pairs[0]
     grid = ns.Grid(128, TWO_PI)
-    state = ns.FieldState(grid=grid, v=0.1 * np.sin(grid.nodes)[np.newaxis, :])
-    cd = ns.commute_check_numeric(flow_t1(P), flow_t2(P), state, tau=1e-3)
+    v = 0.1 * np.sin(grid.nodes)[np.newaxis, :]
+    t1, t2 = ns.compile_flow(flow_t1(P)), ns.compile_flow(flow_t2(P))
+    cd = ns.commute_check_numeric(t1, t2, grid, v, tau=1e-3)
     assert cd.commuting and cd.ratio >= COMMUTE_RATIO_MIN
     print(f"PASS criterion 7: pairwise commutation, numeric ratio {cd.ratio:.2f}")
 
@@ -383,10 +384,8 @@ def test_criterion_8_characteristics_oracle_and_conservation():
     fl = flow_t1(P)
     grid = ns.Grid(256, TWO_PI)
     cf = ns.compile_flow(fl)
-    state0 = ns.sample_initial_data(
-        grid, [parse("0.1*sin(x)", ("x",), initial_data=True)]
-    )
-    res = ns.run(cf, state0.v, grid, dt=1e-3, t_end=0.2, snapshot_times=[0.2])
+    v0 = ns.sample_initial_data(grid, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(cf, v0, grid, dt=1e-3, t_end=0.2, snapshot_times=[0.2])
     assert res.status == "completed"
     _, v = res.snapshots[-1]
     oracle = 0.1 * np.sin(grid.nodes)
@@ -394,7 +393,7 @@ def test_criterion_8_characteristics_oracle_and_conservation():
         oracle = 0.1 * np.sin(grid.nodes + 3 * oracle * 0.2)
     err = float(np.max(np.abs(v[0] - oracle)))
     assert err < CHAR_ORACLE_TOL
-    drifts = {d.name: d.relative for d in ns.drift_summary(cf, res.rows, state0)}
+    drifts = {d.name: d.relative for d in ns.drift_summary(cf, res.rows, grid, v0)}
     for name in ("U_1", "momentum", "H1", "H2"):
         assert drifts[name] < DRIFT_TOL, (name, drifts[name])
     elapsed = time.monotonic() - start
@@ -426,12 +425,12 @@ def test_criterion_9_symbolic_numeric_bracket_agreement():
                 row += rng.uniform(-1, 1) * 0.08 / mode * np.sin(mode * grid.nodes)
                 row += rng.uniform(-1, 1) * 0.08 / mode * np.cos(mode * grid.nodes)
             rows.append(row)
-        state = ns.FieldState(grid=grid, v=np.stack(rows))
-        xi = np.einsum("jl,lm->jm", cf.eta_down, state.v)
-        numeric = ns.apply_P1_numeric(P, state, xi)
-        s0 = 0.5 * np.einsum("jm,jl,lm->m", state.v, cf.eta_down, state.v)
-        vx = np.stack([ns.spectral_dx(grid, state.v[i]) for i in range(2)])
-        corrected = cf.rhs(grid, state.v) - K * float(np.mean(s0)) * vx
+        v = np.stack(rows)
+        xi = np.einsum("jl,lm->jm", cf.eta_down, v)
+        numeric = ns.apply_P1_numeric(P, grid, v, xi)
+        s0 = 0.5 * np.einsum("jm,jl,lm->m", v, cf.eta_down, v)
+        vx = np.stack([ns.spectral_dx(grid, v[i]) for i in range(2)])
+        corrected = cf.rhs(grid, v) - K * float(np.mean(s0)) * vx
         worst = max(worst, float(np.max(np.abs(numeric - corrected))))
     assert worst < P1_AGREEMENT_TOL
     print(f"PASS criterion 9: nonlocal operator agreement {worst:.2e}")

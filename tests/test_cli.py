@@ -1378,3 +1378,60 @@ def test_flow_coefficients_beyond_the_float_range_exit_3(tmp_path, capsys, doc, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{command}: expression size limit: a coefficient exceeds the float range\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1e-8", "-inf"])
+def test_tol_must_be_a_non_negative_number(scalar_file, tmp_path, capsys, value):
+    assert main(["simulate", scalar_file, f"--tol={value}", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --tol: must be a non-negative number\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _out_error(tmp_path, capsys, scalar_file, out):
+    assert main(["simulate", scalar_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: --out: ")
+    assert _single_line(captured.err)
+    return captured.err
+
+
+def test_out_that_is_a_file_or_under_one_is_refused_before_the_run(
+    scalar_file, tmp_path, capsys, monkeypatch
+):
+    from hydrobrackets import numsim
+
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    runs = []
+    monkeypatch.setattr(numsim, "run", lambda *a: runs.append(a))
+    for out in (afile, afile / "sub"):
+        err = _out_error(tmp_path, capsys, scalar_file, out)
+        assert err == f"input error: --out: not a directory: {str(afile)!r}\n"
+    assert runs == [] and afile.read_text() == "kept\n"
+
+
+def test_out_that_cannot_be_made_or_written_is_input_error(scalar_file, tmp_path, capsys):
+    # a dangling link passes the check before the run; making it fails
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing" / "target")
+    err = _out_error(tmp_path, capsys, scalar_file, link)
+    assert "File exists" in err
+    # a directory where diag.csv goes fails the first write
+    (tmp_path / "o" / "diag.csv").mkdir(parents=True)
+    err = _out_error(tmp_path, capsys, scalar_file, tmp_path / "o")
+    assert "Is a directory" in err
+
+
+def test_a_step_that_serves_two_snapshot_times_writes_one_file(tmp_path, capsys):
+    doc = _scalar_simulation()
+    # dt = 0.001: 0.005 twice and 0.0049 all land on the step at t = 0.005
+    doc["simulation"]["snapshots"] = [0.005, 0.005, "49/10000", 0.01]
+    path = _write(tmp_path, "snaps.json", doc)
+    assert main(["simulate", path, "--json", "--out", str(tmp_path / "o")]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["snapshots"] == ["snap_0.005.csv", "snap_0.01.csv"]
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "diag.csv", "snap_0.005.csv", "snap_0.01.csv"
+    ]

@@ -57,9 +57,25 @@ def test_grid_validation():
         ([[0.0] * 7 + [np.inf]], "^field values must be finite$"),
     ],
 )
-def test_field_state_rejects_malformed_data(v, message):
+def test_run_rejects_malformed_data(v, message):
+    cf = ns.compile_flow(flow_t1(_shallow_pair()))
     with pytest.raises(ValueError, match=message):
-        ns.FieldState(ns.Grid(8, 1.0), v)
+        ns.run(cf, v, ns.Grid(8, 1.0), 1e-3, 1e-3)
+
+
+def test_run_rejects_data_of_another_dimension():
+    cf = ns.compile_flow(flow_t1(_shallow_pair()))
+    with pytest.raises(ValueError, match="^initial data does not match the flow dimension$"):
+        ns.run(cf, np.zeros((2, 8)), ns.Grid(8, 1.0), 1e-3, 1e-3)
+
+
+def test_sample_initial_data_rejects_data_that_is_not_finite():
+    grid = ns.Grid(8, TWO_PI)
+    data = [parse("x", ("x",), initial_data=True), parse("1/sin(x)", ("x",), initial_data=True)]
+    with pytest.raises(ValueError, match="^initial datum 2 is not finite on the grid$"):
+        ns.sample_initial_data(grid, data)
+    v = ns.sample_initial_data(grid, data[:1])
+    assert v.shape == (1, 8) and v.dtype == float and np.array_equal(v[0], grid.nodes)
 
 
 def test_spectral_dx_sin():
@@ -185,21 +201,20 @@ def test_compile_rejects_unbound_parameters():
 def test_step_zero_field_stays_zero():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
-    state = ns.FieldState(grid=g, v=np.zeros((1, 64)))
+    v = np.zeros((1, 64))
     cf = ns.compile_flow(fl)
-    out = ns.step_rk4(cf, state, 1e-2, cf.rhs(g, state.v))
-    assert np.all(out.v == 0.0)
+    out = ns.step_rk4(cf, g, v, 0.0, 1e-2, cf.rhs(g, v))
+    assert np.all(out == 0.0)
 
 
 def test_constant_field_is_steady():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
-    state = ns.FieldState(grid=g, v=np.full((1, 64), 0.7))
-    res = ns.run(fl, state.v, g, dt=1e-3, t_end=0.1)
+    res = ns.run(ns.compile_flow(fl), np.full((1, 64), 0.7), g, dt=1e-3, t_end=0.1)
     assert res.status == "completed"
-    final = res.rows[-1]
-    assert abs(final.integrals["U_1"] - 0.7 * TWO_PI) < 1e-12
-    assert final.max_vx < 1e-12
+    final = dict(zip(res.columns, res.rows[-1]))
+    assert abs(final["U_1"] - 0.7 * TWO_PI) < 1e-12
+    assert final["max_vx"] < 1e-12
 
 
 def _characteristics_oracle(x, t, amplitude=0.1, speed=3.0, iters=60):
@@ -212,8 +227,8 @@ def _characteristics_oracle(x, t, amplitude=0.1, speed=3.0, iters=60):
 def test_rk4_against_characteristics_oracle():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(256, TWO_PI)
-    init = [parse("0.1*sin(x)", ("x",), initial_data=True)]
-    res = ns.run(fl, init, g, dt=1e-3, t_end=0.2, snapshot_times=[0.2])
+    v0 = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(ns.compile_flow(fl), v0, g, dt=1e-3, t_end=0.2, snapshot_times=[0.2])
     assert res.status == "completed"
     t, v = res.snapshots[-1]
     oracle = _characteristics_oracle(g.nodes, 0.2)
@@ -225,8 +240,8 @@ def test_grid_refinement_is_spectral():
     errs = []
     for m in (32, 64):
         g = ns.Grid(m, TWO_PI)
-        init = [parse("0.1*sin(x)", ("x",), initial_data=True)]
-        res = ns.run(fl, init, g, dt=5e-4, t_end=0.5, snapshot_times=[0.5])
+        v0 = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+        res = ns.run(ns.compile_flow(fl), v0, g, dt=5e-4, t_end=0.5, snapshot_times=[0.5])
         _, v = res.snapshots[-1]
         oracle = _characteristics_oracle(g.nodes, 0.5)
         errs.append(np.max(np.abs(v[0] - oracle)))
@@ -243,7 +258,7 @@ def test_rk4_against_plane_wave_oracle():
     g = ns.Grid(128, TWO_PI)
     x = g.nodes
     v0 = np.stack([0.1 * np.sin(x), 0.05 * np.cos(2 * x)])
-    res = ns.run(fl, v0, g, dt=1e-3, t_end=0.4, snapshot_times=[0.4])
+    res = ns.run(ns.compile_flow(fl), v0, g, dt=1e-3, t_end=0.4, snapshot_times=[0.4])
     _, v = res.snapshots[-1]
     evals, evecs = np.linalg.eig(A)
     spec = np.fft.rfft(v0, axis=1)
@@ -257,24 +272,24 @@ def test_rk4_against_plane_wave_oracle():
 def test_nan_aborts():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
-    state = ns.FieldState(grid=g, v=0.1 * np.sin(g.nodes)[np.newaxis, :])
+    v = 0.1 * np.sin(g.nodes)[np.newaxis, :]
     cf = ns.compile_flow(fl)
     with pytest.raises(ns.SimulationError):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with np.errstate(all="ignore"):
-                ns.step_rk4(cf, state, 1e200, cf.rhs(g, state.v))
+                ns.step_rk4(cf, g, v, 0.0, 1e200, cf.rhs(g, v))
 
 
 def test_cfl_guard_stops_the_run_before_the_step(monkeypatch):
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
-    state = ns.FieldState(grid=g, v=0.1 * np.sin(g.nodes)[np.newaxis, :])
+    v = 0.1 * np.sin(g.nodes)[np.newaxis, :]
     steps = []
     monkeypatch.setattr(ns, "step_rk4", lambda *a: steps.append(a))
     # max|V| = 3 * 0.1, so the CFL number is 1.0 * 0.3 * 64 / (2 pi)
     with pytest.raises(ns.CFLError, match=r"^CFL number 3\.056 at t=0 exceeds 1 "):
-        ns.run(fl, state.v, g, dt=1.0, t_end=1.0)
+        ns.run(ns.compile_flow(fl), v, g, dt=1.0, t_end=1.0)
     assert steps == []
 
 
@@ -320,10 +335,10 @@ def test_conservation_scalar_flow():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(256, TWO_PI)
     cf = ns.compile_flow(fl)
-    state = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
-    res = ns.run(cf, state.v, g, dt=1e-3, t_end=0.2)
+    v0 = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(cf, v0, g, dt=1e-3, t_end=0.2)
     assert res.status == "completed"
-    for entry in ns.drift_summary(cf, res.rows, state):
+    for entry in ns.drift_summary(cf, res.rows, g, v0):
         assert entry.relative < 1e-8, entry
 
 
@@ -338,10 +353,10 @@ def test_conservation_two_component_nonlocal_flow():
         parse("0.05*sin(x)", ("x",), initial_data=True),
         parse("0.05*cos(x) + 0.02*sin(2*x)", ("x",), initial_data=True),
     ]
-    state = ns.sample_initial_data(g, init)
-    res = ns.run(cf, state.v, g, dt=1e-3, t_end=0.3)
+    v0 = ns.sample_initial_data(g, init)
+    res = ns.run(cf, v0, g, dt=1e-3, t_end=0.3)
     assert res.status == "completed"
-    for entry in ns.drift_summary(cf, res.rows, state):
+    for entry in ns.drift_summary(cf, res.rows, g, v0):
         assert entry.relative < 1e-8, entry
 
 
@@ -349,8 +364,8 @@ def test_dealias_option_preserves_accuracy():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(256, TWO_PI)
     cf = ns.compile_flow(fl, dealias=True)
-    init = [parse("0.1*sin(x)", ("x",), initial_data=True)]
-    res = ns.run(cf, init, g, dt=1e-3, t_end=0.2, snapshot_times=[0.2])
+    v0 = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(cf, v0, g, dt=1e-3, t_end=0.2, snapshot_times=[0.2])
     _, v = res.snapshots[-1]
     oracle = _characteristics_oracle(g.nodes, 0.2)
     assert np.max(np.abs(v[0] - oracle)) < 1e-6
@@ -361,20 +376,24 @@ def test_conservation_second_level_flow():
     fl = flow_t2(P)
     g = ns.Grid(256, TWO_PI)
     cf = ns.compile_flow(fl)
-    state = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
-    res = ns.run(cf, state.v, g, dt=1e-3, t_end=0.2)
+    v0 = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(cf, v0, g, dt=1e-3, t_end=0.2)
     assert res.status == "completed"
-    for entry in ns.drift_summary(cf, res.rows, state):
+    for entry in ns.drift_summary(cf, res.rows, g, v0):
         assert entry.relative < 1e-8, entry
 
 
 def test_breaking_detected():
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(256, TWO_PI)
-    init = [parse("0.1*sin(x)", ("x",), initial_data=True)]
-    res = ns.run(fl, init, g, dt=1e-3, t_end=10.0)
+    v0 = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(ns.compile_flow(fl), v0, g, dt=1e-3, t_end=10.0)
     assert res.status == "breaking"
     assert res.breaking_time is not None and 1.0 < res.breaking_time < 10.0
+    # the run stops at the first row whose max|v_x| exceeds 50x the initial one
+    max_vx = [row[res.columns.index("max_vx")] for row in res.rows]
+    assert res.rows[-1][0] == res.breaking_time
+    assert max_vx[-1] > ns.BREAKING_FACTOR * max_vx[0] >= max(max_vx[:-1])
 
 
 # -- the nonlocal operator numerically ----------------------------------------------
@@ -389,7 +408,7 @@ def _random_smooth_state(grid, n, rng, amplitude=0.08):
             row += rng.uniform(-1, 1) * amplitude / mode * np.sin(mode * x)
             row += rng.uniform(-1, 1) * amplitude / mode * np.cos(mode * x)
         rows.append(row)
-    return ns.FieldState(grid=grid, v=np.stack(rows))
+    return np.stack(rows)
 
 
 def test_apply_p1_numeric_matches_mean_corrected_flow():
@@ -403,12 +422,12 @@ def test_apply_p1_numeric_matches_mean_corrected_flow():
     rng = random.Random(31)
     K = float(P.K.const_value())
     for _ in range(3):
-        state = _random_smooth_state(g, 2, rng)
-        xi = np.einsum("jl,lm->jm", eta_down, state.v)
-        numeric = ns.apply_P1_numeric(P, state, xi)
-        symbolic = cf.rhs(g, state.v)
-        s0 = 0.5 * np.einsum("jm,jl,lm->m", state.v, eta_down, state.v)
-        vx = np.stack([ns.spectral_dx(g, state.v[i]) for i in range(2)])
+        v = _random_smooth_state(g, 2, rng)
+        xi = np.einsum("jl,lm->jm", eta_down, v)
+        numeric = ns.apply_P1_numeric(P, g, v, xi)
+        symbolic = cf.rhs(g, v)
+        s0 = 0.5 * np.einsum("jm,jl,lm->m", v, eta_down, v)
+        vx = np.stack([ns.spectral_dx(g, v[i]) for i in range(2)])
         corrected = symbolic - K * float(np.mean(s0)) * vx
         assert np.max(np.abs(numeric - corrected)) < 1e-8
 
@@ -420,17 +439,17 @@ def test_apply_p1_numeric_rejects_nonzero_mean_tail():
         eta=ETA2, K=1, H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)), vars=UV
     )
     g = ns.Grid(64, TWO_PI)
-    state = _random_smooth_state(g, 2, random.Random(3))
-    xi = np.stack([ns.spectral_dx(g, state.v[j]) for j in range(2)])  # xi = v_x
+    v = _random_smooth_state(g, 2, random.Random(3))
+    xi = np.stack([ns.spectral_dx(g, v[j]) for j in range(2)])  # xi = v_x
     with pytest.raises(ns.SimulationError):
-        ns.apply_P1_numeric(P, state, xi)
+        ns.apply_P1_numeric(P, g, v, xi)
 
 
 def test_apply_p1_numeric_zero_covector():
     P = _linear_pair(K=0)
     g = ns.Grid(64, TWO_PI)
-    state = _random_smooth_state(g, 2, random.Random(5))
-    out = ns.apply_P1_numeric(P, state, np.zeros_like(state.v))
+    v = _random_smooth_state(g, 2, random.Random(5))
+    out = ns.apply_P1_numeric(P, g, v, np.zeros_like(v))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -447,9 +466,9 @@ def test_apply_p1_numeric_constant_coefficient_case():
         [[float(B.g[i][j].evaluate({"u1": 0, "u2": 0})) for j in range(2)] for i in range(2)]
     )
     g = ns.Grid(128, TWO_PI)
-    state = _random_smooth_state(g, 2, random.Random(8))
-    xi = 0.3 * state.v + 0.1
-    out = ns.apply_P1_numeric(P, state, xi)
+    v = _random_smooth_state(g, 2, random.Random(8))
+    xi = 0.3 * v + 0.1
+    out = ns.apply_P1_numeric(P, g, v, xi)
     xix = np.stack([ns.spectral_dx(g, xi[j]) for j in range(2)])
     direct = np.einsum("ij,jm->im", g1, xix)
     assert np.max(np.abs(out - direct)) < 1e-12
@@ -460,20 +479,20 @@ def test_apply_p1_numeric_constant_coefficient_case():
 
 def test_commute_numeric_scalar_pair():
     P = _shallow_pair()
-    t1, t2 = flow_t1(P), flow_t2(P)
+    t1, t2 = ns.compile_flow(flow_t1(P)), ns.compile_flow(flow_t2(P))
     g = ns.Grid(128, TWO_PI)
-    state = ns.FieldState(grid=g, v=0.1 * np.sin(g.nodes)[np.newaxis, :])
-    cd = ns.commute_check_numeric(t1, t2, state, tau=1e-3)
+    v = 0.1 * np.sin(g.nodes)[np.newaxis, :]
+    cd = ns.commute_check_numeric(t1, t2, g, v, tau=1e-3)
     assert cd.commuting
     assert 7.0 <= cd.ratio <= 9.0
 
 
 def test_commute_numeric_self_is_exact():
     P = _shallow_pair()
-    t1 = flow_t1(P)
+    t1 = ns.compile_flow(flow_t1(P))
     g = ns.Grid(64, TWO_PI)
-    state = ns.FieldState(grid=g, v=0.1 * np.sin(g.nodes)[np.newaxis, :])
-    cd = ns.commute_check_numeric(t1, t1, state)
+    v = 0.1 * np.sin(g.nodes)[np.newaxis, :]
+    cd = ns.commute_check_numeric(t1, t1, g, v)
     assert cd.commuting and cd.defect < 1e-13
 
 
@@ -481,16 +500,15 @@ def test_commute_numeric_flags_perturbed_flow():
     P = CanonicalPair(
         eta=ETA2, K=1, H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)), vars=UV
     )
-    t1, t2 = flow_t1(P), flow_t2(P)
+    t1, t2 = ns.compile_flow(flow_t1(P)), ns.compile_flow(flow_t2(P))
     g = ns.Grid(128, TWO_PI)
-    state = _random_smooth_state(g, 2, random.Random(21))
-    clean = ns.commute_check_numeric(t1, t2, state, tau=1e-3)
+    v = _random_smooth_state(g, 2, random.Random(21))
+    clean = ns.commute_check_numeric(t1, t2, g, v, tau=1e-3)
     assert clean.commuting and clean.ratio >= 7.0
-    ct2 = ns.compile_flow(t2)
     # table row 1 is V[0][1]; monomial 0 is the constant one
-    assert not ct2.table.exponents[0].any()
-    ct2.table.coeffs[1, 0] += 0.1
-    perturbed = ns.commute_check_numeric(ns.compile_flow(t1), ct2, state, tau=1e-3)
+    assert not t2.table.exponents[0].any()
+    t2.table.coeffs[1, 0] += 0.1
+    perturbed = ns.commute_check_numeric(t1, t2, g, v, tau=1e-3)
     assert not perturbed.commuting
     assert 3.5 <= perturbed.ratio <= 4.5
 
@@ -503,13 +521,13 @@ def test_commute_numeric_flags_perturbed_flow():
 # afresh at every call.  Every value must be float-equal, not close.
 
 
-def _mean_route_row(cflow, grid, v):
-    """(integrals, max|v_x|, tail) of the state v, one np.mean per density."""
+def _mean_route_row(cflow, grid, t, v):
+    """The diagnostics row of the state v at t, one np.mean per density:
+    [t, U_1 .. U_n, momentum, H1, H2, max|v_x|, tail]."""
     S = cflow.table(v)[-1]
     quad = 0.5 * np.einsum("jm,jl,lm->m", v, cflow.eta_down, v)
-    densities = [(f"U_{i + 1}", v[i]) for i in range(cflow.n)]
-    densities += [("momentum", quad), ("H1", quad), ("H2", S)]
-    integrals = {name: float(np.mean(d) * grid.length) for name, d in densities}
+    densities = [v[i] for i in range(cflow.n)] + [quad, quad, S]
+    integrals = [float(np.mean(d) * grid.length) for d in densities]
     spec = np.fft.rfft(v)
     power = np.abs(spec) ** 2
     totals = np.sum(power, axis=1)
@@ -518,7 +536,7 @@ def _mean_route_row(cflow, grid, v):
         (float(np.sqrt(t / total)) for t, total in zip(tails, totals) if total > 0),
         default=0.0,
     )
-    return integrals, float(np.max(np.abs(ns.spectral_dx(grid, v)))), tail
+    return [t, *integrals, float(np.max(np.abs(ns.spectral_dx(grid, v)))), tail]
 
 
 def _mean_route_drift(cflow, rows, grid, v0):
@@ -527,8 +545,8 @@ def _mean_route_drift(cflow, rows, grid, v0):
     densities = [(f"U_{i + 1}", v0[i]) for i in range(cflow.n)]
     densities += [("momentum", quad), ("H1", quad), ("H2", S)]
     out = []
-    for name, density in densities:
-        vals = [r.integrals[name] for r in rows]
+    for column, (name, density) in enumerate(densities, start=1):
+        vals = [r[column] for r in rows]
         scale = float(np.mean(np.abs(density)) * grid.length)
         out.append((name, vals[0], max(abs(x - vals[0]) for x in vals) / max(scale, 1e-30)))
     return out
@@ -601,15 +619,15 @@ def test_run_rows_equal_the_per_density_mean_route(kind, level, m, dealias):
     res = ns.run(cf, v0, grid, dt, steps * dt, [k * dt for k in range(steps + 1)])
     assert res.status == "completed"
     assert len(res.rows) == len(res.snapshots) == steps + 1
+    assert res.columns == ("t", *(f"U_{i + 1}" for i in range(n)), "momentum", "H1", "H2", "max_vx", "tail")
     prefix = cf.table._prefix[n * n]
     for row, (t, v) in zip(res.rows, res.snapshots):
-        assert row.t == t
-        assert (row.integrals, row.max_vx, row.tail) == _mean_route_row(cf, grid, v)
+        assert len(row) == len(res.columns) and all(type(x) is float for x in row)
+        assert row == _mean_route_row(cf, grid, t, v)
         # the reused power buffers give the fresh tables, in the order a step asks
         for terms in (prefix, len(cf.table.exponents), prefix):
             assert np.array_equal(cf.table.monomials(v, terms), _fresh_monomials(cf.table, v, terms))
-    state0 = ns.FieldState(grid, v0)
-    got = [(d.name, d.initial, d.relative) for d in ns.drift_summary(cf, res.rows, state0)]
+    got = [(d.name, d.initial, d.relative) for d in ns.drift_summary(cf, res.rows, grid, v0)]
     assert got == _mean_route_drift(cf, res.rows, grid, v0)
 
 
@@ -626,23 +644,22 @@ def test_monomial_table_buffers_follow_the_grid_size():
 
 def test_step_returns_the_state_it_checked():
     cf, grid, v0 = _step_case("pair", 1, 256, False)
-    state = ns.FieldState(grid, v0)
-    k1 = cf.rhs(grid, state.v)
-    new = ns.step_rk4(cf, state, 1e-4, k1)
-    assert new.grid is grid and new.t == 1e-4 and new.v.shape == v0.shape
+    k1 = cf.rhs(grid, v0)
+    new = ns.step_rk4(cf, grid, v0, 0.0, 1e-4, k1)
+    assert new.shape == v0.shape and np.all(np.isfinite(new))
     k1[0, 0] = np.nan
     with pytest.raises(ns.SimulationError, match="^non-finite state at t = 0.0001$"):
-        ns.step_rk4(cf, state, 1e-4, k1)
+        ns.step_rk4(cf, grid, v0, 0.0, 1e-4, k1)
 
 
 # -- CSV emission ----------------------------------------------------------------------
 
 
-def _float_per_cell_csvs(grid, rows, v):
+def _float_per_cell_csvs(grid, columns, rows, v):
     """The CSV texts written with one float() and repr() per cell."""
-    diag = [",".join(["t", *rows[0].integrals, "max_vx", "tail"])]
+    diag = [",".join(columns)]
     for r in rows:
-        diag.append(",".join(repr(float(x)) for x in [r.t, *r.integrals.values(), r.max_vx, r.tail]))
+        diag.append(",".join(repr(float(x)) for x in r))
     n = v.shape[0]
     snap = ["x," + ",".join(f"v{i + 1}" for i in range(n))]
     for m, x in enumerate(grid.nodes):
@@ -654,9 +671,9 @@ def _float_per_cell_csvs(grid, rows, v):
 def test_csv_bytes_equal_the_float_per_cell_writers(tmp_path, kind):
     cf, grid, v0 = _step_case(kind, 2, 256, False)
     res = ns.run(cf, v0, grid, 1e-5, 5e-5, [5e-5])
-    ns.write_diagnostics_csv(res.rows, tmp_path / "diag.csv")
+    ns.write_diagnostics_csv(res.columns, res.rows, tmp_path / "diag.csv")
     ns.write_snapshot_csv(grid, res.snapshots[-1][1], tmp_path / "snap.csv")
-    diag, snap = _float_per_cell_csvs(grid, res.rows, res.snapshots[-1][1])
+    diag, snap = _float_per_cell_csvs(grid, res.columns, res.rows, res.snapshots[-1][1])
     assert (tmp_path / "diag.csv").read_text() == diag
     assert (tmp_path / "snap.csv").read_text() == snap
 
@@ -665,10 +682,10 @@ def test_csv_outputs(tmp_path):
     fl = flow_t1(_shallow_pair())
     g = ns.Grid(64, TWO_PI)
     cf = ns.compile_flow(fl)
-    init = [parse("0.1*sin(x)", ("x",), initial_data=True)]
-    res = ns.run(cf, init, g, dt=1e-2, t_end=0.05, snapshot_times=[0.0, 0.05])
+    v0 = ns.sample_initial_data(g, [parse("0.1*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(cf, v0, g, dt=1e-2, t_end=0.05, snapshot_times=[0.0, 0.05])
     diag = tmp_path / "diag.csv"
-    ns.write_diagnostics_csv(res.rows, diag)
+    ns.write_diagnostics_csv(res.columns, res.rows, diag)
     lines = diag.read_text().strip().split("\n")
     assert lines[0] == "t,U_1,momentum,H1,H2,max_vx,tail"
     assert len(lines) == len(res.rows) + 1
@@ -680,3 +697,32 @@ def test_csv_outputs(tmp_path):
     # numbers round-trip through repr
     x0, v0 = body[1].split(",")
     assert float(x0) == 0.0
+
+
+def test_diagnostics_csv_text_of_a_fixed_table(tmp_path):
+    columns = ("t", "U_1", "momentum", "H1", "H2", "max_vx", "tail")
+    rows = [
+        [0.0, 0.1, 1 / 3, 1 / 3, -2.5e-17, 0.1, 0.0],
+        [0.001, 0.1, 0.3333333333333333, 1e300, 5e-324, 0.30000000000000004, 1.5e-07],
+    ]
+    ns.write_diagnostics_csv(columns, rows, tmp_path / "diag.csv")
+    assert (tmp_path / "diag.csv").read_text() == (
+        "t,U_1,momentum,H1,H2,max_vx,tail\n"
+        "0.0,0.1,0.3333333333333333,0.3333333333333333,-2.5e-17,0.1,0.0\n"
+        "0.001,0.1,0.3333333333333333,1e+300,5e-324,0.30000000000000004,1.5e-07\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "times,want",
+    [([0.1, 0.1], [0.1]), ([0.1, 0.104], [0.1]), ([0.0, 0.1, 0.1, 0.2], [0.0, 0.1, 0.2]), ([], [])],
+)
+def test_one_snapshot_per_step(times, want):
+    cf = ns.compile_flow(flow_t1(_shallow_pair()))
+    g = ns.Grid(64, TWO_PI)
+    v0 = 0.1 * np.sin(g.nodes)[np.newaxis, :]
+    res = ns.run(cf, v0, g, dt=1e-2, t_end=0.2, snapshot_times=times)
+    got = [t for t, _ in res.snapshots]
+    assert got == pytest.approx(want, abs=1e-12)
+    # each snapshot is the field of one step, taken once
+    assert set(got) <= {row[0] for row in res.rows} and len(set(got)) == len(got)

@@ -185,7 +185,7 @@ def step_row(level: int, m: int, dt: float, steps: int, repeats: int = REPEATS) 
     cflow = numsim.compile_flow(flow)
     grid = numsim.Grid(m, TWO_PI)
     init = [parse(text, ("x",), initial_data=True) for text in INIT]
-    v0 = numsim.sample_initial_data(grid, init).v
+    v0 = numsim.sample_initial_data(grid, init)
     seconds, result = _best(lambda: numsim.run(cflow, v0, grid, dt, dt * steps), repeats)
     if result.status != "completed" or len(result.rows) != steps + 1:
         raise AssertionError(f"level {level}, M={m}: the run did not complete {steps} steps")
