@@ -1389,7 +1389,7 @@ def test_tol_must_be_a_non_negative_number(scalar_file, tmp_path, capsys, value)
     assert not (tmp_path / "o").exists()
 
 
-def _out_error(tmp_path, capsys, scalar_file, out):
+def _out_error(capsys, scalar_file, out):
     assert main(["simulate", scalar_file, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: --out: ")
@@ -1407,7 +1407,7 @@ def test_out_that_is_a_file_or_under_one_is_refused_before_the_run(
     runs = []
     monkeypatch.setattr(numsim, "run", lambda *a: runs.append(a))
     for out in (afile, afile / "sub"):
-        err = _out_error(tmp_path, capsys, scalar_file, out)
+        err = _out_error(capsys, scalar_file, out)
         assert err == f"input error: --out: not a directory: {str(afile)!r}\n"
     assert runs == [] and afile.read_text() == "kept\n"
 
@@ -1416,11 +1416,11 @@ def test_out_that_cannot_be_made_or_written_is_input_error(scalar_file, tmp_path
     # a dangling link passes the check before the run; making it fails
     link = tmp_path / "link"
     link.symlink_to(tmp_path / "missing" / "target")
-    err = _out_error(tmp_path, capsys, scalar_file, link)
+    err = _out_error(capsys, scalar_file, link)
     assert "File exists" in err
     # a directory where diag.csv goes fails the first write
     (tmp_path / "o" / "diag.csv").mkdir(parents=True)
-    err = _out_error(tmp_path, capsys, scalar_file, tmp_path / "o")
+    err = _out_error(capsys, scalar_file, tmp_path / "o")
     assert "Is a directory" in err
 
 
