@@ -57,7 +57,7 @@ def test_grid_validation():
         ([[0.0] * 7 + [np.inf]], "^field values must be finite$"),
     ],
 )
-def test_run_rejects_malformed_data(v, message):
+def test_field_state_rejects_malformed_data(v, message):
     cf = ns.compile_flow(flow_t1(_shallow_pair()))
     with pytest.raises(ValueError, match=message):
         ns.run(cf, v, ns.Grid(8, 1.0), 1e-3, 1e-3)
