@@ -10,6 +10,7 @@ conservative class).
 from __future__ import annotations
 
 import argparse
+import collections
 import gc
 import itertools
 import json
@@ -584,7 +585,11 @@ def cmd_simulate(args) -> int:
         result = numsim.run(cflow, v0, grid, sim["dt"], sim["t_end"], sim["snapshots"])
     except numsim.CFLError as exc:
         raise ProblemFileError("simulation.dt", str(exc)) from None
-    snap_files = [f"snap_{t:g}.csv" for t, _ in result.snapshots]
+    # times of two steps that :g prints alike are printed exactly, by repr
+    short = collections.Counter(f"{t:g}" for t, _ in result.snapshots)
+    snap_files = [
+        f"snap_{t:g}.csv" if short[f"{t:g}"] == 1 else f"snap_{t!r}.csv" for t, _ in result.snapshots
+    ]
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         numsim.write_diagnostics_csv(result.columns, result.rows, outdir / "diag.csv")

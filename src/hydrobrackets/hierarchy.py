@@ -13,10 +13,11 @@ the ray integral guarantees the rest.
 bracket (g, b, K) it forms g Hess(S) + b grad(S) + K S Id, with the
 antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
 :func:`recursion_matrix` is it for the canonical operator P1 of the pair;
-``bihamiltonian_check`` applies P1 and eta d/dx, ``involution_check``
-integrates against either, and ``verify_hierarchy`` judges every pair of
-levels with one integrand each.  Levels are produced by applying the recursion
-to the previous level, and the closed-form flows are checked against it.
+``bihamiltonian_check`` applies P1 and eta d/dx at one link of the chain,
+``involution_check`` integrates against either, and ``verify_hierarchy``
+checks every link and derives every pair's verdict from the chain.  Levels
+are produced by applying the recursion to the previous level, and the
+closed-form flows are checked against it.
 Each application leaves one constant covector free (the value of
 eta_{jl} F^l at the origin); it is exposed as the explicit ``gauge``
 argument rather than chosen silently.
@@ -295,32 +296,28 @@ def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
 
 
 def bihamiltonian_check(
-    P: CanonicalPair, flow: ConservativeFlow, rng=None
+    P: CanonicalPair, flow: ConservativeFlow, rng=None, previous: ConservativeFlow | None = None
 ) -> PoissonReport:
-    """Verify both Hamiltonian representations of a first-level flow:
+    """Verify one link P1 grad S_{b-1} = P2 grad S_b of the Lenard chain,
+    the two Hamiltonian representations of the flow of level b:
 
-    * ``eq1``: the nonlocal operator applied to the quadratic-density
-      gradient eta_{jl} v^l reproduces the flow, the nonlocal term resolving
-      to K v^i_x (1/2) eta_{jl} v^j v^l;
+    * ``eq1``: the nonlocal operator applied to grad S of the ``previous``
+      level (default: the translation flow, S = (1/2) eta_{jl} v^j v^l)
+      reproduces the flow, the nonlocal term resolving to K v^i_x S;
     * ``eq2``: the constant operator applied to grad S reproduces it.
     """
     rng = _rng(rng)
     n = P.n
-    vars = flow.vars
+    previous = translation_flow(P.eta) if previous is None else previous
 
     def residuals(M):
         for i in range(n):
             for k in range(n):
                 yield (i + 1, k + 1), M[i][k] - flow.V[i][k]
 
-    p1 = recursion_matrix(P, translation_flow(P.eta).S)
-    p2 = operator_matrix(P.eta.as_hydro(vars), flow.S)
-    return PoissonReport(
-        conditions=[
-            _judge("eq1", residuals(p1), rng),
-            _judge("eq2", residuals(p2), rng),
-        ]
-    )
+    p1 = recursion_matrix(P, previous.S)
+    p2 = operator_matrix(P.eta.as_hydro(flow.vars), flow.S)
+    return PoissonReport([_judge("eq1", residuals(p1), rng), _judge("eq2", residuals(p2), rng)])
 
 
 def commute_check(
@@ -384,34 +381,31 @@ def involution_check(P: CanonicalPair, d1, d2, operator: str = "both") -> bool:
 
 
 def verify_hierarchy(P: CanonicalPair, flows: Sequence) -> list:
-    """(commute, involution) verdicts of every pair a < b of the flows that
-    ``hierarchy(P, ...)`` returned, in ``itertools.combinations`` order,
-    judging each distinct integrand once.
+    """(commute, involution) verdicts of every pair a < b of the flows 0..L
+    that ``hierarchy(P, L)`` returned, in ``itertools.combinations`` order;
+    involution is under both operators, as in ``involution_check``.
 
-    * The P2 = eta d/dx integrand of (a, b) is dS_a/dv^i V_b^i_k, since
-      eta Hess(S_b) = V_b.
-    * The P1 integrand of (a, b) is the P2 integrand of (a, b+1), since
-      V_{b+1} = recursion_matrix(P, S_b) and S_b(0) = 0 removes the tail
-      term.  For the top level b both brackets are skew (P1 by construction:
-      g1 is symmetric and dg1 = b1 + b1^T), so P1 involution of (a, b) is
-      that of (b, a), whose integrand is the P2 integrand of (b, a+1), and so
-      that of P2 (a+1, b); the P2 bracket of S_b with itself is exact.
-    * Every flow is the P2-Hamiltonian field of the integral of its S, and
-      [X_f, X_g] = X_{f,g} (Olver, "Applications of Lie Groups to
-      Differential Equations", ch. 7), so P2 involution of (a, b) proves
-      that the flows commute; where it fails, ``commute_check`` decides.
+    When ``bihamiltonian_check`` passes at every link (level b against
+    level b-1), every verdict is (True, True) by Lenard's recursion argument
+    (Magri 1978; Olver, "Applications of Lie Groups to Differential
+    Equations", ch. 7).  Write I_1(a, b), I_2(a, b) for the P1 and P2
+    brackets of the integrals of S_a and S_b:
 
-    The involution verdict is that of ``involution_check`` (P1 and P2)."""
-    vars, n, m = flow_vars(P.n), P.n, len(flows)
-    grads = [[fl.S.diff(v) for v in vars] for fl in flows[:-1]]
+    * the chain P1 grad S_b = P2 grad S_{b+1} gives I_1(a, b) = I_2(a, b+1)
+      (S_b(0) = 0 removes the tail term);
+    * both brackets are skew (P1 by construction: g1 is symmetric and
+      dg1 = b1 + b1^T), so I_2(a, b) = I_1(a, b-1) = -I_1(b-1, a) =
+      -I_2(b-1, a+1) = I_2(a+1, b-1), every index in 0..L; this ends at
+      I_2(k, k) = 0 or I_2(k, k+1) = I_2(k+1, k) = -I_2(k, k+1), so every
+      I_2 vanishes, and so does every I_1 (I_1(a, L) = -I_2(L, a+1));
+    * every flow is the P2-Hamiltonian field of the integral of its S (eq2;
+      at level 0 by construction) and [X_f, X_g] = X_{f,g}, so they commute.
 
-    def closed(a, c):  # the P2 integrand of (a, c)
-        omega = [_dot(grads[a], [flows[c].V[i][k] for i in range(n)]) for k in range(n)]
-        return _nonclosed_at(omega, vars) is None
-
-    p2 = {(a, b): closed(a, b) for a, b in itertools.combinations(range(m), 2)}
-    p1 = {(a, b): p2[a, b + 1] if b + 1 < m else p2.get((a + 1, b), True) for a, b in p2}
+    A failing link means flows that are not one pair's chain: then every
+    pair is judged by ``commute_check`` and ``involution_check``."""
+    if all(bihamiltonian_check(P, fl, previous=prev).passed for prev, fl in zip(flows, flows[1:])):
+        return [(True, True)] * (len(flows) * (len(flows) - 1) // 2)
     return [
-        (p2[a, b] or commute_check(flows[a], flows[b]).passed, p1[a, b] and p2[a, b])
-        for a, b in p2
+        (commute_check(fa, fb).passed, involution_check(P, fa.S, fb.S))
+        for fa, fb in itertools.combinations(flows, 2)
     ]

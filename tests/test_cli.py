@@ -1435,3 +1435,38 @@ def test_a_step_that_serves_two_snapshot_times_writes_one_file(tmp_path, capsys)
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
         "diag.csv", "snap_0.005.csv", "snap_0.01.csv"
     ]
+
+
+def test_steps_that_g_prints_alike_write_one_file_each(tmp_path, capsys, monkeypatch):
+    # the steps at t = 123456 and 123456.5 both print as 123456 under :g.
+    # Reaching them takes 246914 steps, so the run takes two steps and
+    # stamps its two snapshots with the requested times
+    from hydrobrackets import numsim
+
+    doc = {
+        "N": 2,
+        "eta": [[1, 0], [0, 1]],
+        "K": 1,
+        "H": ["2*u1 - u2", "u1 + 3*u2"],
+        "simulation": {
+            "grid_M": 8,
+            "L": 1000,
+            "dt": 0.5,
+            "t_end": 123457,
+            "snapshots": [123456, 123456.5],
+            "init": ["0.001*sin(2*3.14159265358979*x/1000)", "0"],
+        },
+    }
+    path = _write(tmp_path, "collide.json", doc)
+    run = numsim.run
+
+    def two_steps(cflow, v0, grid, dt, t_end, times):
+        result = run(cflow, v0, grid, dt, 2 * dt, [dt, 2 * dt])
+        result.snapshots = [(t, v) for t, (_, v) in zip(times, result.snapshots)]
+        return result
+
+    monkeypatch.setattr(numsim, "run", two_steps)
+    assert main(["simulate", path, "--json", "--out", str(tmp_path / "o")]) == 0
+    names = ["snap_123456.0.csv", "snap_123456.5.csv"]
+    assert json.loads(capsys.readouterr().out)["snapshots"] == names
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["diag.csv", *names]

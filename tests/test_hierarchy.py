@@ -686,33 +686,89 @@ def test_hand_built_non_commuting_flows_fail_both_routes():
     assert not involution_check(_linear_pair(), A.S, B.S, operator="P2")
 
 
-def test_commute_check_decides_where_p2_involution_fails(monkeypatch):
-    # force the P2 integrand of (1, 3) to fail: pair (1, 3) falls back to
-    # commute_check, and its integrand is also the P1 integrand of (1, 2)
-    # and, by skew symmetry at the top level, stands for P1 of (0, 3)
+# nonlinear pairs with nonzero Hessians, K = 1 and K = 0
+NONLINEAR_PAIRS = {
+    "k1-eta-I": CanonicalPair(
+        eta=ETA2,
+        K=1,
+        H=(parse("u1 + 3*u2 + (u1^2+u2^2)/2", UV), parse("2*u1 - u2 + 2*(u1^2+u2^2)", UV)),
+        vars=UV,
+    ),
+    "k0-eta-I": CanonicalPair(
+        eta=ETA2, K=0, H=(parse("(u1^2+u2^2)/2", UV), parse("u1*u2", UV)), vars=UV
+    ),
+    "k0-dual-numbers": CanonicalPair(
+        eta=ConstantBracket([[0, 1], [1, 0]]),
+        K=0,
+        H=(parse("u1^2/2", UV), parse("u1*u2", UV)),
+        vars=UV,
+    ),
+}
+
+
+def _chain_holds(P, flows):
+    return all(
+        bihamiltonian_check(P, fl, previous=prev).passed for prev, fl in zip(flows, flows[1:])
+    )
+
+
+def _committed_pairs():
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        prob = load_problem(str(path))
+        if prob.h is not None:
+            yield path.name, prob.canonical_pair()
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_the_chain_route_gives_the_expanded_verdicts(levels):
+    # the nonlinear pairs, and the committed pairs under the zero gauge: the
+    # theorem route fires (every link holds), and its verdicts equal those
+    # of the pairwise checks
+    cases = [(name, P, None) for name, P in NONLINEAR_PAIRS.items()]
+    cases += [(path, P, [None] * levels) for path, P in _committed_pairs()]
+    assert len(cases) == 5
+    for name, P, gauges in cases:
+        flows = hierarchy(P, levels, gauges=gauges)
+        assert _chain_holds(P, flows), name
+        assert verify_hierarchy(P, flows) == _expanded_verdicts(P, flows), name
+
+
+def _counting_expanded_checks(monkeypatch):
     module = importlib.import_module("hydrobrackets.hierarchy")
-    P = _linear_pair(K=1)
-    flows = hierarchy(P, 3)
     calls = []
-    commute = module.commute_check
+    for name in ("commute_check", "involution_check"):
+        original = getattr(module, name)
 
-    def counted(fa, fb, rng=None):
-        calls.append((fa.level, fb.level))
-        return commute(fa, fb, rng)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(module, "commute_check", counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_broken_link_leaves_every_pair_to_the_expanded_checks(monkeypatch):
+    # level 2 rebuilt with another gauge keeps its V but shifts its S by a
+    # linear density, so level 3 is no longer the recursion of level 2
+    P = NONLINEAR_PAIRS["k1-eta-I"]
+    flows = hierarchy(P, 3)
+    flows[2] = apply_recursion(P, flows[1], gauge=[1, 0])
+    eq1 = bihamiltonian_check(P, flows[3], previous=flows[2]).condition("eq1")
+    assert eq1.status is Zeroness.NONZERO and eq1.witness.indices == (1, 1)
+    assert _chain_holds(P, flows[:3])
+    calls = _counting_expanded_checks(monkeypatch)
     assert verify_hierarchy(P, flows) == [(True, True)] * 6
-    assert calls == []
-    p2 = P.eta.as_hydro(flows[0].vars)
-    forced = functional_bracket_density(p2, flows[1].S, flows[3].S).omega
-    nonclosed = module._nonclosed_at
+    assert calls == ["commute_check", "involution_check"] * 6
 
-    def fail_forced(omegas, vars):
-        same = [(w.num, w.den) for w in omegas] == [(w.num, w.den) for w in forced]
-        return (0, 1) if same else nonclosed(omegas, vars)
 
-    monkeypatch.setattr(module, "_nonclosed_at", fail_forced)
-    verdicts = dict(zip(itertools.combinations(range(4), 2), verify_hierarchy(P, flows)))
-    assert calls == [(1, 3)]
-    assert {k for k, (_, inv) in verdicts.items() if not inv} == {(0, 3), (1, 2), (1, 3)}
-    assert all(commute for commute, _ in verdicts.values())
+def test_non_commuting_flows_fail_the_chain_and_the_commute_verdict(monkeypatch):
+    v1, v2 = Expr.var("v1"), Expr.var("v2")
+    A = ConservativeFlow(ETA2, [[v1, 0], [0, 0]])
+    B = ConservativeFlow(ETA2, [[0, v2], [v2, v1]])
+    P = _linear_pair()
+    flows = [translation_flow(ETA2), A, B]
+    assert not _chain_holds(P, flows)
+    calls = _counting_expanded_checks(monkeypatch)
+    verdicts = dict(zip(itertools.combinations(range(3), 2), verify_hierarchy(P, flows)))
+    assert len(calls) == 6
+    assert verdicts[1, 2][0] is False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "scaled.py"
@@ -38,3 +39,25 @@ def test_smallest_simulate_rows_run():
     level, m, dt, _ = scaled.SIMULATE_ROW
     assert scaled.step_row(level, m, dt, 4, repeats=1) > 0
     assert scaled.teardown_row(1, 64, dt, 4, processes=1) > 0
+
+
+def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
+    scaled = _scaled()
+    _, _, dt, _ = scaled.SIMULATE_ROW
+    monkeypatch.setattr(scaled, "HIERARCHY_ROWS", [min(scaled.HIERARCHY_ROWS)])
+    monkeypatch.setattr(scaled, "RESIDUAL_ROWS", [min(scaled.RESIDUAL_ROWS)])
+    monkeypatch.setattr(scaled, "LOAD_ROWS", [min(scaled.LOAD_ROWS)])
+    monkeypatch.setattr(scaled, "SIMULATE_ROW", (1, 64, dt, 4))
+    monkeypatch.setattr(scaled, "REPEATS", 1)
+    monkeypatch.setattr(scaled, "TEARDOWN_PROCESSES", 1)
+    assert scaled.main(["--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(sorted(r) == ["name", "unit", "value"] for r in records)
+    names = [r["name"] for r in records]
+    assert names[:2] == [
+        "hierarchy N=2 --levels 6 generation",
+        "hierarchy N=2 --levels 6 verification",
+    ]
+    assert len(names) == len(set(names)) == 2 + 8 + 3 + 2
+    assert {r["name"]: r["value"] for r in records}["load explicit g/b N=5 entries"] == 150
+    assert all(r["value"] > 0 for r in records)

@@ -1,13 +1,14 @@
 """The scaled exact workloads, timed in-process (wall clock, best of three).
 
-    python3 tools/scaled.py
+    python3 tools/scaled.py [--json]
 
-It takes no options and prints four markdown tables:
+It prints four markdown tables, or with ``--json`` one JSON object per
+measured value (``name``, ``unit``, ``value``) on a line of its own:
 
-* ``hierarchy`` on the linear N=3 pair at 4-8 levels and the linear N=4 pair
-  at 3-5 levels (eta = I, K = 1): the seconds spent generating the flows and
-  the seconds spent verifying every pair of them (``verify_hierarchy``, the
-  route of the ``hierarchy`` command);
+* ``hierarchy`` on the linear N=2 and N=3 pairs at 6-8 and 4-8 levels and the
+  linear N=4 pair at 3-5 levels (eta = I, K = 1): the seconds spent
+  generating the flows and the seconds spent verifying every pair of them
+  (``verify_hierarchy``, the route of the ``hierarchy`` command);
 * the canonical constant-curvature metric a = (1, ..., N), K = 1, at
   N = 6, 8, 10, 12: the seconds to build the bracket as ``Problem.bracket()``
   builds it (the canonical pair of eta = I and H^j = a^j u^j / 2), the
@@ -36,6 +37,7 @@ taken of a wrong answer.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import statistics
@@ -61,7 +63,11 @@ POTENTIALS = {
     3: ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3"),
     4: ("2*u1 - u2 + u3", "u1 + 3*u2 + u4", "2*u1 + u2 - u3", "u4 - u1"),
 }
-HIERARCHY_ROWS = [(3, levels) for levels in range(4, 9)] + [(4, levels) for levels in range(3, 6)]
+HIERARCHY_ROWS = (
+    [(2, levels) for levels in range(6, 9)]
+    + [(3, levels) for levels in range(4, 9)]
+    + [(4, levels) for levels in range(3, 6)]
+)
 RESIDUAL_ROWS = [6, 8, 10, 12]
 LOAD_ROWS = [5, 6, 8]
 FAMILIES = ("s1", "s2", "s3", "s4", "s5")
@@ -212,32 +218,47 @@ def teardown_row(level: int, m: int, dt: float, steps: int, processes: int = TEA
     return statistics.median(samples) * 1e3
 
 
-def main() -> int:
-    print("| hierarchy | generation s | verification s |")
-    print("|---|---|---|")
+def rows():
+    """(table, row label, cells) of every row, each measured after its
+    verdict checks; a cell is (column, unit, value, format)."""
     for n, levels in HIERARCHY_ROWS:
-        generation, verification = hierarchy_row(n, levels)
-        print(f"| N={n} --levels {levels} | {generation:.3f} | {verification:.3f} |", flush=True)
-    print()
-    columns = ["canonical N", "bracket s", "christoffel s", "tables ms"] + [f"{f} ms" for f in FAMILIES]
-    print("| " + " | ".join(columns) + " |")
-    print("|---" * len(columns) + "|")
+        generation, verification = hierarchy_row(n, levels, REPEATS)
+        cells = [("generation", "s", generation, ".3f"), ("verification", "s", verification, ".3f")]
+        yield "hierarchy", f"N={n} --levels {levels}", cells
     for n in RESIDUAL_ROWS:
-        bracket, christoffel, tables, families = residual_row(n)
-        cells = " | ".join(f"{families[f]:.1f}" for f in FAMILIES)
-        print(f"| {n} | {bracket:.3f} | {christoffel:.3f} | {tables:.1f} | {cells} |", flush=True)
-    print()
-    print("| load explicit g/b | ms per file | entries | distinct strings |")
-    print("|---|---|---|---|")
+        bracket, christoffel, tables, families = residual_row(n, REPEATS)
+        cells = [("bracket", "s", bracket, ".3f"), ("christoffel", "s", christoffel, ".3f")]
+        cells += [("tables", "ms", tables, ".1f")] + [(f, "ms", families[f], ".1f") for f in FAMILIES]
+        yield "canonical", f"N={n}", cells
     for n in LOAD_ROWS:
-        ms, entries, distinct = load_row(n)
-        print(f"| N={n} | {ms:.2f} | {entries} | {distinct} |", flush=True)
-    print()
-    level, m, dt, steps = SIMULATE_ROW
-    print("| simulate | us per step | teardown ms |")
-    print("|---|---|---|")
-    step, teardown = step_row(*SIMULATE_ROW), teardown_row(*SIMULATE_ROW)
-    print(f"| N=2 level {level} M={m} | {step:.0f} | {teardown:.1f} |", flush=True)
+        ms, entries, distinct = load_row(n, REPEATS)
+        cells = [("per file", "ms", ms, ".2f"), ("entries", "count", entries, "d")]
+        yield "load explicit g/b", f"N={n}", cells + [("distinct strings", "count", distinct, "d")]
+    level, m, _, _ = SIMULATE_ROW
+    step = step_row(*SIMULATE_ROW, repeats=REPEATS)
+    teardown = teardown_row(*SIMULATE_ROW, processes=TEARDOWN_PROCESSES)
+    cells = [("per step", "us", step, ".0f"), ("teardown", "ms", teardown, ".1f")]
+    yield "simulate", f"N=2 level {level} M={m}", cells
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Time the scaled exact workloads.")
+    ap.add_argument("--json", action="store_true", help="one JSON object per measured value")
+    as_json = ap.parse_args(argv).json
+    table = None
+    for name, label, cells in rows():
+        if as_json:
+            for column, unit, value, _ in cells:
+                record = {"name": f"{name} {label} {column}", "unit": unit, "value": value}
+                print(json.dumps(record), flush=True)
+            continue
+        if name != table:
+            if table is not None:
+                print()
+            print(f"| {name} | " + " | ".join(f"{c} {u}" for c, u, _, _ in cells) + " |")
+            print("|---" * (len(cells) + 1) + "|")
+            table = name
+        print(f"| {label} | " + " | ".join(f"{v:{fmt}}" for _, _, v, fmt in cells) + " |", flush=True)
     return 0
 
 
