@@ -11,11 +11,16 @@ Condition families:
 
 * ``s1``..``s5``  -- the five residual families equivalent to the Jacobi
   identity for a general (possibly degenerate) bracket; s4, s5 and c2 read
-  one cached curl table of b, and s3-s5 skip exact-zero products;
+  one cached curl table of b;
 * ``c1``, ``c2``  -- compatibility with a constant bracket eta d/dx,
   expressed in the flat coordinates of eta;
 * ``ass1``, ``ass2`` -- the nonlinear equations on potentials H^i under
   which the canonical pair construction yields a Poisson bracket.
+
+s3, c1 and ass2 are one antisymmetrised contraction sum_s g^{is} X^{jr}_s
+- (i <-> j) (``_skew_pairs``), of (g, b), (eta, b) and (g1, eta d2H).  Every
+sum over s skips exact-zero products; s4 and s5 read their masks from
+``HydroBracket._support``.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class HydroBracket:
         summation index s: (g^{is} by i, b^{ij}_s by [i][j], b^{sj}_k by [j][k],
         curl[j][r][x][s] by [j][r][x]).  A product with an exact-zero factor
         is zero, and adding zero returns the other operand unchanged, so the
-        sums of s3-s5 run over the set bits only and give the same Expr."""
+        sums of s4 and s5 run over the set bits only and give the same Expr."""
         n, g, b = self.n, self.g, self.b
         return (
             [_mask(row) for row in g],
@@ -255,6 +260,13 @@ class CanonicalPair:
     def _derivatives(self):
         """(dH, d2H) of the potentials in the field variables, taken once."""
         return _potential_derivatives(self.H, self.vars)
+
+    @cached_property
+    def _lifted_d2H(self):
+        """L[j][k][i] = eta^{is} d2H^j/du^s du^k, formed once per pair: the
+        canonical b1, ass1 and ass2 all read it (the Hessian is symmetric)."""
+        _, d2H = self._derivatives
+        return [[self.eta.lift(row) for row in hess] for hess in d2H]
 
     @cached_property
     def _bracket(self) -> HydroBracket:
@@ -374,14 +386,31 @@ def _s4_curvature(B: HydroBracket):
         yield (i + 1, j + 1, r + 1, k + 1), res - K * rhs
 
 
+def _skew_pairs(g, X):
+    """sum_s g^{is} X^{jr}_s - g^{js} X^{ir}_s by (i, j, r), i < j: the
+    contraction of s3 (g, b), c1 (eta, b) and ass2 (g1, w).  The sum runs
+    over the s at which some product has no exact-zero factor, which gives
+    the same Expr as the dense sum."""
+    n = len(g)
+    gs = [_mask(row) for row in g]
+    xs = [[_mask(row) for row in plane] for plane in X]
+    zero = Expr.const(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for r in range(n):
+                on = _bits(gs[i] & xs[j][r] | gs[j] & xs[i][r])
+                res = sum((g[i][s] * X[j][r][s] - g[j][s] * X[i][r][s] for s in on), zero)
+                yield (i + 1, j + 1, r + 1), res
+
+
 def _s_residuals(B: HydroBracket):
     """Yield the condition families (name, generator of (indices, residual)).
-    The sums of s3-s5 skip the indices at which every product has an
+    The sums of s4 and s5 skip the indices at which every product has an
     exact-zero factor (``HydroBracket._support``)."""
     n = B.n
     g, b, K, curl = B.g, B.b, B.K, B._curl
     dg, _ = B._derivatives
-    gs, bs, bt, cs = B._support
+    _, bs, bt, cs = B._support
     zero = Expr.const(0)
 
     def s1():
@@ -394,16 +423,6 @@ def _s_residuals(B: HydroBracket):
             for j in range(i, n):
                 for k in range(n):
                     yield (i + 1, j + 1, k + 1), dg[i][j][k] - b[i][j][k] - b[j][i][k]
-
-    def s3():
-        for i in range(n):
-            for j in range(i + 1, n):
-                for r in range(n):
-                    on = _bits(gs[i] & bs[j][r] | gs[j] & bs[i][r])
-                    res = sum(
-                        (g[i][s] * b[j][r][s] - g[j][s] * b[i][r][s] for s in on), zero
-                    )
-                    yield (i + 1, j + 1, r + 1), res
 
     def s4():
         for indices, curvature in _s4_curvature(B):
@@ -438,7 +457,7 @@ def _s_residuals(B: HydroBracket):
                         res = res + t
                     yield (i + 1, j + 1, r + 1, k + 1, p + 1), res
 
-    return [("s1", s1()), ("s2", s2()), ("s3", s3()), ("s4", s4()), ("s5", s5())]
+    return [("s1", s1()), ("s2", s2()), ("s3", _skew_pairs(g, b)), ("s4", s4()), ("s5", s5())]
 
 
 def _c_residuals(B: HydroBracket, eta: ConstantBracket):
@@ -446,14 +465,6 @@ def _c_residuals(B: HydroBracket, eta: ConstantBracket):
     (name, generator of (indices, residual))."""
     n = B.n
     b, K, curl = B.b, B.K, B._curl
-
-    def c1():
-        # eta^{is} b^{jr}_s - eta^{js} b^{ir}_s
-        lb = [[eta.lift(b[j][r]) for r in range(n)] for j in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for r in range(n):
-                    yield (i + 1, j + 1, r + 1), lb[j][r][i] - lb[i][r][j]
 
     def c2():
         for j in range(n):
@@ -463,7 +474,8 @@ def _c_residuals(B: HydroBracket, eta: ConstantBracket):
                         rhs = int(r == s and j == k) - int(j == s and r == k)
                         yield (j + 1, r + 1, s + 1, k + 1), curl[j][r][s][k] - K * Expr.const(rhs)
 
-    return [("c1", c1()), ("c2", c2())]
+    up = [[Expr.const(x) for x in row] for row in eta.up]
+    return [("c1", _skew_pairs(up, b)), ("c2", c2())]
 
 
 def check_poisson(B: HydroBracket, rng=None) -> PoissonReport:
@@ -545,16 +557,16 @@ def build_canonical(P: CanonicalPair) -> HydroBracket:
     K = P.K
     u = [Expr.var(v) for v in P.vars]
     zero = Expr.const(0)
-    dH, d2H = P._derivatives
+    dH, _ = P._derivatives
     lift_dH = [P.eta.lift(dH[j]) for j in range(n)]
-    lift_d2H = _lifted_hessians(P.eta, d2H)
+    L = P._lifted_d2H
     g = [
         [lift_dH[j][i] + lift_dH[i][j] - K * u[i] * u[j] for j in range(n)]
         for i in range(n)
     ]
     b = [
         [
-            [lift_d2H[j][k][i] - (K * u[j] if i == k else zero) for k in range(n)]
+            [L[j][k][i] - (K * u[j] if i == k else zero) for k in range(n)]
             for j in range(n)
         ]
         for i in range(n)
@@ -590,41 +602,19 @@ def operator_matrix(B: HydroBracket, S: Expr) -> list:
     ]
 
 
-def _lifted_hessians(eta: ConstantBracket, d2H):
-    """L[j][k][i] = eta^{is} d2H^j/du^s du^k (the Hessian is symmetric)."""
-    return [[eta.lift(row) for row in hess] for hess in d2H]
-
-
-def _liouville_form(B: HydroBracket):
-    """A^{ij}_k = b^{ij}_k + K delta^i_k u^j: for a canonical bracket this is
-    eta^{is} d2H^j/du^s du^k, for a Liouville one dPhi^{ij}/du^k."""
-    n = B.n
-    u = [Expr.var(v) for v in B.vars]
-    zero = Expr.const(0)
-    return [
-        [
-            [B.b[i][j][k] + (B.K * u[j] if i == k else zero) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def check_canonical_equations(
-    P: CanonicalPair, rng=None
-) -> PoissonReport:
-    """The two nonlinear residual families on the potentials H^i whose
-    vanishing is equivalent to Poisson-hood of the canonical bracket.  Like
-    s3-s5, the sums over s skip the indices at which every product has an
-    exact-zero factor."""
-    rng = _rng(rng)
+def _ass_residuals(P: CanonicalPair):
+    """The families ass1, ass2 on the potentials H^i, as (name, generator of
+    (indices, residual)).  Both read the pair's lifted Hessians L, and ass2
+    is the contraction of s3 (``_skew_pairs``) of g1 and w^{jk}_s =
+    L[k][s][j].  Their sums over s skip the indices at which every product
+    has an exact-zero factor."""
     n = P.n
     zero = Expr.const(0)
     _, d2H = P._derivatives
+    L = P._lifted_d2H
 
     def ass1():
         # d2H^i/du^k du^s eta^{sp} d2H^j/du^p du^l - (i <-> j)
-        L = _lifted_hessians(P.eta, d2H)
         hs = [[_mask(row) for row in hess] for hess in d2H]
         ls = [[_mask(row) for row in lifted] for lifted in L]
         for i in range(n):
@@ -642,27 +632,18 @@ def check_canonical_equations(
                         yield (i + 1, j + 1, k + 1, l + 1), res
 
     # w^{jk}_s = b1^{jk}_s + K delta^j_s u^k = eta^{jp} d2H^k/du^p du^s
-    B = P._bracket
-    g1 = B.g
-    w = _liouville_form(B)
+    g1 = P._bracket.g
+    R = range(n)
+    w = [[[L[k][s][j] for s in R] for k in R] for j in R]
+    return [("ass1", ass1()), ("ass2", _skew_pairs(g1, w))]
 
-    def ass2():
-        gs = [_mask(row) for row in g1]
-        ws = [[_mask(row) for row in plane] for plane in w]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    on = _bits(gs[i] & ws[j][k] | gs[j] & ws[i][k])
-                    res = sum(
-                        (g1[i][s] * w[j][k][s] - g1[j][s] * w[i][k][s] for s in on), zero
-                    )
-                    yield (i + 1, j + 1, k + 1), res
 
-    conditions = [
-        _judge("ass1", ass1(), rng),
-        _judge("ass2", ass2(), rng),
-    ]
-    return PoissonReport(conditions=conditions)
+def check_canonical_equations(P: CanonicalPair, rng=None) -> PoissonReport:
+    """Decide Poisson-hood of the canonical bracket through the potential
+    equations ass1, ass2 (``_ass_residuals``), whose vanishing is equivalent
+    to it."""
+    rng = _rng(rng)
+    return PoissonReport([_judge(name, gen, rng) for name, gen in _ass_residuals(P)])
 
 
 class AuditReport:
@@ -750,7 +731,13 @@ def liouville_function(B: HydroBracket) -> LiouvilleData:
     n = B.n
     vars = B.vars
     u = [Expr.var(v) for v in vars]
-    A = _liouville_form(B)
+    zero = Expr.const(0)
+    # A^{ij}_k = b^{ij}_k + K delta^i_k u^j: for a canonical bracket this is
+    # eta^{is} d2H^j/du^s du^k, for a Liouville one dPhi^{ij}/du^k
+    A = [
+        [[B.b[i][j][k] + (B.K * u[j] if i == k else zero) for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
     for i in range(n):
         for j in range(n):
             bad = _nonclosed_at(A[i][j], vars)

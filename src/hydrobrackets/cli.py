@@ -673,26 +673,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(name, help, handler):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    def check(name, help):
-        common(sub.add_parser(name, help=help)).add_argument(
+    def check(name, help, handler):
+        common(name, help, handler).add_argument(
             "--seed", type=int, default=0, help="RNG seed for witness points"
         )
 
-    check("check-poisson", "run the five bracket conditions")
-    check("check-compat", "compatibility with the eta bracket")
-    check("check-pencil", "pencil with the 'second' bracket")
-    check("check-canonical", "potential equations + audit")
-    common(sub.add_parser("build-canonical", help="print the generated bracket"))
-    common(sub.add_parser("liouville", help="Liouville function and potentials"))
-    p = common(sub.add_parser("hierarchy", help="generate flows and verify them"))
+    check("check-poisson", "run the five bracket conditions", cmd_check_poisson)
+    check("check-compat", "compatibility with the eta bracket", cmd_check_compat)
+    check("check-pencil", "pencil with the 'second' bracket", cmd_check_pencil)
+    check("check-canonical", "potential equations + audit", cmd_check_canonical)
+    common("build-canonical", "print the generated bracket", cmd_build_canonical)
+    common("liouville", "Liouville function and potentials", cmd_liouville)
+    p = common("hierarchy", "generate flows and verify them", cmd_hierarchy)
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--gauge", choices=("auto", "zero"), default="auto")
-    p = common(sub.add_parser("simulate", help="integrate a flow with diagnostics"))
+    p = common("simulate", "integrate a flow with diagnostics", cmd_simulate)
     p.add_argument(
         "--tol", type=float, default=1e-8, help="relative drift tolerance for PASS"
     )
@@ -701,28 +703,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dealias", action="store_true", help="apply the 2/3 rule to the right side"
     )
-    p = common(sub.add_parser("commute", help="symbolic and numeric commutation checks"))
+    p = common("commute", "symbolic and numeric commutation checks", cmd_commute)
     p.add_argument("--levels", type=int, default=2)
     return ap
-
-
-_HANDLERS = {
-    "check-poisson": cmd_check_poisson,
-    "check-compat": cmd_check_compat,
-    "check-pencil": cmd_check_pencil,
-    "check-canonical": cmd_check_canonical,
-    "build-canonical": cmd_build_canonical,
-    "liouville": cmd_liouville,
-    "hierarchy": cmd_hierarchy,
-    "simulate": cmd_simulate,
-    "commute": cmd_commute,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -14,7 +14,7 @@ bracket (g, b, K) it forms g Hess(S) + b grad(S) + K S Id, with the
 antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
 :func:`recursion_matrix` is it for the canonical operator P1 of the pair;
 ``bihamiltonian_check`` applies P1 and eta d/dx at one link of the chain,
-``involution_check`` integrates against either, and ``verify_hierarchy``
+``involution_check`` integrates against both, and ``verify_hierarchy``
 checks every link and derives every pair's verdict from the chain.  Levels
 are produced by applying the recursion to the previous level, and the
 closed-form flows are checked against it.
@@ -362,22 +362,14 @@ def commute_check(
     )
 
 
-def involution_check(P: CanonicalPair, d1, d2, operator: str = "both") -> bool:
+def involution_check(P: CanonicalPair, d1, d2) -> bool:
     """True when the functional bracket of the two zeroth-order densities is
-    a total x-derivative for the selected operator(s) of the pair."""
-    vars = flow_vars(P.n)
-    brackets = []
-    if operator in ("P1", "both"):
-        brackets.append(P._flow_bracket)
-    if operator in ("P2", "both"):
-        brackets.append(P.eta.as_hydro(vars))
-    if not brackets:
-        raise ValueError("operator must be 'P1', 'P2' or 'both'")
-    for B in brackets:
-        integrand = functional_bracket_density(B, as_expr(d1), as_expr(d2))
-        if not is_total_x_derivative(integrand):
-            return False
-    return True
+    a total x-derivative for both operators of the pair."""
+    d1, d2 = as_expr(d1), as_expr(d2)
+    return all(
+        is_total_x_derivative(functional_bracket_density(B, d1, d2))
+        for B in (P._flow_bracket, P.eta.as_hydro(flow_vars(P.n)))
+    )
 
 
 def verify_hierarchy(P: CanonicalPair, flows: Sequence) -> list:

@@ -632,7 +632,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# rational functions with factored denominators
+# the ray integral
 # ---------------------------------------------------------------------------
 
 

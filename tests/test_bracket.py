@@ -400,6 +400,25 @@ def test_residual_families_match_the_dense_loops_on_pencils_with_eta(a):
     _assert_same_residuals(_pencil_with_eta(_canonical_bracket(list(a), 1), eta))
 
 
+# rational g and b, where (num, den) equality of each residual is not
+# automatic; some b entries are zero so that the masks skip terms
+ETA2_SKEW = ConstantBracket([[2, 1], [1, 1]])
+RATIONAL_G = (("1/(1 + u1^2)", "u1*u2/(2 + u2)"), ("u1*u2/(2 + u2)", "(u1 - u2)/(3 + u1*u2)"))
+RATIONAL_B = (
+    (("u1/(1 + u2)", "0"), ("1/(2 + u1)", "u2^2/(1 + u1^2)")),
+    (("0", "(1 + u1)/(2 - u2)"), ("u1*u2/(3 + u1)", "0")),
+)
+
+
+@pytest.mark.parametrize("eta", [None, ETA2_SKEW], ids=["alone", "with-eta"])
+def test_residual_families_match_the_dense_loops_on_a_rational_bracket(eta):
+    g = [[parse(t, UV) for t in row] for row in RATIONAL_G]
+    b = [[[parse(t, UV) for t in row] for row in plane] for plane in RATIONAL_B]
+    B = HydroBracket(vars=UV, g=g, b=b, K=Expr.const(Fraction(1, 2)))
+    assert all(e.den for row in g for e in row)  # every entry has a denominator
+    _assert_same_residuals(B, eta)
+
+
 @st.composite
 def _random_brackets(draw):
     n = draw(st.integers(2, 3))
@@ -526,6 +545,33 @@ def test_canonical_equations_match_the_dense_loops_on_seeded_pairs(monkeypatch, 
     rng = random.Random(100 * n + degree)
     for _ in range(3):
         _assert_same_canonical_equations(_seeded_pair(rng, n, degree), monkeypatch)
+
+
+@pytest.mark.parametrize("K", [1, -2])
+def test_canonical_equations_match_the_dense_loops_on_rational_potentials(monkeypatch, K):
+    P = _pair(("u1^2/(1 + u2)", "u1*u2/(2 + u1) + u2^3"), K, eta=ETA2_SKEW)
+    _assert_same_canonical_equations(P, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_canonical_equations_form_each_lifted_tensor_once(monkeypatch, n):
+    # n lifts of the gradients for g1 and n^2 of the Hessians, which b1, ass1
+    # and ass2 share; ass2 does not rebuild them from b1 (the Liouville form)
+    P = _seeded_pair(random.Random(n), n, 2)
+    lifts = []
+    lift = ConstantBracket.lift
+
+    def counted(self, covec):
+        lifts.append(covec)
+        return lift(self, covec)
+
+    def rebuilt(B):
+        raise AssertionError("the lifted Hessians were rebuilt from the bracket")
+
+    monkeypatch.setattr(ConstantBracket, "lift", counted)
+    monkeypatch.setattr(bracket_module, "_liouville_form", rebuilt, raising=False)
+    check_canonical_equations(P)
+    assert len(lifts) == n + n * n
 
 
 # -- canonical pair ------------------------------------------------------------

@@ -23,7 +23,7 @@ def test_smallest_scaled_rows_run():
     assert generation > 0 and verification > 0
     bracket, christoffel, tables, families = scaled.residual_row(min(scaled.RESIDUAL_ROWS), repeats=1)
     assert bracket > 0 and christoffel > 0 and tables > 0
-    assert list(families) == ["s1", "s2", "s3", "s4", "s5"]
+    assert list(families) == ["s1", "s2", "s3", "s4", "s5", "c1", "ass1", "ass2"]
 
 
 def test_smallest_load_row_runs():
@@ -58,6 +58,6 @@ def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
         "hierarchy N=2 --levels 6 generation",
         "hierarchy N=2 --levels 6 verification",
     ]
-    assert len(names) == len(set(names)) == 2 + 8 + 3 + 2
+    assert len(names) == len(set(names)) == 2 + 11 + 3 + 2
     assert {r["name"]: r["value"] for r in records}["load explicit g/b N=5 entries"] == 150
     assert all(r["value"] > 0 for r in records)

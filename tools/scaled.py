@@ -14,8 +14,11 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   builds it (the canonical pair of eta = I and H^j = a^j u^j / 2), the
   seconds of the Christoffel route beside it (the closed covariant metric,
   then ``geometry.christoffel``; the test oracle of that bracket), then the
-  milliseconds to build the derivative, curl and support tables and to
-  generate each residual family s1-s5;
+  milliseconds to build the derivative, curl and support tables, to
+  generate each residual family s1-s5 and c1 (against eta = I), and to
+  generate ass1 and ass2 of the quadratic pair that translates the family
+  by c = (1, ..., N) (eta = I, K = 1, H^j = a^j u^j / 2 - c^j (c.u + u.u) / 2,
+  whose bracket is the family's metric at u + c);
 * ``load_problem`` on an explicit g/b file shaped like the benchmark's
   (g^{ij} = a^i delta^{ij} - K u^i u^j, b^{ij}_k = -K u^j delta^i_k, with
   a^i = i/2 and K = 1/3) at N = 5, 6, 8: the milliseconds of one load, the
@@ -29,7 +32,8 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   ``main`` returns on ``time.monotonic``, which is the parent's clock too.
 
 Every verdict is checked (the flows commute and are in involution; the
-canonical bracket equals the Christoffel route's and is Poisson; every
+canonical bracket equals the Christoffel route's and is Poisson and
+compatible with eta = I; the translated pair solves ass1 and ass2; every
 loaded entry equals its string parsed alone; the simulation completes
 within its drift tolerance), so a timing is never
 taken of a wrong answer.
@@ -51,7 +55,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from hydrobrackets import geometry  # noqa: E402
-from hydrobrackets.bracket import CanonicalPair, ConstantBracket, _s_residuals  # noqa: E402
+from hydrobrackets.bracket import (  # noqa: E402
+    CanonicalPair,
+    ConstantBracket,
+    _ass_residuals,
+    _c_residuals,
+    _s_residuals,
+)
 from hydrobrackets.cli import Problem, load_problem  # noqa: E402
 from hydrobrackets.expr import parse  # noqa: E402
 from hydrobrackets.hierarchy import hierarchy, verify_hierarchy  # noqa: E402
@@ -70,7 +80,7 @@ HIERARCHY_ROWS = (
 )
 RESIDUAL_ROWS = [6, 8, 10, 12]
 LOAD_ROWS = [5, 6, 8]
-FAMILIES = ("s1", "s2", "s3", "s4", "s5")
+FAMILIES = ("s1", "s2", "s3", "s4", "s5", "c1", "ass1", "ass2")
 # (level, M, dt, steps) of the simulate row: the benchmark's level-2 M=512 pair runs
 SIMULATE_ROW = (2, 512, 7.5e-5, 180)
 TEARDOWN_PROCESSES = 5
@@ -103,10 +113,22 @@ def _best(fn, repeats):
     return best, value
 
 
+def identity_eta(n: int) -> ConstantBracket:
+    return ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def linear_pair(n: int) -> CanonicalPair:
     vars = tuple(f"u{i + 1}" for i in range(n))
-    eta = ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
-    return CanonicalPair(eta=eta, K=1, H=tuple(parse(h, vars) for h in POTENTIALS[n]), vars=vars)
+    return CanonicalPair(eta=identity_eta(n), K=1, H=tuple(parse(h, vars) for h in POTENTIALS[n]), vars=vars)
+
+
+def translated_pair(n: int) -> CanonicalPair:
+    """The canonical family a = (1, ..., N), K = 1, translated by c = a."""
+    vars = tuple(f"u{i + 1}" for i in range(n))
+    cu = " + ".join(f"{i + 1}*{v}" for i, v in enumerate(vars))
+    uu = " + ".join(f"{v}^2" for v in vars)
+    H = tuple(parse(f"{j + 1}*{v}/2 - {j + 1}*({cu} + {uu})/2", vars) for j, v in enumerate(vars))
+    return CanonicalPair(eta=identity_eta(n), K=1, H=H, vars=vars)
 
 
 def hierarchy_row(n: int, levels: int, repeats: int = REPEATS) -> tuple:
@@ -140,10 +162,13 @@ def residual_row(n: int, repeats: int = REPEATS) -> tuple:
     ):
         raise AssertionError(f"canonical N={n}: the bracket differs from the Christoffel route")
     tables, families = float("inf"), {name: float("inf") for name in FAMILIES}
+    P = translated_pair(n)
     for _ in range(repeats):
+        B = problem.bracket()  # fresh, so that its tables are built again
         t0 = time.perf_counter()
         generators = _s_residuals(B)
         tables = min(tables, time.perf_counter() - t0)
+        generators += _c_residuals(B, identity_eta(n))[:1] + _ass_residuals(P)
         for name, gen in generators:
             t0 = time.perf_counter()
             residuals = list(gen)
