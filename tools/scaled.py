@@ -32,8 +32,8 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   ``main`` returns on ``time.monotonic``, which is the parent's clock too.
 
 Every verdict is checked (the flows commute and are in involution; the
-canonical bracket equals the Christoffel route's and is Poisson and
-compatible with eta = I; the translated pair solves ass1 and ass2; every
+canonical bracket equals the Christoffel route's, is Poisson and passes c1
+against eta = I; the translated pair solves ass1 and ass2; every
 loaded entry equals its string parsed alone; the simulation completes
 within its drift tolerance), so a timing is never
 taken of a wrong answer.
