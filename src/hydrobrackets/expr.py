@@ -338,16 +338,23 @@ class Expr:
 
     def normal_form(self):
         """Fully reduced canonical (numerator, denominator): coprime, integer
-        coefficients with coprime contents, positive leading denominator."""
+        coefficients with coprime contents, positive leading denominator.
+
+        The numerator meets one copy of one denominator factor per gcd: for
+        each prime p these gcds take min(v_p(num), v_p(den)) copies of p out
+        of both, as one gcd with the whole product would, while each gcd
+        keeps the degree of a single factor (the heuristic gcd's integers
+        grow with the product of the degrees)."""
         num, den = self.num, Poly.const(1)
-        for f, e in self.den:
-            den = den * f**e
         if num.is_zero():
             return Poly(), Poly.const(1)
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        for f, e in self.den:
+            for k in range(e):
+                g = poly_gcd(num, f)
+                if g.is_const():
+                    den = den * f ** (e - k)
+                    break
+                num, den = num.exact_div(g), den * f.exact_div(g)
         cn = num.content()
         cd = den.content()
         num = num * (Fraction(1) / cn)

@@ -10,9 +10,9 @@ addition.  Exponents must stay below ``EXP_LIMIT`` (2^31); an operation that
 would reach it raises :class:`ExpressionSizeError` instead of wrapping.
 Presentation (``str``, ``leading``) orders monomials graded-
 lexicographically, with variables compared by (alphabetic prefix, numeric
-suffix), so ``u2`` precedes ``u10``.  The multivariate gcd (primitive
-polynomial remainder sequences) serves the reduced normal form of
-``expr.Expr``.
+suffix), so ``u2`` precedes ``u10``.  The multivariate gcd (the heuristic
+gcd GCDHEU: integer evaluation, exact-division check) serves the reduced
+normal form of ``expr.Expr``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import or_
 from typing import Mapping, Sequence, Union
 
@@ -77,17 +77,6 @@ def _shift(name: str) -> int:
 def _check_width(monomials) -> None:
     if reduce(or_, monomials, 0) & _GUARD:
         raise ExpressionSizeError(f"an exponent exceeds {EXP_LIMIT - 1}")
-
-
-def _mono_gcd(a: int, b: int) -> int:
-    """Field-wise minimum of two monomials."""
-    out = shift = 0
-    while a and b:
-        out |= min(a & _MASK, b & _MASK) << shift
-        a >>= _FIELD
-        b >>= _FIELD
-        shift += _FIELD
-    return out
 
 
 def _ordered_shifts(names) -> list:
@@ -485,72 +474,8 @@ def _coerce_poly(x):
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive polynomial remainder sequences)
+# multivariate gcd (the heuristic gcd GCDHEU)
 # ---------------------------------------------------------------------------
-
-
-def _uv_view(p: Poly, x: str):
-    """View p as univariate in x with Poly coefficients."""
-    s = _SHIFT[x]
-    coeffs: dict[int, dict] = {}
-    for m, c in p.terms.items():
-        e = (m >> s) & _MASK
-        coeffs.setdefault(e, {})[m - (e << s)] = c
-    return {e: _reduced(t, p.den) for e, t in coeffs.items()}
-
-
-def _uv_build(coeffs: Mapping[int, Poly], x: str) -> Poly:
-    s = _SHIFT[x]
-    den = _int_lcm(*(p.den for p in coeffs.values()))
-    out = {}
-    for e, p in coeffs.items():
-        k = den // p.den
-        for m, c in p.terms.items():
-            out[m + (e << s)] = c * k
-    return _reduced(out, den)
-
-
-def _uv_content(coeffs: Mapping[int, Poly]) -> Poly:
-    g = Poly()
-    for p in coeffs.values():
-        g = poly_gcd(g, p)
-        if g.is_const() and not g.is_zero():
-            return Poly.const(1)
-    return g
-
-
-def _uv_primitive(coeffs: Mapping[int, Poly], x: str):
-    cont = _uv_content(coeffs)
-    if cont.is_const():
-        return cont, dict(coeffs)
-    out = {e: p.exact_div(cont) for e, p in coeffs.items()}
-    return cont, out
-
-
-def _uv_pseudo_rem(a: Mapping[int, Poly], b: Mapping[int, Poly]):
-    """Pseudo-remainder of univariate views (coefficients need not be a field)."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        shift = dr - db
-        new = {}
-        for e, p in r.items():
-            q = p * lb
-            if not q.is_zero():
-                new[e] = q
-        for e, p in b.items():
-            ee = e + shift
-            q = new.get(ee, Poly()) - p * lr
-            if q.is_zero():
-                new.pop(ee, None)
-            else:
-                new[ee] = q
-        new.pop(dr, None)
-        r = new
-    return r
 
 
 def _gcd_normalize(p: Poly) -> Poly:
@@ -563,72 +488,87 @@ def _gcd_normalize(p: Poly) -> Poly:
     return Poly({m: c // g for m, c in p.terms.items()})
 
 
-def _subresultant_gcd(a, b, x):
-    """Gcd of the x-primitive univariate views a, b (subresultant remainder
-    sequence; exact divisions keep coefficient growth polynomial)."""
-    if max(a) < max(b):
-        a, b = b, a
-    g = Poly.const(1)
-    h = Poly.const(1)
+def _evaluate_at(terms: dict, s: int, xi: int) -> dict:
+    """The integer polynomial ``terms`` with the variable at bit offset s set to xi."""
+    out = {}
+    for m, c in terms.items():
+        e = (m >> s) & _MASK
+        m -= e << s
+        out[m] = out.get(m, 0) + c * xi**e
+    return {m: c for m, c in out.items() if c}
+
+
+def _xi_adic(terms: dict, s: int, xi: int) -> dict:
+    """The polynomial whose x^e coefficient (x at bit offset s) holds the
+    e-th symmetric xi-adic digit, in (-xi/2, xi/2], of each of ``terms``."""
+    out, e = {}, 0
+    while terms:
+        rest = {}
+        for m, c in terms.items():
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                out[m + (e << s)] = d
+            if c != d:
+                rest[m] = (c - d) // xi
+        terms, e = rest, e + 1
+    return out
+
+
+def _heu_gcd(f: dict, g: dict, shifts: list) -> dict:
+    """Gcd of the integer polynomials f and g, content included, up to sign:
+    the heuristic gcd GCDHEU (Char, Geddes & Gonnet 1989) over the variables
+    at ``shifts``, in var_key order.
+
+    Let f, g be the primitive parts, x the first variable of either, y the
+    rest.  For an integer xi the inner call gives h(y) = gcd(f(xi, y), g(xi,
+    y)) (exact, by induction), whose symmetric xi-adic digits give G; once
+    pp(G) divides f and g, it times the gcd of the contents is the result.
+
+    Why an accepted pp(G) is gcd(f, g) = d.  With |.| the largest
+    coefficient, xi never falls below 2 |f| + 29 (taking |f| <= |g|), so a
+    polynomial in Z[x] whose coefficients are among f's has its roots below
+    1 + |f| <= xi/2 in modulus (Cauchy); so f(xi, y) != 0.  pp(G) divides
+    d, and d(xi, y) divides h = G(xi, y), so c = d / pp(G) has c(xi, y)
+    dividing cont(G), a nonzero integer of at most xi/2.  c's y-leading
+    coefficient divides f's, so it does not vanish at xi: c(xi, y) constant
+    forces c = c(x).  Then c divides f's y-leading coefficient, and a
+    nonconstant c would have |c(xi)| > (xi - 1 - |f|)^deg c >= xi/2.  So
+    c = +-1, d being primitive.
+
+    Why the loop ends.  With f = d f', g = d g', h = d(xi, y) gcd(f'(xi, y),
+    g'(xi, y)).  The second gcd has a factor in some y_j only when xi is a
+    root of a nonzero polynomial in Z[x]: a y_j-leading coefficient of f'
+    or g', or a coefficient of their y_j-resultant.  Otherwise it is an
+    integer dividing a fixed D != 0 (clear the denominators of a Bezout
+    identity over Q[x] among the coprime x-coefficients of f' and g'), and
+    once xi > 2 |D| |d| the digits of h are that integer times d, so the
+    candidate is d.  Only finitely many xi miss, and xi grows without bound.
+    """
+    if not f or not g:
+        return f or g
+    cf, cg = _int_gcd(*f.values()), _int_gcd(*g.values())
+    content = _int_gcd(cf, cg)
+    support = reduce(or_, f) | reduce(or_, g)
+    shifts = [s for s in shifts if (support >> s) & _MASK]
+    if not shifts:
+        return {0: content}
+    f, g = Poly({m: c // cf for m, c in f.items()}), Poly({m: c // cg for m, c in g.items()})
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
     while True:
-        if max(b) == 0:
-            # x-free and coprime to the x-primitive a beyond units
-            return {0: Poly.const(1)}
-        delta = max(a) - max(b)
-        r = _uv_pseudo_rem(a, b)
-        if not r:
-            return b
-        denom = g * h**delta
-        reduced = {}
-        for e, p in r.items():
-            q = p.exact_div(denom)
-            if q is None:  # defensive: fall back to content removal
-                _, reduced = _uv_primitive(r, x)
-                break
-            reduced[e] = q
-        a, b = b, reduced
-        g = a[max(a)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            hh = (g**delta).exact_div(h ** (delta - 1))
-            h = hh if hh is not None else _gcd_normalize(g**delta)
+        fx, gx = _evaluate_at(f.terms, shifts[0], xi), _evaluate_at(g.terms, shifts[0], xi)
+        cand = _gcd_normalize(Poly(_xi_adic(_heu_gcd(fx, gx, shifts[1:]), shifts[0], xi)))
+        if f.exact_div(cand) is not None and g.exact_div(cand) is not None:
+            return {m: c * content for m, c in cand.terms.items()}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd of multivariate polynomials, primitive with positive leading
     coefficient (rational scalar factors are units and are dropped)."""
-    if p.is_zero():
-        return _gcd_normalize(q)
-    if q.is_zero():
-        return _gcd_normalize(p)
-    if p.is_const() or q.is_const():
-        return Poly.const(1)
-    if p == q:
-        return _gcd_normalize(p)
-    # pull out the shared monomial factor first (cheap and common)
-    mp, mq = reduce(_mono_gcd, p.terms), reduce(_mono_gcd, q.terms)
-    shared = _mono_gcd(mp, mq)
-    if mp:
-        p = Poly({m - mp: c for m, c in p.terms.items()}, p.den)
-    if mq:
-        q = Poly({m - mq: c for m, c in q.terms.items()}, q.den)
-    unit = Poly({shared: 1})
-    if p.is_const() or q.is_const():
-        return _gcd_normalize(unit)
-    vs = p.vars() | q.vars()
-    x = max(vs, key=var_key)
-    a = _uv_view(p, x)
-    b = _uv_view(q, x)
-    cont_a, a = _uv_primitive(a, x)
-    cont_b, b = _uv_primitive(b, x)
-    cont = poly_gcd(cont_a, cont_b)
-    res = _subresultant_gcd(a, b, x)
-    _, res = _uv_primitive(res, x)
-    g = _uv_build(res, x)
-    if not cont.is_const():
-        g = g * cont
-    return _gcd_normalize(g * unit)
+    shifts = [s for _, s in _ordered_shifts(p.vars() | q.vars())]
+    return _gcd_normalize(Poly(_heu_gcd(p.terms, q.terms, shifts)))
 
 
 # ---------------------------------------------------------------------------

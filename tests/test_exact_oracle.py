@@ -5,12 +5,19 @@ rational coefficients) go through ``Poly``, ``poly_gcd`` and ``Expr``
 and through sympy, and the results must agree; rational functions obey the
 field axioms as judged by ``is_zero``; and the Levi-Civita symbols and
 curvature of the constant-curvature family match sympy's.  sympy and
-hypothesis are test-only dependencies.
+hypothesis are test-only dependencies.  The seeded gcd corpus of
+``tools/scaled.py`` and four-variable pairs with a shared factor bound the
+gcd's time.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import random
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,13 +53,11 @@ def build(terms, names=VARS) -> Poly:
 
 
 def to_sympy(p: Poly):
-    out = sympy.Integer(0)
+    terms = []
     for pairs, c in p.sorted_terms():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for v, e in pairs:
-            t *= sympy.Symbol(v) ** e
-        out += t
-    return out
+        powers = (sympy.Symbol(v) ** e for v, e in pairs)
+        terms.append(sympy.Mul(sympy.Rational(c.numerator, c.denominator), *powers))
+    return sympy.Add(*terms)
 
 
 def same(p: Poly, expr) -> bool:
@@ -61,10 +66,8 @@ def same(p: Poly, expr) -> bool:
 
 polys = term_lists.map(build)
 nonconstant = polys.filter(lambda p: not p.is_const())
-# denominators of sums stay small: the normal form's gcd grows fast with degree
-small_monomials = st.tuples(*(st.integers(0, 1) for _ in VARS))
 small_nonconstant = (
-    st.lists(st.tuples(small_monomials, coefficients), min_size=1, max_size=2)
+    st.lists(st.tuples(monomials, coefficients), min_size=1, max_size=4)
     .map(build)
     .filter(lambda p: not p.is_const())
 )
@@ -116,6 +119,82 @@ def test_gcd_agrees_up_to_a_unit(a, b, c):
         return
     ratio = sympy.cancel(to_sympy(g) / G)
     assert ratio.is_number and ratio != 0
+
+
+def assert_gcd_agrees(p: Poly, q: Poly):
+    gens = [sympy.Symbol(v) for v in sorted(p.vars() | q.vars())]
+    want = sympy.gcd(sympy.Poly(to_sympy(p), *gens), sympy.Poly(to_sympy(q), *gens))
+    got = sympy.Poly(to_sympy(poly_gcd(p, q)), *gens)
+    assert not got.is_zero and (got * want.LC() - want * got.LC()).is_zero  # equal up to a unit
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(
+    a=polys.filter(lambda p: not p.is_zero()),
+    b=polys.filter(lambda p: not p.is_zero()),
+    c=st.lists(
+        st.tuples(monomials, coefficients), min_size=20, max_size=60, unique_by=lambda t: t[0]
+    ).map(build),
+)
+def test_gcd_of_a_large_shared_factor_agrees_up_to_a_unit(a, b, c):
+    assert 20 <= len(c.terms) <= 60
+    assert_gcd_agrees(a * c, b * c)
+
+
+# -- seeded inputs that stall a recursive remainder-sequence gcd ----------------
+
+SCALED = Path(__file__).resolve().parent.parent / "tools" / "scaled.py"
+SECONDS = 1.0  # generous: each case takes a few milliseconds
+# sha256 of the 25 corpus strings joined by newlines
+CORPUS_DIGEST = "cee755c963191e417e57f77976608ee322a8cfc5c43c647704a5c41f3791fb14"
+PAIR_VARS = ("u1", "u2", "v1", "v2")
+
+
+@lru_cache(maxsize=None)
+def scaled():
+    spec = importlib.util.spec_from_file_location("scaled", SCALED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("index", range(25))
+def test_gcd_corpus_sum_prints_reduced_and_fast(index):
+    total = sum(scaled().gcd_corpus()[index], Expr.const(0))
+    seconds, _ = scaled()._best(lambda: str(total), 1)
+    assert seconds < SECONDS
+    num, den = total.normal_form()
+    assert is_zero(Expr(num) / Expr(den) - total) is Zeroness.ZERO
+    assert sympy.gcd(to_sympy(num), to_sympy(den)).is_number
+
+
+def test_gcd_corpus_strings_are_pinned():
+    texts = [str(sum(parts, Expr.const(0))) for parts in scaled().gcd_corpus()]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gcd_of_four_variable_pairs_with_a_six_term_factor(seed):
+    rng = random.Random(seed)
+    c, a, b = (scaled().seeded_poly(rng, 6, 3, PAIR_VARS) for _ in range(3))
+    p, q = a * c, b * c
+    seconds, g = scaled()._best(lambda: poly_gcd(p, q), 1)
+    assert seconds < SECONDS
+    assert g.exact_div(c) is not None
+    assert_gcd_agrees(p, q)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_second_derivative_of_a_four_variable_quotient_prints_reduced_and_fast(seed):
+    # the denominator is (b c)^3: one gcd with the whole product would work
+    # on images of degree 18 in each variable
+    rng = random.Random(seed)
+    c, a, b = (scaled().seeded_poly(rng, 6, 3, PAIR_VARS) for _ in range(3))
+    e = (Expr(a * c) / Expr(b * c)).diff("u1").diff("v2")
+    seconds, (num, den) = scaled()._best(e.normal_form, 1)
+    assert seconds < SECONDS
+    assert is_zero(Expr(num) / Expr(den) - (Expr(a) / Expr(b)).diff("u1").diff("v2")) is Zeroness.ZERO
+    assert sympy.gcd(to_sympy(num), to_sympy(den)).is_number
 
 
 @SETTINGS

@@ -41,6 +41,11 @@ def test_smallest_simulate_rows_run():
     assert scaled.teardown_row(1, 64, dt, 4, processes=1) > 0
 
 
+def test_gcd_corpus_row_runs():
+    median, worst = _scaled().gcd_row(repeats=1)
+    assert 0 < median <= worst
+
+
 def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
     scaled = _scaled()
     _, _, dt, _ = scaled.SIMULATE_ROW
@@ -58,6 +63,7 @@ def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
         "hierarchy N=2 --levels 6 generation",
         "hierarchy N=2 --levels 6 verification",
     ]
-    assert len(names) == len(set(names)) == 2 + 11 + 3 + 2
+    assert len(names) == len(set(names)) == 2 + 11 + 3 + 2 + 2
+    assert names[-2:] == ["gcd corpus 25 sums median str", "gcd corpus 25 sums worst str"]
     assert {r["name"]: r["value"] for r in records}["load explicit g/b N=5 entries"] == 150
     assert all(r["value"] > 0 for r in records)

@@ -2,7 +2,7 @@
 
     python3 tools/scaled.py [--json]
 
-It prints four markdown tables, or with ``--json`` one JSON object per
+It prints five markdown tables, or with ``--json`` one JSON object per
 measured value (``name``, ``unit``, ``value``) on a line of its own:
 
 * ``hierarchy`` on the linear N=2 and N=3 pairs at 6-8 and 4-8 levels and the
@@ -29,13 +29,17 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   ``cli.main`` returning to the exit of a fresh
   ``python -m hydrobrackets simulate`` process (interpreter teardown).  The
   teardown is the median of five processes; the child stamps the moment
-  ``main`` returns on ``time.monotonic``, which is the parent's clock too.
+  ``main`` returns on ``time.monotonic``, which is the parent's clock too;
+* the gcd corpus: 25 seeded sums of four quotients in u1, u2, v1
+  (``gcd_corpus``): the median and the worst milliseconds of one ``str()``,
+  which reduces each sum through ``poly_gcd``.
 
 Every verdict is checked (the flows commute and are in involution; the
 canonical bracket equals the Christoffel route's, is Poisson and passes c1
 against eta = I; the translated pair solves ass1 and ass2; every
 loaded entry equals its string parsed alone; the simulation completes
-within its drift tolerance), so a timing is never
+within its drift tolerance; each corpus string parses back to its sum,
+and the sum taken in reverse prints the same string), so a timing is never
 taken of a wrong answer.
 """
 
@@ -44,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -63,9 +68,10 @@ from hydrobrackets.bracket import (  # noqa: E402
     _s_residuals,
 )
 from hydrobrackets.cli import Problem, load_problem  # noqa: E402
-from hydrobrackets.expr import parse  # noqa: E402
+from hydrobrackets.expr import Expr, parse  # noqa: E402
 from hydrobrackets.hierarchy import hierarchy, verify_hierarchy  # noqa: E402
 from hydrobrackets import numsim  # noqa: E402
+from hydrobrackets.poly import Poly  # noqa: E402
 
 REPEATS = 3
 POTENTIALS = {
@@ -84,6 +90,8 @@ FAMILIES = ("s1", "s2", "s3", "s4", "s5", "c1", "ass1", "ass2")
 # (level, M, dt, steps) of the simulate row: the benchmark's level-2 M=512 pair runs
 SIMULATE_ROW = (2, 512, 7.5e-5, 180)
 TEARDOWN_PROCESSES = 5
+CORPUS_SEEDS = range(1000, 1025)
+CORPUS_VARS = ("u1", "u2", "v1")
 TWO_PI = 6.283185307179586
 INIT = ["0.05*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)"]
 
@@ -243,6 +251,48 @@ def teardown_row(level: int, m: int, dt: float, steps: int, processes: int = TEA
     return statistics.median(samples) * 1e3
 
 
+def seeded_poly(rng: random.Random, terms: int, top: int, names) -> Poly:
+    """A sum of ``terms`` terms over ``names``: each coefficient +-1..9, then
+    each exponent 0..top, drawn in that order."""
+    p = Poly()
+    for _ in range(terms):
+        term = Poly.const(rng.choice([-1, 1]) * rng.randint(1, 9))
+        for v in names:
+            term = term * Poly.var(v) ** rng.randint(0, top)
+        p = p + term
+    return p
+
+
+def gcd_corpus() -> list:
+    """The quotients of each corpus sum: per seed, four num/den with 1-3
+    terms each over u1, u2, v1 and exponents 0-2, the den nonconstant."""
+    corpus = []
+    for seed in CORPUS_SEEDS:
+        rng = random.Random(seed)
+        parts = []
+        for _ in range(4):
+            num = seeded_poly(rng, rng.randint(1, 3), 2, CORPUS_VARS)
+            den = seeded_poly(rng, rng.randint(1, 3), 2, CORPUS_VARS)
+            while den.is_const():
+                den = seeded_poly(rng, rng.randint(1, 3), 2, CORPUS_VARS)
+            parts.append(Expr(num) / Expr(den))
+        corpus.append(parts)
+    return corpus
+
+
+def gcd_row(repeats: int = REPEATS) -> tuple:
+    """(median ms, worst ms) of ``str()`` over the corpus sums."""
+    times = []
+    for parts in gcd_corpus():
+        total = sum(parts, Expr.const(0))
+        seconds, text = _best(lambda: str(total), repeats)
+        backward = str(sum(reversed(parts), Expr.const(0)))
+        if backward != text or not (parse(text, CORPUS_VARS) - total).is_zero():
+            raise AssertionError(f"gcd corpus: {text} is not its sum in both orders")
+        times.append(seconds)
+    return statistics.median(times) * 1e3, max(times) * 1e3
+
+
 def rows():
     """(table, row label, cells) of every row, each measured after its
     verdict checks; a cell is (column, unit, value, format)."""
@@ -264,6 +314,9 @@ def rows():
     teardown = teardown_row(*SIMULATE_ROW, processes=TEARDOWN_PROCESSES)
     cells = [("per step", "us", step, ".0f"), ("teardown", "ms", teardown, ".1f")]
     yield "simulate", f"N=2 level {level} M={m}", cells
+    median, worst = gcd_row(REPEATS)
+    cells = [("median str", "ms", median, ".2f"), ("worst str", "ms", worst, ".2f")]
+    yield "gcd corpus", f"{len(CORPUS_SEEDS)} sums", cells
 
 
 def main(argv=None) -> int:
