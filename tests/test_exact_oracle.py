@@ -141,6 +141,14 @@ def test_gcd_of_a_large_shared_factor_agrees_up_to_a_unit(a, b, c):
     assert_gcd_agrees(a * c, b * c)
 
 
+def test_gcd_whose_root_lies_near_a_too_small_evaluation_point():
+    # below the bound 2 |f| + 29 = 39029, xi = min(B, 99 isqrt(B)) = 19503
+    # leaves f(xi), g(xi) sharing only 2, and the candidate 1 divides both
+    u = Poly.var("u1")
+    d = u - 19501
+    assert poly_gcd(d * (u + 1), d * (u + 2)) == d
+
+
 # -- seeded inputs that stall a recursive remainder-sequence gcd ----------------
 
 SCALED = Path(__file__).resolve().parent.parent / "tools" / "scaled.py"
