@@ -15,12 +15,11 @@ from .expr import (
     parse,
 )
 from .geometry import (
-    ContravariantMetric,
-    CovariantMetric,
+    Metric,
     canonical_metric,
     christoffel,
     constant_curvature_residual,
-    invert_metric,
+    gamma,
     riemann,
 )
 from .bracket import (
@@ -60,12 +59,11 @@ __all__ = [
     "Zeroness",
     "is_zero",
     "parse",
-    "ContravariantMetric",
-    "CovariantMetric",
+    "Metric",
     "canonical_metric",
     "christoffel",
     "constant_curvature_residual",
-    "invert_metric",
+    "gamma",
     "riemann",
     "CanonicalPair",
     "ConstantBracket",

@@ -28,13 +28,10 @@ from typing import Sequence
 from .expr import Expr, Zeroness, as_expr, is_zero
 
 __all__ = [
-    "ContravariantMetric",
-    "CovariantMetric",
-    "Connection",
-    "CurvatureTensor",
+    "Metric",
     "DegenerateMetricError",
-    "invert_metric",
     "christoffel",
+    "gamma",
     "riemann",
     "constant_curvature_residual",
     "canonical_metric",
@@ -51,80 +48,32 @@ def field_vars(n: int, prefix: str = "u") -> tuple:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-def _check_square(entries) -> int:
-    n = len(entries)
-    if any(len(row) != n for row in entries):
-        raise ValueError("metric matrix must be square")
-    return n
-
-
 def _freeze(entries):
     return tuple(tuple(as_expr(e) for e in row) for row in entries)
 
 
-class ContravariantMetric:
-    """Symmetric matrix of expressions g^{ij}(u)."""
+class Metric:
+    """Symmetric matrix of expressions g^{ij}(u) (``up``) with its inverse
+    g_{ij} (``down``): the exact inverse, computed on first use, unless the
+    caller supplies a closed form."""
 
-    def __init__(self, vars: tuple, entries: tuple):
-        n = _check_square(entries)
-        self.vars, self.entries = vars, _freeze(entries)
+    def __init__(self, vars: tuple, up, down=None):
+        n = len(up)
+        if any(len(row) != n for row in up):
+            raise ValueError("metric matrix must be square")
+        self.vars, self.up = tuple(vars), _freeze(up)
         if len(vars) != n:
             raise ValueError("variable list does not match matrix size")
         for i in range(n):
             for j in range(i + 1, n):
-                if is_zero(self.entries[i][j] - self.entries[j][i]) is Zeroness.NONZERO:
+                if is_zero(self.up[i][j] - self.up[j][i]) is Zeroness.NONZERO:
                     raise ValueError(f"metric is not symmetric at ({i + 1},{j + 1})")
-
-    @property
-    def n(self) -> int:
-        return len(self.vars)
-
-
-class CovariantMetric:
-    """Symmetric matrix g_{ij}(u), optionally carrying its contravariant partner."""
-
-    def __init__(
-        self, vars: tuple, entries: tuple, contravariant: ContravariantMetric | None = None
-    ):
-        _check_square(entries)
-        self.vars, self.entries, self.contravariant = vars, _freeze(entries), contravariant
-
-    @property
-    def n(self) -> int:
-        return len(self.vars)
-
-
-class Connection:
-    """Levi-Civita connection b^{ij}_k of a metric, with its symbols
-    Gamma^j_{sk} = -g_{si} b^{ij}_k derived on first use."""
-
-    def __init__(self, metric: CovariantMetric, b: tuple):
-        self.vars, self.metric, self.b = metric.vars, metric, b
+        if down is not None:
+            self.down = _freeze(down)
 
     @cached_property
-    def gamma(self) -> tuple:
-        lo, b, n = self.metric.entries, self.b, self.n
-        return tuple(
-            tuple(
-                tuple(-_dot(lo[s], [b[i][j][k] for i in range(n)]) for k in range(n))
-                for s in range(n)
-            )
-            for j in range(n)
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.vars)
-
-
-class CurvatureTensor:
-    def __init__(self, vars: tuple, entries: tuple):
-        self.vars = vars
-        self.entries = entries  # R[i][j][k][l] = R^i_{jkl}
-
-    @property
-    def n(self) -> int:
-        return len(self.vars)
+    def down(self) -> tuple:
+        return _freeze(matrix_inverse(self.up))
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +143,40 @@ def matrix_inverse(entries) -> list:
 # ---------------------------------------------------------------------------
 
 
-def invert_metric(g: ContravariantMetric) -> CovariantMetric:
-    return CovariantMetric(vars=g.vars, entries=matrix_inverse(g.entries), contravariant=g)
-
-
-def christoffel(g_cov: CovariantMetric) -> Connection:
-    """Levi-Civita connection of the metric, computed in contravariant form:
-    b^{jr}_k = g_{ki} T^{ijr} with 2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij}
-    and D^{ijr} = g^{is} d_s g^{jr}."""
-    n, lo = g_cov.n, g_cov.entries
-    up = matrix_inverse(lo) if g_cov.contravariant is None else g_cov.contravariant.entries
-    dup = [[[e.diff(v) for v in g_cov.vars] for e in row] for row in up]  # d_s g^{jr}
+def christoffel(g: Metric) -> tuple:
+    """Levi-Civita connection b[j][r][k] = b^{jr}_k of the metric, computed
+    in contravariant form: b^{jr}_k = g_{ki} T^{ijr} with
+    2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij} and D^{ijr} = g^{is} d_s g^{jr}."""
+    n, up, lo = len(g.vars), g.up, g.down
+    dup = [[[e.diff(v) for v in g.vars] for e in row] for row in up]  # d_s g^{jr}
     D = [[[_dot(up[i], dup[j][r]) for r in range(n)] for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
     T = [  # T[j][r][i] = T^{ijr}
         [[(D[i][j][r] + D[j][i][r] - D[r][i][j]) * half for i in range(n)] for r in range(n)]
         for j in range(n)
     ]
-    b = tuple(
+    return tuple(
         tuple(tuple(_dot(lo[k], T[j][r]) for k in range(n)) for r in range(n)) for j in range(n)
     )
-    return Connection(g_cov, b)
 
 
-def riemann(g_cov: CovariantMetric) -> CurvatureTensor:
-    n = g_cov.n
-    vars = g_cov.vars
-    gam = christoffel(g_cov).gamma
+def gamma(g: Metric, b) -> tuple:
+    """Levi-Civita symbols Gamma[j][s][k] = Gamma^j_{sk} = -g_{si} b^{ij}_k
+    from the connection b = christoffel(g)."""
+    lo, n = g.down, len(g.vars)
+    return tuple(
+        tuple(
+            tuple(-_dot(lo[s], [b[i][j][k] for i in range(n)]) for k in range(n))
+            for s in range(n)
+        )
+        for j in range(n)
+    )
+
+
+def riemann(g: Metric) -> tuple:
+    """Curvature tensor R[i][j][k][l] = R^i_{jkl} of the metric."""
+    n, vars = len(g.vars), g.vars
+    gam = gamma(g, christoffel(g))
     dgam = [
         [
             [[gam[i][j][k].diff(vars[l]) for l in range(n)] for k in range(n)]
@@ -228,10 +184,10 @@ def riemann(g_cov: CovariantMetric) -> CurvatureTensor:
         ]
         for i in range(n)
     ]
-    ent = [
-        [
-            [
-                [
+    return tuple(
+        tuple(
+            tuple(
+                tuple(
                     dgam[i][l][j][k]
                     - dgam[i][k][j][l]
                     + sum(
@@ -242,26 +198,21 @@ def riemann(g_cov: CovariantMetric) -> CurvatureTensor:
                         Expr.const(0),
                     )
                     for l in range(n)
-                ]
+                )
                 for k in range(n)
-            ]
+            )
             for j in range(n)
-        ]
+        )
         for i in range(n)
-    ]
-    ent = tuple(tuple(tuple(tuple(r) for r in q) for q in p) for p in ent)
-    return CurvatureTensor(vars=vars, entries=ent)
+    )
 
 
-def constant_curvature_residual(g: ContravariantMetric, K) -> list:
+def constant_curvature_residual(g: Metric, K) -> list:
     """Residuals R^i_{jkl} - K (delta^i_k g_{jl} - delta^i_l g_{jk});
     all zero exactly when g has constant curvature K."""
     K = as_expr(K)
-    cov = invert_metric(g)
-    R = riemann(cov).entries
-    lo = cov.entries
-    n = g.n
-    out = [
+    R, lo, n = riemann(g), g.down, len(g.vars)
+    return [
         [
             [
                 [
@@ -279,7 +230,6 @@ def constant_curvature_residual(g: ContravariantMetric, K) -> list:
         ]
         for i in range(n)
     ]
-    return out
 
 
 def canonical_constants(a: Sequence, K) -> tuple:
@@ -295,11 +245,12 @@ def canonical_constants(a: Sequence, K) -> tuple:
 def canonical_metric(a: Sequence, K):
     """The constant-curvature family g^{ij} = a^i delta^{ij} - K u^i u^j.
 
-    Returns (contravariant, covariant, determinant).  The determinant is the
-    closed product form a^1...a^N (1 - K sum (u^s)^2/a^s).  At most one of
-    the N+1 constants a^1..a^N, K may vanish; when some a^m = 0 the covariant
-    components come from the degenerate closed-form model (the contravariant
-    matrix is then singular along u^m = 0 but not identically).
+    Returns (metric, determinant); the metric carries the closed form of
+    g_{ij} as ``down``.  The determinant is the closed product form
+    a^1...a^N (1 - K sum (u^s)^2/a^s).  At most one of the N+1 constants
+    a^1..a^N, K may vanish; when some a^m = 0 the covariant components come
+    from the degenerate closed-form model (g^{ij} is then singular along
+    u^m = 0 but not identically).
     """
     a, K = canonical_constants(a, K)
     n = len(a)
@@ -314,7 +265,6 @@ def canonical_metric(a: Sequence, K):
         ]
         for i in range(n)
     ]
-    contra = ContravariantMetric(vars=vars, entries=up)
 
     if all(x != 0 for x in a):
         disc = Expr.const(1) - sum(
@@ -350,5 +300,4 @@ def canonical_metric(a: Sequence, K):
             lo[i][i] = Expr.const(Fraction(1, 1) / a[i])
             lo[i][m] = lo[m][i] = -u[i] / (Expr.const(a[i]) * u[m])
 
-    cov = CovariantMetric(vars=vars, entries=lo, contravariant=contra)
-    return contra, cov, det_expr
+    return Metric(vars, up, lo), det_expr

@@ -26,6 +26,7 @@ argument rather than chosen silently.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,7 +43,6 @@ from .bracket import (
     _nonclosed_at,
     _potential_derivatives,
     _ray_potential,
-    _rng,
 )
 from .expr import Expr, Zeroness, as_expr, is_zero
 from .geometry import _dot, field_vars
@@ -296,7 +296,7 @@ def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
 
 
 def bihamiltonian_check(
-    P: CanonicalPair, flow: ConservativeFlow, rng=None, previous: ConservativeFlow | None = None
+    P: CanonicalPair, flow: ConservativeFlow, previous: ConservativeFlow | None = None
 ) -> PoissonReport:
     """Verify one link P1 grad S_{b-1} = P2 grad S_b of the Lenard chain,
     the two Hamiltonian representations of the flow of level b:
@@ -306,7 +306,7 @@ def bihamiltonian_check(
       reproduces the flow, the nonlocal term resolving to K v^i_x S;
     * ``eq2``: the constant operator applied to grad S reproduces it.
     """
-    rng = _rng(rng)
+    rng = random.Random(0)
     n = P.n
     previous = translation_flow(P.eta) if previous is None else previous
 
@@ -320,9 +320,7 @@ def bihamiltonian_check(
     return PoissonReport([_judge("eq1", residuals(p1), rng), _judge("eq2", residuals(p2), rng)])
 
 
-def commute_check(
-    flowA: ConservativeFlow, flowB: ConservativeFlow, rng=None
-) -> PoissonReport:
+def commute_check(flowA: ConservativeFlow, flowB: ConservativeFlow) -> PoissonReport:
     """Commutator of the evolutionary fields A^i_k v^k_x and B^i_k v^k_x.
 
     Both flows are conservative (A = dF_A, B = dF_B), so the commutator is
@@ -332,7 +330,7 @@ def commute_check(
     """
     if flowA.vars != flowB.vars:
         raise ValueError("flows must share variables")
-    rng = _rng(rng)
+    rng = random.Random(0)
     n = flowA.n
     vars = flowA.vars
     A, B = flowA.V, flowB.V

@@ -76,6 +76,9 @@ MAX_GRID_M = 1 << 16
 MAX_STEPS = 1 << 20
 POWER_TABLE_LIMIT = 1 << 23
 
+# commute_check_numeric: the time step of its forward-Euler maps
+PROBE_TAU = 1e-3
+
 
 class Grid:
     """Uniform periodic grid: m points (power of two, >= 8) on [0, length)."""
@@ -583,10 +586,10 @@ class CommutationDefect:
 
 
 def commute_check_numeric(
-    ca: CompiledFlow, cb: CompiledFlow, grid: Grid, v: np.ndarray, tau: float = 1e-3
+    ca: CompiledFlow, cb: CompiledFlow, grid: Grid, v: np.ndarray
 ) -> CommutationDefect:
-    """Composition defect of the two time-tau maps at the field v, in both
-    orders.
+    """Composition defect of the two time-tau maps, tau = PROBE_TAU, at the
+    field v, in both orders.
 
     Single forward-Euler maps are used on purpose: their composition defect
     is tau^2 [X, Y] + O(tau^3), so commuting flows show an O(tau^3) defect
@@ -605,8 +608,8 @@ def commute_check_numeric(
         ba = euler(cb, euler(ca, v, h), h)
         return float(np.max(np.abs(ab - ba)))
 
-    d0 = defect(tau)
-    d1 = defect(tau / 2)
+    d0 = defect(PROBE_TAU)
+    d1 = defect(PROBE_TAU / 2)
     floor = 1e-13 * (1.0 + float(np.max(np.abs(v))))
     if d0 <= floor:
         return CommutationDefect(d0, d1, float("inf"), True)

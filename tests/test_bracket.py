@@ -48,9 +48,8 @@ def _zero(e) -> bool:
 
 
 def _canonical_bracket(a, K):
-    con, cov, _ = geo.canonical_metric(a, K)
-    conn = geo.christoffel(cov)
-    return HydroBracket(vars=con.vars, g=con.entries, b=conn.b, K=Expr.const(K))
+    g, _ = geo.canonical_metric(a, K)
+    return HydroBracket(vars=g.vars, g=g.up, b=geo.christoffel(g), K=Expr.const(K))
 
 
 def _pair(h_texts, K, eta=ETA2, extra_vars=()):
@@ -842,9 +841,8 @@ def _flat_pullback_bracket():
     # Poisson by construction, but not in Liouville position for the identity
     u1 = Expr.var("u1")
     g = [[Expr.const(1), -u1], [-u1, Expr.const(1) + u1 * u1]]
-    con = geo.ContravariantMetric(vars=UV, entries=g)
-    conn = geo.christoffel(geo.invert_metric(con))
-    return HydroBracket(vars=UV, g=con.entries, b=conn.b, K=Expr.const(0))
+    metric = geo.Metric(UV, g)
+    return HydroBracket(vars=UV, g=metric.up, b=geo.christoffel(metric), K=Expr.const(0))
 
 
 def test_compatibility_equals_involution_of_coordinates_and_momentum():

@@ -22,43 +22,37 @@ def _delta(i, j) -> Expr:
 
 
 def test_invert_constant_diagonal():
-    g = geo.ContravariantMetric(
-        vars=UV, entries=[[Expr.const(2), Expr.const(0)], [Expr.const(0), Expr.const(-3)]]
-    )
-    cov = geo.invert_metric(g)
-    assert _zero(cov.entries[0][0] - Expr.const(Fraction(1, 2)))
-    assert _zero(cov.entries[1][1] - Expr.const(Fraction(-1, 3)))
-    assert _zero(cov.entries[0][1])
+    g = geo.Metric(UV, [[Expr.const(2), Expr.const(0)], [Expr.const(0), Expr.const(-3)]])
+    assert _zero(g.down[0][0] - Expr.const(Fraction(1, 2)))
+    assert _zero(g.down[1][1] - Expr.const(Fraction(-1, 3)))
+    assert _zero(g.down[0][1])
 
 
 def test_invert_matches_closed_form():
-    con, cov_closed, _ = geo.canonical_metric([1, 2], 1)
-    cov = geo.invert_metric(con)
+    closed, _ = geo.canonical_metric([1, 2], 1)
+    inverted = geo.Metric(closed.vars, closed.up)
     for i in range(2):
         for j in range(2):
-            assert _zero(cov.entries[i][j] - cov_closed.entries[i][j])
+            assert _zero(inverted.down[i][j] - closed.down[i][j])
 
 
 def test_inverse_identity_products():
     for a, K in ([(1, 3), Fraction(2)], [(2, -1, 3), Fraction(1, 2)]):
-        con, cov, _ = geo.canonical_metric(a, K)
+        g, _ = geo.canonical_metric(a, K)
         n = len(a)
         for i in range(n):
             for j in range(n):
                 prod = sum(
-                    (con.entries[i][s] * cov.entries[s][j] for s in range(n)),
+                    (g.up[i][s] * g.down[s][j] for s in range(n)),
                     Expr.const(0),
                 )
                 assert _zero(prod - _delta(i, j))
 
 
 def test_degenerate_metric_rejected():
-    g = geo.ContravariantMetric(
-        vars=UV,
-        entries=[[Expr.var("u1"), Expr.var("u1")], [Expr.var("u1"), Expr.var("u1")]],
-    )
+    g = geo.Metric(UV, [[Expr.var("u1"), Expr.var("u1")], [Expr.var("u1"), Expr.var("u1")]])
     with pytest.raises(geo.DegenerateMetricError):
-        geo.invert_metric(g)
+        g.down
 
 
 def test_matrix_inverse_of_random_and_symbolic_matrices():
@@ -68,7 +62,7 @@ def test_matrix_inverse_of_random_and_symbolic_matrices():
     entry = lambda: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))  # noqa: E731
     sizes = [n for n in range(1, 6) for _ in range(8)]
     cases = [[[entry() for _ in range(n)] for _ in range(n)] for n in sizes]
-    cases += [geo.canonical_metric(a, 1)[0].entries for a in ((1, 2, 3), (2, 0, 1, 3))]
+    cases += [geo.canonical_metric(a, 1)[0].up for a in ((1, 2, 3), (2, 0, 1, 3))]
     singular = 0
     for A in cases:
         n = len(A)
@@ -106,7 +100,7 @@ def test_det_by_elimination_equals_cofactor_expansion():
     entry = lambda: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))  # noqa: E731
     cases = [[[entry() for _ in range(n)] for _ in range(n)] for n in range(1, 6) for _ in range(10)]
     metrics = [(1, 2), (1, 2, 3), (2, 0, 1, 3), (1, 2, 3, 4, 5)]
-    cases += [geo.canonical_metric(a, 1)[0].entries for a in metrics]
+    cases += [geo.canonical_metric(a, 1)[0].up for a in metrics]
     singular = 0
     for A in cases:
         d = geo.det(A)
@@ -123,17 +117,16 @@ def test_det_of_an_identically_singular_matrix_is_zero():
 
 def test_det_reaches_the_canonical_metric_at_n_7():
     for n in (6, 7):
-        con, _, det_closed = geo.canonical_metric(list(range(1, n + 1)), 1)
-        assert _zero(geo.det(con.entries) - det_closed)
+        g, det_closed = geo.canonical_metric(list(range(1, n + 1)), 1)
+        assert _zero(geo.det(g.up) - det_closed)
 
 
 def test_christoffel_constant_metric_vanishes():
-    eta = geo.ContravariantMetric(
-        vars=UV, entries=[[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]]
-    )
-    conn = geo.christoffel(geo.invert_metric(eta))
+    eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]])
+    b = geo.christoffel(eta)
+    gam = geo.gamma(eta, b)
     assert all(
-        _zero(conn.gamma[i][j][k]) and _zero(conn.b[i][j][k])
+        _zero(gam[i][j][k]) and _zero(b[i][j][k])
         for i in range(2)
         for j in range(2)
         for k in range(2)
@@ -142,11 +135,11 @@ def test_christoffel_constant_metric_vanishes():
 
 def test_christoffel_scalar_constant_curvature():
     # one-component example: g^{11} = 1 - K u^2 with K = 1
-    con, cov, _ = geo.canonical_metric([1], 1)
-    conn = geo.christoffel(cov)
+    g, _ = geo.canonical_metric([1], 1)
+    gam = geo.gamma(g, geo.christoffel(g))
     u = Expr.var("u1")
     expect = u / (Expr.const(1) - u * u)
-    assert _zero(conn.gamma[0][0][0] - expect)
+    assert _zero(gam[0][0][0] - expect)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -166,22 +159,19 @@ def test_contravariant_connection_of_rank_one_family(n):
         [Expr.const(mu[i][j]) - Expr.const(K) * u[i] * u[j] for j in range(n)]
         for i in range(n)
     ]
-    con = geo.ContravariantMetric(vars=vars, entries=g)
-    conn = geo.christoffel(geo.invert_metric(con))
+    b = geo.christoffel(geo.Metric(vars, g))
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 expect = -Expr.const(K) * u[j] if i == k else Expr.const(0)
-                assert _zero(conn.b[i][j][k] - expect)
+                assert _zero(b[i][j][k] - expect)
 
 
 def test_riemann_flat_metric_zero():
-    eta = geo.ContravariantMetric(
-        vars=UV, entries=[[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(-1)]]
-    )
-    R = geo.riemann(geo.invert_metric(eta))
+    eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(-1)]])
+    R = geo.riemann(eta)
     assert all(
-        _zero(R.entries[i][j][k][l])
+        _zero(R[i][j][k][l])
         for i in range(2)
         for j in range(2)
         for k in range(2)
@@ -190,8 +180,8 @@ def test_riemann_flat_metric_zero():
 
 
 def test_constant_curvature_residual_canonical():
-    con, _, _ = geo.canonical_metric([1, 1], 1)
-    res = geo.constant_curvature_residual(con, 1)
+    g, _ = geo.canonical_metric([1, 1], 1)
+    res = geo.constant_curvature_residual(g, 1)
     assert all(
         _zero(res[i][j][k][l])
         for i in range(2)
@@ -202,8 +192,8 @@ def test_constant_curvature_residual_canonical():
 
 
 def test_constant_curvature_residual_wrong_K():
-    con, _, _ = geo.canonical_metric([1, 2], 1)
-    res = geo.constant_curvature_residual(con, Fraction(3))
+    g, _ = geo.canonical_metric([1, 2], 1)
+    res = geo.constant_curvature_residual(g, Fraction(3))
     nz = [
         res[i][j][k][l]
         for i in range(2)
@@ -218,9 +208,7 @@ def test_constant_curvature_residual_wrong_K():
 
 
 def test_flat_metric_fails_nonzero_K():
-    eta = geo.ContravariantMetric(
-        vars=UV, entries=[[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]]
-    )
+    eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]])
     res = geo.constant_curvature_residual(eta, 1)
     assert any(
         is_zero(res[i][j][k][l]) is Zeroness.NONZERO
@@ -232,8 +220,8 @@ def test_flat_metric_fails_nonzero_K():
 
 
 def test_first_bianchi_identity():
-    con, cov, _ = geo.canonical_metric([1, 2], Fraction(1, 2))
-    R = geo.riemann(cov).entries
+    g, _ = geo.canonical_metric([1, 2], Fraction(1, 2))
+    R = geo.riemann(g)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -245,28 +233,28 @@ def test_first_bianchi_identity():
 @pytest.mark.parametrize("n", [2, 3])
 def test_levi_civita_compatibility(n):
     a = [Fraction(i + 1) for i in range(n)]
-    con, cov, _ = geo.canonical_metric(a, Fraction(1, 3))
-    conn = geo.christoffel(cov)
-    vars = cov.vars
-    lo = cov.entries
+    g, _ = geo.canonical_metric(a, Fraction(1, 3))
+    gam = geo.gamma(g, geo.christoffel(g))
+    vars = g.vars
+    lo = g.down
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 res = lo[i][j].diff(vars[k])
                 res = res - sum(
-                    (conn.gamma[s][k][i] * lo[s][j] for s in range(n)), Expr.const(0)
+                    (gam[s][k][i] * lo[s][j] for s in range(n)), Expr.const(0)
                 )
                 res = res - sum(
-                    (conn.gamma[s][k][j] * lo[i][s] for s in range(n)), Expr.const(0)
+                    (gam[s][k][j] * lo[i][s] for s in range(n)), Expr.const(0)
                 )
                 assert _zero(res)
 
 
-def _covariant_route_b(cov):
+def _covariant_route_b(g):
     """b^{ij}_k = -g^{is} Gamma^j_{sk}, with Gamma from the derivatives of
     the covariant components: the reference for the contravariant formula."""
-    n, vars = cov.n, cov.vars
-    up, lo = cov.contravariant.entries, cov.entries
+    n, vars = len(g.vars), g.vars
+    up, lo = g.up, g.down
     zero = Expr.const(0)
     dlo = [[[lo[i][j].diff(vars[k]) for k in range(n)] for j in range(n)] for i in range(n)]
     gamma = [
@@ -294,53 +282,69 @@ def _covariant_route_b(cov):
 
 @pytest.mark.parametrize("a", [(1, 2, 3, 4), (1, 2, 0, 4)])
 def test_contravariant_connection_prints_as_the_covariant_route(a):
-    _, cov, _ = geo.canonical_metric(a, 1)
-    conn = geo.christoffel(cov)
-    ref = _covariant_route_b(cov)
-    n = cov.n
+    g, _ = geo.canonical_metric(a, 1)
+    b = geo.christoffel(g)
+    ref = _covariant_route_b(g)
+    n = len(g.vars)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert str(conn.b[i][j][k]) == str(ref[i][j][k])
+                assert str(b[i][j][k]) == str(ref[i][j][k])
+
+
+@pytest.mark.parametrize(
+    "a,K", [((1, 2, 3), Fraction(1, 2)), ((2, 0, 3), Fraction(1, 2)), ((1, 2, 0, 4), 1)]
+)
+def test_inverted_down_prints_as_the_closed_form(a, K):
+    # a Metric built from g^{ij} alone inverts it exactly; its connection
+    # and curvature print as those of the closed-form g_{ij}
+    closed, _ = geo.canonical_metric(a, K)
+    inverted = geo.Metric(closed.vars, closed.up)
+    assert _strings(geo.christoffel(inverted)) == _strings(geo.christoffel(closed))
+    assert _strings(geo.riemann(inverted)) == _strings(geo.riemann(closed))
+
+
+def _strings(table) -> list:
+    return [s for t in table for s in _strings(t)] if isinstance(table, tuple) else [str(table)]
 
 
 def test_derived_symbols_are_levi_civita_on_the_degenerate_model():
-    _, cov, _ = geo.canonical_metric([1, 2, 0, 4], 1)
-    conn = geo.christoffel(cov)
-    n, vars, lo = cov.n, cov.vars, cov.entries
+    g, _ = geo.canonical_metric([1, 2, 0, 4], 1)
+    gam = geo.gamma(g, geo.christoffel(g))
+    n, vars, lo = len(g.vars), g.vars, g.down
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 res = lo[i][j].diff(vars[k])
                 for s in range(n):
-                    res = res - conn.gamma[s][k][i] * lo[s][j] - conn.gamma[s][k][j] * lo[i][s]
+                    res = res - gam[s][k][i] * lo[s][j] - gam[s][k][j] * lo[i][s]
                 assert _zero(res)
 
 
 def test_coordinates_geodesic_at_origin():
     # the closed-form family has vanishing symbols at u = 0
-    con, cov, _ = geo.canonical_metric([1, 2, 3], Fraction(2, 3))
-    conn = geo.christoffel(cov)
-    at0 = {v: Fraction(0) for v in cov.vars}
+    g, _ = geo.canonical_metric([1, 2, 3], Fraction(2, 3))
+    gam = geo.gamma(g, geo.christoffel(g))
+    at0 = {v: Fraction(0) for v in g.vars}
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert conn.gamma[i][j][k].substitute(at0).const_value() == 0
+                assert gam[i][j][k].substitute(at0).const_value() == 0
 
 
 def test_canonical_metric_identity_case():
-    con, cov, det = geo.canonical_metric([1, 1], 0)
+    g, det = geo.canonical_metric([1, 1], 0)
     assert _zero(det - Expr.const(1))
     for i in range(2):
         for j in range(2):
-            assert _zero(con.entries[i][j] - _delta(i, j))
-            assert _zero(cov.entries[i][j] - _delta(i, j))
+            assert _zero(g.up[i][j] - _delta(i, j))
+            assert _zero(g.down[i][j] - _delta(i, j))
 
 
 def test_canonical_metric_determinant_values():
-    _, _, det = geo.canonical_metric([1, 2], 1)
+    _, det = geo.canonical_metric([1, 2], 1)
     assert det.evaluate({"u1": 1, "u2": 1}) == -1
-    _, _, det2 = geo.canonical_metric([1, 1], 1)
+    _, det2 = geo.canonical_metric([1, 1], 1)
     assert det2.evaluate({"u1": Fraction(1, 2), "u2": Fraction(1, 2)}) == Fraction(1, 2)
 
 
@@ -349,32 +353,28 @@ def test_canonical_metric_determinant_closed_form():
     for n in (1, 2, 3, 4):
         a = [Fraction(rng.randint(1, 5), rng.randint(1, 2)) * rng.choice([-1, 1]) for _ in range(n)]
         K = Fraction(rng.randint(-3, 3) or 1, 2)
-        con, _, det_closed = geo.canonical_metric(a, K)
-        det_direct = geo.det(con.entries)
+        g, det_closed = geo.canonical_metric(a, K)
+        det_direct = geo.det(g.up)
         assert (det_direct - det_closed).normal_form() == Expr.const(0).normal_form()
 
 
 def test_degenerate_model():
-    con, cov, det = geo.canonical_metric([0, 1], 1)
+    g, det = geo.canonical_metric([0, 1], 1)
     assert det.evaluate({"u1": Fraction(1, 2), "u2": Fraction(1, 3)}) == Fraction(-1, 4)
     # covariant data inverts the contravariant matrix exactly
     for i in range(2):
         for j in range(2):
-            prod = sum(
-                (con.entries[i][s] * cov.entries[s][j] for s in range(2)), Expr.const(0)
-            )
+            prod = sum((g.up[i][s] * g.down[s][j] for s in range(2)), Expr.const(0))
             assert _zero(prod - _delta(i, j))
-    assert _zero(geo.det(con.entries) - det)
+    assert _zero(geo.det(g.up) - det)
 
 
 def test_degenerate_model_middle_index():
-    con, cov, det = geo.canonical_metric([2, 0, 3], Fraction(1, 2))
+    g, det = geo.canonical_metric([2, 0, 3], Fraction(1, 2))
     n = 3
     for i in range(n):
         for j in range(n):
-            prod = sum(
-                (con.entries[i][s] * cov.entries[s][j] for s in range(n)), Expr.const(0)
-            )
+            prod = sum((g.up[i][s] * g.down[s][j] for s in range(n)), Expr.const(0))
             assert _zero(prod - _delta(i, j))
 
 
@@ -388,7 +388,7 @@ def test_degenerate_model_middle_index():
 )
 def test_contravariant_metric_rejects_malformed_data(vars, entries, message):
     with pytest.raises(ValueError, match=message):
-        geo.ContravariantMetric(vars=vars, entries=entries)
+        geo.Metric(vars, entries)
 
 
 def test_two_zero_constants_rejected():

@@ -482,7 +482,7 @@ def test_commute_numeric_scalar_pair():
     t1, t2 = ns.compile_flow(flow_t1(P)), ns.compile_flow(flow_t2(P))
     g = ns.Grid(128, TWO_PI)
     v = 0.1 * np.sin(g.nodes)[np.newaxis, :]
-    cd = ns.commute_check_numeric(t1, t2, g, v, tau=1e-3)
+    cd = ns.commute_check_numeric(t1, t2, g, v)
     assert cd.commuting
     assert 7.0 <= cd.ratio <= 9.0
 
@@ -503,12 +503,12 @@ def test_commute_numeric_flags_perturbed_flow():
     t1, t2 = ns.compile_flow(flow_t1(P)), ns.compile_flow(flow_t2(P))
     g = ns.Grid(128, TWO_PI)
     v = _random_smooth_state(g, 2, random.Random(21))
-    clean = ns.commute_check_numeric(t1, t2, g, v, tau=1e-3)
+    clean = ns.commute_check_numeric(t1, t2, g, v)
     assert clean.commuting and clean.ratio >= 7.0
     # table row 1 is V[0][1]; monomial 0 is the constant one
     assert not t2.table.exponents[0].any()
     t2.table.coeffs[1, 0] += 0.1
-    perturbed = ns.commute_check_numeric(t1, t2, g, v, tau=1e-3)
+    perturbed = ns.commute_check_numeric(t1, t2, g, v)
     assert not perturbed.commuting
     assert 3.5 <= perturbed.ratio <= 4.5
 

@@ -157,14 +157,13 @@ def residual_row(n: int, repeats: int = REPEATS) -> tuple:
     bracket, B = _best(problem.bracket, repeats)
 
     def oracle():
-        _, cov, _ = geometry.canonical_metric(a, 1)
-        return geometry.christoffel(cov)
+        g, _ = geometry.canonical_metric(a, 1)
+        return g.up, geometry.christoffel(g)
 
-    christoffel, conn = _best(oracle, repeats)
-    up = conn.metric.contravariant.entries
+    christoffel, (up, b) = _best(oracle, repeats)
     if not all(
         (B.g[i][j] - up[i][j]).is_zero()
-        and all((B.b[i][j][k] - conn.b[i][j][k]).is_zero() for k in range(n))
+        and all((B.b[i][j][k] - b[i][j][k]).is_zero() for k in range(n))
         for i in range(n)
         for j in range(n)
     ):
