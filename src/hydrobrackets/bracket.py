@@ -164,17 +164,6 @@ class HydroBracket:
             [[[_mask(row) for row in plane] for plane in planes] for planes in self._curl],
         )
 
-    def rename(self, mapping) -> "HydroBracket":
-        return HydroBracket(
-            vars=tuple(mapping.get(v, v) for v in self.vars),
-            g=tuple(tuple(e.rename(mapping) for e in row) for row in self.g),
-            b=tuple(
-                tuple(tuple(e.rename(mapping) for e in row) for row in plane)
-                for plane in self.b
-            ),
-            K=self.K.rename(mapping),
-        )
-
 
 def _mask(row) -> int:
     """Bit s set where row[s] is not identically zero."""
@@ -274,10 +263,13 @@ class CanonicalPair:
         return build_canonical(self)
 
     @cached_property
-    def _flow_bracket(self) -> HydroBracket:
-        """The canonical bracket renamed to the flow variables v1..vN."""
-        mapping = dict(zip(self.vars, field_vars(self.n, "v")))
-        return self._bracket.rename(mapping)
+    def _flow_pair(self) -> "CanonicalPair":
+        """The same pair in the flow variables v1..vN, whose cached tables
+        the flows read (renaming is an exact ring isomorphism)."""
+        vars = field_vars(self.n, "v")
+        mapping = dict(zip(self.vars, vars))
+        H = tuple(h.rename(mapping) for h in self.H)
+        return CanonicalPair(self.eta, self.K.rename(mapping), H, vars)
 
     def h_origin(self) -> tuple:
         """H evaluated at the origin of the field variables (parameters, if

@@ -570,6 +570,8 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np  # the symbolic commands never load numpy
+
     _require_level(args.level, "--level")
     if not args.tol >= 0:
         raise ProblemFileError("--tol", "must be a non-negative number")
@@ -581,10 +583,14 @@ def cmd_simulate(args) -> int:
     flows = hierarchy(P, args.level)
     sim = prob.simulation
     cflow = numsim.compile_flow(flows[args.level], dealias=args.dealias)
-    try:
-        result = numsim.run(cflow, v0, grid, sim["dt"], sim["t_end"], sim["snapshots"])
-    except numsim.CFLError as exc:
-        raise ProblemFileError("simulation.dt", str(exc)) from None
+    # every state is checked to be finite; a diagnostic that overflows is
+    # reported as it is, and a NaN drift fails the tolerance below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = numsim.run(cflow, v0, grid, sim["dt"], sim["t_end"], sim["snapshots"])
+        except numsim.CFLError as exc:
+            raise ProblemFileError("simulation.dt", str(exc)) from None
+        drifts = numsim.drift_summary(cflow, result.rows, grid, v0)
     # times of two steps that :g prints alike are printed exactly, by repr
     short = collections.Counter(f"{t:g}" for t, _ in result.snapshots)
     snap_files = [
@@ -597,7 +603,6 @@ def cmd_simulate(args) -> int:
             numsim.write_snapshot_csv(grid, v, outdir / name)
     except OSError as exc:
         raise ProblemFileError("--out", str(exc)) from None
-    drifts = numsim.drift_summary(cflow, result.rows, grid, v0)
     lines = [f"simulate: level {args.level} flow, M={grid.m}, t_end={sim['t_end']:g}"]
     lines += [f"  note: {msg}" for msg in result.messages]
     lines += [f"  drift {d.name}: {d.relative:.3e} (initial {d.initial:.6e})" for d in drifts]
@@ -615,7 +620,7 @@ def cmd_simulate(args) -> int:
         obj["breaking_time"] = result.breaking_time
         _emit(args, lines, obj)
         return EXIT_RUNTIME_EVENT
-    worst = max([0.0, *(d.relative for d in drifts)])
+    worst = float(np.max([0.0, *(d.relative for d in drifts)]))  # NaN if any is
     ok = worst < args.tol
     lines.append(
         f"verdict: {_pass(ok)} (worst relative drift {worst:.3e}, tolerance {args.tol:g})"

@@ -41,7 +41,6 @@ from .bracket import (
     operator_matrix,
     _judge,
     _nonclosed_at,
-    _potential_derivatives,
     _ray_potential,
 )
 from .expr import Expr, Zeroness, as_expr, is_zero
@@ -130,18 +129,14 @@ class ConservativeFlow:
 
 
 def _closed_form_data(P: CanonicalPair):
-    """The pieces of the paper's closed-form flows, in the flow variables:
-    (vars, h, K, dh, d2h, v, eta v, S0) with h^i and K renamed from the pair,
-    dh, d2h their first and second derivatives, eta v the covector
-    eta_{jl} v^l and S0 = (1/2) eta_{jl} v^j v^l."""
-    vars = flow_vars(P.n)
-    mapping = dict(zip(P.vars, vars))
-    h = tuple(x.rename(mapping) for x in P.H)
-    dh, d2h = _potential_derivatives(h, vars)
-    v = [Expr.var(x) for x in vars]
+    """The pieces of the paper's closed-form flows, read from the pair's
+    flow side Q: (vars, h, K, dh, d2h, v, eta v, S0) with h^i and K those of
+    Q, dh, d2h its cached derivatives, eta v the covector eta_{jl} v^l and
+    S0 = (1/2) eta_{jl} v^j v^l."""
+    Q = P._flow_pair
+    v = [Expr.var(x) for x in Q.vars]
     ev = P.eta.lower(v)
-    S0 = _dot(v, ev) * Fraction(1, 2)
-    return vars, h, P.K.rename(mapping), dh, d2h, v, ev, S0
+    return Q.vars, Q.H, Q.K, *Q._derivatives, v, ev, _dot(v, ev) * Fraction(1, 2)
 
 
 def eta_gradient_gauge(P: CanonicalPair) -> tuple:
@@ -160,7 +155,7 @@ def translation_flow(eta: ConstantBracket) -> ConservativeFlow:
 def recursion_matrix(P: CanonicalPair, S: Expr) -> list:
     """V-hat = g1 Hess(S) + b1 grad(S) + K S Id in the flow variables: the
     operator matrix of the canonical bracket P1."""
-    return operator_matrix(P._flow_bracket, S)
+    return operator_matrix(P._flow_pair._bracket, S)
 
 
 def apply_recursion(
@@ -262,7 +257,7 @@ def hierarchy(
     """
     if n_max < 0:
         raise ValueError("negative recursion powers are not supported")
-    report = check_canonical_equations(P)
+    report = check_canonical_equations(P._flow_pair)
     if not report.passed:
         failing = ", ".join(c.name for c in report.failing())
         raise NotPoissonError(f"canonical pair fails {failing}")
@@ -366,7 +361,7 @@ def involution_check(P: CanonicalPair, d1, d2) -> bool:
     d1, d2 = as_expr(d1), as_expr(d2)
     return all(
         is_total_x_derivative(functional_bracket_density(B, d1, d2))
-        for B in (P._flow_bracket, P.eta.as_hydro(flow_vars(P.n)))
+        for B in (P._flow_pair._bracket, P.eta.as_hydro(flow_vars(P.n)))
     )
 
 

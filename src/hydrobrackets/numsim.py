@@ -18,7 +18,7 @@ from typing import Sequence
 from . import expr as _expr
 from .bracket import CanonicalPair
 from .expr import Expr
-from .hierarchy import ConservativeFlow, flow_vars
+from .hierarchy import ConservativeFlow
 from .poly import ExpressionSizeError
 
 __all__ = [
@@ -380,8 +380,7 @@ def apply_P1_numeric(
     symbolic route the result differs by K (mean S) v_x when xi = grad S.
     """
     n = P.n
-    vars = flow_vars(n)
-    B = P._flow_bracket
+    B = P._flow_pair._bracket
     if not B.K.is_const():
         raise ValueError("numeric application needs a numeric nonlocal constant")
     K = float(B.K.const_value())
@@ -391,7 +390,7 @@ def apply_P1_numeric(
     table = MonomialTable(
         [B.g[i][j] for i in range(n) for j in range(n)]
         + [B.b[i][j][k] for i in range(n) for j in range(n) for k in range(n)],
-        vars,
+        B.vars,
     )
     values = table(v)
     g = values[: n * n].reshape(n, n, -1)
@@ -523,7 +522,8 @@ def run(
 
     take_snapshot()
     warned_tail = False
-    eps = 1e-12 * max(1.0, abs(t_end))
+    # the rounding of the summed steps scales with t_end, however small
+    eps = 1e-12 * abs(t_end)
     while t < t_end - eps:
         step = min(dt, t_end - t)
         cfl = step * cflow.gershgorin_max(V) * grid.m / grid.length

@@ -893,7 +893,7 @@ def _hierarchy_pair_n3():
     eta = ConstantBracket([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     P = _pair(["2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3"], 1, eta=eta)
     flows = hierarchy(P, 2)
-    return P._flow_bracket, [flows[1].S, flows[2].S, Expr.var("v1") + 1]
+    return P._flow_pair._bracket, [flows[1].S, flows[2].S, Expr.var("v1") + 1]
 
 
 def test_functional_bracket_density_matches_the_cubic_sum():

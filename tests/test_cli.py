@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import time
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -265,6 +267,60 @@ def test_simulate_cfl_violation_is_input_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error: simulation.dt: CFL number ") and _single_line(err)
     assert not (tmp_path / "o2").exists()
+
+
+def test_simulate_nan_drift_fails(tmp_path, capsys):
+    # the integrals overflow at t = 0, so three drifts are NaN: the run
+    # fails the tolerance and numpy prints no overflow warning
+    doc = {
+        "N": 1,
+        "eta": [[1]],
+        "K": 0,
+        "H": ["2*u1"],
+        "simulation": {
+            "grid_M": 16,
+            "L": TWO_PI,
+            "dt": 0.01,
+            "t_end": 0,
+            "init": ["1" + "0" * 155 + "*sin(x)"],
+        },
+    }
+    path = _write(tmp_path, "nan.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert "  drift momentum: nan (initial inf)\n" in out
+    assert out.endswith("verdict: FAIL (worst relative drift nan, tolerance 1e-08)\n")
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "dt,t_end",
+    [("1/1000000000000", "1/100000000000"), ("1/100000000000000", "1/10000000000000")],
+    ids=["dt1e-12", "dt1e-14"],
+)
+def test_simulate_tiny_steps_reach_t_end(tmp_path, capsys, dt, t_end):
+    doc = {
+        "N": 1,
+        "eta": [[1]],
+        "K": 0,
+        "H": ["u1^2/2"],
+        "simulation": {
+            "grid_M": 16,
+            "L": TWO_PI,
+            "dt": dt,
+            "t_end": t_end,
+            "init": ["0.1*sin(x)"],
+            "snapshots": [t_end],
+        },
+    }
+    outdir = tmp_path / "out"
+    assert main(["simulate", _write(tmp_path, "tiny.json", doc), "--out", str(outdir)]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    diag = (outdir / "diag.csv").read_text().strip().split("\n")
+    assert len(diag) == 12  # header + initial row + 10 steps
+    assert (outdir / f"snap_{float(Fraction(t_end)):g}.csv").exists()
 
 
 def test_commute_command(scalar_file, capsys):
@@ -894,7 +950,11 @@ def test_high_exponents_keep_working(tmp_path, capsys):
 
 def test_every_entry_names_the_same_entry_function():
     import ast
-    import tomllib
+
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: pytest's own TOML dependency
+        import tomli as tomllib
 
     import hydrobrackets.cli as cli
 

@@ -2,10 +2,11 @@
 
 The captures under ``golden/`` hold the stdout of every symbolic command,
 in text and ``--json`` form, on each ``problems/*.json``; ``exit_codes.json``
-holds the matching exit codes.  Two fixtures here pin the failing reports
+holds the matching exit codes.  Three fixtures here pin the failing reports
 with their witness lines: ``failing_explicit_n2.json`` (an explicit bracket
-that fails check-poisson, check-compat and check-pencil) and
-``failing_canonical_n2.json`` (a pair that fails check-canonical).
+that fails check-poisson, check-compat and check-pencil),
+``failing_canonical_n2.json`` (a pair that fails check-canonical) and
+``failing_liouville_n2.json`` (a Liouville bracket that is not special).
 Reports are deterministic, so any change in a byte is a change in behaviour.  To record a deliberate change, rerun
 ``python -m hydrobrackets <command> <problem file> [args]`` and store its
 stdout under the case's name.
@@ -49,6 +50,7 @@ CASES = [
 FAILING = {
     "failing_explicit_n2": ["check-poisson", "check-compat", "check-pencil"],
     "failing_canonical_n2": ["check-canonical"],
+    "failing_liouville_n2": ["liouville"],
 }
 CASES += [
     pytest.param(

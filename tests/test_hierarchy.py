@@ -546,7 +546,7 @@ def test_annihilators_in_involution_with_momentum():
     P = _linear_pair(K=1)
     s0 = translation_flow(ETA2).S
     for i in range(2):
-        density = functional_bracket_density(P._flow_bracket, Expr.var(f"v{i + 1}"), s0)
+        density = functional_bracket_density(P._flow_pair._bracket, Expr.var(f"v{i + 1}"), s0)
         assert is_total_x_derivative(density)
 
 
@@ -658,7 +658,7 @@ def test_p1_integrand_is_the_p2_integrand_one_level_up(P):
     flows = hierarchy(P, 4)
     p2 = P.eta.as_hydro(flows[0].vars)
     for a, b in itertools.combinations(range(4), 2):
-        one = functional_bracket_density(P._flow_bracket, flows[a].S, flows[b].S)
+        one = functional_bracket_density(P._flow_pair._bracket, flows[a].S, flows[b].S)
         two = functional_bracket_density(p2, flows[a].S, flows[b + 1].S)
         assert [(w.num, w.den) for w in one.omega] == [(w.num, w.den) for w in two.omega]
 
@@ -671,7 +671,7 @@ def test_both_brackets_of_the_pair_are_skew(K):
     P = _linear_pair(K=K)
     vars = flow_vars(2)
     f, h = parse("v1^3/6 + v2", vars), parse("v1*v2^2/2 - v1^2 + 3", vars)
-    for B in (P._flow_bracket, P.eta.as_hydro(vars)):
+    for B in (P._flow_pair._bracket, P.eta.as_hydro(vars)):
         fh = functional_bracket_density(B, f, h).omega
         hf = functional_bracket_density(B, h, f).omega
         assert not is_total_x_derivative(Integrand1(vars, fh))

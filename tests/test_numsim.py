@@ -149,9 +149,7 @@ def test_compiled_matches_exact_evaluation():
         H=(parse("u1^2/2 + u2", UV), parse("u1 - u2^3/6", UV)),
         vars=UV,
     )
-    from hydrobrackets.bracket import build_canonical
-
-    B = build_canonical(P).rename({"u1": "v1", "u2": "v2"})
+    B = P._flow_pair._bracket
     exprs = [B.g[i][j] for i in range(2) for j in range(2)]
     exprs += [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
     _assert_matches_exact(exprs, ("v1", "v2"), _each_compiled(exprs, ("v1", "v2")), 12, 100)
@@ -162,9 +160,7 @@ def test_compiled_matches_exact_evaluation_rational_entries():
     P = CanonicalPair(
         eta=ETA2, K=1, H=(parse("1/(2 + u1) + u2^2/2", UV), parse("u1*u2", UV)), vars=UV
     )
-    from hydrobrackets.bracket import build_canonical
-
-    B = build_canonical(P).rename({"u1": "v1", "u2": "v2"})
+    B = P._flow_pair._bracket
     vars = ("v1", "v2")
     exprs = [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
     assert any(not e.is_poly() for e in exprs)
