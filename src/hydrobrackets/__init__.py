@@ -18,9 +18,6 @@ from .geometry import (
     Metric,
     canonical_metric,
     christoffel,
-    constant_curvature_residual,
-    gamma,
-    riemann,
 )
 from .bracket import (
     CanonicalPair,
@@ -44,8 +41,6 @@ from .hierarchy import (
     apply_recursion,
     bihamiltonian_check,
     commute_check,
-    flow_t1,
-    flow_t2,
     hierarchy,
     involution_check,
     translation_flow,
@@ -62,9 +57,6 @@ __all__ = [
     "Metric",
     "canonical_metric",
     "christoffel",
-    "constant_curvature_residual",
-    "gamma",
-    "riemann",
     "CanonicalPair",
     "ConstantBracket",
     "HydroBracket",
@@ -84,8 +76,6 @@ __all__ = [
     "apply_recursion",
     "bihamiltonian_check",
     "commute_check",
-    "flow_t1",
-    "flow_t2",
     "hierarchy",
     "involution_check",
     "translation_flow",

@@ -50,7 +50,6 @@ __all__ = [
     "Witness",
     "LiouvilleData",
     "Integrand1",
-    "InconsistencyError",
     "NotLiouvilleError",
     "NotSpecialError",
     "UnsupportedIntegrandError",
@@ -67,10 +66,6 @@ __all__ = [
     "functional_bracket_density",
     "is_total_x_derivative",
 ]
-
-
-class InconsistencyError(RuntimeError):
-    """Two routes that must agree produced different verdicts."""
 
 
 class NotLiouvilleError(ValueError):
@@ -792,10 +787,6 @@ class Integrand1:
 
     def __init__(self, vars: tuple, omega: tuple):
         self.vars, self.omega = vars, omega
-
-    def __str__(self):
-        parts = [f"({w})*{v}_x" for v, w in zip(self.vars, self.omega)]
-        return " + ".join(parts) if parts else "0"
 
 
 def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:

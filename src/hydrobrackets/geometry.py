@@ -6,17 +6,7 @@ Index conventions used throughout:
   b^{ij}_k = -g^{is} Gamma^j_{sk}.  It is computed from g^{ij} alone up
   to one lowering (Dubrovin & Novikov 1983):
   b^{jr}_k = g_{ki} T^{ijr}, where 2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij}
-  and D^{ijr} = g^{is} d_s g^{jr};
-* ``Gamma[i][j][k]`` holds the Levi-Civita symbols Gamma^i_{jk}, derived
-  from b as Gamma^j_{sk} = -g_{si} b^{ij}_k;
-* ``R[i][j][k][l]`` holds the curvature tensor
-  R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
-            + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}.
-
-With these conventions a metric has constant curvature ``K`` exactly when
-R^i_{jkl} = K (delta^i_k g_{jl} - delta^i_l g_{jk}); the sign was pinned
-once against the closed-form constant-curvature family built by
-:func:`canonical_metric` and is locked in by the test suite.
+  and D^{ijr} = g^{is} d_s g^{jr}.
 """
 
 from __future__ import annotations
@@ -31,9 +21,6 @@ __all__ = [
     "Metric",
     "DegenerateMetricError",
     "christoffel",
-    "gamma",
-    "riemann",
-    "constant_curvature_residual",
     "canonical_metric",
     "canonical_constants",
     "field_vars",
@@ -158,78 +145,6 @@ def christoffel(g: Metric) -> tuple:
     return tuple(
         tuple(tuple(_dot(lo[k], T[j][r]) for k in range(n)) for r in range(n)) for j in range(n)
     )
-
-
-def gamma(g: Metric, b) -> tuple:
-    """Levi-Civita symbols Gamma[j][s][k] = Gamma^j_{sk} = -g_{si} b^{ij}_k
-    from the connection b = christoffel(g)."""
-    lo, n = g.down, len(g.vars)
-    return tuple(
-        tuple(
-            tuple(-_dot(lo[s], [b[i][j][k] for i in range(n)]) for k in range(n))
-            for s in range(n)
-        )
-        for j in range(n)
-    )
-
-
-def riemann(g: Metric) -> tuple:
-    """Curvature tensor R[i][j][k][l] = R^i_{jkl} of the metric."""
-    n, vars = len(g.vars), g.vars
-    gam = gamma(g, christoffel(g))
-    dgam = [
-        [
-            [[gam[i][j][k].diff(vars[l]) for l in range(n)] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return tuple(
-        tuple(
-            tuple(
-                tuple(
-                    dgam[i][l][j][k]
-                    - dgam[i][k][j][l]
-                    + sum(
-                        (
-                            gam[i][k][s] * gam[s][l][j] - gam[i][l][s] * gam[s][k][j]
-                            for s in range(n)
-                        ),
-                        Expr.const(0),
-                    )
-                    for l in range(n)
-                )
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def constant_curvature_residual(g: Metric, K) -> list:
-    """Residuals R^i_{jkl} - K (delta^i_k g_{jl} - delta^i_l g_{jk});
-    all zero exactly when g has constant curvature K."""
-    K = as_expr(K)
-    R, lo, n = riemann(g), g.down, len(g.vars)
-    return [
-        [
-            [
-                [
-                    R[i][j][k][l]
-                    - K
-                    * (
-                        (lo[j][l] if i == k else Expr.const(0))
-                        - (lo[j][k] if i == l else Expr.const(0))
-                    )
-                    for l in range(n)
-                ]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
 
 
 def canonical_constants(a: Sequence, K) -> tuple:

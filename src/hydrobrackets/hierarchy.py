@@ -16,9 +16,8 @@ antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
 ``bihamiltonian_check`` applies P1 and eta d/dx at one link of the chain,
 ``involution_check`` integrates against both, and ``verify_hierarchy``
 checks every link and derives every pair's verdict from the chain.  Levels
-are produced by applying the recursion to the previous level, and the
-closed-form flows are checked against it.
-Each application leaves one constant covector free (the value of
+are produced by applying the recursion to the previous level.  Each
+application leaves one constant covector free (the value of
 eta_{jl} F^l at the origin); it is exposed as the explicit ``gauge``
 argument rather than chosen silently.
 """
@@ -27,13 +26,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Sequence
 
 from .bracket import (
     CanonicalPair,
     ConstantBracket,
-    InconsistencyError,
     PoissonReport,
     check_canonical_equations,
     functional_bracket_density,
@@ -43,8 +40,8 @@ from .bracket import (
     _nonclosed_at,
     _ray_potential,
 )
-from .expr import Expr, Zeroness, as_expr, is_zero
-from .geometry import _dot, field_vars
+from .expr import Expr, as_expr
+from .geometry import field_vars
 
 __all__ = [
     "ConservativeFlow",
@@ -54,11 +51,8 @@ __all__ = [
     "translation_flow",
     "recursion_matrix",
     "apply_recursion",
-    "flow_t1",
-    "flow_t2",
     "hierarchy",
     "eta_gradient_gauge",
-    "linear_density_flow",
     "bihamiltonian_check",
     "commute_check",
     "involution_check",
@@ -128,17 +122,6 @@ class ConservativeFlow:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_data(P: CanonicalPair):
-    """The pieces of the paper's closed-form flows, read from the pair's
-    flow side Q: (vars, h, K, dh, d2h, v, eta v, S0) with h^i and K those of
-    Q, dh, d2h its cached derivatives, eta v the covector eta_{jl} v^l and
-    S0 = (1/2) eta_{jl} v^j v^l."""
-    Q = P._flow_pair
-    v = [Expr.var(x) for x in Q.vars]
-    ev = P.eta.lower(v)
-    return Q.vars, Q.H, Q.K, *Q._derivatives, v, ev, _dot(v, ev) * Fraction(1, 2)
-
-
 def eta_gradient_gauge(P: CanonicalPair) -> tuple:
     """The covector eta_{jl} h^l(0): the gauge that reproduces the closed-form
     first flow exactly when applied at the first recursion level."""
@@ -173,78 +156,6 @@ def apply_recursion(
     return ConservativeFlow(P.eta, recursion_matrix(P, flow.S), gauge, level)
 
 
-def flow_t1(P: CanonicalPair) -> ConservativeFlow:
-    """The first hierarchy flow: the recursion route applied to the
-    translation flow with the gradient gauge.  It is checked against the
-    paper's closed form
-    F^i = h^i + eta^{is} (dh^j/dv^s) eta_{jl} v^l - K v^i S0,
-    S = eta_{jk} h^k v^j - (K/2) S0^2,  S0 = (1/2) eta_{jl} v^j v^l;
-    a mismatch raises ``InconsistencyError``."""
-    n = P.n
-    vars, h, K, dh, _, v, ev, S0 = _closed_form_data(P)
-    eta = P.eta
-    lifted = eta.lift([_dot(ev, [dh[j][s] for j in range(n)]) for s in range(n)])
-    F = [h[i] + lifted[i] - K * v[i] * S0 for i in range(n)]
-    S = _dot(v, eta.lower(h)) - K * Fraction(1, 2) * S0 * S0
-    rec = apply_recursion(P, translation_flow(eta), gauge=eta_gradient_gauge(P))
-    for i in range(n):
-        if is_zero(F[i] - rec.F[i]) is Zeroness.NONZERO:
-            raise InconsistencyError(
-                f"closed-form F[{i + 1}] disagrees with the recursion route"
-            )
-    if is_zero(S - rec.S) is Zeroness.NONZERO:
-        raise InconsistencyError("closed-form S disagrees with the recursion route")
-    return rec
-
-
-def flow_t2(P: CanonicalPair) -> ConservativeFlow:
-    """The second hierarchy flow: the recursion route applied to the first
-    flow with the gradient gauge.  Before that, the paper's closed-form
-    cofactors M (of g1) and xi (of b1) are checked against the Hessian and
-    gradient of the first flow's S; a mismatch raises ``InconsistencyError``."""
-    n = P.n
-    vars, h, K, dh, d2h, v, ev, S0 = _closed_form_data(P)
-    down = P.eta.down
-    # eta_{jl} dh^l/dv^k, by [k][j]
-    ldh = [P.eta.lower([dh[l][k] for l in range(n)]) for k in range(n)]
-    # bracketed cofactor of g1^{ij}: eta_{jl} dh^l/dv^k + eta_{rk} dh^r/dv^j
-    #   + eta_{rq} v^q d2h^r/dv^j dv^k - K eta_{jl} eta_{pk} v^l v^p
-    #   - (K/2) eta_{jk} eta_{pl} v^l v^p
-    M = [
-        [
-            ldh[k][j]
-            + ldh[j][k]
-            + _dot(ev, [d2h[r][j][k] for r in range(n)])
-            - K * ev[j] * ev[k]
-            - K * Expr.const(down[j][k]) * S0
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
-    # bracketed cofactor of b1^{ij}_k: eta_{jl} h^l + eta_{rq} v^q dh^r/dv^j
-    #   - (K/2) eta_{jl} eta_{pr} v^l v^p v^r
-    lh = P.eta.lower(h)
-    xi = [
-        lh[j] + _dot(ev, [dh[r][j] for r in range(n)]) - K * ev[j] * S0
-        for j in range(n)
-    ]
-    t1 = flow_t1(P)
-    for j in range(n):
-        S1j = t1.S.diff(vars[j])
-        if is_zero(xi[j] - S1j) is Zeroness.NONZERO:
-            raise InconsistencyError(
-                f"closed-form xi[{j + 1}] disagrees with the gradient of the "
-                f"first flow's S"
-            )
-        for k in range(n):
-            if is_zero(M[j][k] - S1j.diff(vars[k])) is Zeroness.NONZERO:
-                raise InconsistencyError(
-                    f"closed-form M[{j + 1}][{k + 1}] disagrees with the Hessian "
-                    f"of the first flow's S"
-                )
-    return apply_recursion(P, t1, gauge=eta_gradient_gauge(P))
-
-
 def hierarchy(
     P: CanonicalPair, n_max: int, gauges: Sequence | None = None
 ) -> list:
@@ -271,18 +182,6 @@ def hierarchy(
         except ClosednessError as exc:
             raise ClosednessError(f"at level {level}: {exc}") from exc
     return flows
-
-
-def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
-    """The flow generated by the nonlocal operator of the pair from the
-    linear density c_j v^j: coefficients b1^{ij}_k c_j + K (c_j v^j) delta^i_k.
-    This is exactly the defect produced one level after choosing gauge zero
-    instead of the covector c."""
-    c = tuple(as_expr(x) for x in c)
-    if len(c) != P.n:
-        raise ValueError("covector length must match the pair")
-    cv = _dot(c, [Expr.var(x) for x in flow_vars(P.n)])
-    return ConservativeFlow(P.eta, recursion_matrix(P, cv))
 
 
 # ---------------------------------------------------------------------------

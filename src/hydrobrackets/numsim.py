@@ -1,12 +1,6 @@
 """Pseudo-spectral integration of conservative hydrodynamic flows on a
 periodic domain, with conservation diagnostics and numeric cross-checks of
 the symbolic machinery.
-
-The inverse derivative (d/dx)^{-1} is realized as the unique mean-zero
-periodic antiderivative (zero Fourier mode set to zero).  It therefore
-differs from the symbolic antiderivative convention S(v), S(0)=0, by the
-spatial mean of S; numeric/symbolic comparisons apply that constant
-correction explicitly.
 """
 
 from __future__ import annotations
@@ -16,7 +10,6 @@ from functools import cached_property
 from typing import Sequence
 
 from . import expr as _expr
-from .bracket import CanonicalPair
 from .expr import Expr
 from .hierarchy import ConservativeFlow
 from .poly import ExpressionSizeError
@@ -28,11 +21,9 @@ __all__ = [
     "SimulationError",
     "CFLError",
     "spectral_dx",
-    "spectral_antidx",
     "MonomialTable",
     "compile_flow",
     "sample_initial_data",
-    "apply_P1_numeric",
     "step_rk4",
     "run",
     "commute_check_numeric",
@@ -112,23 +103,6 @@ def spectral_dx(grid: Grid, s: np.ndarray) -> np.ndarray:
 def _dx_from_spectrum(grid: Grid, spec: np.ndarray) -> np.ndarray:
     spec = spec * grid._ik
     spec[..., -1] = 0.0  # Nyquist mode carries no odd derivative
-    return np.fft.irfft(spec, n=grid.m)
-
-
-def spectral_antidx(grid: Grid, s: np.ndarray) -> np.ndarray:
-    """Mean-zero periodic antiderivative; the input must be (numerically)
-    mean-free."""
-    scale = float(np.max(np.abs(s))) if s.size else 0.0
-    mean = float(np.mean(s))
-    if scale > 0 and abs(mean) > 1e-8 * scale:
-        raise SimulationError(
-            f"antiderivative input has nonzero mean ({mean:.3e})"
-        )
-    spec = np.fft.rfft(s)
-    k = grid.wavenumbers
-    spec[0] = 0.0
-    spec[1:] = spec[1:] / (1j * k[1:])
-    spec[-1] = 0.0
     return np.fft.irfft(spec, n=grid.m)
 
 
@@ -362,49 +336,6 @@ def _field(grid: Grid, v) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("field values must be finite")
     return v
-
-
-# ---------------------------------------------------------------------------
-# the nonlocal operator, numerically
-# ---------------------------------------------------------------------------
-
-
-def apply_P1_numeric(
-    P: CanonicalPair, grid: Grid, v: np.ndarray, xi: np.ndarray
-) -> np.ndarray:
-    """Apply the nonlocal operator of the pair to a sampled covector field
-    at the field v, shape (N, M):
-    g1^{ij}(v) (xi_j)_x + b1^{ij}_k v^k_x xi_j + K v^i_x (d/dx)^{-1}(v^j_x xi_j).
-
-    The antiderivative uses the mean-zero convention, so against the
-    symbolic route the result differs by K (mean S) v_x when xi = grad S.
-    """
-    n = P.n
-    B = P._flow_pair._bracket
-    if not B.K.is_const():
-        raise ValueError("numeric application needs a numeric nonlocal constant")
-    K = float(B.K.const_value())
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != v.shape:
-        raise ValueError("covector field must match the state shape")
-    table = MonomialTable(
-        [B.g[i][j] for i in range(n) for j in range(n)]
-        + [B.b[i][j][k] for i in range(n) for j in range(n) for k in range(n)],
-        B.vars,
-    )
-    values = table(v)
-    g = values[: n * n].reshape(n, n, -1)
-    b = values[n * n :].reshape(n, n, n, -1)
-    vx = spectral_dx(grid, v)
-    tail = spectral_antidx(grid, np.sum(vx * xi, axis=0))
-    out = (
-        K * vx * tail
-        + np.einsum("ijm,jm->im", g, spectral_dx(grid, xi))
-        + np.einsum("ijkm,km,jm->im", b, vx, xi)
-    )
-    if not np.all(np.isfinite(out)):
-        raise SimulationError("nonlocal operator produced non-finite values")
-    return out
 
 
 # ---------------------------------------------------------------------------

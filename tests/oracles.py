@@ -1,0 +1,296 @@
+"""Test oracles: exact and numeric routes that no command runs, kept to
+check the ones that do.
+
+* the curvature side of a metric: the Levi-Civita symbols Gamma, the
+  curvature tensor R and the constant-curvature residuals;
+* the paper's closed-form first and second flows of a canonical pair, and
+  the flow of a linear density, against the recursion of
+  :mod:`hydrobrackets.hierarchy`;
+* the nonlocal operator P1 of a pair applied numerically on a grid, with
+  the mean-zero periodic antiderivative.
+
+Index conventions of the curvature side:
+
+* ``Gamma[i][j][k]`` holds the Levi-Civita symbols Gamma^i_{jk}, derived
+  from the contravariant connection b = ``geometry.christoffel(g)`` as
+  Gamma^j_{sk} = -g_{si} b^{ij}_k;
+* ``R[i][j][k][l]`` holds the curvature tensor
+  R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
+            + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}.
+
+With these conventions a metric has constant curvature ``K`` exactly when
+R^i_{jkl} = K (delta^i_k g_{jl} - delta^i_l g_{jk}); the sign was pinned
+once against the closed-form constant-curvature family built by
+``geometry.canonical_metric`` and is locked in by the test suite.
+
+The numeric inverse derivative (d/dx)^{-1} is the unique mean-zero
+periodic antiderivative (zero Fourier mode set to zero).  It therefore
+differs from the symbolic antiderivative convention S(v), S(0)=0, by the
+spatial mean of S; numeric/symbolic comparisons apply that constant
+correction explicitly.
+"""
+
+from __future__ import annotations
+
+import importlib
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from hydrobrackets.bracket import CanonicalPair
+from hydrobrackets.expr import Expr, Zeroness, as_expr, is_zero
+from hydrobrackets.geometry import Metric, _dot, christoffel
+from hydrobrackets.hierarchy import (
+    ConservativeFlow,
+    apply_recursion,
+    flow_vars,
+    recursion_matrix,
+    translation_flow,
+)
+from hydrobrackets.numsim import Grid, MonomialTable, SimulationError, spectral_dx
+
+# the module itself: the package exports the function ``hierarchy`` under
+# the module's name, and the gauge is read from the module at call time
+_hierarchy = importlib.import_module("hydrobrackets.hierarchy")
+
+
+# ---------------------------------------------------------------------------
+# curvature
+# ---------------------------------------------------------------------------
+
+
+def gamma(g: Metric, b) -> tuple:
+    """Levi-Civita symbols Gamma[j][s][k] = Gamma^j_{sk} = -g_{si} b^{ij}_k
+    from the connection b = christoffel(g)."""
+    lo, n = g.down, len(g.vars)
+    return tuple(
+        tuple(
+            tuple(-_dot(lo[s], [b[i][j][k] for i in range(n)]) for k in range(n))
+            for s in range(n)
+        )
+        for j in range(n)
+    )
+
+
+def riemann(g: Metric) -> tuple:
+    """Curvature tensor R[i][j][k][l] = R^i_{jkl} of the metric."""
+    n, vars = len(g.vars), g.vars
+    gam = gamma(g, christoffel(g))
+    dgam = [
+        [
+            [[gam[i][j][k].diff(vars[l]) for l in range(n)] for k in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return tuple(
+        tuple(
+            tuple(
+                tuple(
+                    dgam[i][l][j][k]
+                    - dgam[i][k][j][l]
+                    + sum(
+                        (
+                            gam[i][k][s] * gam[s][l][j] - gam[i][l][s] * gam[s][k][j]
+                            for s in range(n)
+                        ),
+                        Expr.const(0),
+                    )
+                    for l in range(n)
+                )
+                for k in range(n)
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def constant_curvature_residual(g: Metric, K) -> list:
+    """Residuals R^i_{jkl} - K (delta^i_k g_{jl} - delta^i_l g_{jk});
+    all zero exactly when g has constant curvature K."""
+    K = as_expr(K)
+    R, lo, n = riemann(g), g.down, len(g.vars)
+    return [
+        [
+            [
+                [
+                    R[i][j][k][l]
+                    - K
+                    * (
+                        (lo[j][l] if i == k else Expr.const(0))
+                        - (lo[j][k] if i == l else Expr.const(0))
+                    )
+                    for l in range(n)
+                ]
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed-form flows
+# ---------------------------------------------------------------------------
+
+
+class InconsistencyError(RuntimeError):
+    """Two routes that must agree produced different verdicts."""
+
+
+def _closed_form_data(P: CanonicalPair):
+    """The pieces of the paper's closed-form flows, read from the pair's
+    flow side Q: (vars, h, K, dh, d2h, v, eta v, S0) with h^i and K those of
+    Q, dh, d2h its cached derivatives, eta v the covector eta_{jl} v^l and
+    S0 = (1/2) eta_{jl} v^j v^l."""
+    Q = P._flow_pair
+    v = [Expr.var(x) for x in Q.vars]
+    ev = P.eta.lower(v)
+    return Q.vars, Q.H, Q.K, *Q._derivatives, v, ev, _dot(v, ev) * Fraction(1, 2)
+
+
+def flow_t1(P: CanonicalPair) -> ConservativeFlow:
+    """The first hierarchy flow: the recursion route applied to the
+    translation flow with the gradient gauge.  It is checked against the
+    paper's closed form
+    F^i = h^i + eta^{is} (dh^j/dv^s) eta_{jl} v^l - K v^i S0,
+    S = eta_{jk} h^k v^j - (K/2) S0^2,  S0 = (1/2) eta_{jl} v^j v^l;
+    a mismatch raises ``InconsistencyError``."""
+    n = P.n
+    vars, h, K, dh, _, v, ev, S0 = _closed_form_data(P)
+    eta = P.eta
+    lifted = eta.lift([_dot(ev, [dh[j][s] for j in range(n)]) for s in range(n)])
+    F = [h[i] + lifted[i] - K * v[i] * S0 for i in range(n)]
+    S = _dot(v, eta.lower(h)) - K * Fraction(1, 2) * S0 * S0
+    rec = apply_recursion(P, translation_flow(eta), gauge=_hierarchy.eta_gradient_gauge(P))
+    for i in range(n):
+        if is_zero(F[i] - rec.F[i]) is Zeroness.NONZERO:
+            raise InconsistencyError(
+                f"closed-form F[{i + 1}] disagrees with the recursion route"
+            )
+    if is_zero(S - rec.S) is Zeroness.NONZERO:
+        raise InconsistencyError("closed-form S disagrees with the recursion route")
+    return rec
+
+
+def flow_t2(P: CanonicalPair) -> ConservativeFlow:
+    """The second hierarchy flow: the recursion route applied to the first
+    flow with the gradient gauge.  Before that, the paper's closed-form
+    cofactors M (of g1) and xi (of b1) are checked against the Hessian and
+    gradient of the first flow's S; a mismatch raises ``InconsistencyError``."""
+    n = P.n
+    vars, h, K, dh, d2h, v, ev, S0 = _closed_form_data(P)
+    down = P.eta.down
+    # eta_{jl} dh^l/dv^k, by [k][j]
+    ldh = [P.eta.lower([dh[l][k] for l in range(n)]) for k in range(n)]
+    # bracketed cofactor of g1^{ij}: eta_{jl} dh^l/dv^k + eta_{rk} dh^r/dv^j
+    #   + eta_{rq} v^q d2h^r/dv^j dv^k - K eta_{jl} eta_{pk} v^l v^p
+    #   - (K/2) eta_{jk} eta_{pl} v^l v^p
+    M = [
+        [
+            ldh[k][j]
+            + ldh[j][k]
+            + _dot(ev, [d2h[r][j][k] for r in range(n)])
+            - K * ev[j] * ev[k]
+            - K * Expr.const(down[j][k]) * S0
+            for k in range(n)
+        ]
+        for j in range(n)
+    ]
+    # bracketed cofactor of b1^{ij}_k: eta_{jl} h^l + eta_{rq} v^q dh^r/dv^j
+    #   - (K/2) eta_{jl} eta_{pr} v^l v^p v^r
+    lh = P.eta.lower(h)
+    xi = [
+        lh[j] + _dot(ev, [dh[r][j] for r in range(n)]) - K * ev[j] * S0
+        for j in range(n)
+    ]
+    t1 = flow_t1(P)
+    for j in range(n):
+        S1j = t1.S.diff(vars[j])
+        if is_zero(xi[j] - S1j) is Zeroness.NONZERO:
+            raise InconsistencyError(
+                f"closed-form xi[{j + 1}] disagrees with the gradient of the "
+                f"first flow's S"
+            )
+        for k in range(n):
+            if is_zero(M[j][k] - S1j.diff(vars[k])) is Zeroness.NONZERO:
+                raise InconsistencyError(
+                    f"closed-form M[{j + 1}][{k + 1}] disagrees with the Hessian "
+                    f"of the first flow's S"
+                )
+    return apply_recursion(P, t1, gauge=_hierarchy.eta_gradient_gauge(P))
+
+
+def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
+    """The flow generated by the nonlocal operator of the pair from the
+    linear density c_j v^j: coefficients b1^{ij}_k c_j + K (c_j v^j) delta^i_k.
+    This is exactly the defect produced one level after choosing gauge zero
+    instead of the covector c."""
+    c = tuple(as_expr(x) for x in c)
+    if len(c) != P.n:
+        raise ValueError("covector length must match the pair")
+    cv = _dot(c, [Expr.var(x) for x in flow_vars(P.n)])
+    return ConservativeFlow(P.eta, recursion_matrix(P, cv))
+
+
+# ---------------------------------------------------------------------------
+# the nonlocal operator, numerically
+# ---------------------------------------------------------------------------
+
+
+def spectral_antidx(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """Mean-zero periodic antiderivative; the input must be (numerically)
+    mean-free."""
+    scale = float(np.max(np.abs(s))) if s.size else 0.0
+    mean = float(np.mean(s))
+    if scale > 0 and abs(mean) > 1e-8 * scale:
+        raise SimulationError(
+            f"antiderivative input has nonzero mean ({mean:.3e})"
+        )
+    spec = np.fft.rfft(s)
+    k = grid.wavenumbers
+    spec[0] = 0.0
+    spec[1:] = spec[1:] / (1j * k[1:])
+    spec[-1] = 0.0
+    return np.fft.irfft(spec, n=grid.m)
+
+
+def apply_P1_numeric(
+    P: CanonicalPair, grid: Grid, v: np.ndarray, xi: np.ndarray
+) -> np.ndarray:
+    """Apply the nonlocal operator of the pair to a sampled covector field
+    at the field v, shape (N, M):
+    g1^{ij}(v) (xi_j)_x + b1^{ij}_k v^k_x xi_j + K v^i_x (d/dx)^{-1}(v^j_x xi_j).
+
+    The antiderivative uses the mean-zero convention, so against the
+    symbolic route the result differs by K (mean S) v_x when xi = grad S.
+    """
+    n = P.n
+    B = P._flow_pair._bracket
+    if not B.K.is_const():
+        raise ValueError("numeric application needs a numeric nonlocal constant")
+    K = float(B.K.const_value())
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != v.shape:
+        raise ValueError("covector field must match the state shape")
+    table = MonomialTable(
+        [B.g[i][j] for i in range(n) for j in range(n)]
+        + [B.b[i][j][k] for i in range(n) for j in range(n) for k in range(n)],
+        B.vars,
+    )
+    values = table(v)
+    g = values[: n * n].reshape(n, n, -1)
+    b = values[n * n :].reshape(n, n, n, -1)
+    vx = spectral_dx(grid, v)
+    tail = spectral_antidx(grid, np.sum(vx * xi, axis=0))
+    out = (
+        K * vx * tail
+        + np.einsum("ijm,jm->im", g, spectral_dx(grid, xi))
+        + np.einsum("ijkm,km,jm->im", b, vx, xi)
+    )
+    if not np.all(np.isfinite(out)):
+        raise SimulationError("nonlocal operator produced non-finite values")
+    return out

@@ -228,6 +228,31 @@ def test_simulate_pass_and_outputs(scalar_file, tmp_path, capsys):
     assert (outdir / "snap_0.2.csv").exists()
 
 
+def test_simulate_dealias_changes_the_run(tmp_path, capsys):
+    # the mode-8 component at M = 32 makes v v_x alias past the 2/3 cut
+    doc = {
+        "N": 1,
+        "eta": [[1]],
+        "K": 0,
+        "H": ["u1^2/2"],
+        "simulation": {
+            "grid_M": 32,
+            "L": TWO_PI,
+            "dt": 0.01,
+            "t_end": 0.1,
+            "init": ["0.1*sin(x) + 0.05*sin(8*x)"],
+        },
+    }
+    path = _write(tmp_path, "rough.json", doc)
+    assert main(["simulate", path, "--out", str(tmp_path / "plain")]) == 1
+    assert main(["simulate", path, "--dealias", "--out", str(tmp_path / "dealiased")]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    plain = (tmp_path / "plain" / "diag.csv").read_text()
+    dealiased = (tmp_path / "dealiased" / "diag.csv").read_text()
+    assert plain.split("\n")[0] == dealiased.split("\n")[0]
+    assert plain != dealiased
+
+
 def test_simulate_breaking_exit_3(tmp_path, capsys):
     doc = {
         "N": 1,
@@ -1050,7 +1075,7 @@ def test_commute_takes_its_verdicts_from_verify_hierarchy(monkeypatch, capsys):
     monkeypatch.setattr(module, "commute_check", lambda *flows: calls.append(flows))
     problem = str(Path(__file__).resolve().parents[1] / "problems" / "scalar_shallow.json")
     assert main(["commute", problem, "--levels", "4"]) == 0
-    assert calls == []  # every pair passed P2 involution, so no expanded check ran
+    assert calls == []  # every link of the Lenard chain held, so no expanded check ran
     assert capsys.readouterr().out.count("PASS\n") == 11  # ten pairs and the verdict
 
 

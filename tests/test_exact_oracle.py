@@ -27,6 +27,8 @@ from hydrobrackets.expr import Expr, Zeroness, is_zero
 from hydrobrackets import geometry as geo
 from hydrobrackets.poly import Poly, poly_gcd, ray_integral
 
+import oracles
+
 sympy = pytest.importorskip("sympy")
 
 VARS = ("u1", "u2", "v1")
@@ -300,8 +302,8 @@ def test_christoffel_and_riemann_agree(a, K):
         for i in range(n)
     ]
     conn_b = geo.christoffel(g)
-    conn_gamma = geo.gamma(g, conn_b)
-    R = geo.riemann(g)
+    conn_gamma = oracles.gamma(g, conn_b)
+    R = oracles.riemann(g)
     for i in range(n):
         for j in range(n):
             for k in range(n):

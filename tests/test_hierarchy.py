@@ -14,7 +14,6 @@ import pytest
 from hydrobrackets.bracket import (
     CanonicalPair,
     ConstantBracket,
-    InconsistencyError,
     Integrand1,
     functional_bracket_density,
     is_total_x_derivative,
@@ -30,17 +29,16 @@ from hydrobrackets.hierarchy import (
     bihamiltonian_check,
     commute_check,
     eta_gradient_gauge,
-    flow_t1,
-    flow_t2,
     flow_vars,
     hierarchy,
     involution_check,
-    linear_density_flow,
     recursion_matrix,
     translation_flow,
     verify_hierarchy,
 )
 from hydrobrackets.poly import Poly
+
+from oracles import InconsistencyError, flow_t1, flow_t2, linear_density_flow
 
 ETA1 = ConstantBracket([[1]])
 ETA2 = ConstantBracket([[1, 0], [0, 1]])
