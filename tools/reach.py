@@ -1,21 +1,21 @@
 """List the functions of ``src/hydrobrackets`` that no command runs.
 
-    python3 tools/reach.py --seed 1
+    python3 tools/reach.py
 
-Every job of both benchmark workloads at the seed (the job lists come from
-``perfbench/workloads.py``, read only), and every command in text and
-``--json`` on ``problems/*.json`` and the fixtures in ``tests/golden/``, runs
-in-process through ``cli.main`` under ``sys.settrace``.  Each function (a
-``def`` in ``src/hydrobrackets``) that was never called is printed with its
-line count; a nested function is printed only when its enclosing function
-ran.  The exit status is 1 when such a function is not on ``ALLOWED``, the
-functions that stay although no command calls them, each with its reason;
-0 otherwise.
+Every job of both benchmark workloads at each of ``SEEDS`` (the job lists
+come from ``perfbench/workloads.py``, read only), and every command in text
+and ``--json`` on ``problems/*.json`` and the fixtures in ``tests/golden/``,
+runs in-process through ``cli.main`` under ``sys.settrace``.  Each function
+(a ``def`` in ``src/hydrobrackets``) that was never called is printed with
+its line count; a nested function is printed only when its enclosing
+function ran.  ``ALLOWED`` holds the functions that stay although no command
+calls them, each with its reason.  The exit status is 1 when a function that
+was never called is not on ``ALLOWED``, or when an entry of ``ALLOWED`` is
+stale (its function was called, or is no longer a def); 0 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import io
@@ -32,6 +32,10 @@ sys.path.insert(0, str(HERE / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 
 from hydrobrackets import cli  # noqa: E402
+
+# The seeds at which CI also compares every workload's output with the base
+# commit (tools/same_output.py); the job lists are drawn from the seed.
+SEEDS = (1, 2)
 
 _TRACER = "a target of perfbench/tracer.py, which looks it up by name"
 _TRACER_CALLEE = "called by a target of perfbench/tracer.py"
@@ -91,12 +95,13 @@ def functions() -> list:
     return found
 
 
-def jobs(seed: int, work: Path) -> list:
-    """argv lists: both workloads at the seed, then every command on the
+def jobs(work: Path) -> list:
+    """argv lists: both workloads at each seed, then every command on the
     committed problems and the golden fixtures."""
     argvs = []
-    for name in sorted(workloads.BUILDERS):
-        argvs += [job.argv for job in workloads.build(name, seed, HERE, work / name).jobs]
+    for seed in SEEDS:
+        for name in sorted(workloads.BUILDERS):
+            argvs += [job.argv for job in workloads.build(name, seed, HERE, work / f"{name}-{seed}").jobs]
     files = sorted((HERE / "problems").glob("*.json")) + sorted(
         p for p in (HERE / "tests" / "golden").glob("*.json") if p.name != "exit_codes.json"
     )
@@ -139,20 +144,18 @@ def trace(argvs: list) -> set:
     return called
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, required=True, help="workload seed")
-    args = ap.parse_args(argv)
+def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="reach-"))
     try:
-        argvs = jobs(args.seed, work)
+        argvs = jobs(work)
         called = trace(argvs)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     defs = functions()
     unreached = {key for key, path, first, _, _ in defs if (path, first) not in called}
     shown = [d for d in defs if d[0] in unreached and d[4] not in unreached]
-    print(f"reach: {len(argvs)} in-process jobs at seed {args.seed}; "
+    seeds = ", ".join(map(str, SEEDS))
+    print(f"reach: {len(argvs)} in-process jobs, workloads at seeds {seeds}; "
           f"{len(shown)} functions, {sum(d[3] for d in shown)} lines of src/ never called")
     unexplained = 0
     for key, path, first, lines, _ in shown:
@@ -160,9 +163,17 @@ def main(argv=None) -> int:
         unexplained += reason is None
         where = f"{Path(path).relative_to(HERE)}:{first}"
         print(f"  {key} ({lines} lines, {where}): {reason or 'NOT ALLOWED'}")
-    for key in sorted(set(ALLOWED) - unreached):
-        print(f"  note: {key} is allowed but was called; its entry can go")
-    return 1 if unexplained else 0
+    keys = {d[0] for d in defs}
+    stale = 0
+    for key in sorted(ALLOWED):
+        if key not in keys:
+            print(f"  STALE: {key} is allowed but is no longer a def in src/; remove its entry")
+        elif key not in unreached:
+            print(f"  STALE: {key} is allowed but was called; remove its entry")
+        else:
+            continue
+        stale += 1
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":
