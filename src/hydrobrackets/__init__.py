@@ -39,7 +39,6 @@ from .bracket import (
 from .hierarchy import (
     ConservativeFlow,
     apply_recursion,
-    bihamiltonian_check,
     commute_check,
     hierarchy,
     involution_check,
@@ -74,7 +73,6 @@ __all__ = [
     "special_liouville",
     "ConservativeFlow",
     "apply_recursion",
-    "bihamiltonian_check",
     "commute_check",
     "hierarchy",
     "involution_check",

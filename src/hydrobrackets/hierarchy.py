@@ -12,19 +12,18 @@ the ray integral guarantees the rest.
 :func:`bracket.operator_matrix` is the single operator primitive: for any
 bracket (g, b, K) it forms g Hess(S) + b grad(S) + K S Id, with the
 antiderivative convention (d/dx)^{-1}(v^j_x dS/dv^j) = S(v), S(0) = 0.
-:func:`recursion_matrix` is it for the canonical operator P1 of the pair;
-``bihamiltonian_check`` applies P1 and eta d/dx at one link of the chain,
-``involution_check`` integrates against both, and ``verify_hierarchy``
-checks every link and derives every pair's verdict from the chain.  Levels
-are produced by applying the recursion to the previous level.  Each
-application leaves one constant covector free (the value of
-eta_{jl} F^l at the origin); it is exposed as the explicit ``gauge``
-argument rather than chosen silently.
+:func:`recursion_matrix` is it for the canonical operator P1 of the pair.
+Levels are produced by applying the recursion to the previous level, so
+consecutive levels form a Lenard chain by construction, and every pair of
+levels commutes and is in involution (the proof is in :func:`hierarchy`).
+``commute_check`` and ``involution_check`` decide the same two properties
+directly, for any two flows.  Each application of the recursion leaves one
+constant covector free (the value of eta_{jl} F^l at the origin); it is
+exposed as the explicit ``gauge`` argument rather than chosen silently.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Sequence
 
@@ -53,10 +52,8 @@ __all__ = [
     "apply_recursion",
     "hierarchy",
     "eta_gradient_gauge",
-    "bihamiltonian_check",
     "commute_check",
     "involution_check",
-    "verify_hierarchy",
 ]
 
 
@@ -165,6 +162,33 @@ def hierarchy(
     default is the gradient gauge at level 1 (reproducing the closed-form
     first flow exactly) and zero afterwards.  Negative levels would require
     inverting the nonlocal operator and are rejected.
+
+    Every pair of the returned levels commutes, and is in involution under
+    both operators of the pair, by Lenard's recursion argument (Magri 1978;
+    Olver, "Applications of Lie Groups to Differential Equations", ch. 7).
+    Its premises are checked here, and each failure raises:
+
+    * P1 and P2 = eta d/dx are a Poisson pair: the ass1/ass2 gate below
+      (``NotPoissonError``);
+    * every level is P2-Hamiltonian, V_b = P2 grad S_b: ``ConservativeFlow``
+      derives F and S with V = dF and dS = eta-lowered F, and its two
+      closedness checks raise ``ClosednessError`` when they do not exist;
+    * consecutive levels form the chain P1 grad S_{b-1} = P2 grad S_b:
+      ``apply_recursion`` builds V_b as ``recursion_matrix(P, S_{b-1})``,
+      whatever the gauges.
+
+    Write I_1(a, b), I_2(a, b) for the P1 and P2 brackets of the integrals
+    of S_a and S_b, every index in 0..n_max:
+
+    * the chain gives I_1(a, b) = I_2(a, b+1) (S_b(0) = 0 removes the tail
+      term);
+    * both brackets are skew (P1 by construction: g1 is symmetric and
+      dg1 = b1 + b1^T), so I_2(a, b) = I_1(a, b-1) = -I_1(b-1, a) =
+      -I_2(b-1, a+1) = I_2(a+1, b-1); this ends at I_2(k, k) = 0 or
+      I_2(k, k+1) = I_2(k+1, k) = -I_2(k, k+1), so every I_2 vanishes, and
+      so does every I_1 (I_1(a, n_max) = -I_2(n_max, a+1));
+    * every flow is the P2-Hamiltonian field of the integral of its S, and
+      [X_f, X_g] = X_{f,g}, so the flows commute.
     """
     if n_max < 0:
         raise ValueError("negative recursion powers are not supported")
@@ -187,31 +211,6 @@ def hierarchy(
 # ---------------------------------------------------------------------------
 # verification operations
 # ---------------------------------------------------------------------------
-
-
-def bihamiltonian_check(
-    P: CanonicalPair, flow: ConservativeFlow, previous: ConservativeFlow | None = None
-) -> PoissonReport:
-    """Verify one link P1 grad S_{b-1} = P2 grad S_b of the Lenard chain,
-    the two Hamiltonian representations of the flow of level b:
-
-    * ``eq1``: the nonlocal operator applied to grad S of the ``previous``
-      level (default: the translation flow, S = (1/2) eta_{jl} v^j v^l)
-      reproduces the flow, the nonlocal term resolving to K v^i_x S;
-    * ``eq2``: the constant operator applied to grad S reproduces it.
-    """
-    rng = random.Random(0)
-    n = P.n
-    previous = translation_flow(P.eta) if previous is None else previous
-
-    def residuals(M):
-        for i in range(n):
-            for k in range(n):
-                yield (i + 1, k + 1), M[i][k] - flow.V[i][k]
-
-    p1 = recursion_matrix(P, previous.S)
-    p2 = operator_matrix(P.eta.as_hydro(flow.vars), flow.S)
-    return PoissonReport([_judge("eq1", residuals(p1), rng), _judge("eq2", residuals(p2), rng)])
 
 
 def commute_check(flowA: ConservativeFlow, flowB: ConservativeFlow) -> PoissonReport:
@@ -262,34 +261,3 @@ def involution_check(P: CanonicalPair, d1, d2) -> bool:
         is_total_x_derivative(functional_bracket_density(B, d1, d2))
         for B in (P._flow_pair._bracket, P.eta.as_hydro(flow_vars(P.n)))
     )
-
-
-def verify_hierarchy(P: CanonicalPair, flows: Sequence) -> list:
-    """(commute, involution) verdicts of every pair a < b of the flows 0..L
-    that ``hierarchy(P, L)`` returned, in ``itertools.combinations`` order;
-    involution is under both operators, as in ``involution_check``.
-
-    When ``bihamiltonian_check`` passes at every link (level b against
-    level b-1), every verdict is (True, True) by Lenard's recursion argument
-    (Magri 1978; Olver, "Applications of Lie Groups to Differential
-    Equations", ch. 7).  Write I_1(a, b), I_2(a, b) for the P1 and P2
-    brackets of the integrals of S_a and S_b:
-
-    * the chain P1 grad S_b = P2 grad S_{b+1} gives I_1(a, b) = I_2(a, b+1)
-      (S_b(0) = 0 removes the tail term);
-    * both brackets are skew (P1 by construction: g1 is symmetric and
-      dg1 = b1 + b1^T), so I_2(a, b) = I_1(a, b-1) = -I_1(b-1, a) =
-      -I_2(b-1, a+1) = I_2(a+1, b-1), every index in 0..L; this ends at
-      I_2(k, k) = 0 or I_2(k, k+1) = I_2(k+1, k) = -I_2(k, k+1), so every
-      I_2 vanishes, and so does every I_1 (I_1(a, L) = -I_2(L, a+1));
-    * every flow is the P2-Hamiltonian field of the integral of its S (eq2;
-      at level 0 by construction) and [X_f, X_g] = X_{f,g}, so they commute.
-
-    A failing link means flows that are not one pair's chain: then every
-    pair is judged by ``commute_check`` and ``involution_check``."""
-    if all(bihamiltonian_check(P, fl, previous=prev).passed for prev, fl in zip(flows, flows[1:])):
-        return [(True, True)] * (len(flows) * (len(flows) - 1) // 2)
-    return [
-        (commute_check(fa, fb).passed, involution_check(P, fa.S, fb.S))
-        for fa, fb in itertools.combinations(flows, 2)
-    ]

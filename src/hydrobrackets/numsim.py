@@ -5,6 +5,7 @@ the symbolic machinery.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from functools import cached_property
 from typing import Sequence
@@ -453,8 +454,11 @@ def run(
 
     take_snapshot()
     warned_tail = False
-    # the rounding of the summed steps scales with t_end, however small
-    eps = 1e-12 * abs(t_end)
+    # the summed t falls short of t_end by its rounding, at most half an ulp
+    # of t_end per step; the bound stays far below dt up to MAX_STEPS steps
+    # (step_rk4 refuses a dt that is not positive)
+    steps = t_end / dt if dt > 0 else 0.0
+    eps = max(1e-12, (steps + 1) * math.ulp(1.0)) * abs(t_end)
     while t < t_end - eps:
         step = min(dt, t_end - t)
         cfl = step * cflow.gershgorin_max(V) * grid.m / grid.length

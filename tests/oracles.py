@@ -6,6 +6,8 @@ check the ones that do.
 * the paper's closed-form first and second flows of a canonical pair, and
   the flow of a linear density, against the recursion of
   :mod:`hydrobrackets.hierarchy`;
+* one link of the Lenard chain, both Hamiltonian representations of a
+  flow, which ``hierarchy()`` output satisfies by construction;
 * the nonlocal operator P1 of a pair applied numerically on a grid, with
   the mean-zero periodic antiderivative.
 
@@ -33,12 +35,13 @@ correction explicitly.
 from __future__ import annotations
 
 import importlib
+import random
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from hydrobrackets.bracket import CanonicalPair
+from hydrobrackets.bracket import CanonicalPair, PoissonReport, _judge, operator_matrix
 from hydrobrackets.expr import Expr, Zeroness, as_expr, is_zero
 from hydrobrackets.geometry import Metric, _dot, christoffel
 from hydrobrackets.hierarchy import (
@@ -234,6 +237,36 @@ def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
         raise ValueError("covector length must match the pair")
     cv = _dot(c, [Expr.var(x) for x in flow_vars(P.n)])
     return ConservativeFlow(P.eta, recursion_matrix(P, cv))
+
+
+# ---------------------------------------------------------------------------
+# the Lenard chain
+# ---------------------------------------------------------------------------
+
+
+def bihamiltonian_check(
+    P: CanonicalPair, flow: ConservativeFlow, previous: ConservativeFlow | None = None
+) -> PoissonReport:
+    """Verify one link P1 grad S_{b-1} = P2 grad S_b of the Lenard chain,
+    the two Hamiltonian representations of the flow of level b:
+
+    * ``eq1``: the nonlocal operator applied to grad S of the ``previous``
+      level (default: the translation flow, S = (1/2) eta_{jl} v^j v^l)
+      reproduces the flow, the nonlocal term resolving to K v^i_x S;
+    * ``eq2``: the constant operator applied to grad S reproduces it.
+    """
+    rng = random.Random(0)
+    n = P.n
+    previous = translation_flow(P.eta) if previous is None else previous
+
+    def residuals(M):
+        for i in range(n):
+            for k in range(n):
+                yield (i + 1, k + 1), M[i][k] - flow.V[i][k]
+
+    p1 = recursion_matrix(P, previous.S)
+    p2 = operator_matrix(P.eta.as_hydro(flow.vars), flow.S)
+    return PoissonReport([_judge("eq1", residuals(p1), rng), _judge("eq2", residuals(p2), rng)])
 
 
 # ---------------------------------------------------------------------------

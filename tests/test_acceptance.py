@@ -30,7 +30,6 @@ from hydrobrackets.bracket import (
 from hydrobrackets.expr import Expr, Zeroness, is_zero, parse
 from hydrobrackets.hierarchy import (
     apply_recursion,
-    bihamiltonian_check,
     commute_check,
     eta_gradient_gauge,
     hierarchy,
@@ -40,7 +39,7 @@ from hydrobrackets.hierarchy import (
 from hydrobrackets import numsim as ns
 
 import oracles
-from oracles import flow_t1, flow_t2, linear_density_flow
+from oracles import bihamiltonian_check, flow_t1, flow_t2, linear_density_flow
 
 ETA1 = ConstantBracket([[1]])
 ETA2 = ConstantBracket([[1, 0], [0, 1]])

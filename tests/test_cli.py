@@ -1067,16 +1067,27 @@ def test_an_n_that_no_block_lists_allocates_nothing(tmp_path):
     )
 
 
-def test_commute_takes_its_verdicts_from_verify_hierarchy(monkeypatch, capsys):
+def test_flow_commands_apply_the_operator_once_per_level(monkeypatch, capsys):
+    # the pairwise verdicts follow from the construction of the levels, so
+    # nothing re-applies an operator to a level once it is built
     import importlib
 
     module = importlib.import_module("hydrobrackets.hierarchy")
+    operator_matrix = module.operator_matrix
     calls = []
-    monkeypatch.setattr(module, "commute_check", lambda *flows: calls.append(flows))
-    problem = str(Path(__file__).resolve().parents[1] / "problems" / "scalar_shallow.json")
-    assert main(["commute", problem, "--levels", "4"]) == 0
-    assert calls == []  # every link of the Lenard chain held, so no expanded check ran
-    assert capsys.readouterr().out.count("PASS\n") == 11  # ten pairs and the verdict
+
+    def counted(*args):
+        calls.append(args)
+        return operator_matrix(*args)
+
+    monkeypatch.setattr(module, "operator_matrix", counted)
+    problem = str(Path(__file__).resolve().parents[1] / "problems" / "linear_pair_n2.json")
+    # ten pairs, each once (commute) or twice (hierarchy), and the verdict
+    for command, passes in (("hierarchy", 21), ("commute", 11)):
+        calls.clear()
+        assert main([command, problem, "--levels", "4"]) == 0
+        assert len(calls) == 4, command
+        assert capsys.readouterr().out.count("PASS\n") == passes, command
 
 
 # -- malformed files that used to end in a traceback ------------------------------

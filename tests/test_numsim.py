@@ -4,7 +4,9 @@ and symbolic/numeric agreement."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
+import types
 import warnings
 from fractions import Fraction
 
@@ -290,6 +292,20 @@ def test_cfl_guard_stops_the_run_before_the_step(monkeypatch):
     with pytest.raises(ns.CFLError, match=r"^CFL number 3\.056 at t=0 exceeds 1 "):
         ns.run(ns.compile_flow(fl), v, g, dt=1.0, t_end=1.0)
     assert steps == []
+
+
+def test_a_run_takes_t_end_over_dt_steps_and_no_sliver(monkeypatch):
+    # after 1e5 steps of 1e-5 the summed t falls short of t_end = 1 by about
+    # 2e-12, more than 1e-12 * t_end but within the summed rounding: the run
+    # must end there, not take one more step of that length
+    cflow = types.SimpleNamespace(n=1, gershgorin_max=lambda V: 0.0, rhs_from=lambda *a: None)
+    monkeypatch.setattr(ns, "step_rk4", lambda cflow, grid, v, t, dt, k1: v)
+    monkeypatch.setattr(ns, "_evaluate", lambda cflow, grid, v, t: ([t, 0.0, 0.0], None, None))
+    res = ns.run(cflow, np.zeros((1, 8)), ns.Grid(8, TWO_PI), dt=1e-5, t_end=1.0)
+    # the summed t, kept as it is: 0.9999999999980838 at the end
+    assert [row[0] for row in res.rows] == [0.0, *itertools.accumulate([1e-5] * 100_000)]
+    assert res.rows[-1][0] != 1.0
+    assert res.status == "completed"
 
 
 def test_one_table_product_and_one_fft_per_state(monkeypatch):
