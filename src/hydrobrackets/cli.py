@@ -40,6 +40,7 @@ from .bracket import (
 )
 from .expr import Expr, ParseError, UnknownVariableError, _Const, _fold_tree, parse
 from .hierarchy import (
+    MAX_LEVELS,
     ClosednessError,
     NotPoissonError,
     hierarchy,
@@ -508,6 +509,8 @@ def cmd_liouville(args) -> int:
 def _require_level(value: int, option: str) -> None:
     if value < 0:
         raise ProblemFileError(option, "must be a non-negative integer")
+    if value > MAX_LEVELS:
+        raise ProblemFileError(option, f"must be at most {MAX_LEVELS}")
 
 
 def _check_out(out: Path) -> None:
@@ -531,8 +534,9 @@ def _flows(args, gauges=None):
 
 
 def cmd_hierarchy(args) -> int:
-    # gauges None: the library default, gradient gauge at level 1, zero after
-    prob, flows = _flows(args, [None] * args.levels if args.gauge == "zero" else None)
+    # gauges None: the library default, gradient gauge at level 1, zero after;
+    # [] is the zero gauge at every level
+    prob, flows = _flows(args, [] if args.gauge == "zero" else None)
     lines = [f"hierarchy: N={prob.n}, levels 0..{args.levels}"]
     levels_obj = []
     for fl in flows:

@@ -57,6 +57,11 @@ __all__ = [
 ]
 
 
+# the highest level a flow command builds: ten times the deepest hierarchy
+# of the benchmark, and a bound on the pairs that hierarchy and commute print
+MAX_LEVELS = 100
+
+
 class ClosednessError(ValueError):
     """A coefficient matrix V that is not a flow: a row of V is not closed,
     so the flux potential F does not exist, or eta-lowered V is not
@@ -158,9 +163,10 @@ def hierarchy(
 ) -> list:
     """Flows for levels 0..n_max by iterated recursion.
 
-    ``gauges[i]`` is the gauge covector used when producing level i+1; the
-    default is the gradient gauge at level 1 (reproducing the closed-form
-    first flow exactly) and zero afterwards.  Negative levels would require
+    ``gauges[i]`` is the gauge covector used when producing level i+1, and
+    a level past the end of ``gauges`` takes the zero gauge; the default is
+    the gradient gauge at level 1 (reproducing the closed-form first flow
+    exactly) and zero afterwards.  Negative levels would require
     inverting the nonlocal operator and are rejected.
 
     Every pair of the returned levels commutes, and is in involution under
@@ -197,12 +203,12 @@ def hierarchy(
         failing = ", ".join(c.name for c in report.failing())
         raise NotPoissonError(f"canonical pair fails {failing}")
     if gauges is None:
-        gauges = [eta_gradient_gauge(P)] + [None] * max(0, n_max - 1)
-    gauges = list(gauges) + [None] * max(0, n_max - len(gauges))
+        gauges = [eta_gradient_gauge(P)]
     flows = [translation_flow(P.eta)]
     for level in range(1, n_max + 1):
+        gauge = gauges[level - 1] if level <= len(gauges) else None
         try:
-            flows.append(apply_recursion(P, flows[-1], gauge=gauges[level - 1]))
+            flows.append(apply_recursion(P, flows[-1], gauge=gauge))
         except ClosednessError as exc:
             raise ClosednessError(f"at level {level}: {exc}") from exc
     return flows

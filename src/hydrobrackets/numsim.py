@@ -1,6 +1,10 @@
 """Pseudo-spectral integration of conservative hydrodynamic flows on a
 periodic domain, with conservation diagnostics and numeric cross-checks of
 the symbolic machinery.
+
+A flow's V and S are polynomials, compiled into one :class:`MonomialTable`
+of polynomials; rational initial data is sampled as its numerator over its
+denominator factors, all evaluated in one such table.
 """
 
 from __future__ import annotations
@@ -122,54 +126,42 @@ def _float(c) -> float:
 
 
 class MonomialTable:
-    """Expressions over fixed variables, compiled into one table.
+    """Polynomials over fixed variables, compiled into one table.
 
     ``exponents`` (T x N integers) holds every distinct monomial of the
-    numerators and denominator factors; row 0 is the constant monomial.
-    ``coeffs`` (R x T) has one row per expression numerator, in input order,
-    then one per distinct denominator factor.  An evaluation forms the powers
-    of each variable once, the T monomial values from them, and every
-    polynomial row with one matrix product.  Monomials are numbered by first
-    appearance, so the first c numerators use only the first ``_prefix[c]``.
-    The power plan, its size checks and its power buffers are fixed once per
-    (monomial count, sample count) and reused by every later evaluation, so
-    one table must not be evaluated from two threads at once.
+    polynomials; row 0 is the constant monomial.  ``coeffs`` (R x T) has one
+    row per polynomial, in input order.  An evaluation forms the powers of
+    each variable once, the T monomial values from them, and every row with
+    one matrix product.  Monomials are numbered by first appearance, so the
+    first c polynomials use only the first ``_prefix[c]``.  The power plan,
+    its size checks and its power buffers are fixed once per (monomial
+    count, sample count) and reused by every later evaluation, so one table
+    must not be evaluated from two threads at once.
     """
 
     def __init__(self, exprs: Sequence[Expr], var_order: Sequence[str]):
         missing = set().union(*(e.free_vars() for e in exprs)) - set(var_order)
         if missing:
             raise ValueError(f"expression has unbound variables {sorted(missing)}")
-        polys = [e.num for e in exprs]
-        factor_rows: dict = {}
-        self._dens = []  # (expression, ((factor row, exponent), ...))
-        for k, e in enumerate(exprs):
-            parts = []
-            for f, exp in e.den:
-                row = factor_rows.setdefault(f.key(), len(polys))
-                if row == len(polys):
-                    polys.append(f)
-                parts.append((row, exp))
-            if parts:
-                self._dens.append((k, tuple(parts)))
+        if not all(e.is_poly() for e in exprs):
+            raise ValueError("a monomial table holds polynomials only")
         columns = {(0,) * len(var_order): 0}
         entries = []
         self._prefix = [1]
-        for r, p in enumerate(polys):
-            for row, c in p.exponent_rows(var_order):
+        for r, e in enumerate(exprs):
+            for row, c in e.num.exponent_rows(var_order):
                 entries.append((r, columns.setdefault(row, len(columns)), _float(c)))
-            if r < len(exprs):
-                self._prefix.append(len(columns))
+            self._prefix.append(len(columns))
         self.size = len(exprs)
         self.exponents = np.array(list(columns), dtype=np.intp).reshape(
             len(columns), len(var_order)
         )
-        if len(polys) * len(columns) > POWER_TABLE_LIMIT:
+        if len(exprs) * len(columns) > POWER_TABLE_LIMIT:
             raise ExpressionSizeError(
-                f"a coefficient matrix of {len(polys)} x {len(columns)} "
+                f"a coefficient matrix of {len(exprs)} x {len(columns)} "
                 f"(rows x monomials) exceeds {POWER_TABLE_LIMIT} values"
             )
-        self.coeffs = np.zeros((len(polys), len(columns)))
+        self.coeffs = np.zeros((len(exprs), len(columns)))
         for r, col, c in entries:
             self.coeffs[r, col] = c
         self._layouts: dict = {}
@@ -226,21 +218,11 @@ class MonomialTable:
         return np.ones((terms, m)) if out is None else out
 
     def __call__(self, stack: np.ndarray, count: int | None = None) -> np.ndarray:
-        """The first ``count`` expressions (default all) at every sample of a
-        stack with one row per variable: shape (count,) + stack.shape[1:]."""
+        """The first ``count`` polynomials (default all) at the samples of a
+        float stack of shape (N, M): shape (count, M)."""
         count = self.size if count is None else count
-        flat = np.asarray(stack, dtype=float).reshape(len(stack), -1)
-        if self._dens:
-            rows = self.coeffs @ self.monomials(flat)
-            out = rows[:count]
-            for k, parts in self._dens:
-                if k < count:
-                    for r, exp in parts:
-                        out[k] /= rows[r] ** exp
-        else:
-            terms = self._prefix[count]
-            out = self.coeffs[:count, :terms] @ self.monomials(flat, terms)
-        return out.reshape((count,) + np.shape(stack)[1:])
+        terms = self._prefix[count]
+        return self.coeffs[:count, :terms] @ self.monomials(stack, terms)
 
 
 def _sample_tree(tree, x: np.ndarray) -> np.ndarray:
@@ -319,7 +301,12 @@ def sample_initial_data(grid: Grid, initial: Sequence) -> np.ndarray:
     for i, e in enumerate(initial):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if isinstance(e, Expr):
-                row = MonomialTable([e], ("x",))(x[np.newaxis, :])[0]
+                # numerator over each denominator factor to its exponent
+                factors = [Expr(f) for f, _ in e.den]
+                values = MonomialTable([Expr(e.num), *factors], ("x",))(x[np.newaxis, :])
+                row = values[0]
+                for r, (_, exp) in enumerate(e.den, start=1):
+                    row /= values[r] ** exp
             else:
                 row = _sample_tree(e, x)
         if not np.all(np.isfinite(row)):

@@ -216,6 +216,29 @@ def test_negative_level_is_input_error(
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("hierarchy", "--levels"),
+        ("hierarchy", "--gauge", "zero", "--levels"),
+        ("commute", "--levels"),
+        ("simulate", "--level"),
+    ],
+    ids=lambda args: "-".join(args),
+)
+def test_a_level_above_the_bound_is_input_error(scalar_file, tmp_path, monkeypatch, capsys, args):
+    # a level past the index range; one that fits an index would allocate
+    # a list of that many entries before the bound existed
+    monkeypatch.chdir(tmp_path)
+    command, *options = args
+    assert main([command, scalar_file, *options, str(10**20)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the bound is hierarchy.MAX_LEVELS, as the README documents it
+    assert captured.err == f"input error: {options[-1]}: must be at most 100\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_pass_and_outputs(scalar_file, tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["simulate", scalar_file, "--out", str(outdir)]) == 0

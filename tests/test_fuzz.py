@@ -61,8 +61,11 @@ def expressions(draw, n: int):
     return draw(st.one_of(polys, quotients, RATIONALS))
 
 
+# the rational data come first, where the draws fall most often; their
+# denominators are positive on every grid drawn (x >= 0)
 INITS = st.sampled_from(
-    ["0.1*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)", "exp(x)/100", "x/10 - x^2/50",
+    ["1/(2 + x^2)", "x/(3 + x)^2 - 1/(5 + x^3)",
+     "0.1*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)", "exp(x)/100", "x/10 - x^2/50",
      "1/sin(x)", "1/(2 + sin(x))", "x^(-1)", "sin(u1)", "u1", "sin(x", True, None, "1/4"]
 )
 

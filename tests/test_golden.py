@@ -9,7 +9,11 @@ that fails check-poisson, check-compat and check-pencil),
 ``failing_liouville_n2.json`` (a Liouville bracket that is not special).
 A fourth, ``rational_h_n2.json``, pins build-canonical and check-canonical
 on a rational potential, the one input that reaches the gcd of the exact
-core.
+core.  A fifth, ``rational_cancel_n2.json``, pins the same two commands on
+potentials whose denominators have several factors: the only input that
+cancels a factor in ``Expr._make``, meets a nonconstant gcd in
+``normal_form`` and sorts factors by ``Poly.sort_key``; it fails ass1 and
+ass2 with witnesses.
 Reports are deterministic, so any change in a byte is a change in behaviour.  To record a deliberate change, rerun
 ``python -m hydrobrackets <command> <problem file> [args]`` and store its
 stdout under the case's name.
@@ -55,6 +59,7 @@ FIXTURES = {
     "failing_canonical_n2": ["check-canonical"],
     "failing_liouville_n2": ["liouville"],
     "rational_h_n2": ["build-canonical", "check-canonical"],
+    "rational_cancel_n2": ["build-canonical", "check-canonical"],
 }
 CASES += [
     pytest.param(

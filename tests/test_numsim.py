@@ -160,18 +160,27 @@ def test_compiled_matches_exact_evaluation():
     _assert_matches_exact(exprs, ("v1", "v2"), _each_compiled(exprs, ("v1", "v2")), 12, 100)
 
 
-def test_compiled_matches_exact_evaluation_rational_entries():
+def test_a_table_holds_polynomials_only():
     # nonlinear H with a pole off [-1, 1]: the b entries carry denominators
     P = CanonicalPair(
         eta=ETA2, K=1, H=(parse("1/(2 + u1) + u2^2/2", UV), parse("u1*u2", UV)), vars=UV
     )
     B = P._flow_pair._bracket
-    vars = ("v1", "v2")
     exprs = [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
     assert any(not e.is_poly() for e in exprs)
-    _assert_matches_exact(exprs, vars, _each_compiled(exprs, vars), 13)
-    # all entries in one table, sharing their denominator factor rows
-    _assert_matches_exact(exprs, vars, ns.MonomialTable(exprs, vars), 14)
+    with pytest.raises(ValueError, match="polynomials only"):
+        ns.MonomialTable(exprs, ("v1", "v2"))
+
+
+def test_rational_initial_data_matches_exact_evaluation():
+    # numerator over two denominator factors, sampled from one table
+    e = parse("x/(3 + x)^2 + 1/(2 + x^2)", ("x",), initial_data=True)
+    assert len(e.den) == 2
+    grid = ns.Grid(64, TWO_PI)
+    row = ns.sample_initial_data(grid, [e])[0]
+    for x, got in zip(grid.nodes, row):
+        exact = float(e.evaluate({"x": Fraction(float(x))}))
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -586,16 +595,6 @@ def _fresh_monomials(table, stack, terms):
     return np.ones((terms, stack.shape[1])) if out is None else out
 
 
-def _rational_flow():
-    # v_t = 2/(2 + v)^3 v_x, a flow with a denominator, compiled directly:
-    # S = 1/(2 + v) - 1/2 + v/4 is its density (S'' = V, S(0) = 0)
-    vars = ("v1",)
-    V = parse("2/(2 + v1)^3", vars)
-    S = parse("1/(2 + v1) - 1/2 + v1/4", vars)
-    assert not V.is_poly()
-    return ns.CompiledFlow(1, ns.MonomialTable([V, S], vars), np.array([[1.0]]))
-
-
 _HOPF = ("hopf", 1)
 _PAIR = ("pair", 2)
 _STEP_CASES = [
@@ -605,15 +604,12 @@ _STEP_CASES = [
     for m in (256, 512)
 ] + [
     pytest.param("hopf", 1, 256, True, id="hopf-l1-m256-dealias"),
-    pytest.param("rational", None, 256, False, id="rational-m256"),
 ]
 
 
 def _step_case(kind, level, m, dealias):
     grid = ns.Grid(m, TWO_PI)
     x = grid.nodes
-    if kind == "rational":
-        return _rational_flow(), grid, (0.1 * np.sin(x))[np.newaxis, :]
     if kind == "hopf":
         P, v0 = _shallow_pair(), (0.1 * np.sin(x))[np.newaxis, :]
     else:

@@ -35,7 +35,7 @@ def test_smallest_load_row_runs():
 
 def test_smallest_simulate_rows_run():
     scaled = _scaled()
-    level, m, dt, _ = scaled.SIMULATE_ROW
+    level, m, dt, _ = min(scaled.SIMULATE_ROWS)
     assert scaled.step_row(level, m, dt, 4, repeats=1) > 0
     assert scaled.teardown_row(1, 64, dt, 4, processes=1) > 0
 
@@ -47,11 +47,14 @@ def test_gcd_corpus_row_runs():
 
 def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
     scaled = _scaled()
-    _, _, dt, _ = scaled.SIMULATE_ROW
+    _, _, dt, _ = scaled.TEARDOWN_ROW
     monkeypatch.setattr(scaled, "HIERARCHY_ROWS", [min(scaled.HIERARCHY_ROWS)])
     monkeypatch.setattr(scaled, "RESIDUAL_ROWS", [min(scaled.RESIDUAL_ROWS)])
     monkeypatch.setattr(scaled, "LOAD_ROWS", [min(scaled.LOAD_ROWS)])
-    monkeypatch.setattr(scaled, "SIMULATE_ROW", (1, 64, dt, 4))
+    # every (level, M) of the benchmark's pair runs, four steps each
+    simulate_rows = [(level, m, step, 4) for level, m, step, _ in scaled.SIMULATE_ROWS]
+    monkeypatch.setattr(scaled, "SIMULATE_ROWS", simulate_rows)
+    monkeypatch.setattr(scaled, "TEARDOWN_ROW", (1, 64, dt, 4))
     monkeypatch.setattr(scaled, "REPEATS", 1)
     monkeypatch.setattr(scaled, "TEARDOWN_PROCESSES", 1)
     assert scaled.main(["--json"]) == 0
@@ -59,7 +62,10 @@ def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
     assert all(sorted(r) == ["name", "unit", "value"] for r in records)
     names = [r["name"] for r in records]
     assert names[0] == "hierarchy N=2 --levels 6 generation"
-    assert len(names) == len(set(names)) == 1 + 11 + 3 + 2 + 2
+    assert len(names) == len(set(names)) == 1 + 11 + 3 + 3 * 6 + 1 + 2
+    assert [n for n in names if n.endswith("per step")] == [
+        f"simulate N=2 level {level} M={m} per step" for level in (1, 2, 3) for m in (256, 512)
+    ]
     assert names[-2:] == ["gcd corpus 25 sums median str", "gcd corpus 25 sums worst str"]
     assert {r["name"]: r["value"] for r in records}["load explicit g/b N=5 entries"] == 150
     assert all(r["value"] > 0 for r in records)

@@ -57,13 +57,11 @@ ALLOWED = {
     "bracket.Integrand1.__init__": _TRACER_CALLEE,
     "geometry.det": "the symbolic fallback of the det g certificate (ROADMAP item 5)",
     "expr.ParseError.__init__": "raised on a malformed expression; every traced file is well-formed",
-    "poly.Poly.sort_key": "orders two or more denominator factors; no traced file has two",
     "bracket._ValueEq.__eq__": _INTERFACE,
     "bracket.PoissonReport.condition": _INTERFACE,
     "expr.Expr.__rsub__": _INTERFACE,
     "expr.Expr.__rtruediv__": _INTERFACE,
     "expr.Expr.__repr__": _INTERFACE,
-    "poly.Poly.__eq__": _INTERFACE,
     "poly.Poly.__hash__": _INTERFACE,
     "poly.Poly.__rsub__": _INTERFACE,
 }

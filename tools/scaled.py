@@ -23,9 +23,11 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   (g^{ij} = a^i delta^{ij} - K u^i u^j, b^{ij}_k = -K u^j delta^i_k, with
   a^i = i/2 and K = 1/3) at N = 5, 6, 8: the milliseconds of one load, the
   number of g and b entries and the number of distinct strings among them;
-* ``simulate`` on the linear N=2 pair (eta = I, K = 1) at level 2, M = 512,
-  180 steps of dt = 7.5e-5: the microseconds of one RK4 step with its
-  diagnostics in-process (``numsim.run``), and the milliseconds from
+* ``simulate`` on the linear N=2 pair (eta = I, K = 1) at every (level, M)
+  of the benchmark's pair runs, with their dt and steps
+  (``SIM_PAIR_STEP`` of ``perfbench/workloads.py``, read only): the
+  microseconds of one RK4 step with its diagnostics in-process
+  (``numsim.run``); and at level 2, M = 512, the milliseconds from
   ``cli.main`` returning to the exit of a fresh
   ``python -m hydrobrackets simulate`` process (interpreter teardown).  The
   teardown is the median of five processes; the child stamps the moment
@@ -58,6 +60,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 
 from hydrobrackets import geometry  # noqa: E402
 from hydrobrackets.bracket import (  # noqa: E402
@@ -87,8 +92,12 @@ HIERARCHY_ROWS = (
 RESIDUAL_ROWS = [6, 8, 10, 12]
 LOAD_ROWS = [5, 6, 8]
 FAMILIES = ("s1", "s2", "s3", "s4", "s5", "c1", "ass1", "ass2")
-# (level, M, dt, steps) of the simulate row: the benchmark's level-2 M=512 pair runs
-SIMULATE_ROW = (2, 512, 7.5e-5, 180)
+# (level, M, dt, steps) of each simulate row: the benchmark's pair runs; the
+# teardown is timed on its level-2 M=512 runs
+SIMULATE_ROWS = [
+    (level, m, float(dt), steps) for (level, m), (dt, steps, _) in workloads.SIM_PAIR_STEP.items()
+]
+TEARDOWN_ROW = next(row for row in SIMULATE_ROWS if row[:2] == (2, 512))
 TEARDOWN_PROCESSES = 5
 CORPUS_SEEDS = range(1000, 1025)
 CORPUS_VARS = ("u1", "u2", "v1")
@@ -303,11 +312,12 @@ def rows():
         ms, entries, distinct = load_row(n, REPEATS)
         cells = [("per file", "ms", ms, ".2f"), ("entries", "count", entries, "d")]
         yield "load explicit g/b", f"N={n}", cells + [("distinct strings", "count", distinct, "d")]
-    level, m, _, _ = SIMULATE_ROW
-    step = step_row(*SIMULATE_ROW, repeats=REPEATS)
-    teardown = teardown_row(*SIMULATE_ROW, processes=TEARDOWN_PROCESSES)
-    cells = [("per step", "us", step, ".0f"), ("teardown", "ms", teardown, ".1f")]
-    yield "simulate", f"N=2 level {level} M={m}", cells
+    for level, m, dt, steps in SIMULATE_ROWS:
+        cells = [("per step", "us", step_row(level, m, dt, steps, REPEATS), ".0f"), ("dt", "s", dt, "g")]
+        yield "simulate", f"N=2 level {level} M={m}", cells + [("steps", "count", steps, "d")]
+    level, m, _, _ = TEARDOWN_ROW
+    teardown = teardown_row(*TEARDOWN_ROW, processes=TEARDOWN_PROCESSES)
+    yield "simulate teardown", f"N=2 level {level} M={m}", [("median", "ms", teardown, ".1f")]
     median, worst = gcd_row(REPEATS)
     cells = [("median str", "ms", median, ".2f"), ("worst str", "ms", worst, ".2f")]
     yield "gcd corpus", f"{len(CORPUS_SEEDS)} sums", cells
