@@ -530,16 +530,39 @@ def _operands(node: _Node) -> tuple:
     return ()
 
 
-def _fold_tree(root: _Node, combine):
+def _divisor_factors(den: _Node) -> list:
+    """A divisor as (factor, exponent) pairs, left to right: a product or a
+    positive power is taken apart, down to factors that are neither."""
+    out, todo = [], [(den, 1)]
+    while todo:
+        node, k = todo.pop()
+        if isinstance(node, _Mul):
+            todo += [(a, k) for a in reversed(node.args)]
+        elif isinstance(node, _Pow) and node.exp > 0:
+            todo.append((node.base, k * node.exp))
+        else:
+            out.append((node, k))
+    return out
+
+
+def _expr_operands(node: _Node) -> tuple:
+    """The operands of ``_to_expr``: a division takes the numerator and then
+    each factor of its divisor, so that no divisor is expanded."""
+    if isinstance(node, _Div):
+        return (node.num, *(f for f, _ in _divisor_factors(node.den)))
+    return _operands(node)
+
+
+def _fold_tree(root: _Node, combine, operands=_operands):
     """``combine(node, values)`` at every node of a parse tree, operands
     first and left to right; ``values`` holds the results at the node's
-    operands.  The walk keeps its own stack, so no tree is too deep for it;
-    a chain ``a/b*c/d...`` nests one node per operator."""
+    ``operands``.  The walk keeps its own stack, so no tree is too deep for
+    it; a chain ``a/b*c/d...`` nests one node per operator."""
     values, todo = [], [(root, None)]
     while todo:
         node, ops = todo.pop()  # ops: None until the node is expanded
         if ops is None:
-            ops = _operands(node)
+            ops = operands(node)
             if ops:
                 todo.append((node, ops))
                 todo.extend([(op, None) for op in reversed(ops)])
@@ -574,15 +597,19 @@ def _to_expr(node: _Node, values) -> Expr:
             raise ZeroDenominatorError("identically zero denominator", node.at)
         return base**node.exp
     if isinstance(node, _Div):
-        num, den = values
-        if den.is_zero():
+        # divided by each factor to its exponent: an expanded divisor such as
+        # (x-7)^30 loses its root to cancellation when it is sampled
+        num, *dens = values
+        if any(d.is_zero() for d in dens):
             raise ZeroDenominatorError("identically zero denominator", node.at)
-        return num / den
+        for d, (_, k) in zip(dens, _divisor_factors(node.den)):
+            num = num / d if k == 1 else num * d**-k
+        return num
     raise ExprError("transcendental expression has no rational form")
 
 
 def _tree_to_expr(node: _Node) -> Expr:
-    return _fold_tree(node, _to_expr)
+    return _fold_tree(node, _to_expr, _expr_operands)
 
 
 # ---------------------------------------------------------------------------

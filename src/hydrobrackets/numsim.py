@@ -2,9 +2,10 @@
 periodic domain, with conservation diagnostics and numeric cross-checks of
 the symbolic machinery.
 
-A flow's V and S are polynomials, compiled into one :class:`MonomialTable`
-of polynomials; rational initial data is sampled as its numerator over its
-denominator factors, all evaluated in one such table.
+A flow's V and S are polynomials, compiled into two fixed monomial tables:
+one of V for the stages of a step, one of V and then S for the diagnostics.
+Rational initial data is sampled as its numerator over its denominator
+factors, all evaluated in one such table.
 """
 
 from __future__ import annotations
@@ -129,14 +130,13 @@ class MonomialTable:
     """Polynomials over fixed variables, compiled into one table.
 
     ``exponents`` (T x N integers) holds every distinct monomial of the
-    polynomials; row 0 is the constant monomial.  ``coeffs`` (R x T) has one
-    row per polynomial, in input order.  An evaluation forms the powers of
-    each variable once, the T monomial values from them, and every row with
-    one matrix product.  Monomials are numbered by first appearance, so the
-    first c polynomials use only the first ``_prefix[c]``.  The power plan,
-    its size checks and its power buffers are fixed once per (monomial
-    count, sample count) and reused by every later evaluation, so one table
-    must not be evaluated from two threads at once.
+    polynomials, numbered by first appearance; row 0 is the constant
+    monomial.  ``coeffs`` (R x T) has one row per polynomial, in input
+    order.  An evaluation forms the powers of each variable once, in arrays
+    of its own, the T monomial values from them, and every row with one
+    matrix product.  The power plan is fixed when the table is built and no
+    evaluation changes the table, so one table may be evaluated from
+    several threads at once.
     """
 
     def __init__(self, exprs: Sequence[Expr], var_order: Sequence[str]):
@@ -147,13 +147,10 @@ class MonomialTable:
             raise ValueError("a monomial table holds polynomials only")
         columns = {(0,) * len(var_order): 0}
         entries = []
-        self._prefix = [1]
         for r, e in enumerate(exprs):
             for row, c in e.num.exponent_rows(var_order):
                 entries.append((r, columns.setdefault(row, len(columns)), _float(c)))
-            self._prefix.append(len(columns))
-        self.size = len(exprs)
-        self.exponents = np.array(list(columns), dtype=np.intp).reshape(
+        E = self.exponents = np.array(list(columns), dtype=np.intp).reshape(
             len(columns), len(var_order)
         )
         if len(exprs) * len(columns) > POWER_TABLE_LIMIT:
@@ -164,52 +161,32 @@ class MonomialTable:
         self.coeffs = np.zeros((len(exprs), len(columns)))
         for r, col, c in entries:
             self.coeffs[r, col] = c
-        self._layouts: dict = {}
+        # (variable, top power, exponent column) of each variable that occurs
+        plan = [(i, int(c.max()), np.ascontiguousarray(c)) for i, c in enumerate(E.T) if c.any()]
+        self._plan = tuple(plan)
 
-    def _layout(self, terms: int, m: int) -> list:
-        """(variable, exponent column, power buffer) for each variable that
-        occurs in the first ``terms`` monomials, at m samples.  The buffer of
-        a variable with top power p has p + 1 rows, row 0 all ones.  Every
-        size check runs before the first buffer is allocated."""
-        layout = self._layouts.get((terms, m))
-        if layout is not None:
-            return layout
+    def monomials(self, stack: np.ndarray) -> np.ndarray:
+        """Every monomial at the samples of a stack of shape (N, M): shape
+        (T, M).  A table of monomials or powers above ``POWER_TABLE_LIMIT``
+        values raises ExpressionSizeError before any table is allocated."""
+        terms, m = len(self.exponents), stack.shape[1]
         if terms * m > POWER_TABLE_LIMIT:
             raise ExpressionSizeError(
                 f"a table of {terms} monomials at {m} samples exceeds "
                 f"{POWER_TABLE_LIMIT} values"
             )
-        E = self.exponents[:terms]
-        plan = [
-            (i, int(E[:, i].max()), np.ascontiguousarray(E[:, i]))
-            for i in range(E.shape[1])
-            if E[:, i].any()
-        ]
-        for _, top, _ in plan:
+        for _, top, _ in self._plan:
             if (top + 1) * m > POWER_TABLE_LIMIT:
                 raise ExpressionSizeError(
                     f"a table of powers up to {top} at {m} samples exceeds "
                     f"{POWER_TABLE_LIMIT} values"
                 )
-        layout = []
-        for i, top, column in plan:
+        out = None
+        for i, top, column in self._plan:
+            x = stack[i]
             powers = np.empty((top + 1, m))
             powers[0] = 1.0
-            layout.append((i, column, powers))
-        self._layouts[terms, m] = layout
-        return layout
-
-    def monomials(self, stack: np.ndarray, terms: int | None = None) -> np.ndarray:
-        """The first ``terms`` monomials (default all) at the samples of a
-        stack of shape (N, M): shape (terms, M).  A table of monomials or
-        powers above ``POWER_TABLE_LIMIT`` values raises ExpressionSizeError."""
-        terms = len(self.exponents) if terms is None else terms
-        m = stack.shape[1]
-        out = None
-        for i, column, powers in self._layout(terms, m):
-            x = stack[i]
-            powers[1] = x
-            for e in range(2, len(powers)):
+            for e in range(1, top + 1):
                 np.multiply(powers[e - 1], x, out=powers[e])
             if out is None:
                 out = powers[column]
@@ -217,12 +194,10 @@ class MonomialTable:
                 out *= powers[column]
         return np.ones((terms, m)) if out is None else out
 
-    def __call__(self, stack: np.ndarray, count: int | None = None) -> np.ndarray:
-        """The first ``count`` polynomials (default all) at the samples of a
-        float stack of shape (N, M): shape (count, M)."""
-        count = self.size if count is None else count
-        terms = self._prefix[count]
-        return self.coeffs[:count, :terms] @ self.monomials(stack, terms)
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        """Every polynomial at the samples of a float stack of shape (N, M):
+        shape (R, M)."""
+        return self.coeffs @ self.monomials(stack)
 
 
 def _sample_tree(tree, x: np.ndarray) -> np.ndarray:
@@ -262,15 +237,18 @@ def dealias_two_thirds(grid: Grid, s: np.ndarray) -> np.ndarray:
 
 
 class CompiledFlow:
-    """A conservative flow compiled into one monomial table: rows
-    0..n^2-1 are V[i][k] in row-major order, row n^2 is the density S."""
+    """A conservative flow compiled into two monomial tables.  Rows
+    0..n^2-1 of each are V[i][k] in row-major order; ``table`` has one row
+    more, n^2, the density S.  ``v_table`` is what :meth:`rhs` reads, and
+    ``table`` is what the diagnostics of a state read."""
 
-    def __init__(self, n: int, table: MonomialTable, eta_down: np.ndarray, dealias=False):
-        self.n, self.table, self.eta_down, self.dealias = n, table, eta_down, dealias
+    def __init__(self, n: int, v_table: MonomialTable, table: MonomialTable, eta_down, dealias=False):
+        self.n, self.v_table, self.table = n, v_table, table
+        self.eta_down, self.dealias = eta_down, dealias
 
     def rhs(self, grid: Grid, v: np.ndarray) -> np.ndarray:
-        """V(v) v_x, from the V rows of the table alone."""
-        V = self.table(v, self.n * self.n).reshape(self.n, self.n, -1)
+        """V(v) v_x, from the V table."""
+        V = self.v_table(v).reshape(self.n, self.n, -1)
         return self.rhs_from(grid, V, spectral_dx(grid, v))
 
     def rhs_from(self, grid: Grid, V: np.ndarray, vx: np.ndarray) -> np.ndarray:
@@ -286,9 +264,11 @@ class CompiledFlow:
 def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
     n = flow.n
     entries = [flow.V[i][k] for i in range(n) for k in range(n)]
+    # the (V, S) table first: it is the larger, so its size error comes first
     table = MonomialTable(entries + [flow.S], flow.vars)
+    v_table = MonomialTable(entries, flow.vars)
     eta_down = np.array([[_float(x) for x in row] for row in flow.eta.down])
-    return CompiledFlow(n=n, table=table, eta_down=eta_down, dealias=dealias)
+    return CompiledFlow(n, v_table, table, eta_down, dealias)
 
 
 def sample_initial_data(grid: Grid, initial: Sequence) -> np.ndarray:
@@ -384,7 +364,7 @@ def _integrals(grid: Grid, densities: np.ndarray) -> list:
 
 
 def _evaluate(cflow: CompiledFlow, grid: Grid, v: np.ndarray, t: float) -> tuple:
-    """One table product (V rows, then S) and one FFT of the field v at t:
+    """One product of the (V, S) table and one FFT of the field v at t:
     its diagnostics row, its coefficient matrix V (n, n, M) and its v_x."""
     values = cflow.table(v)
     spec = np.fft.rfft(v)

@@ -245,7 +245,15 @@ def test_is_zero_takes_only_the_expression():
 
 @pytest.mark.parametrize(
     "text,offset",
-    [("u1/(u1-u1)", 2), ("(u1 - u1)^-2", 9), ("0^(-1)", 1), ("u2 + 1/(2*u1 - u1 - u1)", 6)],
+    [
+        ("u1/(u1-u1)", 2),
+        ("(u1 - u1)^-2", 9),
+        ("0^(-1)", 1),
+        ("u2 + 1/(2*u1 - u1 - u1)", 6),
+        # a divisor taken apart into its factors keeps the offsets of a whole one
+        ("1/((u1-u1)^2*u2)", 1),
+        ("1/((u1-u1)*(1/(u2-u2)))", 13),
+    ],
 )
 def test_identically_zero_denominator_is_a_parse_error(text, offset):
     from hydrobrackets.expr import ZeroDenominatorError
@@ -259,9 +267,20 @@ def test_identically_zero_denominator_is_a_parse_error(text, offset):
 # -- the tree walks -------------------------------------------------------------
 
 
+def _ref_divisor_factors(node, k=1):
+    """A divisor as (factor, exponent) pairs, products and positive powers
+    taken apart."""
+    if isinstance(node, _ex._Mul):
+        return [fk for a in node.args for fk in _ref_divisor_factors(a, k)]
+    if isinstance(node, _ex._Pow) and node.exp > 0:
+        return _ref_divisor_factors(node.base, k * node.exp)
+    return [(node, k)]
+
+
 def _ref_tree_to_expr(node):
     """A recursive walk with the fold's order: operands left to right, each
-    check after its operands."""
+    check after its operands; a division divides by each factor of its
+    divisor in turn."""
     if isinstance(node, _ex._Add):
         acc = Expr.const(0)
         for a in node.args:
@@ -278,10 +297,13 @@ def _ref_tree_to_expr(node):
             raise _ex.ZeroDenominatorError("identically zero denominator", node.at)
         return base**node.exp
     if isinstance(node, _ex._Div):
-        num, den = _ref_tree_to_expr(node.num), _ref_tree_to_expr(node.den)
-        if den.is_zero():
+        num = _ref_tree_to_expr(node.num)
+        dens = [(_ref_tree_to_expr(f), k) for f, k in _ref_divisor_factors(node.den)]
+        if any(d.is_zero() for d, _ in dens):
             raise _ex.ZeroDenominatorError("identically zero denominator", node.at)
-        return num / den
+        for d, k in dens:
+            num = num / d if k == 1 else num * d**-k
+        return num
     if isinstance(node, _ex._Const):
         return Expr.const(node.value)
     return Expr.var(node.name)

@@ -3,9 +3,9 @@ and symbolic/numeric agreement."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
+import threading
 import types
 import warnings
 from fractions import Fraction
@@ -183,6 +183,18 @@ def test_rational_initial_data_matches_exact_evaluation():
         assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
+def test_a_divisor_is_sampled_factor_by_factor():
+    # expanded, (x-7)^30 loses its value to cancellation on [0, 2 pi)
+    grid = ns.Grid(64, TWO_PI)
+    x = grid.nodes
+    for text, want in [
+        ("1/(x-7)^30", (x - 7.0) ** -30),
+        ("1/((x+4)*(x^2+1))", 1.0 / ((x + 4.0) * (x * x + 1.0))),
+    ]:
+        row = ns.sample_initial_data(grid, [parse(text, ("x",), initial_data=True)])[0]
+        assert np.max(np.abs(row / want - 1.0)) <= 1e-13, text
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compiled_flows_match_exact_evaluation(n):
     vars = tuple(f"u{i + 1}" for i in range(n))
@@ -194,9 +206,8 @@ def test_compiled_flows_match_exact_evaluation(n):
         entries = [fl.V[i][k] for i in range(n) for k in range(n)] + [fl.S]
 
         _assert_matches_exact(entries, fl.vars, cf.table, 40 + fl.level)
-        # the V rows alone, as stages 2-4 of a step evaluate them
-        V_rows = functools.partial(cf.table, count=n * n)
-        _assert_matches_exact(entries[: n * n], fl.vars, V_rows, 50 + fl.level)
+        # the V table, which stages 2-4 of a step evaluate
+        _assert_matches_exact(entries[: n * n], fl.vars, cf.v_table, 50 + fl.level)
 
 
 def test_compile_rejects_unbound_parameters():
@@ -338,6 +349,27 @@ def test_one_table_product_and_one_fft_per_state(monkeypatch):
     assert len(res.rows) == k + 1
     # the evaluation at each of the k + 1 states, then stages 2-4 of each step
     assert counts == {"table": 1 + 4 * k, "rfft": 1 + 4 * k}
+
+
+def test_one_table_evaluates_from_two_threads():
+    cf, _, _ = _step_case("pair", 3, 256, False)
+    rng = np.random.default_rng(11)
+    stacks = [0.05 * rng.standard_normal((2, 1 << 14)) for _ in range(2)]
+    want = [cf.table(s) for s in stacks]
+    mismatches = [0, 0]
+    start = threading.Barrier(2)
+
+    def evaluate(k):
+        start.wait()
+        for _ in range(200):
+            mismatches[k] += not np.array_equal(cf.table(stacks[k]), want[k])
+
+    threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert mismatches == [0, 0]
 
 
 def test_monomial_table_limit_is_checked_before_the_gather():
@@ -529,9 +561,9 @@ def test_commute_numeric_flags_perturbed_flow():
     v = _random_smooth_state(g, 2, random.Random(21))
     clean = ns.commute_check_numeric(t1, t2, g, v)
     assert clean.commuting and clean.ratio >= 7.0
-    # table row 1 is V[0][1]; monomial 0 is the constant one
-    assert not t2.table.exponents[0].any()
-    t2.table.coeffs[1, 0] += 0.1
+    # the probe's steps read the V table: row 1 is V[0][1]; monomial 0 is the constant one
+    assert not t2.v_table.exponents[0].any()
+    t2.v_table.coeffs[1, 0] += 0.1
     perturbed = ns.commute_check_numeric(t1, t2, g, v)
     assert not perturbed.commuting
     assert 3.5 <= perturbed.ratio <= 4.5
@@ -539,10 +571,11 @@ def test_commute_numeric_flags_perturbed_flow():
 
 # -- the step loop against per-density and fresh-table references ----------------------
 #
-# The diagnostics take every integral from one row sum over a stacked array
-# and the monomial table reuses its power buffers.  The references below are
-# the direct forms: one np.mean per tracked density, and powers formed
-# afresh at every call.  Every value must be float-equal, not close.
+# The diagnostics take every integral from one row sum over a stacked array,
+# and a monomial table gathers its monomials from a fixed power plan.  The
+# references below are the direct forms: one np.mean per tracked density, and
+# powers formed from the exponent columns at every call.  Every value must be
+# float-equal, not close.
 
 
 def _mean_route_row(cflow, grid, t, v):
@@ -576,11 +609,12 @@ def _mean_route_drift(cflow, rows, grid, v0):
     return out
 
 
-def _fresh_monomials(table, stack, terms):
-    """The first ``terms`` monomials, with every power table allocated anew."""
+def _fresh_monomials(table, stack):
+    """Every monomial of the table, with every power table allocated anew."""
+    terms = len(table.exponents)
     out = None
     for i in range(stack.shape[0]):
-        column = np.ascontiguousarray(table.exponents[:terms, i])
+        column = np.ascontiguousarray(table.exponents[:, i])
         if not column.any():
             continue
         powers = np.empty((column.max() + 1, stack.shape[1]))
@@ -624,33 +658,29 @@ def _step_case(kind, level, m, dealias):
 def test_run_rows_equal_the_per_density_mean_route(kind, level, m, dealias):
     cf, grid, v0 = _step_case(kind, level, m, dealias)
     n = cf.n
-    V0 = cf.table(v0, n * n).reshape(n, n, -1)
+    V0 = cf.v_table(v0).reshape(n, n, -1)
     dt = 0.2 * grid.length / (grid.m * cf.gershgorin_max(V0))  # CFL number 0.2
     steps = 12
     res = ns.run(cf, v0, grid, dt, steps * dt, [k * dt for k in range(steps + 1)])
     assert res.status == "completed"
     assert len(res.rows) == len(res.snapshots) == steps + 1
     assert res.columns == ("t", *(f"U_{i + 1}" for i in range(n)), "momentum", "H1", "H2", "max_vx", "tail")
-    prefix = cf.table._prefix[n * n]
     for row, (t, v) in zip(res.rows, res.snapshots):
         assert len(row) == len(res.columns) and all(type(x) is float for x in row)
         assert row == _mean_route_row(cf, grid, t, v)
-        # the reused power buffers give the fresh tables, in the order a step asks
-        for terms in (prefix, len(cf.table.exponents), prefix):
-            assert np.array_equal(cf.table.monomials(v, terms), _fresh_monomials(cf.table, v, terms))
+        for table in (cf.v_table, cf.table):
+            assert np.array_equal(table.monomials(v), _fresh_monomials(table, v))
     got = [(d.name, d.initial, d.relative) for d in ns.drift_summary(cf, res.rows, grid, v0)]
     assert got == _mean_route_drift(cf, res.rows, grid, v0)
 
 
-def test_monomial_table_buffers_follow_the_grid_size():
+def test_monomial_table_values_follow_the_grid_size():
     vars = UV
     table = ns.MonomialTable([parse("u1^3*u2 - u2^2", vars), parse("u1", vars)], vars)
     rng = np.random.default_rng(5)
     for m in (16, 32, 16, 64, 32):
         stack = rng.standard_normal((2, m))
-        for terms in (table._prefix[1], len(table.exponents)):
-            assert np.array_equal(table.monomials(stack, terms), _fresh_monomials(table, stack, terms))
-    assert sorted(table._layouts) == [(t, m) for t in (table._prefix[1], 4) for m in (16, 32, 64)]
+        assert np.array_equal(table.monomials(stack), _fresh_monomials(table, stack))
 
 
 def test_step_returns_the_state_it_checked():
