@@ -125,7 +125,7 @@ class Problem:
         parsed once and its entries share one ``Expr`` (or initial-data tree);
         both are immutable."""
         if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-            return Expr.const(text)
+            return _Const(text) if initial_data else Expr.const(text)
         if not isinstance(text, str):
             raise ProblemFileError(location, "expected an expression string")
         vars = vars or self.vars
@@ -181,16 +181,12 @@ class Problem:
         return _nested(raw["a"], "canonical.a", (f"expected {n} constants",), _as_fraction, n)
 
     def _initial_datum(self, text, at):
-        """One entry of ``simulation.init``.  Sampling converts each of its
-        constants to a float, so each must lie in the float range."""
+        """One entry of ``simulation.init``, as its parse tree.  Sampling
+        converts each of its constants to a float, so each must lie in the
+        float range."""
         datum = self._expr(text, at, ("x",), initial_data=True)
         try:
-            if isinstance(datum, Expr):
-                for p in (datum.num, *(f for f, _ in datum.den)):
-                    for _, c in p.exponent_rows(("x",)):
-                        float(c)
-            else:
-                _fold_tree(datum, lambda node, _: isinstance(node, _Const) and float(node.value))
+            _fold_tree(datum, lambda node, _: isinstance(node, _Const) and float(node.value))
         except OverflowError:
             raise ProblemFileError(at, "a constant exceeds the float range") from None
         return datum

@@ -18,9 +18,9 @@ operator.  The only admissible calls are ``sin``,
 ``cos`` and ``exp``, and only when the caller enables initial-data mode.
 
 Every :class:`Expr` is a rational function over Q in canonical factored
-form, so equality with zero is decided exactly.  Initial data holding a
-sin/cos/exp call never becomes an ``Expr``: :func:`parse` returns its bare
-parse tree, which only the simulator's initial-data sampler reads.
+form, so equality with zero is decided exactly.  Initial data never becomes
+an ``Expr``: :func:`parse` returns its bare parse tree, which only the
+simulator's initial-data sampler reads.
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ def as_expr(x) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# parse trees (kept only for initial data with transcendental calls)
+# parse trees (the one form of initial data)
 # ---------------------------------------------------------------------------
 
 
@@ -577,10 +577,9 @@ def _tree_has_call(node: _Node) -> bool:
 
 
 def _to_expr(node: _Node, values) -> Expr:
+    """One node of a call-free tree as an ``Expr``, from its operands'."""
     if isinstance(node, _Const):
         return Expr.const(node.value)
-    if isinstance(node, _Var):
-        return Expr.var(node.name)
     if isinstance(node, _Add):
         acc = values[0]
         for v in values[1:]:
@@ -605,11 +604,26 @@ def _to_expr(node: _Node, values) -> Expr:
         for d, (_, k) in zip(dens, _divisor_factors(node.den)):
             num = num / d if k == 1 else num * d**-k
         return num
-    raise ExprError("transcendental expression has no rational form")
+    return Expr.var(node.name)
 
 
 def _tree_to_expr(node: _Node) -> Expr:
     return _fold_tree(node, _to_expr, _expr_operands)
+
+
+def _reject_zero_divisor(node: _Node, values) -> None:
+    """Raise ZeroDenominatorError at a division or negative power whose
+    divisor has an identically zero factor.  Only its call-free factors are
+    made exact, so no numerator is expanded."""
+    if isinstance(node, _Div):
+        divisor = node.den
+    elif isinstance(node, _Pow) and node.exp < 0:
+        divisor = node.base
+    else:
+        return
+    for f, _ in _divisor_factors(divisor):
+        if not _tree_has_call(f) and _tree_to_expr(f).is_zero():
+            raise ZeroDenominatorError("identically zero denominator", node.at)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +686,6 @@ class _Parser:
         self.allowed = set(allowed_vars)
         self.initial_data = initial_data
         self.depth = 0  # open parentheses and calls
-        self.has_call = False  # whether a sin/cos/exp call was parsed
 
     def _nest(self, at: int) -> None:
         self.depth += 1
@@ -769,7 +782,6 @@ class _Parser:
                 if k != ")":
                     raise ParseError("expected ')'", s)
                 self.depth -= 1
-                self.has_call = True
                 return _Call(value, arg)
             if value not in self.allowed:
                 raise UnknownVariableError(f"unknown variable '{value}'", start)
@@ -793,19 +805,18 @@ def parse(
 ) -> Expr | _Node:
     """Parse ``text`` over the given variable names into an :class:`Expr`.
 
-    ``initial_data=True`` additionally admits ``sin``/``cos``/``exp`` calls;
-    a datum holding one is returned as its bare parse tree (a ``_Node``),
-    which only ``numsim.sample_initial_data`` reads.  A rational divisor or
-    negative-power base that is identically zero raises
-    :class:`ZeroDenominatorError` at the offset of its operator.
+    ``initial_data=True`` additionally admits ``sin``/``cos``/``exp`` calls
+    and returns the bare parse tree (a ``_Node``) of any datum, which only
+    ``numsim.sample_initial_data`` reads.  A divisor or negative-power base
+    that is identically zero raises :class:`ZeroDenominatorError` at the
+    offset of its operator; in initial data, a factor of it that holds a
+    call is left to the sampler.
     """
-    parser = _Parser(text, allowed_vars, initial_data)
-    tree = parser.parse()
-    # a product with a zero factor drops its calls, so only a tree the
-    # parser built a call for is walked to see whether one is left
-    if parser.has_call and _tree_has_call(tree):
-        return tree
-    return _tree_to_expr(tree)
+    tree = _Parser(text, allowed_vars, initial_data).parse()
+    if not initial_data:
+        return _tree_to_expr(tree)
+    _fold_tree(tree, _reject_zero_divisor)
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -98,17 +98,6 @@ def _eliminate(rows: list, n: int):
     return prev, sign
 
 
-def det(entries) -> Expr:
-    """Exact determinant, the last pivot of :func:`_eliminate` times the
-    sign of its row swaps; 0 for an identically singular matrix."""
-    n = len(entries)
-    done = _eliminate([[as_expr(x) for x in row] for row in entries], n)
-    if done is None:
-        return Expr.const(0)
-    d, sign = done
-    return d if sign > 0 else -d
-
-
 def matrix_inverse(entries) -> list:
     """Exact inverse by :func:`_eliminate` on [A | I]: the matrix ends as
     [d I | d A^{-1}], and one reciprocal of the last pivot d finishes.  An

@@ -4,8 +4,7 @@ the symbolic machinery.
 
 A flow's V and S are polynomials, compiled into two fixed monomial tables:
 one of V for the stages of a step, one of V and then S for the diagnostics.
-Rational initial data is sampled as its numerator over its denominator
-factors, all evaluated in one such table.
+Initial data is sampled from its parse tree, as written.
 """
 
 from __future__ import annotations
@@ -127,7 +126,8 @@ def _float(c) -> float:
 
 
 class MonomialTable:
-    """Polynomials over fixed variables, compiled into one table.
+    """The polynomials of a flow (its V and S) over fixed variables,
+    compiled into one table.
 
     ``exponents`` (T x N integers) holds every distinct monomial of the
     polynomials, numbered by first appearance; row 0 is the constant
@@ -201,8 +201,8 @@ class MonomialTable:
 
 
 def _sample_tree(tree, x: np.ndarray) -> np.ndarray:
-    """The parse tree of transcendental initial data (see ``expr.parse``)
-    at the points ``x``."""
+    """The parse tree of an initial datum (see ``expr.parse``) at the
+    points ``x``, each operation as written."""
 
     def at(node, values):
         if isinstance(node, _expr._Const):
@@ -273,22 +273,14 @@ def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
 
 def sample_initial_data(grid: Grid, initial: Sequence) -> np.ndarray:
     """Evaluate initial data in x on the grid nodes, one row per datum:
-    each datum is an :class:`Expr` or the parse tree that ``expr.parse``
-    returns for data with sin/cos/exp calls.  Data that is not finite on
-    the grid (e.g. 1/sin(x)) raises ValueError."""
+    each datum is the parse tree that ``expr.parse`` returns in initial-data
+    mode, sampled as written, so no numerator is expanded.  Data that is not
+    finite on the grid (e.g. 1/sin(x)) raises ValueError."""
     x = grid.nodes
     rows = []
-    for i, e in enumerate(initial):
+    for i, tree in enumerate(initial):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if isinstance(e, Expr):
-                # numerator over each denominator factor to its exponent
-                factors = [Expr(f) for f, _ in e.den]
-                values = MonomialTable([Expr(e.num), *factors], ("x",))(x[np.newaxis, :])
-                row = values[0]
-                for r, (_, exp) in enumerate(e.den, start=1):
-                    row /= values[r] ** exp
-            else:
-                row = _sample_tree(e, x)
+            row = _sample_tree(tree, x)
         if not np.all(np.isfinite(row)):
             raise ValueError(f"initial datum {i + 1} is not finite on the grid")
         rows.append(row)

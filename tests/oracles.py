@@ -1,6 +1,8 @@
 """Test oracles: exact and numeric routes that no command runs, kept to
 check the ones that do.
 
+* the exact determinant of an expression matrix, by the elimination
+  that ``geometry.matrix_inverse`` runs;
 * the curvature side of a metric: the Levi-Civita symbols Gamma, the
   curvature tensor R and the constant-curvature residuals;
 * the paper's closed-form first and second flows of a canonical pair, and
@@ -43,7 +45,7 @@ import numpy as np
 
 from hydrobrackets.bracket import CanonicalPair, PoissonReport, _judge, operator_matrix
 from hydrobrackets.expr import Expr, Zeroness, as_expr, is_zero
-from hydrobrackets.geometry import Metric, _dot, christoffel
+from hydrobrackets.geometry import Metric, _dot, _eliminate, christoffel
 from hydrobrackets.hierarchy import (
     ConservativeFlow,
     apply_recursion,
@@ -56,6 +58,22 @@ from hydrobrackets.numsim import Grid, MonomialTable, SimulationError, spectral_
 # the module itself: the package exports the function ``hierarchy`` under
 # the module's name, and the gauge is read from the module at call time
 _hierarchy = importlib.import_module("hydrobrackets.hierarchy")
+
+
+# ---------------------------------------------------------------------------
+# determinant
+# ---------------------------------------------------------------------------
+
+
+def det(entries) -> Expr:
+    """Exact determinant, the last pivot of ``geometry._eliminate`` times
+    the sign of its row swaps; 0 for an identically singular matrix."""
+    n = len(entries)
+    done = _eliminate([[as_expr(x) for x in row] for row in entries], n)
+    if done is None:
+        return Expr.const(0)
+    d, sign = done
+    return d if sign > 0 else -d
 
 
 # ---------------------------------------------------------------------------

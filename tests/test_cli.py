@@ -941,9 +941,7 @@ def test_expression_size_limit_exits_3(tmp_path, capsys, h, message):
 @pytest.mark.parametrize(
     "h,init,top",
     [
-        # 256 x (10^8 + 1) doubles would be about 205 GB
-        ("u1^2/2", "x^100000000", 100000000),
-        # the level-1 flow's density, of degree 20001, reaches the same table
+        # the level-1 flow's density, of degree 20001: 512 x 20002 doubles
         ("u1^20000", "0.1*sin(x)", 20001),
     ],
 )
@@ -1473,13 +1471,58 @@ def test_initial_data_beyond_the_float_range_is_input_error(tmp_path, capsys, in
 def test_the_float_range_check_reads_the_constants_that_sampling_converts(tmp_path):
     from hydrobrackets.cli import load_problem
 
-    # a rational datum is exact, so the two constants cancel before sampling
-    path = _write(tmp_path, "p.json", _scalar_simulation(init=[f"{_HUGE}*x/{_HUGE}"]))
-    assert str(load_problem(path).simulation["init"][0]) == "x"
-    # an initial-data tree keeps its division, and sampling converts both constants
-    path = _write(tmp_path, "q.json", _scalar_simulation(init=[f"{_HUGE}*sin(x)/{_HUGE}"]))
-    with pytest.raises(ValueError, match=r"^simulation.init\[0\]: a constant exceeds"):
-        load_problem(path)
+    # initial data keeps its division, and sampling converts both constants,
+    # with a call or without
+    for k, init in enumerate([f"{_HUGE}*x/{_HUGE}", f"{_HUGE}*sin(x)/{_HUGE}"]):
+        path = _write(tmp_path, f"p{k}.json", _scalar_simulation(init=[init]))
+        with pytest.raises(ValueError, match=r"^simulation.init\[0\]: a constant exceeds"):
+            load_problem(path)
+
+
+@pytest.mark.parametrize(
+    "init,message",
+    [
+        # expanded, the datum held coefficients beyond the float range
+        ("(x+1)^3000", "simulation.init: initial datum 1 is not finite on the grid"),
+        # as written, the power overflows on the grid; no table of powers is built
+        ("x^100000000", "simulation.init: initial datum 1 is not finite on the grid"),
+        # 0/0 at x = 0: the datum is not reduced to 1/(x+9)
+        ("x/(x*(x+9))", "simulation.init: initial datum 1 is not finite on the grid"),
+        # a call in the numerator does not keep the divisor from being made exact
+        ("sin(x)/(x-x)", "simulation.init[0]: identically zero denominator (at offset 6)"),
+    ],
+    ids=["power-of-a-sum", "huge-power", "zero-over-zero", "zero-divisor-beside-a-call"],
+)
+def test_initial_data_is_sampled_as_written(tmp_path, capsys, init, message):
+    path = _write(tmp_path, "p.json", _scalar_simulation(init=[init]))
+    assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_high_power_of_a_sum_loads_at_once(tmp_path):
+    """Expanded, (1 + x/100000)^2000 took over a minute to load; sampled as
+    written it takes milliseconds.  A child process bounds the wait."""
+    path = _write(tmp_path, "p.json", _scalar_simulation(init=["(1+x/100000)^2000"]))
+    code = (
+        "import sys, time\n"
+        "from hydrobrackets.cli import load_initial_state, load_problem\n"
+        "start = time.perf_counter()\n"
+        "load_initial_state(load_problem(sys.argv[1]))\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 @pytest.mark.parametrize(

@@ -230,11 +230,12 @@ def test_transcendental_initial_data_takes_no_part_in_arithmetic():
     grid = Grid(16, 2 * math.pi)
     v = sample_initial_data(grid, [e])
     assert np.max(np.abs(v[0] - 0.1 * np.sin(grid.nodes))) < 1e-15
-    # rational initial data is an Expr and samples through a monomial table
+    # rational initial data is a parse tree too, sampled as written
     r = parse("x^2/2 - 1/3", ("x",), initial_data=True)
-    assert isinstance(r, Expr)
-    want = grid.nodes**2 / 2 - 1 / 3
-    assert np.max(np.abs(sample_initial_data(grid, [r])[0] - want)) < 1e-13
+    assert not isinstance(r, Expr)
+    x, c = grid.nodes, lambda value: np.full(grid.m, value)
+    want = x**2 / c(2.0) + c(-1.0) * (c(1.0) / c(3.0))
+    assert sample_initial_data(grid, [r])[0].tobytes() == want.tobytes()
 
 
 def test_is_zero_takes_only_the_expression():
@@ -538,31 +539,39 @@ _QUOTIENT_ATOMS = st.sampled_from(
 def test_folded_quotients_leave_every_expr_as_it_was(text):
     """Initial-data mode folds no quotient, so on call-free text it gives the
     unfolded tree: both trees must make the same Expr, term for term, or
-    fail at the same offset."""
+    fail at the same offset.  Parsed as initial data, the text is rejected
+    at that same offset, or not at all."""
 
     def convert(initial_data):
-        parser = _ex._Parser(text, UV, initial_data)
-        tree = parser.parse()
-        assert parser.has_call is False
+        tree = _ex._Parser(text, UV, initial_data).parse()
         try:
             return _layout(_ex._tree_to_expr(tree))
         except _ex.ZeroDenominatorError as exc:
             return exc.offset
 
-    assert convert(False) == convert(True)
+    want = convert(False)
+    assert want == convert(True)
+    try:
+        parse(text, UV, initial_data=True)
+    except _ex.ZeroDenominatorError as exc:
+        assert exc.offset == want
+    else:
+        assert not isinstance(want, int)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.recursive(_ATOMS, _compound, max_leaves=16))
 def test_the_parser_records_its_calls(text):
-    parser = _ex._Parser(text, ("u1", "u2", "x"), True)
-    tree = parser.parse()
-    assert parser.has_call == ("sin(" in text)
-    assert _ex._tree_has_call(tree) <= parser.has_call
+    """Initial data is a parse tree whatever it holds, and a tree holds a
+    call only where the text does (a zero factor drops one)."""
+    try:
+        tree = parse(text, ("u1", "u2", "x"), initial_data=True)
+    except _ex.ZeroDenominatorError:
+        tree = _ex._Parser(text, ("u1", "u2", "x"), True).parse()
+    assert isinstance(tree, _ex._Node)
+    assert _ex._tree_has_call(tree) <= ("sin(" in text)
 
 
 def test_a_call_under_a_zero_factor_leaves_an_expr():
-    parser = _ex._Parser("sin(x)*0 + x", ("x",), True)
-    assert isinstance(parser.parse(), _ex._Var) and parser.has_call
-    e = parse("sin(x)*0 + x", ("x",), initial_data=True)
-    assert isinstance(e, Expr) and str(e) == "x"
+    tree = parse("sin(x)*0 + x", ("x",), initial_data=True)
+    assert isinstance(tree, _ex._Var) and tree.name == "x"

@@ -66,7 +66,8 @@ def expressions(draw, n: int):
 INITS = st.sampled_from(
     ["1/(2 + x^2)", "x/(3 + x)^2 - 1/(5 + x^3)",
      "0.1*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)", "exp(x)/100", "x/10 - x^2/50",
-     "1/sin(x)", "1/(2 + sin(x))", "x^(-1)", "sin(u1)", "u1", "sin(x", True, None, "1/4"]
+     "1/sin(x)", "1/(2 + sin(x))", "x^(-1)", "sin(u1)", "u1", "sin(x", True, None, "1/4",
+     "(1 + x/1000)^400", "x/(x*(x+9))", "sin(x)/(x - x)"]
 )
 
 

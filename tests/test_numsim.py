@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrobrackets.bracket import CanonicalPair, ConstantBracket
 from hydrobrackets.expr import parse
@@ -173,14 +175,41 @@ def test_a_table_holds_polynomials_only():
 
 
 def test_rational_initial_data_matches_exact_evaluation():
-    # numerator over two denominator factors, sampled from one table
-    e = parse("x/(3 + x)^2 + 1/(2 + x^2)", ("x",), initial_data=True)
+    # sampled from its parse tree, against the exact rational function
+    text = "x/(3 + x)^2 + 1/(2 + x^2)"
+    e = parse(text, ("x",))
     assert len(e.den) == 2
     grid = ns.Grid(64, TWO_PI)
-    row = ns.sample_initial_data(grid, [e])[0]
+    row = ns.sample_initial_data(grid, [parse(text, ("x",), initial_data=True)])[0]
     for x, got in zip(grid.nodes, row):
         exact = float(e.evaluate({"x": Fraction(float(x))}))
         assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+def _assert_samples_as_numpy(text, want):
+    grid = ns.Grid(64, TWO_PI)
+    row = ns.sample_initial_data(grid, [parse(text, ("x",), initial_data=True)])[0]
+    assert np.max(np.abs(row / want(grid.nodes) - 1.0)) <= 1e-13, text
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        # expanded, the numerator loses its value to cancellation near x = 7
+        ("((x-7)/7)^30", lambda x: ((x - 7.0) / 7.0) ** 30),
+        # expanded, its terms overflow and meet zeros: 0*inf on the grid
+        ("(1+x/100000)^500", lambda x: (1.0 + x / 100000.0) ** 500),
+    ],
+    ids=["clustered-roots", "power-of-a-sum"],
+)
+def test_a_numerator_is_sampled_as_written(text, want):
+    _assert_samples_as_numpy(text, want)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.integers(1000, 10**7), st.integers(1, 3000))
+def test_a_power_of_a_sum_is_sampled_as_written(q, k):
+    _assert_samples_as_numpy(f"(1 + x/{q})^{k}", lambda x: (1.0 + x / float(q)) ** k)
 
 
 def test_a_divisor_is_sampled_factor_by_factor():
