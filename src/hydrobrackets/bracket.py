@@ -691,7 +691,7 @@ def _nonclosed_at(omegas, vars):
 def _at_origin(e: Expr, vars, name: str) -> Expr:
     """e at the origin of ``vars``, the basepoint of every path integral."""
     try:
-        return e.substitute({v: Fraction(0) for v in vars})
+        return e.at_origin(vars)
     except ZeroDivisionError:
         raise UnsupportedIntegrandError(
             f"path integral outside the rational closure ({name} is singular "
@@ -803,7 +803,7 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
     zero = Expr.const(0)
     df = [f.diff(v) for v in vars]
     M = operator_matrix(B, h)
-    h0 = h.substitute({v: Fraction(0) for v in vars})
+    h0 = h.at_origin(vars)
     omega = [
         sum((df[i] * M[i][k] for i in range(n)), zero) - B.K * h0 * df[k]
         for k in range(n)

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 import sys
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .poly import Poly, poly_gcd
@@ -39,10 +41,6 @@ TRANSCENDENTALS = ("sin", "cos", "exp")
 # is a ParseError, so no parse exhausts the stack.  The tree walks keep their
 # own stack, so a chain ``a/b*c/d...`` of any length parses.
 MAX_NESTING = 150
-
-# A number is ASCII digits with at most one decimal point (``str.isdigit``
-# would also admit digits such as '²' or '٣', which ``int`` rejects or reads).
-_DIGITS = frozenset("0123456789")
 
 
 class ExprError(ValueError):
@@ -99,7 +97,8 @@ class Expr:
     common cancellations (pivot quotients of an elimination, quotient-rule
     derivatives) are recovered by exact trial division without running a
     full gcd; ``poly_gcd`` runs only for the reduced :meth:`normal_form`.
-    A zero operand of ``+``, ``-`` or ``*`` returns at once.
+    A zero operand of ``+``, ``-`` or ``*`` returns at once.  Variables are
+    substituted only by 0, through :meth:`at_origin`.
     """
 
     __slots__ = ("num", "den")
@@ -318,16 +317,10 @@ class Expr:
             ) from None
         return num / den
 
-    def substitute(self, assign: Mapping[str, Fraction]) -> "Expr":
-        """Replace a subset of variables by exact rational constants."""
-        num = self.num.substitute(assign)
-        factors = []
-        for f, e in self.den:
-            g = f.substitute(assign)
-            if g.is_zero():
-                raise ZeroDivisionError("substitution makes a denominator vanish")
-            factors.append((g, e))
-        return Expr._make(num, factors)
+    def at_origin(self, names) -> "Expr":
+        """The expression with every variable of ``names`` set to 0; raises
+        ZeroDivisionError when a denominator factor vanishes there."""
+        return Expr._make(self.num.at_origin(names), [(f.at_origin(names), e) for f, e in self.den])
 
     def rename(self, mapping: Mapping[str, str]) -> "Expr":
         return Expr._make(
@@ -572,10 +565,6 @@ def _fold_tree(root: _Node, combine, operands=_operands):
     return values[0]
 
 
-def _tree_has_call(node: _Node) -> bool:
-    return _fold_tree(node, lambda n, values: isinstance(n, _Call) or any(values))
-
-
 def _to_expr(node: _Node, values) -> Expr:
     """One node of a call-free tree as an ``Expr``, from its operands'."""
     if isinstance(node, _Const):
@@ -611,10 +600,42 @@ def _tree_to_expr(node: _Node) -> Expr:
     return _fold_tree(node, _to_expr, _expr_operands)
 
 
+# a divisor factor is certified nonzero by its residue modulo the prime _P
+# with every variable at _AT, a fixed residue
+_P = (1 << 61) - 1
+_AT = 1_000_003
+
+
+def _residue(node: _Node, values):
+    """One node of a tree modulo _P, every variable at _AT, from its
+    operands' residues: None once a call is met, -1 once a divisor is a
+    multiple of _P (undecided)."""
+    if isinstance(node, _Call) or None in values:
+        return None
+    if -1 in values:
+        return -1
+    if isinstance(node, _Const):
+        num, den = node.value.numerator, node.value.denominator
+        return num * pow(den, -1, _P) % _P if den % _P else -1
+    if isinstance(node, _Var):
+        return _AT
+    if isinstance(node, _Add):
+        return sum(values) % _P
+    if isinstance(node, _Mul):
+        return reduce(lambda a, b: a * b % _P, values)
+    if isinstance(node, _Pow):
+        (base,) = values
+        return pow(base, node.exp, _P) if base or node.exp >= 0 else -1
+    num, den = values
+    return num * pow(den, -1, _P) % _P if den else -1
+
+
 def _reject_zero_divisor(node: _Node, values) -> None:
     """Raise ZeroDenominatorError at a division or negative power whose
-    divisor has an identically zero factor.  Only its call-free factors are
-    made exact, so no numerator is expanded."""
+    divisor has an identically zero factor.  A factor that holds a call is
+    left to the sampler, and one with a nonzero residue is nonzero (the
+    residue is a ring homomorphism's image), so only a factor whose residue
+    is 0 or undecided is made exact: no numerator is expanded."""
     if isinstance(node, _Div):
         divisor = node.den
     elif isinstance(node, _Pow) and node.exp < 0:
@@ -622,7 +643,7 @@ def _reject_zero_divisor(node: _Node, values) -> None:
     else:
         return
     for f, _ in _divisor_factors(divisor):
-        if not _tree_has_call(f) and _tree_to_expr(f).is_zero():
+        if _fold_tree(f, _residue) in (0, -1) and _tree_to_expr(f).is_zero():
             raise ZeroDenominatorError("identically zero denominator", node.at)
 
 
@@ -631,48 +652,40 @@ def _reject_zero_divisor(node: _Node, values) -> None:
 # ---------------------------------------------------------------------------
 
 
+# One token after optional whitespace: a number in the ASCII digits 0-9 with
+# at most one decimal point (``str.isdigit`` would also admit digits such as
+# '²' or '٣'), a name, an operator, the end, or any other character.  A
+# name must start with a letter or '_', which ``\w`` does not check.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)|(?P<name>\w+)"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<other>.))",
+    re.DOTALL,
+)
+
+
 class _Tokenizer:
+    """The tokens of ``text``, read one ahead: ``kind``, ``value`` and
+    ``start`` describe the next one."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self._advance()
 
     def _advance(self):
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            self.kind, self.value, self.start = "end", "", i
-            self.pos = i
-            return
-        c = text[i]
-        start = i
-        if c in _DIGITS or (c == "." and text[i + 1 : i + 2] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
+        m = _TOKEN.match(self.text, self.pos)
+        kind = m.lastgroup
+        value, start = m.group(kind), m.start(kind)
+        if kind == "number":
             limit = sys.get_int_max_str_digits()
-            if limit and j - i - seen_dot > limit:
-                raise ParseError(f"number has more than {limit} digits", i)
-            self.kind, self.value = "number", text[i:j]
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            self.kind, self.value = "name", text[i:j]
-            i = j
-        elif c in "+-*/^()":
-            self.kind, self.value = c, c
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-        self.start = start
-        self.pos = i
+            if limit and len(value) - ("." in value) > limit:
+                raise ParseError(f"number has more than {limit} digits", start)
+        elif kind == "op":
+            kind = value
+        elif kind != "end" and not (value[0].isalpha() or value[0] == "_"):
+            # any other character, or a name that starts with one like '²'
+            raise ParseError(f"unexpected character {value[0]!r}", start)
+        self.kind, self.value, self.start, self.pos = kind, value, start, m.end()
 
     def take(self):
         kind, value, start = self.kind, self.value, self.start
@@ -805,12 +818,16 @@ def parse(
 ) -> Expr | _Node:
     """Parse ``text`` over the given variable names into an :class:`Expr`.
 
+    The text is read one token ahead with one compiled pattern, so an error
+    is raised at the first token the grammar cannot take.
     ``initial_data=True`` additionally admits ``sin``/``cos``/``exp`` calls
     and returns the bare parse tree (a ``_Node``) of any datum, which only
     ``numsim.sample_initial_data`` reads.  A divisor or negative-power base
     that is identically zero raises :class:`ZeroDenominatorError` at the
-    offset of its operator; in initial data, a factor of it that holds a
-    call is left to the sampler.
+    offset of its operator.  In initial data, a factor of it that holds a
+    call is left to the sampler, and a call-free factor whose value modulo
+    a 61-bit prime at a fixed point is nonzero is not made exact: only a
+    factor that this residue cannot tell from zero is expanded.
     """
     tree = _Parser(text, allowed_vars, initial_data).parse()
     if not initial_data:

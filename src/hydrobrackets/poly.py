@@ -111,7 +111,9 @@ def _reduced(terms: dict, den: int) -> "Poly":
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients:
     ``terms`` maps packed monomials to nonzero integer numerators over the
-    positive integer ``den``, with the content reduced."""
+    positive integer ``den``, with the content reduced.  The only exact
+    substitution is :meth:`at_origin`, which sets variables to 0 (the
+    basepoint of every path integral)."""
 
     __slots__ = ("terms", "den", "_key", "_leading")
 
@@ -316,35 +318,10 @@ class Poly:
             acc = acc + val
         return acc
 
-    def substitute(self, assign: Mapping[str, Scalar]) -> "Poly":
-        """Replace some variables by exact constants."""
-        subs = [
-            (_SHIFT[v], Fraction(x)) for v, x in assign.items() if v in _SHIFT
-        ]
-        # bring every coefficient over the common denominator den * prod q^top,
-        # where x = p/q and top is the highest exponent of x's variable
-        den = self.den
-        for s, x in subs:
-            if x.denominator != 1:
-                top = max(((m >> s) & _MASK for m in self.terms), default=0)
-                den *= x.denominator**top
-        out = {}
-        for m, c in self.terms.items():
-            scale = den // self.den
-            for s, x in subs:
-                e = (m >> s) & _MASK
-                if e:
-                    c *= x.numerator**e
-                    scale //= x.denominator**e
-                    m -= e << s
-            if not c:
-                continue
-            t = out.get(m, 0) + c * scale
-            if t:
-                out[m] = t
-            elif m in out:
-                del out[m]
-        return _reduced(out, den)
+    def at_origin(self, names) -> "Poly":
+        """The polynomial with every variable of ``names`` set to 0."""
+        mask = reduce(or_, (_MASK << _SHIFT[v] for v in names if v in _SHIFT), 0)
+        return _reduced({m: c for m, c in self.terms.items() if not m & mask}, self.den)
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         moves = [

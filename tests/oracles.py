@@ -11,7 +11,9 @@ check the ones that do.
 * one link of the Lenard chain, both Hamiltonian representations of a
   flow, which ``hierarchy()`` output satisfies by construction;
 * the nonlocal operator P1 of a pair applied numerically on a grid, with
-  the mean-zero periodic antiderivative.
+  the mean-zero periodic antiderivative;
+* the parser's character-by-character scanner, against which the token
+  pattern of ``expr._Tokenizer`` is compared.
 
 Index conventions of the curvature side:
 
@@ -38,13 +40,14 @@ from __future__ import annotations
 
 import importlib
 import random
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from hydrobrackets.bracket import CanonicalPair, PoissonReport, _judge, operator_matrix
-from hydrobrackets.expr import Expr, Zeroness, as_expr, is_zero
+from hydrobrackets.expr import Expr, ParseError, Zeroness, as_expr, is_zero
 from hydrobrackets.geometry import Metric, _dot, _eliminate, christoffel
 from hydrobrackets.hierarchy import (
     ConservativeFlow,
@@ -345,3 +348,65 @@ def apply_P1_numeric(
     if not np.all(np.isfinite(out)):
         raise SimulationError("nonlocal operator produced non-finite values")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the scanner
+# ---------------------------------------------------------------------------
+
+# A number is ASCII digits with at most one decimal point (``str.isdigit``
+# would also admit digits such as '²' or '٣', which ``int`` rejects or reads).
+_DIGITS = frozenset("0123456789")
+
+
+class ScannerTokenizer:
+    """The tokens of ``text`` read one ahead, one character at a time; the
+    same interface as ``expr._Tokenizer`` (``kind``, ``value``, ``start`` of
+    the next token, ``take``)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self._advance()
+
+    def _advance(self):
+        text, n = self.text, len(self.text)
+        i = self.pos
+        while i < n and text[i].isspace():
+            i += 1
+        if i >= n:
+            self.kind, self.value, self.start = "end", "", i
+            self.pos = i
+            return
+        c = text[i]
+        start = i
+        if c in _DIGITS or (c == "." and text[i + 1 : i + 2] in _DIGITS):
+            j = i
+            seen_dot = False
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            limit = sys.get_int_max_str_digits()
+            if limit and j - i - seen_dot > limit:
+                raise ParseError(f"number has more than {limit} digits", i)
+            self.kind, self.value = "number", text[i:j]
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            self.kind, self.value = "name", text[i:j]
+            i = j
+        elif c in "+-*/^()":
+            self.kind, self.value = c, c
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+        self.start = start
+        self.pos = i
+
+    def take(self):
+        kind, value, start = self.kind, self.value, self.start
+        self._advance()
+        return kind, value, start

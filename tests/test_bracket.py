@@ -869,7 +869,7 @@ def _reference_omega(B, f, h):
     df = [f.diff(v) for v in B.vars]
     dh = [h.diff(v) for v in B.vars]
     d2h = [[d.diff(v) for v in B.vars] for d in dh]
-    h_shift = h - h.substitute({v: Fraction(0) for v in B.vars})
+    h_shift = h - h.at_origin(B.vars)
     zero = Expr.const(0)
     return [
         str(

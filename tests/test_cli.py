@@ -1525,6 +1525,53 @@ def test_a_high_power_of_a_sum_loads_at_once(tmp_path):
     assert float(proc.stdout) < 1.0
 
 
+_MERSENNE = str(2**61 - 1)  # the modulus of the divisor residues
+
+
+@pytest.mark.parametrize(
+    "init,offset",
+    [
+        ("1/(x-x)", 1),
+        ("1/((x+1)^2 - x^2 - 2*x - 1)", 1),
+        ("sin(x)/(x-x)", 6),
+        # the residue is undecided, so the factor is made exact
+        (f"1/(1/{_MERSENNE} - 1/{_MERSENNE})", 1),
+        ("sin(x) + x/((1+x)^3 - (1+x)*(1+x)^2)", 10),
+    ],
+    ids=["difference", "expanded-square", "beside-a-call", "residue-undecided", "powers"],
+)
+def test_a_zero_divisor_factor_is_rejected_exactly(tmp_path, capsys, init, offset):
+    path = _write(tmp_path, "p.json", _scalar_simulation(init=[init]))
+    assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: simulation.init[0]: identically zero denominator (at offset {offset})\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_divisor_factor_holding_a_high_power_parses_at_once():
+    """Made exact, the sum (1 + x/100000)^1000 + 1 took 5.6 s to expand; its
+    nonzero residue shows at once that it is not zero.  A child process
+    bounds the wait."""
+    code = (
+        "import time\n"
+        "from hydrobrackets.expr import parse\n"
+        "start = time.perf_counter()\n"
+        "parse('1/((1+x/100000)^1000 + 1)', ('x',), initial_data=True)\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.5
+
+
 @pytest.mark.parametrize(
     "doc",
     [_scalar_simulation(h=[f"{_HUGE}*u1^2/2"]), _scalar_simulation(K=_HUGE)],

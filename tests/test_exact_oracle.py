@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -87,14 +88,14 @@ def test_ring_operations_agree(p, q):
 
 
 @SETTINGS
-@given(p=polys, x=st.integers(-3, 3), y=st.sampled_from([1, 2, 5]))
-def test_diff_and_substitute_agree(p, x, y):
+@given(p=polys, names=st.lists(st.sampled_from(VARS + ("w",)), max_size=4))
+def test_diff_and_at_origin_agree(p, names):
     P = to_sympy(p)
     for v in VARS:
         assert same(p.diff(v), sympy.diff(P, SYMS[v]))
-    value = Fraction(x, y)
-    assert same(p.substitute({"u1": value}), P.subs(SYMS["u1"], sympy.Rational(x, y)))
-    assert same(p.substitute({"u2": value, "v1": 0}), P.subs({SYMS["u2"]: sympy.Rational(x, y), SYMS["v1"]: 0}))
+    at0 = p.at_origin(names)
+    assert same(at0, P.subs({sympy.Symbol(v): 0 for v in names}))
+    assert math.gcd(at0.den, *at0.terms.values()) == 1  # the content stays reduced
 
 
 @SETTINGS
@@ -149,6 +150,17 @@ def test_gcd_whose_root_lies_near_a_too_small_evaluation_point():
     u = Poly.var("u1")
     d = u - 19501
     assert poly_gcd(d * (u + 1), d * (u + 2)) == d
+
+
+def test_gcd_whose_inner_multivariate_image_has_a_root_near_a_too_small_evaluation_point():
+    # f, g = d (u1 u3 + 1), d (u1 u3 - 1) with d = u2 - r.  Were xi to start at
+    # min(B, 99 isqrt(B)) on the multivariate levels, u1 would be set to
+    # 384238206 and the inner image in (u2, u3) evaluated at u2 = r + 2: the
+    # images in u3 then share only 2, and the candidate 1 divides both
+    r = 7531837313812
+    d = Poly.var("u2") - r
+    u1u3 = Poly.var("u1") * Poly.var("u3")
+    assert poly_gcd(d * (u1u3 + 1), d * (u1u3 - 1)) == d
 
 
 # -- seeded inputs that stall a recursive remainder-sequence gcd ----------------
@@ -242,7 +254,7 @@ def test_ray_integral_of_a_gradient_is_the_potential_less_its_origin_value(terms
     # F(u) = int_0^1 u^k df/du^k(t u) dt = f(u) - f(0); the parameter c is a constant
     f = build(terms, RAY_VARS)
     grad = [f.diff("u1"), f.diff("u2")]
-    assert ray_integral(grad, ("u1", "u2")) == f - f.substitute({"u1": 0, "u2": 0})
+    assert ray_integral(grad, ("u1", "u2")) == f - f.at_origin(("u1", "u2"))
 
 
 # -- field axioms of Expr, judged by the exact zero test ----------------------
@@ -266,6 +278,18 @@ def test_field_axioms_hold(a, b, c):
         assert is_zero(identity) is Zeroness.ZERO
     if not b.is_zero():
         assert is_zero((a / b) * b - a) is Zeroness.ZERO
+
+
+@SETTINGS
+@given(a=rationals, names=st.lists(st.sampled_from(VARS), max_size=3))
+def test_expr_at_origin_agrees_with_subs(a, names):
+    zero = {SYMS[v]: 0 for v in names}
+    den = sympy.Mul(*(to_sympy(f) ** e for f, e in a.den))
+    if den.subs(zero) == 0:
+        with pytest.raises(ZeroDivisionError):
+            a.at_origin(names)
+        return
+    assert sympy.cancel(expr_to_sympy(a.at_origin(names)) - (to_sympy(a.num) / den).subs(zero)) == 0
 
 
 # -- geometry of the constant-curvature family against sympy --------------------

@@ -25,6 +25,8 @@ from hydrobrackets.expr import (
 )
 from hydrobrackets.numsim import _sample_tree
 
+import oracles
+
 UV = ("u1", "u2")
 
 
@@ -372,8 +374,7 @@ def _compound(children):
 @given(st.recursive(_ATOMS, _compound, max_leaves=24))
 def test_the_tree_fold_matches_a_recursive_walk(text):
     tree = _ex._Parser(text, ("u1", "u2", "x"), True).parse()
-    assert _ex._tree_has_call(tree) == _ref_has_call(tree)
-    if _ex._tree_has_call(tree):
+    if _ref_has_call(tree):
         x = np.linspace(-1.0, 1.0, 7)
 
         def sample(walk):
@@ -393,6 +394,48 @@ def test_the_tree_fold_matches_a_recursive_walk(text):
         assert exc.value.offset == err.offset
         return
     assert _layout(_ex._tree_to_expr(tree)) == _layout(want)
+
+
+_CALL_FREE = st.recursive(
+    _ATOMS,
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from([" + ", " - ", "*", "/"]), st.lists(children, min_size=2, max_size=5)).map(
+            lambda t: t[0].join(t[1])
+        ),
+        children.map(lambda c: f"({c})"),
+        st.tuples(children, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(children, children).map(lambda t: f"({t[0]} - {t[1]} + ({t[1]}) - ({t[0]}))"),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_CALL_FREE)
+def test_a_residue_is_the_exact_value_modulo_the_prime(text):
+    """Where it is decided, the residue of a call-free tree is its Expr at
+    u1 = u2 = x = _AT, reduced modulo _P; so a nonzero residue is never that
+    of an identically zero factor."""
+    tree = _ex._Parser(text, ("u1", "u2", "x"), True).parse()
+    r = _ex._fold_tree(tree, _ex._residue)
+    try:
+        e = _ref_tree_to_expr(tree)
+    except _ex.ZeroDenominatorError:
+        return
+    assert r is not None
+    if r == -1:
+        return
+    value = Fraction(e.evaluate({v: Fraction(_ex._AT) for v in ("u1", "u2", "x")}))
+    assert value.numerator % _ex._P == r * value.denominator % _ex._P
+    if e.is_zero():
+        assert r == 0
+
+
+def test_a_call_leaves_the_residue_undecided():
+    tree = _ex._Parser("(x - x)*sin(x) + 1", ("x",), True).parse()
+    assert _ex._fold_tree(tree, _ex._residue) is None
+    tree = _ex._Parser("x/(x - x) + 2", ("x",), True).parse()
+    assert _ex._fold_tree(tree, _ex._residue) == -1
 
 
 def test_a_cancelled_term_comes_back_at_the_end():
@@ -569,9 +612,41 @@ def test_the_parser_records_its_calls(text):
     except _ex.ZeroDenominatorError:
         tree = _ex._Parser(text, ("u1", "u2", "x"), True).parse()
     assert isinstance(tree, _ex._Node)
-    assert _ex._tree_has_call(tree) <= ("sin(" in text)
+    assert _ref_has_call(tree) <= ("sin(" in text)
 
 
 def test_a_call_under_a_zero_factor_leaves_an_expr():
     tree = parse("sin(x)*0 + x", ("x",), initial_data=True)
     assert isinstance(tree, _ex._Var) and tree.name == "x"
+
+
+# -- the token pattern against the character scanner --------------------------------
+
+# Unicode letters, digits that are not ASCII ('²' and '½' are not decimal, '٣'
+# is), the decimal point, Unicode whitespace, operators and other characters
+_CHARS = st.sampled_from(list("aZé_ßΩж中x1u09²٣½. \t\n\u00a0\u2003+-*/^()§,!$"))
+# numbers at and beyond the default digit limit of 4300
+_LONG_NUMBERS = st.sampled_from(["9" * 4300, "9" * 4301, "1." + "0" * 4299, "." + "0" * 4301, "12.5" * 1100])
+
+
+def _token_stream(tokenizer, text):
+    """Every token of ``text`` up to the end, or up to the error, whose
+    message and offset end the list."""
+    out = []
+    try:
+        toks = tokenizer(text)
+        while not out or out[-1][0] != "end":
+            out.append(toks.take())
+    except ParseError as exc:
+        out.append(("error", str(exc), exc.offset))
+    return out
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(
+    st.tuples(st.lists(_CHARS, max_size=30), st.integers(0, 30), st.one_of(st.just(""), _LONG_NUMBERS)).map(
+        lambda t: "".join(t[0][: t[1]]) + t[2] + "".join(t[0][t[1] :])
+    )
+)
+def test_the_token_pattern_matches_the_character_scanner(text):
+    assert _token_stream(_ex._Tokenizer, text) == _token_stream(oracles.ScannerTokenizer, text)

@@ -327,11 +327,10 @@ def test_coordinates_geodesic_at_origin():
     # the closed-form family has vanishing symbols at u = 0
     g, _ = geo.canonical_metric([1, 2, 3], Fraction(2, 3))
     gam = oracles.gamma(g, geo.christoffel(g))
-    at0 = {v: Fraction(0) for v in g.vars}
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert gam[i][j][k].substitute(at0).const_value() == 0
+                assert gam[i][j][k].at_origin(g.vars).const_value() == 0
 
 
 def test_canonical_metric_identity_case():

@@ -40,6 +40,13 @@ def test_smallest_simulate_rows_run():
     assert scaled.teardown_row(1, 64, dt, 4, processes=1) > 0
 
 
+def test_smallest_initial_data_rows_run():
+    scaled = _scaled()
+    assert scaled.parse_row(min(scaled.INITIAL_DATA_EXPONENTS), repeats=1) > 0
+    ms, name = scaled.simulate_load_row(repeats=1)
+    assert ms > 0 and name.endswith(".json")
+
+
 def test_gcd_corpus_row_runs():
     median, worst = _scaled().gcd_row(repeats=1)
     assert 0 < median <= worst
@@ -55,6 +62,7 @@ def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
     simulate_rows = [(level, m, step, 4) for level, m, step, _ in scaled.SIMULATE_ROWS]
     monkeypatch.setattr(scaled, "SIMULATE_ROWS", simulate_rows)
     monkeypatch.setattr(scaled, "TEARDOWN_ROW", (1, 64, dt, 4))
+    monkeypatch.setattr(scaled, "INITIAL_DATA_EXPONENTS", [min(scaled.INITIAL_DATA_EXPONENTS)])
     monkeypatch.setattr(scaled, "REPEATS", 1)
     monkeypatch.setattr(scaled, "TEARDOWN_PROCESSES", 1)
     assert scaled.main(["--json"]) == 0
@@ -62,7 +70,7 @@ def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
     assert all(sorted(r) == ["name", "unit", "value"] for r in records)
     names = [r["name"] for r in records]
     assert names[0] == "hierarchy N=2 --levels 6 generation"
-    assert len(names) == len(set(names)) == 1 + 11 + 3 + 3 * 6 + 1 + 2
+    assert len(names) == len(set(names)) == 1 + 11 + 3 + 3 * 6 + 1 + 2 + 2
     assert [n for n in names if n.endswith("per step")] == [
         f"simulate N=2 level {level} M={m} per step" for level in (1, 2, 3) for m in (256, 512)
     ]

@@ -56,7 +56,7 @@ ALLOWED = {
     "bracket.is_total_x_derivative": _TRACER_CALLEE,
     "bracket.Integrand1.__init__": _TRACER_CALLEE,
     "expr.ParseError.__init__": "raised on a malformed expression; every traced file is well-formed",
-    "expr._tree_has_call": "asked of each divisor factor of an initial datum; no traced datum divides",
+    "expr._residue": "asked of each divisor factor of an initial datum; no traced datum divides",
     "bracket._ValueEq.__eq__": _INTERFACE,
     "bracket.PoissonReport.condition": _INTERFACE,
     "expr.Expr.__rsub__": _INTERFACE,

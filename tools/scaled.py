@@ -2,7 +2,7 @@
 
     python3 tools/scaled.py [--json]
 
-It prints five markdown tables, or with ``--json`` one JSON object per
+It prints six markdown tables, or with ``--json`` one JSON object per
 measured value (``name``, ``unit``, ``value``) on a line of its own:
 
 * ``hierarchy`` on the linear N=2 and N=3 pairs at 6-8 and 4-8 levels and the
@@ -32,6 +32,11 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   ``python -m hydrobrackets simulate`` process (interpreter teardown).  The
   teardown is the median of five processes; the child stamps the moment
   ``main`` returns on ``time.monotonic``, which is the parent's clock too;
+* initial data: the milliseconds to ``parse`` the datum
+  1/((1 + x/100000)^e + 1) at e = 500 and 1000 (its divisor factor is a
+  sum holding a high power, which made exact would be expanded), and to
+  ``load_problem`` the first file of the benchmark's ``simulate`` workload
+  at seed ``SIMULATE_SEED``;
 * the gcd corpus: 25 seeded sums of four quotients in u1, u2, v1
   (``gcd_corpus``): the median and the worst milliseconds of one ``str()``,
   which reduces each sum through ``poly_gcd``.
@@ -41,6 +46,8 @@ passed ass1/ass2 and every level's potentials exist; the canonical bracket
 equals the Christoffel route's, is Poisson and passes c1 against eta = I;
 the translated pair solves ass1 and ass2; every loaded entry equals its
 string parsed alone; the simulation completes within its drift tolerance;
+the parsed datum samples as numpy evaluates its text; the loaded simulate
+file samples finite initial data;
 each corpus string parses back to its sum, and the sum taken in reverse
 prints the same string), so a timing is never taken of a wrong answer.
 """
@@ -58,6 +65,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -72,7 +81,7 @@ from hydrobrackets.bracket import (  # noqa: E402
     _c_residuals,
     _s_residuals,
 )
-from hydrobrackets.cli import Problem, load_problem  # noqa: E402
+from hydrobrackets.cli import Problem, load_initial_state, load_problem  # noqa: E402
 from hydrobrackets.expr import Expr, parse  # noqa: E402
 from hydrobrackets.hierarchy import hierarchy  # noqa: E402
 from hydrobrackets import numsim  # noqa: E402
@@ -99,6 +108,8 @@ SIMULATE_ROWS = [
 ]
 TEARDOWN_ROW = next(row for row in SIMULATE_ROWS if row[:2] == (2, 512))
 TEARDOWN_PROCESSES = 5
+INITIAL_DATA_EXPONENTS = [500, 1000]
+SIMULATE_SEED = 1
 CORPUS_SEEDS = range(1000, 1025)
 CORPUS_VARS = ("u1", "u2", "v1")
 TWO_PI = 6.283185307179586
@@ -255,6 +266,26 @@ def teardown_row(level: int, m: int, dt: float, steps: int, processes: int = TEA
     return statistics.median(samples) * 1e3
 
 
+def parse_row(exponent: int, repeats: int = REPEATS) -> float:
+    """Milliseconds to parse 1/((1 + x/100000)^exponent + 1) as initial data."""
+    text = f"1/((1+x/100000)^{exponent} + 1)"
+    seconds, tree = _best(lambda: parse(text, ("x",), initial_data=True), repeats)
+    x = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+    if not np.allclose(numsim._sample_tree(tree, x), 1 / ((1 + x / 100000) ** exponent + 1), rtol=1e-12):
+        raise AssertionError(f"{text}: the parsed datum does not sample as written")
+    return seconds * 1e3
+
+
+def simulate_load_row(repeats: int = REPEATS) -> tuple:
+    """(ms per load, file name) of the first simulate file at SIMULATE_SEED."""
+    with tempfile.TemporaryDirectory(prefix="scaled-") as tmp:
+        path = workloads.build("simulate", SIMULATE_SEED, ROOT, Path(tmp)).files[0]
+        seconds, problem = _best(lambda: load_problem(str(path)), repeats)
+        if not np.all(np.isfinite(load_initial_state(problem)[1])):
+            raise AssertionError(f"{path.name}: the initial data is not finite")
+    return seconds * 1e3, path.name
+
+
 def seeded_poly(rng: random.Random, terms: int, top: int, names) -> Poly:
     """A sum of ``terms`` terms over ``names``: each coefficient +-1..9, then
     each exponent 0..top, drawn in that order."""
@@ -318,6 +349,10 @@ def rows():
     level, m, _, _ = TEARDOWN_ROW
     teardown = teardown_row(*TEARDOWN_ROW, processes=TEARDOWN_PROCESSES)
     yield "simulate teardown", f"N=2 level {level} M={m}", [("median", "ms", teardown, ".1f")]
+    for exponent in INITIAL_DATA_EXPONENTS:
+        yield "initial data", f"parse exponent={exponent}", [("per call", "ms", parse_row(exponent, REPEATS), ".2f")]
+    ms, name = simulate_load_row(REPEATS)
+    yield "initial data", f"load_problem seed={SIMULATE_SEED} {name}", [("per call", "ms", ms, ".2f")]
     median, worst = gcd_row(REPEATS)
     cells = [("median str", "ms", median, ".2f"), ("worst str", "ms", worst, ".2f")]
     yield "gcd corpus", f"{len(CORPUS_SEEDS)} sums", cells
