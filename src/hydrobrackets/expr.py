@@ -142,7 +142,9 @@ class Expr:
             num = num * (Fraction(1) / scale)
         if num.is_zero():
             return Expr(num, ())
-        # cancel factors that divide the numerator exactly
+        # cancel factors that divide the numerator exactly, in sort_key order:
+        # where two share a divisor the first cancels, and key() order would
+        # follow the order in which the process first saw each variable
         kept = []
         factors = acc.values()
         if len(acc) > 1:
@@ -194,24 +196,18 @@ class Expr:
             return Expr(self.num + other.num, ())
         if self.den == other.den:
             return Expr._make(self.num + other.num, self.den)
-        d1 = {f.key(): (f, e) for f, e in self.den}
-        d2 = {f.key(): (f, e) for f, e in other.den}
-        merged = {}
-        for k in set(d1) | set(d2):
-            f = (d1.get(k) or d2.get(k))[0]
-            merged[k] = (f, max(d1.get(k, (f, 0))[1], d2.get(k, (f, 0))[1]))
-        cof1 = Poly.const(1)
-        cof2 = Poly.const(1)
-        for k, (f, e) in merged.items():
-            e1 = d1.get(k, (f, 0))[1]
-            e2 = d2.get(k, (f, 0))[1]
-            if e > e1:
-                cof1 = cof1 * f ** (e - e1)
-            if e > e2:
-                cof2 = cof2 * f ** (e - e2)
-        return Expr._make(
-            self.num * cof1 + other.num * cof2, merged.values()
-        )
+        # each factor once, in the order the sides list it, with both exponents
+        exps = {}
+        for i, (f, e) in enumerate(self.den + other.den):
+            exps.setdefault(f.key(), [f, 0, 0])[1 if i < len(self.den) else 2] = e
+        lcm, cof1, cof2 = [], Poly.const(1), Poly.const(1)
+        for f, e1, e2 in exps.values():
+            lcm.append((f, max(e1, e2)))
+            if e2 > e1:
+                cof1 = cof1 * f ** (e2 - e1)
+            elif e1 > e2:
+                cof2 = cof2 * f ** (e1 - e2)
+        return Expr._make(self.num * cof1 + other.num * cof2, lcm)
 
     __radd__ = __add__
 
@@ -239,14 +235,7 @@ class Expr:
             return other
         if not self.den and not other.den:
             return Expr(self.num * other.num, ())
-        factors = {}
-        for f, e in self.den + other.den:
-            k = f.key()
-            if k in factors:
-                factors[k] = (f, factors[k][1] + e)
-            else:
-                factors[k] = (f, e)
-        return Expr._make(self.num * other.num, factors.values())
+        return Expr._make(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
@@ -272,15 +261,9 @@ class Expr:
             raise ValueError("exponents must be integers")
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = Expr.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if not self.den:
+            return Expr(self.num**n, ())
+        return Expr._make(self.num**n, [(f, e * n) for f, e in self.den])
 
     # -- calculus ---------------------------------------------------------------
 

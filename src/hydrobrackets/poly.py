@@ -158,9 +158,10 @@ class Poly:
         return self._key
 
     def sort_key(self):
-        """The order in which denominator factors are listed: the sorted
-        (monomial, coefficient) pairs, each monomial written as its
-        ((variable, exponent), ...) pairs in var_key order."""
+        """The order in which denominator factors are listed and cancelled:
+        the sorted (monomial, coefficient) pairs, each monomial as its
+        ((variable, exponent), ...) pairs in var_key order, so unlike key()
+        it does not depend on the order in which variables were first seen."""
         shifts = _ordered_shifts(self.vars())
         return tuple(
             sorted(

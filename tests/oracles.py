@@ -13,7 +13,10 @@ check the ones that do.
 * the nonlocal operator P1 of a pair applied numerically on a grid, with
   the mean-zero periodic antiderivative;
 * the parser's character-by-character scanner, against which the token
-  pattern of ``expr._Tokenizer`` is compared.
+  pattern of ``expr._Tokenizer`` is compared;
+* the Nijenhuis torsion of the affinor of two metrics, a necessary
+  condition for their compatibility that no residual family of
+  ``check-compat`` or ``check-pencil`` computes.
 
 Index conventions of the curvature side:
 
@@ -48,7 +51,7 @@ import numpy as np
 
 from hydrobrackets.bracket import CanonicalPair, PoissonReport, _judge, operator_matrix
 from hydrobrackets.expr import Expr, ParseError, Zeroness, as_expr, is_zero
-from hydrobrackets.geometry import Metric, _dot, _eliminate, christoffel
+from hydrobrackets.geometry import Metric, _dot, _eliminate, christoffel, matrix_inverse
 from hydrobrackets.hierarchy import (
     ConservativeFlow,
     apply_recursion,
@@ -154,6 +157,40 @@ def constant_curvature_residual(g: Metric, K) -> list:
         ]
         for i in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# compatibility
+# ---------------------------------------------------------------------------
+
+
+def nijenhuis_torsion(g1, g2, vars) -> dict:
+    """The Nijenhuis torsion of the affinor L^i_j = g1^{is} (g2^{-1})_{sj} of
+    two contravariant metrics over ``vars``, as {(k, i, j): N^k_{ij}} for
+    i < j (1-based), with
+    N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i - L^k_s (d_i L^s_j - d_j L^s_i).
+    Compatible metrics with g2 nondegenerate have zero torsion (Mokhov,
+    "Compatible and almost compatible pseudo-Riemannian metrics", 2001);
+    the converse needs more, so this is a necessary condition only.  An
+    identically degenerate g2 raises DegenerateMetricError."""
+    n = len(vars)
+    inv = matrix_inverse(g2)
+    L = [[_dot(g1[i], [inv[s][j] for s in range(n)]) for j in range(n)] for i in range(n)]
+    dL = [[[L[k][j].diff(v) for v in vars] for j in range(n)] for k in range(n)]  # d_s L^k_j
+    return {
+        (k + 1, i + 1, j + 1): sum(
+            (
+                L[s][i] * dL[k][j][s]
+                - L[s][j] * dL[k][i][s]
+                - L[k][s] * (dL[s][j][i] - dL[s][i][j])
+                for s in range(n)
+            ),
+            Expr.const(0),
+        )
+        for k in range(n)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
 
 
 # ---------------------------------------------------------------------------

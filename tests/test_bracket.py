@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -37,7 +38,10 @@ from hydrobrackets.bracket import (
     liouville_function,
     special_liouville,
 )
+from hydrobrackets.cli import load_problem
 from hydrobrackets.expr import Expr, Zeroness, is_zero, parse
+
+import oracles
 
 UV = ("u1", "u2")
 ETA2 = ConstantBracket([[1, 0], [0, 1]])
@@ -251,6 +255,88 @@ def test_local_member_property():
     report = check_pencil(Ba, Bb)
     lam0, lam1 = report.extras["local_member"]
     assert lam0 * K1 + lam1 * K2 == 0
+
+
+# -- the Nijenhuis torsion: an independent necessary condition ---------------
+#
+# Compatible brackets whose second metric is nondegenerate have an affinor
+# L = g1 g2^{-1} of zero Nijenhuis torsion (tests/oracles.py).  The torsion
+# reads the two metrics alone, so it checks c1 and the pencil's families by
+# a formula that shares nothing with their residual generators.
+
+TESTS_DIR = Path(__file__).resolve().parent
+CANONICAL_FAMILY = [  # (a, K) of g^{ij} = a^i delta^{ij} - K u^i u^j, N = 2-4
+    ((1, 3), 2),
+    ((2, 1), -1),
+    ((0, 1), 1),
+    ((1, 2, 3), 1),
+    ((1, 1, 2), -2),
+    ((1, 2, 3, 5), 1),
+    ((2, 1, 1, 3), -1),
+]
+ETA2_DIAG = ConstantBracket([[1, 0], [0, 2]])
+# (k, i, j) and N^k_{ij} of the first nonzero entry of each pair that fails.
+# Every one fails in truth: its torsion is nonzero.  failing_explicit_n2 is
+# not Poisson (s3, s4); the others are Poisson and fail c1 only against eta
+# and s3 only as a pencil with eta, so a fault that passes them in either
+# family shows as a passed pair of nonzero torsion.
+FAILING_TORSION = {
+    "failing_explicit_n2 check-compat": ((2, 1, 2), "-u1*u2^2"),
+    "failing_explicit_n2 check-pencil": ((2, 1, 2), "-u1*u2^2"),
+    "flat pullback check-compat": ((1, 1, 2), "2*u1^2"),
+    "flat pullback check-pencil": ((1, 1, 2), "2*u1^2"),
+    "quadratic H check-compat": ((1, 1, 2), "u2"),
+    "quadratic H check-pencil": ((1, 1, 2), "u2"),
+    "quadratic H skew check-compat": ((1, 1, 2), "4*u1 - 8*u2"),
+    "quadratic H skew check-pencil": ((1, 1, 2), "4*u1 - 8*u2"),
+    "cubic H skew check-compat": ((1, 1, 2), "2*u1^2*u2^2 + 2*u1^3 + 8*u1*u2^2 + 12*u1^2 + 16*u1"),
+    "cubic H skew check-pencil": ((1, 1, 2), "2*u1^2*u2^2 + 2*u1^3 + 8*u1*u2^2 + 12*u1^2 + 16*u1"),
+}
+
+
+def _torsion_pairs():
+    """(name, verdict, B1, B2): each bracket against its eta by check-compat
+    and against its partner by check-pencil."""
+    pairs = []
+
+    def both(name, B, eta, partner=None):
+        flat = eta.as_hydro(B.vars)
+        pairs.append((f"{name} check-compat", check_compat_constant(B, eta).passed, B, flat))
+        partner = partner or flat
+        pairs.append((f"{name} check-pencil", check_pencil(B, partner).passed, B, partner))
+
+    golden = [TESTS_DIR / "golden" / f"{stem}.json" for stem in ("failing_explicit_n2", "rational_h_n2")]
+    for path in sorted((TESTS_DIR.parent / "problems").glob("*.json")) + golden:
+        prob = load_problem(str(path))
+        both(path.stem, prob.bracket(), prob.eta, prob.second_bracket())
+    family = [_canonical_bracket(a, K) for a, K in CANONICAL_FAMILY]
+    for (a, K), B in zip(CANONICAL_FAMILY, family):
+        n = len(a)
+        for weights in ([1] * n, range(1, n + 1)):  # eta = I and diag(1..N)
+            eta = ConstantBracket([[w * (i == j) for j in range(n)] for i, w in enumerate(weights)])
+            both(f"a={a} K={K} eta={eta.up}", B, eta)
+    for (x, B1), (y, B2) in itertools.combinations(zip(CANONICAL_FAMILY, family), 2):
+        if B1.n == B2.n:
+            pairs.append((f"{x} + lam {y}", check_pencil(B1, B2).passed, B1, B2))
+    quadratic = build_canonical(_pair(["(u1^2 + u2^2)/2", "u1*u2"], 0))
+    cubic = build_canonical(_pair(["u1^3/6 + u1^2", "u2^4/12"], 0))
+    both("flat pullback", _flat_pullback_bracket(), ETA2)
+    both("quadratic H", quadratic, ETA2_DIAG)
+    both("quadratic H skew", quadratic, ETA2_SKEW)
+    both("cubic H skew", cubic, ETA2_SKEW)
+    return pairs
+
+
+def test_every_compatible_pair_has_zero_nijenhuis_torsion():
+    failing = {}
+    for name, ok, B1, B2 in _torsion_pairs():
+        torsion = oracles.nijenhuis_torsion(B1.g, B2.g, B1.vars)
+        nonzero = sorted((k, str(v)) for k, v in torsion.items() if not v.is_zero())
+        if ok:
+            assert not nonzero, f"{name} passes, but its torsion is {nonzero}"
+        else:
+            failing[name] = nonzero[0] if nonzero else None
+    assert failing == FAILING_TORSION
 
 
 # -- residual families against the dense reference ---------------------------

@@ -7,7 +7,8 @@ field axioms as judged by ``is_zero``; and the Levi-Civita symbols and
 curvature of the constant-curvature family match sympy's.  sympy and
 hypothesis are test-only dependencies.  The seeded gcd corpus of
 ``tools/scaled.py`` and four-variable pairs with a shared factor bound the
-gcd's time.
+gcd's time.  ``Expr`` sums, products and powers match the former
+per-operator factor merges and power loop, kept here as references.
 """
 
 from __future__ import annotations
@@ -278,6 +279,110 @@ def test_field_axioms_hold(a, b, c):
         assert is_zero(identity) is Zeroness.ZERO
     if not b.is_zero():
         assert is_zero((a / b) * b - a) is Zeroness.ZERO
+
+
+# -- one factor merge and one power loop, against the former per-operator ones --
+#
+# The references below are the former Expr.__add__ (a set union of factor
+# keys), __mul__ (its own merge of equal factors) and __pow__ (a square-and-
+# multiply loop over Expr products).  The quotients draw factors that share
+# a divisor, so that which factor cancels depends on the order of _make.
+
+
+def _ref_add(a: Expr, b: Expr) -> Expr:
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b
+    if not a.den and not b.den:
+        return Expr(a.num + b.num, ())
+    if a.den == b.den:
+        return Expr._make(a.num + b.num, a.den)
+    d1 = {f.key(): (f, e) for f, e in a.den}
+    d2 = {f.key(): (f, e) for f, e in b.den}
+    merged = {}
+    for k in set(d1) | set(d2):
+        f = (d1.get(k) or d2.get(k))[0]
+        merged[k] = (f, max(d1.get(k, (f, 0))[1], d2.get(k, (f, 0))[1]))
+    cof1 = Poly.const(1)
+    cof2 = Poly.const(1)
+    for k, (f, e) in merged.items():
+        e1 = d1.get(k, (f, 0))[1]
+        e2 = d2.get(k, (f, 0))[1]
+        if e > e1:
+            cof1 = cof1 * f ** (e - e1)
+        if e > e2:
+            cof2 = cof2 * f ** (e - e2)
+    return Expr._make(a.num * cof1 + b.num * cof2, merged.values())
+
+
+def _ref_mul(a: Expr, b: Expr) -> Expr:
+    if a.is_zero():
+        return a
+    if b.is_zero():
+        return b
+    if not a.den and not b.den:
+        return Expr(a.num * b.num, ())
+    factors = {}
+    for f, e in a.den + b.den:
+        k = f.key()
+        if k in factors:
+            factors[k] = (f, factors[k][1] + e)
+        else:
+            factors[k] = (f, e)
+    return Expr._make(a.num * b.num, factors.values())
+
+
+def _ref_pow(a: Expr, n: int) -> Expr:
+    if n < 0:
+        return _ref_pow(a.reciprocal(), -n)
+    result = Expr.const(1)
+    base = a
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        n >>= 1
+        if n:
+            base = _ref_mul(base, base)
+    return result
+
+
+U1, U2 = Poly.var("u1"), Poly.var("u2")
+SHARED = (U1**2 + U1, U1 * U2 + U1, U1 + 1, U2 + 1, U1, U1**2)  # sharing u1, u1 + 1, u2 + 1
+quotients = st.builds(
+    lambda num, extra, factors: Expr._make(num * extra, factors),
+    polys,
+    st.sampled_from(SHARED + (Poly.const(1),)),
+    st.lists(
+        st.tuples(st.one_of(st.sampled_from(SHARED), small_nonconstant), st.integers(1, 2)),
+        max_size=3,
+    ),
+)
+
+
+def assert_same_expr(got: Expr, want: Expr, term_order: bool):
+    assert str(got) == str(want)
+    assert [(f.key(), e) for f, e in got.den] == [(f.key(), e) for f, e in want.den]
+    assert got.free_vars() == want.free_vars()
+    if term_order:
+        assert list(got.num.terms.items()) == list(want.num.terms.items())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(a=quotients, b=quotients, n=st.integers(-3, 4))
+def test_sums_products_and_powers_match_the_former_operators(a, b, n):
+    # a product keeps its numerator's term order; a sum or a power keeps it
+    # where the result is a polynomial (the former sum multiplied cofactors
+    # in hash order, and the former power cancelled step by step)
+    total = a + b
+    assert_same_expr(total, _ref_add(a, b), not total.den)
+    assert_same_expr(a * b, _ref_mul(a, b), True)
+    if a.is_zero() and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            a**n
+        return
+    power = a**n
+    assert_same_expr(power, _ref_pow(a, n), not power.den)
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrobrackets import expr as _ex
+from hydrobrackets import poly as _poly
 from hydrobrackets.expr import (
     Expr,
     NonIntegerExponentError,
@@ -195,6 +196,21 @@ def test_quotient_normalization_and_equality():
     b = parse("u1 + u2", UV)
     assert is_zero(a - b) is Zeroness.ZERO
     assert a.normal_form() == b.normal_form()
+
+
+def test_the_factor_that_cancels_does_not_depend_on_the_order_names_were_first_seen():
+    # 1/((a^2 + a)(a*b + a)) times a*(a + 1)*(b + 1): either factor divides
+    # the product, and _make cancels the one it lists first.  That order is
+    # sort_key's (var_key order), never the order in which the process first
+    # saw a and b, which key() follows; so both pairs give one result.
+    for a, b, seen_first in (("zqa1", "zqa2", "zqa1"), ("zqb1", "zqb2", "zqb2")):
+        assert not {a, b} & set(_poly._SHIFT)
+        Expr.var(seen_first)
+        A, B = Expr.var(a), Expr.var(b)
+        e = Expr.const(1) / (A * A + A) / (A * B + A) * (A * (A + 1) * (B + 1))
+        assert [(str(f), k) for f, k in e.den] == [(f"{a}^2 + {a}", 1)]
+        assert str(e.num) == f"{a} + 1"
+        assert e.free_vars() == {a}
 
 
 def test_render_round_trip():

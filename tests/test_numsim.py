@@ -212,6 +212,15 @@ def test_a_power_of_a_sum_is_sampled_as_written(q, k):
     _assert_samples_as_numpy(f"(1 + x/{q})^{k}", lambda x: (1.0 + x / float(q)) ** k)
 
 
+def test_constants_between_other_terms_are_added_as_written():
+    # the parser folds a sum pairwise, so 0.1 and 0.2 stay apart: folded into
+    # one constant 3/10 (one fold over all terms), 168 of 256 samples differ
+    grid = ns.Grid(256, TWO_PI)
+    x = grid.nodes
+    row = ns.sample_initial_data(grid, [parse("0.1 + 0.3*sin(x) + 0.2", ("x",), initial_data=True)])[0]
+    assert np.array_equal(row, (0.3 * np.sin(x) + 0.1) + 0.2)
+
+
 def test_a_divisor_is_sampled_factor_by_factor():
     # expanded, (x-7)^30 loses its value to cancellation on [0, 2 pi)
     grid = ns.Grid(64, TWO_PI)

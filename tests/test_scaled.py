@@ -47,6 +47,13 @@ def test_smallest_initial_data_rows_run():
     assert ms > 0 and name.endswith(".json")
 
 
+def test_rational_arithmetic_rows_run():
+    scaled = _scaled()
+    for operation in scaled.ARITHMETIC:
+        median, worst = scaled.arithmetic_row(operation, repeats=1)
+        assert 0 < median <= worst
+
+
 def test_gcd_corpus_row_runs():
     median, worst = _scaled().gcd_row(repeats=1)
     assert 0 < median <= worst
@@ -70,7 +77,7 @@ def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
     assert all(sorted(r) == ["name", "unit", "value"] for r in records)
     names = [r["name"] for r in records]
     assert names[0] == "hierarchy N=2 --levels 6 generation"
-    assert len(names) == len(set(names)) == 1 + 11 + 3 + 3 * 6 + 1 + 2 + 2
+    assert len(names) == len(set(names)) == 1 + 11 + 3 + 3 * 6 + 1 + 2 + 3 * 2 + 2
     assert [n for n in names if n.endswith("per step")] == [
         f"simulate N=2 level {level} M={m} per step" for level in (1, 2, 3) for m in (256, 512)
     ]

@@ -2,7 +2,7 @@
 
     python3 tools/scaled.py [--json]
 
-It prints six markdown tables, or with ``--json`` one JSON object per
+It prints seven markdown tables, or with ``--json`` one JSON object per
 measured value (``name``, ``unit``, ``value``) on a line of its own:
 
 * ``hierarchy`` on the linear N=2 and N=3 pairs at 6-8 and 4-8 levels and the
@@ -37,6 +37,9 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   sum holding a high power, which made exact would be expanded), and to
   ``load_problem`` the first file of the benchmark's ``simulate`` workload
   at seed ``SIMULATE_SEED``;
+* rational arithmetic on the same corpus: the median and the worst
+  milliseconds to form each sum of four quotients, their product, and the
+  cubes of the four quotients (``Expr`` arithmetic, no ``str()``);
 * the gcd corpus: 25 seeded sums of four quotients in u1, u2, v1
   (``gcd_corpus``): the median and the worst milliseconds of one ``str()``,
   which reduces each sum through ``poly_gcd``.
@@ -47,7 +50,8 @@ equals the Christoffel route's, is Poisson and passes c1 against eta = I;
 the translated pair solves ass1 and ass2; every loaded entry equals its
 string parsed alone; the simulation completes within its drift tolerance;
 the parsed datum samples as numpy evaluates its text; the loaded simulate
-file samples finite initial data;
+file samples finite initial data; each sum, product and cube takes the
+value at a rational point that the quotients' values there give;
 each corpus string parses back to its sum, and the sum taken in reverse
 prints the same string), so a timing is never taken of a wrong answer.
 """
@@ -56,6 +60,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import os
 import random
 import statistics
@@ -63,6 +69,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +120,14 @@ INITIAL_DATA_EXPONENTS = [500, 1000]
 SIMULATE_SEED = 1
 CORPUS_SEEDS = range(1000, 1025)
 CORPUS_VARS = ("u1", "u2", "v1")
+# each operation on the four quotients of a corpus sum, as a list, with the
+# values it takes at ARITHMETIC_POINT from the quotients' values there
+ARITHMETIC = {
+    "sum": (lambda qs: [sum(qs, Expr.const(0))], lambda xs: [sum(xs)]),
+    "product": (lambda qs: [reduce(operator.mul, qs)], lambda xs: [math.prod(xs)]),
+    "cubes": (lambda qs: [q**3 for q in qs], lambda xs: [x**3 for x in xs]),
+}
+ARITHMETIC_POINT = {"u1": Fraction(3, 7), "u2": Fraction(-2, 5), "v1": Fraction(11, 13)}
 TWO_PI = 6.283185307179586
 INIT = ["0.05*sin(x)", "0.05*cos(x) + 0.02*sin(2*x)"]
 
@@ -328,6 +344,19 @@ def gcd_row(repeats: int = REPEATS) -> tuple:
     return statistics.median(times) * 1e3, max(times) * 1e3
 
 
+def arithmetic_row(operation: str, repeats: int = REPEATS) -> tuple:
+    """(median ms, worst ms) to form ``operation`` of each corpus entry's
+    quotients."""
+    form, want = ARITHMETIC[operation]
+    times = []
+    for parts in gcd_corpus():
+        seconds, value = _best(lambda: form(parts), repeats)
+        if [e.evaluate(ARITHMETIC_POINT) for e in value] != want([q.evaluate(ARITHMETIC_POINT) for q in parts]):
+            raise AssertionError(f"rational arithmetic: a {operation} takes the wrong value")
+        times.append(seconds)
+    return statistics.median(times) * 1e3, max(times) * 1e3
+
+
 def rows():
     """(table, row label, cells) of every row, each measured after its
     verdict checks; a cell is (column, unit, value, format)."""
@@ -353,6 +382,10 @@ def rows():
         yield "initial data", f"parse exponent={exponent}", [("per call", "ms", parse_row(exponent, REPEATS), ".2f")]
     ms, name = simulate_load_row(REPEATS)
     yield "initial data", f"load_problem seed={SIMULATE_SEED} {name}", [("per call", "ms", ms, ".2f")]
+    for operation in ARITHMETIC:
+        median, worst = arithmetic_row(operation, REPEATS)
+        cells = [("median", "ms", median, ".3f"), ("worst", "ms", worst, ".3f")]
+        yield "rational arithmetic", f"{len(CORPUS_SEEDS)} {operation}", cells
     median, worst = gcd_row(REPEATS)
     cells = [("median str", "ms", median, ".2f"), ("worst str", "ms", worst, ".2f")]
     yield "gcd corpus", f"{len(CORPUS_SEEDS)} sums", cells
