@@ -15,7 +15,6 @@ from .expr import (
     parse,
 )
 from .geometry import (
-    Metric,
     canonical_metric,
     christoffel,
 )
@@ -32,7 +31,6 @@ from .bracket import (
     check_poisson,
     equivalence_audit,
     functional_bracket_density,
-    is_total_x_derivative,
     liouville_function,
     special_liouville,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "Zeroness",
     "is_zero",
     "parse",
-    "Metric",
     "canonical_metric",
     "christoffel",
     "CanonicalPair",
@@ -68,7 +65,6 @@ __all__ = [
     "check_poisson",
     "equivalence_audit",
     "functional_bracket_density",
-    "is_total_x_derivative",
     "liouville_function",
     "special_liouville",
     "ConservativeFlow",

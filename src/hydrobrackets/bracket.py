@@ -49,11 +49,9 @@ __all__ = [
     "ConditionResult",
     "Witness",
     "LiouvilleData",
-    "Integrand1",
     "NotLiouvilleError",
     "NotSpecialError",
     "UnsupportedIntegrandError",
-    "UnsupportedDensityError",
     "check_poisson",
     "check_compat_constant",
     "check_pencil",
@@ -64,7 +62,6 @@ __all__ = [
     "special_liouville",
     "operator_matrix",
     "functional_bracket_density",
-    "is_total_x_derivative",
 ]
 
 
@@ -82,10 +79,6 @@ class NotSpecialError(ValueError):
 
 class UnsupportedIntegrandError(ValueError):
     """Path integral leaves the rational closure."""
-
-
-class UnsupportedDensityError(ValueError):
-    """Functional densities must depend on the fields only."""
 
 
 # ---------------------------------------------------------------------------
@@ -782,24 +775,20 @@ def special_liouville(
 # ---------------------------------------------------------------------------
 
 
-class Integrand1:
-    """First-order integrand sum_k omega_k(u) u^k_x."""
-
-    def __init__(self, vars: tuple, omega: tuple):
-        self.vars, self.omega = vars, omega
-
-
-def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
-    """Integrand of the functional bracket {int f, int h} for zeroth-order
-    densities f(u), h(u), with the nonlocal tail resolved through the exact
-    antiderivative (d/dx)^{-1}(u^j_x dh/du^j) = h(u) - h(0):
+def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> tuple:
+    """The covector omega of the integrand sum_k omega_k(u) u^k_x of the
+    functional bracket {int f, int h} for zeroth-order densities f(u), h(u),
+    with the nonlocal tail resolved through the exact antiderivative
+    (d/dx)^{-1}(u^j_x dh/du^j) = h(u) - h(0):
     omega_k = df/du^i M^i_k - K h(0) df/du^k with M = operator_matrix(B, h).
-    The additive constant ambiguity only contributes a multiple of (f)_x and
-    cannot change any total-derivative verdict."""
+    The integrand is a total x-derivative exactly when omega is closed
+    (``_nonclosed_at(omega, B.vars) is None``).  The additive constant
+    ambiguity only contributes a multiple of (f)_x and cannot change that
+    verdict."""
     n = B.n
     vars = B.vars
     if not (f.free_vars() | h.free_vars()) <= set(vars):
-        raise UnsupportedDensityError("densities may depend on the field variables only")
+        raise ValueError("densities may depend on the field variables only")
     zero = Expr.const(0)
     df = [f.diff(v) for v in vars]
     M = operator_matrix(B, h)
@@ -808,10 +797,4 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> Integrand1:
         sum((df[i] * M[i][k] for i in range(n)), zero) - B.K * h0 * df[k]
         for k in range(n)
     ]
-    return Integrand1(vars=vars, omega=tuple(omega))
-
-
-def is_total_x_derivative(integrand: Integrand1) -> bool:
-    """A first-order integrand integrates to zero over a period exactly when
-    its coefficient covector is closed."""
-    return _nonclosed_at(integrand.omega, integrand.vars) is None
+    return tuple(omega)

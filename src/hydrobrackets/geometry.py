@@ -12,13 +12,12 @@ Index conventions used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from math import prod
 from typing import Sequence
 
 from .expr import Expr, Zeroness, as_expr, is_zero
 
 __all__ = [
-    "Metric",
     "DegenerateMetricError",
     "christoffel",
     "canonical_metric",
@@ -33,34 +32,6 @@ class DegenerateMetricError(ValueError):
 
 def field_vars(n: int, prefix: str = "u") -> tuple:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
-
-
-def _freeze(entries):
-    return tuple(tuple(as_expr(e) for e in row) for row in entries)
-
-
-class Metric:
-    """Symmetric matrix of expressions g^{ij}(u) (``up``) with its inverse
-    g_{ij} (``down``): the exact inverse, computed on first use, unless the
-    caller supplies a closed form."""
-
-    def __init__(self, vars: tuple, up, down=None):
-        n = len(up)
-        if any(len(row) != n for row in up):
-            raise ValueError("metric matrix must be square")
-        self.vars, self.up = tuple(vars), _freeze(up)
-        if len(vars) != n:
-            raise ValueError("variable list does not match matrix size")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if is_zero(self.up[i][j] - self.up[j][i]) is Zeroness.NONZERO:
-                    raise ValueError(f"metric is not symmetric at ({i + 1},{j + 1})")
-        if down is not None:
-            self.down = _freeze(down)
-
-    @cached_property
-    def down(self) -> tuple:
-        return _freeze(matrix_inverse(self.up))
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +90,13 @@ def matrix_inverse(entries) -> list:
 # ---------------------------------------------------------------------------
 
 
-def christoffel(g: Metric) -> tuple:
-    """Levi-Civita connection b[j][r][k] = b^{jr}_k of the metric, computed
-    in contravariant form: b^{jr}_k = g_{ki} T^{ijr} with
-    2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij} and D^{ijr} = g^{is} d_s g^{jr}."""
-    n, up, lo = len(g.vars), g.up, g.down
-    dup = [[[e.diff(v) for v in g.vars] for e in row] for row in up]  # d_s g^{jr}
+def christoffel(vars, up, down=None) -> tuple:
+    """Levi-Civita connection b[j][r][k] = b^{jr}_k of the metric g^{ij} =
+    ``up`` over ``vars``, with g_{ij} = ``down`` (the exact inverse when it
+    is not given), computed in contravariant form: b^{jr}_k = g_{ki} T^{ijr}
+    with 2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij} and D^{ijr} = g^{is} d_s g^{jr}."""
+    n, lo = len(vars), matrix_inverse(up) if down is None else down
+    dup = [[[e.diff(v) for v in vars] for e in row] for row in up]  # d_s g^{jr}
     D = [[[_dot(up[i], dup[j][r]) for r in range(n)] for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
     T = [  # T[j][r][i] = T^{ijr}
@@ -149,8 +121,8 @@ def canonical_constants(a: Sequence, K) -> tuple:
 def canonical_metric(a: Sequence, K):
     """The constant-curvature family g^{ij} = a^i delta^{ij} - K u^i u^j.
 
-    Returns (metric, determinant); the metric carries the closed form of
-    g_{ij} as ``down``.  The determinant is the closed product form
+    Returns (up, down, det): g^{ij}, the closed form of g_{ij} and the
+    determinant of g^{ij}.  The determinant is the closed product form
     a^1...a^N (1 - K sum (u^s)^2/a^s).  At most one of the N+1 constants
     a^1..a^N, K may vanish; when some a^m = 0 the covariant components come
     from the degenerate closed-form model (g^{ij} is then singular along
@@ -158,50 +130,29 @@ def canonical_metric(a: Sequence, K):
     """
     a, K = canonical_constants(a, K)
     n = len(a)
-    vars = field_vars(n)
-    u = [Expr.var(v) for v in vars]
+    u = [Expr.var(v) for v in field_vars(n)]
     Ke = Expr.const(K)
-
     up = [
-        [
-            (Expr.const(a[i]) if i == j else Expr.const(0)) - Ke * u[i] * u[j]
-            for j in range(n)
-        ]
-        for i in range(n)
+        [Expr.const(a[i] if i == j else 0) - Ke * u[i] * u[j] for j in range(n)] for i in range(n)
     ]
-
-    if all(x != 0 for x in a):
-        disc = Expr.const(1) - sum(
-            (u[s] * u[s] * Fraction(1, 1) / a[s] * K for s in range(n)), Expr.const(0)
-        )
-        prod_a = Fraction(1)
-        for x in a:
-            prod_a *= x
-        det_expr = Expr.const(prod_a) * disc
+    if 0 not in a:
+        disc = Expr.const(1) - sum((u[s] * u[s] * (K / a[s]) for s in range(n)), Expr.const(0))
+        det = Expr.const(prod(a)) * disc
         lo = [
             [
-                (Expr.const(Fraction(1, 1) / a[i]) if i == j else Expr.const(0))
+                Expr.const(1 / a[i] if i == j else 0)
                 + Ke * u[i] * u[j] / (Expr.const(a[i] * a[j]) * disc)
                 for j in range(n)
             ]
             for i in range(n)
         ]
-    else:
-        m = a.index(0)
-        prod_rest = Fraction(1)
-        for s in range(n):
-            if s != m:
-                prod_rest *= a[s]
-        det_expr = Expr.const(-K * prod_rest) * u[m] * u[m]
-        lo = [[Expr.const(0) for _ in range(n)] for _ in range(n)]
-        tail = Expr.const(1) - sum(
-            (u[s] * u[s] * (K / a[s]) for s in range(n) if s != m), Expr.const(0)
-        )
-        lo[m][m] = -tail / (Ke * u[m] * u[m])
-        for i in range(n):
-            if i == m:
-                continue
-            lo[i][i] = Expr.const(Fraction(1, 1) / a[i])
-            lo[i][m] = lo[m][i] = -u[i] / (Expr.const(a[i]) * u[m])
-
-    return Metric(vars, up, lo), det_expr
+        return up, lo, det
+    m = a.index(0)
+    rest = [s for s in range(n) if s != m]
+    det = Expr.const(-K * prod(a[s] for s in rest)) * u[m] * u[m]
+    tail = Expr.const(1) - sum((u[s] * u[s] * (K / a[s]) for s in rest), Expr.const(0))
+    lo = [[Expr.const(1 / a[i] if i == j != m else 0) for j in range(n)] for i in range(n)]
+    lo[m][m] = -tail / (Ke * u[m] * u[m])
+    for i in rest:
+        lo[i][m] = lo[m][i] = -u[i] / (Expr.const(a[i]) * u[m])
+    return up, lo, det

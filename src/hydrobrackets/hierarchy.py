@@ -33,7 +33,6 @@ from .bracket import (
     PoissonReport,
     check_canonical_equations,
     functional_bracket_density,
-    is_total_x_derivative,
     operator_matrix,
     _judge,
     _nonclosed_at,
@@ -46,7 +45,6 @@ __all__ = [
     "ConservativeFlow",
     "ClosednessError",
     "NotPoissonError",
-    "flow_vars",
     "translation_flow",
     "recursion_matrix",
     "apply_recursion",
@@ -73,13 +71,9 @@ class NotPoissonError(ValueError):
     """The canonical pair fails its defining equations."""
 
 
-def flow_vars(n: int) -> tuple:
-    return field_vars(n, "v")
-
-
 class ConservativeFlow:
     """A conservative hydrodynamic flow v^i_t = (F^i(v))_x with coefficient
-    matrix V over ``flow_vars(eta.n)``.
+    matrix V over ``field_vars(eta.n, "v")``.
 
     ``gauge`` is the constant covector eta_{jl} F^l(0) (default zero); it
     shifts F and, through it, S, but never V.
@@ -87,7 +81,7 @@ class ConservativeFlow:
 
     def __init__(self, eta: ConstantBracket, V, gauge: Sequence | None = None, level=None):
         n = eta.n
-        vars = flow_vars(n)
+        vars = field_vars(n, "v")
         V = tuple(tuple(as_expr(x) for x in row) for row in V)
         if len(V) != n or any(len(row) != n for row in V):
             raise ValueError("flow dimensions do not match eta")
@@ -263,7 +257,8 @@ def involution_check(P: CanonicalPair, d1, d2) -> bool:
     """True when the functional bracket of the two zeroth-order densities is
     a total x-derivative for both operators of the pair."""
     d1, d2 = as_expr(d1), as_expr(d2)
+    vars = field_vars(P.n, "v")
     return all(
-        is_total_x_derivative(functional_bracket_density(B, d1, d2))
-        for B in (P._flow_pair._bracket, P.eta.as_hydro(flow_vars(P.n)))
+        _nonclosed_at(functional_bracket_density(B, d1, d2), vars) is None
+        for B in (P._flow_pair._bracket, P.eta.as_hydro(vars))
     )

@@ -16,12 +16,13 @@ check the ones that do.
   pattern of ``expr._Tokenizer`` is compared;
 * the Nijenhuis torsion of the affinor of two metrics, a necessary
   condition for their compatibility that no residual family of
-  ``check-compat`` or ``check-pencil`` computes.
+  ``check-compat`` or ``check-pencil`` computes, and the involution of two
+  densities under a bracket.
 
 Index conventions of the curvature side:
 
 * ``Gamma[i][j][k]`` holds the Levi-Civita symbols Gamma^i_{jk}, derived
-  from the contravariant connection b = ``geometry.christoffel(g)`` as
+  from the contravariant connection b = ``geometry.christoffel`` as
   Gamma^j_{sk} = -g_{si} b^{ij}_k;
 * ``R[i][j][k][l]`` holds the curvature tensor
   R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
@@ -49,13 +50,19 @@ from typing import Sequence
 
 import numpy as np
 
-from hydrobrackets.bracket import CanonicalPair, PoissonReport, _judge, operator_matrix
+from hydrobrackets.bracket import (
+    CanonicalPair,
+    PoissonReport,
+    _judge,
+    _nonclosed_at,
+    functional_bracket_density,
+    operator_matrix,
+)
 from hydrobrackets.expr import Expr, ParseError, Zeroness, as_expr, is_zero
-from hydrobrackets.geometry import Metric, _dot, _eliminate, christoffel, matrix_inverse
+from hydrobrackets.geometry import _dot, _eliminate, christoffel, field_vars, matrix_inverse
 from hydrobrackets.hierarchy import (
     ConservativeFlow,
     apply_recursion,
-    flow_vars,
     recursion_matrix,
     translation_flow,
 )
@@ -87,23 +94,25 @@ def det(entries) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def gamma(g: Metric, b) -> tuple:
+def gamma(down, b) -> tuple:
     """Levi-Civita symbols Gamma[j][s][k] = Gamma^j_{sk} = -g_{si} b^{ij}_k
-    from the connection b = christoffel(g)."""
-    lo, n = g.down, len(g.vars)
+    from g_{ij} = ``down`` and the connection b = christoffel(vars, up, down)."""
+    n = len(b)
     return tuple(
         tuple(
-            tuple(-_dot(lo[s], [b[i][j][k] for i in range(n)]) for k in range(n))
+            tuple(-_dot(down[s], [b[i][j][k] for i in range(n)]) for k in range(n))
             for s in range(n)
         )
         for j in range(n)
     )
 
 
-def riemann(g: Metric) -> tuple:
-    """Curvature tensor R[i][j][k][l] = R^i_{jkl} of the metric."""
-    n, vars = len(g.vars), g.vars
-    gam = gamma(g, christoffel(g))
+def riemann(vars, up, down=None) -> tuple:
+    """Curvature tensor R[i][j][k][l] = R^i_{jkl} of the metric g^{ij} = ``up``
+    over ``vars``, with g_{ij} = ``down`` (the exact inverse when it is not
+    given)."""
+    n, down = len(vars), matrix_inverse(up) if down is None else down
+    gam = gamma(down, christoffel(vars, up, down))
     dgam = [
         [
             [[gam[i][j][k].diff(vars[l]) for l in range(n)] for k in range(n)]
@@ -134,11 +143,13 @@ def riemann(g: Metric) -> tuple:
     )
 
 
-def constant_curvature_residual(g: Metric, K) -> list:
-    """Residuals R^i_{jkl} - K (delta^i_k g_{jl} - delta^i_l g_{jk});
-    all zero exactly when g has constant curvature K."""
+def constant_curvature_residual(vars, up, K, down=None) -> list:
+    """Residuals R^i_{jkl} - K (delta^i_k g_{jl} - delta^i_l g_{jk}) of the
+    metric of :func:`riemann`; all zero exactly when it has constant
+    curvature K."""
     K = as_expr(K)
-    R, lo, n = riemann(g), g.down, len(g.vars)
+    n, lo = len(vars), matrix_inverse(up) if down is None else down
+    R = riemann(vars, up, lo)
     return [
         [
             [
@@ -191,6 +202,13 @@ def nijenhuis_torsion(g1, g2, vars) -> dict:
         for i in range(n)
         for j in range(i + 1, n)
     }
+
+
+def in_involution(B, f, h) -> bool:
+    """True when the functional bracket {int f, int h} of B vanishes: the
+    integrand of ``bracket.functional_bracket_density`` is a total
+    x-derivative, which it is exactly when its covector is closed."""
+    return _nonclosed_at(functional_bracket_density(B, f, h), B.vars) is None
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +311,7 @@ def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
     c = tuple(as_expr(x) for x in c)
     if len(c) != P.n:
         raise ValueError("covector length must match the pair")
-    cv = _dot(c, [Expr.var(x) for x in flow_vars(P.n)])
+    cv = _dot(c, [Expr.var(x) for x in field_vars(P.n, "v")])
     return ConservativeFlow(P.eta, recursion_matrix(P, cv))
 
 

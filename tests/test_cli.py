@@ -1240,9 +1240,9 @@ def test_canonical_block_equals_the_christoffel_oracle(a, K):
     if n % 2:  # the problem's own eta plays no part
         doc["eta"] = [[2 * int(i == j) + int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
     B = Problem(doc, "canonical").bracket()
-    g, _ = geometry.canonical_metric(a, K)
-    b = geometry.christoffel(g)
-    pairs = [(B.g[i][j], g.up[i][j]) for i in range(n) for j in range(n)]
+    up, down, _ = geometry.canonical_metric(a, K)
+    b = geometry.christoffel(geometry.field_vars(n), up, down)
+    pairs = [(B.g[i][j], up[i][j]) for i in range(n) for j in range(n)]
     pairs += [(B.b[i][j][k], b[i][j][k]) for i in range(n) for j in range(n) for k in range(n)]
     for got, want in pairs:
         assert str(got) == str(want)

@@ -24,37 +24,38 @@ def _delta(i, j) -> Expr:
 
 
 def test_invert_constant_diagonal():
-    g = geo.Metric(UV, [[Expr.const(2), Expr.const(0)], [Expr.const(0), Expr.const(-3)]])
-    assert _zero(g.down[0][0] - Expr.const(Fraction(1, 2)))
-    assert _zero(g.down[1][1] - Expr.const(Fraction(-1, 3)))
-    assert _zero(g.down[0][1])
+    down = geo.matrix_inverse([[Expr.const(2), Expr.const(0)], [Expr.const(0), Expr.const(-3)]])
+    assert _zero(down[0][0] - Expr.const(Fraction(1, 2)))
+    assert _zero(down[1][1] - Expr.const(Fraction(-1, 3)))
+    assert _zero(down[0][1])
 
 
 def test_invert_matches_closed_form():
-    closed, _ = geo.canonical_metric([1, 2], 1)
-    inverted = geo.Metric(closed.vars, closed.up)
+    up, closed, _ = geo.canonical_metric([1, 2], 1)
+    inverted = geo.matrix_inverse(up)
     for i in range(2):
         for j in range(2):
-            assert _zero(inverted.down[i][j] - closed.down[i][j])
+            assert _zero(inverted[i][j] - closed[i][j])
 
 
 def test_inverse_identity_products():
     for a, K in ([(1, 3), Fraction(2)], [(2, -1, 3), Fraction(1, 2)]):
-        g, _ = geo.canonical_metric(a, K)
+        up, down, _ = geo.canonical_metric(a, K)
         n = len(a)
         for i in range(n):
             for j in range(n):
                 prod = sum(
-                    (g.up[i][s] * g.down[s][j] for s in range(n)),
+                    (up[i][s] * down[s][j] for s in range(n)),
                     Expr.const(0),
                 )
                 assert _zero(prod - _delta(i, j))
 
 
 def test_degenerate_metric_rejected():
-    g = geo.Metric(UV, [[Expr.var("u1"), Expr.var("u1")], [Expr.var("u1"), Expr.var("u1")]])
+    # christoffel inverts g^{ij} when g_{ij} is not given
+    u1 = Expr.var("u1")
     with pytest.raises(geo.DegenerateMetricError):
-        g.down
+        geo.christoffel(UV, [[u1, u1], [u1, u1]])
 
 
 def test_matrix_inverse_of_random_and_symbolic_matrices():
@@ -64,7 +65,7 @@ def test_matrix_inverse_of_random_and_symbolic_matrices():
     entry = lambda: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))  # noqa: E731
     sizes = [n for n in range(1, 6) for _ in range(8)]
     cases = [[[entry() for _ in range(n)] for _ in range(n)] for n in sizes]
-    cases += [geo.canonical_metric(a, 1)[0].up for a in ((1, 2, 3), (2, 0, 1, 3))]
+    cases += [geo.canonical_metric(a, 1)[0] for a in ((1, 2, 3), (2, 0, 1, 3))]
     singular = 0
     for A in cases:
         n = len(A)
@@ -102,7 +103,7 @@ def test_det_by_elimination_equals_cofactor_expansion():
     entry = lambda: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))  # noqa: E731
     cases = [[[entry() for _ in range(n)] for _ in range(n)] for n in range(1, 6) for _ in range(10)]
     metrics = [(1, 2), (1, 2, 3), (2, 0, 1, 3), (1, 2, 3, 4, 5)]
-    cases += [geo.canonical_metric(a, 1)[0].up for a in metrics]
+    cases += [geo.canonical_metric(a, 1)[0] for a in metrics]
     singular = 0
     for A in cases:
         d = oracles.det(A)
@@ -119,14 +120,14 @@ def test_det_of_an_identically_singular_matrix_is_zero():
 
 def test_det_reaches_the_canonical_metric_at_n_7():
     for n in (6, 7):
-        g, det_closed = geo.canonical_metric(list(range(1, n + 1)), 1)
-        assert _zero(oracles.det(g.up) - det_closed)
+        up, _, det_closed = geo.canonical_metric(list(range(1, n + 1)), 1)
+        assert _zero(oracles.det(up) - det_closed)
 
 
 def test_christoffel_constant_metric_vanishes():
-    eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]])
-    b = geo.christoffel(eta)
-    gam = oracles.gamma(eta, b)
+    eta = [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]]
+    b = geo.christoffel(UV, eta)
+    gam = oracles.gamma(geo.matrix_inverse(eta), b)
     assert all(
         _zero(gam[i][j][k]) and _zero(b[i][j][k])
         for i in range(2)
@@ -137,8 +138,8 @@ def test_christoffel_constant_metric_vanishes():
 
 def test_christoffel_scalar_constant_curvature():
     # one-component example: g^{11} = 1 - K u^2 with K = 1
-    g, _ = geo.canonical_metric([1], 1)
-    gam = oracles.gamma(g, geo.christoffel(g))
+    up, down, _ = geo.canonical_metric([1], 1)
+    gam = oracles.gamma(down, geo.christoffel(("u1",), up, down))
     u = Expr.var("u1")
     expect = u / (Expr.const(1) - u * u)
     assert _zero(gam[0][0][0] - expect)
@@ -161,7 +162,7 @@ def test_contravariant_connection_of_rank_one_family(n):
         [Expr.const(mu[i][j]) - Expr.const(K) * u[i] * u[j] for j in range(n)]
         for i in range(n)
     ]
-    b = geo.christoffel(geo.Metric(vars, g))
+    b = geo.christoffel(vars, g)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -170,8 +171,7 @@ def test_contravariant_connection_of_rank_one_family(n):
 
 
 def test_riemann_flat_metric_zero():
-    eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(-1)]])
-    R = oracles.riemann(eta)
+    R = oracles.riemann(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(-1)]])
     assert all(
         _zero(R[i][j][k][l])
         for i in range(2)
@@ -182,8 +182,8 @@ def test_riemann_flat_metric_zero():
 
 
 def test_constant_curvature_residual_canonical():
-    g, _ = geo.canonical_metric([1, 1], 1)
-    res = oracles.constant_curvature_residual(g, 1)
+    up, down, _ = geo.canonical_metric([1, 1], 1)
+    res = oracles.constant_curvature_residual(UV, up, 1, down)
     assert all(
         _zero(res[i][j][k][l])
         for i in range(2)
@@ -194,8 +194,8 @@ def test_constant_curvature_residual_canonical():
 
 
 def test_constant_curvature_residual_wrong_K():
-    g, _ = geo.canonical_metric([1, 2], 1)
-    res = oracles.constant_curvature_residual(g, Fraction(3))
+    up, down, _ = geo.canonical_metric([1, 2], 1)
+    res = oracles.constant_curvature_residual(UV, up, Fraction(3), down)
     nz = [
         res[i][j][k][l]
         for i in range(2)
@@ -210,8 +210,8 @@ def test_constant_curvature_residual_wrong_K():
 
 
 def test_flat_metric_fails_nonzero_K():
-    eta = geo.Metric(UV, [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]])
-    res = oracles.constant_curvature_residual(eta, 1)
+    eta = [[Expr.const(1), Expr.const(0)], [Expr.const(0), Expr.const(1)]]
+    res = oracles.constant_curvature_residual(UV, eta, 1)
     assert any(
         is_zero(res[i][j][k][l]) is Zeroness.NONZERO
         for i in range(2)
@@ -222,8 +222,8 @@ def test_flat_metric_fails_nonzero_K():
 
 
 def test_first_bianchi_identity():
-    g, _ = geo.canonical_metric([1, 2], Fraction(1, 2))
-    R = oracles.riemann(g)
+    up, down, _ = geo.canonical_metric([1, 2], Fraction(1, 2))
+    R = oracles.riemann(UV, up, down)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -235,10 +235,9 @@ def test_first_bianchi_identity():
 @pytest.mark.parametrize("n", [2, 3])
 def test_levi_civita_compatibility(n):
     a = [Fraction(i + 1) for i in range(n)]
-    g, _ = geo.canonical_metric(a, Fraction(1, 3))
-    gam = oracles.gamma(g, geo.christoffel(g))
-    vars = g.vars
-    lo = g.down
+    vars = geo.field_vars(n)
+    up, lo, _ = geo.canonical_metric(a, Fraction(1, 3))
+    gam = oracles.gamma(lo, geo.christoffel(vars, up, lo))
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -252,11 +251,10 @@ def test_levi_civita_compatibility(n):
                 assert _zero(res)
 
 
-def _covariant_route_b(g):
+def _covariant_route_b(vars, up, lo):
     """b^{ij}_k = -g^{is} Gamma^j_{sk}, with Gamma from the derivatives of
     the covariant components: the reference for the contravariant formula."""
-    n, vars = len(g.vars), g.vars
-    up, lo = g.up, g.down
+    n = len(vars)
     zero = Expr.const(0)
     dlo = [[[lo[i][j].diff(vars[k]) for k in range(n)] for j in range(n)] for i in range(n)]
     gamma = [
@@ -284,10 +282,11 @@ def _covariant_route_b(g):
 
 @pytest.mark.parametrize("a", [(1, 2, 3, 4), (1, 2, 0, 4)])
 def test_contravariant_connection_prints_as_the_covariant_route(a):
-    g, _ = geo.canonical_metric(a, 1)
-    b = geo.christoffel(g)
-    ref = _covariant_route_b(g)
-    n = len(g.vars)
+    n = len(a)
+    vars = geo.field_vars(n)
+    up, down, _ = geo.canonical_metric(a, 1)
+    b = geo.christoffel(vars, up, down)
+    ref = _covariant_route_b(vars, up, down)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -298,12 +297,12 @@ def test_contravariant_connection_prints_as_the_covariant_route(a):
     "a,K", [((1, 2, 3), Fraction(1, 2)), ((2, 0, 3), Fraction(1, 2)), ((1, 2, 0, 4), 1)]
 )
 def test_inverted_down_prints_as_the_closed_form(a, K):
-    # a Metric built from g^{ij} alone inverts it exactly; its connection
-    # and curvature print as those of the closed-form g_{ij}
-    closed, _ = geo.canonical_metric(a, K)
-    inverted = geo.Metric(closed.vars, closed.up)
-    assert _strings(geo.christoffel(inverted)) == _strings(geo.christoffel(closed))
-    assert _strings(oracles.riemann(inverted)) == _strings(oracles.riemann(closed))
+    # g^{ij} alone is inverted exactly; its connection and curvature print
+    # as those of the closed-form g_{ij}
+    vars = geo.field_vars(len(a))
+    up, closed, _ = geo.canonical_metric(a, K)
+    assert _strings(geo.christoffel(vars, up)) == _strings(geo.christoffel(vars, up, closed))
+    assert _strings(oracles.riemann(vars, up)) == _strings(oracles.riemann(vars, up, closed))
 
 
 def _strings(table) -> list:
@@ -311,9 +310,9 @@ def _strings(table) -> list:
 
 
 def test_derived_symbols_are_levi_civita_on_the_degenerate_model():
-    g, _ = geo.canonical_metric([1, 2, 0, 4], 1)
-    gam = oracles.gamma(g, geo.christoffel(g))
-    n, vars, lo = len(g.vars), g.vars, g.down
+    n, vars = 4, geo.field_vars(4)
+    up, lo, _ = geo.canonical_metric([1, 2, 0, 4], 1)
+    gam = oracles.gamma(lo, geo.christoffel(vars, up, lo))
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -325,27 +324,28 @@ def test_derived_symbols_are_levi_civita_on_the_degenerate_model():
 
 def test_coordinates_geodesic_at_origin():
     # the closed-form family has vanishing symbols at u = 0
-    g, _ = geo.canonical_metric([1, 2, 3], Fraction(2, 3))
-    gam = oracles.gamma(g, geo.christoffel(g))
+    vars = geo.field_vars(3)
+    up, down, _ = geo.canonical_metric([1, 2, 3], Fraction(2, 3))
+    gam = oracles.gamma(down, geo.christoffel(vars, up, down))
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert gam[i][j][k].at_origin(g.vars).const_value() == 0
+                assert gam[i][j][k].at_origin(vars).const_value() == 0
 
 
 def test_canonical_metric_identity_case():
-    g, det = geo.canonical_metric([1, 1], 0)
+    up, down, det = geo.canonical_metric([1, 1], 0)
     assert _zero(det - Expr.const(1))
     for i in range(2):
         for j in range(2):
-            assert _zero(g.up[i][j] - _delta(i, j))
-            assert _zero(g.down[i][j] - _delta(i, j))
+            assert _zero(up[i][j] - _delta(i, j))
+            assert _zero(down[i][j] - _delta(i, j))
 
 
 def test_canonical_metric_determinant_values():
-    _, det = geo.canonical_metric([1, 2], 1)
+    _, _, det = geo.canonical_metric([1, 2], 1)
     assert det.evaluate({"u1": 1, "u2": 1}) == -1
-    _, det2 = geo.canonical_metric([1, 1], 1)
+    _, _, det2 = geo.canonical_metric([1, 1], 1)
     assert det2.evaluate({"u1": Fraction(1, 2), "u2": Fraction(1, 2)}) == Fraction(1, 2)
 
 
@@ -354,42 +354,29 @@ def test_canonical_metric_determinant_closed_form():
     for n in (1, 2, 3, 4):
         a = [Fraction(rng.randint(1, 5), rng.randint(1, 2)) * rng.choice([-1, 1]) for _ in range(n)]
         K = Fraction(rng.randint(-3, 3) or 1, 2)
-        g, det_closed = geo.canonical_metric(a, K)
-        det_direct = oracles.det(g.up)
+        up, _, det_closed = geo.canonical_metric(a, K)
+        det_direct = oracles.det(up)
         assert (det_direct - det_closed).normal_form() == Expr.const(0).normal_form()
 
 
 def test_degenerate_model():
-    g, det = geo.canonical_metric([0, 1], 1)
+    up, down, det = geo.canonical_metric([0, 1], 1)
     assert det.evaluate({"u1": Fraction(1, 2), "u2": Fraction(1, 3)}) == Fraction(-1, 4)
     # covariant data inverts the contravariant matrix exactly
     for i in range(2):
         for j in range(2):
-            prod = sum((g.up[i][s] * g.down[s][j] for s in range(2)), Expr.const(0))
+            prod = sum((up[i][s] * down[s][j] for s in range(2)), Expr.const(0))
             assert _zero(prod - _delta(i, j))
-    assert _zero(oracles.det(g.up) - det)
+    assert _zero(oracles.det(up) - det)
 
 
 def test_degenerate_model_middle_index():
-    g, det = geo.canonical_metric([2, 0, 3], Fraction(1, 2))
+    up, down, _ = geo.canonical_metric([2, 0, 3], Fraction(1, 2))
     n = 3
     for i in range(n):
         for j in range(n):
-            prod = sum((g.up[i][s] * g.down[s][j] for s in range(n)), Expr.const(0))
+            prod = sum((up[i][s] * down[s][j] for s in range(n)), Expr.const(0))
             assert _zero(prod - _delta(i, j))
-
-
-@pytest.mark.parametrize(
-    "vars,entries,message",
-    [
-        (UV, [[1, 0]], r"^metric matrix must be square$"),
-        (("u1",), [[1, 0], [0, 1]], r"^variable list does not match matrix size$"),
-        (UV, [[1, Expr.var("u1")], [0, 1]], r"^metric is not symmetric at \(1,2\)$"),
-    ],
-)
-def test_contravariant_metric_rejects_malformed_data(vars, entries, message):
-    with pytest.raises(ValueError, match=message):
-        geo.Metric(vars, entries)
 
 
 def test_two_zero_constants_rejected():

@@ -490,6 +490,33 @@ def test_breaking_detected():
     assert max_vx[-1] > ns.BREAKING_FACTOR * max_vx[0] >= max(max_vx[:-1])
 
 
+# The Hopf levels v_t = lambda(v) v_x of H = u1^2/2, lambda = 3v, 15/2 v^2 and
+# 35/2 v^3, break at t* = 1 / max_x d/dx lambda(v0(x)) by their characteristics
+# (Lax 1964).  For v0 = 0.5 sin(x): 1 / (3/2) = 2/3, 1 / (15/8) = 8/15, and
+# 1 / (52.5 * 0.125 * max sin^2 cos) with max sin^2 cos = 2 / (3 sqrt 3).
+HOPF_BREAKING_TIMES = {1: 2 / 3, 2: 8 / 15, 3: 1 / (52.5 * 0.125 * 2 / (3 * np.sqrt(3)))}
+MISSED_BY_THE_50X_DETECTOR = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="max|v_x| grows less than 50x before 1.2 t* on the grid, so the run "
+    "reports completed (CHANGES.md, FOUND line on numsim's breaking detector)",
+)
+
+
+@pytest.mark.parametrize(
+    "level",
+    [1, *(pytest.param(level, marks=MISSED_BY_THE_50X_DETECTOR) for level in (2, 3))],
+)
+def test_breaking_time_against_the_characteristics(level):
+    t_star = HOPF_BREAKING_TIMES[level]
+    fl = hierarchy(_shallow_pair(), level)[level]
+    g = ns.Grid(256, TWO_PI)
+    v0 = ns.sample_initial_data(g, [parse("0.5*sin(x)", ("x",), initial_data=True)])
+    res = ns.run(ns.compile_flow(fl), v0, g, dt=1e-3, t_end=1.2 * t_star)
+    assert res.status == "breaking"
+    assert t_star <= res.breaking_time <= 1.1 * t_star
+
+
 # -- the nonlocal operator numerically ----------------------------------------------
 
 

@@ -48,13 +48,8 @@ ALLOWED = {
     "geometry.canonical_metric": _TRACER,
     "hierarchy.commute_check": _FLOW_CHECK,
     "hierarchy.involution_check": _FLOW_CHECK,
-    "geometry._freeze": _TRACER_CALLEE,
-    "geometry.Metric.__init__": _TRACER_CALLEE,
-    "geometry.Metric.down": _TRACER_CALLEE,
     "geometry._dot": _TRACER_CALLEE,
     "bracket.functional_bracket_density": _TRACER_CALLEE,
-    "bracket.is_total_x_derivative": _TRACER_CALLEE,
-    "bracket.Integrand1.__init__": _TRACER_CALLEE,
     "expr.ParseError.__init__": "raised on a malformed expression; every traced file is well-formed",
     "expr._residue": "asked of each divisor factor of an initial datum; no traced datum divides",
     "bracket._ValueEq.__eq__": _INTERFACE,

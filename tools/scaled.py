@@ -189,8 +189,8 @@ def residual_row(n: int, repeats: int = REPEATS) -> tuple:
     bracket, B = _best(problem.bracket, repeats)
 
     def oracle():
-        g, _ = geometry.canonical_metric(a, 1)
-        return g.up, geometry.christoffel(g)
+        up, down, _ = geometry.canonical_metric(a, 1)
+        return up, geometry.christoffel(geometry.field_vars(n), up, down)
 
     christoffel, (up, b) = _best(oracle, repeats)
     if not all(
