@@ -22,7 +22,6 @@ from .bracket import (
     CanonicalPair,
     ConstantBracket,
     HydroBracket,
-    LiouvilleData,
     PoissonReport,
     build_canonical,
     check_canonical_equations,
@@ -56,7 +55,6 @@ __all__ = [
     "CanonicalPair",
     "ConstantBracket",
     "HydroBracket",
-    "LiouvilleData",
     "PoissonReport",
     "build_canonical",
     "check_canonical_equations",

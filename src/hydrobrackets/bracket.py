@@ -48,7 +48,6 @@ __all__ = [
     "PoissonReport",
     "ConditionResult",
     "Witness",
-    "LiouvilleData",
     "NotLiouvilleError",
     "NotSpecialError",
     "UnsupportedIntegrandError",
@@ -304,14 +303,6 @@ class PoissonReport(_ValueEq):
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-class LiouvilleData:
-    """Liouville function Phi^{ij}; for special-Liouville brackets also the
-    recovered potentials H^j (fixed by Phi(0)-symmetry and H(0) = 0)."""
-
-    def __init__(self, vars: tuple, Phi: tuple, H: tuple | None = None):
-        self.vars, self.Phi, self.H = vars, Phi, H
 
 
 # ---------------------------------------------------------------------------
@@ -626,41 +617,29 @@ def check_canonical_equations(P: CanonicalPair, rng=None) -> PoissonReport:
     return PoissonReport([_judge(name, gen, rng) for name, gen in _ass_residuals(P)])
 
 
-class AuditReport:
-    def __init__(
-        self, poisson: PoissonReport, equations: PoissonReport, inconsistency: str | None = None
-    ):
-        self.poisson, self.equations = poisson, equations
-        self.inconsistency = inconsistency  # the first disagreement found
-
-    @property
-    def consistent(self) -> bool:
-        return self.inconsistency is None
-
-
-def equivalence_audit(P: CanonicalPair, rng=None) -> AuditReport:
+def equivalence_audit(P: CanonicalPair, rng=None) -> PoissonReport:
     """Judge the potential equations (first, with ``rng``), then check that
     the direct Poisson check of the built bracket gives the same verdict and
     that the s4 family degenerates to the quadratic associativity form for
-    canonical brackets.  A disagreement indicates an implementation bug and
-    is recorded in the report."""
+    canonical brackets.  Returns the report of the potential equations, with
+    ``extras["inconsistency"]`` None or the first disagreement found, which
+    indicates an implementation bug."""
     rng = _rng(rng)
     B = P._bracket
-    cr = check_canonical_equations(P, rng=rng)
-    pr = check_poisson(B, rng=rng)
-    report = AuditReport(poisson=pr, equations=cr)
-    if pr.passed != cr.passed:
-        report.inconsistency = (
-            f"direct check says poisson={pr.passed} but potential equations "
-            f"say poisson={cr.passed}"
+    report = check_canonical_equations(P, rng=rng)
+    direct = check_poisson(B, rng=rng).passed
+    if direct != report.passed:
+        inconsistency = (
+            f"direct check says poisson={direct} but potential equations "
+            f"say poisson={report.passed}"
         )
-        return report
     # For canonical brackets the derivative part of s4 cancels the curvature
     # term identically, leaving b.b - b.b associativity; verify the identity.
-    if _judge("s4_assoc", _s4_curvature(B), rng).status is Zeroness.NONZERO:
-        report.inconsistency = (
-            "s4 does not reduce to the associativity form on a canonical bracket"
-        )
+    elif _judge("s4_assoc", _s4_curvature(B), rng).status is Zeroness.NONZERO:
+        inconsistency = "s4 does not reduce to the associativity form on a canonical bracket"
+    else:
+        inconsistency = None
+    report.extras["inconsistency"] = inconsistency
     return report
 
 
@@ -703,8 +682,8 @@ def _ray_potential(omegas, vars) -> Expr:
     return Expr(ray_integral(polys, vars))
 
 
-def liouville_function(B: HydroBracket) -> LiouvilleData:
-    """Construct the Liouville function Phi^{ij} with
+def liouville_function(B: HydroBracket) -> tuple:
+    """The Liouville function Phi^{ij}, as a tuple of rows, with
     b^{ij}_k = dPhi^{ij}/du^k - K delta^i_k u^j and
     g^{ij} = Phi^{ij} + Phi^{ji} - K u^i u^j, normalizing the path integral
     to Phi(0) = 0 and then shifting by the constant matrix g(0)/2."""
@@ -745,18 +724,14 @@ def liouville_function(B: HydroBracket) -> LiouvilleData:
                     f"(i,j)=({i + 1},{j + 1})",
                     indices=(i + 1, j + 1),
                 )
-    return LiouvilleData(vars=vars, Phi=tuple(tuple(row) for row in Phi))
+    return tuple(tuple(row) for row in Phi)
 
 
-def special_liouville(
-    B: HydroBracket, eta: ConstantBracket
-) -> LiouvilleData:
-    """Recover potentials H^j with eta_{ks} Phi^{sj} = dH^j/du^k, fixing
-    H(0) = 0; requires the bracket to be Liouville first."""
-    ld = liouville_function(B)
-    n = B.n
-    vars = B.vars
-    psi = [eta.lower([ld.Phi[s][j] for s in range(n)]) for j in range(n)]
+def special_liouville(Phi: tuple, eta: ConstantBracket, vars: tuple) -> tuple:
+    """The potentials H^j with eta_{ks} Phi^{sj} = dH^j/du^k and H(0) = 0,
+    from the Liouville function ``liouville_function`` returns."""
+    n = len(vars)
+    psi = [eta.lower([Phi[s][j] for s in range(n)]) for j in range(n)]
     for j in range(n):
         bad = _nonclosed_at(psi[j], vars)
         if bad is not None:
@@ -766,8 +741,7 @@ def special_liouville(
                 f"(j,k,l)=({j + 1},{k + 1},{l + 1})",
                 indices=(j + 1, k + 1, l + 1),
             )
-    H = tuple(_ray_potential(psi[j], vars) for j in range(n))
-    return LiouvilleData(vars=vars, Phi=ld.Phi, H=H)
+    return tuple(_ray_potential(psi[j], vars) for j in range(n))
 
 
 # ---------------------------------------------------------------------------

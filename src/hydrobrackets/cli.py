@@ -447,18 +447,17 @@ def cmd_check_pencil(args) -> int:
 
 def cmd_check_canonical(args) -> int:
     prob = load_problem(args.file)
-    result = equivalence_audit(prob.canonical_pair(), rng=random.Random(args.seed))
-    audit = (
-        "consistent" if result.consistent else f"INCONSISTENT: {result.inconsistency}"
-    )
+    report = equivalence_audit(prob.canonical_pair(), rng=random.Random(args.seed))
+    inconsistency = report.extras["inconsistency"]
+    audit = "consistent" if inconsistency is None else f"INCONSISTENT: {inconsistency}"
     return _check_result(
         args,
         f"check-canonical: N={prob.n}",
-        result.equations,
+        report,
         ("POISSON", "NOT POISSON"),
         text=[f"equivalence audit: {audit}"],
         extra={"audit": audit},
-        ok=result.consistent,
+        ok=inconsistency is None,
     )
 
 
@@ -476,13 +475,7 @@ def cmd_liouville(args) -> int:
     B = prob.bracket()
     eta = prob.require_eta()
     try:
-        data = special_liouville(B, eta)
-        special = True
-        note = ""
-    except NotSpecialError as exc:
-        data = liouville_function(B)
-        special = False
-        note = str(exc)
+        Phi = liouville_function(B)
     except NotLiouvilleError as exc:
         _emit(
             args,
@@ -491,15 +484,18 @@ def cmd_liouville(args) -> int:
         )
         return EXIT_CHECK_FAILED
     lines = [f"liouville: N={prob.n}"]
-    obj = {"command": "liouville", "Phi": _table("Phi", data.Phi, lines), "special": special}
-    if special:
-        obj["H"] = _table("H", data.H, lines)
-        lines.append("verdict: SPECIAL LIOUVILLE")
-    else:
-        lines.append(f"verdict: LIOUVILLE, NOT SPECIAL ({note})")
-        obj["reason"] = note
+    obj = {"command": "liouville", "Phi": _table("Phi", Phi, lines)}
+    try:
+        H = special_liouville(Phi, eta, B.vars)
+    except NotSpecialError as exc:
+        lines.append(f"verdict: LIOUVILLE, NOT SPECIAL ({exc})")
+        obj.update(special=False, reason=str(exc))
+        _emit(args, lines, obj)
+        return EXIT_CHECK_FAILED
+    obj.update(special=True, H=_table("H", H, lines))
+    lines.append("verdict: SPECIAL LIOUVILLE")
     _emit(args, lines, obj)
-    return EXIT_PASS if special else EXIT_CHECK_FAILED
+    return EXIT_PASS
 
 
 def _require_level(value: int, option: str) -> None:

@@ -474,9 +474,8 @@ def drift_summary(cflow: CompiledFlow, rows: Sequence[list], grid: Grid, v0: np.
 
 
 class CommutationDefect:
-    def __init__(self, defect: float, defect_half: float, ratio: float, commuting: bool):
-        self.defect, self.defect_half, self.ratio = defect, defect_half, ratio
-        self.commuting = commuting
+    def __init__(self, defect: float, ratio: float, commuting: bool):
+        self.defect, self.ratio, self.commuting = defect, ratio, commuting
 
 
 def commute_check_numeric(
@@ -506,9 +505,9 @@ def commute_check_numeric(
     d1 = defect(PROBE_TAU / 2)
     floor = 1e-13 * (1.0 + float(np.max(np.abs(v))))
     if d0 <= floor:
-        return CommutationDefect(d0, d1, float("inf"), True)
+        return CommutationDefect(d0, float("inf"), True)
     ratio = d0 / d1 if d1 > 0 else float("inf")
-    return CommutationDefect(d0, d1, ratio, ratio >= 7.0)
+    return CommutationDefect(d0, ratio, ratio >= 7.0)
 
 
 # ---------------------------------------------------------------------------

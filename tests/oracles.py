@@ -17,7 +17,9 @@ check the ones that do.
 * the Nijenhuis torsion of the affinor of two metrics, a necessary
   condition for their compatibility that no residual family of
   ``check-compat`` or ``check-pencil`` computes, and the involution of two
-  densities under a bracket.
+  densities under a bracket;
+* a bracket carried through a polynomial change of coordinates, computed
+  with sympy, under which every verdict must hold as it did.
 
 Index conventions of the curvature side:
 
@@ -52,13 +54,14 @@ import numpy as np
 
 from hydrobrackets.bracket import (
     CanonicalPair,
+    HydroBracket,
     PoissonReport,
     _judge,
     _nonclosed_at,
     functional_bracket_density,
     operator_matrix,
 )
-from hydrobrackets.expr import Expr, ParseError, Zeroness, as_expr, is_zero
+from hydrobrackets.expr import Expr, ParseError, Zeroness, as_expr, is_zero, parse
 from hydrobrackets.geometry import _dot, _eliminate, christoffel, field_vars, matrix_inverse
 from hydrobrackets.hierarchy import (
     ConservativeFlow,
@@ -209,6 +212,49 @@ def in_involution(B, f, h) -> bool:
     integrand of ``bracket.functional_bracket_density`` is a total
     x-derivative, which it is exactly when its covector is closed."""
     return _nonclosed_at(functional_bracket_density(B, f, h), B.vars) is None
+
+
+def pull_back(B, w, u_of_w) -> HydroBracket:
+    """B written in the coordinates w^i = w[i](u) of a polynomial change of
+    coordinates with polynomial inverse u^a = u_of_w[a](w); both are strings
+    over ``B.vars``, which name the new coordinates as well.  With
+    J^i_a = dw^i/du^a the operator goes to J P J^T:
+    g'^{ij} = J^i_a g^{ab} J^j_b,
+    b'^{ij}_k = (J^i_a g^{ab} d_c J^j_b + J^i_a b^{ab}_c J^j_b) (J^{-1})^c_k,
+    and K is unchanged, since the tail goes to K w^i_x D^{-1} w^j_x.  Each
+    entry is formed with sympy and brought back through ``parse``."""
+    import sympy
+
+    n, vars = B.n, B.vars
+    names = {v: sympy.Symbol(v) for v in vars}
+    u = [names[v] for v in vars]
+
+    def to_sympy(e):
+        return sympy.sympify(str(e).replace("^", "**"), locals=names)
+
+    J = sympy.Matrix(n, n, lambda i, a: sympy.diff(to_sympy(w[i]), u[a]))
+    Jinv = J.inv()
+    g = sympy.Matrix(n, n, lambda a, b: to_sympy(B.g[a][b]))
+    b = [[[to_sympy(B.b[a][c][k]) for k in range(n)] for c in range(n)] for a in range(n)]
+    dJ = [J.diff(x) for x in u]  # dJ[c][j, b] = d_c J^j_b
+    # X[c][i, j] = J^i_a g^{ab} d_c J^j_b + J^i_a b^{ab}_c J^j_b
+    X = [J * g * dJ[c].T + J * sympy.Matrix(n, n, lambda a, e: b[a][e][c]) * J.T for c in range(n)]
+    inverse = dict(zip(u, (to_sympy(t) for t in u_of_w)))
+
+    def back(e):
+        text = str(sympy.cancel(e.subs(inverse, simultaneous=True)))
+        return parse(text.replace("**", "^"), vars)
+
+    g1 = J * g * J.T
+    return HydroBracket(
+        vars=vars,
+        g=[[back(g1[i, j]) for j in range(n)] for i in range(n)],
+        b=[
+            [[back(sum(X[c][i, j] * Jinv[c, k] for c in range(n))) for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ],
+        K=B.K,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,25 @@ def test_liouville_verdicts(linear_file, tmp_path, capsys):
     assert "NOT LIOUVILLE" in capsys.readouterr().out
 
 
+def test_liouville_computes_phi_once(monkeypatch, capsys):
+    from hydrobrackets import bracket, cli
+
+    calls = []
+
+    def counted(B):
+        calls.append(B)
+        return liouville_function(B)
+
+    # counted wherever it is looked up: in the command and in the library
+    liouville_function = bracket.liouville_function
+    for module in (bracket, cli):
+        monkeypatch.setattr(module, "liouville_function", counted)
+    path = Path(__file__).resolve().parent / "golden" / "failing_liouville_n2.json"
+    assert main(["liouville", str(path)]) == 1
+    assert "LIOUVILLE, NOT SPECIAL" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_hierarchy_values_and_round_trip(scalar_file, capsys):
     assert main(["hierarchy", scalar_file, "--levels", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -501,17 +501,40 @@ MISSED_BY_THE_50X_DETECTOR = pytest.mark.xfail(
     reason="max|v_x| grows less than 50x before 1.2 t* on the grid, so the run "
     "reports completed (CHANGES.md, FOUND line on numsim's breaking detector)",
 )
+# The first flow of eta = I, K = 0, H = [(u1^2+u2^2)/2, u1 u2] has V = [[3 v1,
+# 3 v2], [3 v2, 3 v1]]: its Riemann invariants r = v1 + v2 and s = v1 - v2 each
+# obey r_t = 3 r r_x, so t* = 1 / (3 max amplitude of r and s), 5/6 and 4/9 here.
+REPORTED_LATE_BY_THE_50X_DETECTOR = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the detector reads max|v_x| of the components, not of the invariants: "
+    "v1_x starts at 0.5 while r_x starts at 0.75, so r must steepen about 67x and "
+    "the run reports breaking at 1.15 t* (CHANGES.md, FOUND line)",
+)
+
+
+def _riemann_pair():
+    H = (parse("(u1^2+u2^2)/2", UV), parse("u1*u2", UV))
+    return CanonicalPair(eta=ETA2, K=0, H=H, vars=UV)
 
 
 @pytest.mark.parametrize(
-    "level",
-    [1, *(pytest.param(level, marks=MISSED_BY_THE_50X_DETECTOR) for level in (2, 3))],
+    "pair,level,data,t_star",
+    [
+        pytest.param(_shallow_pair, level, ["0.5*sin(x)"], HOPF_BREAKING_TIMES[level],
+                     id=str(level), marks=() if level == 1 else MISSED_BY_THE_50X_DETECTOR)
+        for level in (1, 2, 3)
+    ]
+    + [
+        pytest.param(_riemann_pair, 1, ["0.4*sin(x)", "0"], 5 / 6, id="n2-v2=0"),
+        pytest.param(_riemann_pair, 1, ["0.5*sin(x)", "0.25*sin(x)"], 4 / 9, id="n2-v2=v1/2",
+                     marks=REPORTED_LATE_BY_THE_50X_DETECTOR),
+    ],
 )
-def test_breaking_time_against_the_characteristics(level):
-    t_star = HOPF_BREAKING_TIMES[level]
-    fl = hierarchy(_shallow_pair(), level)[level]
+def test_breaking_time_against_the_characteristics(pair, level, data, t_star):
+    fl = hierarchy(pair(), level)[level]
     g = ns.Grid(256, TWO_PI)
-    v0 = ns.sample_initial_data(g, [parse("0.5*sin(x)", ("x",), initial_data=True)])
+    v0 = ns.sample_initial_data(g, [parse(d, ("x",), initial_data=True) for d in data])
     res = ns.run(ns.compile_flow(fl), v0, g, dt=1e-3, t_end=1.2 * t_star)
     assert res.status == "breaking"
     assert t_star <= res.breaking_time <= 1.1 * t_star
