@@ -38,7 +38,7 @@ from .expr import (
     is_zero,
     random_rational_point,
 )
-from .geometry import DegenerateMetricError, field_vars, matrix_inverse
+from .geometry import DegenerateMetricError, matrix_inverse
 from .poly import ray_integral, var_key
 
 __all__ = [
@@ -248,15 +248,6 @@ class CanonicalPair:
     def _bracket(self) -> HydroBracket:
         """The canonical bracket in the field variables, built once."""
         return build_canonical(self)
-
-    @cached_property
-    def _flow_pair(self) -> "CanonicalPair":
-        """The same pair in the flow variables v1..vN, whose cached tables
-        the flows read (renaming is an exact ring isomorphism)."""
-        vars = field_vars(self.n, "v")
-        mapping = dict(zip(self.vars, vars))
-        H = tuple(h.rename(mapping) for h in self.H)
-        return CanonicalPair(self.eta, self.K.rename(mapping), H, vars)
 
     def h_origin(self) -> tuple:
         """H evaluated at the origin of the field variables (parameters, if

@@ -88,13 +88,14 @@ def _nested(raw, loc: str, messages: tuple, convert, n: int) -> list:
 
 
 class Problem:
-    """Validated content of a problem file.  ``parsed`` is the file's record
-    of the expressions parsed so far (see ``_expr``); the ``second`` block
-    shares its primary's."""
+    """Validated content of a problem file, in the field variables
+    <prefix>1..<prefix>N.  ``parsed`` is the file's record of the expressions
+    parsed so far (see ``_expr``); the ``second`` block shares its primary's."""
 
-    def __init__(self, doc: dict, path: str, parsed: dict | None = None):
+    def __init__(self, doc: dict, path: str, prefix: str = "u", parsed: dict | None = None):
         if not isinstance(doc, dict):
             raise ProblemFileError(path, "top level must be a JSON object")
+        self.prefix = prefix
         self._parsed = {} if parsed is None else parsed
         n = doc.get("N")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -113,40 +114,40 @@ class Problem:
 
     @cached_property
     def vars(self) -> tuple:
-        """The field variable names u1..uN.  They are first needed after a
-        block has matched N by its own length, so an N that no block of the
-        file lists is never allocated."""
-        return geometry.field_vars(self.n)
+        """The field variable names.  They are first needed after a block has
+        matched N by its own length, so an N that no block of the file lists
+        is never allocated."""
+        return geometry.field_vars(self.n, self.prefix)
 
-    def _expr(self, text, location: str, vars=None, initial_data=False):
-        """One expression entry, in u1..uN unless ``vars`` says otherwise.
-        ``self._parsed`` holds what the file has parsed so far, by (text,
-        variables, initial-data mode), so a string that recurs in the file is
-        parsed once and its entries share one ``Expr`` (or initial-data tree);
-        both are immutable."""
+    @cached_property
+    def _spellings(self) -> tuple:
+        """u1..uN, then v1..vN, each mapped to the field variables."""
+        return tuple(dict(zip(geometry.field_vars(self.n, p), self.vars)) for p in "uv")
+
+    def _expr(self, text, location: str, initial_data=False):
+        """One expression entry: an initial datum in x, or a field entry written
+        in u1..uN or else in v1..vN (an unknown name is reported as the
+        u-spelling met it).  ``self._parsed`` holds what the file has parsed,
+        by (text, N, initial-data mode), so a string that recurs in the file
+        is parsed once and its entries share one (immutable) result."""
         if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
             return _Const(text) if initial_data else Expr.const(text)
         if not isinstance(text, str):
             raise ProblemFileError(location, "expected an expression string")
-        vars = vars or self.vars
-        key = (text, vars, initial_data)
+        key = (text, self.n, initial_data)
         if key in self._parsed:
             return self._parsed[key]
-        try:
-            out = parse(text, vars, initial_data=initial_data)
-        except UnknownVariableError as exc:
-            # H and friends may equally be written in v-variables
-            alt = [v.replace("u", "v", 1) for v in vars]
+        unknown = None
+        for names in (("x",),) if initial_data else self._spellings:
             try:
-                out = parse(text, alt, initial_data=initial_data).rename(
-                    dict(zip(alt, vars))
-                )
-            except UnknownVariableError:
+                out = parse(text, names, initial_data=initial_data)
+                break
+            except UnknownVariableError as exc:
+                unknown = unknown or exc
+            except ParseError as exc:
                 raise ProblemFileError(location, str(exc)) from None
-            except ParseError as retry:
-                raise ProblemFileError(location, str(retry)) from None
-        except ParseError as exc:
-            raise ProblemFileError(location, str(exc)) from None
+        else:
+            raise ProblemFileError(location, str(unknown))
         self._parsed[key] = out
         return out
 
@@ -184,7 +185,7 @@ class Problem:
         """One entry of ``simulation.init``, as its parse tree.  Sampling
         converts each of its constants to a float, so each must lie in the
         float range."""
-        datum = self._expr(text, at, ("x",), initial_data=True)
+        datum = self._expr(text, at, initial_data=True)
         try:
             _fold_tree(datum, lambda node, _: isinstance(node, _Const) and float(node.value))
         except OverflowError:
@@ -305,7 +306,7 @@ class Problem:
         sub = dict(self.second)
         sub.setdefault("N", self.n)
         try:
-            prob = Problem(sub, "second", self._parsed)
+            prob = Problem(sub, "second", self.prefix, self._parsed)
             if prob.n != self.n:
                 raise ProblemFileError("N", "dimension mismatch with primary")
             if "eta" not in sub:
@@ -330,7 +331,7 @@ def load_initial_state(prob: Problem):
         raise ProblemFileError("simulation.init", str(exc)) from None
 
 
-def load_problem(path: str) -> Problem:
+def load_problem(path: str, prefix: str = "u") -> Problem:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=Fraction)
@@ -342,7 +343,7 @@ def load_problem(path: str) -> Problem:
         raise ProblemFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     except RecursionError:
         raise ProblemFileError(path, "JSON nested too deeply to decode") from None
-    return Problem(doc, path)
+    return Problem(doc, path, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +413,13 @@ def _check_result(
 
 
 def cmd_check_poisson(args) -> int:
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "u")
     report = check_poisson(prob.bracket(), rng=random.Random(args.seed))
     return _check_result(args, f"check-poisson: N={prob.n}", report, ("POISSON", "NOT POISSON"))
 
 
 def cmd_check_compat(args) -> int:
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "u")
     report = check_compat_constant(
         prob.bracket(), prob.require_eta(), rng=random.Random(args.seed)
     )
@@ -431,7 +432,7 @@ def cmd_check_compat(args) -> int:
 
 
 def cmd_check_pencil(args) -> int:
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "u")
     report = check_pencil(prob.bracket(), prob.second_bracket(), rng=random.Random(args.seed))
     local = report.extras["local_member"]
     local = local and [_frac_str(x) for x in local]
@@ -446,7 +447,7 @@ def cmd_check_pencil(args) -> int:
 
 
 def cmd_check_canonical(args) -> int:
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "u")
     report = equivalence_audit(prob.canonical_pair(), rng=random.Random(args.seed))
     inconsistency = report.extras["inconsistency"]
     audit = "consistent" if inconsistency is None else f"INCONSISTENT: {inconsistency}"
@@ -462,7 +463,7 @@ def cmd_check_canonical(args) -> int:
 
 
 def cmd_build_canonical(args) -> int:
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "u")
     B = build_canonical(prob.canonical_pair())
     lines = [f"build-canonical: N={prob.n}"]
     g, b = _table("g", B.g, lines), _table("b", B.b, lines)
@@ -471,7 +472,7 @@ def cmd_build_canonical(args) -> int:
 
 
 def cmd_liouville(args) -> int:
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "u")
     B = prob.bracket()
     eta = prob.require_eta()
     try:
@@ -518,10 +519,10 @@ def _check_out(out: Path) -> None:
 
 
 def _flows(args, gauges=None):
-    """The problem and its flows at levels 0..``--levels``, for the
-    hierarchy and commute commands."""
+    """The problem, in v1..vN, and its flows at levels 0..``--levels``, for
+    the hierarchy and commute commands."""
     _require_level(args.levels, "--levels")
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "v")
     return prob, hierarchy(prob.canonical_pair(), args.levels, gauges=gauges)
 
 
@@ -568,7 +569,7 @@ def cmd_simulate(args) -> int:
         raise ProblemFileError("--tol", "must be a non-negative number")
     outdir = Path(args.out)
     _check_out(outdir)
-    prob = load_problem(args.file)
+    prob = load_problem(args.file, "v")
     grid, v0 = load_initial_state(prob)
     P = prob.canonical_pair()
     flows = hierarchy(P, args.level)

@@ -305,11 +305,6 @@ class Expr:
         ZeroDivisionError when a denominator factor vanishes there."""
         return Expr._make(self.num.at_origin(names), [(f.at_origin(names), e) for f, e in self.den])
 
-    def rename(self, mapping: Mapping[str, str]) -> "Expr":
-        return Expr._make(
-            self.num.rename(mapping), [(f.rename(mapping), e) for f, e in self.den]
-        )
-
     # -- presentation ------------------------------------------------------------
 
     def normal_form(self):
@@ -677,9 +672,9 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text: str, allowed_vars, initial_data: bool):
+    def __init__(self, text: str, names, initial_data: bool):
         self.toks = _Tokenizer(text)
-        self.allowed = set(allowed_vars)
+        self.allowed = names if isinstance(names, Mapping) else {v: v for v in names}
         self.initial_data = initial_data
         self.depth = 0  # open parentheses and calls
 
@@ -781,7 +776,7 @@ class _Parser:
                 return _Call(value, arg)
             if value not in self.allowed:
                 raise UnknownVariableError(f"unknown variable '{value}'", start)
-            return _Var(value)
+            return _Var(self.allowed[value])
         if kind == "(":
             self._nest(start)
             node = self.expr()
@@ -797,9 +792,10 @@ class _Parser:
 
 
 def parse(
-    text: str, allowed_vars: Iterable[str], initial_data: bool = False
+    text: str, allowed_vars: Iterable[str] | Mapping[str, str], initial_data: bool = False
 ) -> Expr | _Node:
-    """Parse ``text`` over the given variable names into an :class:`Expr`.
+    """Parse ``text`` over the given variable names into an :class:`Expr`;
+    a mapping takes each name the text may use to the variable it stands for.
 
     The text is read one token ahead with one compiled pattern, so an error
     is raised at the first token the grammar cannot take.

@@ -39,7 +39,6 @@ from .bracket import (
     _ray_potential,
 )
 from .expr import Expr, as_expr
-from .geometry import field_vars
 
 __all__ = [
     "ConservativeFlow",
@@ -73,17 +72,17 @@ class NotPoissonError(ValueError):
 
 class ConservativeFlow:
     """A conservative hydrodynamic flow v^i_t = (F^i(v))_x with coefficient
-    matrix V over ``field_vars(eta.n, "v")``.
+    matrix V over the field variables ``vars``.
 
     ``gauge`` is the constant covector eta_{jl} F^l(0) (default zero); it
     shifts F and, through it, S, but never V.
     """
 
-    def __init__(self, eta: ConstantBracket, V, gauge: Sequence | None = None, level=None):
+    def __init__(self, eta: ConstantBracket, V, vars, gauge: Sequence | None = None, level=None):
         n = eta.n
-        vars = field_vars(n, "v")
+        vars = tuple(vars)
         V = tuple(tuple(as_expr(x) for x in row) for row in V)
-        if len(V) != n or any(len(row) != n for row in V):
+        if len(vars) != n or len(V) != n or any(len(row) != n for row in V):
             raise ValueError("flow dimensions do not match eta")
         gauge = tuple(as_expr(x) for x in (gauge or [0] * n))
         if len(gauge) != n:
@@ -114,7 +113,7 @@ class ConservativeFlow:
 
 
 # ---------------------------------------------------------------------------
-# canonical pair helpers (everything below works in the flow variables)
+# canonical pair helpers (a pair's flows live in the pair's variables)
 # ---------------------------------------------------------------------------
 
 
@@ -124,17 +123,17 @@ def eta_gradient_gauge(P: CanonicalPair) -> tuple:
     return P.eta.lower(P.h_origin())
 
 
-def translation_flow(eta: ConstantBracket) -> ConservativeFlow:
+def translation_flow(eta: ConstantBracket, vars: Sequence[str]) -> ConservativeFlow:
     """Level 0: v^i_t = v^i_x, with S = (1/2) eta_{jl} v^j v^l."""
     n = eta.n
     identity = [[int(i == k) for k in range(n)] for i in range(n)]
-    return ConservativeFlow(eta, identity, level=0)
+    return ConservativeFlow(eta, identity, vars, level=0)
 
 
 def recursion_matrix(P: CanonicalPair, S: Expr) -> list:
-    """V-hat = g1 Hess(S) + b1 grad(S) + K S Id in the flow variables: the
+    """V-hat = g1 Hess(S) + b1 grad(S) + K S Id in the pair's variables: the
     operator matrix of the canonical bracket P1."""
-    return operator_matrix(P._flow_pair._bracket, S)
+    return operator_matrix(P._bracket, S)
 
 
 def apply_recursion(
@@ -146,10 +145,10 @@ def apply_recursion(
     (default zero); the coefficient matrix of the output never depends on
     it, but the carried potentials do, and through them the next level.
     """
-    if P.eta.n != flow.n:
-        raise ValueError("flow and pair dimensions differ")
+    if flow.vars != tuple(P.vars):
+        raise ValueError("flow and pair variables differ")
     level = None if flow.level is None else flow.level + 1
-    return ConservativeFlow(P.eta, recursion_matrix(P, flow.S), gauge, level)
+    return ConservativeFlow(P.eta, recursion_matrix(P, flow.S), flow.vars, gauge, level)
 
 
 def hierarchy(
@@ -192,13 +191,13 @@ def hierarchy(
     """
     if n_max < 0:
         raise ValueError("negative recursion powers are not supported")
-    report = check_canonical_equations(P._flow_pair)
+    report = check_canonical_equations(P)
     if not report.passed:
         failing = ", ".join(c.name for c in report.failing())
         raise NotPoissonError(f"canonical pair fails {failing}")
     if gauges is None:
         gauges = [eta_gradient_gauge(P)]
-    flows = [translation_flow(P.eta)]
+    flows = [translation_flow(P.eta, P.vars)]
     for level in range(1, n_max + 1):
         gauge = gauges[level - 1] if level <= len(gauges) else None
         try:
@@ -257,8 +256,7 @@ def involution_check(P: CanonicalPair, d1, d2) -> bool:
     """True when the functional bracket of the two zeroth-order densities is
     a total x-derivative for both operators of the pair."""
     d1, d2 = as_expr(d1), as_expr(d2)
-    vars = field_vars(P.n, "v")
     return all(
-        _nonclosed_at(functional_bracket_density(B, d1, d2), vars) is None
-        for B in (P._flow_pair._bracket, P.eta.as_hydro(vars))
+        _nonclosed_at(functional_bracket_density(B, d1, d2), P.vars) is None
+        for B in (P._bracket, P.eta.as_hydro(P.vars))
     )

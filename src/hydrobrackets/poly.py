@@ -324,23 +324,6 @@ class Poly:
         mask = reduce(or_, (_MASK << _SHIFT[v] for v in names if v in _SHIFT), 0)
         return _reduced({m: c for m, c in self.terms.items() if not m & mask}, self.den)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        moves = [
-            (_SHIFT[old], _shift(new))
-            for old, new in mapping.items()
-            if old in _SHIFT and old != new
-        ]
-        out = {}
-        for m, c in self.terms.items():
-            mm = m
-            for s, d in moves:
-                e = (m >> s) & _MASK
-                if e:
-                    mm += (e << d) - (e << s)
-            out[mm] = out.get(mm, 0) + c
-        _check_width(out)
-        return _reduced({m: c for m, c in out.items() if c}, self.den)
-
     # -- division -----------------------------------------------------------
 
     def exact_div(self, d: "Poly"):

@@ -62,7 +62,7 @@ from hydrobrackets.bracket import (
     operator_matrix,
 )
 from hydrobrackets.expr import Expr, ParseError, Zeroness, as_expr, is_zero, parse
-from hydrobrackets.geometry import _dot, _eliminate, christoffel, field_vars, matrix_inverse
+from hydrobrackets.geometry import _dot, _eliminate, christoffel, matrix_inverse
 from hydrobrackets.hierarchy import (
     ConservativeFlow,
     apply_recursion,
@@ -267,14 +267,13 @@ class InconsistencyError(RuntimeError):
 
 
 def _closed_form_data(P: CanonicalPair):
-    """The pieces of the paper's closed-form flows, read from the pair's
-    flow side Q: (vars, h, K, dh, d2h, v, eta v, S0) with h^i and K those of
-    Q, dh, d2h its cached derivatives, eta v the covector eta_{jl} v^l and
+    """The pieces of the paper's closed-form flows, read from the pair:
+    (vars, h, K, dh, d2h, v, eta v, S0) with h^i and K those of P, dh, d2h
+    its cached derivatives, eta v the covector eta_{jl} v^l and
     S0 = (1/2) eta_{jl} v^j v^l."""
-    Q = P._flow_pair
-    v = [Expr.var(x) for x in Q.vars]
+    v = [Expr.var(x) for x in P.vars]
     ev = P.eta.lower(v)
-    return Q.vars, Q.H, Q.K, *Q._derivatives, v, ev, _dot(v, ev) * Fraction(1, 2)
+    return P.vars, P.H, P.K, *P._derivatives, v, ev, _dot(v, ev) * Fraction(1, 2)
 
 
 def flow_t1(P: CanonicalPair) -> ConservativeFlow:
@@ -290,7 +289,9 @@ def flow_t1(P: CanonicalPair) -> ConservativeFlow:
     lifted = eta.lift([_dot(ev, [dh[j][s] for j in range(n)]) for s in range(n)])
     F = [h[i] + lifted[i] - K * v[i] * S0 for i in range(n)]
     S = _dot(v, eta.lower(h)) - K * Fraction(1, 2) * S0 * S0
-    rec = apply_recursion(P, translation_flow(eta), gauge=_hierarchy.eta_gradient_gauge(P))
+    rec = apply_recursion(
+        P, translation_flow(eta, vars), gauge=_hierarchy.eta_gradient_gauge(P)
+    )
     for i in range(n):
         if is_zero(F[i] - rec.F[i]) is Zeroness.NONZERO:
             raise InconsistencyError(
@@ -357,8 +358,8 @@ def linear_density_flow(P: CanonicalPair, c: Sequence) -> ConservativeFlow:
     c = tuple(as_expr(x) for x in c)
     if len(c) != P.n:
         raise ValueError("covector length must match the pair")
-    cv = _dot(c, [Expr.var(x) for x in field_vars(P.n, "v")])
-    return ConservativeFlow(P.eta, recursion_matrix(P, cv))
+    cv = _dot(c, [Expr.var(x) for x in P.vars])
+    return ConservativeFlow(P.eta, recursion_matrix(P, cv), P.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def bihamiltonian_check(
     """
     rng = random.Random(0)
     n = P.n
-    previous = translation_flow(P.eta) if previous is None else previous
+    previous = translation_flow(P.eta, P.vars) if previous is None else previous
 
     def residuals(M):
         for i in range(n):
@@ -424,7 +425,7 @@ def apply_P1_numeric(
     symbolic route the result differs by K (mean S) v_x when xi = grad S.
     """
     n = P.n
-    B = P._flow_pair._bracket
+    B = P._bracket
     if not B.K.is_const():
         raise ValueError("numeric application needs a numeric nonlocal constant")
     K = float(B.K.const_value())

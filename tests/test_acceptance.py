@@ -305,7 +305,7 @@ def test_criterion_6_hierarchy_identities():
     )
     for P in (scalar, linear):
         t1 = flow_t1(P)
-        V_op = recursion_matrix(P, translation_flow(P.eta).S)
+        V_op = recursion_matrix(P, translation_flow(P.eta, P.vars).S)
         for i in range(P.n):
             for k in range(P.n):
                 assert _zero(V_op[i][k] - t1.V[i][k])
@@ -323,7 +323,7 @@ def test_criterion_6_hierarchy_identities():
         gauge = eta_gradient_gauge(P)
         h0 = P.h_origin()
         vlin = sum(
-            (gauge[j] * Expr.var(f"v{j + 1}") for j in range(P.n)), Expr.const(0)
+            (gauge[j] * Expr.var(P.vars[j]) for j in range(P.n)), Expr.const(0)
         )
         for i in range(P.n):
             assert _zero(t2.F[i] - rec0.F[i] - h0[i])

@@ -818,6 +818,28 @@ def test_v_variable_retry_reports_the_right_error(tmp_path, capsys, h, message):
     assert capsys.readouterr().err == f"input error: H[0]: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "h,message",
+    [
+        (["u1 + w", "u2"], "unknown variable 'w' (at offset 5)"),
+        # an entry is read in u-spelling first, so its first unknown name
+        # is the one that spelling met
+        (["v1 + w", "v2"], "unknown variable 'v1' (at offset 0)"),
+        (["u1 + v2", "u2"], "unknown variable 'v2' (at offset 5)"),
+    ],
+)
+def test_flow_commands_report_an_unknown_name_as_the_symbolic_ones_do(
+    tmp_path, monkeypatch, capsys, h, message
+):
+    # the flow commands load the file in v1..vN and the symbolic ones in
+    # u1..uN; both read an entry written in u or in v, in that order
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, "h.json", {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, "H": h})
+    for command in ("check-canonical", "hierarchy", "commute", "simulate"):
+        assert main([command, path]) == 2, command
+        assert capsys.readouterr().err == f"input error: H[0]: {message}\n", command
+
+
 def test_closed_stdout_ends_without_a_traceback():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -44,6 +44,16 @@ def test_parse_unknown_variable():
     assert exc.value.offset == 0
 
 
+def test_parse_reads_names_through_a_mapping():
+    # each written name stands for the variable it maps to; only the
+    # mapping's keys are names the text may use
+    spelled = {"u1": "v1", "u2": "v2"}
+    assert str(parse("u1^2*u2 - u2", spelled)) == "v1^2*v2 - v2"
+    assert str(parse("u1^2*u2 - u2", spelled)) == str(parse("v1^2*v2 - v2", ("v1", "v2")))
+    with pytest.raises(UnknownVariableError, match=r"^unknown variable 'v1' \(at offset 0\)$"):
+        parse("v1 + u2", spelled)
+
+
 def test_parse_decimal_becomes_exact_rational():
     from hydrobrackets.numsim import Grid, sample_initial_data
 

@@ -20,7 +20,6 @@ from hydrobrackets.bracket import (
 )
 from hydrobrackets.cli import load_problem
 from hydrobrackets.expr import Expr, Zeroness, is_zero, parse
-from hydrobrackets.geometry import field_vars
 from hydrobrackets.hierarchy import (
     ClosednessError,
     ConservativeFlow,
@@ -46,7 +45,7 @@ from oracles import (
 
 ETA1 = ConstantBracket([[1]])
 ETA2 = ConstantBracket([[1, 0], [0, 1]])
-UV = ("u1", "u2")
+VS = ("v1", "v2")
 
 
 def _zero(e) -> bool:
@@ -55,7 +54,7 @@ def _zero(e) -> bool:
 
 def _scalar_pair(h_text, K, extra=()):
     return CanonicalPair(
-        eta=ETA1, K=K, H=(parse(h_text, ("u1",) + tuple(extra)),), vars=("u1",)
+        eta=ETA1, K=K, H=(parse(h_text, ("v1",) + tuple(extra)),), vars=("v1",)
     )
 
 
@@ -63,8 +62,8 @@ def _linear_pair(K=1):
     return CanonicalPair(
         eta=ETA2,
         K=K,
-        H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)),
-        vars=UV,
+        H=(parse("2*v1 - v2", VS), parse("v1 + 3*v2", VS)),
+        vars=VS,
     )
 
 
@@ -126,7 +125,7 @@ def test_scalar_oracle_chain_frozen_values():
 
 
 def test_hierarchy_matches_scalar_oracle():
-    P = _scalar_pair("u1^2/2", 0)
+    P = _scalar_pair("v1^2/2", 0)
     flows = hierarchy(P, 3)
     v = Expr.var("v1")
     chain = _scalar_oracle_chain([Fraction(0), Fraction(0), Fraction(1, 2)], 3)
@@ -141,7 +140,7 @@ def test_hierarchy_matches_scalar_oracle():
 
 
 def test_translation_flow_identity():
-    fl = translation_flow(ETA2)
+    fl = translation_flow(ETA2, VS)
     for i in range(2):
         assert _zero(fl.F[i] - Expr.var(f"v{i + 1}"))
         for k in range(2):
@@ -150,7 +149,7 @@ def test_translation_flow_identity():
 
 
 def test_translation_flow_indefinite_eta():
-    fl = translation_flow(ConstantBracket([[1, 0], [0, -1]]))
+    fl = translation_flow(ConstantBracket([[1, 0], [0, -1]]), VS)
     assert _zero(fl.S - parse("(v1^2 - v2^2)/2", ("v1", "v2")))
 
 
@@ -158,8 +157,8 @@ def test_translation_flow_indefinite_eta():
 
 
 def test_apply_recursion_scalar_step():
-    P = _scalar_pair("u1^2/2", 0)
-    fl1 = apply_recursion(P, translation_flow(ETA1))
+    P = _scalar_pair("v1^2/2", 0)
+    fl1 = apply_recursion(P, translation_flow(ETA1, ("v1",)))
     assert _zero(fl1.V[0][0] - parse("3*v1", ("v1",)))
     assert _zero(fl1.F[0] - parse("3/2*v1^2", ("v1",)))
 
@@ -169,10 +168,10 @@ def test_apply_recursion_reproduces_closed_form_with_gradient_gauge():
     P = CanonicalPair(
         eta=ETA2,
         K=1,
-        H=(parse("1/2 + 2*u1 - u2", UV), parse("-1/3 + u1 + 3*u2", UV)),
-        vars=UV,
+        H=(parse("1/2 + 2*v1 - v2", VS), parse("-1/3 + v1 + 3*v2", VS)),
+        vars=VS,
     )
-    rec = apply_recursion(P, translation_flow(ETA2), gauge=eta_gradient_gauge(P))
+    rec = apply_recursion(P, translation_flow(ETA2, VS), gauge=eta_gradient_gauge(P))
     t1 = flow_t1(P)
     for i in range(2):
         assert _zero(rec.F[i] - t1.F[i])
@@ -184,7 +183,7 @@ def test_apply_recursion_reproduces_closed_form_with_gradient_gauge():
 def test_recursion_constant_coefficient_square():
     # linear potentials with K = 0: level-2 coefficients square level-1's
     P = CanonicalPair(
-        eta=ETA2, K=0, H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)), vars=UV
+        eta=ETA2, K=0, H=(parse("2*v1 - v2", VS), parse("v1 + 3*v2", VS)), vars=VS
     )
     flows = hierarchy(P, 2)
     V1, V2 = flows[1].V, flows[2].V
@@ -194,9 +193,30 @@ def test_recursion_constant_coefficient_square():
             assert _zero(V2[i][k] - sq)
 
 
+def test_flows_live_in_the_variables_of_their_pair():
+    # one pair over u1, u2 and over v1, v2: every level carries its pair's
+    # variables, and prints the same once the names are swapped
+    texts = ("u1 + 3*u2 + (u1^2+u2^2)/2", "2*u1 - u2 + 2*(u1^2+u2^2)")
+    printed = {}
+    for vars in (("u1", "u2"), VS):
+        spelled = dict(zip(("u1", "u2"), vars))
+        P = CanonicalPair(eta=ETA2, K=1, H=tuple(parse(t, spelled) for t in texts), vars=vars)
+        flows = hierarchy(P, 3)
+        assert all(fl.vars == vars for fl in flows)
+        printed[vars] = [str(x) for fl in flows for x in (*fl.F, fl.S, *fl.V[0], *fl.V[1])]
+    assert [x.replace("u", "v") for x in printed[("u1", "u2")]] == printed[VS]
+
+
+def test_apply_recursion_rejects_a_flow_over_other_variables():
+    P = _linear_pair()
+    for flow in (translation_flow(ETA2, ("u1", "u2")), translation_flow(ETA1, ("v1",))):
+        with pytest.raises(ValueError, match="^flow and pair variables differ$"):
+            apply_recursion(P, flow)
+
+
 def test_closedness_failure_raised_for_invalid_pair():
     P = CanonicalPair(
-        eta=ETA2, K=1, H=(parse("u1^2/2", UV), Expr.const(0)), vars=UV
+        eta=ETA2, K=1, H=(parse("v1^2/2", VS), Expr.const(0)), vars=VS
     )
     with pytest.raises(ClosednessError):
         apply_recursion(P, flow_t1(P))
@@ -204,7 +224,7 @@ def test_closedness_failure_raised_for_invalid_pair():
 
 def test_closedness_error_names_row_and_indices():
     P = CanonicalPair(
-        eta=ETA2, K=1, H=(parse("u1^2/2", UV), Expr.const(0)), vars=UV
+        eta=ETA2, K=1, H=(parse("v1^2/2", VS), Expr.const(0)), vars=VS
     )
     with pytest.raises(ClosednessError, match=r"^coefficient row 1 is not a gradient at \(1,2\)$"):
         apply_recursion(P, flow_t1(P))
@@ -213,7 +233,7 @@ def test_closedness_error_names_row_and_indices():
 def test_hierarchy_rejects_invalid_pair_and_negative_levels():
     with pytest.raises(NotPoissonError):
         hierarchy(
-            CanonicalPair(eta=ETA2, K=1, H=(parse("u1^2/2", UV), Expr.const(0)), vars=UV),
+            CanonicalPair(eta=ETA2, K=1, H=(parse("v1^2/2", VS), Expr.const(0)), vars=VS),
             2,
         )
     with pytest.raises(ValueError):
@@ -223,21 +243,21 @@ def test_hierarchy_rejects_invalid_pair_and_negative_levels():
 def test_flow_invariants_enforced():
     v2 = Expr.var("v2")
     with pytest.raises(ClosednessError, match=r"^coefficient row 1 is not a gradient at \(1,2\)$"):
-        ConservativeFlow(eta=ETA2, V=((v2, 0), (0, 1)))
+        ConservativeFlow(eta=ETA2, V=((v2, 0), (0, 1)), vars=VS)
     with pytest.raises(
         ClosednessError,
         match=r"^eta-lowered coefficient matrix is not symmetric at \(1,2\); "
         r"no scalar potential exists$",
     ):
-        ConservativeFlow(eta=ETA2, V=((0, 1), (0, 0)))
+        ConservativeFlow(eta=ETA2, V=((0, 1), (0, 0)), vars=VS)
 
 
 def test_flow_dimensions_must_match_eta():
     for V in (((1,),), ((1, 0), (0,))):
         with pytest.raises(ValueError, match="^flow dimensions do not match eta$"):
-            ConservativeFlow(eta=ETA2, V=V)
+            ConservativeFlow(eta=ETA2, V=V, vars=VS)
     with pytest.raises(ValueError, match="^gauge covector has wrong length$"):
-        ConservativeFlow(eta=ETA2, V=((1, 0), (0, 1)), gauge=(1,))
+        ConservativeFlow(eta=ETA2, V=((1, 0), (0, 1)), vars=VS, gauge=(1,))
 
 
 # -- the first flow -------------------------------------------------------------
@@ -246,7 +266,7 @@ def test_flow_dimensions_must_match_eta():
 def test_flow_t1_scalar_general_coefficient():
     # V1 = 2h' + h'' v - (3/2) K v^2 for arbitrary cubic h and symbolic K
     extra = ("c0", "c1", "c2", "c3", "kap")
-    P = _scalar_pair("c0 + c1*u1 + c2*u1^2 + c3*u1^3", Expr.var("kap"), extra)
+    P = _scalar_pair("c0 + c1*v1 + c2*v1^2 + c3*v1^3", Expr.var("kap"), extra)
     t1 = flow_t1(P)
     v = Expr.var("v1")
     h = parse("c0 + c1*v1 + c2*v1^2 + c3*v1^3", ("v1",) + extra)
@@ -263,13 +283,13 @@ def test_flow_t1_three_forms_coincide():
         CanonicalPair(
             eta=ETA2,
             K=0,
-            H=(parse("u1^3/6 + u1*u2", UV), parse("u2^2/2", UV)),
-            vars=UV,
+            H=(parse("v1^3/6 + v1*v2", VS), parse("v2^2/2", VS)),
+            vars=VS,
         ),
     ):
         t1 = flow_t1(P)
         vars = t1.vars
-        s0 = translation_flow(P.eta).S
+        s0 = translation_flow(P.eta, P.vars).S
         V_op = recursion_matrix(P, s0)
         n = P.n
         for i in range(n):
@@ -281,25 +301,25 @@ def test_flow_t1_three_forms_coincide():
 def test_flow_t1_three_forms_fully_symbolic_cubic():
     # generic cubic potentials: every coefficient and K symbolic; the three
     # faces agree identically in all 21 parameters
-    mons = ["1", "u1", "u2", "u1^2", "u1*u2", "u2^2", "u1^3", "u1^2*u2", "u1*u2^2", "u2^3"]
+    mons = ["1", "v1", "v2", "v1^2", "v1*v2", "v2^2", "v1^3", "v1^2*v2", "v1*v2^2", "v2^3"]
     params = tuple(f"a{i}" for i in range(10)) + tuple(f"b{i}" for i in range(10)) + ("kap",)
     h1 = " + ".join(f"a{i}*({m})" for i, m in enumerate(mons))
     h2 = " + ".join(f"b{i}*({m})" for i, m in enumerate(mons))
     P = CanonicalPair(
         eta=ETA2,
         K=Expr.var("kap"),
-        H=(parse(h1, UV + params), parse(h2, UV + params)),
-        vars=UV,
+        H=(parse(h1, VS + params), parse(h2, VS + params)),
+        vars=VS,
     )
     t1 = flow_t1(P)  # construction verifies the gradient and potential faces
-    V_op = recursion_matrix(P, translation_flow(ETA2).S)
+    V_op = recursion_matrix(P, translation_flow(ETA2, VS).S)
     for i in range(2):
         for k in range(2):
             assert _zero(V_op[i][k] - t1.V[i][k])
 
 
 def test_flow_t1_scalar_fixture():
-    P = _scalar_pair("u1^2/2", 0)
+    P = _scalar_pair("v1^2/2", 0)
     t1 = flow_t1(P)
     assert _zero(t1.F[0] - parse("3/2*v1^2", ("v1",)))
     assert _zero(t1.V[0][0] - parse("3*v1", ("v1",)))
@@ -311,8 +331,8 @@ def test_flow_t1_checks_closed_form_against_recursion(monkeypatch):
     P = CanonicalPair(
         eta=ETA2,
         K=1,
-        H=(parse("1/2 + 2*u1 - u2", UV), parse("-1/3 + u1 + 3*u2", UV)),
-        vars=UV,
+        H=(parse("1/2 + 2*v1 - v2", VS), parse("-1/3 + v1 + 3*v2", VS)),
+        vars=VS,
     )
     # the package re-exports the function ``hierarchy`` under the module's name
     module = importlib.import_module("hydrobrackets.hierarchy")
@@ -327,7 +347,7 @@ def test_flow_t1_checks_closed_form_against_recursion(monkeypatch):
 
 
 def test_flow_t2_scalar_fixture():
-    P = _scalar_pair("u1^2/2", 0)
+    P = _scalar_pair("v1^2/2", 0)
     t2 = flow_t2(P)
     assert _zero(t2.V[0][0] - parse("15/2*v1^2", ("v1",)))
 
@@ -336,7 +356,7 @@ def test_flow_t2_matches_recursion_with_gradient_gauge():
     extra = ("c0", "c1", "c2", "c3", "kap")
     for P in (
         _linear_pair(K=1),
-        _scalar_pair("c0 + c1*u1 + c2*u1^2 + c3*u1^3", Expr.var("kap"), extra),
+        _scalar_pair("c0 + c1*v1 + c2*v1^2 + c3*v1^3", Expr.var("kap"), extra),
     ):
         t2 = flow_t2(P)  # raises InconsistencyError on any mismatch
         rec = apply_recursion(P, flow_t1(P), gauge=eta_gradient_gauge(P))
@@ -350,7 +370,7 @@ def test_gauge_zero_defect_decomposition():
     # h(0) / linear density eta h(0) v; one level later the coefficient
     # defect is exactly the flow of that linear density
     extra = ("c0", "c1", "c2", "c3", "kap")
-    P = _scalar_pair("c0 + c1*u1 + c2*u1^2 + c3*u1^3", Expr.var("kap"), extra)
+    P = _scalar_pair("c0 + c1*v1 + c2*v1^2 + c3*v1^3", Expr.var("kap"), extra)
     t2 = flow_t2(P)
     rec0 = apply_recursion(P, flow_t1(P), gauge=None)
     gauge = eta_gradient_gauge(P)
@@ -376,7 +396,7 @@ def test_gauge_zero_defect_decomposition():
 
 def test_bihamiltonian_scalar_general():
     extra = ("c0", "c1", "c2", "c3", "kap")
-    P = _scalar_pair("c0 + c1*u1 + c2*u1^2 + c3*u1^3", Expr.var("kap"), extra)
+    P = _scalar_pair("c0 + c1*v1 + c2*v1^2 + c3*v1^3", Expr.var("kap"), extra)
     report = bihamiltonian_check(P, flow_t1(P))
     assert report.passed
 
@@ -388,9 +408,9 @@ def test_bihamiltonian_linear_pair():
 
 
 def test_bihamiltonian_zero_flow():
-    P = CanonicalPair(eta=ETA1, K=0, H=(Expr.const(0),), vars=("u1",))
+    P = CanonicalPair(eta=ETA1, K=0, H=(Expr.const(0),), vars=("v1",))
     zero = Expr.const(0)
-    fl = ConservativeFlow(eta=ETA1, V=((zero,),))
+    fl = ConservativeFlow(eta=ETA1, V=((zero,),), vars=("v1",))
     assert bihamiltonian_check(P, fl).passed
 
 
@@ -427,8 +447,8 @@ def test_bihamiltonian_check_failure_has_witnesses():
     Q = CanonicalPair(
         eta=ConstantBracket([[2, 1], [1, 1]]),
         K=0,
-        H=(parse("u1^2/2", UV), parse("u2^3/6", UV)),
-        vars=UV,
+        H=(parse("v1^2/2", VS), parse("v2^3/6", VS)),
+        vars=VS,
     )
     eq1, eq2 = bihamiltonian_check(P, flow_t1(Q)).conditions
     assert eq1.status is Zeroness.NONZERO and eq2.status is Zeroness.NONZERO
@@ -450,16 +470,16 @@ def test_bihamiltonian_check_failure_has_witnesses():
 
 
 def test_scalar_flows_always_commute():
-    a = _scalar_pair("u1^2/2", 0)
-    b = _scalar_pair("u1^3/6", 0)
+    a = _scalar_pair("v1^2/2", 0)
+    b = _scalar_pair("v1^3/6", 0)
     assert commute_check(flow_t1(a), flow_t1(b)).passed
 
 
 @pytest.mark.parametrize(
     "pair",
     [
-        _scalar_pair("u1^2/2", 1),
-        _scalar_pair("u1^3/6", 1),
+        _scalar_pair("v1^2/2", 1),
+        _scalar_pair("v1^3/6", 1),
         _linear_pair(K=1),
     ],
     ids=["quadratic-scalar", "cubic-scalar", "linear-two-component"],
@@ -474,7 +494,7 @@ def test_symbolic_scalar_hierarchy_to_level_three():
     # arbitrary cubic potential with symbolic coefficients and symbolic K:
     # the whole chain stays exact to level 3
     extra = ("c0", "c1", "c2", "c3", "kap")
-    P = _scalar_pair("c0 + c1*u1 + c2*u1^2 + c3*u1^3", Expr.var("kap"), extra)
+    P = _scalar_pair("c0 + c1*v1 + c2*v1^2 + c3*v1^3", Expr.var("kap"), extra)
     flows = hierarchy(P, 3)
     assert [fl.level for fl in flows] == [0, 1, 2, 3]
     for fa, fb in itertools.combinations(flows, 2):
@@ -485,10 +505,10 @@ def test_non_commuting_flows_have_witnesses():
     # first flows of two canonical pairs of the same eta that share no
     # hierarchy: the linear pair with K = 1 and a separable pair with K = 0
     a = CanonicalPair(
-        eta=ETA2, K=1, H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)), vars=UV
+        eta=ETA2, K=1, H=(parse("2*v1 - v2", VS), parse("v1 + 3*v2", VS)), vars=VS
     )
     b = CanonicalPair(
-        eta=ETA2, K=0, H=(parse("u1^2/2", UV), parse("u2^3/6", UV)), vars=UV
+        eta=ETA2, K=0, H=(parse("v1^2/2", VS), parse("v2^3/6", VS)), vars=VS
     )
     report = commute_check(flow_t1(a), flow_t1(b))
     vxx, vxvx = report.conditions
@@ -512,26 +532,26 @@ def test_non_commuting_flows_have_witnesses():
 def test_potential_singular_at_the_origin_is_unsupported():
     from hydrobrackets.bracket import UnsupportedIntegrandError
 
-    P = CanonicalPair(eta=ETA1, K=0, H=(parse("1/u1", ("u1",)),), vars=("u1",))
+    P = CanonicalPair(eta=ETA1, K=0, H=(parse("1/v1", ("v1",)),), vars=("v1",))
     with pytest.raises(UnsupportedIntegrandError, match=r"H\[1\] is singular"):
         hierarchy(P, 1)
 
 
 def test_translation_commutes_with_first_flow():
     P = _linear_pair(K=1)
-    assert commute_check(translation_flow(ETA2), flow_t1(P)).passed
+    assert commute_check(translation_flow(ETA2, VS), flow_t1(P)).passed
 
 
 def test_linear_density_flow_is_commuting_symmetry():
     P = CanonicalPair(
         eta=ETA2,
         K=1,
-        H=(parse("1/2 + 2*u1 - u2", UV), parse("-1/3 + u1 + 3*u2", UV)),
-        vars=UV,
+        H=(parse("1/2 + 2*v1 - v2", VS), parse("-1/3 + v1 + 3*v2", VS)),
+        vars=VS,
     )
     defect = linear_density_flow(P, eta_gradient_gauge(P))
     assert commute_check(defect, flow_t1(P)).passed
-    assert commute_check(defect, translation_flow(ETA2)).passed
+    assert commute_check(defect, translation_flow(ETA2, VS)).passed
 
 
 # -- involution -----------------------------------------------------------------
@@ -546,9 +566,9 @@ def test_involution_of_hierarchy_densities():
 
 def test_annihilators_in_involution_with_momentum():
     P = _linear_pair(K=1)
-    s0 = translation_flow(ETA2).S
+    s0 = translation_flow(ETA2, VS).S
     for i in range(2):
-        assert in_involution(P._flow_pair._bracket, Expr.var(f"v{i + 1}"), s0)
+        assert in_involution(P._bracket, Expr.var(f"v{i + 1}"), s0)
 
 
 def test_involution_of_conserved_densities_along_first_flow():
@@ -564,12 +584,12 @@ def test_involution_multiplies_no_zero_polynomial(monkeypatch):
     # and a product by zero must return before it reaches the polynomial
     # kernel (without that short-circuit, 540 of the 720 kernel products
     # here have a zero operand)
-    uvw = ("u1", "u2", "u3")
+    v123 = ("v1", "v2", "v3")
     P = CanonicalPair(
         eta=ConstantBracket([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
         K=1,
-        H=tuple(parse(h, uvw) for h in ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3")),
-        vars=uvw,
+        H=tuple(parse(h, v123) for h in ("2*v1 - v2 + v3", "v1 + 3*v2", "2*v1 + v2 - v3")),
+        vars=v123,
     )
     flows = hierarchy(P, 4)
     calls = []
@@ -581,7 +601,7 @@ def test_involution_multiplies_no_zero_polynomial(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counted)
     monkeypatch.setattr(Poly, "__rmul__", counted)
-    p2 = P.eta.as_hydro(field_vars(3, "v"))
+    p2 = P.eta.as_hydro(v123)
     for fa, fb in itertools.combinations(flows, 2):
         assert in_involution(p2, fa.S, fb.S)
     assert calls and not any(calls)
@@ -594,9 +614,9 @@ N3_PAIR = CanonicalPair(
     eta=ConstantBracket([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
     K=1,
     H=tuple(
-        parse(h, ("u1", "u2", "u3")) for h in ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3")
+        parse(h, ("v1", "v2", "v3")) for h in ("2*v1 - v2 + v3", "v1 + 3*v2", "2*v1 + v2 - v3")
     ),
-    vars=("u1", "u2", "u3"),
+    vars=("v1", "v2", "v3"),
 )
 
 
@@ -625,10 +645,10 @@ def _seeded_hierarchy_problems(tmp_path):
         CanonicalPair(
             eta=ConstantBracket([[2, 1], [1, 1]]),
             K=1,
-            H=(parse("2*u1 - u2", UV), parse("u1 + 3*u2", UV)),
-            vars=UV,
+            H=(parse("2*v1 - v2", VS), parse("v1 + 3*v2", VS)),
+            vars=VS,
         ),
-        _scalar_pair("u1^2/2", 0),
+        _scalar_pair("v1^2/2", 0),
     ],
     ids=["n3", "n2-nondiagonal-eta", "hopf"],
 )
@@ -636,7 +656,7 @@ def test_p1_integrand_is_the_p2_integrand_one_level_up(P):
     flows = hierarchy(P, 4)
     p2 = P.eta.as_hydro(flows[0].vars)
     for a, b in itertools.combinations(range(4), 2):
-        one = functional_bracket_density(P._flow_pair._bracket, flows[a].S, flows[b].S)
+        one = functional_bracket_density(P._bracket, flows[a].S, flows[b].S)
         two = functional_bracket_density(p2, flows[a].S, flows[b + 1].S)
         assert [(w.num, w.den) for w in one] == [(w.num, w.den) for w in two]
 
@@ -647,23 +667,22 @@ def test_both_brackets_of_the_pair_are_skew(K):
     # operator the integrands of (f, h) and (h, f) sum to a total derivative,
     # here for densities that are not in involution
     P = _linear_pair(K=K)
-    vars = field_vars(2, "v")
-    f, h = parse("v1^3/6 + v2", vars), parse("v1*v2^2/2 - v1^2 + 3", vars)
-    for B in (P._flow_pair._bracket, P.eta.as_hydro(vars)):
+    f, h = parse("v1^3/6 + v2", VS), parse("v1*v2^2/2 - v1^2 + 3", VS)
+    for B in (P._bracket, P.eta.as_hydro(VS)):
         fh = functional_bracket_density(B, f, h)
         hf = functional_bracket_density(B, h, f)
-        assert _nonclosed_at(fh, vars) is not None
-        assert _nonclosed_at([x + y for x, y in zip(fh, hf)], vars) is None
+        assert _nonclosed_at(fh, VS) is not None
+        assert _nonclosed_at([x + y for x, y in zip(fh, hf)], VS) is None
 
 
 def test_hand_built_non_commuting_flows_fail_both_routes():
     # V = Hess(v1^3/6) and Hess(v1 v2^2/2) over eta = I: AB - BA has v1 v2
     # off the diagonal, and the P2 bracket of their densities is not exact
     v1, v2 = Expr.var("v1"), Expr.var("v2")
-    A = ConservativeFlow(ETA2, [[v1, 0], [0, 0]])
-    B = ConservativeFlow(ETA2, [[0, v2], [v2, v1]])
+    A = ConservativeFlow(ETA2, [[v1, 0], [0, 0]], VS)
+    B = ConservativeFlow(ETA2, [[0, v2], [v2, v1]], VS)
     assert not commute_check(A, B).passed
-    assert not in_involution(ETA2.as_hydro(field_vars(2, "v")), A.S, B.S)
+    assert not in_involution(ETA2.as_hydro(VS), A.S, B.S)
 
 
 # nonlinear pairs with nonzero Hessians, K = 1 and K = 0
@@ -671,17 +690,17 @@ NONLINEAR_PAIRS = {
     "k1-eta-I": CanonicalPair(
         eta=ETA2,
         K=1,
-        H=(parse("u1 + 3*u2 + (u1^2+u2^2)/2", UV), parse("2*u1 - u2 + 2*(u1^2+u2^2)", UV)),
-        vars=UV,
+        H=(parse("v1 + 3*v2 + (v1^2+v2^2)/2", VS), parse("2*v1 - v2 + 2*(v1^2+v2^2)", VS)),
+        vars=VS,
     ),
     "k0-eta-I": CanonicalPair(
-        eta=ETA2, K=0, H=(parse("(u1^2+u2^2)/2", UV), parse("u1*u2", UV)), vars=UV
+        eta=ETA2, K=0, H=(parse("(v1^2+v2^2)/2", VS), parse("v1*v2", VS)), vars=VS
     ),
     "k0-dual-numbers": CanonicalPair(
         eta=ConstantBracket([[0, 1], [1, 0]]),
         K=0,
-        H=(parse("u1^2/2", UV), parse("u1*u2", UV)),
-        vars=UV,
+        H=(parse("v1^2/2", VS), parse("v1*v2", VS)),
+        vars=VS,
     ),
 }
 
@@ -748,9 +767,9 @@ def test_a_broken_link_leaves_every_pair_to_the_expanded_checks():
 
 def test_non_commuting_flows_fail_the_chain_and_the_commute_verdict():
     v1, v2 = Expr.var("v1"), Expr.var("v2")
-    A = ConservativeFlow(ETA2, [[v1, 0], [0, 0]])
-    B = ConservativeFlow(ETA2, [[0, v2], [v2, v1]])
+    A = ConservativeFlow(ETA2, [[v1, 0], [0, 0]], VS)
+    B = ConservativeFlow(ETA2, [[0, v2], [v2, v1]], VS)
     P = _linear_pair()
-    flows = [translation_flow(ETA2), A, B]
+    flows = [translation_flow(ETA2, VS), A, B]
     assert not _chain_holds(P, flows)
     assert not commute_check(A, B).passed

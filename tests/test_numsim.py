@@ -156,10 +156,10 @@ def test_compiled_matches_exact_evaluation():
         H=(parse("u1^2/2 + u2", UV), parse("u1 - u2^3/6", UV)),
         vars=UV,
     )
-    B = P._flow_pair._bracket
+    B = P._bracket
     exprs = [B.g[i][j] for i in range(2) for j in range(2)]
     exprs += [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
-    _assert_matches_exact(exprs, ("v1", "v2"), _each_compiled(exprs, ("v1", "v2")), 12, 100)
+    _assert_matches_exact(exprs, UV, _each_compiled(exprs, UV), 12, 100)
 
 
 def test_a_table_holds_polynomials_only():
@@ -167,11 +167,11 @@ def test_a_table_holds_polynomials_only():
     P = CanonicalPair(
         eta=ETA2, K=1, H=(parse("1/(2 + u1) + u2^2/2", UV), parse("u1*u2", UV)), vars=UV
     )
-    B = P._flow_pair._bracket
+    B = P._bracket
     exprs = [B.b[i][j][k] for i in range(2) for j in range(2) for k in range(2)]
     assert any(not e.is_poly() for e in exprs)
     with pytest.raises(ValueError, match="polynomials only"):
-        ns.MonomialTable(exprs, ("v1", "v2"))
+        ns.MonomialTable(exprs, UV)
 
 
 def test_rational_initial_data_matches_exact_evaluation():
@@ -251,7 +251,7 @@ def test_compiled_flows_match_exact_evaluation(n):
 def test_compile_rejects_unbound_parameters():
     e = parse("c1*u1", ("u1", "c1"))
     with pytest.raises(ValueError):
-        ns.MonomialTable([e.rename({"u1": "v1"})], ("v1",))
+        ns.MonomialTable([e], ("u1",))
 
 
 # -- stepping oracles --------------------------------------------------------------
@@ -538,6 +538,92 @@ def test_breaking_time_against_the_characteristics(pair, level, data, t_star):
     res = ns.run(ns.compile_flow(fl), v0, g, dt=1e-3, t_end=1.2 * t_star)
     assert res.status == "breaking"
     assert t_star <= res.breaking_time <= 1.1 * t_star
+
+
+# -- the hierarchy's conservation laws ------------------------------------------------
+#
+# Every level's integral of S is conserved by every flow of the hierarchy while
+# the solution is smooth: the levels are in involution under eta d/dx (Lenard's
+# argument, in hierarchy()'s docstring).  A run therefore conserves each of
+# int S_0 .. int S_5 up to the error of the scheme, which RK4 shrinks about 32x
+# when dt is halved.
+
+HOPF = ("u1^2/2",)
+LINEAR = ("2*u1 - u2", "u1 + 3*u2")
+RIEMANN = ("(u1^2+u2^2)/2", "u1*u2")
+QUADRATIC = ("u1 + (u1^2+u2^2)/2", "3*u2 + (u1^2+u2^2)")
+CANONICAL_125 = ("u1/2", "u2", "5*u3/2")  # H^j = a^j u^j / 2 with a = (1, 2, 5)
+# the first N entries are the initial data of an N-component run
+SMOOTH_DATA = ("0.05*sin(x)", "0.04*cos(x) + 0.02*sin(2*x)", "0.03*sin(2*x) + 0.02*cos(x)")
+
+
+def _integral_drifts(K, H, level, data, t_end, eta=None):
+    """Runs of the level's flow of the pair (eta, K, H), eta = I by default,
+    from ``data`` to t_end at M = 128: at dt = 4e-3, halved until the CFL
+    guard admits it, and at half that dt.  For each run, its status and, if
+    it completed, the drift of int S_0 .. int S_5 (through one table of the
+    six S) at its end, relative to int |S_j| at the start."""
+    n = len(H)
+    vars = ("u1", "u2", "u3")[:n]
+    eta = eta or ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
+    P = CanonicalPair(eta=eta, K=K, H=tuple(parse(h, vars) for h in H), vars=vars)
+    flows = hierarchy(P, 5)
+    table = ns.MonomialTable([fl.S for fl in flows], P.vars)
+    cflow = ns.compile_flow(flows[level])
+    g = ns.Grid(128, TWO_PI)
+    v0 = ns.sample_initial_data(g, [parse(d, ("x",), initial_data=True) for d in data])
+    start = table(v0)
+
+    def run(dt):
+        res = ns.run(cflow, v0, g, dt, t_end, [t_end])
+        if res.status != "completed":
+            return res.status, None
+        ((_, v),) = res.snapshots
+        drift = np.abs(np.sum(table(v) - start, axis=1)) / np.sum(np.abs(start), axis=1)
+        return res.status, drift
+
+    dt = 4e-3
+    while True:
+        try:
+            coarse = run(dt)
+        except ns.CFLError:
+            dt /= 2
+            continue
+        return coarse, run(dt / 2)
+
+
+@pytest.mark.parametrize(
+    "K,H,level,eta",
+    [pytest.param(0, HOPF, level, None, id=f"hopf-{level}") for level in (1, 2, 3)]
+    + [pytest.param(1, LINEAR, level, None, id=f"linear-{level}") for level in (1, 2, 3)]
+    + [pytest.param(0, RIEMANN, level, None, id=f"riemann-{level}") for level in (1, 2)]
+    + [pytest.param(1, QUADRATIC, 1, None, id="quadratic-1")]
+    + [pytest.param(1, CANONICAL_125, level, None, id=f"canonical-125-{level}") for level in (1, 2)]
+    # under eta = I every V is symmetric; this eta tells V from its transpose
+    + [pytest.param(1, LINEAR, 1, ConstantBracket([[2, 1], [1, 1]]), id="linear-1-eta-2111")],
+)
+def test_a_run_conserves_every_integral_of_the_hierarchy(K, H, level, eta):
+    t_end = 0.4 if len(H) < 3 else 0.2
+    (status, coarse), (_, fine) = _integral_drifts(K, H, level, SMOOTH_DATA[: len(H)], t_end, eta)
+    assert status == "completed"
+    assert np.all(coarse < 1e-6), coarse
+    # the drift is the scheme's: halving dt shrinks it at least 8x, unless
+    # it is already at the rounding floor
+    for a, b in zip(coarse, fine):
+        assert a <= 1e-12 or a >= 8 * b, (coarse, fine)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the level-2 flow breaks near t = 0.12 unseen: the 50x detector says "
+    "completed while int S_0 .. int S_5 drift 7-21% (ROADMAP item 16; CHANGES.md, "
+    "FOUND line)",
+)
+def test_a_completed_run_of_a_breaking_flow_conserves_the_integrals():
+    data = ("0.05*sin(x) + 0.03*cos(2*x)", "0.04*cos(x) - 0.02*sin(3*x)")
+    (status, drift), _ = _integral_drifts(1, QUADRATIC, 2, data, 0.4)
+    assert status == "breaking" or np.all(drift < 1e-6), drift
 
 
 # -- the nonlocal operator numerically ----------------------------------------------

@@ -47,6 +47,15 @@ def test_smallest_initial_data_rows_run():
     assert ms > 0 and name.endswith(".json")
 
 
+def test_source_compile_rows_run():
+    scaled = _scaled()
+    rows = scaled.compile_rows(repeats=1)
+    modules = sorted(path.name for path in scaled.PACKAGE.glob("*.py"))
+    assert [name for name, _, _ in rows] == modules + ["total"]
+    assert rows[-1][1] == sum(lines for _, lines, _ in rows[:-1])
+    assert all(lines > 0 and ms > 0 for _, lines, ms in rows)
+
+
 def test_rational_arithmetic_rows_run():
     scaled = _scaled()
     for operation in scaled.ARITHMETIC:
@@ -77,7 +86,9 @@ def test_smallest_json_case_prints_one_object_per_value(monkeypatch, capsys):
     assert all(sorted(r) == ["name", "unit", "value"] for r in records)
     names = [r["name"] for r in records]
     assert names[0] == "hierarchy N=2 --levels 6 generation"
-    assert len(names) == len(set(names)) == 1 + 11 + 3 + 3 * 6 + 1 + 2 + 3 * 2 + 2
+    modules = len(list(scaled.PACKAGE.glob("*.py")))
+    assert len(names) == len(set(names)) == 1 + 11 + 3 + 3 * 6 + 1 + 2 * (modules + 1) + 2 + 3 * 2 + 2
+    assert "source compile total compile" in names
     assert [n for n in names if n.endswith("per step")] == [
         f"simulate N=2 level {level} M={m} per step" for level in (1, 2, 3) for m in (256, 512)
     ]

@@ -2,7 +2,7 @@
 
     python3 tools/scaled.py [--json]
 
-It prints seven markdown tables, or with ``--json`` one JSON object per
+It prints eight markdown tables, or with ``--json`` one JSON object per
 measured value (``name``, ``unit``, ``value``) on a line of its own:
 
 * ``hierarchy`` on the linear N=2 and N=3 pairs at 6-8 and 4-8 levels and the
@@ -32,6 +32,11 @@ measured value (``name``, ``unit``, ``value``) on a line of its own:
   ``python -m hydrobrackets simulate`` process (interpreter teardown).  The
   teardown is the median of five processes; the child stamps the moment
   ``main`` returns on ``time.monotonic``, which is the parent's clock too;
+* source compile: the milliseconds to ``compile()`` the source of each
+  module of ``src/hydrobrackets``, and of all of them in one pass, with
+  their line counts.  Every process that imports the package pays this
+  when it finds no bytecode cache, as under ``PYTHONDONTWRITEBYTECODE=1``
+  with no ``__pycache__`` left from an earlier run;
 * initial data: the milliseconds to ``parse`` the datum
   1/((1 + x/100000)^e + 1) at e = 500 and 1000 (its divisor factor is a
   sum holding a high power, which made exact would be expanded), and to
@@ -118,6 +123,7 @@ TEARDOWN_ROW = next(row for row in SIMULATE_ROWS if row[:2] == (2, 512))
 TEARDOWN_PROCESSES = 5
 INITIAL_DATA_EXPONENTS = [500, 1000]
 SIMULATE_SEED = 1
+PACKAGE = ROOT / "src" / "hydrobrackets"
 CORPUS_SEEDS = range(1000, 1025)
 CORPUS_VARS = ("u1", "u2", "v1")
 # each operation on the four quotients of a corpus sum, as a list, with the
@@ -282,6 +288,23 @@ def teardown_row(level: int, m: int, dt: float, steps: int, processes: int = TEA
     return statistics.median(samples) * 1e3
 
 
+def compile_rows(repeats: int = REPEATS) -> list:
+    """(module, lines, ms) of each module of the package, the least of
+    ``repeats`` ``compile()`` calls of its source, then ("total", lines,
+    ms) of every module compiled in one pass."""
+    sources = [(str(path), path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+
+    def build(items):
+        return [compile(text, path, "exec", dont_inherit=True) for path, text in items]
+
+    out = [
+        (Path(path).name, text.count("\n"), _best(lambda: build([(path, text)]), repeats)[0] * 1e3)
+        for path, text in sources
+    ]
+    total = _best(lambda: build(sources), repeats)[0] * 1e3
+    return out + [("total", sum(lines for _, lines, _ in out), total)]
+
+
 def parse_row(exponent: int, repeats: int = REPEATS) -> float:
     """Milliseconds to parse 1/((1 + x/100000)^exponent + 1) as initial data."""
     text = f"1/((1+x/100000)^{exponent} + 1)"
@@ -378,6 +401,8 @@ def rows():
     level, m, _, _ = TEARDOWN_ROW
     teardown = teardown_row(*TEARDOWN_ROW, processes=TEARDOWN_PROCESSES)
     yield "simulate teardown", f"N=2 level {level} M={m}", [("median", "ms", teardown, ".1f")]
+    for module, lines, ms in compile_rows(REPEATS):
+        yield "source compile", module, [("compile", "ms", ms, ".2f"), ("lines", "count", lines, "d")]
     for exponent in INITIAL_DATA_EXPONENTS:
         yield "initial data", f"parse exponent={exponent}", [("per call", "ms", parse_row(exponent, REPEATS), ".2f")]
     ms, name = simulate_load_row(REPEATS)
