@@ -111,6 +111,8 @@ class Problem:
         self.canonical_a = self._load_canonical(doc.get("canonical"))
         self.second = doc.get("second")
         self.simulation = self._load_simulation(doc.get("simulation"))
+        if sum(x is not None for x in (self.h, self.explicit, self.canonical_a)) > 1:
+            raise ProblemFileError("H", 'give exactly one of "H", "g"+"b", "canonical"')
 
     @cached_property
     def vars(self) -> tuple:
@@ -261,38 +263,32 @@ class Problem:
         return self.K
 
     def canonical_pair(self) -> CanonicalPair:
-        if self.h is None:
-            raise ProblemFileError("H", "this command needs the potentials H")
-        return CanonicalPair(
-            eta=self.require_eta(), K=self.require_K(), H=self.h, vars=self.vars
-        )
-
-    def bracket(self) -> HydroBracket:
-        given = [x is not None for x in (self.h, self.explicit, self.canonical_a)]
-        if sum(given) == 0:
-            raise ProblemFileError(
-                "H", 'no bracket specified: provide "H", or "g"+"b", or "canonical"'
-            )
-        if sum(given) > 1:
-            raise ProblemFileError(
-                "H", 'give exactly one of "H", "g"+"b", "canonical"'
-            )
-        if self.h is not None:
-            return build_canonical(self.canonical_pair())
+        """The pair of the file's ``H`` or ``canonical`` block.  The family is
+        the pair of eta (I if the file gives none) and H^j = a^j eta_{js} u^s / 2:
+        eta^{is} dH^j/du^s = a^j delta^{ij} / 2 and d2H = 0 for every eta."""
+        if self.canonical_a is None:
+            if self.h is None:
+                raise ProblemFileError("H", "this command needs the potentials H")
+            return CanonicalPair(self.require_eta(), self.require_K(), self.h, self.vars)
         K = self.require_K()
-        if self.explicit is not None:
-            g, b = self.explicit
-            return HydroBracket(vars=self.vars, g=g, b=b, K=K)
         try:
             a, _ = geometry.canonical_constants(self.canonical_a, K.const_value())
         except ValueError as exc:
             raise ProblemFileError("canonical.a", str(exc)) from None
-        # g^{ij} = a^i delta^{ij} - K u^i u^j is the canonical pair of
-        # eta = I and H^j = a^j u^j / 2, whose b is its Levi-Civita connection
         n = self.n
-        identity = ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
-        H = tuple(Expr.var(v) * (a[j] / 2) for j, v in enumerate(self.vars))
-        return build_canonical(CanonicalPair(eta=identity, K=K, H=H, vars=self.vars))
+        eta = self.eta or ConstantBracket([[int(i == j) for j in range(n)] for i in range(n)])
+        lowered = eta.lower([Expr.var(v) for v in self.vars])
+        return CanonicalPair(eta, K, [x * (a[j] / 2) for j, x in enumerate(lowered)], self.vars)
+
+    def bracket(self) -> HydroBracket:
+        if self.explicit is not None:
+            g, b = self.explicit
+            return HydroBracket(vars=self.vars, g=g, b=b, K=self.require_K())
+        if self.h is None and self.canonical_a is None:
+            raise ProblemFileError(
+                "H", 'no bracket specified: provide "H", or "g"+"b", or "canonical"'
+            )
+        return build_canonical(self.canonical_pair())
 
     def second_bracket(self) -> HydroBracket:
         """Bracket for the second pencil member; defaults to (eta, 0, 0).

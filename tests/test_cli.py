@@ -1245,7 +1245,7 @@ def test_importing_the_cli_loads_every_layer_and_no_numpy():
     assert json.loads(proc.stdout) == [True] * len(layers) + [False]
 
 
-# -- a canonical block is the canonical pair of eta = I, H^j = a^j u^j / 2 --------
+# -- a canonical block is the canonical pair of eta, H^j = a^j eta_{js} u^s / 2 ----
 
 
 def _canonical_cases():
@@ -1278,7 +1278,7 @@ def test_canonical_block_equals_the_christoffel_oracle(a, K):
 
     n = len(a)
     doc = {"N": n, "K": str(K), "canonical": {"a": [str(x) for x in a]}}
-    if n % 2:  # the problem's own eta plays no part
+    if n % 2:  # the problem's own eta gives the same bracket
         doc["eta"] = [[2 * int(i == j) + int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
     B = Problem(doc, "canonical").bracket()
     up, down, _ = geometry.canonical_metric(a, K)
@@ -1289,6 +1289,110 @@ def test_canonical_block_equals_the_christoffel_oracle(a, K):
         assert str(got) == str(want)
         assert (got - want).is_zero()
     assert str(B.K) == str(K)
+
+
+_REDUCTION_CASES = [
+    # (eta or None for I, a, K); the N = 3 case with a non-diagonal eta has a^2 = 0
+    (None, [1, 3], 2),
+    ([[2, 1], [1, 1]], [1, 3], 2),
+    (None, [1, 2, 5], "-1/3"),
+    ([[1, 0, 2], [0, -1, 0], [2, 0, 1]], [2, 0, 5], 1),
+    (None, [2, 5, 7, 3], "1/2"),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 3]], [1, -2, 3, "1/2"], -1),
+]
+
+
+@pytest.mark.parametrize(
+    "eta,a,K",
+    _REDUCTION_CASES,
+    ids=[f"n{len(a)}-{'eta' if eta else 'I'}" for eta, a, _ in _REDUCTION_CASES],
+)
+def test_the_pair_of_a_canonical_block_is_its_liouville_reduction(eta, a, K):
+    from hydrobrackets import liouville_function, special_liouville
+    from hydrobrackets.cli import Problem
+
+    n = len(a)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    doc = {"N": n, "K": K, "canonical": {"a": a}}
+    prob = Problem(dict(doc, eta=eta or identity), "c.json")
+    P = prob.canonical_pair()
+    B = prob.bracket()
+    H = special_liouville(liouville_function(B), P.eta, prob.vars)
+    assert [(got - want).is_zero() for got, want in zip(P.H, H)] == [True] * n
+    ref = Problem(dict(doc, eta=identity), "c.json").bracket()
+    got = [x for row in B.g for x in row] + [x for t in B.b for row in t for x in row]
+    want = [x for row in ref.g for x in row] + [x for t in ref.b for row in t for x in row]
+    assert [(x - y).is_zero() for x, y in zip(got, want)] == [True] * (n * n + n**3)
+    assert (B.K - ref.K).is_zero()
+
+
+def test_a_canonical_file_without_eta_pairs_against_the_identity():
+    from hydrobrackets.cli import Problem
+
+    P = Problem({"N": 2, "K": 2, "canonical": {"a": [1, 3]}}, "c.json").canonical_pair()
+    assert P.eta.up == ((1, 0), (0, 1))
+    assert [str(h) for h in P.H] == ["1/2*u1", "3/2*u2"]
+
+
+def test_a_canonical_file_has_the_hierarchy_of_its_h_file(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    h_file = _write(
+        tmp_path,
+        "h.json",
+        {"N": 2, "eta": [[1, 0], [0, 1]], "K": 2, "H": ["u1/2", "3*u2/2"]},
+    )
+    reports = []
+    for path in (str(root / "problems" / "canonical_metric_n2.json"), h_file):
+        assert main(["hierarchy", path, "--levels", "3"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+_TWO_BLOCKS = {
+    "H+canonical": {"H": ["2*u1 - u2", "u1 + 3*u2"], "canonical": {"a": [1, 3]}},
+    "H+g/b": {
+        "H": ["2*u1 - u2", "u1 + 3*u2"],
+        "g": [["1", "0"], ["0", "1"]],
+        "b": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+    },
+}
+_COMMANDS = (
+    "check-poisson",
+    "check-compat",
+    "check-pencil",
+    "check-canonical",
+    "build-canonical",
+    "liouville",
+    "hierarchy",
+    "commute",
+    "simulate",
+)
+
+
+@pytest.mark.parametrize("blocks", sorted(_TWO_BLOCKS))
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_command_refuses_two_bracket_blocks(
+    tmp_path, monkeypatch, capsys, command, blocks
+):
+    monkeypatch.chdir(tmp_path)
+    doc = {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, **_TWO_BLOCKS[blocks]}
+    assert main([command, _write(tmp_path, "two.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'input error: H: give exactly one of "H", "g"+"b", "canonical"\n'
+    assert list(tmp_path.iterdir()) == [tmp_path / "two.json"]
+
+
+@pytest.mark.parametrize(
+    "command", ("check-canonical", "build-canonical", "hierarchy", "commute", "simulate")
+)
+def test_pair_commands_still_refuse_an_explicit_bracket(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    doc = {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, **_TWO_BLOCKS["H+g/b"]}
+    del doc["H"]
+    doc["simulation"] = {"grid_M": 8, "L": 1, "dt": "1/10", "t_end": 1, "init": ["0", "0"]}
+    assert main([command, _write(tmp_path, "gb.json", doc)]) == 2
+    assert capsys.readouterr().err == "input error: H: this command needs the potentials H\n"
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,9 @@ potentials whose denominators have several factors: the only input that
 cancels a factor in ``Expr._make``, meets a nonconstant gcd in
 ``normal_form`` and sorts factors by ``Poly.sort_key``; it fails ass1 and
 ass2 with witnesses.
+A sixth, ``canonical_eta_n2.json``, pins ``hierarchy --levels 3`` on a
+``canonical`` block against an eta that is not I: the bracket is the
+family's, and the flows are those of its pair with that eta.
 Reports are deterministic, so any change in a byte is a change in behaviour.  To record a deliberate change, rerun
 ``python -m hydrobrackets <command> <problem file> [args]`` and store its
 stdout under the case's name.
@@ -60,11 +63,12 @@ FIXTURES = {
     "failing_liouville_n2": ["liouville"],
     "rational_h_n2": ["build-canonical", "check-canonical"],
     "rational_cancel_n2": ["build-canonical", "check-canonical"],
+    "canonical_eta_n2": ["hierarchy"],
 }
 CASES += [
     pytest.param(
         GOLDEN / f"{stem}.json",
-        [name] + fmt,
+        COMMANDS[name] + fmt,
         id=f"{stem}__{name}" + ("__json" if fmt else ""),
     )
     for stem, names in FIXTURES.items()
