@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -257,43 +258,26 @@ class CanonicalPair:
         )
 
 
-class _ValueEq:
-    """Equality by attribute values, for the report types that callers compare."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
+# A NonZero condition's witness: the 1-based indices of the first residual
+# that is not identically zero, a rational point and its value there.  A
+# condition carries one when its status is NonZero, and None otherwise.
+Witness = namedtuple("Witness", "indices point value")
+ConditionResult = namedtuple("ConditionResult", "name status witness", defaults=(None,))
 
 
-class Witness(_ValueEq):
-    def __init__(self, indices: tuple, point: dict, value: object):
-        self.indices = indices  # 1-based
-        self.point, self.value = point, value
-
-
-class ConditionResult(_ValueEq):
-    def __init__(self, name: str, status: Zeroness, witness: Witness | None = None):
-        self.name, self.status, self.witness = name, status, witness
-
-
-class PoissonReport(_ValueEq):
+class PoissonReport:
     def __init__(self, conditions: list, extras: dict | None = None):
         self.conditions = conditions
         self.extras = {} if extras is None else extras
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.conditions, self.extras) == (other.conditions, other.extras)
+
     @property
     def passed(self) -> bool:
         return all(c.status is Zeroness.ZERO for c in self.conditions)
-
-    def failing(self):
-        return [c for c in self.conditions if c.status is Zeroness.NONZERO]
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +311,12 @@ def _judge(name: str, residuals, rng) -> ConditionResult:
 
 def _rng(rng):
     return rng if rng is not None else random.Random(0)
+
+
+def _report(families, rng=None) -> PoissonReport:
+    """Judge each (name, residuals) family in order, all with one rng."""
+    rng = _rng(rng)
+    return PoissonReport([_judge(name, residuals, rng) for name, residuals in families])
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +433,7 @@ def _c_residuals(B: HydroBracket, eta: ConstantBracket):
 def check_poisson(B: HydroBracket, rng=None) -> PoissonReport:
     """Decide Poisson-hood of a general bracket through the five residual
     families; degenerate metrics are allowed."""
-    rng = _rng(rng)
-    conditions = [_judge(name, gen, rng) for name, gen in _s_residuals(B)]
-    return PoissonReport(conditions=conditions)
+    return _report(_s_residuals(B), rng)
 
 
 def check_compat_constant(
@@ -455,10 +443,7 @@ def check_compat_constant(
     the flat coordinates of eta): residuals c1, c2 plus B's own s1..s5."""
     if eta.n != B.n:
         raise ValueError("dimension mismatch")
-    rng = _rng(rng)
-    families = _s_residuals(B) + _c_residuals(B, eta)
-    conditions = [_judge(name, gen, rng) for name, gen in families]
-    return PoissonReport(conditions=conditions)
+    return _report(_s_residuals(B) + _c_residuals(B, eta), rng)
 
 
 def check_pencil(
@@ -604,8 +589,7 @@ def check_canonical_equations(P: CanonicalPair, rng=None) -> PoissonReport:
     """Decide Poisson-hood of the canonical bracket through the potential
     equations ass1, ass2 (``_ass_residuals``), whose vanishing is equivalent
     to it."""
-    rng = _rng(rng)
-    return PoissonReport([_judge(name, gen, rng) for name, gen in _ass_residuals(P)])
+    return _report(_ass_residuals(P), rng)
 
 
 def equivalence_audit(P: CanonicalPair, rng=None) -> PoissonReport:

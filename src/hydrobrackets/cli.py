@@ -128,8 +128,8 @@ class Problem:
 
     def _expr(self, text, location: str, initial_data=False):
         """One expression entry: an initial datum in x, or a field entry written
-        in u1..uN or else in v1..vN (an unknown name is reported as the
-        u-spelling met it).  ``self._parsed`` holds what the file has parsed,
+        in u1..uN or else in v1..vN (the later of the two spellings' unknown
+        names is reported).  ``self._parsed`` holds what the file has parsed,
         by (text, N, initial-data mode), so a string that recurs in the file
         is parsed once and its entries share one (immutable) result."""
         if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
@@ -145,7 +145,8 @@ class Problem:
                 out = parse(text, names, initial_data=initial_data)
                 break
             except UnknownVariableError as exc:
-                unknown = unknown or exc
+                if unknown is None or exc.offset > unknown.offset:
+                    unknown = exc
             except ParseError as exc:
                 raise ProblemFileError(location, str(exc)) from None
         else:

@@ -563,8 +563,9 @@ def _to_expr(node: _Node, values) -> Expr:
             raise ZeroDenominatorError("identically zero denominator", node.at)
         return base**node.exp
     if isinstance(node, _Div):
-        # divided by each factor to its exponent: an expanded divisor such as
-        # (x-7)^30 loses its root to cancellation when it is sampled
+        # divided by each factor to its exponent: each factor of the divisor
+        # stays its own denominator factor, with its exponent, so (u1-7)^30
+        # stays (u1-7) to the 30th and is never expanded
         num, *dens = values
         if any(d.is_zero() for d in dens):
             raise ZeroDenominatorError("identically zero denominator", node.at)

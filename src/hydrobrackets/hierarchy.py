@@ -24,7 +24,6 @@ exposed as the explicit ``gauge`` argument rather than chosen silently.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from .bracket import (
@@ -34,11 +33,11 @@ from .bracket import (
     check_canonical_equations,
     functional_bracket_density,
     operator_matrix,
-    _judge,
     _nonclosed_at,
     _ray_potential,
+    _report,
 )
-from .expr import Expr, as_expr
+from .expr import Expr, Zeroness, as_expr
 
 __all__ = [
     "ConservativeFlow",
@@ -193,7 +192,7 @@ def hierarchy(
         raise ValueError("negative recursion powers are not supported")
     report = check_canonical_equations(P)
     if not report.passed:
-        failing = ", ".join(c.name for c in report.failing())
+        failing = ", ".join(c.name for c in report.conditions if c.status is Zeroness.NONZERO)
         raise NotPoissonError(f"canonical pair fails {failing}")
     if gauges is None:
         gauges = [eta_gradient_gauge(P)]
@@ -222,7 +221,6 @@ def commute_check(flowA: ConservativeFlow, flowB: ConservativeFlow) -> PoissonRe
     """
     if flowA.vars != flowB.vars:
         raise ValueError("flows must share variables")
-    rng = random.Random(0)
     n = flowA.n
     vars = flowA.vars
     A, B = flowA.V, flowB.V
@@ -247,9 +245,7 @@ def commute_check(flowA: ConservativeFlow, flowB: ConservativeFlow) -> PoissonRe
                     res = C[i][l].diff(vars[k]) + C[i][k].diff(vars[l])
                     yield (i + 1, k + 1, l + 1), -res
 
-    return PoissonReport(
-        conditions=[_judge("vxx", vxx(), rng), _judge("vxvx", vxvx(), rng)]
-    )
+    return _report([("vxx", vxx()), ("vxvx", vxvx())])
 
 
 def involution_check(P: CanonicalPair, d1, d2) -> bool:

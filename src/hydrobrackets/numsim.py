@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from functools import cached_property
 from typing import Sequence
 
@@ -327,16 +328,10 @@ def _columns(n: int) -> tuple:
     return ("t", *(f"U_{i + 1}" for i in range(n)), "momentum", "H1", "H2", "max_vx", "tail")
 
 
-class RunResult:
-    def __init__(
-        self, columns: tuple, rows: list, snapshots: list, status: str, breaking_time=None, messages=None
-    ):
-        self.columns = columns  # _columns(N)
-        self.rows = rows  # one list of floats per step, in column order
-        self.snapshots = snapshots  # (time, array copy)
-        self.status = status  # "completed" | "breaking"
-        self.breaking_time = breaking_time
-        self.messages = [] if messages is None else messages
+# A run: its _columns(N), one list of floats per step in column order, the
+# (time, array copy) snapshots, its status "completed" or "breaking", the
+# time of breaking (None when completed) and its messages.
+RunResult = namedtuple("RunResult", "columns rows snapshots status breaking_time messages")
 
 
 def _densities(cflow: CompiledFlow, v: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -443,14 +438,12 @@ def run(
                 f"gradient catastrophe detected at t={t:.6g}: "
                 f"max|v_x| grew {max_vx / initial_maxvx:.1f}x"
             )
-            return RunResult(columns, rows, snapshots, "breaking", breaking_time=t, messages=messages)
-    return RunResult(columns, rows, snapshots, "completed", messages=messages)
+            return RunResult(columns, rows, snapshots, "breaking", t, messages)
+    return RunResult(columns, rows, snapshots, "completed", None, messages)
 
 
-class DriftEntry:
-    def __init__(self, name: str, initial: float, relative: float):
-        self.name, self.initial = name, initial
-        self.relative = relative  # worst |drift| over the L1 norm of the density at t = 0
+# relative is the worst |drift| over the L1 norm of the density at t = 0
+DriftEntry = namedtuple("DriftEntry", "name initial relative")
 
 
 def drift_summary(cflow: CompiledFlow, rows: Sequence[list], grid: Grid, v0: np.ndarray) -> list:
@@ -473,9 +466,7 @@ def drift_summary(cflow: CompiledFlow, rows: Sequence[list], grid: Grid, v0: np.
 # ---------------------------------------------------------------------------
 
 
-class CommutationDefect:
-    def __init__(self, defect: float, ratio: float, commuting: bool):
-        self.defect, self.ratio, self.commuting = defect, ratio, commuting
+CommutationDefect = namedtuple("CommutationDefect", "defect ratio commuting")
 
 
 def commute_check_numeric(

@@ -45,7 +45,6 @@ correction explicitly.
 from __future__ import annotations
 
 import importlib
-import random
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -56,8 +55,8 @@ from hydrobrackets.bracket import (
     CanonicalPair,
     HydroBracket,
     PoissonReport,
-    _judge,
     _nonclosed_at,
+    _report,
     functional_bracket_density,
     operator_matrix,
 )
@@ -378,7 +377,6 @@ def bihamiltonian_check(
       reproduces the flow, the nonlocal term resolving to K v^i_x S;
     * ``eq2``: the constant operator applied to grad S reproduces it.
     """
-    rng = random.Random(0)
     n = P.n
     previous = translation_flow(P.eta, P.vars) if previous is None else previous
 
@@ -389,7 +387,7 @@ def bihamiltonian_check(
 
     p1 = recursion_matrix(P, previous.S)
     p2 = operator_matrix(P.eta.as_hydro(flow.vars), flow.S)
-    return PoissonReport([_judge("eq1", residuals(p1), rng), _judge("eq2", residuals(p2), rng)])
+    return _report([("eq1", residuals(p1)), ("eq2", residuals(p2))])
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_perturbed_connection_fails_with_witness():
     b[0][0][0] = b[0][0][0] + Expr.var("u1")
     report = check_poisson(HydroBracket(vars=UV, g=B.g, b=b, K=B.K))
     assert not report.passed
-    s2 = report.condition("s2")
+    s2 = {c.name: c for c in report.conditions}["s2"]
     assert s2.status is Zeroness.NONZERO
     w = s2.witness
     assert w is not None and w.value != 0
@@ -204,7 +204,7 @@ def test_compat_violation_has_witness():
     g = [[(u[0] * u[0] + u[1] * u[1] if i == j else zero) for j in range(2)] for i in range(2)]
     B = HydroBracket(vars=UV, g=g, b=b, K=zero)
     report = check_compat_constant(B, ETA2)
-    c1 = report.condition("c1")
+    c1 = {c.name: c for c in report.conditions}["c1"]
     assert c1.status is Zeroness.NONZERO
     assert c1.witness is not None
 
@@ -269,11 +269,17 @@ POINT_MAPS = {
     "composed": (("u1 + (u1 + u2)^2", "u1 + u2"), ("u1 - u2^2", "u2 - u1 + u2^2")),
 }
 QUADRATIC_H = ["(u1^2 + u2^2)/2", "u1*u2"]
+TESTS_DIR = Path(__file__).resolve().parent
 # check_poisson and check_compat_constant against I, in the original coordinates
 POINT_BRACKETS = {
     "a=(1, 3) K=2": (lambda: _canonical_bracket((1, 3), 2), (True, True)),
     "quadratic H K=0": (lambda: build_canonical(_pair(QUADRATIC_H, 0)), (True, True)),
     "quadratic H K=1": (lambda: build_canonical(_pair(QUADRATIC_H, 1)), (False, False)),  # fails ass2
+    "linear_pair_n2": (lambda: build_canonical(_pair(["2*u1 - u2", "u1 + 3*u2"], 1)), (True, True)),
+    "failing_explicit_n2": (  # fails s3 and s4
+        lambda: load_problem(str(TESTS_DIR / "golden" / "failing_explicit_n2.json")).bracket(),
+        (False, False),
+    ),
 }
 
 
@@ -307,7 +313,6 @@ def test_verdicts_are_invariant_under_point_transformations():
 # reads the two metrics alone, so it checks c1 and the pencil's families by
 # a formula that shares nothing with their residual generators.
 
-TESTS_DIR = Path(__file__).resolve().parent
 CANONICAL_FAMILY = [  # (a, K) of g^{ij} = a^i delta^{ij} - K u^i u^j, N = 2-5
     ((1, 3), 2),
     ((2, 1), -1),
@@ -325,7 +330,8 @@ ETA2_DIAG = ConstantBracket([[1, 0], [0, 2]])
 # not Poisson (s3, s4); the others are Poisson and fail c1 only against eta
 # and s3 only as a pencil with eta, so a fault that passes them in either
 # family shows as a passed pair of nonzero torsion.  The K = 1 quadratic pair
-# fails ass2; carried through a point map with I it fails as a pencil.
+# fails ass2; carried through a point map with I it fails as a pencil, and so
+# does failing_explicit_n2.
 FAILING_TORSION = {
     "failing_explicit_n2 check-compat": ((2, 1, 2), "-u1*u2^2"),
     "failing_explicit_n2 check-pencil": ((2, 1, 2), "-u1*u2^2"),
@@ -340,6 +346,15 @@ FAILING_TORSION = {
     "quadratic H K=1 under triangular check-pencil": ((1, 1, 2), "-4*u2^5 + 8*u1*u2^3 - 4*u1^2*u2 + 4*u2^3"),
     "quadratic H K=1 under linear check-pencil": ((1, 1, 2), "-4*u1*u2 + 6*u2^2"),
     "quadratic H K=1 under composed check-pencil": ((1, 1, 2), "8*u2^4 - 8*u1*u2^2 + 4*u2^3"),
+    "failing_explicit_n2 under triangular check-pencil": ((1, 1, 2), "4*u2^5 - 4*u1*u2^3"),
+    "failing_explicit_n2 under linear check-pencil": (
+        (1, 1, 2), "-2*u1^3 + 10*u1^2*u2 - 16*u1*u2^2 + 8*u2^3"
+    ),
+    "failing_explicit_n2 under composed check-pencil": (
+        (1, 1, 2),
+        "4*u2^7 - 12*u1*u2^5 + 8*u2^6 + 12*u1^2*u2^3 - 16*u1*u2^4 + 4*u2^5 - 4*u1^3*u2"
+        " + 8*u1^2*u2^2 - 4*u1*u2^3",
+    ),
 }
 
 
@@ -772,7 +787,7 @@ def test_canonical_equations_separable_failure():
     P = _pair(["u1^2/2", "0"], 1)
     report = check_canonical_equations(P)
     assert not report.passed
-    ass2 = report.condition("ass2")
+    ass2 = {c.name: c for c in report.conditions}["ass2"]
     assert ass2.status is Zeroness.NONZERO
     # frozen residual value at u = (1, 1)
     residual = Expr.var("u1") * Expr.var("u2")  # K = 1

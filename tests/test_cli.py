@@ -822,9 +822,9 @@ def test_v_variable_retry_reports_the_right_error(tmp_path, capsys, h, message):
     "h,message",
     [
         (["u1 + w", "u2"], "unknown variable 'w' (at offset 5)"),
-        # an entry is read in u-spelling first, so its first unknown name
-        # is the one that spelling met
-        (["v1 + w", "v2"], "unknown variable 'v1' (at offset 0)"),
+        # each spelling stops at its first unknown name; the later of the
+        # two is reported, so a valid v-name never is
+        (["v1 + w", "v2"], "unknown variable 'w' (at offset 5)"),
         (["u1 + v2", "u2"], "unknown variable 'v2' (at offset 5)"),
     ],
 )
@@ -1814,8 +1814,7 @@ def test_steps_that_g_prints_alike_write_one_file_each(tmp_path, capsys, monkeyp
 
     def two_steps(cflow, v0, grid, dt, t_end, times):
         result = run(cflow, v0, grid, dt, 2 * dt, [dt, 2 * dt])
-        result.snapshots = [(t, v) for t, (_, v) in zip(times, result.snapshots)]
-        return result
+        return result._replace(snapshots=[(t, v) for t, (_, v) in zip(times, result.snapshots)])
 
     monkeypatch.setattr(numsim, "run", two_steps)
     assert main(["simulate", path, "--json", "--out", str(tmp_path / "o")]) == 0

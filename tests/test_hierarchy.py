@@ -758,7 +758,8 @@ def test_a_broken_link_leaves_every_pair_to_the_expanded_checks():
     P = NONLINEAR_PAIRS["k1-eta-I"]
     flows = hierarchy(P, 3)
     flows[2] = apply_recursion(P, flows[1], gauge=[1, 0])
-    eq1 = bihamiltonian_check(P, flows[3], previous=flows[2]).condition("eq1")
+    report = bihamiltonian_check(P, flows[3], previous=flows[2])
+    eq1 = {c.name: c for c in report.conditions}["eq1"]
     assert eq1.status is Zeroness.NONZERO and eq1.witness.indices == (1, 1)
     assert _chain_holds(P, flows[:3])
     for fa, fb in itertools.combinations(flows, 2):

@@ -52,8 +52,7 @@ ALLOWED = {
     "bracket.functional_bracket_density": _TRACER_CALLEE,
     "expr.ParseError.__init__": "raised on a malformed expression; every traced file is well-formed",
     "expr._residue": "asked of each divisor factor of an initial datum; no traced datum divides",
-    "bracket._ValueEq.__eq__": _INTERFACE,
-    "bracket.PoissonReport.condition": _INTERFACE,
+    "bracket.PoissonReport.__eq__": _INTERFACE,
     "expr.Expr.__rsub__": _INTERFACE,
     "expr.Expr.__rtruediv__": _INTERFACE,
     "expr.Expr.__repr__": _INTERFACE,
