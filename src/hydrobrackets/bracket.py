@@ -250,13 +250,6 @@ class CanonicalPair:
         """The canonical bracket in the field variables, built once."""
         return build_canonical(self)
 
-    def h_origin(self) -> tuple:
-        """H evaluated at the origin of the field variables (parameters, if
-        any, survive as symbols)."""
-        return tuple(
-            _at_origin(h, self.vars, f"H[{i + 1}]") for i, h in enumerate(self.H)
-        )
-
 
 # A NonZero condition's witness: the 1-based indices of the first residual
 # that is not identically zero, a rational point and its value there.  A
@@ -646,15 +639,20 @@ def _at_origin(e: Expr, vars, name: str) -> Expr:
         ) from None
 
 
-def _ray_potential(omegas, vars) -> Expr:
-    polys = []
-    for w in omegas:
-        if not w.is_poly():
+def _potentials(forms, vars, not_closed) -> tuple:
+    """The ray potentials of the 1-forms ``forms``, in order, all checked before any is
+    integrated: at the first not closed, ``not_closed(index, k, l)`` (0-based) is raised."""
+    for index, omegas in enumerate(forms):
+        if (bad := _nonclosed_at(omegas, vars)) is not None:
+            raise not_closed(index, *bad)
+    potentials = []
+    for omegas in forms:
+        if not all(w.is_poly() for w in omegas):
             raise UnsupportedIntegrandError(
                 "path integral outside the rational closure (non-polynomial 1-form)"
             )
-        polys.append(w.num)
-    return Expr(ray_integral(polys, vars))
+        potentials.append(Expr(ray_integral([w.num for w in omegas], vars)))
+    return tuple(potentials)
 
 
 def liouville_function(B: HydroBracket) -> tuple:
@@ -666,25 +664,24 @@ def liouville_function(B: HydroBracket) -> tuple:
     vars = B.vars
     u = [Expr.var(v) for v in vars]
     zero = Expr.const(0)
-    # A^{ij}_k = b^{ij}_k + K delta^i_k u^j: for a canonical bracket this is
-    # eta^{is} d2H^j/du^s du^k, for a Liouville one dPhi^{ij}/du^k
+    # A^{ij}_k = b^{ij}_k + K delta^i_k u^j, (i, j) in row-major order: for a canonical
+    # bracket this is eta^{is} d2H^j/du^s du^k, for a Liouville one dPhi^{ij}/du^k
     A = [
-        [[B.b[i][j][k] + (B.K * u[j] if i == k else zero) for k in range(n)] for j in range(n)]
-        for i in range(n)
+        [B.b[i][j][k] + (B.K * u[j] if i == k else zero) for k in range(n)]
+        for i in range(n) for j in range(n)
     ]
-    for i in range(n):
-        for j in range(n):
-            bad = _nonclosed_at(A[i][j], vars)
-            if bad is not None:
-                k, l = bad
-                raise NotLiouvilleError(
-                    "connection coefficients are not a closed gradient "
-                    f"family at (i,j,k,l)=({i + 1},{j + 1},{k + 1},{l + 1})",
-                    indices=(i + 1, j + 1, k + 1, l + 1),
-                )
+    potentials = _potentials(
+        A,
+        vars,
+        lambda ij, k, l: NotLiouvilleError(
+            "connection coefficients are not a closed gradient family at "
+            f"(i,j,k,l)=({ij // n + 1},{ij % n + 1},{k + 1},{l + 1})",
+            indices=(ij // n + 1, ij % n + 1, k + 1, l + 1),
+        ),
+    )
     Phi = [
         [
-            _ray_potential(A[i][j], vars)
+            potentials[i * n + j]
             + _at_origin(B.g[i][j], vars, f"g[{i + 1}][{j + 1}]") * Fraction(1, 2)
             for j in range(n)
         ]
@@ -705,18 +702,16 @@ def liouville_function(B: HydroBracket) -> tuple:
 def special_liouville(Phi: tuple, eta: ConstantBracket, vars: tuple) -> tuple:
     """The potentials H^j with eta_{ks} Phi^{sj} = dH^j/du^k and H(0) = 0,
     from the Liouville function ``liouville_function`` returns."""
-    n = len(vars)
-    psi = [eta.lower([Phi[s][j] for s in range(n)]) for j in range(n)]
-    for j in range(n):
-        bad = _nonclosed_at(psi[j], vars)
-        if bad is not None:
-            k, l = bad
-            raise NotSpecialError(
-                "eta-lowered Liouville function is not a gradient at "
-                f"(j,k,l)=({j + 1},{k + 1},{l + 1})",
-                indices=(j + 1, k + 1, l + 1),
-            )
-    return tuple(_ray_potential(psi[j], vars) for j in range(n))
+    psi = [eta.lower(column) for column in zip(*Phi)]
+    return _potentials(
+        psi,
+        vars,
+        lambda j, k, l: NotSpecialError(
+            "eta-lowered Liouville function is not a gradient at "
+            f"(j,k,l)=({j + 1},{k + 1},{l + 1})",
+            indices=(j + 1, k + 1, l + 1),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

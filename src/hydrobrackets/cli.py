@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -61,6 +62,14 @@ class ProblemFileError(ValueError):
         self.message = message
 
 
+def _rational(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()  # as the tokenizer: refuse a digit run or exponent past it
+    for exp, digits in re.findall(r"([eE]?)[-+]?(\d+)", text.replace("_", "")):
+        if limit and (len(digits) > limit or exp and int(digits) > limit):
+            raise ValueError(f"number has more than {limit} digits")
+    return Fraction(text)
+
+
 def _as_fraction(x, location: str) -> Fraction:
     if isinstance(x, bool):
         raise ProblemFileError(location, "expected a rational number")
@@ -68,7 +77,7 @@ def _as_fraction(x, location: str) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _rational(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ProblemFileError(location, f"bad rational {x!r}: {exc}") from None
     raise ProblemFileError(location, f"expected a rational number, got {type(x).__name__}")
@@ -331,13 +340,16 @@ def load_initial_state(prob: Problem):
 def load_problem(path: str, prefix: str = "u") -> Problem:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=Fraction)
+            doc = json.load(fh, parse_float=_rational)
     except OSError as exc:
         raise ProblemFileError(path, f"cannot read file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ProblemFileError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except ValueError:  # a number past the int limit: json's int() refuses it as _rational does
+        limit = sys.get_int_max_str_digits()
+        raise ProblemFileError(path, f"number has more than {limit} digits") from None
     except RecursionError:
         raise ProblemFileError(path, "JSON nested too deeply to decode") from None
     return Problem(doc, path, prefix)
@@ -529,18 +541,18 @@ def cmd_hierarchy(args) -> int:
     prob, flows = _flows(args, [] if args.gauge == "zero" else None)
     lines = [f"hierarchy: N={prob.n}, levels 0..{args.levels}"]
     levels_obj = []
-    for fl in flows:
-        lines.append(f"level {fl.level}:")
+    for level, fl in enumerate(flows):
+        lines.append(f"level {level}:")
         levels_obj.append(
             {
-                "level": fl.level,
+                "level": level,
                 "F": _table("F", fl.F, lines),
                 "S": _table("S", fl.S, lines),
                 "V": _table("V", fl.V, lines),
             }
         )
     # every pair commutes and is in involution by construction (hierarchy())
-    pairs = [[fa.level, fb.level] for fa, fb in itertools.combinations(flows, 2)]
+    pairs = list(itertools.combinations(range(len(flows)), 2))
     lines += [f"commute t{a} vs t{b}: PASS" for a, b in pairs]
     lines += [f"involution S{a} vs S{b}: PASS" for a, b in pairs]
     lines.append("verdict: PASS")
@@ -623,7 +635,7 @@ def cmd_commute(args) -> int:
     prob, flows = _flows(args)
     lines = [f"commute: N={prob.n}, levels 0..{args.levels}"]
     # the symbolic verdicts hold by construction (hierarchy())
-    pairs = [[fa.level, fb.level] for fa, fb in itertools.combinations(flows, 2)]
+    pairs = list(itertools.combinations(range(len(flows)), 2))
     lines += [f"symbolic t{a} vs t{b}: PASS" for a, b in pairs]
     ok = True
     numeric_obj = None

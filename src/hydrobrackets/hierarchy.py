@@ -33,8 +33,9 @@ from .bracket import (
     check_canonical_equations,
     functional_bracket_density,
     operator_matrix,
+    _at_origin,
     _nonclosed_at,
-    _ray_potential,
+    _potentials,
     _report,
 )
 from .expr import Expr, Zeroness, as_expr
@@ -77,7 +78,7 @@ class ConservativeFlow:
     shifts F and, through it, S, but never V.
     """
 
-    def __init__(self, eta: ConstantBracket, V, vars, gauge: Sequence | None = None, level=None):
+    def __init__(self, eta: ConstantBracket, V, vars, gauge: Sequence | None = None):
         n = eta.n
         vars = tuple(vars)
         V = tuple(tuple(as_expr(x) for x in row) for row in V)
@@ -86,25 +87,24 @@ class ConservativeFlow:
         gauge = tuple(as_expr(x) for x in (gauge or [0] * n))
         if len(gauge) != n:
             raise ValueError("gauge covector has wrong length")
-        for i in range(n):
-            bad = _nonclosed_at(V[i], vars)
-            if bad is not None:
-                k, l = bad
-                raise ClosednessError(
-                    f"coefficient row {i + 1} is not a gradient at ({k + 1},{l + 1})"
-                )
-        F = tuple(_ray_potential(row, vars) + c for row, c in zip(V, eta.lift(gauge)))
+        F = _potentials(
+            V,
+            vars,
+            lambda i, k, l: ClosednessError(
+                f"coefficient row {i + 1} is not a gradient at ({k + 1},{l + 1})"
+            ),
+        )
+        F = tuple(f + c for f, c in zip(F, eta.lift(gauge)))
         # d_k (eta_{jl} F^l) = eta_{jl} V^l_k: closed iff eta-lowered V is symmetric
-        xi = eta.lower(F)
-        bad = _nonclosed_at(xi, vars)
-        if bad is not None:
-            j, k = bad
-            raise ClosednessError(
+        (S,) = _potentials(
+            [eta.lower(F)],
+            vars,
+            lambda _, j, k: ClosednessError(
                 f"eta-lowered coefficient matrix is not symmetric at "
                 f"({j + 1},{k + 1}); no scalar potential exists"
-            )
-        S = _ray_potential(xi, vars)
-        self.eta, self.vars, self.F, self.S, self.V, self.level = eta, vars, F, S, V, level
+            ),
+        )
+        self.eta, self.vars, self.F, self.S, self.V = eta, vars, F, S, V
 
     @property
     def n(self) -> int:
@@ -119,14 +119,14 @@ class ConservativeFlow:
 def eta_gradient_gauge(P: CanonicalPair) -> tuple:
     """The covector eta_{jl} h^l(0): the gauge that reproduces the closed-form
     first flow exactly when applied at the first recursion level."""
-    return P.eta.lower(P.h_origin())
+    return P.eta.lower([_at_origin(h, P.vars, f"H[{i + 1}]") for i, h in enumerate(P.H)])
 
 
 def translation_flow(eta: ConstantBracket, vars: Sequence[str]) -> ConservativeFlow:
     """Level 0: v^i_t = v^i_x, with S = (1/2) eta_{jl} v^j v^l."""
     n = eta.n
     identity = [[int(i == k) for k in range(n)] for i in range(n)]
-    return ConservativeFlow(eta, identity, vars, level=0)
+    return ConservativeFlow(eta, identity, vars)
 
 
 def recursion_matrix(P: CanonicalPair, S: Expr) -> list:
@@ -146,8 +146,7 @@ def apply_recursion(
     """
     if flow.vars != tuple(P.vars):
         raise ValueError("flow and pair variables differ")
-    level = None if flow.level is None else flow.level + 1
-    return ConservativeFlow(P.eta, recursion_matrix(P, flow.S), flow.vars, gauge, level)
+    return ConservativeFlow(P.eta, recursion_matrix(P, flow.S), flow.vars, gauge)
 
 
 def hierarchy(

@@ -321,7 +321,7 @@ def test_criterion_6_hierarchy_identities():
         # gauge 0: the defect is exactly the flow of the linear density
         rec0 = apply_recursion(P, t1, gauge=None)
         gauge = eta_gradient_gauge(P)
-        h0 = P.h_origin()
+        h0 = [h.at_origin(P.vars) for h in P.H]
         vlin = sum(
             (gauge[j] * Expr.var(P.vars[j]) for j in range(P.n)), Expr.const(0)
         )
@@ -352,8 +352,8 @@ def test_criterion_7_commutativity():
     ]
     for P in pairs:
         flows = hierarchy(P, 3)
-        for fa, fb in itertools.combinations(flows, 2):
-            assert commute_check(fa, fb).passed, (fa.level, fb.level)
+        for (a, fa), (b, fb) in itertools.combinations(enumerate(flows), 2):
+            assert commute_check(fa, fb).passed, (a, b)
     # numeric probe: defect drops by >= 7x under tau halving
     P = pairs[0]
     grid = ns.Grid(128, TWO_PI)

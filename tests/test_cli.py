@@ -1156,6 +1156,12 @@ def test_flow_commands_apply_the_operator_once_per_level(monkeypatch, capsys):
 
 _SCALAR = {"N": 1, "eta": [[1]], "K": 1}
 _SIM = {"grid_M": 8, "L": 1, "dt": "1/10", "t_end": "1/10"}
+_LIMIT = sys.get_int_max_str_digits()
+
+
+def _numeric_k(literal: str) -> bytes:
+    """A scalar problem whose K is written as ``literal``, verbatim."""
+    return ('{"N": 1, "eta": [[1]], "K": ' + literal + ', "H": ["u1^2/2"]}').encode()
 
 
 @pytest.mark.parametrize(
@@ -1179,8 +1185,33 @@ _SIM = {"grid_M": 8, "L": 1, "dt": "1/10", "t_end": "1/10"}
             ).encode(),
             "simulation.init[0]: expression nests deeper than 150 levels (at offset 600)",
         ),
+        # JSON numbers and rational strings follow the tokenizer's digit rule,
+        # exponent included, and are refused before anything expands them
+        (
+            "check-poisson",
+            _numeric_k("1" * 5000),
+            f"{{path}}: number has more than {_LIMIT} digits",
+        ),
+        (
+            "check-poisson",
+            _numeric_k("1e999999999"),
+            f"{{path}}: number has more than {_LIMIT} digits",
+        ),
+        (
+            "check-poisson",
+            _numeric_k('"1e999999999"'),
+            f"K: bad rational '1e999999999': number has more than {_LIMIT} digits",
+        ),
+        (
+            "check-poisson",
+            _numeric_k("0." + "0" * 4999 + "1"),
+            f"{{path}}: number has more than {_LIMIT} digits",
+        ),
     ],
-    ids=["not-utf8", "deep-json", "deep-parentheses", "deep-calls"],
+    ids=[
+        "not-utf8", "deep-json", "deep-parentheses", "deep-calls",
+        "long-integer", "json-exponent", "string-exponent", "long-decimal",
+    ],
 )
 def test_malformed_files_end_in_one_input_error_line(tmp_path, capsys, command, content, message):
     path = tmp_path / "bad.json"
@@ -1206,6 +1237,23 @@ def test_deep_json_exits_2_through_the_module_entry(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"input error: {path}: JSON nested too deeply to decode\n"
+
+
+def test_a_huge_json_exponent_exits_2_through_the_module_entry(tmp_path):
+    # 10^999999999 would be a 415 MB integer; the reader refuses it first
+    root = Path(__file__).resolve().parents[1]
+    path = tmp_path / "huge.json"
+    path.write_bytes(_numeric_k("1e999999999"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hydrobrackets", "check-poisson", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"input error: {path}: number has more than {_LIMIT} digits\n"
 
 
 def test_expressions_at_the_nesting_limit_still_run(tmp_path, capsys):
@@ -1508,9 +1556,6 @@ def test_the_v_retry_and_the_second_block_reuse_the_file_parses(tmp_path, monkey
 # -- number tokens and long coefficients ---------------------------------------------
 
 
-_LIMIT = sys.get_int_max_str_digits()
-
-
 @pytest.mark.parametrize(
     "h,message",
     [
@@ -1549,8 +1594,10 @@ def test_a_non_ascii_digit_exits_2_through_the_module_entry(tmp_path):
 @pytest.mark.parametrize(
     "command,doc",
     [
-        ("build-canonical", {"N": 1, "eta": [[1]], "K": "1e5000", "H": ["u1"]}),
-        ("liouville", {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, "canonical": {"a": ["1e999999", "2"]}}),
+        # the reader accepts exponents up to _LIMIT, and 10^_LIMIT has _LIMIT + 1 digits:
+        # K itself, and H[1] = a/2 u1 of the canonical family
+        ("build-canonical", {"N": 1, "eta": [[1]], "K": f"1e{_LIMIT}", "H": ["u1"]}),
+        ("liouville", {"N": 2, "eta": [[1, 0], [0, 1]], "K": 1, "canonical": {"a": [f"2e{_LIMIT}", "2"]}}),
     ],
     ids=["build-canonical", "liouville"],
 )
@@ -1565,16 +1612,16 @@ def test_a_coefficient_too_long_to_print_exits_3(tmp_path, capsys, command, doc)
 @pytest.mark.parametrize(
     "command,doc",
     [
-        # g = I, b = 0 is flat, so s4 fails with a witness value near 1e5000
+        # g = I, b = 0 is flat, so s4 fails with a witness value near 10^_LIMIT
         (
             "check-poisson",
-            {"N": 2, "K": "1e5000", "g": [["1", "0"], ["0", "1"]], "b": [[["0"] * 2] * 2] * 2},
+            {"N": 2, "K": f"1e{_LIMIT}", "g": [["1", "0"], ["0", "1"]], "b": [[["0"] * 2] * 2] * 2},
         ),
-        # a Poisson pencil whose local member lam1 = -1e5000/3 is too long to print
+        # a Poisson pencil whose local member lam1 = -10^_LIMIT/3 is too long to print
         (
             "check-pencil",
             {
-                "N": 1, "eta": [[1]], "K": "1e5000", "g": [["1"]], "b": [[["0"]]],
+                "N": 1, "eta": [[1]], "K": f"1e{_LIMIT}", "g": [["1"]], "b": [[["0"]]],
                 "second": {"K": 3, "g": [["1"]], "b": [[["0"]]]},
             },
         ),
