@@ -36,6 +36,7 @@ from .expr import (
     Expr,
     Zeroness,
     as_expr,
+    grad,
     is_zero,
     random_rational_point,
 )
@@ -111,30 +112,16 @@ class HydroBracket:
         return len(self.vars)
 
     @cached_property
-    def _derivatives(self):
-        """(dg, db): dg[i][j][k] = d g^{ij}/du^k and db[i][j][k][l] =
-        d b^{ij}_k/du^l, computed once per bracket."""
-        n = self.n
-        vars = self.vars
-        dg = [
-            [[self.g[i][j].diff(vars[k]) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-        db = [
-            [
-                [[self.b[i][j][k].diff(vars[l]) for l in range(n)] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return dg, db
+    def _dg(self):
+        """dg[i][j][k] = d g^{ij}/du^k, taken once per bracket."""
+        return grad(self.g, self.vars)
 
     @cached_property
     def _curl(self):
         """curl[j][r][x][y] = d_y b^{jr}_x - d_x b^{jr}_y, the one table that
         s4, s5 and c2 read."""
-        _, db = self._derivatives
         R = range(self.n)
+        db = grad(self.b, self.vars)
         return [[[[d[x][y] - d[y][x] for y in R] for x in R] for d in row] for row in db]
 
     @cached_property
@@ -235,8 +222,10 @@ class CanonicalPair:
 
     @cached_property
     def _derivatives(self):
-        """(dH, d2H) of the potentials in the field variables, taken once."""
-        return _potential_derivatives(self.H, self.vars)
+        """(dH, d2H) of the potentials in the field variables, taken once:
+        dH[i][k] = dH^i/du^k and d2H[i][k][l] = d2H^i/du^k du^l."""
+        dH = grad(self.H, self.vars)
+        return dH, grad(dH, self.vars)
 
     @cached_property
     def _lifted_d2H(self):
@@ -353,8 +342,7 @@ def _s_residuals(B: HydroBracket):
     The sums of s4 and s5 skip the indices at which every product has an
     exact-zero factor (``HydroBracket._support``)."""
     n = B.n
-    g, b, K, curl = B.g, B.b, B.K, B._curl
-    dg, _ = B._derivatives
+    g, b, K, dg, curl = B.g, B.b, B.K, B._dg, B._curl
     _, bs, bt, cs = B._support
     zero = Expr.const(0)
 
@@ -514,22 +502,14 @@ def build_canonical(P: CanonicalPair) -> HydroBracket:
     return HydroBracket(vars=P.vars, g=g, b=b, K=K)
 
 
-def _potential_derivatives(H, vars):
-    """Gradients and Hessians of the scalar functions H^i: (dH, d2H) with
-    dH[i][k] = dH^i/du^k and d2H[i][k][l] = d2H^i/du^k du^l."""
-    n = len(vars)
-    dH = [[h.diff(vars[k]) for k in range(n)] for h in H]
-    d2H = [[[d.diff(vars[l]) for l in range(n)] for d in row] for row in dH]
-    return dH, d2H
-
-
 def operator_matrix(B: HydroBracket, S: Expr) -> list:
     """The operator of the bracket applied to the gradient of S, as the
     matrix M^i_k = g^{ij} d2S/du^j du^k + b^{ij}_k dS/du^j + K S delta^i_k
     of the flow u^i_t = M^i_k u^k_x; the nonlocal tail is resolved through
     (d/dx)^{-1}(u^j_x dS/du^j) = S(u)."""
     n = B.n
-    (Sj,), (Sjk,) = _potential_derivatives((S,), B.vars)
+    Sj = grad(S, B.vars)
+    Sjk = grad(Sj, B.vars)
     zero = Expr.const(0)
     return [
         [
@@ -734,7 +714,7 @@ def functional_bracket_density(B: HydroBracket, f: Expr, h: Expr) -> tuple:
     if not (f.free_vars() | h.free_vars()) <= set(vars):
         raise ValueError("densities may depend on the field variables only")
     zero = Expr.const(0)
-    df = [f.diff(v) for v in vars]
+    df = grad(f, vars)
     M = operator_matrix(B, h)
     h0 = h.at_origin(vars)
     omega = [

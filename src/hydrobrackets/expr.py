@@ -369,6 +369,16 @@ def as_expr(x) -> Expr:
     return e
 
 
+def grad(table, vars) -> list:
+    """The first derivatives of an Expr or a nested table of them by each of
+    ``vars``, one index deeper with the variable index last: the list
+    ``[e.diff(v) for v in vars]`` of an Expr, and ``grad`` of each entry, in
+    order, of a sequence."""
+    if isinstance(table, Expr):
+        return [table.diff(v) for v in vars]
+    return [grad(t, vars) for t in table]
+
+
 # ---------------------------------------------------------------------------
 # parse trees (the one form of initial data)
 # ---------------------------------------------------------------------------

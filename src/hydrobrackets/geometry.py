@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .expr import Expr, Zeroness, as_expr, is_zero
+from .expr import Expr, Zeroness, as_expr, grad, is_zero
 
 __all__ = [
     "DegenerateMetricError",
@@ -96,7 +96,7 @@ def christoffel(vars, up, down=None) -> tuple:
     is not given), computed in contravariant form: b^{jr}_k = g_{ki} T^{ijr}
     with 2 T^{ijr} = D^{ijr} + D^{jir} - D^{rij} and D^{ijr} = g^{is} d_s g^{jr}."""
     n, lo = len(vars), matrix_inverse(up) if down is None else down
-    dup = [[[e.diff(v) for v in vars] for e in row] for row in up]  # d_s g^{jr}
+    dup = grad(up, vars)  # d_s g^{jr}
     D = [[[_dot(up[i], dup[j][r]) for r in range(n)] for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
     T = [  # T[j][r][i] = T^{ijr}

@@ -38,7 +38,7 @@ from .bracket import (
     _potentials,
     _report,
 )
-from .expr import Expr, Zeroness, as_expr
+from .expr import Expr, Zeroness, as_expr, grad
 
 __all__ = [
     "ConservativeFlow",
@@ -238,11 +238,11 @@ def commute_check(flowA: ConservativeFlow, flowB: ConservativeFlow) -> PoissonRe
                 yield (i + 1, l + 1), C[i][l]
 
     def vxvx():
+        dC = grad(C, vars)
         for i in range(n):
             for k in range(n):
                 for l in range(k, n):
-                    res = C[i][l].diff(vars[k]) + C[i][k].diff(vars[l])
-                    yield (i + 1, k + 1, l + 1), -res
+                    yield (i + 1, k + 1, l + 1), -(dC[i][l][k] + dC[i][k][l])
 
     return _report([("vxx", vxx()), ("vxvx", vxvx())])
 

@@ -314,6 +314,28 @@ def test_simulate_breaking_exit_3(tmp_path, capsys):
     assert "BREAKING" in capsys.readouterr().out
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 18: the 50x detector reads Hadamard's instability of a flow "
+    "that is not hyperbolic as a gradient catastrophe, prints BREAKING at t=0.03 "
+    "(187.4x) and exits 3 (CHANGES.md, FOUND line on the indefinite pair)",
+)
+def test_a_flow_that_is_not_hyperbolic_is_not_reported_as_breaking(tmp_path, capsys):
+    # eta = [[0,1],[1,0]], K = 0, H = (2u1 - u2, u1 + 3u2) passes check-canonical;
+    # its level-2 flow is linear, V = [[21,-20],[20,21]] with speeds 21 +- 20i,
+    # and a constant-coefficient flow has no gradient catastrophe
+    problem = Path(__file__).resolve().parent.parent / "problems" / "linear_pair_n2.json"
+    doc = dict(json.loads(problem.read_text()), eta=[[0, 1], [1, 0]], K=0)
+    path = _write(tmp_path, "indefinite.json", doc)
+    assert main(["check-canonical", path]) == 0
+    capsys.readouterr()
+    code = main(["simulate", path, "--level", "2", "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert code != 3
+    assert "BREAKING" not in out
+
+
 def test_simulate_cfl_violation_is_input_error(tmp_path, capsys):
     doc = {
         "N": 1,

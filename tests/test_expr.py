@@ -116,6 +116,54 @@ def test_differentiate_power_matches_finite_differences():
     assert abs(fd - 12) < 1e-5
 
 
+def _depth(table) -> int:
+    return 0 if isinstance(table, Expr) else 1 + _depth(table[0])
+
+
+def _entries(table, at=()):
+    """(index tuple, Expr) of every entry of a nested table, row-major."""
+    if isinstance(table, Expr):
+        yield at, table
+        return
+    for k, t in enumerate(table):
+        yield from _entries(t, at + (k,))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        parse("u1^2*u2 - 3*u2", UV),
+        (parse("u1*u2", UV), parse("u2^3", UV), Expr.const(5)),
+        ((parse("u1^2", UV), parse("u1/(u1 + u2)", UV)), (parse("u1*u2", UV), parse("7", UV))),
+        (
+            ((parse("u1", UV), parse("u2^2", UV)), (parse("1/(1 - u1*u2)", UV), parse("0", UV))),
+            ((parse("u1^3*u2", UV), parse("u1 - u2", UV)), (parse("2", UV), parse("u2/u1^2", UV))),
+        ),
+    ],
+    ids=["expr", "tuple", "2-level", "3-level"],
+)
+def test_grad_is_the_table_one_level_deeper_with_the_variable_last(table):
+    d = _ex.grad(table, UV)
+    assert _depth(d) == _depth(table) + 1
+    entries = list(_entries(table))
+    derivs = list(_entries(d))
+    assert len(derivs) == len(entries) * len(UV)
+    # row-major: the derivatives of one entry are adjacent, by variable
+    for k, (where, got) in enumerate(derivs):
+        (at, e), v = entries[k // len(UV)], k % len(UV)
+        assert where == at + (v,)
+        assert is_zero(got - e.diff(UV[v])) is Zeroness.ZERO
+
+
+def test_grad_of_a_bare_expr_is_a_flat_list():
+    # operator_matrix reads grad(S) as a vector and grad(grad(S)) as a matrix
+    S = parse("u1^2*u2 + u2^3/3", UV)
+    Sj = _ex.grad(S, UV)
+    assert isinstance(Sj, list) and all(isinstance(d, Expr) for d in Sj)
+    assert [str(d) for d in Sj] == ["2*u1*u2", "u1^2 + u2^2"]
+    assert [[str(d) for d in row] for row in _ex.grad(Sj, UV)] == [["2*u2", "2*u1"], ["2*u1", "2*u2"]]
+
+
 def test_is_zero_binomial_identity():
     e = parse("(u1+u2)^2 - u1^2 - 2*u1*u2 - u2^2", UV)
     assert is_zero(e) is Zeroness.ZERO

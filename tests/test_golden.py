@@ -17,6 +17,9 @@ ass2 with witnesses.
 A sixth, ``canonical_eta_n2.json``, pins ``hierarchy --levels 3`` on a
 ``canonical`` block against an eta that is not I: the bracket is the
 family's, and the flows are those of its pair with that eta.
+A seventh, ``canonical_pencil_n2.json``, pins ``check-pencil`` on a file
+with a ``second`` block: two canonical families, a = (1, 3) and a = (2, 1),
+the second inheriting K = 2, whose pencil has the flat member lam = (1, -1).
 Reports are deterministic, so any change in a byte is a change in behaviour.  To record a deliberate change, rerun
 ``python -m hydrobrackets <command> <problem file> [args]`` and store its
 stdout under the case's name.
@@ -64,6 +67,7 @@ FIXTURES = {
     "rational_h_n2": ["build-canonical", "check-canonical"],
     "rational_cancel_n2": ["build-canonical", "check-canonical"],
     "canonical_eta_n2": ["hierarchy"],
+    "canonical_pencil_n2": ["check-pencil"],
 }
 CASES += [
     pytest.param(

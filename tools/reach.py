@@ -3,8 +3,9 @@
     python3 tools/reach.py
 
 Every job of both benchmark workloads at each of ``SEEDS`` (the job lists
-come from ``perfbench/workloads.py``, read only), and every command in text
-and ``--json`` on ``problems/*.json`` and the fixtures in ``tests/golden/``,
+come from ``perfbench/workloads.py``, read only), and every command of the
+``files`` workload of ``tools/same_output.py`` (its ``file_commands`` in text
+and ``--json`` on ``problems/*.json`` and the fixtures in ``tests/golden/``),
 runs in-process through ``cli.main`` under ``sys.settrace``.  Each function
 (a ``def`` in ``src/hydrobrackets``) that was never called is printed with
 its line count; a nested function is printed only when its enclosing
@@ -30,6 +31,7 @@ sys.path.insert(0, str(HERE / "src"))
 sys.path.insert(0, str(HERE / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
+from same_output import file_commands, input_files  # noqa: E402
 
 from hydrobrackets import cli  # noqa: E402
 
@@ -59,11 +61,6 @@ ALLOWED = {
     "poly.Poly.__hash__": _INTERFACE,
     "poly.Poly.__rsub__": _INTERFACE,
 }
-
-SYMBOLIC = [
-    "check-poisson", "check-compat", "check-pencil", "check-canonical", "build-canonical", "liouville",
-]
-
 
 def functions() -> list:
     """(module.qualname, file, first line, line count, enclosing function key
@@ -95,20 +92,8 @@ def jobs(work: Path) -> list:
     for seed in SEEDS:
         for name in sorted(workloads.BUILDERS):
             argvs += [job.argv for job in workloads.build(name, seed, HERE, work / f"{name}-{seed}").jobs]
-    files = sorted((HERE / "problems").glob("*.json")) + sorted(
-        p for p in (HERE / "tests" / "golden").glob("*.json") if p.name != "exit_codes.json"
-    )
-    for k, path in enumerate(files):
-        out = str(work / "out" / str(k))
-        for fmt in ([], ["--json"]):
-            argvs += [[cmd, str(path), *fmt] for cmd in SYMBOLIC]
-            argvs += [
-                ["hierarchy", str(path), "--levels", "3", *fmt],
-                ["hierarchy", str(path), "--levels", "3", "--gauge", "zero", *fmt],
-                ["commute", str(path), "--levels", "3", *fmt],
-                ["simulate", str(path), "--out", out, *fmt],
-                ["simulate", str(path), "--out", out, "--dealias", *fmt],
-            ]
+    for k, path in enumerate(input_files(HERE)):
+        argvs += file_commands(path, work / "out" / str(k))
     return argvs
 
 
