@@ -19,8 +19,8 @@ Condition families:
 
 s3, c1 and ass2 are one antisymmetrised contraction sum_s g^{is} X^{jr}_s
 - (i <-> j) (``_skew_pairs``), of (g, b), (eta, b) and (g1, eta d2H).  Every
-sum over s skips exact-zero products; s4 and s5 read their masks from
-``HydroBracket._support``.
+sum over s skips exact-zero products: it runs over the set bits of the
+support masks (``_masks``) of the tables it reads.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ class HydroBracket:
         return len(self.vars)
 
     @cached_property
-    def _dg(self):
-        """dg[i][j][k] = d g^{ij}/du^k, taken once per bracket."""
-        return grad(self.g, self.vars)
-
-    @cached_property
     def _curl(self):
         """curl[j][r][x][y] = d_y b^{jr}_x - d_x b^{jr}_y, the one table that
         s4, s5 and c2 read."""
@@ -124,25 +119,17 @@ class HydroBracket:
         db = grad(self.b, self.vars)
         return [[[[d[x][y] - d[y][x] for y in R] for x in R] for d in row] for row in db]
 
-    @cached_property
-    def _support(self):
-        """Bitmasks of the entries that are not identically zero, over the
-        summation index s: (g^{is} by i, b^{ij}_s by [i][j], b^{sj}_k by [j][k],
-        curl[j][r][x][s] by [j][r][x]).  A product with an exact-zero factor
-        is zero, and adding zero returns the other operand unchanged, so the
-        sums of s4 and s5 run over the set bits only and give the same Expr."""
-        n, g, b = self.n, self.g, self.b
-        return (
-            [_mask(row) for row in g],
-            [[_mask(row) for row in plane] for plane in b],
-            [[_mask([b[s][j][k] for s in range(n)]) for k in range(n)] for j in range(n)],
-            [[[_mask(row) for row in plane] for plane in planes] for planes in self._curl],
-        )
 
-
-def _mask(row) -> int:
-    """Bit s set where row[s] is not identically zero."""
-    return sum(1 << s for s, e in enumerate(row) if not e.is_zero())
+def _masks(table):
+    """Support masks over the last index s: of a row of Expr, the int with
+    bit s set where row[s] is not identically zero; of a deeper table, the
+    masks of each entry, nesting as ``grad`` does.  A product with an
+    exact-zero factor is zero, and adding zero returns the other operand
+    unchanged, so a sum over the set bits of its masks gives the same Expr
+    as the dense sum."""
+    if isinstance(table[0], Expr):
+        return sum(1 << s for s, e in enumerate(table) if not e.is_zero())
+    return [_masks(t) for t in table]
 
 
 @cache
@@ -312,7 +299,7 @@ def _s4_curvature(B: HydroBracket):
     s4 adds the associativity half b^{ij}_s b^{sr}_k - b^{ir}_s b^{sj}_k."""
     n = B.n
     g, K, curl = B.g, B.K, B._curl
-    gs, _, _, cs = B._support
+    gs, cs = _masks(g), _masks(curl)
     zero = Expr.const(0)
     for i, j, r, k in itertools.product(range(n), repeat=4):
         res = sum((g[i][s] * curl[j][r][s][k] for s in _bits(gs[i] & cs[j][r][k])), zero)
@@ -326,8 +313,7 @@ def _skew_pairs(g, X):
     over the s at which some product has no exact-zero factor, which gives
     the same Expr as the dense sum."""
     n = len(g)
-    gs = [_mask(row) for row in g]
-    xs = [[_mask(row) for row in plane] for plane in X]
+    gs, xs = _masks(g), _masks(X)
     zero = Expr.const(0)
     for i in range(n):
         for j in range(i + 1, n):
@@ -340,10 +326,13 @@ def _skew_pairs(g, X):
 def _s_residuals(B: HydroBracket):
     """Yield the condition families (name, generator of (indices, residual)).
     The sums of s4 and s5 skip the indices at which every product has an
-    exact-zero factor (``HydroBracket._support``)."""
+    exact-zero factor (``_masks``)."""
     n = B.n
-    g, b, K, dg, curl = B.g, B.b, B.K, B._dg, B._curl
-    _, bs, bt, cs = B._support
+    g, b, K, curl = B.g, B.b, B.K, B._curl
+    dg = grad(g, B.vars)
+    R = range(n)
+    bs, cs = _masks(b), _masks(curl)
+    bt = _masks([[[b[s][j][k] for s in R] for k in R] for j in R])  # [j][k][s] = b^{sj}_k
     zero = Expr.const(0)
 
     def s1():
@@ -367,12 +356,9 @@ def _s_residuals(B: HydroBracket):
             yield indices, curvature + assoc
 
     def s5():
-        seen = set()
         for i, j, r in itertools.product(range(n), repeat=3):
-            orbit = min((i, j, r), (j, r, i), (r, i, j))
-            if orbit in seen:
+            if (i, j, r) != min((i, j, r), (j, r, i), (r, i, j)):
                 continue
-            seen.add(orbit)
             for k in range(n):
                 for p in range(k, n):
                     res = zero
@@ -535,8 +521,7 @@ def _ass_residuals(P: CanonicalPair):
 
     def ass1():
         # d2H^i/du^k du^s eta^{sp} d2H^j/du^p du^l - (i <-> j)
-        hs = [[_mask(row) for row in hess] for hess in d2H]
-        ls = [[_mask(row) for row in lifted] for lifted in L]
+        hs, ls = _masks(d2H), _masks(L)
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):

@@ -14,6 +14,7 @@ import collections
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -375,9 +376,15 @@ def _table(name: str, values, lines: list):
     return [_table(f"{name}[{i}]", v, lines) for i, v in enumerate(values, 1)]
 
 
+def _finite(x: float):
+    """``x``, or None when it is NaN or infinite: JSON (RFC 8259) has no
+    such numbers, and ``JSON.stringify`` writes them as null too."""
+    return x if math.isfinite(x) else None
+
+
 def _emit(args, text_lines, json_obj):
     if args.json:
-        print(json.dumps(json_obj, indent=2, sort_keys=True, default=str))
+        print(json.dumps(json_obj, indent=2, sort_keys=True, allow_nan=False))
     else:
         print("\n".join(text_lines))
 
@@ -611,14 +618,15 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "status": result.status,
         "drifts": [
-            {"name": d.name, "initial": d.initial, "relative_drift": d.relative} for d in drifts
+            {"name": d.name, "initial": _finite(d.initial), "relative_drift": _finite(d.relative)}
+            for d in drifts
         ],
         "diag": str(outdir / "diag.csv"),
         "snapshots": snap_files,
     }
     if result.status == "breaking":
         lines.append(f"verdict: BREAKING at t={result.breaking_time:.6g}")
-        obj["breaking_time"] = result.breaking_time
+        obj["breaking_time"] = _finite(result.breaking_time)
         _emit(args, lines, obj)
         return EXIT_RUNTIME_EVENT
     worst = float(np.max([0.0, *(d.relative for d in drifts)]))  # NaN if any is
@@ -644,8 +652,8 @@ def cmd_commute(args) -> int:
         t1, t2 = numsim.compile_flow(flows[1]), numsim.compile_flow(flows[2])
         cd = numsim.commute_check_numeric(t1, t2, grid, v)
         numeric_obj = {
-            "defect": cd.defect,
-            "ratio": cd.ratio,
+            "defect": _finite(cd.defect),
+            "ratio": _finite(cd.ratio),
             "commuting": cd.commuting,
         }
         lines.append(

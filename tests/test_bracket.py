@@ -25,6 +25,7 @@ from hydrobrackets.bracket import (
     PoissonReport,
     _c_residuals,
     _judge,
+    _masks,
     _nonclosed_at,
     _s_residuals,
     build_canonical,
@@ -597,6 +598,34 @@ def _random_brackets(draw):
 def test_residual_families_match_the_dense_loops_on_random_brackets(B):
     _assert_same_residuals(B)
     _assert_same_residuals(B, _identity_eta(B.n))
+
+
+def test_masks_set_the_bit_of_each_nonzero_entry():
+    zero = Expr.const(0)
+    row = [zero, parse("1/(1 + u1)", UV), zero, Expr.const(2), Expr.var("u2")]
+    assert _masks(row) == 0b11010
+    assert _masks([zero] * 5) == 0
+    assert _masks([row, [zero] * 5]) == [0b11010, 0]
+    assert _masks([[row], [[zero] * 5, row]]) == [[0b11010], [0, 0b11010]]
+
+
+def test_masks_of_a_canonical_bracket_match_a_direct_reference():
+    B = _canonical_bracket([1, 2, 3], 1)
+    R = range(B.n)
+    g, b, curl = B.g, B.b, B._curl
+    bt = [[[b[s][j][k] for s in R] for k in R] for j in R]
+    assert _masks(g) == [sum(1 << s for s in R if not g[i][s].is_zero()) for i in R]
+    assert _masks(b) == [
+        [sum(1 << s for s in R if not b[i][j][s].is_zero()) for j in R] for i in R
+    ]
+    assert _masks(bt) == [
+        [sum(1 << s for s in R if not b[s][j][k].is_zero()) for k in R] for j in R
+    ]
+    assert _masks(curl) == [
+        [[sum(1 << s for s in R if not curl[j][r][x][s].is_zero()) for x in R] for r in R]
+        for j in R
+    ]
+    assert _masks(b) != [[0b111] * 3] * 3  # some entries are zero, so bits are skipped
 
 
 # The potential equations ass1, ass2 skip exact-zero products the same way;

@@ -25,6 +25,16 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, which are
+    not JSON (RFC 8259)."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def scalar_file(tmp_path):
     return _write(
@@ -382,6 +392,17 @@ def test_simulate_nan_drift_fails(tmp_path, capsys):
     assert "  drift momentum: nan (initial inf)\n" in out
     assert out.endswith("verdict: FAIL (worst relative drift nan, tolerance 1e-08)\n")
     assert err == ""
+    # --json writes the non-finite numbers as null
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", path, "--out", str(tmp_path / "o2"), "--json"]) == 1
+    out, err = capsys.readouterr()
+    obj = _strict_json(out)
+    assert [(d["name"], d["initial"], d["relative_drift"]) for d in obj["drifts"][1:]] == [
+        ("momentum", None, None), ("H1", None, None), ("H2", None, None),
+    ]
+    assert obj["drifts"][0]["relative_drift"] == 0.0
+    assert obj["verdict"] == "FAIL" and err == ""
 
 
 @pytest.mark.parametrize(
@@ -416,6 +437,31 @@ def test_commute_command(scalar_file, capsys):
     assert main(["commute", scalar_file, "--levels", "2"]) == 0
     out = capsys.readouterr().out
     assert "numeric t1 vs t2" in out and "verdict: PASS" in out
+
+
+def test_commute_of_constant_flows_has_an_infinite_ratio(tmp_path, capsys):
+    # constant flows commute exactly: the defect is round-off and its
+    # halving ratio is infinite, which --json writes as null
+    doc = {
+        "N": 2,
+        "eta": [[1, 0], [0, 1]],
+        "K": 0,
+        "H": ["u1", "3*u2/2"],
+        "simulation": {
+            "grid_M": 64,
+            "L": TWO_PI,
+            "dt": 0.001,
+            "t_end": 0.01,
+            "init": ["0.1*sin(x)", "0.05*cos(x)"],
+        },
+    }
+    path = _write(tmp_path, "constant.json", doc)
+    assert main(["commute", path, "--levels", "3"]) == 0
+    assert "halving ratio=inf -> commuting\n" in capsys.readouterr().out
+    assert main(["commute", path, "--levels", "3", "--json"]) == 0
+    obj = _strict_json(capsys.readouterr().out)
+    assert obj["numeric"]["ratio"] is None and obj["numeric"]["commuting"] is True
+    assert obj["verdict"] == "PASS"
 
 
 def test_reports_are_deterministic(canonical_file, capsys):

@@ -15,12 +15,16 @@ same files.  Each job runs as
 directory are compared after the work-directory and checkout paths are
 replaced by placeholders.  The first differing job is printed with the first
 differing lines, and the exit status is 1 on any difference, 0 otherwise.
+The exit status is 1 too when a head job run with ``--json`` prints stdout
+that is not strict JSON (RFC 8259, which has no NaN or Infinity); the job and
+the offending token are printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -104,6 +108,22 @@ def run_side(root: Path, work: Path, job) -> dict:
     return out
 
 
+def not_json(stdout: bytes):
+    """Why ``stdout`` is not strict JSON (a NaN, Infinity or -Infinity
+    token, or a parse error), or None when it is JSON or empty."""
+
+    def refuse(token):
+        raise ValueError(f"token {token}")
+
+    if not stdout.strip():
+        return None
+    try:
+        json.loads(stdout, parse_constant=refuse)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def first_difference(a: dict, b: dict):
     for aspect in sorted(set(a) | set(b)):
         if aspect not in a or aspect not in b:
@@ -147,6 +167,10 @@ def main(argv=None) -> int:
                 name: run_side(sides[name], works[name], job)
                 for name, job in (("base", base_job), ("head", head_job))
             }
+            bad = not_json(results["head"]["stdout"]) if "--json" in head_job.argv else None
+            if bad is not None:
+                print(f"NOT JSON job {k + 1}/{total} {head_job.label}: {bad}")
+                return 1
             diff = first_difference(results["base"], results["head"])
             if diff is not None:
                 aspect, detail = diff
