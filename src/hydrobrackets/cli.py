@@ -41,12 +41,7 @@ from .bracket import (
     special_liouville,
 )
 from .expr import Expr, ParseError, UnknownVariableError, _Const, _fold_tree, parse
-from .hierarchy import (
-    MAX_LEVELS,
-    ClosednessError,
-    NotPoissonError,
-    hierarchy,
-)
+from .hierarchy import ClosednessError, NotPoissonError, hierarchy
 from . import numsim
 from .poly import ExpressionSizeError, _frac_str
 
@@ -54,6 +49,13 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_EVENT = 3
+
+# the highest level a flow command builds: ten times the deepest hierarchy
+# of the benchmark, and a bound on the pairs that hierarchy and commute print
+MAX_LEVELS = 100
+# the largest grid and the most time steps a problem file may ask for
+MAX_GRID_M = 1 << 16
+MAX_STEPS = 1 << 20
 
 
 class ProblemFileError(ValueError):
@@ -220,8 +222,8 @@ class Problem:
             raise ProblemFileError(f"{loc}.grid_M", "expected an integer")
         if m < 8 or m & (m - 1):
             raise ProblemFileError(f"{loc}.grid_M", "must be a power of two, at least 8")
-        if m > numsim.MAX_GRID_M:
-            raise ProblemFileError(f"{loc}.grid_M", f"must be at most {numsim.MAX_GRID_M}")
+        if m > MAX_GRID_M:
+            raise ProblemFileError(f"{loc}.grid_M", f"must be at most {MAX_GRID_M}")
         sim["grid_M"] = m
         exact = {key: _as_fraction(raw[key], f"{loc}.{key}") for key in ("L", "dt", "t_end")}
         if exact["t_end"] < 0:
@@ -237,9 +239,9 @@ class Problem:
             if exact[key] <= 0:
                 raise ProblemFileError(f"{loc}.{key}", "must be positive")
         steps = sim["t_end"] / sim["dt"]
-        if steps > numsim.MAX_STEPS:
+        if steps > MAX_STEPS:
             raise ProblemFileError(
-                f"{loc}.dt", f"t_end/dt = {steps:.6g} exceeds {numsim.MAX_STEPS} steps"
+                f"{loc}.dt", f"t_end/dt = {steps:.6g} exceeds {MAX_STEPS} steps"
             )
         sim["init"] = _nested(
             raw["init"],
@@ -534,18 +536,16 @@ def _check_out(out: Path) -> None:
         raise ProblemFileError("--out", f"not a directory: {str(base)!r}")
 
 
-def _flows(args, gauges=None):
+def _flows(args, zero_gauge=False):
     """The problem, in v1..vN, and its flows at levels 0..``--levels``, for
     the hierarchy and commute commands."""
     _require_level(args.levels, "--levels")
     prob = load_problem(args.file, "v")
-    return prob, hierarchy(prob.canonical_pair(), args.levels, gauges=gauges)
+    return prob, hierarchy(prob.canonical_pair(), args.levels, zero_gauge)
 
 
 def cmd_hierarchy(args) -> int:
-    # gauges None: the library default, gradient gauge at level 1, zero after;
-    # [] is the zero gauge at every level
-    prob, flows = _flows(args, [] if args.gauge == "zero" else None)
+    prob, flows = _flows(args, args.gauge == "zero")
     lines = [f"hierarchy: N={prob.n}, levels 0..{args.levels}"]
     levels_obj = []
     for level, fl in enumerate(flows):
@@ -626,7 +626,7 @@ def cmd_simulate(args) -> int:
     }
     if result.status == "breaking":
         lines.append(f"verdict: BREAKING at t={result.breaking_time:.6g}")
-        obj["breaking_time"] = _finite(result.breaking_time)
+        obj.update(verdict="BREAKING", breaking_time=_finite(result.breaking_time))
         _emit(args, lines, obj)
         return EXIT_RUNTIME_EVENT
     worst = float(np.max([0.0, *(d.relative for d in drifts)]))  # NaN if any is
@@ -678,8 +678,16 @@ def cmd_commute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every command-line error is one ``input error:`` line
+    and exit code 2, as a malformed problem file is."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hydrobrackets",
         description="Verify, construct and simulate nonlocal hydrodynamic-type "
         "bracket structures from JSON problem files.",

@@ -54,11 +54,6 @@ __all__ = [
 ]
 
 
-# the highest level a flow command builds: ten times the deepest hierarchy
-# of the benchmark, and a bound on the pairs that hierarchy and commute print
-MAX_LEVELS = 100
-
-
 class ClosednessError(ValueError):
     """A coefficient matrix V that is not a flow: a row of V is not closed,
     so the flux potential F does not exist, or eta-lowered V is not
@@ -149,16 +144,13 @@ def apply_recursion(
     return ConservativeFlow(P.eta, recursion_matrix(P, flow.S), flow.vars, gauge)
 
 
-def hierarchy(
-    P: CanonicalPair, n_max: int, gauges: Sequence | None = None
-) -> list:
+def hierarchy(P: CanonicalPair, n_max: int, zero_gauge: bool = False) -> list:
     """Flows for levels 0..n_max by iterated recursion.
 
-    ``gauges[i]`` is the gauge covector used when producing level i+1, and
-    a level past the end of ``gauges`` takes the zero gauge; the default is
-    the gradient gauge at level 1 (reproducing the closed-form first flow
-    exactly) and zero afterwards.  Negative levels would require
-    inverting the nonlocal operator and are rejected.
+    Level 1 takes :func:`eta_gradient_gauge` (reproducing the closed-form
+    first flow exactly) unless ``zero_gauge`` is set, and every other level
+    takes the zero gauge.  Negative levels would require inverting the
+    nonlocal operator and are rejected.
 
     Every pair of the returned levels commutes, and is in involution under
     both operators of the pair, by Lenard's recursion argument (Magri 1978;
@@ -172,7 +164,7 @@ def hierarchy(
       closedness checks raise ``ClosednessError`` when they do not exist;
     * consecutive levels form the chain P1 grad S_{b-1} = P2 grad S_b:
       ``apply_recursion`` builds V_b as ``recursion_matrix(P, S_{b-1})``,
-      whatever the gauges.
+      whatever the gauge.
 
     Write I_1(a, b), I_2(a, b) for the P1 and P2 brackets of the integrals
     of S_a and S_b, every index in 0..n_max:
@@ -193,13 +185,11 @@ def hierarchy(
     if not report.passed:
         failing = ", ".join(c.name for c in report.conditions if c.status is Zeroness.NONZERO)
         raise NotPoissonError(f"canonical pair fails {failing}")
-    if gauges is None:
-        gauges = [eta_gradient_gauge(P)]
+    gauge = None if zero_gauge else eta_gradient_gauge(P)
     flows = [translation_flow(P.eta, P.vars)]
     for level in range(1, n_max + 1):
-        gauge = gauges[level - 1] if level <= len(gauges) else None
         try:
-            flows.append(apply_recursion(P, flows[-1], gauge=gauge))
+            flows.append(apply_recursion(P, flows[-1], gauge=gauge if level == 1 else None))
         except ClosednessError as exc:
             raise ClosednessError(f"at level {level}: {exc}") from exc
     return flows

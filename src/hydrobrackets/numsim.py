@@ -65,12 +65,9 @@ class CFLError(SimulationError):
 BREAKING_FACTOR = 50.0
 TAIL_THRESHOLD = 1e-6
 
-# the largest grid and the most time steps a problem file may ask for, and
 # the most values in the table of powers 1, v, ..., v^top of one variable, in
 # the table of monomials of one evaluation or in the coefficient matrix of a
 # MonomialTable (2^23 doubles: 64 MiB)
-MAX_GRID_M = 1 << 16
-MAX_STEPS = 1 << 20
 POWER_TABLE_LIMIT = 1 << 23
 
 # commute_check_numeric: the time step of its forward-Euler maps
@@ -409,7 +406,7 @@ def run(
     take_snapshot()
     warned_tail = False
     # the summed t falls short of t_end by its rounding, at most half an ulp
-    # of t_end per step; the bound stays far below dt up to MAX_STEPS steps
+    # of t_end per step; the bound stays far below dt up to 2^20 steps
     # (step_rk4 refuses a dt that is not positive)
     steps = t_end / dt if dt > 0 else 0.0
     eps = max(1e-12, (steps + 1) * math.ulp(1.0)) * abs(t_end)

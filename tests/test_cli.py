@@ -263,7 +263,7 @@ def test_a_level_above_the_bound_is_input_error(scalar_file, tmp_path, monkeypat
     assert main([command, scalar_file, *options, str(10**20)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # the bound is hierarchy.MAX_LEVELS, as the README documents it
+    # the bound is cli.MAX_LEVELS, as the README documents it
     assert captured.err == f"input error: {options[-1]}: must be at most 100\n"
     assert not list(tmp_path.glob("*.csv"))
 
@@ -322,6 +322,37 @@ def test_simulate_breaking_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "breaking.json", doc)
     assert main(["simulate", path, "--out", str(tmp_path / "o")]) == 3
     assert "BREAKING" in capsys.readouterr().out
+    # the JSON report carries the verdict word too
+    assert main(["simulate", path, "--out", str(tmp_path / "o"), "--json"]) == 3
+    obj = _strict_json(capsys.readouterr().out)
+    assert obj["verdict"] == "BREAKING"
+    assert obj["status"] == "breaking"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hierarchy", "{file}", "--levels", "abc"],
+        ["simulate", "{file}", "--tol", "x"],
+        ["hierarchy", "{file}", "--gauge", "maybe"],
+        ["check-poisson", "{file}", "--bogus"],
+        [],
+        ["hierarchy"],
+        ["frobnicate", "{file}"],
+    ],
+    ids=[
+        "bad-int", "bad-float", "bad-choice", "unknown-option", "no-command", "no-file",
+        "unknown-command",
+    ],
+)
+def test_a_malformed_command_line_is_one_input_error_line(scalar_file, args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(file=scalar_file) for a in args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.xfail(

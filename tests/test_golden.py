@@ -20,6 +20,10 @@ family's, and the flows are those of its pair with that eta.
 A seventh, ``canonical_pencil_n2.json``, pins ``check-pencil`` on a file
 with a ``second`` block: two canonical families, a = (1, 3) and a = (2, 1),
 the second inheriting K = 2, whose pencil has the flat member lam = (1, -1).
+An eighth, ``gauge_n2.json``, pins ``hierarchy --levels 3`` under both
+``--gauge auto`` and ``--gauge zero`` on a quadratic K = 1 pair with
+H(0) != 0, the one input on which the two gauges differ: in F and S at
+level 1, and in V, F and S at levels 2 and 3.
 Reports are deterministic, so any change in a byte is a change in behaviour.  To record a deliberate change, rerun
 ``python -m hydrobrackets <command> <problem file> [args]`` and store its
 stdout under the case's name.
@@ -48,6 +52,11 @@ COMMANDS = {
     "commute-levels3": ["commute", "--levels", "3"],
     "commute-levels5": ["commute", "--levels", "5"],
 }
+# run on a fixture only: on the committed problems H(0) = 0, and the two gauges agree
+FIXTURE_COMMANDS = {
+    **COMMANDS,
+    "hierarchy-gauge-zero": ["hierarchy", "--levels", "3", "--gauge", "zero"],
+}
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 
 CASES = [
@@ -68,11 +77,12 @@ FIXTURES = {
     "rational_cancel_n2": ["build-canonical", "check-canonical"],
     "canonical_eta_n2": ["hierarchy"],
     "canonical_pencil_n2": ["check-pencil"],
+    "gauge_n2": ["hierarchy", "hierarchy-gauge-zero"],
 }
 CASES += [
     pytest.param(
         GOLDEN / f"{stem}.json",
-        COMMANDS[name] + fmt,
+        FIXTURE_COMMANDS[name] + fmt,
         id=f"{stem}__{name}" + ("__json" if fmt else ""),
     )
     for stem, names in FIXTURES.items()

@@ -752,11 +752,11 @@ def test_every_hierarchy_the_commands_build_passes_the_oracles(tmp_path):
 def test_the_chain_route_gives_the_expanded_verdicts(levels):
     # the nonlinear pairs, and the committed pairs under the zero gauge: every
     # link of the chain holds, and every pair passes the pairwise checks
-    cases = [(name, P, None) for name, P in NONLINEAR_PAIRS.items()]
-    cases += [(path, P, [None] * levels) for path, P in _committed_pairs()]
+    cases = [(name, P, False) for name, P in NONLINEAR_PAIRS.items()]
+    cases += [(path, P, True) for path, P in _committed_pairs()]
     assert len(cases) == 5
-    for name, P, gauges in cases:
-        assert _passes_the_oracles(P, hierarchy(P, levels, gauges=gauges)), name
+    for name, P, zero_gauge in cases:
+        assert _passes_the_oracles(P, hierarchy(P, levels, zero_gauge=zero_gauge)), name
 
 
 def test_a_broken_link_leaves_every_pair_to_the_expanded_checks():

@@ -53,6 +53,7 @@ ALLOWED = {
     "geometry._dot": _TRACER_CALLEE,
     "bracket.functional_bracket_density": _TRACER_CALLEE,
     "expr.ParseError.__init__": "raised on a malformed expression; every traced file is well-formed",
+    "cli._Parser.error": "runs on a malformed command line; every traced command line is well-formed",
     "expr._residue": "asked of each divisor factor of an initial datum; no traced datum divides",
     "bracket.PoissonReport.__eq__": _INTERFACE,
     "expr.Expr.__rsub__": _INTERFACE,
