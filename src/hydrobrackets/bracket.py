@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .expr import (
-    EvaluationSingularityError,
     Expr,
     Zeroness,
     as_expr,
@@ -264,7 +263,7 @@ def _find_witness(e: Expr, indices, rng) -> Witness:
             continue
         if val != 0:
             return Witness(indices=indices, point=point, value=val)
-    raise EvaluationSingularityError("failed to locate a witness probe point")
+    raise ValueError("failed to locate a witness probe point")
 
 
 def _judge(name: str, residuals, rng) -> ConditionResult:

@@ -43,37 +43,13 @@ TRANSCENDENTALS = ("sin", "cos", "exp")
 MAX_NESTING = 150
 
 
-class ExprError(ValueError):
-    """Base class for expression-layer errors."""
-
-
-class ParseError(ExprError):
+class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
 class UnknownVariableError(ParseError):
-    pass
-
-
-class NonIntegerExponentError(ParseError):
-    pass
-
-
-class TranscendentalNotAllowedError(ParseError):
-    pass
-
-
-class ZeroDenominatorError(ParseError):
-    pass
-
-
-class UnassignedVariableError(ExprError):
-    pass
-
-
-class EvaluationSingularityError(ExprError):
     pass
 
 
@@ -295,9 +271,7 @@ class Expr:
                     raise ZeroDivisionError("denominator vanishes at evaluation point")
                 den = den * v**e
         except KeyError as exc:
-            raise UnassignedVariableError(
-                f"variable '{exc.args[0]}' is not assigned"
-            ) from None
+            raise ValueError(f"variable '{exc.args[0]}' is not assigned") from None
         return num / den
 
     def at_origin(self, names) -> "Expr":
@@ -570,7 +544,7 @@ def _to_expr(node: _Node, values) -> Expr:
     if isinstance(node, _Pow):
         (base,) = values
         if node.exp < 0 and base.is_zero():
-            raise ZeroDenominatorError("identically zero denominator", node.at)
+            raise ParseError("identically zero denominator", node.at)
         return base**node.exp
     if isinstance(node, _Div):
         # divided by each factor to its exponent: each factor of the divisor
@@ -578,7 +552,7 @@ def _to_expr(node: _Node, values) -> Expr:
         # stays (u1-7) to the 30th and is never expanded
         num, *dens = values
         if any(d.is_zero() for d in dens):
-            raise ZeroDenominatorError("identically zero denominator", node.at)
+            raise ParseError("identically zero denominator", node.at)
         for d, (_, k) in zip(dens, _divisor_factors(node.den)):
             num = num / d if k == 1 else num * d**-k
         return num
@@ -620,7 +594,7 @@ def _residue(node: _Node, values):
 
 
 def _reject_zero_divisor(node: _Node, values) -> None:
-    """Raise ZeroDenominatorError at a division or negative power whose
+    """Raise ParseError at a division or negative power whose
     divisor has an identically zero factor.  A factor that holds a call is
     left to the sampler, and one with a nonzero residue is nonzero (the
     residue is a ring homomorphism's image), so only a factor whose residue
@@ -633,7 +607,7 @@ def _reject_zero_divisor(node: _Node, values) -> None:
         return
     for f, _ in _divisor_factors(divisor):
         if _fold_tree(f, _residue) in (0, -1) and _tree_to_expr(f).is_zero():
-            raise ZeroDenominatorError("identically zero denominator", node.at)
+            raise ParseError("identically zero denominator", node.at)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +734,7 @@ class _Parser:
             sign = -1
         kind, value, start = self.toks.take()
         if kind != "number" or "." in value:
-            raise NonIntegerExponentError("exponent must be an integer", start)
+            raise ParseError("exponent must be an integer", start)
         if paren:
             k, _, s = self.toks.take()
             if k != ")":
@@ -774,7 +748,7 @@ class _Parser:
         if kind == "name":
             if self.toks.kind == "(" and value in TRANSCENDENTALS:
                 if not self.initial_data:
-                    raise TranscendentalNotAllowedError(
+                    raise ParseError(
                         f"'{value}' is only allowed in initial-data expressions", start
                     )
                 self._nest(start)
@@ -813,7 +787,7 @@ def parse(
     ``initial_data=True`` additionally admits ``sin``/``cos``/``exp`` calls
     and returns the bare parse tree (a ``_Node``) of any datum, which only
     ``numsim.sample_initial_data`` reads.  A divisor or negative-power base
-    that is identically zero raises :class:`ZeroDenominatorError` at the
+    that is identically zero raises :class:`ParseError` at the
     offset of its operator.  In initial data, a factor of it that holds a
     call is left to the sampler, and a call-free factor whose value modulo
     a 61-bit prime at a fixed point is nonzero is not made exact: only a

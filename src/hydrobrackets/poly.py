@@ -34,8 +34,9 @@ MAX_TERMS = 10**6
 
 
 class ExpressionSizeError(RuntimeError):
-    """Raised when an expansion exceeds the monomial budget or an exponent
-    reaches ``EXP_LIMIT``."""
+    """Raised when an expansion exceeds the monomial budget, an exponent
+    reaches ``EXP_LIMIT`` or a coefficient has more digits than
+    ``sys.get_int_max_str_digits()``."""
 
 
 _VAR_RE = re.compile(r"^(.*?)(\d*)$")
@@ -282,6 +283,14 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        limit = sys.get_int_max_str_digits()
+        if limit and len(self.terms) == 1:
+            # the one coefficient's power: x^n >= 2^(n*(bits(x)-1)) for x the
+            # larger of numerator and den, and 10^limit < 2^(limit*3.322), so
+            # this never refuses a power of at most limit digits
+            (c,) = self.terms.values()
+            if n * (max(abs(c), self.den).bit_length() - 1) * 1000 > limit * 3322:
+                raise ExpressionSizeError(f"a coefficient has more than {limit} digits")
         result = Poly.const(1)
         base = self
         while n:

@@ -909,6 +909,8 @@ def test_boolean_expression_entry_is_input_error(
         ("u1/(u1-u1)", "identically zero denominator (at offset 2)"),
         ("u1 +", "expected a number, variable or '(' (at offset 4)"),
         ("w1", "unknown variable 'w1' (at offset 0)"),
+        ("u1^1.5", "exponent must be an integer (at offset 3)"),
+        ("sin(u1)", "'sin' is only allowed in initial-data expressions (at offset 0)"),
     ],
 )
 def test_v_variable_retry_reports_the_right_error(tmp_path, capsys, h, message):
@@ -1076,6 +1078,36 @@ def test_expression_size_limit_exits_3(tmp_path, capsys, h, message):
     captured = capsys.readouterr()
     assert captured.err == f"build-canonical: expression size limit: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "h,code",
+    [
+        ("3^300000000*u1^2", 3),
+        ("1/3^300000000 + u1^2/2", 3),
+        # the exponent is past EXP_LIMIT, but only a coefficient takes it
+        ("2^3000000000*u1^2/2", 3),
+        ("(2*u1)^300000000", 3),
+        # 2^15000 has 4516 digits, 2^14000 has 4215: within the default 4300
+        ("2^15000*u1^2/2", 3),
+        ("2^14000*u1^2/2", 0),
+    ],
+)
+def test_a_one_term_power_past_the_digit_limit_exits_3(tmp_path, capsys, h, code):
+    path = _write(tmp_path, "p.json", {"N": 1, "eta": [[1]], "K": 0, "H": [h]})
+    start = time.perf_counter()
+    assert main(["check-poisson", path]) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err == (
+            "check-poisson: expression size limit: a coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+        assert captured.out.endswith("verdict: POISSON\n")
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,7 @@ from hydrobrackets import expr as _ex
 from hydrobrackets import poly as _poly
 from hydrobrackets.expr import (
     Expr,
-    NonIntegerExponentError,
     ParseError,
-    TranscendentalNotAllowedError,
-    UnassignedVariableError,
     UnknownVariableError,
     Zeroness,
     is_zero,
@@ -69,14 +66,14 @@ def test_parse_decimal_in_rational_context():
 
 
 def test_transcendental_rejected_outside_initial_data():
-    with pytest.raises(TranscendentalNotAllowedError):
+    with pytest.raises(ParseError, match="'sin' is only allowed in initial-data expressions"):
         parse("sin(u1)", UV)
 
 
 def test_non_integer_exponent():
-    with pytest.raises(NonIntegerExponentError):
+    with pytest.raises(ParseError, match="exponent must be an integer"):
         parse("u1^1.5", UV)
-    with pytest.raises(NonIntegerExponentError):
+    with pytest.raises(ParseError, match="exponent must be an integer"):
         parse("u1^u2", UV)
 
 
@@ -184,9 +181,9 @@ def test_evaluate_examples():
     assert e.evaluate({"u1": 2, "u2": 3}) == 7
     with pytest.raises(ZeroDivisionError):
         parse("1/u1", UV).evaluate({"u1": 0, "u2": 1})
-    with pytest.raises(UnassignedVariableError):
+    with pytest.raises(ValueError, match="is not assigned"):
         e.evaluate({"u1": 2})
-    with pytest.raises(UnassignedVariableError):
+    with pytest.raises(ValueError, match="is not assigned"):
         parse("1/u2", UV).evaluate({"u1": 2})
 
 
@@ -333,9 +330,7 @@ def test_is_zero_takes_only_the_expression():
     ],
 )
 def test_identically_zero_denominator_is_a_parse_error(text, offset):
-    from hydrobrackets.expr import ZeroDenominatorError
-
-    with pytest.raises(ZeroDenominatorError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse(text, UV)
     assert exc.value.offset == offset
     assert str(exc.value) == f"identically zero denominator (at offset {offset})"
@@ -371,13 +366,13 @@ def _ref_tree_to_expr(node):
     if isinstance(node, _ex._Pow):
         base = _ref_tree_to_expr(node.base)
         if node.exp < 0 and base.is_zero():
-            raise _ex.ZeroDenominatorError("identically zero denominator", node.at)
+            raise _ex.ParseError("identically zero denominator", node.at)
         return base**node.exp
     if isinstance(node, _ex._Div):
         num = _ref_tree_to_expr(node.num)
         dens = [(_ref_tree_to_expr(f), k) for f, k in _ref_divisor_factors(node.den)]
         if any(d.is_zero() for d, _ in dens):
-            raise _ex.ZeroDenominatorError("identically zero denominator", node.at)
+            raise _ex.ParseError("identically zero denominator", node.at)
         for d, k in dens:
             num = num / d if k == 1 else num * d**-k
         return num
@@ -462,8 +457,9 @@ def test_the_tree_fold_matches_a_recursive_walk(text):
         return
     try:
         want = _ref_tree_to_expr(tree)
-    except _ex.ZeroDenominatorError as err:
-        with pytest.raises(_ex.ZeroDenominatorError) as exc:
+    except _ex.ParseError as err:
+        assert str(err).startswith("identically zero denominator")
+        with pytest.raises(_ex.ParseError, match="^identically zero denominator") as exc:
             _ex._tree_to_expr(tree)
         assert exc.value.offset == err.offset
         return
@@ -494,7 +490,8 @@ def test_a_residue_is_the_exact_value_modulo_the_prime(text):
     r = _ex._fold_tree(tree, _ex._residue)
     try:
         e = _ref_tree_to_expr(tree)
-    except _ex.ZeroDenominatorError:
+    except _ex.ParseError as exc:
+        assert str(exc).startswith("identically zero denominator")
         return
     assert r is not None
     if r == -1:
@@ -613,7 +610,7 @@ def test_a_quotient_of_nonzero_constants_folds_outside_initial_data():
             assert len(folded.args) == len(unfolded.args), text
     # a zero dividend or divisor stays a division, with its checks
     assert not _div_free(_ex._Parser("0/2*u1", UV, False).parse())
-    with pytest.raises(_ex.ZeroDenominatorError) as exc:
+    with pytest.raises(_ex.ParseError, match="^identically zero denominator") as exc:
         parse("u1 + 1/(2 - 2)", UV)
     assert exc.value.offset == 6
 
@@ -663,14 +660,16 @@ def test_folded_quotients_leave_every_expr_as_it_was(text):
         tree = _ex._Parser(text, UV, initial_data).parse()
         try:
             return _layout(_ex._tree_to_expr(tree))
-        except _ex.ZeroDenominatorError as exc:
+        except _ex.ParseError as exc:
+            assert str(exc).startswith("identically zero denominator")
             return exc.offset
 
     want = convert(False)
     assert want == convert(True)
     try:
         parse(text, UV, initial_data=True)
-    except _ex.ZeroDenominatorError as exc:
+    except _ex.ParseError as exc:
+        assert str(exc).startswith("identically zero denominator")
         assert exc.offset == want
     else:
         assert not isinstance(want, int)
@@ -683,7 +682,8 @@ def test_the_parser_records_its_calls(text):
     call only where the text does (a zero factor drops one)."""
     try:
         tree = parse(text, ("u1", "u2", "x"), initial_data=True)
-    except _ex.ZeroDenominatorError:
+    except _ex.ParseError as exc:
+        assert str(exc).startswith("identically zero denominator")
         tree = _ex._Parser(text, ("u1", "u2", "x"), True).parse()
     assert isinstance(tree, _ex._Node)
     assert _ref_has_call(tree) <= ("sin(" in text)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -782,3 +783,60 @@ def test_non_commuting_flows_fail_the_chain_and_the_commute_verdict():
     flows = [translation_flow(ETA2, VS), A, B]
     assert not _chain_holds(P, flows)
     assert not commute_check(A, B).passed
+
+
+# -- covariance under linear maps ----------------------------------------------
+
+UV = ("u1", "u2")
+WV = ("w1", "w2")
+
+
+def _covariance_pairs():
+    yield "linear_pair_n2.json", load_problem(str(ROOT / "problems" / "linear_pair_n2.json")).canonical_pair()
+    for name, eta, K, H in [
+        ("quadratic", [[1, 0], [0, 1]], 1, ["u1 + (u1^2+u2^2)/2", "3*u2 + (u1^2+u2^2)"]),
+        ("indefinite", [[0, 1], [1, 0]], 0, ["2*u1 - u2", "u1 + 3*u2"]),
+    ]:
+        yield name, CanonicalPair(ConstantBracket(eta), K, tuple(parse(h, UV) for h in H), UV)
+
+
+def _matmul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Expr.const(0)) for col in zip(*B)] for row in A]
+
+
+def _same(M, N):
+    return all(_zero(a - b) for ra, rb in zip(M, N) for a, b in zip(ra, rb))
+
+
+def _inverse(A):
+    (a, b), (c, d) = A
+    det = Fraction(a * d - b * c)
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+@pytest.mark.parametrize("A", [[[2, 1], [1, 1]], [[1, 3], [0, 1]], [[0, 1], [-1, 2]]])
+@pytest.mark.parametrize("name,P", list(_covariance_pairs()))
+def test_the_hierarchy_is_covariant_under_linear_maps(name, P, A):
+    """u' = A u maps (eta, K, H) to (A eta A^T, K, A H(A^-1 u')); then at
+    every level V' = A V A^-1, F' = A F and S' = S, each at A^-1 u'.  The
+    transposed law A^-1 V A fails somewhere, so the test tells them apart."""
+    Ainv = _inverse(A)
+    images = [" + ".join(f"({c})*{w}" for c, w in zip(row, WV)) for row in Ainv]
+
+    def pulled(e):
+        # e in u1, u2 at u = A^-1 w, through the text
+        return parse(re.sub(r"u(\d)", lambda m: f"({images[int(m.group(1)) - 1]})", str(e)), WV)
+
+    A_, Ainv_ = ([[Expr.const(x) for x in row] for row in M] for M in (A, Ainv))
+    eta = ConstantBracket([[x.const_value() for x in row] for row in _matmul(_matmul(A_, P.eta.up), list(zip(*A_)))])
+    H = [row[0] for row in _matmul(A_, [[pulled(h)] for h in P.H])]
+    flows = hierarchy(P, 3)
+    moved = hierarchy(CanonicalPair(eta, P.K, tuple(H), WV), 3)
+    wrong_law_fails = False
+    for level, (f, g) in enumerate(zip(flows, moved)):
+        V = [[pulled(x) for x in row] for row in f.V]
+        assert _same(g.V, _matmul(_matmul(A_, V), Ainv_)), (name, level)
+        assert _same([[x] for x in g.F], _matmul(A_, [[pulled(x)] for x in f.F])), (name, level)
+        assert _zero(g.S - pulled(f.S)), (name, level)
+        wrong_law_fails |= not _same(g.V, _matmul(_matmul(Ainv_, V), A_))
+    assert wrong_law_fails, name
