@@ -42,28 +42,6 @@ from .expr import (
 from .geometry import DegenerateMetricError, matrix_inverse
 from .poly import ray_integral, var_key
 
-__all__ = [
-    "HydroBracket",
-    "ConstantBracket",
-    "CanonicalPair",
-    "PoissonReport",
-    "ConditionResult",
-    "Witness",
-    "NotLiouvilleError",
-    "NotSpecialError",
-    "UnsupportedIntegrandError",
-    "check_poisson",
-    "check_compat_constant",
-    "check_pencil",
-    "build_canonical",
-    "check_canonical_equations",
-    "equivalence_audit",
-    "liouville_function",
-    "special_liouville",
-    "operator_matrix",
-    "functional_bracket_density",
-]
-
 
 class NotLiouvilleError(ValueError):
     def __init__(self, message, indices=None):

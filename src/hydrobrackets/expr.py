@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Poly, poly_gcd
+from .poly import MAX_DEGREE, ExpressionSizeError, Poly, poly_gcd
 
 TRANSCENDENTALS = ("sin", "cos", "exp")
 
@@ -111,9 +111,10 @@ class Expr:
                 scale = scale * lc**e
             k = f.key()
             if k in acc:
-                acc[k] = (f, acc[k][1] + e)
-            else:
-                acc[k] = (f, e)
+                e += acc[k][1]
+            if e > MAX_DEGREE:  # f is not constant, so deg(f^e) >= e
+                raise ExpressionSizeError(f"a power of degree {e * f.degree()} exceeds {MAX_DEGREE}")
+            acc[k] = (f, e)
         if scale != 1:
             num = num * (Fraction(1) / scale)
         if num.is_zero():

@@ -17,14 +17,6 @@ from typing import Sequence
 
 from .expr import Expr, Zeroness, as_expr, grad, is_zero
 
-__all__ = [
-    "DegenerateMetricError",
-    "christoffel",
-    "canonical_metric",
-    "canonical_constants",
-    "field_vars",
-]
-
 
 class DegenerateMetricError(ValueError):
     """The symbolic determinant vanishes identically."""

@@ -40,19 +40,6 @@ from .bracket import (
 )
 from .expr import Expr, Zeroness, as_expr, grad
 
-__all__ = [
-    "ConservativeFlow",
-    "ClosednessError",
-    "NotPoissonError",
-    "translation_flow",
-    "recursion_matrix",
-    "apply_recursion",
-    "hierarchy",
-    "eta_gradient_gauge",
-    "commute_check",
-    "involution_check",
-]
-
 
 class ClosednessError(ValueError):
     """A coefficient matrix V that is not a flow: a row of V is not closed,

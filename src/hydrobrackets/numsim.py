@@ -16,26 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import expr as _expr
-from .expr import Expr
-from .hierarchy import ConservativeFlow
 from .poly import ExpressionSizeError
-
-__all__ = [
-    "Grid",
-    "RunResult",
-    "CompiledFlow",
-    "SimulationError",
-    "CFLError",
-    "spectral_dx",
-    "MonomialTable",
-    "compile_flow",
-    "sample_initial_data",
-    "step_rk4",
-    "run",
-    "commute_check_numeric",
-    "write_diagnostics_csv",
-    "write_snapshot_csv",
-]
 
 
 class _Numpy:
@@ -137,7 +118,7 @@ class MonomialTable:
     several threads at once.
     """
 
-    def __init__(self, exprs: Sequence[Expr], var_order: Sequence[str]):
+    def __init__(self, exprs: Sequence, var_order: Sequence[str]):
         missing = set().union(*(e.free_vars() for e in exprs)) - set(var_order)
         if missing:
             raise ValueError(f"expression has unbound variables {sorted(missing)}")
@@ -259,7 +240,8 @@ class CompiledFlow:
         return float(np.max(np.sum(np.abs(V), axis=1)))
 
 
-def compile_flow(flow: ConservativeFlow, dealias: bool = False) -> CompiledFlow:
+def compile_flow(flow, dealias: bool = False) -> CompiledFlow:
+    """The two monomial tables of a ``hierarchy.ConservativeFlow``."""
     n = flow.n
     entries = [flow.V[i][k] for i in range(n) for k in range(n)]
     # the (V, S) table first: it is the larger, so its size error comes first

@@ -7,7 +7,8 @@ Each monomial is one ``int`` of packed exponents: every variable owns a
 fixed field of ``_FIELD`` bits, placed at the position the process gave it
 the first time it saw the name, and a product of monomials is one integer
 addition.  Exponents must stay below ``EXP_LIMIT`` (2^31); an operation that
-would reach it raises :class:`ExpressionSizeError` instead of wrapping.
+would reach it raises :class:`ExpressionSizeError` instead of wrapping, and
+so does a power whose total degree would pass ``MAX_DEGREE`` (2^17).
 Presentation (``str``, ``leading``) orders monomials graded-
 lexicographically, with variables compared by (alphabetic prefix, numeric
 suffix), so ``u2`` precedes ``u10``.  The multivariate gcd (the heuristic
@@ -32,11 +33,15 @@ Scalar = Union[int, Fraction]
 # exceeding it aborts instead of hanging on runaway expansions.
 MAX_TERMS = 10**6
 
+# Ceiling on the total degree of a power.  Over Q, deg(p^n) = n deg(p)
+# exactly, so a power past it is refused before it is formed.
+MAX_DEGREE = 1 << 17
+
 
 class ExpressionSizeError(RuntimeError):
     """Raised when an expansion exceeds the monomial budget, an exponent
-    reaches ``EXP_LIMIT`` or a coefficient has more digits than
-    ``sys.get_int_max_str_digits()``."""
+    reaches ``EXP_LIMIT``, a power's degree passes ``MAX_DEGREE`` or a
+    coefficient has more digits than ``sys.get_int_max_str_digits()``."""
 
 
 _VAR_RE = re.compile(r"^(.*?)(\d*)$")
@@ -78,6 +83,14 @@ def _shift(name: str) -> int:
 def _check_width(monomials) -> None:
     if reduce(or_, monomials, 0) & _GUARD:
         raise ExpressionSizeError(f"an exponent exceeds {EXP_LIMIT - 1}")
+
+
+def _fields(m: int):
+    """The exponents packed in monomial m, one per field up to its last
+    nonzero one."""
+    while m:
+        yield m & _MASK
+        m >>= _FIELD
 
 
 def _ordered_shifts(names) -> list:
@@ -147,6 +160,10 @@ class Poly:
         if not self.is_const():
             raise ValueError("polynomial is not constant")
         return Fraction(self.terms.get(0, 0), self.den)
+
+    def degree(self) -> int:
+        """The total degree; 0 for a constant or zero polynomial."""
+        return max((sum(_fields(m)) for m in self.terms), default=0)
 
     def vars(self) -> set:
         support = reduce(or_, self.terms, 0)
@@ -291,6 +308,12 @@ class Poly:
             (c,) = self.terms.values()
             if n * (max(abs(c), self.den).bit_length() - 1) * 1000 > limit * 3322:
                 raise ExpressionSizeError(f"a coefficient has more than {limit} digits")
+        deg = self.degree()
+        if n * deg > MAX_DEGREE:
+            # an exponent past its packed field keeps its own message
+            if n * max(e for m in self.terms for e in _fields(m)) >= EXP_LIMIT:
+                raise ExpressionSizeError(f"an exponent exceeds {EXP_LIMIT - 1}")
+            raise ExpressionSizeError(f"a power of degree {n * deg} exceeds {MAX_DEGREE}")
         result = Poly.const(1)
         base = self
         while n:

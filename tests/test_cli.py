@@ -1163,6 +1163,33 @@ def test_high_exponents_keep_working(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: POISSON"
 
 
+@pytest.mark.parametrize(
+    "doc,degree",
+    [
+        # an explicit g entry
+        ({"N": 1, "K": 0, "g": [["u1^2000000"]], "b": [[["0"]]]}, 2000000),
+        # a divisor factor: it stays factored until a sum expands it
+        ({"N": 1, "eta": [[1]], "K": 0, "H": ["u1^2/2 + 1/(u1-2)^3000000000"]}, 3000000000),
+        ({"N": 1, "eta": [[1]], "K": 0, "H": ["u1^131073"]}, 131073),
+        ({"N": 1, "eta": [[1]], "K": 0, "H": ["u1^131072"]}, None),
+    ],
+    ids=["explicit-power", "divisor-power", "past-the-bound", "at-the-bound"],
+)
+def test_a_power_past_the_degree_bound_exits_3_at_once(tmp_path, capsys, doc, degree):
+    path = _write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    code = main(["check-poisson", path])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    if degree is None:
+        assert code == 0
+        assert captured.out.endswith("verdict: POISSON\n")
+    else:
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"check-poisson: expression size limit: a power of degree {degree} exceeds 131072\n"
+
+
 # -- the process entry -----------------------------------------------------------
 
 
@@ -1422,6 +1449,30 @@ def test_importing_the_cli_loads_every_layer_and_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [True] * len(layers) + [False]
+
+
+def test_the_public_names_are_the_package_all():
+    """``hydrobrackets.__all__`` is the one list of public names: a star
+    import binds exactly its names, and the module paths that the tests and
+    the README import from keep working."""
+    import hydrobrackets
+
+    namespace = {}
+    exec("from hydrobrackets import *", namespace)
+    del namespace["__builtins__"]
+    assert len(hydrobrackets.__all__) == 26
+    assert sorted(namespace) == sorted(hydrobrackets.__all__)
+    assert all(namespace[name] is getattr(hydrobrackets, name) for name in namespace)
+    # the function, not the submodule of the same name
+    assert hydrobrackets.hierarchy is sys.modules["hydrobrackets.hierarchy"].hierarchy
+    from hydrobrackets.bracket import ConditionResult, NotSpecialError, Witness, operator_matrix
+    from hydrobrackets.expr import UnknownVariableError
+
+    assert issubclass(UnknownVariableError, hydrobrackets.ParseError)
+    assert issubclass(NotSpecialError, ValueError)
+    assert ConditionResult._fields == ("name", "status", "witness")
+    assert Witness._fields == ("indices", "point", "value")
+    assert operator_matrix.__module__ == "hydrobrackets.bracket"
 
 
 # -- a canonical block is the canonical pair of eta, H^j = a^j eta_{js} u^s / 2 ----

@@ -15,6 +15,7 @@ import pytest
 from hydrobrackets.bracket import (
     CanonicalPair,
     ConstantBracket,
+    build_canonical,
     functional_bracket_density,
     _nonclosed_at,
     operator_matrix,
@@ -448,6 +449,47 @@ def test_every_level_is_bihamiltonian(eta, h_texts):
             for k in range(eta.n):
                 assert _zero(p2[i][k] - fl.V[i][k])
                 assert _zero(p1[i][k] - nxt.V[i][k])
+
+
+_LINEAR_N2 = ("2*u1 - u2", "u1 + 3*u2")
+_LINEAR_N3 = ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3")
+
+
+@pytest.mark.parametrize(
+    "eta,K,h_texts,levels",
+    [
+        ([[1, 0], [0, 1]], 1, _LINEAR_N2, 4),
+        ([[0, 1], [1, 0]], 0, _LINEAR_N2, 4),
+        ([[0, 1], [1, 0]], 1, _LINEAR_N2, 4),
+        ([[1, 0], [0, -1]], 1, _LINEAR_N2, 4),
+        # eta is not its own inverse: the only pairs that tell eta_{sj} from eta^{sj}
+        ([[2, 1], [1, 1]], 1, _LINEAR_N2, 4),
+        ([[2, 1], [1, 1]], -1, _LINEAR_N2, 4),
+        ([[1, 0], [0, 1]], 1, ("u1 + (u1^2 + u2^2)/2", "3*u2 + (u1^2 + u2^2)"), 4),
+        ([[0, 1], [1, 0]], 1, ("u1/2", "3*u2/2"), 4),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, _LINEAR_N3, 3),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 0, _LINEAR_N3, 3),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], -1, _LINEAR_N3, 3),
+    ],
+    ids=[
+        "n2-identity", "n2-offdiagonal-K0", "n2-offdiagonal-K1", "n2-diagonal-indefinite",
+        "n2-nondiagonal-K1", "n2-nondiagonal-K-1", "n2-quadratic", "n2-offdiagonal-half",
+        "n3-identity", "n3-indefinite-K0", "n3-indefinite-K-1",
+    ],
+)
+def test_every_level_commutes_with_the_affinor(eta, K, h_texts, levels):
+    # the affinor L^i_j = g1^{is} eta_{sj} of the pair: [V_n, L] = 0 exactly
+    eta = ConstantBracket(eta)
+    vars = tuple(f"u{i + 1}" for i in range(eta.n))
+    P = CanonicalPair(eta=eta, K=K, H=tuple(parse(t, vars) for t in h_texts), vars=vars)
+    g1 = build_canonical(P).g
+    n = range(eta.n)
+    L = [[sum((g1[i][s] * eta.down[s][j] for s in n), Expr.const(0)) for j in n] for i in n]
+    for fl in hierarchy(P, levels)[1:]:
+        V = fl.V
+        for i, j in itertools.product(n, n):
+            commutator = sum((V[i][s] * L[s][j] - L[i][s] * V[s][j] for s in n), Expr.const(0))
+            assert _zero(commutator), (i, j)
 
 
 def test_bihamiltonian_check_failure_has_witnesses():
