@@ -39,7 +39,7 @@ from .expr import (
     is_zero,
     random_rational_point,
 )
-from .geometry import DegenerateMetricError, matrix_inverse
+from .geometry import matrix_inverse
 from .poly import ray_integral, var_key
 
 
@@ -138,8 +138,8 @@ class ConstantBracket:
                 if up[i][j] != up[j][i]:
                     raise ValueError("eta must be symmetric")
         try:
-            inv = matrix_inverse([[Expr.const(x) for x in row] for row in up])
-        except DegenerateMetricError:
+            inv = matrix_inverse(up)
+        except ValueError:
             raise ValueError("eta is singular") from None
         self.up = up
         self.down = tuple(tuple(a.const_value() for a in row) for row in inv)
@@ -158,15 +158,7 @@ class ConstantBracket:
 
     def as_hydro(self, vars) -> HydroBracket:
         n = self.n
-        zero = Expr.const(0)
-        return HydroBracket(
-            vars=tuple(vars),
-            g=tuple(tuple(Expr.const(self.up[i][j]) for j in range(n)) for i in range(n)),
-            b=tuple(
-                tuple(tuple(zero for _ in range(n)) for _ in range(n)) for _ in range(n)
-            ),
-            K=zero,
-        )
+        return HydroBracket(tuple(vars), self.up, [[[0] * n] * n] * n, 0)
 
 
 class CanonicalPair:

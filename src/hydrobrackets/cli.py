@@ -66,8 +66,10 @@ class ProblemFileError(ValueError):
 
 
 def _rational(text: str) -> Fraction:
+    if not text.isascii() or "_" in text:  # as the tokenizer: ASCII digits, no separators
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     limit = sys.get_int_max_str_digits()  # as the tokenizer: refuse a digit run or exponent past it
-    for exp, digits in re.findall(r"([eE]?)[-+]?(\d+)", text.replace("_", "")):
+    for exp, digits in re.findall(r"([eE]?)[-+]?(\d+)", text):
         if limit and (len(digits) > limit or exp and int(digits) > limit):
             raise ValueError(f"number has more than {limit} digits")
     return Fraction(text)

@@ -18,10 +18,6 @@ from typing import Sequence
 from .expr import Expr, Zeroness, as_expr, grad, is_zero
 
 
-class DegenerateMetricError(ValueError):
-    """The symbolic determinant vanishes identically."""
-
-
 def field_vars(n: int, prefix: str = "u") -> tuple:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
@@ -64,7 +60,7 @@ def _eliminate(rows: list, n: int):
 def matrix_inverse(entries) -> list:
     """Exact inverse by :func:`_eliminate` on [A | I]: the matrix ends as
     [d I | d A^{-1}], and one reciprocal of the last pivot d finishes.  An
-    identically singular matrix raises DegenerateMetricError."""
+    identically singular matrix raises ValueError."""
     n = len(entries)
     rows = [
         [as_expr(x) for x in row] + [Expr.const(int(i == j)) for j in range(n)]
@@ -72,7 +68,7 @@ def matrix_inverse(entries) -> list:
     ]
     done = _eliminate(rows, n)
     if done is None:
-        raise DegenerateMetricError("matrix is identically degenerate")
+        raise ValueError("matrix is identically degenerate")
     scale = done[0].reciprocal()
     return [[x * scale for x in row[n:]] for row in rows]
 

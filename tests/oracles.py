@@ -185,7 +185,7 @@ def nijenhuis_torsion(g1, g2, vars) -> dict:
     Compatible metrics with g2 nondegenerate have zero torsion (Mokhov,
     "Compatible and almost compatible pseudo-Riemannian metrics", 2001);
     the converse needs more, so this is a necessary condition only.  An
-    identically degenerate g2 raises DegenerateMetricError."""
+    identically degenerate g2 raises ValueError."""
     n = len(vars)
     inv = matrix_inverse(g2)
     L = [[_dot(g1[i], [inv[s][j] for s in range(n)]) for j in range(n)] for i in range(n)]

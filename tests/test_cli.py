@@ -1365,10 +1365,20 @@ def _numeric_k(literal: str) -> bytes:
             _numeric_k("0." + "0" * 4999 + "1"),
             f"{{path}}: number has more than {_LIMIT} digits",
         ),
+        # a rational string is ASCII with no `_`, though Fraction reads both
+        *(
+            (
+                "check-poisson",
+                _numeric_k(json.dumps(k)),
+                f"K: bad rational {k!r}: Invalid literal for Fraction: {k!r}",
+            )
+            for k in ("\u0663", "3/\u0664", "1_0")
+        ),
     ],
     ids=[
         "not-utf8", "deep-json", "deep-parentheses", "deep-calls",
         "long-integer", "json-exponent", "string-exponent", "long-decimal",
+        "arabic-indic-digit", "arabic-indic-denominator", "digit-separator",
     ],
 )
 def test_malformed_files_end_in_one_input_error_line(tmp_path, capsys, command, content, message):

@@ -54,7 +54,7 @@ def test_inverse_identity_products():
 def test_degenerate_metric_rejected():
     # christoffel inverts g^{ij} when g_{ij} is not given
     u1 = Expr.var("u1")
-    with pytest.raises(geo.DegenerateMetricError):
+    with pytest.raises(ValueError, match="identically degenerate"):
         geo.christoffel(UV, [[u1, u1], [u1, u1]])
 
 
@@ -71,7 +71,7 @@ def test_matrix_inverse_of_random_and_symbolic_matrices():
         n = len(A)
         if oracles.det(A).is_zero():
             singular += 1
-            with pytest.raises(geo.DegenerateMetricError):
+            with pytest.raises(ValueError, match="identically degenerate"):
                 geo.matrix_inverse(A)
             continue
         inv = geo.matrix_inverse(A)

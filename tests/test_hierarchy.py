@@ -455,41 +455,86 @@ _LINEAR_N2 = ("2*u1 - u2", "u1 + 3*u2")
 _LINEAR_N3 = ("2*u1 - u2 + u3", "u1 + 3*u2", "2*u1 + u2 - u3")
 
 
-@pytest.mark.parametrize(
-    "eta,K,h_texts,levels",
-    [
-        ([[1, 0], [0, 1]], 1, _LINEAR_N2, 4),
-        ([[0, 1], [1, 0]], 0, _LINEAR_N2, 4),
-        ([[0, 1], [1, 0]], 1, _LINEAR_N2, 4),
-        ([[1, 0], [0, -1]], 1, _LINEAR_N2, 4),
-        # eta is not its own inverse: the only pairs that tell eta_{sj} from eta^{sj}
-        ([[2, 1], [1, 1]], 1, _LINEAR_N2, 4),
-        ([[2, 1], [1, 1]], -1, _LINEAR_N2, 4),
-        ([[1, 0], [0, 1]], 1, ("u1 + (u1^2 + u2^2)/2", "3*u2 + (u1^2 + u2^2)"), 4),
-        ([[0, 1], [1, 0]], 1, ("u1/2", "3*u2/2"), 4),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, _LINEAR_N3, 3),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 0, _LINEAR_N3, 3),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], -1, _LINEAR_N3, 3),
-    ],
-    ids=[
-        "n2-identity", "n2-offdiagonal-K0", "n2-offdiagonal-K1", "n2-diagonal-indefinite",
-        "n2-nondiagonal-K1", "n2-nondiagonal-K-1", "n2-quadratic", "n2-offdiagonal-half",
-        "n3-identity", "n3-indefinite-K0", "n3-indefinite-K-1",
-    ],
+# (eta, K, H) of the pairs whose affinor the tests below read
+_AFFINOR_PAIRS = {
+    "n2-identity": ([[1, 0], [0, 1]], 1, _LINEAR_N2),
+    "n2-offdiagonal-K0": ([[0, 1], [1, 0]], 0, _LINEAR_N2),
+    "n2-offdiagonal-K1": ([[0, 1], [1, 0]], 1, _LINEAR_N2),
+    "n2-diagonal-indefinite": ([[1, 0], [0, -1]], 1, _LINEAR_N2),
+    # eta is not its own inverse: the only pairs that tell eta_{sj} from eta^{sj}
+    "n2-nondiagonal-K1": ([[2, 1], [1, 1]], 1, _LINEAR_N2),
+    "n2-nondiagonal-K-1": ([[2, 1], [1, 1]], -1, _LINEAR_N2),
+    "n2-quadratic": ([[1, 0], [0, 1]], 1, ("u1 + (u1^2 + u2^2)/2", "3*u2 + (u1^2 + u2^2)")),
+    "n2-offdiagonal-half": ([[0, 1], [1, 0]], 1, ("u1/2", "3*u2/2")),
+    "n3-identity": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, _LINEAR_N3),
+    "n3-indefinite-K0": ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 0, _LINEAR_N3),
+    "n3-indefinite-K-1": ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], -1, _LINEAR_N3),
+}
+# two more K = 0 pairs, for the origin test only
+_K0_PAIRS = {
+    "n2-offdiagonal-half-K0": ([[0, 1], [1, 0]], 0, ("u1/2", "3*u2/2")),
+    "n2-diagonal-indefinite-K0": ([[1, 0], [0, -1]], 0, _LINEAR_N2),
+}
+# the committed pairs, read as the commands read them
+_COMMITTED_AFFINOR = (
+    "problems/canonical_metric_n2.json",
+    "tests/golden/canonical_eta_n2.json",
+    "tests/golden/gauge_n2.json",
 )
-def test_every_level_commutes_with_the_affinor(eta, K, h_texts, levels):
-    # the affinor L^i_j = g1^{is} eta_{sj} of the pair: [V_n, L] = 0 exactly
+
+
+def _affinor_pair(case):
+    if case.endswith(".json"):
+        return load_problem(str(ROOT / case), "u").canonical_pair()
+    eta, K, h_texts = {**_AFFINOR_PAIRS, **_K0_PAIRS}[case]
     eta = ConstantBracket(eta)
     vars = tuple(f"u{i + 1}" for i in range(eta.n))
-    P = CanonicalPair(eta=eta, K=K, H=tuple(parse(t, vars) for t in h_texts), vars=vars)
+    return CanonicalPair(eta=eta, K=K, H=tuple(parse(t, vars) for t in h_texts), vars=vars)
+
+
+def _affinor(P):
+    """The affinor L^i_j = g1^{is} eta_{sj} of the pair."""
     g1 = build_canonical(P).g
-    n = range(eta.n)
-    L = [[sum((g1[i][s] * eta.down[s][j] for s in n), Expr.const(0)) for j in n] for i in n]
-    for fl in hierarchy(P, levels)[1:]:
+    n = range(P.n)
+    return [[sum((g1[i][s] * P.eta.down[s][j] for s in n), Expr.const(0)) for j in n] for i in n]
+
+
+@pytest.mark.parametrize("case", [*_AFFINOR_PAIRS, *_COMMITTED_AFFINOR])
+def test_every_level_commutes_with_the_affinor(case):
+    # [V_n, L] = 0 exactly, at levels 1-4 (1-3 when N = 3)
+    P = _affinor_pair(case)
+    L = _affinor(P)
+    n = range(P.n)
+    for fl in hierarchy(P, 4 if P.n == 2 else 3)[1:]:
         V = fl.V
         for i, j in itertools.product(n, n):
             commutator = sum((V[i][s] * L[s][j] - L[i][s] * V[s][j] for s in n), Expr.const(0))
             assert _zero(commutator), (i, j)
+
+
+# the indefinite linear N = 2 pairs: L(0) has a complex pair of eigenvalues
+_COMPLEX_AT_ORIGIN = {
+    "n2-offdiagonal-K0", "n2-offdiagonal-K1", "n2-diagonal-indefinite", "n2-diagonal-indefinite-K0",
+}
+
+
+@pytest.mark.parametrize("case", [*_AFFINOR_PAIRS, *_K0_PAIRS])
+def test_the_affinor_at_the_origin_decides_complex_speeds(case):
+    # the characteristic polynomial of L(0) has a non-real root exactly when
+    # that of every V_n(0) has one: the count of non-real roots is the degree
+    # of the square-free part less the number of real roots
+    sympy = pytest.importorskip("sympy")
+    P = _affinor_pair(case)
+
+    def complex_at_origin(M):
+        at_0 = [[sympy.Rational(str(e.at_origin(P.vars).const_value())) for e in row] for row in M]
+        sqf = sympy.Matrix(at_0).charpoly().sqf_part()
+        return bool(sqf.degree() > sqf.count_roots())
+
+    expected = case in _COMPLEX_AT_ORIGIN
+    assert complex_at_origin(_affinor(P)) is expected
+    for fl in hierarchy(P, 3)[1:]:
+        assert complex_at_origin(fl.V) is expected
 
 
 def test_bihamiltonian_check_failure_has_witnesses():
